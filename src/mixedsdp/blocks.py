@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -52,7 +51,6 @@ from mixedsdp.tableaux import (
     TableauTriple,
     build_shape_index_d0,
     build_shape_index_empty,
-    tableau_label,
 )
 
 N_BIN = 4
@@ -226,17 +224,15 @@ def kappa_empty(spec: ProblemSpec, bin_unequal: int, ter_unequal: int) -> OrbitI
 
 
 @dataclass(frozen=True)
-class BlockSpec:
-    """One reduced block: per-orbit exact integer matrices, plus an optional
-    constant part (only the augmented empty-code block has one)."""
+class Block:
+    """One affine matrix constraint F0 + sum_v y_v F_v >= 0 of the reduced
+    problem, with exact integer dense matrices (tuples of tuple rows).
+    ``coeff`` maps a variable index to its matrix F_v."""
 
-    case: str
     label: str
     dim: int
-    row_labels: tuple[str, ...]
+    f0: tuple
     coeff: dict
-    f0: tuple | None = None
-    augmented: bool = False
 
 
 def _zero_matrix(dim: int) -> list[list[int]]:
@@ -247,12 +243,12 @@ def build_blocks_d0(
     spec: ProblemSpec,
     shapes: list[ShapeD0],
     orbits: OrbitTable,
-    include_infeasible: bool = False,
-) -> list[BlockSpec]:
+    var_of_orbit: dict[int, int],
+) -> list[Block]:
     """Reduced blocks for the all-zero-word stabilizer, one per shape.
 
-    Orbit variables fixed to zero by the distance constraint are dropped
-    unless ``include_infeasible`` (used by the verifier).
+    ``var_of_orbit`` maps orbit indices to variable indices; coefficients of
+    orbits outside it (those fixed to zero) are dropped.
     """
     out = []
     for shape in shapes:
@@ -271,21 +267,16 @@ def build_blocks_d0(
                         kappa_cache[key] = widx
                     agg[widx] += c
                 for widx, val in agg.items():
-                    if val == 0:
+                    if val == 0 or widx not in var_of_orbit:
                         continue
-                    if not include_infeasible and not orbits.feasible[widx]:
-                        continue
-                    mat = mats.setdefault(widx, _zero_matrix(dim))
+                    mat = mats.setdefault(var_of_orbit[widx], _zero_matrix(dim))
                     mat[i][j] = val
                     mat[j][i] = val
-        out.append(BlockSpec(
-            case=CASE_ZERO,
-            label=shape.label(),
+        out.append(Block(
+            label=f"{CASE_ZERO}:{shape.label()}",
             dim=dim,
-            row_labels=tuple(
-                "x".join(tableau_label(t) for t in col) for col in cols
-            ),
-            coeff={w: tuple(map(tuple, m)) for w, m in mats.items()},
+            f0=tuple(map(tuple, _zero_matrix(dim))),
+            coeff={v: tuple(map(tuple, m)) for v, m in mats.items()},
         ))
     return out
 
@@ -304,10 +295,11 @@ def build_blocks_empty(
     spec: ProblemSpec,
     shapes: list[ShapeEmpty],
     orbits: OrbitTable,
-    include_infeasible: bool = False,
-) -> list[BlockSpec]:
+    var_of_orbit: dict[int, int],
+) -> list[Block]:
     """Reduced blocks for the empty-code stabilizer: 1x1 per shape, except
-    the augmented shape which gains the empty-code row and column."""
+    the augmented shape which gains the empty-code row and column.  Orbits
+    outside ``var_of_orbit`` are dropped, as in ``build_blocks_d0``."""
     full = spec.num_words
     out = []
     for shape in shapes:
@@ -321,55 +313,18 @@ def build_blocks_empty(
                 val = scale * binpoly[a] * terpoly[b]
                 if val == 0:
                     continue
-                w = kappa_empty(spec, a, b)
-                widx = orbits.index_of(w)
-                if not include_infeasible and not orbits.feasible[widx]:
-                    continue
-                coeff[widx] = val
+                widx = orbits.index_of(kappa_empty(spec, a, b))
+                if widx in var_of_orbit:
+                    coeff[var_of_orbit[widx]] = val
+        label = f"{CASE_EMPTY}:{shape.label()}"
         if shape.augmented:
-            sidx = orbits.index_of(singleton_orbit(spec))
-            mats = {
-                widx: ((0, 0), (0, val)) for widx, val in coeff.items()
-            }
-            corner = mats.get(sidx, ((0, 0), (0, 0)))[1][1]
-            mats[sidx] = ((0, full), (full, corner))
-            out.append(BlockSpec(
-                case=CASE_EMPTY,
-                label=shape.label(),
-                dim=2,
-                row_labels=("empty", "col"),
-                coeff=mats,
-                f0=((1, 0), (0, 0)),
-                augmented=True,
-            ))
+            svar = var_of_orbit[orbits.index_of(singleton_orbit(spec))]
+            mats = {v: ((0, 0), (0, val)) for v, val in coeff.items()}
+            mats[svar] = ((0, full), (full, coeff.get(svar, 0)))
+            out.append(Block(label, 2, ((1, 0), (0, 0)), mats))
         else:
-            out.append(BlockSpec(
-                case=CASE_EMPTY,
-                label=shape.label(),
-                dim=1,
-                row_labels=("col",),
-                coeff={w: ((v,),) for w, v in coeff.items()},
-            ))
+            out.append(Block(label, 1, ((0,),), {v: ((val,),) for v, val in coeff.items()}))
     return out
-
-
-def block_to_json(block: BlockSpec, orbits: OrbitTable) -> dict:
-    """Debug dump with exact entries rendered as rational strings."""
-    return {
-        "case": block.case,
-        "shape": block.label,
-        "rowLabels": list(block.row_labels),
-        "augmented": block.augmented,
-        "f0": None if block.f0 is None else [
-            [str(Fraction(v)) for v in row] for row in block.f0
-        ],
-        "orbits": {
-            orbits.orbits[w].describe(): [
-                [str(Fraction(v)) for v in row] for row in mat
-            ]
-            for w, mat in sorted(block.coeff.items())
-        },
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +476,9 @@ def verify_reduction(
 
     shapes_zero = build_shape_index_d0(spec)
     shapes_empty = build_shape_index_empty(spec)
-    blocks_zero = build_blocks_d0(spec, shapes_zero, orbits, include_infeasible=True)
-    blocks_empty = build_blocks_empty(spec, shapes_empty, orbits, include_infeasible=True)
+    every_orbit = {i: i for i in range(len(orbits))}
+    blocks_zero = build_blocks_d0(spec, shapes_zero, orbits, every_orbit)
+    blocks_empty = build_blocks_empty(spec, shapes_empty, orbits, every_orbit)
 
     # (c) zero-word case: engine entries vs explicit contraction
     mismatch = None
@@ -561,7 +517,7 @@ def verify_reduction(
         for x, cx in vec.items():
             for y, cy in vec.items():
                 agg[int(pair_orbit_idx[pos[x], pos[y]])] += cx * cy
-        slot = 1 if block.augmented else 0
+        slot = 1 if shape.augmented else 0
         for widx in range(len(orbits)):
             want = agg.get(widx, 0)
             got = block.coeff.get(widx)
@@ -571,7 +527,7 @@ def verify_reduction(
                     f"shape {shape.label()} orbit {orbits.orbits[widx].describe()}: "
                     f"engine {got_val}, explicit {want}"
                 )
-        if block.augmented:
+        if shape.augmented:
             sidx = orbits.index_of(singleton_orbit(spec))
             off = block.coeff[sidx][0][1]
             if block.f0[0][0] != 1:
@@ -620,9 +576,7 @@ def verify_reduction(
     def blocks_min_eig(block_list, y, feasible_only=True):
         worst = np.inf
         for block in block_list:
-            m = np.zeros((block.dim, block.dim))
-            if block.f0 is not None:
-                m += np.array(block.f0, dtype=float)
+            m = np.array(block.f0, dtype=float)
             for widx, mat in block.coeff.items():
                 if feasible_only and not orbits.feasible[widx]:
                     continue

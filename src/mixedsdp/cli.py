@@ -20,7 +20,7 @@ from pathlib import Path
 
 from mixedsdp.blocks import verify_reduction
 from mixedsdp.codes import DEFAULT_WORD_CAP, ProblemSpec, ResourceError, exact_n
-from mixedsdp.model import build_lp_k2, build_sdp, derived_doubling_bound
+from mixedsdp.model import build_problem, derived_doubling_bound
 from mixedsdp.solver import SolverError, certify, emit_sdpa, solve
 
 EXIT_OK = 0
@@ -86,8 +86,7 @@ class ResultsStore:
 
 
 def _compute_bound(n2: int, n3: int, d: int, k: int, tol: float, max_iter: int = 500):
-    spec = ProblemSpec(n2, n3, d, k)
-    problem = build_sdp(spec) if k == 3 else build_lp_k2(spec)
+    problem = build_problem(ProblemSpec(n2, n3, d, k))
     solution = solve(problem, tol=tol, max_iter=max_iter)
     bound = certify(problem, solution)
     record = {
@@ -105,12 +104,8 @@ def _compute_bound(n2: int, n3: int, d: int, k: int, tol: float, max_iter: int =
 
 
 def cmd_bound(args) -> int:
-    spec = ProblemSpec(args.n2, args.n3, args.d, args.k)
     if args.emit_only:
-        problem = build_sdp(spec) if args.k == 3 else build_lp_k2(spec)
-        path = emit_sdpa(problem, args.emit_only)
-        print(f"emitted {path}")
-        return EXIT_OK
+        return _emit(args, args.emit_only)
     record = _compute_bound(args.n2, args.n3, args.d, args.k, args.tol, args.max_iter)
     ResultsStore(args.store).append(record)
     print(
@@ -140,12 +135,14 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
-def cmd_emit(args) -> int:
-    spec = ProblemSpec(args.n2, args.n3, args.d, args.k)
-    problem = build_sdp(spec) if args.k == 3 else build_lp_k2(spec)
-    path = emit_sdpa(problem, args.path)
-    print(f"emitted {path}")
+def _emit(args, destination) -> int:
+    problem = build_problem(ProblemSpec(args.n2, args.n3, args.d, args.k))
+    print(f"emitted {emit_sdpa(problem, destination)}")
     return EXIT_OK
+
+
+def cmd_emit(args) -> int:
+    return _emit(args, args.path)
 
 
 def _table_worker(task):
@@ -157,14 +154,12 @@ def _table_worker(task):
 
 
 def cmd_table(args) -> int:
-    rows = load_reference_rows()
-    if args.d:
-        rows = [r for r in rows if r.d == args.d]
-    by_key = {(r.n2, r.n3, r.d): r for r in load_reference_rows()}
+    all_rows = load_reference_rows()
+    by_key = {(r.n2, r.n3, r.d): r for r in all_rows}
+    rows = [r for r in all_rows if not args.d or r.d == args.d]
 
     if args.derived:
         print(f"{'n2':>3} {'n3':>3} {'d':>3} {'doubled':>9} {'published':>9}  note")
-        mismatches = 0
         for r in rows:
             src = by_key.get((r.n2 - 1, r.n3, r.d))
             if src is None or src.marker == "doubling":

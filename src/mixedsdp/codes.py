@@ -13,6 +13,7 @@ triple of its words, minimized over the six reorderings of the triple.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from math import factorial
@@ -735,11 +736,10 @@ def optimal_code(
         raise ResourceError(
             f"word space {spec.num_words} exceeds oracle cap {cap}"
         )
-    import sys
-
-    if sys.getrecursionlimit() < spec.num_words + 2000:
-        sys.setrecursionlimit(spec.num_words + 2000)
     words = list(all_words(spec))
+    # the clique search recurses; the raised limit holds only while it runs
+    saved_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(saved_limit, spec.num_words + 2000))
     try:
         mask = _max_clique_words(
             spec, words, _compatibility_masks(spec, words), node_budget
@@ -749,6 +749,8 @@ def optimal_code(
             f"oracle node budget {node_budget} exceeded for "
             f"({spec.n2},{spec.n3},{spec.d})"
         ) from None
+    finally:
+        sys.setrecursionlimit(saved_limit)
     picked = [words[i] for i in range(len(words)) if mask >> i & 1]
     return code(*picked)
 

@@ -1,16 +1,18 @@
-"""Assembly of the reduced optimization problem: orbit variables, objective,
-PSD blocks and nonnegativity constraints, plus the level-2 linear-programming
-mode and the doubling inequality for derived bounds.
+"""Assembly of the reduced optimization problem: orbit variables, objective
+and the exact blocks from both stabilizer cases, plus the level-2
+linear-programming mode and the doubling inequality for derived bounds.
+
+Every variable satisfies y >= 0; the solver and the SDPA writer add
+those constraints themselves.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from mixedsdp.blocks import BlockSpec, build_blocks_d0, build_blocks_empty
+from mixedsdp.blocks import Block, build_blocks_d0, build_blocks_empty
 from mixedsdp.codes import (
     Code,
     OrbitId,
@@ -25,31 +27,19 @@ from mixedsdp.tableaux import build_shape_index_d0, build_shape_index_empty
 
 
 @dataclass(frozen=True)
-class SdpBlock:
-    """One affine constraint F0 + sum_i y_i F_i >= 0 (matrix inequality)."""
-
-    label: str
-    dim: int
-    f0: tuple
-    coeff: dict  # variable index -> integer matrix (tuple of tuples)
-
-
-@dataclass(frozen=True)
 class SdpProblem:
-    """Block-diagonal linear matrix inequality in orbit variables.
+    """Block-diagonal linear matrix inequality in orbit variables y >= 0.
 
     Variables are the feasible orbits except the empty one, whose value is
     the constant 1 (substituted into the constant parts).  The objective is
-    maximization of ``objective . y``; every variable also has an explicit
-    nonnegativity constraint.
+    maximization of ``objective . y``.
     """
 
     spec: ProblemSpec
     k: int
     variables: tuple[OrbitId, ...]
     objective: tuple[int, ...]
-    blocks: tuple[SdpBlock, ...]
-    nonneg: tuple[int, ...]
+    blocks: tuple[Block, ...]
     _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,83 +56,46 @@ class SdpProblem:
         return self.variable_index(singleton_orbit(self.spec))
 
 
-def _adopt_blocks(
-    raw: list[BlockSpec], var_of_orbit: dict[int, int]
-) -> list[SdpBlock]:
-    out = []
-    for b in raw:
-        coeff = {}
-        for widx, mat in b.coeff.items():
-            if widx in var_of_orbit:
-                coeff[var_of_orbit[widx]] = mat
-        f0 = b.f0 if b.f0 is not None else tuple(
-            tuple(0 for _ in range(b.dim)) for _ in range(b.dim)
-        )
-        out.append(SdpBlock(f"{b.case}:{b.label}", b.dim, f0, coeff))
-    return out
-
-
-def _variable_map(table: OrbitTable, max_size: int) -> tuple[list[OrbitId], dict[int, int]]:
+def _build(spec: ProblemSpec, table: OrbitTable | None) -> SdpProblem:
+    """Level k keeps the feasible orbits of size 1..k as variables; level 3
+    adds the all-zero-word blocks to the empty-code ones."""
+    if table is None:
+        table = enumerate_orbits(spec)
     variables = []
     var_of_orbit = {}
     for i, w in enumerate(table.orbits):
-        if i == 0 or not table.feasible[i] or w.size > max_size:
-            continue
-        var_of_orbit[i] = len(variables)
-        variables.append(w)
-    return variables, var_of_orbit
+        if i and table.feasible[i] and w.size <= spec.k:
+            var_of_orbit[i] = len(variables)
+            variables.append(w)
+    blocks = []
+    if spec.k == 3:
+        blocks += build_blocks_d0(spec, build_shape_index_d0(spec), table, var_of_orbit)
+    blocks += build_blocks_empty(spec, build_shape_index_empty(spec), table, var_of_orbit)
+    objective = [0] * len(variables)
+    objective[var_of_orbit[table.index_of(singleton_orbit(spec))]] = spec.num_words
+    return SdpProblem(spec, spec.k, tuple(variables), tuple(objective), tuple(blocks))
 
 
 def build_sdp(spec: ProblemSpec, table: OrbitTable | None = None) -> SdpProblem:
-    """The full level-3 problem: blocks from both stabilizer cases, the
-    augmented empty-code block carrying the constant, and nonnegativity for
-    every orbit variable."""
+    """The full level-3 problem: blocks from both stabilizer cases, with the
+    augmented empty-code block carrying the constant."""
     if spec.k != 3:
         raise ValueError("build_sdp expects hierarchy level 3")
-    if table is None:
-        table = enumerate_orbits(spec)
-    variables, var_of_orbit = _variable_map(table, max_size=3)
-    raw = build_blocks_d0(spec, build_shape_index_d0(spec), table)
-    raw += build_blocks_empty(spec, build_shape_index_empty(spec), table)
-    blocks = _adopt_blocks(raw, var_of_orbit)
-    objective = [0] * len(variables)
-    sidx = variables.index(singleton_orbit(spec))
-    objective[sidx] = spec.num_words
-    return SdpProblem(
-        spec=spec,
-        k=3,
-        variables=tuple(variables),
-        objective=tuple(objective),
-        blocks=tuple(blocks),
-        nonneg=tuple(range(len(variables))),
-    )
+    return _build(spec, table)
 
 
 def build_lp_k2(spec: ProblemSpec, table: OrbitTable | None = None) -> SdpProblem:
     """The level-2 problem: only the empty-code-case blocks (scalars plus
-    the augmented 2x2) and nonnegativity on singleton and pair variables."""
+    the augmented 2x2) on singleton and pair variables."""
     if spec.k != 2:
         raise ValueError("build_lp_k2 expects hierarchy level 2")
-    if table is None:
-        table = enumerate_orbits(spec)
-    variables, var_of_orbit = _variable_map(table, max_size=2)
-    raw = build_blocks_empty(spec, build_shape_index_empty(spec), table)
-    blocks = _adopt_blocks(raw, var_of_orbit)
-    objective = [0] * len(variables)
-    sidx = variables.index(singleton_orbit(spec))
-    objective[sidx] = spec.num_words
-    return SdpProblem(
-        spec=spec,
-        k=2,
-        variables=tuple(variables),
-        objective=tuple(objective),
-        blocks=tuple(blocks),
-        nonneg=tuple(range(len(variables))),
-    )
+    return _build(spec, table)
 
 
 def build_problem(spec: ProblemSpec) -> SdpProblem:
-    return build_sdp(spec) if spec.k == 3 else build_lp_k2(spec)
+    """The problem at the spec's hierarchy level, as ``build_sdp`` (k=3) or
+    ``build_lp_k2`` (k=2) builds it."""
+    return _build(spec, None)
 
 
 def derived_doubling_bound(spec: ProblemSpec, known_bound: int) -> int:
@@ -167,40 +120,3 @@ def code_indicator_assignment(
         idx: Fraction(cnt, orbit_size(spec, table.orbits[idx]))
         for idx, cnt in counts.items()
     }
-
-
-def problem_to_json(problem: SdpProblem) -> str:
-    """JSON form: variables with orbit descriptions, blocks as sparse
-    triplets of rational strings."""
-    spec = problem.spec
-    doc = {
-        "spec": {"n2": spec.n2, "n3": spec.n3, "d": spec.d, "k": problem.k},
-        "variables": [
-            {"index": i, "size": w.size, "orbit": w.describe()}
-            for i, w in enumerate(problem.variables)
-        ],
-        "objective": {
-            str(i): str(Fraction(c))
-            for i, c in enumerate(problem.objective)
-            if c
-        },
-        "nonneg": list(problem.nonneg),
-        "blocks": [],
-    }
-    for b in problem.blocks:
-        entry = {"label": b.label, "dim": b.dim, "f0": [], "coeff": {}}
-        for i in range(b.dim):
-            for j in range(i, b.dim):
-                if b.f0[i][j]:
-                    entry["f0"].append([i, j, str(Fraction(b.f0[i][j]))])
-        for var, mat in sorted(b.coeff.items()):
-            trips = [
-                [i, j, str(Fraction(mat[i][j]))]
-                for i in range(b.dim)
-                for j in range(i, b.dim)
-                if mat[i][j]
-            ]
-            if trips:
-                entry["coeff"][str(var)] = trips
-        doc["blocks"].append(entry)
-    return json.dumps(doc, indent=2)

@@ -4,12 +4,14 @@ turns solver output into certified integer bounds.
 
 The solver follows the central path with Nesterov-Todd scaling and an
 adaptive centering parameter from an affine predictor probe, starting from
-identity slacks (infeasible start).  One-dimensional blocks, including the
-explicit nonnegativity constraints, are handled as linear inequalities.
-Rational problem data is converted to binary floating point once, at entry;
-coefficients that do not round-trip through a double are counted and
-reported.  Each block is rescaled to unit magnitude, which changes neither
-the feasible set nor the dual objective value.
+identity slacks (infeasible start).  One-dimensional blocks and the bound
+y >= 0 on every variable are handled as linear inequalities.
+Exact problem data is converted to binary floating point in one place, the
+SDPA view of the problem, which both the solver and the SDPA writer read;
+nonzero coefficients that do not round-trip through a double are counted
+and reported, each upper-triangle entry, constant and objective entry once.
+Each block is rescaled to unit magnitude, which changes neither the
+feasible set nor the dual objective value.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mixedsdp.blocks import Block
 from mixedsdp.model import SdpProblem
 
 
@@ -89,34 +92,8 @@ class CertifiedBound:
     provenance: str
 
 
-def solution_to_json(solution: Solution) -> str:
-    import json
-
-    return json.dumps({
-        "objective": solution.objective,
-        "dualObjective": solution.dual_objective,
-        "gap": solution.gap,
-        "iterations": solution.iterations,
-        "converged": solution.converged,
-        "primalResidual": solution.primal_residual,
-        "dualResidual": solution.dual_residual,
-        "minBlockEigenvalue": solution.min_block_eig,
-        "inexactCoefficients": solution.inexact_coefficients,
-        "y": [float(v) for v in solution.y],
-        "trace": solution.trace,
-    }, indent=2)
-
-
-def _to_float(value, counter: list[int]) -> float:
-    f = float(value)
-    if f != value:
-        counter[0] += 1
-    return f
-
-
 @dataclass
-class _SdpBlockData:
-    label: str
+class _PsdBlock:
     dim: int
     gamma: float
     f0: np.ndarray          # (s, s)
@@ -132,51 +109,36 @@ class _LpData:
 
 
 def _prepare(problem: SdpProblem):
-    m = problem.num_vars
-    counter = [0]
-    sdp_blocks: list[_SdpBlockData] = []
-    lp_l0: list[float] = []
-    lp_rows: list[np.ndarray] = []
-    lp_gammas: list[float] = []
+    """Dense, per-block rescaled float arrays built from the SDPA view."""
+    data, inexact = _sdpa_view(problem)
+    m = data.num_vars
+    table = np.array(data.entries, dtype=float).reshape(-1, 5)
+    matno, blkno, row, col = table[:, :4].astype(np.int64).T
+    val = np.where(matno == 0, -table[:, 4], table[:, 4])  # the view holds -F0
 
-    for block in problem.blocks:
-        if block.dim == 1:
-            row = np.zeros(m)
-            for var, mat in block.coeff.items():
-                row[var] = _to_float(mat[0][0], counter)
-            c0 = _to_float(block.f0[0][0], counter)
-            gamma = max(1.0, np.abs(row).max(initial=0.0), abs(c0))
-            lp_l0.append(c0 / gamma)
-            lp_rows.append(row / gamma)
-            lp_gammas.append(gamma)
+    sdp_blocks: list[_PsdBlock] = []
+    lp = _LpData(np.zeros(0), np.zeros((0, m)), np.zeros(0))
+    for k, s in enumerate(data.block_sizes, start=1):
+        sel = blkno == k
+        mat, i, j, v = matno[sel], row[sel] - 1, col[sel] - 1, val[sel]
+        if s < 0:
+            # the diagonal block, with the constants in column 0
+            dense = np.zeros((-s, m + 1))
+            dense[i, mat] = v
+            l0, rows = dense[:, 0], dense[:, 1:]
+            gammas = np.maximum(1.0, np.maximum(np.abs(rows).max(axis=1, initial=0.0), np.abs(l0)))
+            lp = _LpData(l0 / gammas, rows / gammas[:, None], gammas)
             continue
-        s = block.dim
-        f0 = np.array(
-            [[_to_float(v, counter) for v in r] for r in block.f0]
-        )
-        var_ids = np.array(sorted(block.coeff), dtype=np.int64)
-        fmat = np.zeros((len(var_ids), s, s))
-        for pos, var in enumerate(var_ids):
-            fmat[pos] = [[_to_float(v, counter) for v in r] for r in block.coeff[var]]
+        ids = np.union1d(0, mat)  # slot 0 holds F0
+        slot = np.searchsorted(ids, mat)
+        mats = np.zeros((len(ids), s, s))
+        mats[slot, i, j] = v
+        mats[slot, j, i] = v
+        f0, fmat = mats[0], mats[1:]
         gamma = max(1.0, np.abs(f0).max(initial=0.0), np.abs(fmat).max(initial=0.0))
-        sdp_blocks.append(_SdpBlockData(
-            block.label, s, gamma, f0 / gamma, var_ids, fmat / gamma
-        ))
-
-    for var in problem.nonneg:
-        row = np.zeros(m)
-        row[var] = 1.0
-        lp_l0.append(0.0)
-        lp_rows.append(row)
-        lp_gammas.append(1.0)
-
-    lp = _LpData(
-        np.array(lp_l0),
-        np.vstack(lp_rows) if lp_rows else np.zeros((0, m)),
-        np.array(lp_gammas),
-    )
-    b = np.array([_to_float(c, counter) for c in problem.objective])
-    return b, sdp_blocks, lp, counter[0]
+        sdp_blocks.append(_PsdBlock(s, gamma, f0 / gamma, ids[1:] - 1, fmat / gamma))
+    b = -np.array(data.objective)
+    return b, sdp_blocks, lp, inexact
 
 
 def _sym_sqrt_pair(mat: np.ndarray):
@@ -518,44 +480,56 @@ class SdpaData:
     entries: tuple[tuple[int, int, int, int, float], ...]
 
 
-def problem_to_sdpa_data(problem: SdpProblem) -> SdpaData:
-    """Float view of a problem in SDPA terms: minimize (-objective).y with
-    X = sum_i y_i F_i - (-F0) >= 0 blockwise; one trailing diagonal block
-    collects the scalar inequalities and the nonnegativity constraints."""
+def _sdpa_view(problem: SdpProblem) -> tuple[SdpaData, int]:
+    """The one exact-to-float conversion.  Returns the SDPA view of the
+    problem and the number of nonzero exact entries (upper triangle,
+    constants and objective, each once) that do not round-trip through a
+    double."""
+    inexact = 0
+
+    def to_float(value) -> float:
+        nonlocal inexact
+        f = float(value)
+        inexact += f != value
+        return f
+
     m = problem.num_vars
     sdp_blocks = [b for b in problem.blocks if b.dim >= 2]
     scalar_blocks = [b for b in problem.blocks if b.dim == 1]
-    diag_size = len(scalar_blocks) + len(problem.nonneg)
+    diag_size = len(scalar_blocks) + m
     sizes = tuple(b.dim for b in sdp_blocks) + ((-diag_size,) if diag_size else ())
-    objective = tuple(-float(c) for c in problem.objective)
+    objective = tuple(-to_float(c) for c in problem.objective)
     entries: list[tuple[int, int, int, int, float]] = []
-    for blkno, b in enumerate(sdp_blocks, start=1):
-        for i in range(b.dim):
-            for j in range(i, b.dim):
-                if b.f0[i][j]:
-                    entries.append((0, blkno, i + 1, j + 1, -float(b.f0[i][j])))
-        for var in sorted(b.coeff):
-            mat = b.coeff[var]
-            for i in range(b.dim):
-                for j in range(i, b.dim):
+
+    def add(blkno: int, offset: int, block: Block) -> None:
+        mats = [(0, -1, block.f0)]
+        mats += [(var + 1, 1, block.coeff[var]) for var in sorted(block.coeff)]
+        for matno, sign, mat in mats:
+            for i in range(block.dim):
+                for j in range(i, block.dim):
                     if mat[i][j]:
-                        entries.append((var + 1, blkno, i + 1, j + 1, float(mat[i][j])))
-    if diag_size:
-        blkno = len(sdp_blocks) + 1
-        pos = 0
-        for b in scalar_blocks:
-            pos += 1
-            if b.f0[0][0]:
-                entries.append((0, blkno, pos, pos, -float(b.f0[0][0])))
-            for var in sorted(b.coeff):
-                val = b.coeff[var][0][0]
-                if val:
-                    entries.append((var + 1, blkno, pos, pos, float(val)))
-        for var in problem.nonneg:
-            pos += 1
-            entries.append((var + 1, blkno, pos, pos, 1.0))
+                        entries.append((
+                            matno, blkno, offset + i + 1, offset + j + 1,
+                            sign * to_float(mat[i][j]),
+                        ))
+
+    for blkno, b in enumerate(sdp_blocks, start=1):
+        add(blkno, 0, b)
+    diag = len(sdp_blocks) + 1
+    for pos, b in enumerate(scalar_blocks):
+        add(diag, pos, b)
+    for var in range(m):
+        pos = len(scalar_blocks) + var + 1
+        entries.append((var + 1, diag, pos, pos, 1.0))
     entries.sort()
-    return SdpaData(m, sizes, objective, tuple(entries))
+    return SdpaData(m, sizes, objective, tuple(entries)), inexact
+
+
+def problem_to_sdpa_data(problem: SdpProblem) -> SdpaData:
+    """Float view of a problem in SDPA terms: minimize (-objective).y with
+    X = sum_i y_i F_i - (-F0) >= 0 blockwise; one trailing diagonal block
+    collects the 1x1 blocks and one row y_i >= 0 per variable."""
+    return _sdpa_view(problem)[0]
 
 
 def emit_sdpa(problem: SdpProblem, destination) -> Path:

@@ -76,10 +76,6 @@ def count_entries(tab: Tableau, value: int) -> int:
     return sum(row.count(value) for row in tab)
 
 
-def tableau_label(tab: Tableau) -> str:
-    return "/".join("".join(map(str, row)) for row in tab) or "-"
-
-
 # ---------------------------------------------------------------------------
 # Stabilizer of the all-zero word.
 

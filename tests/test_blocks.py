@@ -1,13 +1,11 @@
 """Base-change identities, dual polynomials, and block coefficients."""
 
-from fractions import Fraction
 from math import comb
 
 import pytest
 
 from mixedsdp.blocks import (
     base_change,
-    block_to_json,
     build_blocks_d0,
     build_blocks_empty,
     expand_p,
@@ -25,6 +23,11 @@ from mixedsdp.codes import (
     singleton_orbit,
 )
 from mixedsdp.tableaux import build_shape_index_d0, build_shape_index_empty
+
+
+def feasible(table):
+    """Orbit-to-variable map keeping each feasible orbit at its own index."""
+    return {i: i for i, ok in enumerate(table.feasible) if ok}
 
 
 class TestBaseChange:
@@ -146,7 +149,7 @@ class TestBlocksD0:
         spec = ProblemSpec(1, 1, 1)
         table = enumerate_orbits(spec)
         shapes = build_shape_index_d0(spec)
-        blocks = build_blocks_d0(spec, shapes, table)
+        blocks = build_blocks_d0(spec, shapes, table, feasible(table))
         shape_idx = next(
             i for i, s in enumerate(shapes)
             if s.counts == (1, 1, 0) and s.lambdas == ((1,), (1,), ())
@@ -164,7 +167,7 @@ class TestBlocksD0:
         for spec in (ProblemSpec(1, 1, 1), ProblemSpec(2, 2, 1), ProblemSpec(2, 1, 2)):
             table = enumerate_orbits(spec)
             shapes = build_shape_index_d0(spec)
-            blocks = build_blocks_d0(spec, shapes, table)
+            blocks = build_blocks_d0(spec, shapes, table, feasible(table))
             sidx = table.index_of(singleton_orbit(spec))
             found = False
             for shape, block in zip(shapes, blocks):
@@ -178,7 +181,7 @@ class TestBlocksD0:
     def test_infeasible_orbits_dropped(self):
         spec = ProblemSpec(1, 1, 2)
         table = enumerate_orbits(spec)
-        blocks = build_blocks_d0(spec, build_shape_index_d0(spec), table)
+        blocks = build_blocks_d0(spec, build_shape_index_d0(spec), table, feasible(table))
         for block in blocks:
             for widx in block.coeff:
                 assert table.feasible[widx]
@@ -186,7 +189,7 @@ class TestBlocksD0:
     def test_matrices_symmetric(self):
         spec = ProblemSpec(2, 2, 2)
         table = enumerate_orbits(spec)
-        for block in build_blocks_d0(spec, build_shape_index_d0(spec), table):
+        for block in build_blocks_d0(spec, build_shape_index_d0(spec), table, feasible(table)):
             for mat in block.coeff.values():
                 assert all(mat[i][j] == mat[j][i]
                            for i in range(block.dim) for j in range(block.dim))
@@ -194,7 +197,7 @@ class TestBlocksD0:
     def test_entries_are_exact_integers(self):
         spec = ProblemSpec(2, 1, 1)
         table = enumerate_orbits(spec)
-        for block in build_blocks_d0(spec, build_shape_index_d0(spec), table):
+        for block in build_blocks_d0(spec, build_shape_index_d0(spec), table, feasible(table)):
             for mat in block.coeff.values():
                 for row in mat:
                     assert all(type(v) is int for v in row)
@@ -204,16 +207,16 @@ class TestBlocksEmpty:
     def test_augmented_pair_coefficient_11(self):
         spec = ProblemSpec(1, 1, 1)
         table = enumerate_orbits(spec)
-        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), table)
-        aug = next(b for b in blocks if b.augmented)
+        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), table, feasible(table))
+        aug = next(b for b in blocks if b.dim == 2)
         widx = table.index_of(pair_orbit(spec, 1, 1))
         assert aug.coeff[widx][1][1] == 12
 
     def test_augmented_singleton_coefficient(self):
         spec = ProblemSpec(1, 1, 1)
         table = enumerate_orbits(spec)
-        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), table)
-        aug = next(b for b in blocks if b.augmented)
+        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), table, feasible(table))
+        aug = next(b for b in blocks if b.dim == 2)
         sidx = table.index_of(singleton_orbit(spec))
         assert aug.coeff[sidx][1][1] == 6
         assert aug.coeff[sidx][0][1] == 6  # cross term with the empty row
@@ -223,8 +226,8 @@ class TestBlocksEmpty:
     def test_trivial_shape_closed_form(self, n2, n3):
         spec = ProblemSpec(n2, n3, 1)
         table = enumerate_orbits(spec)
-        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), table)
-        aug = next(b for b in blocks if b.augmented)
+        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), table, feasible(table))
+        aug = next(b for b in blocks if b.dim == 2)
         q = spec.num_words
         for a in range(n2 + 1):
             for b in range(n3 + 1):
@@ -237,7 +240,7 @@ class TestBlocksEmpty:
     def test_block_count_and_dims(self):
         spec = ProblemSpec(2, 3, 1)
         table = enumerate_orbits(spec)
-        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), table)
+        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), table, feasible(table))
         assert len(blocks) == 12
         assert sorted(b.dim for b in blocks) == [1] * 11 + [2]
 
@@ -246,7 +249,7 @@ class TestBlocksEmpty:
         spec = ProblemSpec(2, 1, 1)
         table = enumerate_orbits(spec)
         shapes = build_shape_index_empty(spec)
-        blocks = build_blocks_empty(spec, shapes, table)
+        blocks = build_blocks_empty(spec, shapes, table, feasible(table))
         from mixedsdp.codes import canonical_orbit, code
 
         words = list(all_words(spec))
@@ -257,7 +260,7 @@ class TestBlocksEmpty:
                 for y in words:
                     widx = table.index_of(canonical_orbit(spec, code(x, y)))
                     agg[widx] = agg.get(widx, 0) + vec.get(x, 0) * vec.get(y, 0)
-            slot = 1 if block.augmented else 0
+            slot = 1 if shape.augmented else 0
             for widx, val in agg.items():
                 got = block.coeff.get(widx)
                 assert (got[slot][slot] if got else 0) == val
@@ -278,16 +281,3 @@ class TestVerifyReduction:
         text = report.summary()
         assert "PASS" in text
         assert report.first_failure() is None
-
-
-class TestJsonDump:
-    def test_rational_strings(self):
-        spec = ProblemSpec(1, 1, 1)
-        table = enumerate_orbits(spec)
-        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), table)
-        doc = block_to_json(blocks[0], table)
-        assert doc["case"] == "empty"
-        for mat in doc["orbits"].values():
-            for row in mat:
-                for v in row:
-                    Fraction(v)  # parses back

@@ -1,6 +1,7 @@
 """Words, distances, orbit canonicalization, enumeration, and the oracle."""
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -315,6 +316,15 @@ class TestExactOracle:
     def test_cap(self):
         with pytest.raises(ResourceError):
             exact_n(ProblemSpec(5, 3, 2), cap=100)
+
+    def test_recursion_limit_restored(self):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # below what the search asks for
+        try:
+            exact_n(ProblemSpec(1, 1, 1))
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(saved)
 
     def test_monotone_in_d(self):
         values = [exact_n(ProblemSpec(2, 2, d)) for d in range(1, 5)]

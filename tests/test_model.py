@@ -1,6 +1,5 @@
 """Problem assembly: variables, objective, blocks, LP mode, derived bounds."""
 
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +17,6 @@ from mixedsdp.model import (
     build_sdp,
     code_indicator_assignment,
     derived_doubling_bound,
-    problem_to_json,
 )
 from mixedsdp.solver import certify, solve
 
@@ -38,7 +36,6 @@ class TestBuildSdp:
     def test_111_has_seven_variables(self):
         p = build_sdp(ProblemSpec(1, 1, 1))
         assert p.num_vars == 7
-        assert p.nonneg == tuple(range(7))
 
     def test_objective_on_singleton_only(self):
         spec = ProblemSpec(2, 2, 2)
@@ -56,7 +53,7 @@ class TestBuildSdp:
 
     def test_every_variable_constrained(self):
         p = build_sdp(ProblemSpec(2, 1, 2))
-        covered = set(p.nonneg)
+        covered = set()
         for b in p.blocks:
             covered.update(b.coeff.keys())
         assert covered == set(range(p.num_vars))
@@ -142,18 +139,3 @@ class TestMonotonicity:
             b3 = certify(p3, solve(p3)).value
             b2 = certify(p2, solve(p2)).value
             assert b3 <= b2
-
-
-class TestJson:
-    def test_round_trip_parsable(self):
-        p = build_sdp(ProblemSpec(1, 1, 2))
-        doc = json.loads(problem_to_json(p))
-        assert doc["spec"] == {"n2": 1, "n3": 1, "d": 2, "k": 3}
-        assert len(doc["variables"]) == p.num_vars
-        assert doc["blocks"]
-        sidx = p.singleton_index()
-        assert doc["objective"][str(sidx)] == "6"
-        for block in doc["blocks"]:
-            for triplets in block["coeff"].values():
-                for i, j, v in triplets:
-                    Fraction(v)

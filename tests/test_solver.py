@@ -7,9 +7,9 @@ import subprocess
 import numpy as np
 import pytest
 
+from mixedsdp.blocks import Block
 from mixedsdp.codes import OrbitId, ProblemSpec
 from mixedsdp.model import (
-    SdpBlock,
     SdpProblem,
     build_lp_k2,
     build_problem,
@@ -24,29 +24,27 @@ from mixedsdp.solver import (
     parse_sdpa,
     parse_sdpa_output,
     problem_to_sdpa_data,
-    solution_to_json,
     solve,
 )
 
 DUMMY_ORBIT = OrbitId(1, (1, 0, 0, 0), (1, 0, 0, 0, 0))
 
 
-def toy_problem(objective, blocks, nonneg=()):
+def toy_problem(objective, blocks):
     return SdpProblem(
         spec=ProblemSpec(1, 1, 1),
         k=3,
         variables=tuple(DUMMY_ORBIT for _ in objective),
         objective=tuple(objective),
         blocks=tuple(blocks),
-        nonneg=tuple(nonneg),
     )
 
 
 def correlation_toy():
-    """max y s.t. [[1, y], [y, 1]] psd; optimum 1."""
+    """max y s.t. [[1, y], [y, 1]] psd, y >= 0; optimum 1."""
     return toy_problem(
         (1,),
-        [SdpBlock("corr", 2, ((1, 0), (0, 1)), {0: ((0, 1), (1, 0))})],
+        [Block("corr", 2, ((1, 0), (0, 1)), {0: ((0, 1), (1, 0))})],
     )
 
 
@@ -54,8 +52,7 @@ def box_toy():
     """max y s.t. 1 - y >= 0, y >= 0; optimum 1, as pure LP."""
     return toy_problem(
         (1,),
-        [SdpBlock("ub", 1, ((1,),), {0: ((-1,),)})],
-        nonneg=(0,),
+        [Block("ub", 1, ((1,),), {0: ((-1,),)})],
     )
 
 
@@ -109,12 +106,12 @@ class TestSolve:
                     var: tuple(tuple(2 * v for v in row) for row in mat)
                     for var, mat in b.coeff.items()
                 }
-                scaled_blocks.append(SdpBlock(b.label, b.dim, f0, coeff))
+                scaled_blocks.append(Block(b.label, b.dim, f0, coeff))
             else:
                 scaled_blocks.append(b)
         p2 = SdpProblem(
             spec=p.spec, k=p.k, variables=p.variables,
-            objective=p.objective, blocks=tuple(scaled_blocks), nonneg=p.nonneg,
+            objective=p.objective, blocks=tuple(scaled_blocks),
         )
         assert abs(solve(p2, tol=1e-8).objective - base) < 1e-6 * max(1.0, base)
 
@@ -129,7 +126,7 @@ class TestSolve:
         remap = {old: new for new, old in enumerate(keep)}
         blocks = []
         for b in p.blocks:
-            blocks.append(SdpBlock(
+            blocks.append(Block(
                 b.label, b.dim, b.f0,
                 {remap[v]: m for v, m in b.coeff.items() if v != drop},
             ))
@@ -138,28 +135,27 @@ class TestSolve:
             variables=tuple(p.variables[i] for i in keep),
             objective=tuple(p.objective[i] for i in keep),
             blocks=tuple(blocks),
-            nonneg=tuple(range(len(keep))),
         )
         reduced = solve(p2, tol=1e-8).objective
         assert reduced <= base + 1e-6 * max(1.0, base)
-
-    def test_solution_json_dump(self):
-        import json
-        s = solve(correlation_toy(), tol=1e-8)
-        doc = json.loads(solution_to_json(s))
-        assert doc["converged"] is True
-        assert abs(doc["objective"] - 1.0) < 1e-6
-        assert len(doc["trace"]) == s.iterations + 1 or len(doc["trace"]) == s.iterations
 
     def test_inexact_coefficient_logging(self):
         big = 2 ** 60 + 1  # not representable in a double
         p = toy_problem(
             (1,),
-            [SdpBlock("ub", 1, ((big,),), {0: ((-big,),)})],
-            nonneg=(0,),
+            [Block("ub", 1, ((big,),), {0: ((-big,),)})],
         )
         s = solve(p, tol=1e-8)
-        assert s.inexact_coefficients >= 2
+        assert s.inexact_coefficients == 2
+        assert abs(s.objective - 1.0) < 1e-6
+        # max y s.t. big * [[1, y], [y, 1]] psd: the off-diagonal
+        # coefficient is one entry of the upper triangle, counted once
+        p = toy_problem(
+            (1,),
+            [Block("corr", 2, ((big, 0), (0, big)), {0: ((0, big), (big, 0))})],
+        )
+        s = solve(p, tol=1e-8)
+        assert s.inexact_coefficients == 3
         assert abs(s.objective - 1.0) < 1e-6
 
 

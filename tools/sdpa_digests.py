@@ -1,0 +1,48 @@
+"""Print the SHA-256 digest of the emitted SDPA file of each problem.
+
+Run it on two checkouts and compare the outputs to show that a change keeps
+every emitted byte:
+
+    PYTHONPATH=/path/to/base/src python tools/sdpa_digests.py > before.txt
+    PYTHONPATH=src python tools/sdpa_digests.py > after.txt
+    diff before.txt after.txt
+
+Problems are given as ``n2,n3,d,k`` arguments.  Without arguments it covers
+the benchmark's problems (the published level-3 rows of ``sdp-table``, the
+d=5 level-3 problems that ``exact-oracle`` emits) and the problems whose
+digests the test suite pins.  The largest, (1,12,5), takes about 15 s.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from mixedsdp.codes import ProblemSpec
+from mixedsdp.model import build_problem
+from mixedsdp.solver import emit_sdpa
+
+DEFAULT = (
+    # sdp-table
+    (2, 5, 3, 3), (3, 5, 3, 3), (4, 5, 3, 3), (6, 3, 3, 3), (7, 2, 3, 3),
+    (8, 1, 3, 3), (9, 2, 3, 3), (10, 1, 3, 3), (2, 6, 4, 3), (5, 4, 4, 3),
+    (10, 2, 4, 3),
+    # exact-oracle emits
+    (1, 11, 5, 3), (2, 10, 5, 3), (3, 9, 5, 3), (4, 8, 5, 3), (1, 12, 5, 3),
+    # pinned in tests/test_solver.py
+    (1, 1, 1, 3), (2, 1, 2, 3), (2, 2, 3, 3), (2, 5, 3, 2), (1, 4, 3, 2),
+)
+
+
+def main(argv: list[str]) -> None:
+    keys = [tuple(int(t) for t in a.split(",")) for a in argv] or DEFAULT
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.dat-s"
+        for key in keys:
+            emit_sdpa(build_problem(ProblemSpec(*key)), path)
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(",".join(map(str, key)), digest, flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
