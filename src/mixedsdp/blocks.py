@@ -573,14 +573,13 @@ def verify_reduction(
                     m[1 + i, 1 + j] = y[widx]
         return m
 
-    def blocks_min_eig(block_list, y, feasible_only=True):
+    def blocks_min_eig(block_list, y):
         worst = np.inf
         for block in block_list:
             m = np.array(block.f0, dtype=float)
             for widx, mat in block.coeff.items():
-                if feasible_only and not orbits.feasible[widx]:
-                    continue
-                m += y[widx] * np.array(mat, dtype=float)
+                if orbits.feasible[widx]:
+                    m += y[widx] * np.array(mat, dtype=float)
             worst = min(worst, _min_eig(m))
         return worst
 

@@ -6,6 +6,14 @@ The solver follows the central path with Nesterov-Todd scaling and an
 adaptive centering parameter from an affine predictor probe, starting from
 identity slacks (infeasible start).  One-dimensional blocks and the bound
 y >= 0 on every variable are handled as linear inequalities.
+Each iteration factors every matrix once: the scaling of a PSD block comes
+from one Cholesky factor each of the slack S and the dual matrix Z and one
+SVD, in which the scaled point is diagonal, so the corrector's Lyapunov
+equation is solved elementwise and the step lengths follow from the same
+factors; the Schur complement is factored once for all four Newton solves.
+A slack or dual matrix that loses positive definiteness raises
+ConditioningError naming the block and the iteration; nothing is clamped.
+Every SolverError raised by a solve carries the last iterate.
 Exact problem data is converted to binary floating point in one place, the
 SDPA view of the problem, which both the solver and the SDPA writer read;
 nonzero coefficients that do not round-trip through a double are counted
@@ -27,19 +35,21 @@ from mixedsdp.model import SdpProblem
 
 
 class SolverError(RuntimeError):
-    """Base class for solver failures."""
+    """Base class for solver failures.  A failure inside a solve carries
+    the last iterate, with its trace, as ``solution``."""
 
-
-class NonConvergenceError(SolverError):
-    """Iteration limit reached; carries the last iterate."""
-
-    def __init__(self, message: str, solution: "Solution"):
+    def __init__(self, message: str, solution: "Solution | None" = None):
         super().__init__(message)
         self.solution = solution
 
 
+class NonConvergenceError(SolverError):
+    """Iteration limit reached."""
+
+
 class ConditioningError(SolverError):
-    """The Newton system became numerically singular."""
+    """An iterate or the Newton system lost positive definiteness or
+    finiteness."""
 
 
 class CertificationError(SolverError):
@@ -141,31 +151,30 @@ def _prepare(problem: SdpProblem):
     return b, sdp_blocks, lp, inexact
 
 
-def _sym_sqrt_pair(mat: np.ndarray):
-    """(sqrt, inverse sqrt) of a symmetric positive definite matrix."""
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.maximum(vals, 1e-300)
-    r = np.sqrt(vals)
-    return (vecs * r) @ vecs.T, (vecs / r) @ vecs.T
-
-
-def _lyapunov(v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve V U + U V = 2 R for symmetric U, V positive definite."""
-    vals, vecs = np.linalg.eigh(v)
-    vals = np.maximum(vals, 1e-300)
-    r = vecs.T @ rhs @ vecs
-    u = 2.0 * r / np.add.outer(vals, vals)
-    return vecs @ u @ vecs.T
-
-
-def _max_step(mat: np.ndarray, direction: np.ndarray) -> float:
-    """Largest alpha with mat + alpha*direction still positive definite."""
+def _cholesky(mat: np.ndarray, name: str) -> np.ndarray:
     try:
-        chol = np.linalg.cholesky(mat)
+        return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        return 0.0
-    inv = np.linalg.inv(chol)
-    w = inv @ direction @ inv.T
+        raise ConditioningError(f"{name} is not positive definite") from None
+
+
+def _nt_scaling(S: np.ndarray, Z: np.ndarray):
+    """Nesterov-Todd scaling of one block, in the factored form of Todd, Toh
+    and Tutuncu (SIAM J. Optim. 8, 1998).  With S = L L^T, Z = R R^T and
+    R^T L = U diag(d) V^T, G = L V diag(d)^-1/2 gives W = G G^T with
+    W Z W = S, and the scaled point G^-1 S G^-T = G^T Z G = diag(d).
+    Returns (G, G^-1, d); G^-1 = diag(d)^-1/2 U^T R^T needs no inverse."""
+    L = _cholesky(S, "S")
+    R = _cholesky(Z, "Z")
+    U, d, Vt = np.linalg.svd(R.T @ L)
+    root = np.sqrt(d)
+    return (L @ Vt.T) / root, (U.T @ R.T) / root[:, None], d
+
+
+def _max_step(d: np.ndarray, direction: np.ndarray) -> float:
+    """Largest alpha with diag(d) + alpha*direction still positive definite."""
+    root = np.sqrt(d)
+    w = direction / np.outer(root, root)
     lam = float(np.linalg.eigvalsh(0.5 * (w + w.T))[0])
     if lam >= -1e-14:
         return np.inf
@@ -233,7 +242,35 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
         rd_mag += np.abs(lp_contrib)
         return rp, rlp, rd, rd_mag
 
-    converged = False
+    def current(converged: bool) -> Solution:
+        """The solution at the current iterate, with the trace so far."""
+        pobj, dobj = objective_pair()
+        rp, rlp, rd, rd_mag = residuals()
+        pres = max(
+            [bl.gamma * float(np.abs(r).max(initial=0.0)) for bl, r in zip(blocks, rp)]
+            + [float((lp.gammas * np.abs(rlp)).max(initial=0.0))],
+            default=0.0,
+        )
+        dres = float((np.abs(rd) / (1.0 + rd_mag)).max(initial=0.0))
+        min_eig = np.inf
+        for bl in blocks:
+            actual = bl.f0 + np.tensordot(y[bl.var_ids], bl.fmat, axes=1)
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(actual)[0]))
+        if len(lp.l0):
+            min_eig = min(min_eig, float((lp.l0 + lp.rows @ y).min()))
+        return Solution(
+            objective=pobj,
+            dual_objective=dobj,
+            y=y.copy(),
+            iterations=it,
+            converged=converged,
+            primal_residual=pres,
+            dual_residual=dres,
+            min_block_eig=float(min_eig),
+            inexact_coefficients=inexact,
+            trace=trace,
+        )
+
     it = 0
     for it in range(1, max_iter + 1):
         rp, rlp, rd, rd_mag = residuals()
@@ -253,10 +290,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
             "alpha_p": 0.0, "alpha_d": 0.0, "sigma": 0.0,
             "certifiable": certifiable,
         }
+        trace.append(entry)
         if relgap <= tol and pinf <= tol and dinf <= tol:
-            trace.append(entry)
-            converged = True
-            break
+            return current(True)
 
         # centering floor: driving mu far below what the tolerance needs
         # destroys the Newton system's conditioning before the dual residual
@@ -264,25 +300,16 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
         gap_scale = max(1.0, 0.5 * (abs(pobj) + abs(dobj))) / bscale
         mu_target = 0.02 * tol * gap_scale / nu
 
-        # NT scalings
-        winv = []
-        s_inv = []
-        w_half = []
-        w_ihalf = []
-        v_mats = []
-        for sk, zk in zip(S, Z):
-            zh, _ = _sym_sqrt_pair(zk)
-            g = zh @ sk @ zh
-            _, gih = _sym_sqrt_pair(0.5 * (g + g.T))
-            wi = 0.5 * ((zh @ gih @ zh) + (zh @ gih @ zh).T)
-            winv.append(wi)
-            wih, wh = _sym_sqrt_pair(wi)  # sqrt of W^-1 is W^-1/2
-            w_half.append(wh)
-            w_ihalf.append(wih)
-            v = wih @ sk @ wih
-            v_mats.append(0.5 * (v + v.T))
-            vals, vecs = np.linalg.eigh(sk)
-            s_inv.append((vecs / np.maximum(vals, 1e-300)) @ vecs.T)
+        # NT scalings (G, G^-1, d) per block; W^-1 = G^-T G^-1
+        scalings = []
+        for k, (sk, zk) in enumerate(zip(S, Z)):
+            try:
+                scalings.append(_nt_scaling(sk, zk))
+            except ConditioningError as exc:
+                raise ConditioningError(
+                    f"{exc} in block {k} at iteration {it}", current(False)
+                ) from None
+        winv = [gi.T @ gi for _, gi, _ in scalings]
         lp_ratio = z_lp / s_lp
 
         # Schur complement
@@ -294,19 +321,24 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
             B += (lp.rows.T * lp_ratio) @ lp.rows
         B = 0.5 * (B + B.T)
         if not np.isfinite(B).all():
-            raise ConditioningError(f"Newton system lost finiteness at iteration {it}")
+            raise ConditioningError(
+                f"Newton system lost finiteness at iteration {it}", current(False)
+            )
 
+        # one Cholesky factor, kept as its inverse: each Newton solve is then
+        # four matrix-vector products
         bmax = float(np.abs(B).max(initial=1.0))
-        chol = None
         ridge = 0.0
         for attempt in range(6):
             try:
-                chol = np.linalg.cholesky(B + ridge * np.eye(m))
+                chol_inv = np.linalg.inv(np.linalg.cholesky(B + ridge * np.eye(m)))
                 break
             except np.linalg.LinAlgError:
                 ridge = bmax * 10.0 ** (-14 + 2 * attempt)
-        if chol is None:
-            raise ConditioningError(f"Schur complement not positive definite at iteration {it}")
+        else:
+            raise ConditioningError(
+                f"Schur complement not positive definite at iteration {it}", current(False)
+            )
 
         def solve_newton(rc_blocks, rc_lp):
             g = -rd.copy()
@@ -315,9 +347,8 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
                 g[bl.var_ids] += fvecs[k] @ mk.reshape(-1)
             if len(lp.l0):
                 g += lp.rows.T @ (rc_lp - lp_ratio * rlp)
-            dy = np.linalg.solve(chol.T, np.linalg.solve(chol, g))
-            resid = g - B @ dy
-            dy += np.linalg.solve(chol.T, np.linalg.solve(chol, resid))
+            dy = chol_inv.T @ (chol_inv @ g)
+            dy += chol_inv.T @ (chol_inv @ (g - B @ dy))
             d_s = [
                 rp[k] + np.tensordot(dy[bl.var_ids], bl.fmat, axes=1)
                 for k, bl in enumerate(blocks)
@@ -331,11 +362,15 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
             return dy, d_s, d_z, d_slp, d_zlp
 
         def step_lengths(d_s, d_z, d_slp, d_zlp):
+            # S and Z both scale to diag(d): S = G diag(d) G^T and
+            # Z = G^-T diag(d) G^-1
             ap = min(
-                [_max_step(sk, ds) for sk, ds in zip(S, d_s)] + [_lp_max_step(s_lp, d_slp)]
+                [_max_step(d, gi @ ds @ gi.T) for (_, gi, d), ds in zip(scalings, d_s)]
+                + [_lp_max_step(s_lp, d_slp)]
             )
             ad = min(
-                [_max_step(zk, dz) for zk, dz in zip(Z, d_z)] + [_lp_max_step(z_lp, d_zlp)]
+                [_max_step(d, g.T @ dz @ g) for (g, _, d), dz in zip(scalings, d_z)]
+                + [_lp_max_step(z_lp, d_zlp)]
             )
             return min(1.0, 0.98 * ap), min(1.0, 0.98 * ad)
 
@@ -352,35 +387,22 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
         sigma = min(0.99, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
         sigma_mu = max(sigma * mu, min(0.5 * mu, mu_target))
 
-        # corrector: second-order term in the scaled space, per block a
-        # Lyapunov solve V U + U V = 2(sigma*mu*I - V^2 - H(dVs dVz));
-        # falls back to plain centering if the scaled products overflow
+        # corrector: second-order term in the scaled space, where the point
+        # is diag(d) and the Lyapunov equation D U + U D = 2 rhs with
+        # rhs = sigma*mu*I - D^2 - H(G^-1 dS dZ G) is solved elementwise
         rc_combined = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(len(blocks)):
-                v = v_mats[k]
-                cross = w_ihalf[k] @ (ds_a[k] @ dz_a[k]) @ w_half[k]
-                rc = None
-                if np.isfinite(cross).all():
-                    rhs = (
-                        sigma_mu * np.eye(blocks[k].dim)
-                        - v @ v
-                        - 0.5 * (cross + cross.T)
-                    )
-                    u = _lyapunov(v, 0.5 * (rhs + rhs.T))
-                    cand = w_ihalf[k] @ u @ w_ihalf[k]
-                    if np.isfinite(cand).all():
-                        rc = 0.5 * (cand + cand.T)
-                if rc is None:
-                    rc = sigma_mu * s_inv[k] - Z[k]
-                rc_combined.append(rc)
-            rc_lp = np.zeros(0)
-            if len(lp.l0):
-                rc_lp = sigma_mu / s_lp - z_lp - dslp_a * dzlp_a / s_lp
-                bad = ~np.isfinite(rc_lp)
-                if bad.any():
-                    rc_lp[bad] = (sigma_mu / s_lp - z_lp)[bad]
+        for (g, gi, d), ds, dz in zip(scalings, ds_a, dz_a):
+            cross = gi @ (ds @ dz) @ g
+            rhs = np.diag(sigma_mu - d * d) - 0.5 * (cross + cross.T)
+            rc_combined.append(gi.T @ (2.0 * rhs / np.add.outer(d, d)) @ gi)
+        rc_lp = sigma_mu / s_lp - z_lp - dslp_a * dzlp_a / s_lp
         dy, d_s, d_z, d_slp, d_zlp = solve_newton(rc_combined, rc_lp)
+        # LAPACK's Cholesky passes NaN through, and its SVD may not return
+        # on non-finite input, so a non-finite step must never be taken
+        if not all(np.isfinite(a).all() for a in (dy, d_slp, d_zlp, *d_s, *d_z)):
+            raise ConditioningError(
+                f"Newton direction lost finiteness at iteration {it}", current(False)
+            )
         alpha_p, alpha_d = step_lengths(d_s, d_z, d_slp, d_zlp)
 
         y += alpha_p * dy
@@ -389,15 +411,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
             Z[k] = 0.5 * (Z[k] + Z[k].T) + alpha_d * d_z[k]
         s_lp = s_lp + alpha_p * d_slp
         z_lp = z_lp + alpha_d * d_zlp
-        if not (
-            np.isfinite(y).all()
-            and all(np.isfinite(sk).all() for sk in S)
-            and all(np.isfinite(zk).all() for zk in Z)
-        ):
-            raise ConditioningError(f"iterate lost finiteness at iteration {it}")
-
         entry.update(alpha_p=alpha_p, alpha_d=alpha_d, sigma=sigma)
-        trace.append(entry)
 
         if max(alpha_p, alpha_d) < 1e-7:
             tiny_steps += 1
@@ -409,44 +423,17 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
                 )
                 raise ConditioningError(
                     f"no progress for {tiny_steps} iterations (iteration {it}); "
-                    f"precision floor near {achieved:.1e}, consider a larger tol"
+                    f"precision floor near {achieved:.1e}, consider a larger tol",
+                    current(False),
                 )
         else:
             tiny_steps = 0
 
-    pobj, dobj = objective_pair()
-    rp, rlp, rd, rd_mag = residuals()
-    pres = max(
-        [bl.gamma * float(np.abs(r).max(initial=0.0)) for bl, r in zip(blocks, rp)]
-        + [float((lp.gammas * np.abs(rlp)).max(initial=0.0))],
-        default=0.0,
+    raise NonConvergenceError(
+        f"no convergence within {max_iter} iterations "
+        f"(relgap {trace[-1]['relgap']:.2e})",
+        current(False),
     )
-    dres = float((np.abs(rd) / (1.0 + rd_mag)).max(initial=0.0))
-    min_eig = np.inf
-    for bl in blocks:
-        actual = bl.f0 + np.tensordot(y[bl.var_ids], bl.fmat, axes=1)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(actual)[0]))
-    if len(lp.l0):
-        min_eig = min(min_eig, float((lp.l0 + lp.rows @ y).min()))
-    solution = Solution(
-        objective=pobj,
-        dual_objective=dobj,
-        y=y.copy(),
-        iterations=it,
-        converged=converged,
-        primal_residual=pres,
-        dual_residual=dres,
-        min_block_eig=float(min_eig),
-        inexact_coefficients=inexact,
-        trace=trace,
-    )
-    if not converged:
-        raise NonConvergenceError(
-            f"no convergence within {max_iter} iterations "
-            f"(relgap {trace[-1]['relgap']:.2e})",
-            solution,
-        )
-    return solution
 
 
 def certify(problem: SdpProblem, solution: Solution) -> CertifiedBound:

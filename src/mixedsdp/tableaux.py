@@ -37,14 +37,6 @@ def partitions_up_to_height(n: int, h: int) -> list[Partition]:
     return out
 
 
-def height(lam: Partition) -> int:
-    return len(lam)
-
-
-def cells(lam: Partition) -> int:
-    return sum(lam)
-
-
 def semistandard_tableaux(lam: Partition, m: int) -> list[Tableau]:
     """All fillings with entries in 1..m, rows weakly increasing and columns
     strictly increasing, sorted by their row-major entry sequence."""

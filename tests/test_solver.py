@@ -17,8 +17,10 @@ from mixedsdp.model import (
 )
 from mixedsdp.solver import (
     CertificationError,
+    ConditioningError,
     SdpaParseError,
     Solution,
+    _nt_scaling,
     certify,
     emit_sdpa,
     parse_sdpa,
@@ -157,6 +159,48 @@ class TestSolve:
         s = solve(p, tol=1e-8)
         assert s.inexact_coefficients == 3
         assert abs(s.objective - 1.0) < 1e-6
+
+    def test_error_carries_last_iterate(self):
+        # a tolerance below this problem's double-precision floor
+        with pytest.raises(ConditioningError) as info:
+            solve(build_sdp(ProblemSpec(2, 1, 2)), tol=1e-13)
+        solution = info.value.solution
+        assert solution.trace
+        assert not solution.converged
+        assert solution.iterations == len(solution.trace)
+
+
+def random_spd(rng, n, cond):
+    """Random symmetric positive definite n x n matrix of condition cond."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.geomspace(1.0, 1.0 / cond, n)) @ q.T
+
+
+class TestNtScaling:
+    @pytest.mark.parametrize("seed", range(9))
+    def test_scaled_point_is_diagonal(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 26))
+        cond = (1.0, 1e4, 1e8)[seed % 3]
+        S, Z = random_spd(rng, n, cond), random_spd(rng, n, cond)
+        G, G_inv, d = _nt_scaling(S, Z)
+        W = G @ G.T
+
+        def close(a, b):
+            return np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
+
+        assert (d > 0).all()
+        assert close(W @ Z @ W, S)
+        assert close(G_inv @ S @ G_inv.T, np.diag(d))
+        assert close(G.T @ Z @ G, np.diag(d))
+        assert close(G_inv @ G, np.eye(n))
+
+    @pytest.mark.parametrize("singular", ["S", "Z"])
+    def test_singular_matrix_raises(self, singular):
+        mats = {"S": np.eye(3), "Z": np.eye(3)}
+        mats[singular] = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ConditioningError, match=singular):
+            _nt_scaling(mats["S"], mats["Z"])
 
 
 class TestCertify:

@@ -1,0 +1,43 @@
+"""Print the certified bound and iteration count of each problem's solve.
+
+Run it on two checkouts and compare the outputs to show how a solver change
+moves the results, problem by problem:
+
+    PYTHONPATH=/path/to/base/src python tools/solve_report.py > before.txt
+    PYTHONPATH=src python tools/solve_report.py > after.txt
+    diff before.txt after.txt
+
+Problems are given as ``n2,n3,d,k`` arguments, and ``--tol T`` sets the
+solver tolerance (default 1e-8, that of ``mixedsdp bound``).  Without
+arguments it covers the problems of ``sdpa_digests.py``, in about 8 minutes
+on one core, most of it the level-3 solves of d=5.  Each line is
+``n2,n3,d,k bound iterations`` or, when the solve or the certificate
+fails, ``n2,n3,d,k`` and the error class.
+"""
+
+import sys
+
+from sdpa_digests import DEFAULT
+
+from mixedsdp.codes import ProblemSpec
+from mixedsdp.model import build_problem
+from mixedsdp.solver import SolverError, certify, solve
+
+
+def main(argv: list[str]) -> None:
+    tol = 1e-8
+    if argv[:1] == ["--tol"]:
+        tol, argv = float(argv[1]), argv[2:]
+    keys = [tuple(int(t) for t in a.split(",")) for a in argv] or DEFAULT
+    for key in keys:
+        problem = build_problem(ProblemSpec(*key))
+        label = ",".join(map(str, key))
+        try:
+            solution = solve(problem, tol=tol)
+            print(label, certify(problem, solution).value, solution.iterations, flush=True)
+        except SolverError as exc:
+            print(label, type(exc).__name__, flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
