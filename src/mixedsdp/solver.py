@@ -10,7 +10,14 @@ Each iteration factors every matrix once: the scaling of a PSD block comes
 from one Cholesky factor each of the slack S and the dual matrix Z and one
 SVD, in which the scaled point is diagonal, so the corrector's Lyapunov
 equation is solved elementwise and the step lengths follow from the same
-factors; the Schur complement is factored once for all four Newton solves.
+factors.  The coefficient matrices of a PSD block are kept sparse, as the
+few upper-triangle entries of each variable, so sum_i y_i F_i is one
+bincount and (<F_i, M>)_i one gather.  The Schur complement is built in
+Gram form, B = C C^T, where row i of C holds svec(G^-1 F_i G^-T) of each
+block, gathered from a symmetric Kronecker table of the scaling's G^-1,
+followed by the 1x1 blocks' rows; the rows y >= 0 add a diagonal.  B is
+Cholesky-factored once, and the factor's inverse, from a blocked recursion
+of matrix products, serves all four Newton solves.
 A slack or dual matrix that loses positive definiteness raises
 ConditioningError naming the block and the iteration; nothing is clamped.
 Every SolverError raised by a solve carries the last iterate.
@@ -108,18 +115,23 @@ class _PsdBlock:
     gamma: float
     f0: np.ndarray          # (s, s)
     var_ids: np.ndarray     # (mk,)
-    fmat: np.ndarray        # (mk, s, s)
+    upper: tuple            # np.triu_indices(s): the svec order of the block
+    tri: np.ndarray         # (mk, p) svec positions of each F_i's upper entries
+    val: np.ndarray         # (mk, p) their values, off-diagonal ones doubled
 
 
 @dataclass
 class _LpData:
     l0: np.ndarray          # (n,)
-    rows: np.ndarray        # (n, m)
+    rows: np.ndarray        # (n - m, m) the 1x1 blocks; the last m rows are y >= 0
     gammas: np.ndarray      # (n,)
 
 
 def _prepare(problem: SdpProblem):
-    """Dense, per-block rescaled float arrays built from the SDPA view."""
+    """Per-block rescaled float data built from the SDPA view.  Each
+    coefficient matrix F_i of a PSD block is kept sparse, as its upper
+    triangle padded with zeros to the longest in the block; the rows
+    y >= 0, which close the diagonal block, are kept implicit."""
     data, inexact = _sdpa_view(problem)
     m = data.num_vars
     table = np.array(data.entries, dtype=float).reshape(-1, 5)
@@ -127,28 +139,120 @@ def _prepare(problem: SdpProblem):
     val = np.where(matno == 0, -table[:, 4], table[:, 4])  # the view holds -F0
 
     sdp_blocks: list[_PsdBlock] = []
-    lp = _LpData(np.zeros(0), np.zeros((0, m)), np.zeros(0))
+    lp = _LpData(np.zeros(m), np.zeros((0, m)), np.ones(m))
     for k, s in enumerate(data.block_sizes, start=1):
         sel = blkno == k
         mat, i, j, v = matno[sel], row[sel] - 1, col[sel] - 1, val[sel]
         if s < 0:
-            # the diagonal block, with the constants in column 0
-            dense = np.zeros((-s, m + 1))
-            dense[i, mat] = v
+            # the diagonal block: the 1x1 blocks, with the constants in
+            # column 0, then the y >= 0 rows
+            n = -s - m
+            keep = i < n
+            dense = np.zeros((n, m + 1))
+            dense[i[keep], mat[keep]] = v[keep]
             l0, rows = dense[:, 0], dense[:, 1:]
             gammas = np.maximum(1.0, np.maximum(np.abs(rows).max(axis=1, initial=0.0), np.abs(l0)))
-            lp = _LpData(l0 / gammas, rows / gammas[:, None], gammas)
+            lp = _LpData(
+                np.concatenate([l0 / gammas, np.zeros(m)]),
+                rows / gammas[:, None],
+                np.concatenate([gammas, np.ones(m)]),
+            )
             continue
-        ids = np.union1d(0, mat)  # slot 0 holds F0
-        slot = np.searchsorted(ids, mat)
-        mats = np.zeros((len(ids), s, s))
-        mats[slot, i, j] = v
-        mats[slot, j, i] = v
-        f0, fmat = mats[0], mats[1:]
-        gamma = max(1.0, np.abs(f0).max(initial=0.0), np.abs(fmat).max(initial=0.0))
-        sdp_blocks.append(_PsdBlock(s, gamma, f0 / gamma, ids[1:] - 1, fmat / gamma))
+        const = mat == 0
+        f0 = np.zeros((s, s))
+        f0[i[const], j[const]] = v[const]
+        f0[j[const], i[const]] = v[const]
+        mat, i, j, v = mat[~const], i[~const], j[~const], v[~const]
+        # the view is sorted, so each matrix's entries are contiguous
+        ids, slot, counts = np.unique(mat, return_inverse=True, return_counts=True)
+        rank = np.arange(len(mat)) - (np.cumsum(counts) - counts)[slot]
+        tri = np.zeros((len(ids), counts.max(initial=1)), dtype=np.int64)
+        coef = np.zeros(tri.shape)
+        tri[slot, rank] = i * s - i * (i - 1) // 2 + j - i  # row-major upper order
+        coef[slot, rank] = np.where(i == j, v, 2.0 * v)
+        gamma = max(1.0, np.abs(f0).max(initial=0.0), np.abs(v).max(initial=0.0))
+        sdp_blocks.append(
+            _PsdBlock(s, gamma, f0 / gamma, ids - 1, np.triu_indices(s), tri, coef / gamma)
+        )
     b = -np.array(data.objective)
     return b, sdp_blocks, lp, inexact
+
+
+def _apply(bl: _PsdBlock, y: np.ndarray) -> np.ndarray:
+    """sum_i y_i F_i over the variables of one block."""
+    vec = np.bincount(
+        bl.tri.ravel(), (y[bl.var_ids, None] * bl.val).ravel(), minlength=len(bl.upper[0])
+    )
+    out = np.zeros((bl.dim, bl.dim))
+    out[bl.upper] = vec
+    return 0.5 * (out + out.T)
+
+
+def _adjoint(bl: _PsdBlock, mat: np.ndarray) -> np.ndarray:
+    """(<F_i, mat>)_i over the variables of one block, for symmetric mat."""
+    return (mat[bl.upper][bl.tri] * bl.val).sum(axis=1)
+
+
+def _lp_apply(lp: _LpData, y: np.ndarray) -> np.ndarray:
+    """The rows of the 1x1 blocks applied to y, then y itself."""
+    return np.concatenate([lp.rows @ y, y])
+
+
+def _lp_adjoint(lp: _LpData, z: np.ndarray) -> np.ndarray:
+    """The transpose of _lp_apply."""
+    n = len(lp.rows)
+    return lp.rows.T @ z[:n] + z[n:]
+
+
+def _schur(blocks: list[_PsdBlock], lp: _LpData, inverses, lp_ratio: np.ndarray) -> np.ndarray:
+    """Schur complement B_ij = sum_k tr(F_i W_k^-1 F_j W_k^-1) + the LP
+    terms, in Gram form B = C C^T + diag(y >= 0 terms).  With W_k^-1 = H^T H
+    for H in ``inverses``, tr(F_i W^-1 F_j W^-1) = <H F_i H^T, H F_j H^T>, so
+    row i of C holds svec(H F_i H^T) of each block, with off-diagonal weight
+    sqrt 2 (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), followed by
+    the 1x1 blocks' rows scaled by the root of their z/s."""
+    m = lp.rows.shape[1]
+    n = len(lp.rows)
+    widths = [len(bl.upper[0]) for bl in blocks]
+    C = np.zeros((m, sum(widths) + n))
+    off = 0
+    for bl, h, w in zip(blocks, inverses, widths):
+        # symmetric Kronecker table: row (a, b) holds svec of the symmetric
+        # part of h[:, a] h[:, b]^T, so H F_i H^T sums the rows of F_i's
+        # upper entries
+        a, b = bl.upper
+        ha, hb = h.T[a], h.T[b]
+        kron = ha[:, a] * hb[:, b] + ha[:, b] * hb[:, a]
+        kron *= np.where(a == b, 0.5, np.sqrt(0.5))
+        C[bl.var_ids, off:off + w] = np.einsum("ip,ipc->ic", bl.val, kron[bl.tri])
+        off += w
+    C[:, off:] = lp.rows.T * np.sqrt(lp_ratio[:n])
+    B = C @ C.T
+    B.flat[::m + 1] += lp_ratio[n:]
+    return B
+
+
+# Order at or below which _tril_inverse stops recursing.
+_TRIL_BLOCK = 64
+
+
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by blocked recursion,
+    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]], so the work is
+    in matrix products, about n^3/3 multiply-adds against the LU of a
+    general inverse.  The strict upper triangle of the result is zero."""
+    n = len(L)
+    if n <= _TRIL_BLOCK:
+        # the LU of an upper-triangular matrix makes no row exchange, so
+        # this is LAPACK's triangular inverse; the LU of L itself would
+        # pivot, and loses accuracy on a nearly singular factor
+        return np.linalg.inv(L.T).T
+    h = n // 2
+    X = np.zeros_like(L)
+    X[:h, :h] = _tril_inverse(L[:h, :h])
+    X[h:, h:] = _tril_inverse(L[h:, h:])
+    X[h:, :h] = -(X[h:, h:] @ L[h:, :h]) @ X[:h, :h]
+    return X
 
 
 def _cholesky(mat: np.ndarray, name: str) -> np.ndarray:
@@ -196,6 +300,8 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     b, blocks, lp, inexact = _prepare(problem)
     m = problem.num_vars
     nu = sum(bl.dim for bl in blocks) + len(lp.l0)
@@ -213,7 +319,6 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
     s_lp = eta_p * np.ones(len(lp.l0))
     z_lp = eta_d * np.ones(len(lp.l0))
 
-    fvecs = [bl.fmat.reshape(len(bl.var_ids), -1) for bl in blocks]
     trace: list[dict] = []
     tiny_steps = 0
 
@@ -227,17 +332,17 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
     def residuals():
         rp = []
         for bl, sk in zip(blocks, S):
-            rp.append(bl.f0 + np.tensordot(y[bl.var_ids], bl.fmat, axes=1) - sk)
-        rlp = lp.l0 + lp.rows @ y - s_lp
+            rp.append(bl.f0 + _apply(bl, y) - sk)
+        rlp = lp.l0 + _lp_apply(lp, y) - s_lp
         # dual residual, with the magnitude of the summed terms tracked so
         # infeasibility is measured backward-error style
         rd = -b.copy()
         rd_mag = np.abs(b).copy()
         for k, bl in enumerate(blocks):
-            contrib = fvecs[k] @ Z[k].reshape(-1)
+            contrib = _adjoint(bl, Z[k])
             rd[bl.var_ids] -= contrib
             rd_mag[bl.var_ids] += np.abs(contrib)
-        lp_contrib = lp.rows.T @ z_lp
+        lp_contrib = _lp_adjoint(lp, z_lp)
         rd -= lp_contrib
         rd_mag += np.abs(lp_contrib)
         return rp, rlp, rd, rd_mag
@@ -254,10 +359,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
         dres = float((np.abs(rd) / (1.0 + rd_mag)).max(initial=0.0))
         min_eig = np.inf
         for bl in blocks:
-            actual = bl.f0 + np.tensordot(y[bl.var_ids], bl.fmat, axes=1)
+            actual = bl.f0 + _apply(bl, y)
             min_eig = min(min_eig, float(np.linalg.eigvalsh(actual)[0]))
-        if len(lp.l0):
-            min_eig = min(min_eig, float((lp.l0 + lp.rows @ y).min()))
+        min_eig = min(min_eig, float((lp.l0 + _lp_apply(lp, y)).min()))
         return Solution(
             objective=pobj,
             dual_objective=dobj,
@@ -312,14 +416,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
         winv = [gi.T @ gi for _, gi, _ in scalings]
         lp_ratio = z_lp / s_lp
 
-        # Schur complement
-        B = np.zeros((m, m))
-        for bl, wi, fv in zip(blocks, winv, fvecs):
-            t = np.einsum("ab,ibc,cd->iad", wi, bl.fmat, wi, optimize=True)
-            B[np.ix_(bl.var_ids, bl.var_ids)] += fv @ t.reshape(len(bl.var_ids), -1).T
-        if len(lp.l0):
-            B += (lp.rows.T * lp_ratio) @ lp.rows
-        B = 0.5 * (B + B.T)
+        B = _schur(blocks, lp, [gi for _, gi, _ in scalings], lp_ratio)
         if not np.isfinite(B).all():
             raise ConditioningError(
                 f"Newton system lost finiteness at iteration {it}", current(False)
@@ -331,7 +428,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
         ridge = 0.0
         for attempt in range(6):
             try:
-                chol_inv = np.linalg.inv(np.linalg.cholesky(B + ridge * np.eye(m)))
+                chol_inv = _tril_inverse(np.linalg.cholesky(B + ridge * np.eye(m)))
                 break
             except np.linalg.LinAlgError:
                 ridge = bmax * 10.0 ** (-14 + 2 * attempt)
@@ -344,21 +441,17 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
             g = -rd.copy()
             for k, bl in enumerate(blocks):
                 mk = rc_blocks[k] - winv[k] @ rp[k] @ winv[k]
-                g[bl.var_ids] += fvecs[k] @ mk.reshape(-1)
-            if len(lp.l0):
-                g += lp.rows.T @ (rc_lp - lp_ratio * rlp)
+                g[bl.var_ids] += _adjoint(bl, mk)
+            g += _lp_adjoint(lp, rc_lp - lp_ratio * rlp)
             dy = chol_inv.T @ (chol_inv @ g)
             dy += chol_inv.T @ (chol_inv @ (g - B @ dy))
-            d_s = [
-                rp[k] + np.tensordot(dy[bl.var_ids], bl.fmat, axes=1)
-                for k, bl in enumerate(blocks)
-            ]
+            d_s = [rp[k] + _apply(bl, dy) for k, bl in enumerate(blocks)]
             d_z = []
             for k in range(len(blocks)):
                 dz = rc_blocks[k] - winv[k] @ d_s[k] @ winv[k]
                 d_z.append(0.5 * (dz + dz.T))
-            d_slp = rlp + lp.rows @ dy
-            d_zlp = rc_lp - lp_ratio * d_slp if len(lp.l0) else np.zeros(0)
+            d_slp = rlp + _lp_apply(lp, dy)
+            d_zlp = rc_lp - lp_ratio * d_slp
             return dy, d_s, d_z, d_slp, d_zlp
 
         def step_lengths(d_s, d_z, d_slp, d_zlp):

@@ -20,7 +20,15 @@ from mixedsdp.solver import (
     ConditioningError,
     SdpaParseError,
     Solution,
+    _TRIL_BLOCK,
+    _adjoint,
+    _apply,
+    _lp_adjoint,
+    _lp_apply,
     _nt_scaling,
+    _prepare,
+    _schur,
+    _tril_inverse,
     certify,
     emit_sdpa,
     parse_sdpa,
@@ -76,6 +84,10 @@ class TestSolve:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             solve(correlation_toy(), tol=0.0)
+
+    def test_rejects_bad_max_iter(self):
+        with pytest.raises(ValueError, match="max_iter must be positive"):
+            solve(correlation_toy(), max_iter=0)
 
     def test_weak_duality_on_certifiable_iterates(self):
         p = build_sdp(ProblemSpec(2, 1, 2))
@@ -201,6 +213,84 @@ class TestNtScaling:
         mats[singular] = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ConditioningError, match=singular):
             _nt_scaling(mats["S"], mats["Z"])
+
+
+def dense_sdpa_operators(problem):
+    """Dense coefficient matrices of the SDPA view: per PSD block an array
+    (m + 1, s, s) with F0 first, and the diagonal block as (n, m + 1)."""
+    data = problem_to_sdpa_data(problem)
+    m = data.num_vars
+    mats = {k: np.zeros((m + 1, abs(s), abs(s))) for k, s in enumerate(data.block_sizes, 1)}
+    for matno, blkno, i, j, val in data.entries:
+        val = -val if matno == 0 else val  # the view holds -F0
+        mats[blkno][matno, i - 1, j - 1] = mats[blkno][matno, j - 1, i - 1] = val
+    psd = [mats[k] for k, s in enumerate(data.block_sizes, 1) if s > 0]
+    diag = [np.diagonal(mats[k], axis1=1, axis2=2).T
+            for k, s in enumerate(data.block_sizes, 1) if s < 0]
+    return psd, diag[0]
+
+
+class TestSchur:
+    """The sparse Gram-form Schur complement and the sparse operators
+    A(y) = sum_i y_i F_i and A^T(M) = (<F_i, M>)_i against dense forms."""
+
+    @pytest.mark.parametrize("n2,n3,d,k", [
+        (2, 5, 3, 3),
+        (3, 2, 4, 3),  # two single-entry 1x1 rows on one variable
+        (2, 5, 3, 2),  # level 2: an LP and one 2x2 block
+    ])
+    def test_matches_dense_reference(self, n2, n3, d, k):
+        problem = build_problem(ProblemSpec(n2, n3, d, k))
+        psd, diag = dense_sdpa_operators(problem)
+        _, blocks, lp, _ = _prepare(problem)
+        assert len(blocks) == len(psd)
+        m = problem.num_vars
+        rng = np.random.default_rng(n2 * 100 + n3 * 10 + d + k)
+        y = rng.standard_normal(m)
+        ref = np.zeros((m, m))
+        inverses = []
+        for bl, full in zip(blocks, psd):
+            F = full / bl.gamma
+            assert np.array_equal(F[0], bl.f0)
+            assert np.allclose(bl.f0 + _apply(bl, y), np.tensordot(y, F[1:], axes=1) + F[0],
+                               rtol=0, atol=1e-14)
+            M = random_spd(rng, bl.dim, 1e3)
+            adjoint = np.zeros(m)
+            adjoint[bl.var_ids] = _adjoint(bl, M)
+            assert np.allclose(adjoint, np.tensordot(F[1:], M), rtol=0, atol=1e-14)
+            W = random_spd(rng, bl.dim, 1e3)
+            w_inv = np.linalg.inv(W)
+            inverses.append(np.linalg.cholesky(w_inv).T)  # H^T H = W^-1
+            t = np.einsum("ab,ibc,cd->iad", w_inv, F[1:], w_inv)
+            ref += np.einsum("iab,jba->ij", F[1:], t)
+        rows = diag[:, 1:] / lp.gammas[:, None]
+        assert np.array_equal(diag[:, 0] / lp.gammas, lp.l0)
+        assert np.allclose(_lp_apply(lp, y), rows @ y, rtol=0, atol=1e-14)
+        z = rng.random(len(rows)) + 0.5
+        assert np.allclose(_lp_adjoint(lp, z), rows.T @ z, rtol=0, atol=1e-14)
+        ratio = rng.random(len(rows)) + 0.5
+        ref += (rows.T * ratio) @ rows
+        B = _schur(blocks, lp, inverses, ratio)
+        assert np.abs(B - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def tril_with_cond(rng, n, cond):
+    """Random lower-triangular n x n matrix of condition cond: the R factor
+    of a matrix with those singular values, transposed."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return np.linalg.qr((u * np.geomspace(1.0, 1.0 / cond, n)) @ v.T)[1].T
+
+
+class TestTrilInverse:
+    @pytest.mark.parametrize("n", [1, 2, _TRIL_BLOCK - 1, _TRIL_BLOCK, _TRIL_BLOCK + 1, 300, 662])
+    @pytest.mark.parametrize("cond", [1e2, 1e5, 1e8])
+    def test_inverse(self, n, cond):
+        L = tril_with_cond(np.random.default_rng(n), n, cond)
+        X = _tril_inverse(L)
+        eye = np.eye(n)
+        assert np.linalg.norm(L @ X - eye) <= 1e-10 * np.linalg.norm(eye)
+        assert not np.triu(X, 1).any()
 
 
 class TestCertify:

@@ -9,13 +9,17 @@ moves the results, problem by problem:
 
 Problems are given as ``n2,n3,d,k`` arguments, and ``--tol T`` sets the
 solver tolerance (default 1e-8, that of ``mixedsdp bound``).  Without
-arguments it covers the problems of ``sdpa_digests.py``, in about 8 minutes
-on one core, most of it the level-3 solves of d=5.  Each line is
+arguments it covers the problems of ``sdpa_digests.py`` and then every spec
+of the acceptance suite's oracle sandwich (``SANDWICH_FAMILIES`` in
+``tests/test_acceptance.py``, every d) at levels 3 and 2, so that a solver
+regression on one of them shows by name.  The level-3 solves of d=5 take
+most of the time.  Each line is
 ``n2,n3,d,k bound iterations`` or, when the solve or the certificate
 fails, ``n2,n3,d,k`` and the error class.
 """
 
 import sys
+from pathlib import Path
 
 from sdpa_digests import DEFAULT
 
@@ -23,12 +27,23 @@ from mixedsdp.codes import ProblemSpec
 from mixedsdp.model import build_problem
 from mixedsdp.solver import SolverError, certify, solve
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_acceptance import SANDWICH_FAMILIES  # noqa: E402
+
+SANDWICH = tuple(
+    (n2, n3, d, k)
+    for n2, n3 in SANDWICH_FAMILIES
+    for d in range(1, n2 + n3 + 1)
+    for k in (3, 2)
+)
+
 
 def main(argv: list[str]) -> None:
     tol = 1e-8
     if argv[:1] == ["--tol"]:
         tol, argv = float(argv[1]), argv[2:]
-    keys = [tuple(int(t) for t in a.split(",")) for a in argv] or DEFAULT
+    keys = [tuple(int(t) for t in a.split(",")) for a in argv]
+    keys = keys or list(dict.fromkeys(DEFAULT + SANDWICH))
     for key in keys:
         problem = build_problem(ProblemSpec(*key))
         label = ",".join(map(str, key))
