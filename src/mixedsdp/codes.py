@@ -412,69 +412,50 @@ def orbit_size(spec: ProblemSpec, w: OrbitId) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Isometries (used by tests and the reduction verifier; the engine itself
-# only ever works with canonical forms).
-
-@dataclass(frozen=True)
-class Isometry:
-    """One distance-preserving bijection: coordinate permutations within each
-    block plus a letter permutation per coordinate."""
-
-    bin_perm: tuple[int, ...]
-    bin_letter: tuple[tuple[int, ...], ...]
-    ter_perm: tuple[int, ...]
-    ter_letter: tuple[tuple[int, ...], ...]
-
-    def apply_word(self, w: Word) -> Word:
-        bits = tuple(
-            self.bin_letter[i][w.bits[self.bin_perm[i]]] for i in range(len(w.bits))
-        )
-        trits = tuple(
-            self.ter_letter[i][w.trits[self.ter_perm[i]]] for i in range(len(w.trits))
-        )
-        return Word(bits, trits)
-
-    def apply_code(self, c: Code) -> Code:
-        return code(*(self.apply_word(w) for w in c.words))
-
-
-def random_isometry(spec: ProblemSpec, rng: random.Random) -> Isometry:
-    bp = list(range(spec.n2))
-    rng.shuffle(bp)
-    tp = list(range(spec.n3))
-    rng.shuffle(tp)
-    bl = tuple(tuple(rng.sample(range(2), 2)) for _ in range(spec.n2))
-    tl = tuple(tuple(rng.sample(range(3), 3)) for _ in range(spec.n3))
-    return Isometry(tuple(bp), bl, tuple(tp), tl)
-
-
-def all_isometries(spec: ProblemSpec):
-    """Every group element; exponential, for tiny separation tests only."""
-    bin_letters = list(permutations(range(2)))
-    ter_letters = list(permutations(range(3)))
-    for bp in permutations(range(spec.n2)):
-        for tp in permutations(range(spec.n3)):
-            for bl in product(bin_letters, repeat=spec.n2):
-                for tl in product(ter_letters, repeat=spec.n3):
-                    yield Isometry(bp, bl, tp, tl)
-
-
-# ---------------------------------------------------------------------------
 # Exact oracle: maximum code size via branch-and-bound maximum clique on the
 # graph whose vertices are words and whose edges join words at distance >= d.
 
 DEFAULT_WORD_CAP = 1000
 
 
-def _compatibility_masks(spec: ProblemSpec, words: list[Word]) -> list[int]:
-    n = len(words)
-    masks = [0] * n
-    for i in range(n):
+def _letter_masks(w: Word) -> tuple[int, int, int]:
+    """Bit masks of a word's binary ones, ternary ones and ternary twos."""
+    return (
+        sum(x << i for i, x in enumerate(w.bits)),
+        sum(1 << i for i, x in enumerate(w.trits) if x == 1),
+        sum(1 << i for i, x in enumerate(w.trits) if x == 2),
+    )
+
+
+def _profile_graphs(
+    spec: ProblemSpec, enc: list[tuple[int, int, int]]
+) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The feasible pair profiles (binary distance, ternary distance) in
+    branching order, and for the profile of rank r the neighbour masks of the
+    graph whose edges have a profile of rank >= r, over words given by their
+    letter masks.  Rank 0 is the whole compatibility graph.
+
+    Any fixed order is exact.  Of the orders tried, total distance, then
+    ternary distance, ascending, gave the fewest search nodes on (5,2,3),
+    the hardest sandwich instance of the acceptance suite."""
+    profiles = sorted(
+        ((b, t) for b in range(spec.n2 + 1) for t in range(spec.n3 + 1)
+         if b + t >= spec.d),
+        key=lambda p: (p[0] + p[1], p[1]),
+    )
+    rank = {p: r for r, p in enumerate(profiles)}
+    n = len(enc)
+    graphs = [[0] * n for _ in profiles]
+    for i, (bi, oi, ti) in enumerate(enc):
         for j in range(i + 1, n):
-            if hamming_distance(words[i], words[j]) >= spec.d:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
+            bj, oj, tj = enc[j]
+            r = rank.get(((bi ^ bj).bit_count(), ((oi ^ oj) | (ti ^ tj)).bit_count()))
+            if r is not None:
+                graphs[r][i] |= 1 << j
+                graphs[r][j] |= 1 << i
+    for r in range(len(profiles) - 2, -1, -1):
+        graphs[r] = [a | b for a, b in zip(graphs[r], graphs[r + 1])]
+    return profiles, graphs
 
 
 def _greedy_clique(adj: list[int], order: list[int]) -> int:
@@ -545,6 +526,7 @@ def _max_clique_masked(
     order = sorted(members, key=lambda v: (adj[v] & cand0).bit_count(), reverse=True)
     pos = {v: i for i, v in enumerate(order)}
     nn = len(order)
+    full = (1 << nn) - 1
     radj = [0] * nn
     for v in members:
         m = adj[v] & cand0
@@ -552,6 +534,8 @@ def _max_clique_masked(
             u = (m & -m).bit_length() - 1
             m &= m - 1
             radj[pos[v]] |= 1 << pos[u]
+    # colour classes grow by intersecting with the non-neighbours
+    nonadj = [full & ~(a | 1 << v) for v, a in enumerate(radj)]
 
     best_size = lower
     best_mask = 0
@@ -577,32 +561,43 @@ def _max_clique_masked(
         nodes[0] += 1
         if limit is not None and nodes[0] > limit:
             raise _BudgetExceeded
-        verts = []
-        bounds = []
-        color = 0
+        # greedy sequential colouring, lowest vertex first; a vertex of
+        # colour k bounds its branch by r_size + k, so only the classes of
+        # colour above best_size - r_size can ever be branched on
+        bound = best_size if best_size > r_size else r_size
+        skip = bound - r_size
+        classes = []
         uncolored = cand
         while uncolored:
-            color += 1
+            cls = 0
             avail = uncolored
             while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= ~(radj[v] | (1 << v))
-                uncolored ^= 1 << v
-                verts.append(v)
-                bounds.append(color)
-        for i in range(len(verts) - 1, -1, -1):
-            if r_size + bounds[i] <= best_size:
-                return
-            v = verts[i]
-            new_cand = cand & radj[v]
-            if new_cand:
-                expand(r_mask | (1 << v), r_size + 1, new_cand)
-            elif r_size + 1 > best_size:
-                best_size = r_size + 1
-                best_mask = r_mask | (1 << v)
-            cand &= ~(1 << v)
+                low = avail & -avail
+                cls |= low
+                avail &= nonadj[low.bit_length() - 1]
+            uncolored ^= cls
+            if skip:
+                skip -= 1
+            else:
+                classes.append(cls)
+        bound += len(classes)
+        for cls in reversed(classes):
+            while cls:
+                if bound <= best_size:
+                    return
+                v = cls.bit_length() - 1
+                bit = 1 << v
+                cls ^= bit
+                new_cand = cand & radj[v]
+                if new_cand:
+                    expand(r_mask | bit, r_size + 1, new_cand)
+                elif r_size + 1 > best_size:
+                    best_size = r_size + 1
+                    best_mask = r_mask | bit
+                cand ^= bit
+            bound -= 1
 
-    expand(0, 0, (1 << nn) - 1)
+    expand(0, 0, full)
     out = 0
     m = best_mask
     while m:
@@ -615,40 +610,59 @@ def _max_clique_masked(
 def _max_clique_words(
     spec: ProblemSpec,
     words: list[Word],
-    adj: list[int],
     node_budget: int | None = None,
 ) -> int:
     """Bitmask of one maximum code, by a two-phase exact search.
 
-    Phase 1 runs a softly budgeted branch-and-bound on the whole graph; the
-    regular small-distance graphs close almost immediately there.  If that
-    budget runs out, phase 2 exploits symmetry: the isometry group is
-    transitive on words, so some maximum code contains the all-zero word;
-    the stabilizer of that word is transitive on each weight profile, so
-    the second word is normalized to one representative per profile; and
-    the pointwise stabilizer of the normalized pair reduces the third word
-    to one representative per region-count class.  Each branch is then an
-    ordinary branch-and-bound on the common neighborhood.
+    Phase 1 runs the branch-and-bound on the whole graph under a small node
+    cap; the dense graphs of small d, such as (5,2,2), close there within a
+    few hundred nodes.  Otherwise phase 2 branches on the isometry group.
+
+    Minimum-profile branching.  The profile of a pair of words, (binary
+    distance, ternary distance), is kept by every isometry, and the feasible
+    profiles have a fixed total order (``_profile_graphs``).  A code of two
+    or more words has a pair whose profile p is lowest among its pairs.  The
+    group is transitive on words, and the stabilizer of the zero word is
+    transitive on the words of each profile, so an isometry maps that pair
+    to (zero, rep_p), where rep_p has its ones in the leading coordinates of
+    each block.  The image is a clique of G_p, the graph of the edges whose
+    profile ranks at or above p.  So branch p searches G_p only, within the
+    common neighbourhood of zero and rep_p, and the later a profile comes,
+    the fewer edges its branch sees.
+
+    Stabilizer-orbit exclusion.  The pointwise stabilizer H of (zero, rep_p)
+    permutes the binary coordinates inside the support of rep_p and outside
+    it, the ternary ones likewise, and swaps the letters 1 and 2 in the
+    ternary coordinates outside the support.  The orbit of a word under H is
+    therefore given by its ones inside and outside the binary support, its
+    ones and its twos inside the ternary support, and its nonzeros outside
+    it.  H keeps G_p and the candidates, so the third word runs over one
+    representative per orbit.  Take a code through zero and rep_p, and let O
+    be the first of its words' orbits in branch order: an element of H maps
+    its word in O to O's representative and keeps every orbit, so the image
+    lies in O's branch and uses no word of an earlier orbit.  Each orbit is
+    therefore removed from the candidates of the later branches once its own
+    branch has been searched or pruned by the incumbent.
 
     ``node_budget`` caps the total search nodes over both phases; on
     exhaustion the search stops with _BudgetExceeded (exactness preserved:
     no partial answer is returned).
     """
-    index = {w: i for i, w in enumerate(words)}
-    zero_idx = index[zero_word(spec)]
+    enc = [_letter_masks(w) for w in words]
+    profiles, graphs = _profile_graphs(spec, enc)
+    adj = graphs[0]
     n = len(words)
+    full = (1 << n) - 1
 
     counter = [0]
-    phase1_limit = 50_000 if node_budget is None else min(50_000, node_budget)
+    phase1_limit = 1_000 if node_budget is None else min(1_000, node_budget)
     try:
-        return _max_clique_masked(
-            adj, (1 << n) - 1, counter=counter, limit=phase1_limit
-        )
+        return _max_clique_masked(adj, full, counter=counter, limit=phase1_limit)
     except _BudgetExceeded:
         pass
 
-    # incumbent for the profile phase
-    full = (1 << n) - 1
+    # incumbent for the profile phase; a greedy clique is maximal, and every
+    # word has a neighbour, so it holds at least two words
     degree_order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
     best = _greedy_clique(adj, degree_order)
     best_size = best.bit_count()
@@ -656,69 +670,49 @@ def _max_clique_words(
     base = list(range(n))
     for _ in range(32):
         rng.shuffle(base)
-        g = _improve_clique(adj, _greedy_clique(adj, base), full)
-        if g.bit_count() > best_size:
-            best, best_size = g, g.bit_count()
-    if best_size < 1:
-        best = 1 << zero_idx
-        best_size = 1
+        clique = _improve_clique(adj, _greedy_clique(adj, base), full)
+        if clique.bit_count() > best_size:
+            best, best_size = clique, clique.bit_count()
 
-    # branches: third word normalized per orbit of the pointwise stabilizer
-    # of (zero, rep): binary positions permute within the support of rep and
-    # within its complement, ternary likewise, and only the off-support
-    # ternary positions admit a nonzero-letter swap
-    branches = []
-    for w2 in range(spec.n2 + 1):
-        for w3 in range(spec.n3 + 1):
-            if not spec.d <= w2 + w3:
-                continue
-            rep = Word(
-                tuple(1 if i < w2 else 0 for i in range(spec.n2)),
-                tuple(1 if i < w3 else 0 for i in range(spec.n3)),
+    zero_idx = enc.index((0, 0, 0))
+    for (w2, w3), g in zip(profiles, graphs):
+        sup2 = (1 << w2) - 1
+        sup3 = (1 << w3) - 1
+        rep_idx = enc.index((sup2, sup3, 0))
+        pair_mask = (1 << zero_idx) | (1 << rep_idx)
+        cand = g[zero_idx] & g[rep_idx]
+        orbits = {}
+        m = cand
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            b, o, t = enc[v]
+            key = (
+                (b & sup2).bit_count(), (b & ~sup2).bit_count(),
+                (o & sup3).bit_count(), (t & sup3).bit_count(),
+                ((o | t) & ~sup3).bit_count(),
             )
-            rep_idx = index[rep]
-            cand = adj[zero_idx] & adj[rep_idx]
-            pair_mask = (1 << zero_idx) | (1 << rep_idx)
-            if best_size < 2:
-                best = pair_mask
-                best_size = 2
-            for a1 in range(w2 + 1):
-                for b1 in range(spec.n2 - w2 + 1):
-                    for c1 in range(w3 + 1):
-                        for c2 in range(w3 - c1 + 1):
-                            for d1 in range(spec.n3 - w3 + 1):
-                                bits = tuple(
-                                    (1 if i < a1 else 0) if i < w2
-                                    else (1 if i - w2 < b1 else 0)
-                                    for i in range(spec.n2)
-                                )
-                                trits = tuple(
-                                    (1 if i < c1 else (2 if i < c1 + c2 else 0))
-                                    if i < w3
-                                    else (1 if i - w3 < d1 else 0)
-                                    for i in range(spec.n3)
-                                )
-                                third_idx = index[Word(bits, trits)]
-                                if not (cand >> third_idx) & 1:
-                                    continue
-                                triple_cand = cand & adj[third_idx]
-                                branches.append((
-                                    triple_cand.bit_count(),
-                                    triple_cand,
-                                    pair_mask | (1 << third_idx),
-                                ))
-
-    for width, triple_cand, seed_mask in branches:
-        if width + 3 <= best_size:
-            continue
-        sub = _max_clique_masked(
-            adj, triple_cand, lower=best_size - 3,
-            counter=counter, limit=node_budget,
-        )
-        size = sub.bit_count() + 3 if sub else 3
-        if size > best_size:
-            best = sub | seed_mask
-            best_size = size
+            orbits[key] = orbits.get(key, 0) | 1 << v
+        # largest orbits first, as each one leaves every later branch; among
+        # equal sizes, the narrower branch first
+        branches = []
+        for orbit in orbits.values():
+            third = (orbit & -orbit).bit_length() - 1
+            branches.append(
+                (-orbit.bit_count(), (cand & g[third]).bit_count(), third, orbit)
+            )
+        for _, _, third, orbit in sorted(branches):
+            triple_cand = cand & g[third]
+            if triple_cand.bit_count() + 3 > best_size:
+                sub = _max_clique_masked(
+                    g, triple_cand, lower=best_size - 3,
+                    counter=counter, limit=node_budget,
+                )
+                size = sub.bit_count() + 3 if sub else 3
+                if size > best_size:
+                    best = sub | pair_mask | 1 << third
+                    best_size = size
+            cand &= ~orbit
     return best
 
 
@@ -741,9 +735,7 @@ def optimal_code(
     saved_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(saved_limit, spec.num_words + 2000))
     try:
-        mask = _max_clique_words(
-            spec, words, _compatibility_masks(spec, words), node_budget
-        )
+        mask = _max_clique_words(spec, words, node_budget)
     except _BudgetExceeded:
         raise ResourceError(
             f"oracle node budget {node_budget} exceeded for "

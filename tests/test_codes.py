@@ -2,10 +2,12 @@
 
 import random
 import sys
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, permutations, product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedsdp.codes import (
@@ -14,7 +16,9 @@ from mixedsdp.codes import (
     ResourceError,
     ShapeError,
     SizeError,
-    all_isometries,
+    Word,
+    _BudgetExceeded,
+    _max_clique_masked,
     all_words,
     canonical_orbit,
     code,
@@ -29,10 +33,53 @@ from mixedsdp.codes import (
     orbit_pair_distances,
     orbit_size,
     pair_orbit,
-    random_isometry,
     singleton_orbit,
     word,
 )
+
+
+@dataclass(frozen=True)
+class Isometry:
+    """One distance-preserving bijection: coordinate permutations within each
+    block plus a letter permutation per coordinate."""
+
+    bin_perm: tuple[int, ...]
+    bin_letter: tuple[tuple[int, ...], ...]
+    ter_perm: tuple[int, ...]
+    ter_letter: tuple[tuple[int, ...], ...]
+
+    def apply_word(self, w: Word) -> Word:
+        bits = tuple(
+            self.bin_letter[i][w.bits[self.bin_perm[i]]] for i in range(len(w.bits))
+        )
+        trits = tuple(
+            self.ter_letter[i][w.trits[self.ter_perm[i]]] for i in range(len(w.trits))
+        )
+        return Word(bits, trits)
+
+    def apply_code(self, c: Code) -> Code:
+        return code(*(self.apply_word(w) for w in c.words))
+
+
+def random_isometry(spec: ProblemSpec, rng: random.Random) -> Isometry:
+    bp = list(range(spec.n2))
+    rng.shuffle(bp)
+    tp = list(range(spec.n3))
+    rng.shuffle(tp)
+    bl = tuple(tuple(rng.sample(range(2), 2)) for _ in range(spec.n2))
+    tl = tuple(tuple(rng.sample(range(3), 3)) for _ in range(spec.n3))
+    return Isometry(tuple(bp), bl, tuple(tp), tl)
+
+
+def all_isometries(spec: ProblemSpec):
+    """Every group element; exponential, for tiny separation tests only."""
+    bin_letters = list(permutations(range(2)))
+    ter_letters = list(permutations(range(3)))
+    for bp in permutations(range(spec.n2)):
+        for tp in permutations(range(spec.n3)):
+            for bl in product(bin_letters, repeat=spec.n2):
+                for tl in product(ter_letters, repeat=spec.n3):
+                    yield Isometry(bp, bl, tp, tl)
 
 
 def brute_force_orbits(spec):
@@ -334,3 +381,116 @@ class TestExactOracle:
         for d in (1, 2, 3):
             assert exact_n(ProblemSpec(3, 1, d)) <= 2 * exact_n(ProblemSpec(2, 1, d))
             assert exact_n(ProblemSpec(2, 2, d)) <= 2 * exact_n(ProblemSpec(1, 2, d))
+
+    def test_closes_under_small_budgets(self):
+        assert exact_n(ProblemSpec(6, 1, 3), node_budget=30_000) == 16
+        assert exact_n(ProblemSpec(3, 3, 3), node_budget=15_000) == 18
+
+
+# exact_n for every (n2, n3) of the acceptance suite's oracle sandwich, at
+# d = 1, 2, ..., n2 + n3
+SANDWICH_VALUES = {
+    (1, 1): (6, 2),
+    (2, 1): (12, 4, 2),
+    (3, 1): (24, 8, 3, 2),
+    (4, 1): (48, 16, 6, 2, 2),
+    (5, 1): (96, 32, 8, 4, 2, 2),
+    (6, 1): (192, 64, 16, 8, 3, 2, 2),
+    (1, 2): (18, 6, 2),
+    (2, 2): (36, 12, 4, 2),
+    (3, 2): (72, 24, 6, 3, 2),
+    (4, 2): (144, 48, 12, 6, 2, 2),
+    (5, 2): (288, 96, 22, 8, 4, 2, 2),
+    (1, 3): (54, 18, 6, 2),
+    (2, 3): (108, 36, 9, 3, 2),
+    (3, 3): (216, 72, 18, 6, 3, 2),
+    (1, 4): (162, 54, 12, 4, 2),
+}
+
+
+@pytest.mark.parametrize("n2,n3", list(SANDWICH_VALUES))
+def test_sandwich_values_pinned(n2, n3):
+    got = tuple(exact_n(ProblemSpec(n2, n3, d)) for d in range(1, n2 + n3 + 1))
+    assert got == SANDWICH_VALUES[(n2, n3)]
+
+
+def test_sandwich_values_without_greedy_incumbents():
+    # with no greedy clique to start from, the symmetry branching and the
+    # branch-and-bound alone must find every maximum code; (5,2,3) is left
+    # out for time
+    with mock.patch("mixedsdp.codes._greedy_clique", lambda adj, order: 0):
+        for (n2, n3), values in SANDWICH_VALUES.items():
+            for d, want in enumerate(values, 1):
+                if (n2, n3, d) != (5, 2, 3):
+                    assert exact_n(ProblemSpec(n2, n3, d)) == want, (n2, n3, d)
+
+
+def brute_force_clique_number(adj, cand):
+    """Oracle: size of the largest clique inside ``cand``, by listing every
+    clique once in increasing vertex order."""
+    best = 0
+
+    def extend(size, rest):
+        nonlocal best
+        best = max(best, size)
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            extend(size + 1, rest & adj[v])
+
+    extend(0, cand)
+    return best
+
+
+@st.composite
+def graph_candidates_lower(draw):
+    n = draw(st.integers(min_value=1, max_value=16))
+    density = draw(st.sampled_from((0.2, 0.5, 0.8, 0.95)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    adj = [0] * n
+    for i, j in combinations(range(n), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    cand = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    lower = draw(st.integers(min_value=-1, max_value=n))
+    return adj, cand, lower
+
+
+def check_max_clique_masked(adj, cand, lower):
+    omega = brute_force_clique_number(adj, cand)
+    counter = [0]
+    got = _max_clique_masked(adj, cand, lower=lower, counter=counter)
+    if omega > lower:
+        assert got.bit_count() == omega
+        assert got & ~cand == 0
+        for v in range(len(adj)):
+            if got >> v & 1:
+                assert got & ~adj[v] == 1 << v, "not a clique"
+    else:
+        assert got == 0
+    # the same search under a node limit: it completes at its own node count
+    # and raises one node short of it
+    nodes = counter[0]
+    assert _max_clique_masked(adj, cand, lower=lower, limit=nodes) == got
+    if nodes:
+        with pytest.raises(_BudgetExceeded):
+            _max_clique_masked(adj, cand, lower=lower, limit=nodes - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_candidates_lower())
+# a graph whose maximum clique lies outside the top colour class, so a bound
+# that falls too fast from one class to the next misses it
+@example((
+    [4094, 4013, 3051, 3767, 4073, 4063, 949, 3967, 3319, 1279, 3003, 1471],
+    3967,
+    5,
+))
+def test_max_clique_masked_matches_exhaustive_search(data):
+    check_max_clique_masked(*data)
+    # on graphs this small the greedy incumbent is nearly always maximum,
+    # which would hide a search that prunes too much; without it the
+    # branch-and-bound alone must find the clique
+    with mock.patch("mixedsdp.codes._greedy_clique", lambda adj, order: 0):
+        check_max_clique_masked(*data)
