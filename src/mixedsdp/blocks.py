@@ -9,8 +9,16 @@ factorizes over the three (binary / ternary-trivial / ternary-sign) tensor
 factors; within a factor, the sum over row rearrangements and column-swap
 signs is collected by a dynamic program over Ferrers columns, each height-2
 column contributing a signed 2x2 combination of base-change terms and each
-height-1 column a single term.  All arithmetic is integer; no floating point
-enters this module outside the verifier's eigenvalue cross-check.
+height-1 column a single term.
+
+A dual monomial is one int of 5-bit digits: the four binary pattern counts,
+then the five ternary ones, so multiplying two monomials adds their ints.
+``build_blocks_d0`` keeps all of one build's state and shares it across the
+build's shapes: a memo of the factor polynomials of the tableau pairs met so
+far, and the variable of each monomial met so far, which is unpacked once to
+find its orbit.  Nothing is kept between builds.  All arithmetic is integer;
+no floating point enters this module outside the verifier's eigenvalue
+cross-check.
 """
 
 from __future__ import annotations
@@ -18,19 +26,18 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations, product
 
 import numpy as np
 
 from mixedsdp.codes import (
+    N_BIN_PATTERNS,
+    N_TER_PATTERNS,
     PAT_12,
     PAT_13,
     PAT_23,
     PAT_ALL_EQUAL,
     PAT_DISTINCT,
-    PATTERN_NAMES,
-    OrbitId,
     OrbitTable,
     ProblemSpec,
     ResourceError,
@@ -53,40 +60,46 @@ from mixedsdp.tableaux import (
     build_shape_index_empty,
 )
 
-N_BIN = 4
-N_TER = 5
+DIGIT = 5
+MAX_COUNT = (1 << DIGIT) - 1
 
 
-def _unit(n: int, p: int) -> tuple[int, ...]:
-    e = [0] * n
-    e[p] = 1
-    return tuple(e)
+def _bin(p: int) -> int:
+    """Packed degree-1 monomial of binary pattern p."""
+    return 1 << DIGIT * p
+
+
+def _ter(p: int) -> int:
+    """Packed degree-1 monomial of ternary pattern p."""
+    return 1 << DIGIT * (N_BIN_PATTERNS + p)
+
+
+def unpack_monomial(mono: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (binary, ternary) pattern counts of a packed monomial."""
+    digits = [
+        mono >> DIGIT * i & MAX_COUNT
+        for i in range(N_BIN_PATTERNS + N_TER_PATTERNS)
+    ]
+    return tuple(digits[:N_BIN_PATTERNS]), tuple(digits[N_BIN_PATTERNS:])
 
 
 # Base-change tables: the expansion of column-pair tensors in the dual
 # variables of the pattern bases.  Keys are (first, second) column indices;
-# values map a degree-1 exponent vector to its integer coefficient.
+# values map a packed degree-1 monomial to its integer coefficient.
 _A1 = {
-    (1, 1): {_unit(N_BIN, PAT_ALL_EQUAL): 1},
-    (1, 2): {_unit(N_BIN, PAT_12): 1},
-    (2, 1): {_unit(N_BIN, PAT_13): 1},
-    (2, 2): {_unit(N_BIN, PAT_23): 1},
+    (1, 1): {_bin(PAT_ALL_EQUAL): 1},
+    (1, 2): {_bin(PAT_12): 1},
+    (2, 1): {_bin(PAT_13): 1},
+    (2, 2): {_bin(PAT_23): 1},
 }
 _A2 = {
-    (1, 1): {_unit(N_TER, PAT_ALL_EQUAL): 1},
-    (1, 2): {_unit(N_TER, PAT_12): 2},
-    (2, 1): {_unit(N_TER, PAT_13): 2},
-    (2, 2): {_unit(N_TER, PAT_23): 2, _unit(N_TER, PAT_DISTINCT): 2},
+    (1, 1): {_ter(PAT_ALL_EQUAL): 1},
+    (1, 2): {_ter(PAT_12): 2},
+    (2, 1): {_ter(PAT_13): 2},
+    (2, 2): {_ter(PAT_23): 2, _ter(PAT_DISTINCT): 2},
 }
 _A3 = {
-    (1, 1): {_unit(N_TER, PAT_23): 2, _unit(N_TER, PAT_DISTINCT): -2},
-}
-# Empty-code case: per-alphabet pair patterns (equal, unequal).
-_B = {
-    1: {(1, 0): 2, (0, 1): 2},
-    2: {(1, 0): 2, (0, 1): -2},
-    3: {(1, 0): 3, (0, 1): 6},
-    4: {(1, 0): 2, (0, 1): -2},
+    (1, 1): {_ter(PAT_23): 2, _ter(PAT_DISTINCT): -2},
 }
 
 _ZERO_TABLES = {1: _A1, 2: _A2, 3: _A3}
@@ -95,32 +108,11 @@ CASE_ZERO = "zero"
 CASE_EMPTY = "empty"
 
 
-def base_change(case: str, j: int, l: int, m: int) -> dict[str, int]:
-    """Expansion of the (l, m) column-pair tensor of factor j as a linear
-    combination of dual pattern variables, returned with readable names."""
-    if case == CASE_ZERO:
-        try:
-            form = _ZERO_TABLES[j][(l, m)]
-        except KeyError:
-            raise ValueError(f"no factor {j} columns ({l}, {m})") from None
-        prefix = "c" if j == 1 else "d"
-        return {
-            f"{prefix}*{PATTERN_NAMES[e.index(1)]}": c for e, c in form.items()
-        }
-    if case == CASE_EMPTY:
-        if j not in _B or (l, m) != (1, 1):
-            raise ValueError(f"no factor {j} columns ({l}, {m})")
-        prefix = "c" if j <= 2 else "d"
-        names = {(1, 0): "123", (0, 1): "12|3"}
-        return {f"{prefix}*{names[e]}": c for e, c in _B[j].items()}
-    raise ValueError(f"unknown case {case!r}")
-
-
 def _poly_mul(p: dict, q: dict) -> dict:
     out: dict = defaultdict(int)
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            out[tuple(a + b for a, b in zip(e1, e2))] += c1 * c2
+            out[e1 + e2] += c1 * c2
     return {e: c for e, c in out.items() if c}
 
 
@@ -129,25 +121,24 @@ def _poly_axpy(acc: dict, p: dict, scale: int) -> None:
         acc[e] += c * scale
 
 
-@lru_cache(maxsize=None)
 def _factor_poly(
     factor: int,
     lam: tuple[int, ...],
     first: Tableau,
     second: Tableau,
-) -> dict:
+) -> dict[int, int]:
     """Dual polynomial of one tensor factor for a tableau pair of common
-    shape, summed over row rearrangements and signed column swaps.
+    shape, summed over row rearrangements and signed column swaps, as a map
+    from packed monomials to integer coefficients.
 
     ``first``/``second`` feed the first/second slot of the base-change
-    tensors.  Cached: within one shape the same tableau pairs recur across
-    many column pairs.
+    tensors.  Within one build the same tableau pairs recur across many
+    column pairs, so ``expand_p`` looks each one up in the build's memo
+    before calling this.
     """
     table = _ZERO_TABLES[factor]
-    nvars = N_BIN if factor == 1 else N_TER
-    unit = (0,) * nvars
     if not lam:
-        return {unit: 1}
+        return {0: 1}
     a = lam[0]
     b = lam[1] if len(lam) > 1 else 0
     values = (1, 2) if factor != 3 else (1,)
@@ -165,7 +156,7 @@ def _factor_poly(
                 _poly_axpy(term, _poly_mul(table[(x, 2)], table[(2, u)]), -2)
                 det[(x, u)] = {e: c for e, c in term.items() if c}
 
-    states: dict[tuple[int, int], dict] = {(0, 0): {unit: 1}}
+    states: dict[tuple[int, int], dict] = {(0, 0): {0: 1}}
     for col in range(a):
         factor_for = det if col < b else table
         remaining = a - col - 1
@@ -189,38 +180,28 @@ def _factor_poly(
 
 
 def expand_p(
-    shape: ShapeD0, sigma: TableauTriple, tau: TableauTriple
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-    """Dual polynomial of a column pair: sparse map from (binary-exponent,
-    ternary-exponent) monomials to integer coefficients.
+    shape: ShapeD0, sigma: TableauTriple, tau: TableauTriple, memo: dict
+) -> dict[int, int]:
+    """Dual polynomial of a column pair: sparse map from packed monomials
+    (``unpack_monomial`` gives their binary and ternary pattern counts) to
+    integer coefficients.
 
-    Summing the coefficients over one orbit fiber of ``kappa_zero`` yields
-    the contraction of the two columns against that orbit's indicator
-    matrix.  The first base-change slot carries ``tau``.
+    Summing the coefficients over the monomials whose counts give one orbit
+    (``orbit_from_counts``) yields the contraction of the two columns
+    against that orbit's indicator matrix.  The first base-change slot
+    carries ``tau``.  ``memo`` holds the factor polynomials already
+    computed, keyed by (factor, lambda, first, second); it only saves work.
     """
-    lam1, lam2, lam3 = shape.lambdas
-    p1 = _factor_poly(1, lam1, tau[0], sigma[0])
-    p2 = _factor_poly(2, lam2, tau[1], sigma[1])
-    p3 = _factor_poly(3, lam3, tau[2], sigma[2])
+    polys = []
+    for key in zip((1, 2, 3), shape.lambdas, tau, sigma):
+        poly = memo.get(key)
+        if poly is None:
+            poly = memo[key] = _factor_poly(*key)
+        polys.append(poly)
+    p1, p2, p3 = polys
     p23 = _poly_mul(p2, p3)
-    out = {}
-    for eb, cb in p1.items():
-        for et, ct in p23.items():
-            out[(eb, et)] = cb * ct
-    return out
-
-
-def kappa_zero(mu: tuple[int, ...], nu: tuple[int, ...]) -> OrbitId:
-    """Orbit of the ordered triples whose column-pattern counts are the
-    exponents of a dual monomial (all-zero-word case)."""
-    return orbit_from_counts(mu, nu)
-
-
-def kappa_empty(spec: ProblemSpec, bin_unequal: int, ter_unequal: int) -> OrbitId:
-    """Orbit for an empty-code-case monomial: counts of unequal columns."""
-    if bin_unequal == 0 and ter_unequal == 0:
-        return singleton_orbit(spec)
-    return pair_orbit(spec, bin_unequal, ter_unequal)
+    # the binary and ternary digits are disjoint, so no two products collide
+    return {eb + et: cb * ct for eb, cb in p1.items() for et, ct in p23.items()}
 
 
 @dataclass(frozen=True)
@@ -248,30 +229,39 @@ def build_blocks_d0(
     """Reduced blocks for the all-zero-word stabilizer, one per shape.
 
     ``var_of_orbit`` maps orbit indices to variable indices; coefficients of
-    orbits outside it (those fixed to zero) are dropped.
+    orbits outside it (those fixed to zero) are dropped.  The build's shapes
+    share one memo of factor polynomials and one table from packed monomial
+    to variable, ``None`` for a dropped orbit; both go with the build.
     """
+    if max(spec.n2, spec.n3) > MAX_COUNT:
+        raise ValueError(
+            f"({spec.n2}, {spec.n3}): a pattern count above {MAX_COUNT} "
+            f"does not fit a {DIGIT}-bit monomial digit"
+        )
+    memo: dict = {}
+    var_of_mono: dict[int, int | None] = {}
     out = []
     for shape in shapes:
         cols = shape.admissible
         dim = len(cols)
-        kappa_cache: dict = {}
         mats: dict[int, list[list[int]]] = {}
         for i in range(dim):
             for j in range(i, dim):
-                agg: dict[int, int] = defaultdict(int)
-                for (mu, nu), c in expand_p(shape, cols[i], cols[j]).items():
-                    key = (mu, nu)
-                    widx = kappa_cache.get(key)
-                    if widx is None:
-                        widx = orbits.index_of(kappa_zero(mu, nu))
-                        kappa_cache[key] = widx
-                    agg[widx] += c
-                for widx, val in agg.items():
-                    if val == 0 or widx not in var_of_orbit:
-                        continue
-                    mat = mats.setdefault(var_of_orbit[widx], _zero_matrix(dim))
-                    mat[i][j] = val
-                    mat[j][i] = val
+                agg: dict[int | None, int] = defaultdict(int)
+                for mono, c in expand_p(shape, cols[i], cols[j], memo).items():
+                    try:
+                        v = var_of_mono[mono]
+                    except KeyError:
+                        widx = orbits.index_of(
+                            orbit_from_counts(*unpack_monomial(mono))
+                        )
+                        v = var_of_mono[mono] = var_of_orbit.get(widx)
+                    agg[v] += c
+                for v, val in agg.items():
+                    if val and v is not None:
+                        mat = mats.setdefault(v, _zero_matrix(dim))
+                        mat[i][j] = val
+                        mat[j][i] = val
         out.append(Block(
             label=f"{CASE_ZERO}:{shape.label()}",
             dim=dim,
@@ -313,7 +303,9 @@ def build_blocks_empty(
                 val = scale * binpoly[a] * terpoly[b]
                 if val == 0:
                     continue
-                widx = orbits.index_of(kappa_empty(spec, a, b))
+                widx = orbits.index_of(
+                    singleton_orbit(spec) if a == b == 0 else pair_orbit(spec, a, b)
+                )
                 if widx in var_of_orbit:
                     coeff[var_of_orbit[widx]] = val
         label = f"{CASE_EMPTY}:{shape.label()}"

@@ -12,7 +12,6 @@ triple of its words, minimized over the six reorderings of the triple.
 
 from __future__ import annotations
 
-import random
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
@@ -187,12 +186,6 @@ class OrbitId:
     size: int
     bin_counts: tuple[int, int, int, int]
     ter_counts: tuple[int, int, int, int, int]
-
-    def pair_profile(self) -> tuple[int, int]:
-        """(binary, ternary) distance split of a size-2 orbit."""
-        if self.size != 2:
-            raise ValueError(f"pair profile undefined for size {self.size}")
-        return self.bin_counts[PAT_23], self.ter_counts[PAT_23]
 
     def describe(self) -> str:
         parts = [f"size={self.size}"]
@@ -466,39 +459,6 @@ def _greedy_clique(adj: list[int], order: list[int]) -> int:
     return mask
 
 
-def _improve_clique(adj: list[int], clique: int, universe: int, rounds: int = 20) -> int:
-    """Drop-one-extend local search around a clique (incumbent sharpening)."""
-    n = len(adj)
-    best = clique
-    for _ in range(rounds):
-        improved = False
-        m = best
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            reduced = best & ~(1 << v)
-            cand = universe & ~(1 << v)
-            r = reduced
-            while r:
-                u = (r & -r).bit_length() - 1
-                r &= r - 1
-                cand &= adj[u]
-            grown = reduced
-            c = cand
-            while c:
-                u = (c & -c).bit_length() - 1
-                c &= c - 1
-                if adj[u] & grown == grown:
-                    grown |= 1 << u
-            if grown.bit_count() > best.bit_count():
-                best = grown
-                improved = True
-                break
-        if not improved:
-            break
-    return best
-
-
 class _BudgetExceeded(Exception):
     pass
 
@@ -539,20 +499,11 @@ def _max_clique_masked(
 
     best_size = lower
     best_mask = 0
-    # deterministic and seeded-random greedy passes sharpen the incumbent;
-    # a tight incumbent is what lets the coloring bound close the tree
-    passes = [list(range(start, nn)) + list(range(start))
-              for start in range(0, nn, max(1, nn // 8))]
-    rng = random.Random(0xC0DE)
-    base = list(range(nn))
-    for _ in range(32):
-        rng.shuffle(base)
-        passes.append(list(base))
-    for order_pass in passes:
-        g = _greedy_clique(radj, order_pass)
-        if g.bit_count() > best_size:
-            best_size = g.bit_count()
-            best_mask = g
+    # the incumbent is one greedy clique in degree order
+    g = _greedy_clique(radj, range(nn))
+    if g.bit_count() > best_size:
+        best_size = g.bit_count()
+        best_mask = g
 
     nodes = counter if counter is not None else [0]
 
@@ -666,13 +617,6 @@ def _max_clique_words(
     degree_order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
     best = _greedy_clique(adj, degree_order)
     best_size = best.bit_count()
-    rng = random.Random(0xC0DE)
-    base = list(range(n))
-    for _ in range(32):
-        rng.shuffle(base)
-        clique = _improve_clique(adj, _greedy_clique(adj, base), full)
-        if clique.bit_count() > best_size:
-            best, best_size = clique, clique.bit_count()
 
     zero_idx = enc.index((0, 0, 0))
     for (w2, w3), g in zip(profiles, graphs):

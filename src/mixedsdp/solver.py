@@ -91,16 +91,6 @@ class Solution:
     def feas_residual(self) -> float:
         return max(self.primal_residual, self.dual_residual, -min(self.min_block_eig, 0.0))
 
-    def log_lines(self) -> list[str]:
-        out = []
-        for t in self.trace:
-            out.append(
-                "it {iter:3d} obj {pobj:+.12e} dual {dobj:+.12e} "
-                "relgap {relgap:.3e} pinf {pinf:.3e} dinf {dinf:.3e} "
-                "step {alpha_p:.3f}/{alpha_d:.3f} sigma {sigma:.3f}".format(**t)
-            )
-        return out
-
 
 @dataclass(frozen=True)
 class CertifiedBound:

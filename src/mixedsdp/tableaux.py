@@ -79,15 +79,13 @@ class ShapeD0:
     """One block shape for the all-zero-word case.
 
     ``counts`` is (n2, l2, l3) with l2 + l3 = n3: l2 ternary coordinates
-    carry the trivial type and l3 the sign type.  ``columns`` is the full
-    tableau-triple family, ``admissible`` the subfamily whose word weight
-    lies in {0} or {d, ..., n2+n3}; ``weights`` aligns with ``columns``.
+    carry the trivial type and l3 the sign type.  ``admissible`` is the
+    subfamily of the tableau triples of shape ``lambdas`` whose word weight
+    lies in {0} or {d, ..., n2+n3}.
     """
 
     counts: tuple[int, int, int]
     lambdas: tuple[Partition, Partition, Partition]
-    columns: tuple[TableauTriple, ...]
-    weights: tuple[int, ...]
     admissible: tuple[TableauTriple, ...]
 
     def label(self) -> str:
@@ -114,22 +112,18 @@ def build_shape_index_d0(spec: ProblemSpec) -> list[ShapeD0]:
         for lam1 in partitions_up_to_height(spec.n2, 2):
             for lam2 in partitions_up_to_height(l2, 2):
                 for lam3 in partitions_up_to_height(l3, 1):
-                    cols = tuple(product(
-                        semistandard_tableaux(lam1, 2),
-                        semistandard_tableaux(lam2, 2),
-                        semistandard_tableaux(lam3, 1),
-                    ))
-                    if not cols:
-                        continue
-                    weights = tuple(column_weight(spec, t) for t in cols)
                     keep = tuple(
-                        t for t, w in zip(cols, weights) if w in allowed
+                        t for t in product(
+                            semistandard_tableaux(lam1, 2),
+                            semistandard_tableaux(lam2, 2),
+                            semistandard_tableaux(lam3, 1),
+                        )
+                        if column_weight(spec, t) in allowed
                     )
                     if not keep:
                         continue
                     shapes.append(ShapeD0(
-                        (spec.n2, l2, l3), (lam1, lam2, lam3),
-                        cols, weights, keep,
+                        (spec.n2, l2, l3), (lam1, lam2, lam3), keep,
                     ))
     return shapes
 

@@ -1,27 +1,38 @@
 """Base-change identities, dual polynomials, and block coefficients."""
 
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import mixedsdp
+from mixedsdp import blocks
 from mixedsdp.blocks import (
-    base_change,
+    _A1,
+    _A2,
+    _A3,
+    _ZERO_TABLES,
     build_blocks_d0,
     build_blocks_empty,
     expand_p,
-    kappa_empty,
-    kappa_zero,
     representative_vector_empty,
+    unpack_monomial,
     verify_reduction,
 )
 from mixedsdp.codes import (
+    PATTERN_NAMES,
     ProblemSpec,
     ResourceError,
     all_words,
     enumerate_orbits,
+    orbit_from_counts,
     pair_orbit,
     singleton_orbit,
 )
+from mixedsdp.model import build_sdp
 from mixedsdp.tableaux import build_shape_index_d0, build_shape_index_empty
 
 
@@ -30,39 +41,67 @@ def feasible(table):
     return {i: i for i, ok in enumerate(table.feasible) if ok}
 
 
+def named(form):
+    """A base-change form with readable names: c* for a binary pattern
+    variable, d* for a ternary one."""
+    out = {}
+    for mono, c in form.items():
+        mu, nu = unpack_monomial(mono)
+        assert sum(mu) + sum(nu) == 1
+        prefix, counts = ("c", mu) if any(mu) else ("d", nu)
+        out[f"{prefix}*{PATTERN_NAMES[counts.index(1)]}"] = c
+    return out
+
+
+def unpacked(poly):
+    return {unpack_monomial(mono): c for mono, c in poly.items()}
+
+
 class TestBaseChange:
     """The thirteen expansion identities, by direct assertion."""
 
     def test_binary_factor(self):
-        assert base_change("zero", 1, 1, 1) == {"c*123": 1}
-        assert base_change("zero", 1, 1, 2) == {"c*12|3": 1}
-        assert base_change("zero", 1, 2, 1) == {"c*13|2": 1}
-        assert base_change("zero", 1, 2, 2) == {"c*1|23": 1}
+        assert named(_A1[(1, 1)]) == {"c*123": 1}
+        assert named(_A1[(1, 2)]) == {"c*12|3": 1}
+        assert named(_A1[(2, 1)]) == {"c*13|2": 1}
+        assert named(_A1[(2, 2)]) == {"c*1|23": 1}
 
     def test_ternary_trivial_factor(self):
-        assert base_change("zero", 2, 1, 1) == {"d*123": 1}
-        assert base_change("zero", 2, 1, 2) == {"d*12|3": 2}
-        assert base_change("zero", 2, 2, 1) == {"d*13|2": 2}
-        assert base_change("zero", 2, 2, 2) == {"d*1|23": 2, "d*1|2|3": 2}
+        assert named(_A2[(1, 1)]) == {"d*123": 1}
+        assert named(_A2[(1, 2)]) == {"d*12|3": 2}
+        assert named(_A2[(2, 1)]) == {"d*13|2": 2}
+        assert named(_A2[(2, 2)]) == {"d*1|23": 2, "d*1|2|3": 2}
 
     def test_ternary_sign_factor(self):
-        assert base_change("zero", 3, 1, 1) == {"d*1|23": 2, "d*1|2|3": -2}
+        assert named(_A3[(1, 1)]) == {"d*1|23": 2, "d*1|2|3": -2}
 
     def test_empty_case_factors(self):
-        assert base_change("empty", 1, 1, 1) == {"c*123": 2, "c*12|3": 2}
-        assert base_change("empty", 2, 1, 1) == {"c*123": 2, "c*12|3": -2}
-        assert base_change("empty", 3, 1, 1) == {"d*123": 3, "d*12|3": 6}
-        assert base_change("empty", 4, 1, 1) == {"d*123": 2, "d*12|3": -2}
+        # per-alphabet forms over the (equal, unequal) pair patterns: c*123
+        # and c*12|3 for the two binary types, d*123 and d*12|3 for the two
+        # ternary ones.  At n2 = n3 = 1 each shape takes one binary and one
+        # ternary type, and its coefficient of the pair orbit with a unequal
+        # binary and b unequal ternary coordinates is the product of the two.
+        binary = {(1, 0): (2, 2), (0, 1): (2, -2)}
+        ternary = {(1, 0): (3, 6), (0, 1): (2, -2)}
+        spec = ProblemSpec(1, 1, 1)
+        table = enumerate_orbits(spec)
+        shapes = build_shape_index_empty(spec)
+        built = build_blocks_empty(spec, shapes, table, feasible(table))
+        for shape, block in zip(shapes, built):
+            slot = 1 if shape.augmented else 0
+            fb, ft = binary[shape.counts[:2]], ternary[shape.counts[2:]]
+            for a in (0, 1):
+                for b in (0, 1):
+                    w = singleton_orbit(spec) if a == b == 0 else pair_orbit(spec, a, b)
+                    mat = block.coeff[table.index_of(w)]
+                    assert mat[slot][slot] == fb[a] * ft[b]
 
     def test_invalid_indices(self):
-        with pytest.raises(ValueError):
-            base_change("zero", 3, 1, 2)
-        with pytest.raises(ValueError):
-            base_change("zero", 4, 1, 1)
-        with pytest.raises(ValueError):
-            base_change("empty", 1, 1, 2)
-        with pytest.raises(ValueError):
-            base_change("nope", 1, 1, 1)
+        # column values run over {1, 2}, over {1} for the sign factor, and
+        # there are three factors
+        assert set(_A1) == set(_A2) == {(1, 1), (1, 2), (2, 1), (2, 2)}
+        assert set(_A3) == {(1, 1)}
+        assert set(_ZERO_TABLES) == {1, 2, 3}
 
 
 def shape_for(spec, counts, lambdas):
@@ -78,24 +117,24 @@ class TestExpandP:
         spec = ProblemSpec(1, 1, 1)
         shape = shape_for(spec, (1, 1, 0), ((1,), (1,), ()))
         col_11 = (((1,),), ((1,),), ())
-        p = expand_p(shape, col_11, col_11)
-        assert p == {((1, 0, 0, 0), (1, 0, 0, 0, 0)): 1}
+        p = expand_p(shape, col_11, col_11, {})
+        assert unpacked(p) == {((1, 0, 0, 0), (1, 0, 0, 0, 0)): 1}
 
     def test_binary_mixed_slots(self):
         spec = ProblemSpec(1, 1, 1)
         shape = shape_for(spec, (1, 1, 0), ((1,), (1,), ()))
         sigma = (((2,),), ((1,),), ())
         tau = (((1,),), ((1,),), ())
-        p = expand_p(shape, sigma, tau)
+        p = expand_p(shape, sigma, tau, {})
         # tau feeds the first slot: the binary factor is the {12|3} term
-        assert p == {((0, 1, 0, 0), (1, 0, 0, 0, 0)): 1}
+        assert unpacked(p) == {((0, 1, 0, 0), (1, 0, 0, 0, 0)): 1}
 
     def test_sign_factor(self):
         spec = ProblemSpec(1, 1, 1)
         shape = shape_for(spec, (1, 0, 1), ((1,), (), (1,)))
         col = (((1,),), (), ((1,),))
-        p = expand_p(shape, col, col)
-        assert p == {
+        p = expand_p(shape, col, col, {})
+        assert unpacked(p) == {
             ((1, 0, 0, 0), (0, 0, 0, 1, 0)): 2,
             ((1, 0, 0, 0), (0, 0, 0, 0, 1)): -2,
         }
@@ -104,8 +143,8 @@ class TestExpandP:
         spec = ProblemSpec(2, 2, 1)
         for shape in build_shape_index_d0(spec):
             cols = shape.admissible
-            p = expand_p(shape, cols[0], cols[-1])
-            for (mu, nu) in p:
+            p = expand_p(shape, cols[0], cols[-1], {})
+            for (mu, nu) in unpacked(p):
                 assert sum(mu) == spec.n2
                 assert sum(nu) == spec.n3
 
@@ -117,30 +156,36 @@ class TestExpandP:
         shape = two_row[0]
         bad = ((( 1, 1),), ((1,),), ())  # wrong shape for lambda1=(1,1)
         with pytest.raises((ValueError, IndexError)):
-            expand_p(shape, bad, bad)
+            expand_p(shape, bad, bad, {})
 
 
 class TestKappa:
+    """The orbits the block builders map monomials and empty-case pair
+    patterns to."""
+
     def test_all_equal_is_singleton(self):
         spec = ProblemSpec(2, 1, 1)
-        w = kappa_zero((2, 0, 0, 0), (1, 0, 0, 0, 0))
+        w = orbit_from_counts((2, 0, 0, 0), (1, 0, 0, 0, 0))
         assert w == singleton_orbit(spec)
 
     def test_pair_from_one_column(self):
         spec = ProblemSpec(1, 1, 1)
-        w = kappa_zero((0, 0, 0, 1), (1, 0, 0, 0, 0))
+        w = orbit_from_counts((0, 0, 0, 1), (1, 0, 0, 0, 0))
         assert w == pair_orbit(spec, 1, 0)
 
     def test_relabeled_counts_collapse(self):
         # {12|3} and {13|2} raw counts canonicalize to the same orbit
-        w1 = kappa_zero((0, 1, 0, 0), (1, 0, 0, 0, 0))
-        w2 = kappa_zero((0, 0, 1, 0), (1, 0, 0, 0, 0))
+        w1 = orbit_from_counts((0, 1, 0, 0), (1, 0, 0, 0, 0))
+        w2 = orbit_from_counts((0, 0, 1, 0), (1, 0, 0, 0, 0))
         assert w1 == w2
 
     def test_empty_case(self):
+        # no unequal coordinate is the singleton, which pair_orbit refuses
         spec = ProblemSpec(2, 1, 1)
-        assert kappa_empty(spec, 0, 0) == singleton_orbit(spec)
-        assert kappa_empty(spec, 1, 1) == pair_orbit(spec, 1, 1)
+        assert singleton_orbit(spec) == orbit_from_counts((2, 0, 0, 0), (1, 0, 0, 0, 0))
+        with pytest.raises(ValueError):
+            pair_orbit(spec, 0, 0)
+        assert pair_orbit(spec, 1, 1) == orbit_from_counts((1, 0, 0, 1), (0, 0, 0, 1, 0))
 
 
 class TestBlocksD0:
@@ -201,6 +246,39 @@ class TestBlocksD0:
             for mat in block.coeff.values():
                 for row in mat:
                     assert all(type(v) is int for v in row)
+
+
+class TestBuildState:
+    def test_packing_guard(self):
+        # a count of 32 would carry into the next 5-bit digit; the guard
+        # fires before any shape or orbit is looked at
+        for n2, n3 in ((32, 1), (1, 32)):
+            with pytest.raises(ValueError, match="5-bit"):
+                build_blocks_d0(ProblemSpec(n2, n3, 1), [], None, {})
+
+    def test_no_process_wide_cache(self):
+        cached = [
+            name for name in dir(blocks)
+            if hasattr(getattr(blocks, name), "cache_info")
+        ]
+        assert cached == []
+
+    def test_blocks_do_not_depend_on_earlier_builds(self):
+        # (2,2,2) built first in a fresh process, and here after other builds
+        script = (
+            "from mixedsdp.codes import ProblemSpec\n"
+            "from mixedsdp.model import build_sdp\n"
+            "print(repr(build_sdp(ProblemSpec(2, 2, 2)).blocks))\n"
+        )
+        src = str(Path(mixedsdp.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        first = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+        ).stdout
+        for n2, n3, d in ((2, 3, 2), (3, 2, 2), (2, 2, 1)):
+            build_sdp(ProblemSpec(n2, n3, d))
+        assert repr(build_sdp(ProblemSpec(2, 2, 2)).blocks) + "\n" == first
 
 
 class TestBlocksEmpty:

@@ -107,7 +107,7 @@ class TestSolve:
         assert s1.objective == s2.objective
         assert s1.dual_objective == s2.dual_objective
         assert np.array_equal(s1.y, s2.y)
-        assert s1.log_lines() == s2.log_lines()
+        assert s1.trace == s2.trace
 
     def test_block_scaling_invariance(self):
         p = build_sdp(ProblemSpec(1, 1, 2))

@@ -89,6 +89,16 @@ class TestSemistandardTableaux:
         assert semistandard_tableaux(lam, m) == enumerate_fillings(lam, m)
 
 
+def full_family(shape):
+    """Every tableau triple of the shape, before the weight filter."""
+    lam1, lam2, lam3 = shape.lambdas
+    return tuple(product(
+        semistandard_tableaux(lam1, 2),
+        semistandard_tableaux(lam2, 2),
+        semistandard_tableaux(lam3, 1),
+    ))
+
+
 class TestShapeIndexD0:
     def test_111_shapes(self):
         spec = ProblemSpec(1, 1, 1)
@@ -96,9 +106,9 @@ class TestShapeIndexD0:
         assert {s.counts for s in shapes} == {(1, 1, 0), (1, 0, 1)}
         by_counts = {s.counts: s for s in shapes}
         s = by_counts[(1, 1, 0)]
-        assert len(s.columns) == 4
+        assert len(full_family(s)) == 4
         assert len(s.admissible) == 4  # d=1 keeps everything
-        assert sorted(s.weights) == [0, 1, 1, 2]
+        assert sorted(column_weight(spec, t) for t in full_family(s)) == [0, 1, 1, 2]
 
     def test_112_weight_filter(self):
         spec = ProblemSpec(1, 1, 2)
@@ -107,7 +117,7 @@ class TestShapeIndexD0:
         assert len(s.admissible) == 2  # weights 0 and 2 only
         kept_weights = sorted(column_weight(spec, t) for t in s.admissible)
         assert kept_weights == [0, 2]
-        excluded = [t for t in s.columns if t not in s.admissible]
+        excluded = [t for t in full_family(s) if t not in s.admissible]
         assert all(column_weight(spec, t) == 1 for t in excluded)
 
     def test_weight_zero_column_always_kept(self):
@@ -123,7 +133,7 @@ class TestShapeIndexD0:
     def test_w_prime_equals_w_at_d1(self):
         spec = ProblemSpec(2, 3, 1)
         for s in build_shape_index_d0(spec):
-            assert s.admissible == s.columns
+            assert s.admissible == full_family(s)
 
     def test_number_of_count_tuples(self):
         spec = ProblemSpec(2, 3, 1)
@@ -133,7 +143,7 @@ class TestShapeIndexD0:
     def test_second_rows_are_all_twos(self):
         spec = ProblemSpec(4, 2, 1)
         for s in build_shape_index_d0(spec):
-            for col in s.columns:
+            for col in full_family(s):
                 for tab in col[:2]:
                     if len(tab) == 2:
                         assert set(tab[1]) == {2}
@@ -141,7 +151,7 @@ class TestShapeIndexD0:
     def test_weight_formula(self):
         spec = ProblemSpec(2, 2, 1)
         for s in build_shape_index_d0(spec):
-            for col in s.columns:
+            for col in full_family(s):
                 w = spec.n2 + spec.n3 - count_entries(col[0], 1) - count_entries(col[1], 1)
                 assert column_weight(spec, col) == w
                 assert 0 <= w <= spec.length

@@ -8,9 +8,10 @@ every emitted byte:
     diff before.txt after.txt
 
 Problems are given as ``n2,n3,d,k`` arguments.  Without arguments it covers
-the benchmark's problems (the published level-3 rows of ``sdp-table``, the
-d=5 level-3 problems that ``exact-oracle`` emits) and the problems whose
-digests the test suite pins.  The largest, (1,12,5), takes about 15 s.
+every problem the benchmark builds (the published level-3 rows of
+``sdp-table``; the d=5 level-3 problems that ``exact-oracle`` emits and its
+oracle-sandwich problems at levels 3 and 2) and the problems whose digests
+the test suite pins.  The largest, (1,12,5), takes about 15 s.
 """
 
 import hashlib
@@ -29,8 +30,13 @@ DEFAULT = (
     (10, 2, 4, 3),
     # exact-oracle emits
     (1, 11, 5, 3), (2, 10, 5, 3), (3, 9, 5, 3), (4, 8, 5, 3), (1, 12, 5, 3),
-    # pinned in tests/test_solver.py
-    (1, 1, 1, 3), (2, 1, 2, 3), (2, 2, 3, 3), (2, 5, 3, 2), (1, 4, 3, 2),
+    # exact-oracle sandwich, at levels 3 and 2
+    (3, 3, 3, 3), (4, 2, 3, 3), (1, 4, 3, 3), (5, 2, 4, 3), (6, 1, 3, 3),
+    (5, 2, 3, 3),
+    (3, 3, 3, 2), (4, 2, 3, 2), (1, 4, 3, 2), (5, 2, 4, 2), (6, 1, 3, 2),
+    (5, 2, 3, 2),
+    # pinned in tests/test_solver.py, with (1, 4, 3, 2) above
+    (1, 1, 1, 3), (2, 1, 2, 3), (2, 2, 3, 3), (2, 5, 3, 2),
 )
 
 
