@@ -94,7 +94,8 @@ def _compute_bound(n2: int, n3: int, d: int, k: int, tol: float, max_iter: int =
         "objective": solution.objective,
         "dualObjective": solution.dual_objective,
         "bound": bound.value,
-        "guard": bound.guard,
+        "exactBound": float(bound.exact_bound),
+        "penalty": float(bound.penalty),
         "gap": solution.gap,
         "iterations": solution.iterations,
         "provenance": bound.provenance,
@@ -108,10 +109,11 @@ def cmd_bound(args) -> int:
         return _emit(args, args.emit_only)
     record = _compute_bound(args.n2, args.n3, args.d, args.k, args.tol, args.max_iter)
     ResultsStore(args.store).append(record)
+    margin = record["bound"] + 1 - record["exactBound"]
     print(
         f"N({args.n2},{args.n3},{args.d}) <= {record['bound']}  "
         f"[k={args.k}, objective {record['objective']:.9g}, "
-        f"gap {record['gap']:.2e}, guard {record['guard']:.2e}]"
+        f"exact bound {record['exactBound']:.9g}, margin {margin:.2e}]"
     )
     return EXIT_OK
 
@@ -164,9 +166,7 @@ def cmd_table(args) -> int:
             src = by_key.get((r.n2 - 1, r.n3, r.d))
             if src is None or src.marker == "doubling":
                 continue
-            derived = derived_doubling_bound(
-                ProblemSpec(r.n2 - 1, r.n3, r.d), src.upper
-            )
+            derived = derived_doubling_bound(src.upper)
             note = "match" if derived == r.upper else (
                 "improves" if derived < r.upper else "weaker"
             )
@@ -201,7 +201,7 @@ def cmd_table(args) -> int:
         if r.marker == "doubling":
             src = by_key.get((r.n2 - 1, r.n3, r.d))
             if src:
-                derived = derived_doubling_bound(ProblemSpec(r.n2 - 1, r.n3, r.d), src.upper)
+                derived = derived_doubling_bound(src.upper)
                 status = "match (doubling)" if derived == r.upper else "MISMATCH (doubling)"
                 mismatches += status.startswith("MISMATCH")
                 print(f"{r.n2:>3} {r.n3:>3} {r.d:>3} {r.lower or '':>7} {derived:>9} {r.upper:>9}  {status}")

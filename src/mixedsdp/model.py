@@ -98,7 +98,7 @@ def build_problem(spec: ProblemSpec) -> SdpProblem:
     return _build(spec, None)
 
 
-def derived_doubling_bound(spec: ProblemSpec, known_bound: int) -> int:
+def derived_doubling_bound(known_bound: int) -> int:
     """Bound for (n2+1, n3, d) from a valid bound for (n2, n3, d): adding a
     binary coordinate at most doubles the maximum code size."""
     return 2 * known_bound

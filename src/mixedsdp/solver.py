@@ -1,6 +1,6 @@
 """Embedded primal-dual interior-point solver for block-diagonal linear
-matrix inequalities, SDPA sparse-format interchange, and a guarded step that
-turns solver output into certified integer bounds.
+matrix inequalities, SDPA sparse-format interchange, and an exact check of
+the solver's dual point that turns its output into certified integer bounds.
 
 The solver follows the central path with Nesterov-Todd scaling and an
 adaptive centering parameter from an affine predictor probe, starting from
@@ -27,12 +27,17 @@ nonzero coefficients that do not round-trip through a double are counted
 and reported, each upper-triangle entry, constant and objective entry once.
 Each block is rescaled to unit magnitude, which changes neither the
 feasible set nor the dual objective value.
+The solve stops at the first iterate whose dual point, checked in exact
+arithmetic against the exact integer data, proves the integer that the
+primal value gives; the tolerance only caps the effort.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -60,43 +65,50 @@ class ConditioningError(SolverError):
 
 
 class CertificationError(SolverError):
-    """The guard is too large to report a meaningful integer bound."""
+    """The dual point does not prove the integer bound."""
 
 
 class SdpaParseError(ValueError):
     """Malformed SDPA file or solver output."""
 
 
+@dataclass(frozen=True)
+class CertifiedBound:
+    """An integer upper bound and its proof: ``exact_bound`` is the exact
+    bound the rounded dual point gives, ``penalty`` the part of it paid for
+    that point's dual infeasibility, and ``value`` its floor."""
+
+    value: int
+    exact_bound: Fraction
+    penalty: Fraction
+    provenance: str = "exact-dual"
+
+
 @dataclass
 class Solution:
-    """Solver output: primal value of the maximization, the dual value that
-    upper-bounds it, and feasibility diagnostics."""
+    """Solver output: the primal value of the maximization at ``y``, the
+    dual value that upper-bounds it, the unscaled dual point (``z`` per PSD
+    block, ``w`` per 1x1 block, ``u`` per bound y_i >= 0), feasibility
+    diagnostics, and the certificate of the exact check at this iterate when
+    the solve ran one that succeeded."""
 
     objective: float
     dual_objective: float
     y: np.ndarray
+    z: list[np.ndarray]
+    w: np.ndarray
+    u: np.ndarray
     iterations: int
     converged: bool
     primal_residual: float
     dual_residual: float
-    min_block_eig: float
     inexact_coefficients: int
+    certificate: CertifiedBound | None = None
     trace: list[dict] = field(default_factory=list)
 
     @property
     def gap(self) -> float:
         return abs(self.objective - self.dual_objective)
-
-    @property
-    def feas_residual(self) -> float:
-        return max(self.primal_residual, self.dual_residual, -min(self.min_block_eig, 0.0))
-
-
-@dataclass(frozen=True)
-class CertifiedBound:
-    value: int
-    guard: float
-    provenance: str
 
 
 @dataclass
@@ -117,12 +129,28 @@ class _LpData:
     gammas: np.ndarray      # (n,)
 
 
+@dataclass(frozen=True)
+class _ExactData:
+    """The exact nonzeros of the SDPA view, laid out for the dual check:
+    entry e adds coef[e] times the dual value at slot[e] to the constant
+    (var[e] = 0) or to <F_i, Z> + sum_j a_ji w_j of variable i = var[e] - 1.
+    The slots run over each PSD block's dual matrix, row-major, then the
+    multipliers of the 1x1 blocks; the rows y >= 0 are left out."""
+
+    objective: tuple
+    var: list[int]
+    slot: list[int]
+    coef: list              # off-diagonal entries doubled
+    inexact: int            # nonzeros that do not round-trip through a double
+
+
 def _prepare(problem: SdpProblem):
-    """Per-block rescaled float data built from the SDPA view.  Each
-    coefficient matrix F_i of a PSD block is kept sparse, as its upper
-    triangle padded with zeros to the longest in the block; the rows
-    y >= 0, which close the diagonal block, are kept implicit."""
-    data, inexact = _sdpa_view(problem)
+    """Per-block rescaled float data built from the SDPA view, and the
+    view's exact data for the dual check.  Each coefficient matrix F_i of a
+    PSD block is kept sparse, as its upper triangle padded with zeros to the
+    longest in the block; the rows y >= 0, which close the diagonal block,
+    are kept implicit."""
+    data, exact = _sdpa_view(problem)
     m = data.num_vars
     table = np.array(data.entries, dtype=float).reshape(-1, 5)
     matno, blkno, row, col = table[:, :4].astype(np.int64).T
@@ -165,7 +193,7 @@ def _prepare(problem: SdpProblem):
             _PsdBlock(s, gamma, f0 / gamma, ids - 1, np.triu_indices(s), tri, coef / gamma)
         )
     b = -np.array(data.objective)
-    return b, sdp_blocks, lp, inexact
+    return b, sdp_blocks, lp, exact
 
 
 def _apply(bl: _PsdBlock, y: np.ndarray) -> np.ndarray:
@@ -282,21 +310,93 @@ def _lp_max_step(vec: np.ndarray, direction: np.ndarray) -> float:
     return float((-vec[neg] / direction[neg]).min())
 
 
+# The exact dual point lies on the grid of multiples of 1 / _GRID.
+_GRID = 2 ** 60
+
+
+def _shift(z: np.ndarray) -> np.ndarray:
+    """The diagonal added to a dual block before it is rounded to the grid.
+    It is relative to the block's own diagonal, since the coefficients of
+    a variable can differ by many orders of magnitude across a block, and
+    a shift costs the bound its inner product with them: delta * diag(Z),
+    with delta four times any negative part of the spectrum of the
+    unit-diagonal D^-1/2 Z D^-1/2 plus n eps for that eigenvalue's error.
+    Another n / _GRID covers the rounding, by Gershgorin."""
+    diag = np.diag(z)
+    n = len(z)
+    if diag.min() <= 0.0:
+        return np.zeros(n)  # not positive definite, whatever the shift
+    root = np.sqrt(diag)
+    lam = float(np.linalg.eigvalsh(z / np.outer(root, root))[0])
+    delta = 4.0 * max(0.0, -lam) + n * np.finfo(float).eps
+    return delta * diag + n / _GRID
+
+
+def _positive_definite(a: np.ndarray) -> bool:
+    """Whether a symmetric matrix of Python integers is positive definite:
+    whether every leading principal minor is positive (Sylvester).  In
+    Bareiss's fraction-free elimination the k-th pivot is the k-th leading
+    minor, and every division is exact."""
+    a = a.copy()
+    prev = 1
+    for k in range(len(a)):
+        pivot = a[k, k]
+        if pivot <= 0:
+            return False
+        rest = slice(k + 1, None)
+        a[rest, rest] = (a[rest, rest] * pivot - np.multiply.outer(a[rest, k], a[k, rest])) // prev
+        prev = pivot
+    return True
+
+
+def _on_grid(values: np.ndarray) -> list[int]:
+    """The values times _GRID, rounded to integers."""
+    return [int(v) for v in np.rint(values * _GRID).ravel().tolist()]
+
+
+def _certificate(exact: _ExactData, z: list[np.ndarray], w: np.ndarray) -> CertifiedBound:
+    """The exact check of a dual point (see ``certify``).  Raises
+    CertificationError when a shifted dual block is not positive definite."""
+    grid = []
+    for k, zk in enumerate(z):
+        shifted = np.triu(zk + np.diag(_shift(zk)))
+        ints = np.array(_on_grid(shifted), dtype=object).reshape(shifted.shape)
+        ints += np.triu(ints, 1).T  # the upper triangle, which the data reads
+        if not _positive_definite(ints):
+            raise CertificationError(f"shifted dual block {k} is not positive definite")
+        grid += ints.ravel().tolist()
+    grid += _on_grid(np.maximum(w, 0.0))
+    # sums[0] is sum <F0_k, Z_k> + sum l0_j w_j, and sums[i + 1] is
+    # sum <F_ik, Z_k> + sum a_ji w_j, all in units of 1 / _GRID
+    sums = [0] * (len(exact.objective) + 1)
+    for var, slot, coef in zip(exact.var, exact.slot, exact.coef):
+        sums[var] += coef * grid[slot]
+    # the slack v_i = -c_i - sums[i + 1] of each variable; y_i <= 1 bounds
+    # what a negative one can add
+    penalty = sum(max(0, c * _GRID + t) for c, t in zip(exact.objective, sums[1:]))
+    bound = Fraction(sums[0] + penalty, _GRID)
+    return CertifiedBound(math.floor(bound), bound, Fraction(penalty, _GRID))
+
+
 def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Solution:
     """Maximize the problem objective subject to its matrix inequalities.
 
-    Converged when the relative duality gap and the scaled feasibility
-    residuals all fall below ``tol``.  Deterministic for identical inputs.
+    Stops at the first iterate that proves its integer: the primal
+    residual is at most 1e-6, the floors of the primal and the dual
+    objective agree, every block holds at y to 1e-6 of its own magnitude,
+    and the exact check of the dual point (see ``certify``) gives that
+    same floor.  Otherwise it stops, as converged,
+    when the relative duality gap and the scaled feasibility residuals all
+    fall below ``tol``.  Deterministic for identical inputs.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    b, blocks, lp, inexact = _prepare(problem)
+    b, blocks, lp, exact = _prepare(problem)
     m = problem.num_vars
     nu = sum(bl.dim for bl in blocks) + len(lp.l0)
-    if m == 0 or nu == 0:
-        return Solution(0.0, 0.0, np.zeros(m), 0, True, 0.0, 0.0, 0.0, inexact)
+    n_lp = len(lp.rows)
 
     # objective normalized to unit magnitude; reported values are unscaled
     bscale = max(1.0, float(np.abs(b).max(initial=0.0)))
@@ -319,6 +419,39 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
             dobj += float(np.tensordot(bl.f0, zk))
         return pobj, bscale * dobj
 
+    def dual_point():
+        """The dual point of the unscaled problem: (Z_k, w, u)."""
+        z_unscaled = z_lp * bscale / lp.gammas
+        return (
+            [zk * (bscale / bl.gamma) for bl, zk in zip(blocks, Z)],
+            z_unscaled[:n_lp],
+            z_unscaled[n_lp:],
+        )
+
+    def primal_holds() -> bool:
+        """Whether every block holds at y to within 1e-6 of its own
+        magnitude |F0| + sum |y_i F_i|.  The residuals are measured against
+        the largest coefficients, so a block whose entries at y are orders
+        of magnitude smaller can be violated, and then the primal value
+        overstates the optimum ((1,13,9) at level 3: 53.9 against 50.6)."""
+        for bl in blocks:
+            terms = np.abs(y[bl.var_ids, None] * bl.val).ravel()
+            mag = np.abs(bl.f0).max() + np.bincount(
+                bl.tri.ravel(), terms, minlength=len(bl.upper[0])
+            ).max()
+            if np.linalg.eigvalsh(bl.f0 + _apply(bl, y))[0] < -1e-6 * mag:
+                return False
+        l0 = lp.l0[:n_lp]
+        mag = np.abs(l0) + np.abs(lp.rows) @ np.abs(y)
+        return bool((l0 + lp.rows @ y >= -1e-6 * mag).all())
+
+    def exact_check() -> CertifiedBound | None:
+        z, w, _ = dual_point()
+        try:
+            return _certificate(exact, z, w)
+        except CertificationError:
+            return None
+
     def residuals():
         rp = []
         for bl, sk in zip(blocks, S):
@@ -337,7 +470,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
         rd_mag += np.abs(lp_contrib)
         return rp, rlp, rd, rd_mag
 
-    def current(converged: bool) -> Solution:
+    def current(converged: bool, certificate: CertifiedBound | None = None) -> Solution:
         """The solution at the current iterate, with the trace so far."""
         pobj, dobj = objective_pair()
         rp, rlp, rd, rd_mag = residuals()
@@ -347,25 +480,30 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
             default=0.0,
         )
         dres = float((np.abs(rd) / (1.0 + rd_mag)).max(initial=0.0))
-        min_eig = np.inf
-        for bl in blocks:
-            actual = bl.f0 + _apply(bl, y)
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(actual)[0]))
-        min_eig = min(min_eig, float((lp.l0 + _lp_apply(lp, y)).min()))
+        z, w, u = dual_point()
         return Solution(
             objective=pobj,
             dual_objective=dobj,
             y=y.copy(),
+            z=z,
+            w=w,
+            u=u,
             iterations=it,
             converged=converged,
             primal_residual=pres,
             dual_residual=dres,
-            min_block_eig=float(min_eig),
-            inexact_coefficients=inexact,
+            inexact_coefficients=exact.inexact,
+            certificate=certificate,
             trace=trace,
         )
 
     it = 0
+    if m == 0:
+        # the zero dual point proves the optimum 0
+        Z = [0.0 * zk for zk in Z]
+        z_lp = 0.0 * z_lp
+        return current(True, exact_check())
+
     for it in range(1, max_iter + 1):
         rp, rlp, rd, rd_mag = residuals()
         pobj, dobj = objective_pair()
@@ -385,8 +523,17 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
             "certifiable": certifiable,
         }
         trace.append(entry)
+        # the cheap float test first; the exact check only when it passes
+        float_test = (
+            pinf <= 1e-6 and math.floor(dobj) == math.floor(pobj) and primal_holds()
+        )
+        if float_test:
+            proof = exact_check()
+            entry["exact"] = None if proof is None else float(proof.exact_bound)
+            if proof is not None and proof.value == math.floor(pobj):
+                return current(True, proof)
         if relgap <= tol and pinf <= tol and dinf <= tol:
-            return current(True)
+            return current(True, proof if float_test else exact_check())
 
         # centering floor: driving mu far below what the tolerance needs
         # destroys the Newton system's conditioning before the dual residual
@@ -520,21 +667,47 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
 
 
 def certify(problem: SdpProblem, solution: Solution) -> CertifiedBound:
-    """Integer bound from a converged solve: floor of the dual objective
-    plus a guard covering the gap and the feasibility error."""
+    """Integer upper bound on the problem's optimum, proved by the dual
+    point of a converged solve.
+
+    For Z_k >= 0 and w_j >= 0, every feasible y satisfies c.y <= D +
+    sum_i y_i (-v_i), with D = sum <F0_k, Z_k> + sum l0_j w_j and the slack
+    v_i = -c_i - sum <F_ik, Z_k> - sum a_ji w_j of each variable.  Every
+    variable of a problem that ``model`` builds lies in [0, 1]: a feasible
+    reduced point lifts to a symmetric feasible point x of the unreduced
+    problem, whose moment matrices have the 2x2 principal minors
+    [[1, x_u], [x_u, x_u]] (rows: the empty code and {u}),
+    [[x_u, x_uv], [x_uv, x_v]] (rows {u}, {v}) and, in the matrix of the
+    codes that hold the zero word 0, [[x_0u, x_0uv], [x_0uv, x_0v]].  They
+    give x_u <= 1, then x_uv <= 1 and x_0uv <= 1, and translation takes
+    every code of three words to one that holds 0.  So c.y <= D +
+    sum_i max(0, -v_i); the sum is the ``penalty``.
+
+    The check is exact: each Z_k is shifted by a small multiple of its own
+    diagonal (``_shift``), rounded to the grid 2^-60 and proved positive
+    definite by its leading minors; the w_j are clipped at 0 and rounded;
+    and D and every v_i are computed from the exact integer data.  The
+    bound's floor is the value.
+
+    A certificate that the solve recorded for this iterate is returned as
+    is; otherwise the check runs against ``problem``.  Refused: an
+    unconverged solution, a shifted block that is not positive definite,
+    and an integer above the solution's dual objective by more than its
+    float accuracy, 1e-6 relative, which the exact bound reaches only when
+    the dual point is too infeasible to prove that objective's integer.
+    """
     if not solution.converged:
         raise CertificationError("cannot certify an unconverged solution")
-    scale = max(1.0, abs(solution.objective))
-    guard = max(solution.gap, 10.0 * solution.feas_residual * scale)
-    if guard >= 0.5:
+    bound = solution.certificate
+    if bound is None:
+        bound = _certificate(_sdpa_view(problem)[1], solution.z, solution.w)
+    dobj = solution.dual_objective
+    if bound.value > dobj + 1e-6 * max(1.0, abs(dobj)):
         raise CertificationError(
-            f"guard {guard:.3g} too large for an integer certificate"
+            f"exact bound {float(bound.exact_bound):.9g} does not prove the "
+            f"integer of the dual objective {dobj:.9g}"
         )
-    return CertifiedBound(
-        value=int(np.floor(solution.dual_objective + guard)),
-        guard=guard,
-        provenance="solver",
-    )
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +723,11 @@ class SdpaData:
     entries: tuple[tuple[int, int, int, int, float], ...]
 
 
-def _sdpa_view(problem: SdpProblem) -> tuple[SdpaData, int]:
+def _sdpa_view(problem: SdpProblem) -> tuple[SdpaData, _ExactData]:
     """The one exact-to-float conversion.  Returns the SDPA view of the
-    problem and the number of nonzero exact entries (upper triangle,
-    constants and objective, each once) that do not round-trip through a
-    double."""
+    problem and its exact nonzeros, which count the entries (upper
+    triangle, constants and objective, each once) that do not round-trip
+    through a double."""
     inexact = 0
 
     def to_float(value) -> float:
@@ -570,10 +743,11 @@ def _sdpa_view(problem: SdpProblem) -> tuple[SdpaData, int]:
     sizes = tuple(b.dim for b in sdp_blocks) + ((-diag_size,) if diag_size else ())
     objective = tuple(-to_float(c) for c in problem.objective)
     entries: list[tuple[int, int, int, int, float]] = []
+    var, slot, coef = [], [], []
 
-    def add(blkno: int, offset: int, block: Block) -> None:
+    def add(blkno: int, offset: int, block: Block, base: int) -> None:
         mats = [(0, -1, block.f0)]
-        mats += [(var + 1, 1, block.coeff[var]) for var in sorted(block.coeff)]
+        mats += [(v + 1, 1, block.coeff[v]) for v in sorted(block.coeff)]
         for matno, sign, mat in mats:
             for i in range(block.dim):
                 for j in range(i, block.dim):
@@ -582,17 +756,25 @@ def _sdpa_view(problem: SdpProblem) -> tuple[SdpaData, int]:
                             matno, blkno, offset + i + 1, offset + j + 1,
                             sign * to_float(mat[i][j]),
                         ))
+                        var.append(matno)
+                        slot.append(base + i * block.dim + j)
+                        coef.append(mat[i][j] if i == j else 2 * mat[i][j])
 
+    base = 0
     for blkno, b in enumerate(sdp_blocks, start=1):
-        add(blkno, 0, b)
+        add(blkno, 0, b, base)
+        base += b.dim * b.dim
     diag = len(sdp_blocks) + 1
     for pos, b in enumerate(scalar_blocks):
-        add(diag, pos, b)
-    for var in range(m):
-        pos = len(scalar_blocks) + var + 1
-        entries.append((var + 1, diag, pos, pos, 1.0))
+        add(diag, pos, b, base + pos)
+    for v in range(m):
+        pos = len(scalar_blocks) + v + 1
+        entries.append((v + 1, diag, pos, pos, 1.0))
     entries.sort()
-    return SdpaData(m, sizes, objective, tuple(entries)), inexact
+    return (
+        SdpaData(m, sizes, objective, tuple(entries)),
+        _ExactData(tuple(problem.objective), var, slot, coef, inexact),
+    )
 
 
 def problem_to_sdpa_data(problem: SdpProblem) -> SdpaData:

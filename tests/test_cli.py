@@ -61,8 +61,12 @@ class TestCommands:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "<= 6" in out
+        assert "exact bound" in out and "margin" in out
         rec = ResultsStore(store).latest(1, 1, 1, 3)
         assert rec["bound"] == 6
+        assert rec["provenance"] == "exact-dual"
+        assert rec["bound"] <= rec["exactBound"] < rec["bound"] + 1
+        assert rec["penalty"] >= 0
 
     def test_bound_k2(self, tmp_path, capsys):
         code = main(["bound", "1", "1", "2", "--k", "2",

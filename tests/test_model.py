@@ -93,11 +93,12 @@ class TestBuildLp:
 
 class TestDoubling:
     def test_published_instances(self):
-        assert derived_doubling_bound(ProblemSpec(1, 12, 8), 67) == 134
-        assert derived_doubling_bound(ProblemSpec(4, 3, 3), 30) == 60
+        # (2,12,8) from (1,12,8), and (5,3,3) from (4,3,3)
+        assert derived_doubling_bound(67) == 134
+        assert derived_doubling_bound(30) == 60
 
     def test_arithmetic(self):
-        assert derived_doubling_bound(ProblemSpec(1, 1, 1), 21) == 42
+        assert derived_doubling_bound(21) == 42
 
 
 class TestCodeIndicator:

@@ -1,12 +1,15 @@
 """Embedded interior-point solver, certification, and SDPA interchange."""
 
+import dataclasses
 import hashlib
+import math
 import shutil
 import subprocess
 
 import numpy as np
 import pytest
 
+from mixedsdp import solver
 from mixedsdp.blocks import Block
 from mixedsdp.codes import OrbitId, ProblemSpec
 from mixedsdp.model import (
@@ -19,7 +22,6 @@ from mixedsdp.solver import (
     CertificationError,
     ConditioningError,
     SdpaParseError,
-    Solution,
     _TRIL_BLOCK,
     _adjoint,
     _apply,
@@ -293,51 +295,101 @@ class TestTrilInverse:
         assert not np.triu(X, 1).any()
 
 
+@pytest.fixture(scope="module")
+def solved_253():
+    problem = build_sdp(ProblemSpec(2, 5, 3))
+    return problem, solve(problem, tol=1e-8)
+
+
+def unrecorded(solution, **changes):
+    """The solution without the certificate the solve recorded, so that
+    certify runs the exact check again."""
+    return dataclasses.replace(solution, certificate=None, **changes)
+
+
+def with_coefficient(problem, index, var, a, delta):
+    """The problem with delta added to entry (a, a) of F_var in block index."""
+    block = problem.blocks[index]
+    mat = [list(row) for row in block.coeff[var]]
+    mat[a][a] += delta
+    coeff = {**block.coeff, var: tuple(map(tuple, mat))}
+    blocks = list(problem.blocks)
+    blocks[index] = Block(block.label, block.dim, block.f0, coeff)
+    return dataclasses.replace(problem, blocks=tuple(blocks), _index={})
+
+
 class TestCertify:
-    def test_small_guard_floor(self):
-        sol = Solution(
-            objective=64.9999999, dual_objective=65.0000001, y=np.zeros(1),
-            iterations=10, converged=True, primal_residual=1e-12,
-            dual_residual=1e-12, min_block_eig=0.0, inexact_coefficients=0,
-        )
-        bound = certify(correlation_toy(), sol)
+    def test_exact_bound_floor(self, solved_253):
+        problem, solution = solved_253
+        bound = certify(problem, solution)
+        assert bound is solution.certificate
+        assert bound.value == 65 == math.floor(bound.exact_bound)
+        assert bound.provenance == "exact-dual"
+        assert (2 ** 60) % bound.exact_bound.denominator == 0
+        assert bound.penalty >= 0
+        # the check run again on the same iterate gives the same proof
+        assert certify(problem, unrecorded(solution)) == bound
+
+    def test_unconverged_refused(self, solved_253):
+        problem, solution = solved_253
+        with pytest.raises(CertificationError, match="unconverged"):
+            certify(problem, dataclasses.replace(solution, converged=False))
+
+    def test_corrupted_coefficient_refused(self, solved_253):
+        problem, solution = solved_253
+        index = next(i for i, b in enumerate(problem.blocks) if b.dim >= 2)
+        z = solution.z[0]  # the dual block of problem.blocks[index]
+        a = int(np.argmax(np.diag(z)))
+        var = next(v for v, mat in problem.blocks[index].coeff.items() if mat[a][a])
+        # raises <F_var, Z> by at least the slack of var plus 2
+        delta = math.ceil((solution.u[var] + 2) / z[a, a])
+        bad = with_coefficient(problem, index, var, a, delta)
+        with pytest.raises(CertificationError, match="does not prove"):
+            certify(bad, unrecorded(solution))
+
+    def test_corrupted_dual_entry_refused(self, solved_253):
+        problem, solution = solved_253
+        z = [zk.copy() for zk in solution.z]
+        z[1][0, 1] = z[1][1, 0] = 1e3 * np.abs(z[1]).max()
+        with pytest.raises(CertificationError, match="does not prove"):
+            certify(problem, unrecorded(solution, z=z))
+
+    def test_shift_sign(self, solved_253, monkeypatch):
+        # a dual block with a slightly negative eigenvalue: the shift makes
+        # it positive definite, and the same shift subtracted cannot
+        problem, solution = solved_253
+        z = [zk.copy() for zk in solution.z]
+        lam = np.linalg.eigvalsh(z[1])[0]
+        z[1] -= (lam + 1e-9 * np.abs(z[1]).max()) * np.eye(len(z[1]))
+        assert certify(problem, unrecorded(solution, z=z)).value == 65
+        shift = solver._shift
+        monkeypatch.setattr(solver, "_shift", lambda zk: -shift(zk))
+        with pytest.raises(CertificationError, match="not positive definite"):
+            certify(problem, unrecorded(solution, z=z))
+
+    def test_penalty_covers_dual_infeasibility(self, solved_253):
+        # a scaled-down dual point leaves the slack of the singleton, the one
+        # variable with c_i > 0, at about -u_i; the penalty pays for it and
+        # the bound still holds
+        problem, solution = solved_253
+        i = problem.singleton_index()
+        u, c = solution.u[i], problem.objective[i]
+        shrink = 1 - 2 * u / (c + u)
+        bound = certify(problem, unrecorded(
+            solution, z=[shrink * zk for zk in solution.z], w=shrink * solution.w,
+        ))
+        assert bound.penalty > 0
+        assert bound.exact_bound >= solution.objective
         assert bound.value == 65
-        assert bound.provenance == "solver"
 
-    def test_large_gap_refused(self):
-        sol = Solution(
-            objective=64.5, dual_objective=65.1, y=np.zeros(1),
-            iterations=10, converged=True, primal_residual=0.0,
-            dual_residual=0.0, min_block_eig=0.0, inexact_coefficients=0,
-        )
-        with pytest.raises(CertificationError):
-            certify(correlation_toy(), sol)
-
-    def test_unconverged_refused(self):
-        sol = Solution(
-            objective=1.0, dual_objective=1.0, y=np.zeros(1),
-            iterations=10, converged=False, primal_residual=0.0,
-            dual_residual=0.0, min_block_eig=0.0, inexact_coefficients=0,
-        )
-        with pytest.raises(CertificationError):
-            certify(correlation_toy(), sol)
-
-    def test_guard_covers_feasibility(self):
-        # residual 1e-4 at scale 100 gives guard 0.1: still certifiable
-        sol = Solution(
-            objective=100.0, dual_objective=100.0, y=np.zeros(1),
-            iterations=10, converged=True, primal_residual=1e-4,
-            dual_residual=0.0, min_block_eig=0.0, inexact_coefficients=0,
-        )
-        assert certify(correlation_toy(), sol).value == 100
-        # residual 1e-2 pushes the guard past the refusal threshold
-        sol_bad = Solution(
-            objective=100.0, dual_objective=100.0, y=np.zeros(1),
-            iterations=10, converged=True, primal_residual=1e-2,
-            dual_residual=0.0, min_block_eig=0.0, inexact_coefficients=0,
-        )
-        with pytest.raises(CertificationError):
-            certify(correlation_toy(), sol_bad)
+    @pytest.mark.parametrize("n2,n3,d,k", [(1, 1, 1, 3), (1, 1, 1, 2), (2, 2, 2, 3), (2, 2, 2, 2)])
+    def test_orbit_variables_at_most_one(self, n2, n3, d, k):
+        # the penalty takes y_i <= 1 on every variable; maximise each one
+        problem = build_problem(ProblemSpec(n2, n3, d, k))
+        for i in range(problem.num_vars):
+            objective = tuple(int(j == i) for j in range(problem.num_vars))
+            single = dataclasses.replace(problem, objective=objective, _index={})
+            assert solve(single, tol=1e-8).dual_objective <= 1 + 1e-6
 
 
 SAMPLE_OUTPUT = """

@@ -15,7 +15,8 @@ of the acceptance suite's oracle sandwich (``SANDWICH_FAMILIES`` in
 regression on one of them shows by name.  The level-3 solves of d=5 take
 most of the time.  Each line is
 ``n2,n3,d,k bound iterations`` or, when the solve or the certificate
-fails, ``n2,n3,d,k`` and the error class.
+fails, ``n2,n3,d,k`` and the error class.  The last line,
+``iterations N``, sums the iterations of the certified solves.
 """
 
 import sys
@@ -44,14 +45,17 @@ def main(argv: list[str]) -> None:
         tol, argv = float(argv[1]), argv[2:]
     keys = [tuple(int(t) for t in a.split(",")) for a in argv]
     keys = keys or list(dict.fromkeys(DEFAULT + SANDWICH))
+    total = 0
     for key in keys:
         problem = build_problem(ProblemSpec(*key))
         label = ",".join(map(str, key))
         try:
             solution = solve(problem, tol=tol)
             print(label, certify(problem, solution).value, solution.iterations, flush=True)
+            total += solution.iterations
         except SolverError as exc:
             print(label, type(exc).__name__, flush=True)
+    print("iterations", total)
 
 
 if __name__ == "__main__":
