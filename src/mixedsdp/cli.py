@@ -71,10 +71,13 @@ class ResultsStore:
         if not self.path.exists():
             return []
         out = []
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if line:
+        for number, line in enumerate(self.path.read_text().splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
                 out.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{self.path}:{number}: not a JSON record: {exc}") from None
         return out
 
     def latest(self, n2: int, n3: int, d: int, k: int) -> dict | None:
@@ -98,15 +101,12 @@ def _compute_bound(n2: int, n3: int, d: int, k: int, tol: float, max_iter: int =
         "penalty": float(bound.penalty),
         "gap": solution.gap,
         "iterations": solution.iterations,
-        "provenance": bound.provenance,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     return record
 
 
 def cmd_bound(args) -> int:
-    if args.emit_only:
-        return _emit(args, args.emit_only)
     record = _compute_bound(args.n2, args.n3, args.d, args.k, args.tol, args.max_iter)
     ResultsStore(args.store).append(record)
     margin = record["bound"] + 1 - record["exactBound"]
@@ -126,7 +126,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    dvals = [args.d] if args.d else range(1, args.n2 + args.n3 + 1)
+    dvals = [args.d] if args.d is not None else range(1, args.n2 + args.n3 + 1)
     failures = 0
     for d in dvals:
         report = verify_reduction(ProblemSpec(args.n2, args.n3, d), trials=args.trials)
@@ -137,14 +137,10 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
-def _emit(args, destination) -> int:
-    problem = build_problem(ProblemSpec(args.n2, args.n3, args.d, args.k))
-    print(f"emitted {emit_sdpa(problem, destination)}")
-    return EXIT_OK
-
-
 def cmd_emit(args) -> int:
-    return _emit(args, args.path)
+    problem = build_problem(ProblemSpec(args.n2, args.n3, args.d, args.k))
+    print(f"emitted {emit_sdpa(problem, args.path)}")
+    return EXIT_OK
 
 
 def _table_worker(task):
@@ -156,9 +152,11 @@ def _table_worker(task):
 
 
 def cmd_table(args) -> int:
+    if args.d is not None and args.d < 1:
+        raise ValueError(f"need d >= 1, got d={args.d}")
     all_rows = load_reference_rows()
     by_key = {(r.n2, r.n3, r.d): r for r in all_rows}
-    rows = [r for r in all_rows if not args.d or r.d == args.d]
+    rows = [r for r in all_rows if args.d is None or r.d == args.d]
 
     if args.derived:
         print(f"{'n2':>3} {'n3':>3} {'d':>3} {'doubled':>9} {'published':>9}  note")
@@ -244,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, choices=(2, 3), default=3)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--emit-only", metavar="PATH", help="write the SDPA file and stop")
     p.add_argument("--store", help=f"results store path (default ${STORE_ENV} or {DEFAULT_STORE})")
     p.set_defaults(func=cmd_bound)
 

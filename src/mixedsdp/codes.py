@@ -15,7 +15,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
-from math import factorial
 
 # Column patterns: which of three stacked words agree in one coordinate.
 # A binary column can never make all three words pairwise distinct.
@@ -56,10 +55,6 @@ def _build_pattern_perms() -> tuple[tuple[int, ...], ...]:
 
 
 PATTERN_PERMS = _build_pattern_perms()
-
-# Number of column fillings realizing each pattern (choices of letters).
-_BIN_FILLINGS = (2, 2, 2, 2)
-_TER_FILLINGS = (3, 6, 6, 6, 6)
 
 
 class ShapeError(ValueError):
@@ -341,7 +336,7 @@ class OrbitTable:
     spec: ProblemSpec
     orbits: tuple[OrbitId, ...]
     feasible: tuple[bool, ...]
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _index: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self._index.update({w: i for i, w in enumerate(self.orbits)})
@@ -366,42 +361,6 @@ def enumerate_orbits(spec: ProblemSpec) -> OrbitTable:
     ordered = [empty_orbit(spec)] + sorted(seen)
     flags = tuple(orbit_is_feasible(w, spec.d) for w in ordered)
     return OrbitTable(spec, tuple(ordered), flags)
-
-
-def _multinomial(counts) -> int:
-    n = sum(counts)
-    out = factorial(n)
-    for c in counts:
-        out //= factorial(c)
-    return out
-
-
-def orbit_size(spec: ProblemSpec, w: OrbitId) -> int:
-    """Number of codes in the orbit.
-
-    Ordered triples with a fixed pattern count vector number
-    multinomial(columns) * (letter fillings per column); a set of size >= 2
-    corresponds to exactly 6 ordered triples ranging over the distinct
-    relabelings of the canonical counts, a singleton to one.
-    """
-    if w.size == 0:
-        return 1
-    variants = {
-        (
-            _apply_pattern_perm(w.bin_counts, pm, N_BIN_PATTERNS),
-            _apply_pattern_perm(w.ter_counts, pm, N_TER_PATTERNS),
-        )
-        for pm in PATTERN_PERMS
-    }
-    total = 0
-    for bc, tc in variants:
-        fill = 1
-        for c, f in zip(bc, _BIN_FILLINGS):
-            fill *= f ** c
-        for c, f in zip(tc, _TER_FILLINGS):
-            fill *= f ** c
-        total += _multinomial(bc) * _multinomial(tc) * fill
-    return total // (6 if w.size >= 2 else 1)
 
 
 # ---------------------------------------------------------------------------

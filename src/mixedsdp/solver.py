@@ -81,16 +81,16 @@ class CertifiedBound:
     value: int
     exact_bound: Fraction
     penalty: Fraction
-    provenance: str = "exact-dual"
 
 
 @dataclass
 class Solution:
     """Solver output: the primal value of the maximization at ``y``, the
     dual value that upper-bounds it, the unscaled dual point (``z`` per PSD
-    block, ``w`` per 1x1 block, ``u`` per bound y_i >= 0), feasibility
-    diagnostics, and the certificate of the exact check at this iterate when
-    the solve ran one that succeeded."""
+    block, ``w`` per 1x1 block, ``u`` per bound y_i >= 0), the certificate
+    of the exact check at this iterate when the solve ran one that
+    succeeded, and the trace of every iterate, whose ``pinf`` and ``dinf``
+    are its primal and dual residuals."""
 
     objective: float
     dual_objective: float
@@ -100,8 +100,6 @@ class Solution:
     u: np.ndarray
     iterations: int
     converged: bool
-    primal_residual: float
-    dual_residual: float
     inexact_coefficients: int
     certificate: CertifiedBound | None = None
     trace: list[dict] = field(default_factory=list)
@@ -452,34 +450,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
         except CertificationError:
             return None
 
-    def residuals():
-        rp = []
-        for bl, sk in zip(blocks, S):
-            rp.append(bl.f0 + _apply(bl, y) - sk)
-        rlp = lp.l0 + _lp_apply(lp, y) - s_lp
-        # dual residual, with the magnitude of the summed terms tracked so
-        # infeasibility is measured backward-error style
-        rd = -b.copy()
-        rd_mag = np.abs(b).copy()
-        for k, bl in enumerate(blocks):
-            contrib = _adjoint(bl, Z[k])
-            rd[bl.var_ids] -= contrib
-            rd_mag[bl.var_ids] += np.abs(contrib)
-        lp_contrib = _lp_adjoint(lp, z_lp)
-        rd -= lp_contrib
-        rd_mag += np.abs(lp_contrib)
-        return rp, rlp, rd, rd_mag
-
     def current(converged: bool, certificate: CertifiedBound | None = None) -> Solution:
         """The solution at the current iterate, with the trace so far."""
         pobj, dobj = objective_pair()
-        rp, rlp, rd, rd_mag = residuals()
-        pres = max(
-            [bl.gamma * float(np.abs(r).max(initial=0.0)) for bl, r in zip(blocks, rp)]
-            + [float((lp.gammas * np.abs(rlp)).max(initial=0.0))],
-            default=0.0,
-        )
-        dres = float((np.abs(rd) / (1.0 + rd_mag)).max(initial=0.0))
         z, w, u = dual_point()
         return Solution(
             objective=pobj,
@@ -490,8 +463,6 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
             u=u,
             iterations=it,
             converged=converged,
-            primal_residual=pres,
-            dual_residual=dres,
             inexact_coefficients=exact.inexact,
             certificate=certificate,
             trace=trace,
@@ -505,7 +476,19 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
         return current(True, exact_check())
 
     for it in range(1, max_iter + 1):
-        rp, rlp, rd, rd_mag = residuals()
+        rp = [bl.f0 + _apply(bl, y) - sk for bl, sk in zip(blocks, S)]
+        rlp = lp.l0 + _lp_apply(lp, y) - s_lp
+        # dual residual, with the magnitude of the summed terms tracked so
+        # infeasibility is measured backward-error style
+        rd = -b.copy()
+        rd_mag = np.abs(b).copy()
+        for k, bl in enumerate(blocks):
+            contrib = _adjoint(bl, Z[k])
+            rd[bl.var_ids] -= contrib
+            rd_mag[bl.var_ids] += np.abs(contrib)
+        lp_contrib = _lp_adjoint(lp, z_lp)
+        rd -= lp_contrib
+        rd_mag += np.abs(lp_contrib)
         pobj, dobj = objective_pair()
         mu = sum(float(np.tensordot(sk, zk)) for sk, zk in zip(S, Z))
         mu += float(s_lp @ z_lp)
@@ -515,12 +498,10 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
             [float(np.abs(r).max(initial=0.0)) for r in rp] + [float(np.abs(rlp).max(initial=0.0))]
         ) / (1.0 + float(np.abs(y).max(initial=0.0)))
         dinf = float((np.abs(rd) / (1.0 + rd_mag)).max(initial=0.0))
-        certifiable = pinf <= 1e-6 and dinf <= 1e-6
         entry = {
             "iter": it - 1, "pobj": pobj, "dobj": dobj, "mu": mu,
             "relgap": relgap, "pinf": pinf, "dinf": dinf,
             "alpha_p": 0.0, "alpha_d": 0.0, "sigma": 0.0,
-            "certifiable": certifiable,
         }
         trace.append(entry)
         # the cheap float test first; the exact check only when it passes
@@ -795,7 +776,7 @@ def emit_sdpa(problem: SdpProblem, destination) -> Path:
     spec = problem.spec
     lines = [
         f'"mixed binary/ternary code bound: n2={spec.n2} n3={spec.n3} '
-        f'd={spec.d} k={problem.k}',
+        f'd={spec.d} k={spec.k}',
         '"maximization encoded by negated objective; constant matrices are -F0',
         f"{data.num_vars}",
         f"{len(data.block_sizes)}",
@@ -811,26 +792,22 @@ def emit_sdpa(problem: SdpProblem, destination) -> Path:
 
 def parse_sdpa(source) -> SdpaData:
     """Read an SDPA sparse file (path, or text containing newlines) back
-    into its canonical content."""
+    into its canonical content.  An entry must name a matrix 0..num_vars,
+    a declared block and a position inside it, on the diagonal of a
+    diagonal (negative-size) block."""
     text = str(source)
     if "\n" not in text:
         text = Path(source).read_text()
-    tokens_needed = 4
     header: list[str] = []
-    entries: list[tuple[int, int, int, int, float]] = []
+    body: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith('"') or line.startswith("*"):
             continue
-        if tokens_needed:
+        if len(header) < 4:
             header.append(line)
-            tokens_needed -= 1
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise SdpaParseError(f"bad entry line: {raw!r}")
-        matno, blkno, i, j = (int(p) for p in parts[:4])
-        entries.append((matno, blkno, i, j, float(parts[4])))
+        else:
+            body.append(raw)
     if len(header) < 4:
         raise SdpaParseError("incomplete SDPA header")
     try:
@@ -853,6 +830,25 @@ def parse_sdpa(source) -> SdpaData:
             f"variable count {num_vars} does not match objective length "
             f"{len(objective)}"
         )
+    entries: list[tuple[int, int, int, int, float]] = []
+    for raw in body:
+        parts = raw.split()
+        if len(parts) != 5:
+            raise SdpaParseError(f"bad entry line: {raw!r}")
+        matno, blkno, i, j = (int(p) for p in parts[:4])
+        size = sizes[blkno - 1] if 1 <= blkno <= num_blocks else 0
+        if not 0 <= matno <= num_vars:
+            fault = f"matrix number outside 0..{num_vars}"
+        elif not size:
+            fault = f"block number outside 1..{num_blocks}"
+        elif not (1 <= i <= abs(size) and 1 <= j <= abs(size)):
+            fault = f"index outside block {blkno} of size {abs(size)}"
+        elif size < 0 and i != j:
+            fault = f"off-diagonal entry in diagonal block {blkno}"
+        else:
+            entries.append((matno, blkno, i, j, float(parts[4])))
+            continue
+        raise SdpaParseError(f"{fault}: {raw!r}")
     entries.sort()
     return SdpaData(num_vars, sizes, objective, tuple(entries))
 

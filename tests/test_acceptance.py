@@ -20,12 +20,7 @@ from mixedsdp.codes import (
     exact_n,
     optimal_code,
 )
-from mixedsdp.model import (
-    build_lp_k2,
-    build_sdp,
-    code_indicator_assignment,
-    derived_doubling_bound,
-)
+from mixedsdp.model import build_lp_k2, build_sdp, derived_doubling_bound
 from mixedsdp.solver import (
     certify,
     emit_sdpa,
@@ -34,6 +29,7 @@ from mixedsdp.solver import (
     problem_to_sdpa_data,
     solve,
 )
+from orbit_reference import code_indicator_assignment
 
 TOL = 1e-8
 ORACLE_NODE_BUDGET = 3_000_000
@@ -171,7 +167,7 @@ def test_criterion_6_code_indicator_feasibility():
         problem = build_sdp(spec)
         y = np.zeros(problem.num_vars)
         for oidx, val in assignment.items():
-            y[problem.variable_index(table.orbits[oidx])] = float(val)
+            y[problem.variables.index(table.orbits[oidx])] = float(val)
         worst = np.inf
         for block in problem.blocks:
             mat = np.array(block.f0, dtype=float)

@@ -64,7 +64,6 @@ class TestCommands:
         assert "exact bound" in out and "margin" in out
         rec = ResultsStore(store).latest(1, 1, 1, 3)
         assert rec["bound"] == 6
-        assert rec["provenance"] == "exact-dual"
         assert rec["bound"] <= rec["exactBound"] < rec["bound"] + 1
         assert rec["penalty"] >= 0
 
@@ -73,12 +72,6 @@ class TestCommands:
                      "--store", str(tmp_path / "s.jsonl")])
         assert code == EXIT_OK
         assert "k=2" in capsys.readouterr().out
-
-    def test_bound_emit_only(self, tmp_path, capsys):
-        target = tmp_path / "x.dat-s"
-        code = main(["bound", "1", "1", "1", "--emit-only", str(target)])
-        assert code == EXIT_OK
-        assert target.exists()
 
     def test_bound_validation_error(self, capsys):
         assert main(["bound", "0", "1", "1"]) == EXIT_VALIDATION
@@ -101,6 +94,15 @@ class TestCommands:
     def test_verify_single_d(self, capsys):
         assert main(["verify", "1", "1", "--d", "2", "--trials", "5"]) == EXIT_OK
         assert "d=2" in capsys.readouterr().out
+
+    def test_distance_below_one_refused(self, capsys):
+        # d=0 names no distance; it must not stand for "every d"
+        assert main(["verify", "1", "1", "--d", "0"]) == EXIT_VALIDATION
+        assert "need 1 <= d <= n2+n3, got d=0" in capsys.readouterr().err
+        assert main(["table", "--d", "0"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "got d=0" in captured.err
+        assert captured.out == ""
 
     def test_emit(self, tmp_path, capsys):
         target = tmp_path / "e.dat-s"
@@ -149,3 +151,13 @@ class TestCommands:
         assert code == EXIT_OK
         assert "match" in out
         assert "not in store" in out  # (3,5,3) was never computed
+
+    def test_table_replay_corrupt_store(self, tmp_path, capsys):
+        store = tmp_path / "t.jsonl"
+        ResultsStore(store).append({"n2": 2, "n3": 5, "d": 3, "k": 3, "bound": 65})
+        with store.open("a") as fh:
+            fh.write("not json\n")
+        code = main(["table", "--d", "3", "--max-length", "8", "--replay",
+                     "--store", str(store)])
+        assert code == EXIT_VALIDATION
+        assert f"{store}:2:" in capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
 from unittest import mock
 
@@ -31,11 +31,11 @@ from mixedsdp.codes import (
     orbit_is_feasible,
     orbit_min_distance,
     orbit_pair_distances,
-    orbit_size,
     pair_orbit,
     singleton_orbit,
     word,
 )
+from orbit_reference import orbit_size
 
 
 @dataclass(frozen=True)
@@ -291,6 +291,12 @@ class TestEnumerateOrbits:
         table = enumerate_orbits(ProblemSpec(2, 2, 2))
         assert table.orbits[0].size == 0
         assert table.index_of(empty_orbit(table.spec)) == 0
+
+    def test_replaced_table_keeps_original_index(self):
+        table = enumerate_orbits(ProblemSpec(1, 1, 1))
+        reversed_table = replace(table, orbits=table.orbits[::-1])
+        assert reversed_table.index_of(table.orbits[0]) == len(table) - 1
+        assert table.index_of(table.orbits[0]) == 0
 
     def test_orbit_sizes_partition_code_count(self):
         # orbit cardinalities over sizes 0..3 must add up to the number of codes

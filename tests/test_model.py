@@ -12,13 +12,9 @@ from mixedsdp.codes import (
     optimal_code,
     singleton_orbit,
 )
-from mixedsdp.model import (
-    build_lp_k2,
-    build_sdp,
-    code_indicator_assignment,
-    derived_doubling_bound,
-)
+from mixedsdp.model import build_lp_k2, build_sdp, derived_doubling_bound
 from mixedsdp.solver import certify, solve
+from orbit_reference import code_indicator_assignment
 
 
 def eval_blocks(problem, y):
@@ -40,7 +36,7 @@ class TestBuildSdp:
     def test_objective_on_singleton_only(self):
         spec = ProblemSpec(2, 2, 2)
         p = build_sdp(spec)
-        sidx = p.singleton_index()
+        sidx = p.variables.index(singleton_orbit(spec))
         assert p.objective[sidx] == spec.num_words
         assert all(c == 0 for i, c in enumerate(p.objective) if i != sidx)
 
@@ -111,7 +107,7 @@ class TestCodeIndicator:
         p = build_sdp(spec)
         y = np.zeros(p.num_vars)
         for oidx, val in y_by_orbit.items():
-            y[p.variable_index(table.orbits[oidx])] = float(val)
+            y[p.variables.index(table.orbits[oidx])] = float(val)
         assert eval_blocks(p, y) >= -1e-9
         objective = sum(c * y[i] for i, c in enumerate(p.objective))
         assert abs(objective - len(dstar)) < 1e-9
