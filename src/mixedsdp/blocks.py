@@ -433,8 +433,10 @@ def verify_reduction(
     assignments supported on feasible orbits and checks that the full
     matrices and the direct sums of reduced blocks agree on positive
     semidefiniteness at tolerance 1e-9 (equal smallest eigenvalues when
-    d = 1, where no rows are filtered).
+    d = 1, where no rows are filtered).  Needs trials >= 1.
     """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got trials={trials}")
     if spec.num_words > VERIFY_WORD_CAP:
         raise ResourceError(
             f"word space {spec.num_words} exceeds verifier cap {VERIFY_WORD_CAP}"

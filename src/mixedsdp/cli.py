@@ -2,8 +2,8 @@
 and the reduction verifier, emit SDPA files, and reproduce slices of the
 published bound table.
 
-Exit codes: 0 success, 2 argument validation error, 3 solver failure,
-4 verification or table mismatch.
+Exit codes: 0 success, 2 argument validation error or a file that cannot
+be read or written, 3 solver failure, 4 verification or table mismatch.
 """
 
 from __future__ import annotations
@@ -80,12 +80,15 @@ class ResultsStore:
                 raise ValueError(f"{self.path}:{number}: not a JSON record: {exc}") from None
         return out
 
+    def latest_records(self) -> dict[tuple, dict]:
+        """The last record of each (n2, n3, d, k), from one read of the store."""
+        return {
+            (rec.get("n2"), rec.get("n3"), rec.get("d"), rec.get("k")): rec
+            for rec in self.records()
+        }
+
     def latest(self, n2: int, n3: int, d: int, k: int) -> dict | None:
-        found = None
-        for rec in self.records():
-            if (rec.get("n2"), rec.get("n3"), rec.get("d"), rec.get("k")) == (n2, n3, d, k):
-                found = rec
-        return found
+        return self.latest_records().get((n2, n3, d, k))
 
 
 def _compute_bound(n2: int, n3: int, d: int, k: int, tol: float, max_iter: int = 500):
@@ -173,6 +176,7 @@ def cmd_table(args) -> int:
 
     rows = [r for r in rows if r.length <= args.max_length]
     store = ResultsStore(args.store)
+    replayed = store.latest_records() if args.replay else {}
     computed: dict[tuple, dict] = {}
     todo = [
         (r.n2, r.n3, r.d, args.tol)
@@ -205,7 +209,7 @@ def cmd_table(args) -> int:
                 print(f"{r.n2:>3} {r.n3:>3} {r.d:>3} {r.lower or '':>7} {derived:>9} {r.upper:>9}  {status}")
             continue
         if args.replay:
-            rec = store.latest(r.n2, r.n3, r.d, 3)
+            rec = replayed.get(key + (3,))
             if rec is None:
                 print(f"{r.n2:>3} {r.n3:>3} {r.d:>3} {r.lower or '':>7} {'-':>9} {r.upper:>9}  not in store")
                 continue
@@ -284,7 +288,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ResourceError) as exc:
+    except (ValueError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:

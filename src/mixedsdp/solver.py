@@ -21,10 +21,11 @@ of matrix products, serves all four Newton solves.
 A slack or dual matrix that loses positive definiteness raises
 ConditioningError naming the block and the iteration; nothing is clamped.
 Every SolverError raised by a solve carries the last iterate.
-Exact problem data is converted to binary floating point in one place, the
-SDPA view of the problem, which both the solver and the SDPA writer read;
-nonzero coefficients that do not round-trip through a double are counted
-and reported, each upper-triangle entry, constant and objective entry once.
+The SDPA view of a problem holds its exact values, and the SDPA writer, the
+solver's float arrays and the exact check all read it; the writer and the
+solver each take a value's nearest double.  Nonzeros that do not round-trip
+through a double are counted and reported, each upper-triangle entry,
+constant and objective entry once.
 Each block is rescaled to unit magnitude, which changes neither the
 feasible set nor the dual objective value.
 The solve stops at the first iterate whose dual point, checked in exact
@@ -127,29 +128,14 @@ class _LpData:
     gammas: np.ndarray      # (n,)
 
 
-@dataclass(frozen=True)
-class _ExactData:
-    """The exact nonzeros of the SDPA view, laid out for the dual check:
-    entry e adds coef[e] times the dual value at slot[e] to the constant
-    (var[e] = 0) or to <F_i, Z> + sum_j a_ji w_j of variable i = var[e] - 1.
-    The slots run over each PSD block's dual matrix, row-major, then the
-    multipliers of the 1x1 blocks; the rows y >= 0 are left out."""
-
-    objective: tuple
-    var: list[int]
-    slot: list[int]
-    coef: list              # off-diagonal entries doubled
-    inexact: int            # nonzeros that do not round-trip through a double
-
-
-def _prepare(problem: SdpProblem):
-    """Per-block rescaled float data built from the SDPA view, and the
-    view's exact data for the dual check.  Each coefficient matrix F_i of a
-    PSD block is kept sparse, as its upper triangle padded with zeros to the
-    longest in the block; the rows y >= 0, which close the diagonal block,
-    are kept implicit."""
-    data, exact = _sdpa_view(problem)
+def _prepare(data: SdpaData):
+    """Per-block rescaled float data of an SDPA view, and the number of its
+    nonzeros, objective values included, that do not round-trip through a
+    double.  Each coefficient matrix F_i of a PSD block is kept sparse, as
+    its upper triangle padded with zeros to the longest in the block; the
+    rows y >= 0, which close the diagonal block, are kept implicit."""
     m = data.num_vars
+    inexact = sum(float(v) != v for v in [e[4] for e in data.entries] + list(data.objective))
     table = np.array(data.entries, dtype=float).reshape(-1, 5)
     matno, blkno, row, col = table[:, :4].astype(np.int64).T
     val = np.where(matno == 0, -table[:, 4], table[:, 4])  # the view holds -F0
@@ -190,8 +176,8 @@ def _prepare(problem: SdpProblem):
         sdp_blocks.append(
             _PsdBlock(s, gamma, f0 / gamma, ids - 1, np.triu_indices(s), tri, coef / gamma)
         )
-    b = -np.array(data.objective)
-    return b, sdp_blocks, lp, exact
+    b = np.array([-c for c in data.objective], dtype=float)
+    return b, sdp_blocks, lp, inexact
 
 
 def _apply(bl: _PsdBlock, y: np.ndarray) -> np.ndarray:
@@ -352,9 +338,12 @@ def _on_grid(values: np.ndarray) -> list[int]:
     return [int(v) for v in np.rint(values * _GRID).ravel().tolist()]
 
 
-def _certificate(exact: _ExactData, z: list[np.ndarray], w: np.ndarray) -> CertifiedBound:
-    """The exact check of a dual point (see ``certify``).  Raises
-    CertificationError when a shifted dual block is not positive definite."""
+def _certificate(data: SdpaData, z: list[np.ndarray], w: np.ndarray) -> CertifiedBound:
+    """The exact check of a dual point (see ``certify``) against the exact
+    SDPA view of a problem.  Raises CertificationError when a shifted dual
+    block is not positive definite."""
+    # one list of dual values per block, in units of 1 / _GRID: each PSD
+    # block's matrix, row-major, then the multipliers of the 1x1 blocks
     grid = []
     for k, zk in enumerate(z):
         shifted = np.triu(zk + np.diag(_shift(zk)))
@@ -362,17 +351,21 @@ def _certificate(exact: _ExactData, z: list[np.ndarray], w: np.ndarray) -> Certi
         ints += np.triu(ints, 1).T  # the upper triangle, which the data reads
         if not _positive_definite(ints):
             raise CertificationError(f"shifted dual block {k} is not positive definite")
-        grid += ints.ravel().tolist()
-    grid += _on_grid(np.maximum(w, 0.0))
-    # sums[0] is sum <F0_k, Z_k> + sum l0_j w_j, and sums[i + 1] is
-    # sum <F_ik, Z_k> + sum a_ji w_j, all in units of 1 / _GRID
-    sums = [0] * (len(exact.objective) + 1)
-    for var, slot, coef in zip(exact.var, exact.slot, exact.coef):
-        sums[var] += coef * grid[slot]
-    # the slack v_i = -c_i - sums[i + 1] of each variable; y_i <= 1 bounds
-    # what a negative one can add
-    penalty = sum(max(0, c * _GRID + t) for c, t in zip(exact.objective, sums[1:]))
-    bound = Fraction(sums[0] + penalty, _GRID)
+        grid.append(ints.ravel().tolist())
+    grid.append(_on_grid(np.maximum(w, 0.0)))
+    # sums[0] is -(sum <F0_k, Z_k> + sum l0_j w_j), since the view holds
+    # -F0, and sums[i + 1] is sum <F_ik, Z_k> + sum a_ji w_j
+    sums = [0] * (data.num_vars + 1)
+    for matno, blkno, i, j, v in data.entries:
+        size = data.block_sizes[blkno - 1]
+        if size < 0 and i > len(w):
+            continue  # the rows y >= 0
+        slot = (i - 1) * size + j - 1 if size > 0 else i - 1
+        sums[matno] += (v if i == j else 2 * v) * grid[blkno - 1][slot]
+    # the slack v_i = -c_i - sums[i + 1] of each variable, where the view
+    # holds -c; y_i <= 1 bounds what a negative one can add
+    penalty = sum(max(0, t - c * _GRID) for c, t in zip(data.objective, sums[1:]))
+    bound = Fraction(penalty - sums[0], _GRID)
     return CertifiedBound(math.floor(bound), bound, Fraction(penalty, _GRID))
 
 
@@ -391,8 +384,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    b, blocks, lp, exact = _prepare(problem)
-    m = problem.num_vars
+    data = problem_to_sdpa_data(problem)
+    b, blocks, lp, inexact = _prepare(data)
+    m = data.num_vars
     nu = sum(bl.dim for bl in blocks) + len(lp.l0)
     n_lp = len(lp.rows)
 
@@ -446,7 +440,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
     def exact_check() -> CertifiedBound | None:
         z, w, _ = dual_point()
         try:
-            return _certificate(exact, z, w)
+            return _certificate(data, z, w)
         except CertificationError:
             return None
 
@@ -463,7 +457,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
             u=u,
             iterations=it,
             converged=converged,
-            inexact_coefficients=exact.inexact,
+            inexact_coefficients=inexact,
             certificate=certificate,
             trace=trace,
         )
@@ -681,7 +675,7 @@ def certify(problem: SdpProblem, solution: Solution) -> CertifiedBound:
         raise CertificationError("cannot certify an unconverged solution")
     bound = solution.certificate
     if bound is None:
-        bound = _certificate(_sdpa_view(problem)[1], solution.z, solution.w)
+        bound = _certificate(problem_to_sdpa_data(problem), solution.z, solution.w)
     dobj = solution.dual_objective
     if bound.value > dobj + 1e-6 * max(1.0, abs(dobj)):
         raise CertificationError(
@@ -696,73 +690,50 @@ def certify(problem: SdpProblem, solution: Solution) -> CertifiedBound:
 
 @dataclass(frozen=True)
 class SdpaData:
-    """Canonical content of an SDPA sparse file."""
+    """Canonical content of an SDPA sparse file: the entries sorted, one per
+    position, each of a PSD block in its upper triangle.  Built from a
+    problem it holds the exact values; parsed from a file, the doubles the
+    file prints.  The two compare equal exactly when every value
+    round-trips through a double."""
 
     num_vars: int
     block_sizes: tuple[int, ...]
-    objective: tuple[float, ...]
-    entries: tuple[tuple[int, int, int, int, float], ...]
+    objective: tuple[int | float, ...]
+    entries: tuple[tuple[int, int, int, int, int | float], ...]
 
 
-def _sdpa_view(problem: SdpProblem) -> tuple[SdpaData, _ExactData]:
-    """The one exact-to-float conversion.  Returns the SDPA view of the
-    problem and its exact nonzeros, which count the entries (upper
-    triangle, constants and objective, each once) that do not round-trip
-    through a double."""
-    inexact = 0
-
-    def to_float(value) -> float:
-        nonlocal inexact
-        f = float(value)
-        inexact += f != value
-        return f
-
+def problem_to_sdpa_data(problem: SdpProblem) -> SdpaData:
+    """Exact view of a problem in SDPA terms: minimize (-objective).y with
+    X = sum_i y_i F_i - (-F0) >= 0 blockwise; one trailing diagonal block
+    collects the 1x1 blocks and one row y_i >= 0 per variable."""
     m = problem.num_vars
     sdp_blocks = [b for b in problem.blocks if b.dim >= 2]
     scalar_blocks = [b for b in problem.blocks if b.dim == 1]
     diag_size = len(scalar_blocks) + m
     sizes = tuple(b.dim for b in sdp_blocks) + ((-diag_size,) if diag_size else ())
-    objective = tuple(-to_float(c) for c in problem.objective)
-    entries: list[tuple[int, int, int, int, float]] = []
-    var, slot, coef = [], [], []
+    entries: list[tuple[int, int, int, int, int]] = []
 
-    def add(blkno: int, offset: int, block: Block, base: int) -> None:
+    def add(blkno: int, offset: int, block: Block) -> None:
         mats = [(0, -1, block.f0)]
-        mats += [(v + 1, 1, block.coeff[v]) for v in sorted(block.coeff)]
+        mats += [(v + 1, 1, mat) for v, mat in block.coeff.items()]
         for matno, sign, mat in mats:
             for i in range(block.dim):
                 for j in range(i, block.dim):
                     if mat[i][j]:
-                        entries.append((
-                            matno, blkno, offset + i + 1, offset + j + 1,
-                            sign * to_float(mat[i][j]),
-                        ))
-                        var.append(matno)
-                        slot.append(base + i * block.dim + j)
-                        coef.append(mat[i][j] if i == j else 2 * mat[i][j])
+                        entries.append(
+                            (matno, blkno, offset + i + 1, offset + j + 1, sign * mat[i][j])
+                        )
 
-    base = 0
     for blkno, b in enumerate(sdp_blocks, start=1):
-        add(blkno, 0, b, base)
-        base += b.dim * b.dim
+        add(blkno, 0, b)
     diag = len(sdp_blocks) + 1
     for pos, b in enumerate(scalar_blocks):
-        add(diag, pos, b, base + pos)
+        add(diag, pos, b)
     for v in range(m):
         pos = len(scalar_blocks) + v + 1
-        entries.append((v + 1, diag, pos, pos, 1.0))
+        entries.append((v + 1, diag, pos, pos, 1))
     entries.sort()
-    return (
-        SdpaData(m, sizes, objective, tuple(entries)),
-        _ExactData(tuple(problem.objective), var, slot, coef, inexact),
-    )
-
-
-def problem_to_sdpa_data(problem: SdpProblem) -> SdpaData:
-    """Float view of a problem in SDPA terms: minimize (-objective).y with
-    X = sum_i y_i F_i - (-F0) >= 0 blockwise; one trailing diagonal block
-    collects the 1x1 blocks and one row y_i >= 0 per variable."""
-    return _sdpa_view(problem)[0]
+    return SdpaData(m, sizes, tuple(-c for c in problem.objective), tuple(entries))
 
 
 def emit_sdpa(problem: SdpProblem, destination) -> Path:
@@ -781,10 +752,11 @@ def emit_sdpa(problem: SdpProblem, destination) -> Path:
         f"{data.num_vars}",
         f"{len(data.block_sizes)}",
         " ".join(str(s) for s in data.block_sizes),
-        " ".join(repr(c) for c in data.objective),
+        # a zero is the negation of 0 and prints as -0.0
+        " ".join(repr(float(c) or -0.0) for c in data.objective),
     ]
     for matno, blkno, i, j, val in data.entries:
-        lines.append(f"{matno} {blkno} {i} {j} {repr(val)}")
+        lines.append(f"{matno} {blkno} {i} {j} {float(val)!r}")
     path = Path(destination)
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -794,7 +766,8 @@ def parse_sdpa(source) -> SdpaData:
     """Read an SDPA sparse file (path, or text containing newlines) back
     into its canonical content.  An entry must name a matrix 0..num_vars,
     a declared block and a position inside it, on the diagonal of a
-    diagonal (negative-size) block."""
+    diagonal (negative-size) block, that no other entry names; (i, j) and
+    (j, i) name the same position of a symmetric matrix."""
     text = str(source)
     if "\n" not in text:
         text = Path(source).read_text()
@@ -830,12 +803,15 @@ def parse_sdpa(source) -> SdpaData:
             f"variable count {num_vars} does not match objective length "
             f"{len(objective)}"
         )
-    entries: list[tuple[int, int, int, int, float]] = []
+    entries: dict[tuple[int, int, int, int], float] = {}
     for raw in body:
         parts = raw.split()
         if len(parts) != 5:
             raise SdpaParseError(f"bad entry line: {raw!r}")
         matno, blkno, i, j = (int(p) for p in parts[:4])
+        if i > j:
+            i, j = j, i
+        key = (matno, blkno, i, j)
         size = sizes[blkno - 1] if 1 <= blkno <= num_blocks else 0
         if not 0 <= matno <= num_vars:
             fault = f"matrix number outside 0..{num_vars}"
@@ -845,12 +821,14 @@ def parse_sdpa(source) -> SdpaData:
             fault = f"index outside block {blkno} of size {abs(size)}"
         elif size < 0 and i != j:
             fault = f"off-diagonal entry in diagonal block {blkno}"
+        elif key in entries:
+            fault = f"repeated position ({i}, {j}) of matrix {matno} in block {blkno}"
         else:
-            entries.append((matno, blkno, i, j, float(parts[4])))
+            entries[key] = float(parts[4])
             continue
         raise SdpaParseError(f"{fault}: {raw!r}")
-    entries.sort()
-    return SdpaData(num_vars, sizes, objective, tuple(entries))
+    entries_sorted = tuple(sorted(key + (v,) for key, v in entries.items()))
+    return SdpaData(num_vars, sizes, objective, entries_sorted)
 
 
 _PRIMAL_PATTERNS = (

@@ -354,6 +354,12 @@ class TestVerifyReduction:
         with pytest.raises(ResourceError):
             verify_reduction(ProblemSpec(3, 3, 1))
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_refused(self, trials):
+        # a transport check that never ran must not report a pass
+        with pytest.raises(ValueError, match=f"got trials={trials}"):
+            verify_reduction(ProblemSpec(1, 1, 1), trials=trials)
+
     def test_report_summary_format(self):
         report = verify_reduction(ProblemSpec(1, 1, 1), trials=3)
         text = report.summary()

@@ -152,6 +152,39 @@ class TestCommands:
         assert "match" in out
         assert "not in store" in out  # (3,5,3) was never computed
 
+    def test_table_replay_reads_store_once(self, tmp_path, capsys, monkeypatch):
+        store = tmp_path / "t.jsonl"
+        for n2, n3, bound in [(2, 5, 70), (3, 5, 125), (2, 5, 65), (2, 6, 128)]:
+            ResultsStore(store).append({"n2": n2, "n3": n3, "d": 3, "k": 3, "bound": bound})
+        reads = []
+        records = ResultsStore.records
+        monkeypatch.setattr(ResultsStore, "records", lambda self: reads.append(1) or records(self))
+        code = main(["table", "--d", "3", "--max-length", "8", "--replay",
+                     "--store", str(store)])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert len(reads) == 1
+        # the later record of (2,5,3) wins
+        assert "  2   5   3" in out and "65        65  match" in out
+        assert "125       125  match" in out
+
+    def test_unwritable_path_is_an_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.dat-s"
+        assert main(["emit", "1", "1", "2", str(target)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        code = main(["table", "--d", "3", "--max-length", "7", "--replay",
+                     "--store", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_verify_without_trials_refused(self, capsys):
+        for trials in ("0", "-3"):
+            assert main(["verify", "1", "1", "--trials", trials]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert f"need trials >= 1, got trials={trials}" in captured.err
+            assert "[ok]" not in captured.out
+
     def test_table_replay_corrupt_store(self, tmp_path, capsys):
         store = tmp_path / "t.jsonl"
         ResultsStore(store).append({"n2": 2, "n3": 5, "d": 3, "k": 3, "bound": 65})

@@ -243,7 +243,7 @@ class TestSchur:
     def test_matches_dense_reference(self, n2, n3, d, k):
         problem = build_problem(ProblemSpec(n2, n3, d, k))
         psd, diag = dense_sdpa_operators(problem)
-        _, blocks, lp, _ = _prepare(problem)
+        _, blocks, lp, _ = _prepare(problem_to_sdpa_data(problem))
         assert len(blocks) == len(psd)
         m = problem.num_vars
         rng = np.random.default_rng(n2 * 100 + n3 * 10 + d + k)
@@ -466,6 +466,48 @@ class TestSdpaInterchange:
         assert parse_sdpa(text).entries == ((1, 1, 1, 2, 1.0), (1, 2, 3, 3, 1.0))
         with pytest.raises(SdpaParseError, match=f"{fault}: '{entry}'"):
             parse_sdpa(text + entry + "\n")
+
+    def test_entry_stored_in_upper_triangle(self):
+        head = "1\n1\n2\n1.0\n"
+        assert parse_sdpa(head + "1 1 2 1 3.0\n") == parse_sdpa(head + "1 1 1 2 3.0\n")
+        assert parse_sdpa(head + "1 1 2 1 3.0\n").entries == ((1, 1, 1, 2, 3.0),)
+
+    @pytest.mark.parametrize("second", ["1 1 1 2 4.0", "1 1 2 1 3.0"])
+    def test_repeated_position_rejected(self, second):
+        text = "1\n1\n2\n1.0\n1 1 1 2 3.0\n" + second + "\n"
+        with pytest.raises(
+            SdpaParseError, match=f"repeated position \\(1, 2\\) of matrix 1 in block 1: '{second}'"
+        ):
+            parse_sdpa(text)
+
+    @pytest.mark.parametrize("n2,n3,d,k", [
+        (1, 1, 1, 3), (2, 1, 2, 3), (2, 2, 3, 3), (2, 5, 3, 3), (2, 5, 3, 2), (1, 4, 3, 2),
+    ])
+    def test_emitted_and_solved_floats_identical(self, tmp_path, n2, n3, d, k):
+        # the writer and the solver each take the nearest double of the
+        # exact view, so the file describes the problem the solver solves
+        problem = build_problem(ProblemSpec(n2, n3, d, k))
+        path = emit_sdpa(problem, tmp_path / "p.dat-s")
+
+        def arrays(data):
+            b, blocks, lp, inexact = _prepare(data)
+            assert inexact == 0
+            fields = [getattr(x, f.name) for x in [*blocks, lp] for f in dataclasses.fields(x)]
+            return [np.asarray(a) for a in [b, *fields]]
+
+        solved = arrays(problem_to_sdpa_data(problem))
+        emitted = arrays(parse_sdpa(path))
+        assert len(solved) == len(emitted)
+        for a, e in zip(solved, emitted):
+            assert (a.dtype, a.shape, a.tobytes()) == (e.dtype, e.shape, e.tobytes())
+
+    def test_inexact_value_does_not_round_trip(self, tmp_path):
+        big = 2 ** 60 + 1  # not representable in a double
+        p = toy_problem((1,), [Block("ub", 1, ((big,),), {0: ((-big,),)})])
+        parsed = parse_sdpa(emit_sdpa(p, tmp_path / "big.dat-s"))
+        assert parsed != problem_to_sdpa_data(p)
+        assert _prepare(parsed)[3] == 0
+        assert solve(p, tol=1e-8).inexact_coefficients == 2
 
 
 class TestParseSolverOutput:
