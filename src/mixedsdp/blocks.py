@@ -16,9 +16,10 @@ then the five ternary ones, so multiplying two monomials adds their ints.
 ``build_blocks_d0`` keeps all of one build's state and shares it across the
 build's shapes: a memo of the factor polynomials of the tableau pairs met so
 far, and the variable of each monomial met so far, which is unpacked once to
-find its orbit.  Nothing is kept between builds.  All arithmetic is integer;
-no floating point enters this module outside the verifier's eigenvalue
-cross-check.
+find its orbit.  Nothing is kept between builds.  The reduced blocks are very
+sparse, so the builders append only their nonzero upper-triangle triplets.
+All arithmetic is integer; no floating point enters this module outside the
+verifier's eigenvalue cross-check.
 """
 
 from __future__ import annotations
@@ -207,17 +208,23 @@ def expand_p(
 @dataclass(frozen=True)
 class Block:
     """One affine matrix constraint F0 + sum_v y_v F_v >= 0 of the reduced
-    problem, with exact integer dense matrices (tuples of tuple rows).
-    ``coeff`` maps a variable index to its matrix F_v."""
+    problem: ``entries`` holds its nonzero exact upper-triangle values, sorted,
+    as (matno, i, j, value) with i <= j, matno 0 for F0 and v + 1 for F_v."""
 
     label: str
     dim: int
-    f0: tuple
-    coeff: dict
+    entries: tuple[tuple[int, int, int, int], ...]
 
-
-def _zero_matrix(dim: int) -> list[list[int]]:
-    return [[0] * dim for _ in range(dim)]
+    @property
+    def coeff(self) -> dict[int, list[list[int]]]:
+        """Dense {v: F_v} view, only for perfbench/workloads.py::_problem_counts;
+        it goes when that read goes."""
+        mats: dict[int, list[list[int]]] = {}
+        for matno, i, j, val in self.entries:
+            if matno:
+                mat = mats.setdefault(matno - 1, [[0] * self.dim for _ in range(self.dim)])
+                mat[i][j] = mat[j][i] = val
+        return mats
 
 
 def build_blocks_d0(
@@ -244,7 +251,7 @@ def build_blocks_d0(
     for shape in shapes:
         cols = shape.admissible
         dim = len(cols)
-        mats: dict[int, list[list[int]]] = {}
+        entries = []
         for i in range(dim):
             for j in range(i, dim):
                 agg: dict[int | None, int] = defaultdict(int)
@@ -257,17 +264,10 @@ def build_blocks_d0(
                         )
                         v = var_of_mono[mono] = var_of_orbit.get(widx)
                     agg[v] += c
-                for v, val in agg.items():
-                    if val and v is not None:
-                        mat = mats.setdefault(v, _zero_matrix(dim))
-                        mat[i][j] = val
-                        mat[j][i] = val
-        out.append(Block(
-            label=f"{CASE_ZERO}:{shape.label()}",
-            dim=dim,
-            f0=tuple(map(tuple, _zero_matrix(dim))),
-            coeff={v: tuple(map(tuple, m)) for v, m in mats.items()},
-        ))
+                entries += [
+                    (v + 1, i, j, val) for v, val in agg.items() if val and v is not None
+                ]
+        out.append(Block(f"{CASE_ZERO}:{shape.label()}", dim, tuple(sorted(entries))))
     return out
 
 
@@ -297,7 +297,8 @@ def build_blocks_empty(
         scale = 2 ** (l1 + l2) * 3 ** l3 * 2 ** l4
         binpoly = _binomial_poly(l1, l2)
         terpoly = _binomial_poly(l3, l4, plus_scale=2)
-        coeff: dict[int, int] = {}
+        slot = int(shape.augmented)  # slot 0 of the augmented block is the empty code
+        entries = []
         for a in range(spec.n2 + 1):
             for b in range(spec.n3 + 1):
                 val = scale * binpoly[a] * terpoly[b]
@@ -307,15 +308,11 @@ def build_blocks_empty(
                     singleton_orbit(spec) if a == b == 0 else pair_orbit(spec, a, b)
                 )
                 if widx in var_of_orbit:
-                    coeff[var_of_orbit[widx]] = val
-        label = f"{CASE_EMPTY}:{shape.label()}"
+                    entries.append((var_of_orbit[widx] + 1, slot, slot, val))
         if shape.augmented:
             svar = var_of_orbit[orbits.index_of(singleton_orbit(spec))]
-            mats = {v: ((0, 0), (0, val)) for v, val in coeff.items()}
-            mats[svar] = ((0, full), (full, coeff.get(svar, 0)))
-            out.append(Block(label, 2, ((1, 0), (0, 0)), mats))
-        else:
-            out.append(Block(label, 1, ((0,),), {v: ((val,),) for v, val in coeff.items()}))
+            entries += [(0, 0, 0, 1), (svar + 1, 0, 1, full)]
+        out.append(Block(f"{CASE_EMPTY}:{shape.label()}", slot + 1, tuple(sorted(entries))))
     return out
 
 
@@ -474,10 +471,12 @@ def verify_reduction(
     blocks_zero = build_blocks_d0(spec, shapes_zero, orbits, every_orbit)
     blocks_empty = build_blocks_empty(spec, shapes_empty, orbits, every_orbit)
 
-    # (c) zero-word case: engine entries vs explicit contraction
+    # (c) zero-word case: engine entries vs explicit contraction; orbit widx
+    # is matrix widx + 1 here, and (i, j) is stored at (min, max)
     mismatch = None
     for shape, block in zip(shapes_zero, blocks_zero):
         vecs = [representative_vector_zero(shape, col) for col in shape.admissible]
+        values = {(m, i, j): v for m, i, j, v in block.entries}
         for i in range(block.dim):
             for j in range(block.dim):
                 agg: dict[int, int] = defaultdict(int)
@@ -486,8 +485,7 @@ def verify_reduction(
                         agg[int(triple_orbit[pos[x], pos[y]])] += cx * cy
                 for widx in range(len(orbits)):
                     want = agg.get(widx, 0)
-                    got = block.coeff.get(widx)
-                    got_val = got[i][j] if got is not None else 0
+                    got_val = values.get((widx + 1, min(i, j), max(i, j)), 0)
                     if want != got_val and mismatch is None:
                         mismatch = (
                             f"shape {shape.label()} entry ({i},{j}) orbit "
@@ -512,10 +510,10 @@ def verify_reduction(
             for y, cy in vec.items():
                 agg[int(pair_orbit_idx[pos[x], pos[y]])] += cx * cy
         slot = 1 if shape.augmented else 0
+        values = {(m, i, j): v for m, i, j, v in block.entries}
         for widx in range(len(orbits)):
             want = agg.get(widx, 0)
-            got = block.coeff.get(widx)
-            got_val = got[slot][slot] if got is not None else 0
+            got_val = values.get((widx + 1, slot, slot), 0)
             if want != got_val and mismatch is None:
                 mismatch = (
                     f"shape {shape.label()} orbit {orbits.orbits[widx].describe()}: "
@@ -523,8 +521,8 @@ def verify_reduction(
                 )
         if shape.augmented:
             sidx = orbits.index_of(singleton_orbit(spec))
-            off = block.coeff[sidx][0][1]
-            if block.f0[0][0] != 1:
+            off = values.get((sidx + 1, 0, 1), 0)
+            if values.get((0, 0, 0)) != 1:
                 mismatch = mismatch or "augmented corner is not 1"
             if off != spec.num_words or colsum != spec.num_words:
                 mismatch = mismatch or (
@@ -569,12 +567,12 @@ def verify_reduction(
 
     def blocks_min_eig(block_list, y):
         worst = np.inf
+        scale = np.concatenate(([1.0], np.where(orbits.feasible, y, 0.0)))  # by matno
         for block in block_list:
-            m = np.array(block.f0, dtype=float)
-            for widx, mat in block.coeff.items():
-                if orbits.feasible[widx]:
-                    m += y[widx] * np.array(mat, dtype=float)
-            worst = min(worst, _min_eig(m))
+            m = np.zeros((block.dim, block.dim))
+            for matno, i, j, val in block.entries:
+                m[i, j] += scale[matno] * val
+            worst = min(worst, _min_eig(m + np.triu(m, 1).T))
         return worst
 
     tol = 1e-9

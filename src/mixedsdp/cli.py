@@ -87,9 +87,6 @@ class ResultsStore:
             for rec in self.records()
         }
 
-    def latest(self, n2: int, n3: int, d: int, k: int) -> dict | None:
-        return self.latest_records().get((n2, n3, d, k))
-
 
 def _compute_bound(n2: int, n3: int, d: int, k: int, tol: float, max_iter: int = 500):
     problem = build_problem(ProblemSpec(n2, n3, d, k))

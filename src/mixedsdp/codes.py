@@ -133,7 +133,9 @@ def all_words(spec: ProblemSpec):
 
 @dataclass(frozen=True)
 class Code:
-    """A set of at most three distinct words, stored strictly sorted."""
+    """A set of distinct words, stored strictly sorted: a code of at most
+    three words that an orbit describes, or a maximum code from
+    ``optimal_code``."""
 
     words: tuple[Word, ...]
 

@@ -21,11 +21,11 @@ of matrix products, serves all four Newton solves.
 A slack or dual matrix that loses positive definiteness raises
 ConditioningError naming the block and the iteration; nothing is clamped.
 Every SolverError raised by a solve carries the last iterate.
-The SDPA view of a problem holds its exact values, and the SDPA writer, the
-solver's float arrays and the exact check all read it; the writer and the
-solver each take a value's nearest double.  Nonzeros that do not round-trip
-through a double are counted and reported, each upper-triangle entry,
-constant and objective entry once.
+The SDPA view of a problem relabels its blocks' exact triplets, and the
+SDPA writer, the solver's float arrays and the exact check all read it; the
+writer and the solver each take a value's nearest double.  Nonzeros that
+do not round-trip through a double are counted and reported, each
+upper-triangle entry, constant and objective entry once.
 Each block is rescaled to unit magnitude, which changes neither the
 feasible set nor the dual objective value.
 The solve stops at the first iterate whose dual point, checked in exact
@@ -43,7 +43,6 @@ from pathlib import Path
 
 import numpy as np
 
-from mixedsdp.blocks import Block
 from mixedsdp.model import SdpProblem
 
 
@@ -705,33 +704,25 @@ class SdpaData:
 def problem_to_sdpa_data(problem: SdpProblem) -> SdpaData:
     """Exact view of a problem in SDPA terms: minimize (-objective).y with
     X = sum_i y_i F_i - (-F0) >= 0 blockwise; one trailing diagonal block
-    collects the 1x1 blocks and one row y_i >= 0 per variable."""
+    collects the 1x1 blocks and one row y_i >= 0 per variable.  It relabels
+    each block's triplets with the block number, the 1-based offset in the
+    diagonal block and F0's sign."""
     m = problem.num_vars
     sdp_blocks = [b for b in problem.blocks if b.dim >= 2]
     scalar_blocks = [b for b in problem.blocks if b.dim == 1]
     diag_size = len(scalar_blocks) + m
     sizes = tuple(b.dim for b in sdp_blocks) + ((-diag_size,) if diag_size else ())
-    entries: list[tuple[int, int, int, int, int]] = []
-
-    def add(blkno: int, offset: int, block: Block) -> None:
-        mats = [(0, -1, block.f0)]
-        mats += [(v + 1, 1, mat) for v, mat in block.coeff.items()]
-        for matno, sign, mat in mats:
-            for i in range(block.dim):
-                for j in range(i, block.dim):
-                    if mat[i][j]:
-                        entries.append(
-                            (matno, blkno, offset + i + 1, offset + j + 1, sign * mat[i][j])
-                        )
-
-    for blkno, b in enumerate(sdp_blocks, start=1):
-        add(blkno, 0, b)
     diag = len(sdp_blocks) + 1
-    for pos, b in enumerate(scalar_blocks):
-        add(diag, pos, b)
-    for v in range(m):
-        pos = len(scalar_blocks) + v + 1
-        entries.append((v + 1, diag, pos, pos, 1))
+    # each block's number and offset: the 1x1 blocks share the diagonal block
+    places = [(k, 0, b) for k, b in enumerate(sdp_blocks, start=1)]
+    places += [(diag, pos, b) for pos, b in enumerate(scalar_blocks)]
+    entries = [
+        (matno, blkno, off + i + 1, off + j + 1, val if matno else -val)
+        for blkno, off, b in places
+        for matno, i, j, val in b.entries
+    ]
+    first = len(scalar_blocks) + 1
+    entries += [(v + 1, diag, first + v, first + v, 1) for v in range(m)]
     entries.sort()
     return SdpaData(m, sizes, tuple(-c for c in problem.objective), tuple(entries))
 
@@ -764,10 +755,11 @@ def emit_sdpa(problem: SdpProblem, destination) -> Path:
 
 def parse_sdpa(source) -> SdpaData:
     """Read an SDPA sparse file (path, or text containing newlines) back
-    into its canonical content.  An entry must name a matrix 0..num_vars,
-    a declared block and a position inside it, on the diagonal of a
-    diagonal (negative-size) block, that no other entry names; (i, j) and
-    (j, i) name the same position of a symmetric matrix."""
+    into its canonical content.  Block sizes must be nonzero.  An entry line
+    holds four integers and a number, and names a matrix 0..num_vars, a
+    declared block and a position inside it, on the diagonal of a diagonal
+    (negative-size) block, that no other entry names; (i, j) and (j, i)
+    name the same position of a symmetric matrix."""
     text = str(source)
     if "\n" not in text:
         text = Path(source).read_text()
@@ -794,6 +786,8 @@ def parse_sdpa(source) -> SdpaData:
         )
     except ValueError as exc:
         raise SdpaParseError(f"bad SDPA header: {exc}") from exc
+    if 0 in sizes:
+        raise SdpaParseError(f"bad SDPA header: block size 0 in {sizes}")
     if len(sizes) != num_blocks:
         raise SdpaParseError(
             f"block count {num_blocks} does not match sizes line {sizes}"
@@ -805,10 +799,12 @@ def parse_sdpa(source) -> SdpaData:
         )
     entries: dict[tuple[int, int, int, int], float] = {}
     for raw in body:
-        parts = raw.split()
-        if len(parts) != 5:
-            raise SdpaParseError(f"bad entry line: {raw!r}")
-        matno, blkno, i, j = (int(p) for p in parts[:4])
+        try:
+            *index, text = raw.split()
+            matno, blkno, i, j = map(int, index)
+            value = float(text)
+        except ValueError:
+            raise SdpaParseError(f"bad entry line: {raw!r}") from None
         if i > j:
             i, j = j, i
         key = (matno, blkno, i, j)
@@ -824,7 +820,7 @@ def parse_sdpa(source) -> SdpaData:
         elif key in entries:
             fault = f"repeated position ({i}, {j}) of matrix {matno} in block {blkno}"
         else:
-            entries[key] = float(parts[4])
+            entries[key] = value
             continue
         raise SdpaParseError(f"{fault}: {raw!r}")
     entries_sorted = tuple(sorted(key + (v,) for key, v in entries.items()))

@@ -1,10 +1,12 @@
 """Reference counts that only the tests use: orbit sizes by counting column
-fillings, and the group-averaged indicator of a code, a feasible point of
-the assembled problem."""
+fillings, the group-averaged indicator of a code, a feasible point of
+the assembled problem, and the float matrix of a block at a point."""
 
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+
+import numpy as np
 
 from mixedsdp.codes import (
     N_BIN_PATTERNS,
@@ -75,3 +77,11 @@ def code_indicator_assignment(
         idx: Fraction(cnt, orbit_size(spec, table.orbits[idx]))
         for idx, cnt in counts.items()
     }
+
+
+def block_at(block, y) -> np.ndarray:
+    """The dense float matrix F0 + sum_v y_v F_v of a block at the point y."""
+    m = np.zeros((block.dim, block.dim))
+    for matno, i, j, val in block.entries:
+        m[i, j] += (y[matno - 1] if matno else 1.0) * val
+    return m + np.triu(m, 1).T

@@ -29,7 +29,7 @@ from mixedsdp.solver import (
     problem_to_sdpa_data,
     solve,
 )
-from orbit_reference import code_indicator_assignment
+from orbit_reference import block_at, code_indicator_assignment
 
 TOL = 1e-8
 ORACLE_NODE_BUDGET = 3_000_000
@@ -168,12 +168,7 @@ def test_criterion_6_code_indicator_feasibility():
         y = np.zeros(problem.num_vars)
         for oidx, val in assignment.items():
             y[problem.variables.index(table.orbits[oidx])] = float(val)
-        worst = np.inf
-        for block in problem.blocks:
-            mat = np.array(block.f0, dtype=float)
-            for var, coeff in block.coeff.items():
-                mat = mat + y[var] * np.array(coeff, dtype=float)
-            worst = min(worst, float(np.linalg.eigvalsh(mat)[0]))
+        worst = min(float(np.linalg.eigvalsh(block_at(b, y))[0]) for b in problem.blocks)
         assert worst >= -1e-9, f"({n2},{n3},{d}): min block eigenvalue {worst:.2e}"
         objective = float(sum(c * y[i] for i, c in enumerate(problem.objective)))
         assert abs(objective - len(dstar)) < 1e-9

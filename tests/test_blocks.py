@@ -1,5 +1,6 @@
 """Base-change identities, dual polynomials, and block coefficients."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from mixedsdp.blocks import (
     _A2,
     _A3,
     _ZERO_TABLES,
+    Block,
     build_blocks_d0,
     build_blocks_empty,
     expand_p,
@@ -32,7 +34,7 @@ from mixedsdp.codes import (
     pair_orbit,
     singleton_orbit,
 )
-from mixedsdp.model import build_sdp
+from mixedsdp.model import build_problem, build_sdp
 from mixedsdp.tableaux import build_shape_index_d0, build_shape_index_empty
 
 
@@ -55,6 +57,16 @@ def named(form):
 
 def unpacked(poly):
     return {unpack_monomial(mono): c for mono, c in poly.items()}
+
+
+def dense(block):
+    """The block's matrices as dense symmetric lists, by SDPA matrix number
+    (0 is F0, v + 1 is variable v's), filled from its triplets."""
+    mats = {}
+    for matno, i, j, val in block.entries:
+        mat = mats.setdefault(matno, [[0] * block.dim for _ in range(block.dim)])
+        mat[i][j] = mat[j][i] = val
+    return mats
 
 
 class TestBaseChange:
@@ -93,7 +105,7 @@ class TestBaseChange:
             for a in (0, 1):
                 for b in (0, 1):
                     w = singleton_orbit(spec) if a == b == 0 else pair_orbit(spec, a, b)
-                    mat = block.coeff[table.index_of(w)]
+                    mat = dense(block)[table.index_of(w) + 1]
                     assert mat[slot][slot] == fb[a] * ft[b]
 
     def test_invalid_indices(self):
@@ -204,7 +216,7 @@ class TestBlocksD0:
         i = cols.index(((((1,),), ((1,),), ())))
         j = cols.index(((((2,),), ((1,),), ())))
         widx = table.index_of(pair_orbit(spec, 1, 0))
-        mat = block.coeff[widx]
+        mat = dense(block)[widx + 1]
         sub = [[mat[i][i], mat[i][j]], [mat[j][i], mat[j][j]]]
         assert sub == [[0, 1], [1, 1]]
 
@@ -220,7 +232,7 @@ class TestBlocksD0:
                     weights = [v for tab in col[:2] for row in tab for v in row]
                     if all(v == 1 for v in weights) and shape.counts[2] == 0:
                         found = True
-                        assert block.coeff[sidx][i][i] == 1
+                        assert dense(block)[sidx + 1][i][i] == 1
             assert found
 
     def test_infeasible_orbits_dropped(self):
@@ -228,24 +240,26 @@ class TestBlocksD0:
         table = enumerate_orbits(spec)
         blocks = build_blocks_d0(spec, build_shape_index_d0(spec), table, feasible(table))
         for block in blocks:
-            for widx in block.coeff:
-                assert table.feasible[widx]
+            # no constant either: the all-zero-word blocks have F0 = 0
+            for matno, *_ in block.entries:
+                assert matno >= 1 and table.feasible[matno - 1]
 
     def test_matrices_symmetric(self):
+        # each symmetric matrix is stored once, as its sorted upper triangle
         spec = ProblemSpec(2, 2, 2)
         table = enumerate_orbits(spec)
         for block in build_blocks_d0(spec, build_shape_index_d0(spec), table, feasible(table)):
-            for mat in block.coeff.values():
-                assert all(mat[i][j] == mat[j][i]
-                           for i in range(block.dim) for j in range(block.dim))
+            assert list(block.entries) == sorted(block.entries)
+            assert len({e[:3] for e in block.entries}) == len(block.entries)
+            assert all(0 <= i <= j < block.dim for _, i, j, _ in block.entries)
 
     def test_entries_are_exact_integers(self):
         spec = ProblemSpec(2, 1, 1)
         table = enumerate_orbits(spec)
         for block in build_blocks_d0(spec, build_shape_index_d0(spec), table, feasible(table)):
-            for mat in block.coeff.values():
-                for row in mat:
-                    assert all(type(v) is int for v in row)
+            for entry in block.entries:
+                assert all(type(v) is int for v in entry)
+                assert entry[3] != 0
 
 
 class TestBuildState:
@@ -288,7 +302,7 @@ class TestBlocksEmpty:
         blocks = build_blocks_empty(spec, build_shape_index_empty(spec), table, feasible(table))
         aug = next(b for b in blocks if b.dim == 2)
         widx = table.index_of(pair_orbit(spec, 1, 1))
-        assert aug.coeff[widx][1][1] == 12
+        assert dense(aug)[widx + 1][1][1] == 12
 
     def test_augmented_singleton_coefficient(self):
         spec = ProblemSpec(1, 1, 1)
@@ -296,9 +310,10 @@ class TestBlocksEmpty:
         blocks = build_blocks_empty(spec, build_shape_index_empty(spec), table, feasible(table))
         aug = next(b for b in blocks if b.dim == 2)
         sidx = table.index_of(singleton_orbit(spec))
-        assert aug.coeff[sidx][1][1] == 6
-        assert aug.coeff[sidx][0][1] == 6  # cross term with the empty row
-        assert aug.f0 == ((1, 0), (0, 0))
+        mats = dense(aug)
+        assert mats[sidx + 1][1][1] == 6
+        assert mats[sidx + 1][0][1] == 6  # cross term with the empty row
+        assert mats[0] == [[1, 0], [0, 0]]
 
     @pytest.mark.parametrize("n2,n3", [(1, 1), (2, 1), (2, 2)])
     def test_trivial_shape_closed_form(self, n2, n3):
@@ -313,7 +328,7 @@ class TestBlocksEmpty:
                     continue
                 widx = table.index_of(pair_orbit(spec, a, b))
                 expected = q * comb(n2, a) * comb(n3, b) * 2 ** b
-                assert aug.coeff[widx][1][1] == expected
+                assert dense(aug)[widx + 1][1][1] == expected
 
     def test_block_count_and_dims(self):
         spec = ProblemSpec(2, 3, 1)
@@ -340,8 +355,23 @@ class TestBlocksEmpty:
                     agg[widx] = agg.get(widx, 0) + vec.get(x, 0) * vec.get(y, 0)
             slot = 1 if shape.augmented else 0
             for widx, val in agg.items():
-                got = block.coeff.get(widx)
+                got = dense(block).get(widx + 1)
                 assert (got[slot][slot] if got else 0) == val
+
+
+class TestBlockType:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(Block)] == ["label", "dim", "entries"]
+
+    @pytest.mark.parametrize("n2,n3,d,k", [(4, 5, 3, 3), (2, 5, 3, 2)])
+    def test_dense_view_counts_variable_triplets(self, n2, n3, d, k):
+        # the benchmark's coefficient-entry count reads the dense view with
+        # this expression; it counts the variable triplets of each block
+        for b in build_problem(ProblemSpec(n2, n3, d, k)).blocks:
+            count = sum(1 for mat in b.coeff.values()
+                        for i, row in enumerate(mat) for v in row[i:] if v)
+            assert count == sum(1 for matno, *_ in b.entries if matno >= 1)
+            assert b.coeff == {m - 1: mat for m, mat in dense(b).items() if m}
 
 
 class TestVerifyReduction:

@@ -38,8 +38,9 @@ class TestStore:
         store = ResultsStore(tmp_path / "r.jsonl")
         store.append({"n2": 1, "n3": 1, "d": 1, "k": 3, "bound": 7})
         store.append({"n2": 1, "n3": 1, "d": 1, "k": 3, "bound": 6})
-        assert store.latest(1, 1, 1, 3)["bound"] == 6
-        assert store.latest(9, 9, 9, 3) is None
+        latest = store.latest_records()
+        assert latest[(1, 1, 1, 3)]["bound"] == 6
+        assert (9, 9, 9, 3) not in latest
         assert len(store.records()) == 2
 
     def test_env_override(self, tmp_path, monkeypatch):
@@ -62,7 +63,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "<= 6" in out
         assert "exact bound" in out and "margin" in out
-        rec = ResultsStore(store).latest(1, 1, 1, 3)
+        rec = ResultsStore(store).latest_records()[(1, 1, 1, 3)]
         assert rec["bound"] == 6
         assert rec["bound"] <= rec["exactBound"] < rec["bound"] + 1
         assert rec["penalty"] >= 0
@@ -130,7 +131,7 @@ class TestCommands:
         # the k4-marked row appears but is not computed
         assert "level-4" in out
         # computed rows landed in the store
-        assert ResultsStore(store).latest(2, 5, 3, 3)["bound"] == 65
+        assert ResultsStore(store).latest_records()[(2, 5, 3, 3)]["bound"] == 65
 
     def test_table_jobs_pool(self, tmp_path, capsys):
         store = tmp_path / "j.jsonl"

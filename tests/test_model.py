@@ -14,18 +14,12 @@ from mixedsdp.codes import (
 )
 from mixedsdp.model import build_lp_k2, build_sdp, derived_doubling_bound
 from mixedsdp.solver import certify, solve
-from orbit_reference import code_indicator_assignment
+from orbit_reference import block_at, code_indicator_assignment
 
 
 def eval_blocks(problem, y):
     """Min eigenvalue over all blocks at a variable assignment."""
-    worst = np.inf
-    for b in problem.blocks:
-        mat = np.array(b.f0, dtype=float)
-        for var, coeff in b.coeff.items():
-            mat = mat + y[var] * np.array(coeff, dtype=float)
-        worst = min(worst, float(np.linalg.eigvalsh(mat)[0]))
-    return worst
+    return min(float(np.linalg.eigvalsh(block_at(b, y))[0]) for b in problem.blocks)
 
 
 class TestBuildSdp:
@@ -51,14 +45,13 @@ class TestBuildSdp:
         p = build_sdp(ProblemSpec(2, 1, 2))
         covered = set()
         for b in p.blocks:
-            covered.update(b.coeff.keys())
+            covered.update(matno - 1 for matno, *_ in b.entries if matno)
         assert covered == set(range(p.num_vars))
 
     def test_single_augmented_constant(self):
         p = build_sdp(ProblemSpec(2, 2, 3))
-        nonzero_f0 = [b for b in p.blocks if any(any(row) for row in b.f0)]
-        assert len(nonzero_f0) == 1
-        assert nonzero_f0[0].f0[0][0] == 1
+        f0s = [[e for e in b.entries if e[0] == 0] for b in p.blocks]
+        assert [f0 for f0 in f0s if f0] == [[(0, 0, 0, 1)]]
 
     def test_rejects_wrong_level(self):
         with pytest.raises(ValueError):

@@ -55,7 +55,7 @@ def correlation_toy():
     """max y s.t. [[1, y], [y, 1]] psd, y >= 0; optimum 1."""
     return toy_problem(
         (1,),
-        [Block("corr", 2, ((1, 0), (0, 1)), {0: ((0, 1), (1, 0))})],
+        [Block("corr", 2, ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)))],
     )
 
 
@@ -63,7 +63,7 @@ def box_toy():
     """max y s.t. 1 - y >= 0, y >= 0; optimum 1, as pure LP."""
     return toy_problem(
         (1,),
-        [Block("ub", 1, ((1,),), {0: ((-1,),)})],
+        [Block("ub", 1, ((0, 0, 0, 1), (1, 0, 0, -1)))],
     )
 
 
@@ -116,12 +116,8 @@ class TestSolve:
         scaled_blocks = []
         for i, b in enumerate(p.blocks):
             if i == 0:
-                f0 = tuple(tuple(2 * v for v in row) for row in b.f0)
-                coeff = {
-                    var: tuple(tuple(2 * v for v in row) for row in mat)
-                    for var, mat in b.coeff.items()
-                }
-                scaled_blocks.append(Block(b.label, b.dim, f0, coeff))
+                entries = tuple((mat, r, c, 2 * v) for mat, r, c, v in b.entries)
+                scaled_blocks.append(Block(b.label, b.dim, entries))
             else:
                 scaled_blocks.append(b)
         p2 = SdpProblem(
@@ -141,10 +137,10 @@ class TestSolve:
         remap = {old: new for new, old in enumerate(keep)}
         blocks = []
         for b in p.blocks:
-            blocks.append(Block(
-                b.label, b.dim, b.f0,
-                {remap[v]: m for v, m in b.coeff.items() if v != drop},
-            ))
+            blocks.append(Block(b.label, b.dim, tuple(
+                (remap[mat - 1] + 1 if mat else 0, i, j, v)
+                for mat, i, j, v in b.entries if mat != drop + 1
+            )))
         p2 = SdpProblem(
             spec=p.spec,
             variables=tuple(p.variables[i] for i in keep),
@@ -158,7 +154,7 @@ class TestSolve:
         big = 2 ** 60 + 1  # not representable in a double
         p = toy_problem(
             (1,),
-            [Block("ub", 1, ((big,),), {0: ((-big,),)})],
+            [Block("ub", 1, ((0, 0, 0, big), (1, 0, 0, -big)))],
         )
         s = solve(p, tol=1e-8)
         assert s.inexact_coefficients == 2
@@ -167,7 +163,7 @@ class TestSolve:
         # coefficient is one entry of the upper triangle, counted once
         p = toy_problem(
             (1,),
-            [Block("corr", 2, ((big, 0), (0, big)), {0: ((0, big), (big, 0))})],
+            [Block("corr", 2, ((0, 0, 0, big), (0, 1, 1, big), (1, 0, 1, big)))],
         )
         s = solve(p, tol=1e-8)
         assert s.inexact_coefficients == 3
@@ -309,11 +305,12 @@ def unrecorded(solution, **changes):
 def with_coefficient(problem, index, var, a, delta):
     """The problem with delta added to entry (a, a) of F_var in block index."""
     block = problem.blocks[index]
-    mat = [list(row) for row in block.coeff[var]]
-    mat[a][a] += delta
-    coeff = {**block.coeff, var: tuple(map(tuple, mat))}
+    values = {(mat, i, j): v for mat, i, j, v in block.entries}
+    key = (var + 1, a, a)
+    values[key] = values.get(key, 0) + delta
+    entries = tuple(sorted(k + (v,) for k, v in values.items() if v))
     blocks = list(problem.blocks)
-    blocks[index] = Block(block.label, block.dim, block.f0, coeff)
+    blocks[index] = Block(block.label, block.dim, entries)
     return dataclasses.replace(problem, blocks=tuple(blocks))
 
 
@@ -338,7 +335,9 @@ class TestCertify:
         index = next(i for i, b in enumerate(problem.blocks) if b.dim >= 2)
         z = solution.z[0]  # the dual block of problem.blocks[index]
         a = int(np.argmax(np.diag(z)))
-        var = next(v for v, mat in problem.blocks[index].coeff.items() if mat[a][a])
+        var = next(
+            mat - 1 for mat, i, j, _ in problem.blocks[index].entries if mat and i == j == a
+        )
         # raises <F_var, Z> by at least the slack of var plus 2
         delta = math.ceil((solution.u[var] + 2) / z[a, a])
         bad = with_coefficient(problem, index, var, a, delta)
@@ -447,6 +446,11 @@ class TestSdpaInterchange:
         with pytest.raises(SdpaParseError):
             parse_sdpa("3\n1\n2 2\n1.0 1.0 1.0\n")
 
+    def test_zero_block_size_rejected(self):
+        # a block of size 0 is a bad header, not a missing block
+        with pytest.raises(SdpaParseError, match=r"bad SDPA header: block size 0 in \(0, 2\)"):
+            parse_sdpa("1\n2\n0 2\n1.0\n1 2 1 1 3.0\n")
+
     def test_bad_entry_rejected(self):
         with pytest.raises(SdpaParseError):
             parse_sdpa("1\n1\n2\n1.0\n0 1 1\n")
@@ -460,6 +464,9 @@ class TestSdpaInterchange:
         ("1 1 1 0 3.0", "index outside block 1 of size 2"),
         ("1 2 4 4 3.0", "index outside block 2 of size 3"),
         ("1 2 1 2 3.0", "off-diagonal entry in diagonal block 2"),
+        ("1 1 x 1 3.0", "bad entry line"),
+        ("1 1 1 1.5 3.0", "bad entry line"),
+        ("1 1 1 1 abc", "bad entry line"),
     ])
     def test_entry_outside_blocks_rejected(self, entry, fault):
         text = "1\n2\n2 -3\n1.0\n1 1 1 2 1.0\n1 2 3 3 1.0\n"
@@ -503,7 +510,7 @@ class TestSdpaInterchange:
 
     def test_inexact_value_does_not_round_trip(self, tmp_path):
         big = 2 ** 60 + 1  # not representable in a double
-        p = toy_problem((1,), [Block("ub", 1, ((big,),), {0: ((-big,),)})])
+        p = toy_problem((1,), [Block("ub", 1, ((0, 0, 0, big), (1, 0, 0, -big)))])
         parsed = parse_sdpa(emit_sdpa(p, tmp_path / "big.dat-s"))
         assert parsed != problem_to_sdpa_data(p)
         assert _prepare(parsed)[3] == 0
