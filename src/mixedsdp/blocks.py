@@ -136,6 +136,11 @@ def _factor_poly(
     tensors.  Within one build the same tableau pairs recur across many
     column pairs, so ``expand_p`` looks each one up in the build's memo
     before calling this.
+
+    A dynamic programme over the columns keeps, per count of 1s placed in
+    each tableau's first row, the polynomial of the columns so far; each
+    transition adds the products of its terms with the column's factor
+    straight into the next state.
     """
     table = _ZERO_TABLES[factor]
     if not lam:
@@ -172,8 +177,9 @@ def _factor_poly(
                     if jj > ones_second or ones_second - jj > remaining:
                         continue
                     acc = new.setdefault((ii, jj), defaultdict(int))
-                    for e, c in _poly_mul(poly, factor_for[(x, u)]).items():
-                        acc[e] += c
+                    for e2, c2 in factor_for[(x, u)].items():
+                        for e, c in poly.items():
+                            acc[e + e2] += c * c2
         states = {
             k: {e: c for e, c in p.items() if c} for k, p in new.items()
         }

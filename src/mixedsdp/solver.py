@@ -755,11 +755,12 @@ def emit_sdpa(problem: SdpProblem, destination) -> Path:
 
 def parse_sdpa(source) -> SdpaData:
     """Read an SDPA sparse file (path, or text containing newlines) back
-    into its canonical content.  Block sizes must be nonzero.  An entry line
-    holds four integers and a number, and names a matrix 0..num_vars, a
-    declared block and a position inside it, on the diagonal of a diagonal
-    (negative-size) block, that no other entry names; (i, j) and (j, i)
-    name the same position of a symmetric matrix."""
+    into its canonical content.  Block sizes must be nonzero and objective
+    values finite.  An entry line holds four integers and a finite number,
+    and names a matrix 0..num_vars, a declared block and a position inside
+    it, on the diagonal of a diagonal (negative-size) block, that no other
+    entry names; (i, j) and (j, i) name the same position of a symmetric
+    matrix."""
     text = str(source)
     if "\n" not in text:
         text = Path(source).read_text()
@@ -788,6 +789,8 @@ def parse_sdpa(source) -> SdpaData:
         raise SdpaParseError(f"bad SDPA header: {exc}") from exc
     if 0 in sizes:
         raise SdpaParseError(f"bad SDPA header: block size 0 in {sizes}")
+    if not all(map(math.isfinite, objective)):
+        raise SdpaParseError(f"bad SDPA header: non-finite objective in {header[3]!r}")
     if len(sizes) != num_blocks:
         raise SdpaParseError(
             f"block count {num_blocks} does not match sizes line {sizes}"
@@ -809,7 +812,9 @@ def parse_sdpa(source) -> SdpaData:
             i, j = j, i
         key = (matno, blkno, i, j)
         size = sizes[blkno - 1] if 1 <= blkno <= num_blocks else 0
-        if not 0 <= matno <= num_vars:
+        if not math.isfinite(value):
+            fault = "non-finite value"
+        elif not 0 <= matno <= num_vars:
             fault = f"matrix number outside 0..{num_vars}"
         elif not size:
             fault = f"block number outside 1..{num_blocks}"

@@ -1,6 +1,7 @@
-"""Reference counts that only the tests use: orbit sizes by counting column
-fillings, the group-averaged indicator of a code, a feasible point of
-the assembled problem, and the float matrix of a block at a point."""
+"""Reference counts that only the tests use: the orbit of a count vector by
+reordering its patterns directly, orbit sizes by counting column fillings,
+the group-averaged indicator of a code, a feasible point of the assembled
+problem, and the float matrix of a block at a point."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -16,13 +17,39 @@ from mixedsdp.codes import (
     OrbitId,
     OrbitTable,
     ProblemSpec,
-    _apply_pattern_perm,
+    _size_from_counts,
     canonical_orbit,
 )
 
 # Number of column fillings realizing each pattern (choices of letters).
 _BIN_FILLINGS = (2, 2, 2, 2)
 _TER_FILLINGS = (3, 6, 6, 6, 6)
+
+
+def _apply_pattern_perm(counts, perm_map, npat):
+    out = [0] * npat
+    for p, c in enumerate(counts):
+        out[perm_map[p]] += c
+    return tuple(out)
+
+
+def reorderings(bin_counts, ter_counts) -> set:
+    """The (binary, ternary) count pairs of the six reorderings of a triple
+    with the given pattern counts."""
+    return {
+        (
+            _apply_pattern_perm(bin_counts, pm, N_BIN_PATTERNS),
+            _apply_pattern_perm(ter_counts, pm, N_TER_PATTERNS),
+        )
+        for pm in PATTERN_PERMS
+    }
+
+
+def reference_orbit(bin_counts, ter_counts) -> OrbitId:
+    """The orbit of the counts: the least of their reorderings, binary
+    counts compared first."""
+    cb, ct = min(reorderings(bin_counts, ter_counts))
+    return OrbitId(_size_from_counts(cb, ct), cb, ct)
 
 
 def _multinomial(counts) -> int:
@@ -43,15 +70,8 @@ def orbit_size(spec: ProblemSpec, w: OrbitId) -> int:
     """
     if w.size == 0:
         return 1
-    variants = {
-        (
-            _apply_pattern_perm(w.bin_counts, pm, N_BIN_PATTERNS),
-            _apply_pattern_perm(w.ter_counts, pm, N_TER_PATTERNS),
-        )
-        for pm in PATTERN_PERMS
-    }
     total = 0
-    for bc, tc in variants:
+    for bc, tc in reorderings(w.bin_counts, w.ter_counts):
         fill = 1
         for c, f in zip(bc, _BIN_FILLINGS):
             fill *= f ** c

@@ -11,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedsdp.codes import (
+    N_BIN_PATTERNS,
+    N_TER_PATTERNS,
     Code,
     ProblemSpec,
     ResourceError,
@@ -18,6 +20,7 @@ from mixedsdp.codes import (
     SizeError,
     Word,
     _BudgetExceeded,
+    _compositions,
     _max_clique_masked,
     all_words,
     canonical_orbit,
@@ -28,6 +31,7 @@ from mixedsdp.codes import (
     hamming_distance,
     min_distance,
     optimal_code,
+    orbit_from_counts,
     orbit_is_feasible,
     orbit_min_distance,
     orbit_pair_distances,
@@ -35,7 +39,7 @@ from mixedsdp.codes import (
     singleton_orbit,
     word,
 )
-from orbit_reference import orbit_size
+from orbit_reference import orbit_size, reference_orbit
 
 
 @dataclass(frozen=True)
@@ -320,6 +324,33 @@ class TestEnumerateOrbits:
             assert counts[w] == orbit_size(spec, w), w.describe()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(*[st.integers(min_value=0, max_value=6)] * N_BIN_PATTERNS),
+    st.tuples(*[st.integers(min_value=0, max_value=6)] * N_TER_PATTERNS),
+)
+def test_orbit_from_counts_matches_reorderings(bin_counts, ter_counts):
+    assert orbit_from_counts(bin_counts, ter_counts) == reference_orbit(
+        bin_counts, ter_counts
+    )
+
+
+@pytest.mark.parametrize("n2,n3,d", [(4, 8, 5), (2, 5, 3)])
+def test_enumerate_orbits_matches_reference(n2, n3, d):
+    # every count vector of the spec's columns, canonicalised by reordering
+    # the patterns directly
+    spec = ProblemSpec(n2, n3, d)
+    seen = {
+        reference_orbit(bc, tc)
+        for bc in _compositions(n2, N_BIN_PATTERNS)
+        for tc in _compositions(n3, N_TER_PATTERNS)
+    }
+    orbits = [empty_orbit(spec)] + sorted(seen)
+    table = enumerate_orbits(spec)
+    assert list(table.orbits) == orbits
+    assert list(table.feasible) == [orbit_is_feasible(w, d) for w in orbits]
+
+
 @st.composite
 def small_spec_and_code(draw):
     n2 = draw(st.integers(min_value=1, max_value=3))
@@ -370,12 +401,25 @@ class TestExactOracle:
         with pytest.raises(ResourceError):
             exact_n(ProblemSpec(5, 3, 2), cap=100)
 
-    def test_recursion_limit_restored(self):
+    def test_search_never_changes_recursion_limit(self):
         saved = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)  # below what the search asks for
+        # (3,3,3) runs both phases of the search
+        with mock.patch("sys.setrecursionlimit", side_effect=AssertionError):
+            assert exact_n(ProblemSpec(3, 3, 3)) == 18
+        assert sys.getrecursionlimit() == saved
+
+    def test_deep_search_under_small_recursion_limit(self):
+        # without an incumbent the search descends through all 1,500
+        # vertices of a complete graph, far deeper than the limit allows a
+        # recursive search to go
+        n = 1500
+        full = (1 << n) - 1
+        adj = [full ^ 1 << v for v in range(n)]
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
         try:
-            exact_n(ProblemSpec(1, 1, 1))
-            assert sys.getrecursionlimit() == 1000
+            with mock.patch("mixedsdp.codes._greedy_clique", lambda adj, order: 0):
+                assert _max_clique_masked(adj, full) == full
         finally:
             sys.setrecursionlimit(saved)
 
@@ -389,8 +433,10 @@ class TestExactOracle:
             assert exact_n(ProblemSpec(2, 2, d)) <= 2 * exact_n(ProblemSpec(1, 2, d))
 
     def test_closes_under_small_budgets(self):
-        assert exact_n(ProblemSpec(6, 1, 3), node_budget=30_000) == 16
-        assert exact_n(ProblemSpec(3, 3, 3), node_budget=15_000) == 18
+        # each budget is about 1.2 times the search's node count
+        assert exact_n(ProblemSpec(6, 1, 3), node_budget=3_700) == 16
+        assert exact_n(ProblemSpec(3, 3, 3), node_budget=2_100) == 18
+        assert exact_n(ProblemSpec(5, 2, 3), node_budget=150_000) == 22
 
 
 # exact_n for every (n2, n3) of the acceptance suite's oracle sandwich, at
@@ -422,13 +468,11 @@ def test_sandwich_values_pinned(n2, n3):
 
 def test_sandwich_values_without_greedy_incumbents():
     # with no greedy clique to start from, the symmetry branching and the
-    # branch-and-bound alone must find every maximum code; (5,2,3) is left
-    # out for time
+    # branch-and-bound alone must find every maximum code
     with mock.patch("mixedsdp.codes._greedy_clique", lambda adj, order: 0):
         for (n2, n3), values in SANDWICH_VALUES.items():
             for d, want in enumerate(values, 1):
-                if (n2, n3, d) != (5, 2, 3):
-                    assert exact_n(ProblemSpec(n2, n3, d)) == want, (n2, n3, d)
+                assert exact_n(ProblemSpec(n2, n3, d)) == want, (n2, n3, d)
 
 
 def brute_force_clique_number(adj, cand):
@@ -463,10 +507,12 @@ def graph_candidates_lower(draw):
     return adj, cand, lower
 
 
-def check_max_clique_masked(adj, cand, lower):
+def check_max_clique_masked(adj, cand, lower, degeneracy):
     omega = brute_force_clique_number(adj, cand)
     counter = [0]
-    got = _max_clique_masked(adj, cand, lower=lower, counter=counter)
+    got = _max_clique_masked(
+        adj, cand, lower=lower, counter=counter, degeneracy=degeneracy
+    )
     if omega > lower:
         assert got.bit_count() == omega
         assert got & ~cand == 0
@@ -478,10 +524,14 @@ def check_max_clique_masked(adj, cand, lower):
     # the same search under a node limit: it completes at its own node count
     # and raises one node short of it
     nodes = counter[0]
-    assert _max_clique_masked(adj, cand, lower=lower, limit=nodes) == got
+    assert _max_clique_masked(
+        adj, cand, lower=lower, limit=nodes, degeneracy=degeneracy
+    ) == got
     if nodes:
         with pytest.raises(_BudgetExceeded):
-            _max_clique_masked(adj, cand, lower=lower, limit=nodes - 1)
+            _max_clique_masked(
+                adj, cand, lower=lower, limit=nodes - 1, degeneracy=degeneracy
+            )
 
 
 @settings(max_examples=300, deadline=None)
@@ -494,9 +544,10 @@ def check_max_clique_masked(adj, cand, lower):
     5,
 ))
 def test_max_clique_masked_matches_exhaustive_search(data):
-    check_max_clique_masked(*data)
-    # on graphs this small the greedy incumbent is nearly always maximum,
-    # which would hide a search that prunes too much; without it the
-    # branch-and-bound alone must find the clique
-    with mock.patch("mixedsdp.codes._greedy_clique", lambda adj, order: 0):
-        check_max_clique_masked(*data)
+    for degeneracy in (False, True):
+        check_max_clique_masked(*data, degeneracy)
+        # on graphs this small the greedy incumbent is nearly always maximum,
+        # which would hide a search that prunes too much; without it the
+        # branch-and-bound alone must find the clique
+        with mock.patch("mixedsdp.codes._greedy_clique", lambda adj, order: 0):
+            check_max_clique_masked(*data, degeneracy)

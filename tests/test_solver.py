@@ -451,6 +451,13 @@ class TestSdpaInterchange:
         with pytest.raises(SdpaParseError, match=r"bad SDPA header: block size 0 in \(0, 2\)"):
             parse_sdpa("1\n2\n0 2\n1.0\n1 2 1 1 3.0\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_objective_rejected(self, value):
+        with pytest.raises(
+            SdpaParseError, match=f"bad SDPA header: non-finite objective in '1.0 {value}'"
+        ):
+            parse_sdpa(f"2\n1\n2\n1.0 {value}\n1 1 1 1 1.0\n")
+
     def test_bad_entry_rejected(self):
         with pytest.raises(SdpaParseError):
             parse_sdpa("1\n1\n2\n1.0\n0 1 1\n")
@@ -467,6 +474,9 @@ class TestSdpaInterchange:
         ("1 1 x 1 3.0", "bad entry line"),
         ("1 1 1 1.5 3.0", "bad entry line"),
         ("1 1 1 1 abc", "bad entry line"),
+        ("1 1 1 1 nan", "non-finite value"),
+        ("1 1 1 1 inf", "non-finite value"),
+        ("1 1 1 1 -Infinity", "non-finite value"),
     ])
     def test_entry_outside_blocks_rejected(self, entry, fault):
         text = "1\n2\n2 -3\n1.0\n1 1 1 2 1.0\n1 2 3 3 1.0\n"
