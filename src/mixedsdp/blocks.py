@@ -13,20 +13,24 @@ height-1 column a single term.
 
 A dual monomial is one int of 5-bit digits: the four binary pattern counts,
 then the five ternary ones, so multiplying two monomials adds their ints.
-``build_blocks_d0`` keeps all of one build's state and shares it across the
-build's shapes: a memo of the factor polynomials of the tableau pairs met so
-far, and the variable of each monomial met so far, which is unpacked once to
-find its orbit.  Nothing is kept between builds.  The reduced blocks are very
-sparse, so the builders append only their nonzero upper-triangle triplets.
-All arithmetic is integer; no floating point enters this module outside the
-verifier's eigenvalue cross-check.
+A tableau's second row is all 2s, so a factor's polynomial depends only on
+its shape and the counts of 1s in the two first rows, and one dynamic
+programme per (factor, shape) yields the polynomials of all its tableau
+pairs at once.  ``build_blocks_d0`` keeps all of one build's state and
+shares it across the build's shapes: a memo of those programmes' results and
+of the product of the two ternary factors' polynomials for each pair of
+their keys, and the variable of each monomial met so far, which is unpacked
+once to find its orbit.  Nothing is kept between builds.  The reduced blocks
+are very sparse, so the builders append only their nonzero upper-triangle
+triplets.  All arithmetic is integer; no floating point enters this module
+outside the verifier's eigenvalue cross-check.
 """
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations, product
 
 import numpy as np
@@ -122,36 +126,26 @@ def _poly_axpy(acc: dict, p: dict, scale: int) -> None:
         acc[e] += c * scale
 
 
-def _factor_poly(
-    factor: int,
-    lam: tuple[int, ...],
-    first: Tableau,
-    second: Tableau,
-) -> dict[int, int]:
-    """Dual polynomial of one tensor factor for a tableau pair of common
-    shape, summed over row rearrangements and signed column swaps, as a map
-    from packed monomials to integer coefficients.
-
-    ``first``/``second`` feed the first/second slot of the base-change
-    tensors.  Within one build the same tableau pairs recur across many
-    column pairs, so ``expand_p`` looks each one up in the build's memo
-    before calling this.
+def _factor_polys(
+    factor: int, lam: tuple[int, ...]
+) -> dict[tuple[int, int], dict[int, int]]:
+    """Dual polynomials of one tensor factor of shape ``lam`` for every
+    tableau pair, summed over row rearrangements and signed column swaps,
+    as maps from packed monomials to integer coefficients, keyed by the
+    counts of 1s in the first rows of the tableaux feeding the first and
+    the second base-change slot; a pair missing here has polynomial 0.
 
     A dynamic programme over the columns keeps, per count of 1s placed in
-    each tableau's first row, the polynomial of the columns so far; each
-    transition adds the products of its terms with the column's factor
-    straight into the next state.
+    each first row, the polynomial of the columns so far; each transition
+    adds the products of its terms with the column's factor straight into
+    the next state.  No state is pruned, so the end states serve every pair.
     """
     table = _ZERO_TABLES[factor]
     if not lam:
-        return {0: 1}
+        return {(0, 0): {0: 1}}
     a = lam[0]
     b = lam[1] if len(lam) > 1 else 0
     values = (1, 2) if factor != 3 else (1,)
-    if b and (set(first[1]) != {2} or set(second[1]) != {2}):
-        raise ValueError("second row of a two-row tableau must be all 2s")
-    ones_first = first[0].count(1)
-    ones_second = second[0].count(1)
 
     det = {}
     if b:
@@ -165,25 +159,60 @@ def _factor_poly(
     states: dict[tuple[int, int], dict] = {(0, 0): {0: 1}}
     for col in range(a):
         factor_for = det if col < b else table
-        remaining = a - col - 1
         new: dict[tuple[int, int], dict] = {}
         for (i, j), poly in states.items():
             for x in values:
-                ii = i + (x == 1)
-                if ii > ones_first or ones_first - ii > remaining:
-                    continue
                 for u in values:
-                    jj = j + (u == 1)
-                    if jj > ones_second or ones_second - jj > remaining:
-                        continue
-                    acc = new.setdefault((ii, jj), defaultdict(int))
+                    acc = new.setdefault(
+                        (i + (x == 1), j + (u == 1)), defaultdict(int)
+                    )
                     for e2, c2 in factor_for[(x, u)].items():
                         for e, c in poly.items():
                             acc[e + e2] += c * c2
         states = {
             k: {e: c for e, c in p.items() if c} for k, p in new.items()
         }
-    return states.get((ones_first, ones_second), {})
+    return states
+
+
+def _column_ones(shape: ShapeD0, col: TableauTriple) -> tuple[int, ...]:
+    """Per factor, the count of 1s in the first row of the column's tableau,
+    which fixes its factor polynomial."""
+    out = []
+    for lam, tab in zip(shape.lambdas, col):
+        if tuple(map(len, tab)) != lam:
+            raise ValueError(f"tableau {tab} does not fit shape {lam}")
+        if len(tab) > 1 and set(tab[1]) != {2}:
+            raise ValueError("second row of a two-row tableau must be all 2s")
+        out.append(tab[0].count(1) if tab else 0)
+    return tuple(out)
+
+
+def _factor_poly(
+    memo: dict, factor: int, lam: tuple[int, ...], first: int, second: int
+) -> dict[int, int]:
+    """One pair's polynomial, from the memo's ``_factor_polys`` of its
+    factor and shape."""
+    states = memo.get((factor, lam))
+    if states is None:
+        states = memo[(factor, lam)] = _factor_polys(factor, lam)
+    return states.get((first, second), {})
+
+
+def _pair_poly(
+    lambdas: tuple, first: tuple[int, ...], second: tuple[int, ...], memo: dict
+) -> dict[int, int]:
+    """``expand_p`` for columns given by their ``_column_ones``."""
+    k2 = (2, lambdas[1], first[1], second[1])
+    k3 = (3, lambdas[2], first[2], second[2])
+    p23 = memo.get((k2, k3))
+    if p23 is None:
+        p23 = memo[(k2, k3)] = _poly_mul(
+            _factor_poly(memo, *k2), _factor_poly(memo, *k3)
+        )
+    p1 = _factor_poly(memo, 1, lambdas[0], first[0], second[0])
+    # the binary and ternary digits are disjoint, so no two products collide
+    return {eb + et: cb * ct for eb, cb in p1.items() for et, ct in p23.items()}
 
 
 def expand_p(
@@ -196,19 +225,15 @@ def expand_p(
     Summing the coefficients over the monomials whose counts give one orbit
     (``orbit_from_counts``) yields the contraction of the two columns
     against that orbit's indicator matrix.  The first base-change slot
-    carries ``tau``.  ``memo`` holds the factor polynomials already
-    computed, keyed by (factor, lambda, first, second); it only saves work.
+    carries ``tau``.  A tableau whose rows do not fit its lambda, or whose
+    second row is not all 2s, raises ``ValueError``.  ``memo`` holds what
+    earlier pairs computed: the ``_factor_polys`` of each (factor, lambda),
+    and the product of the two ternary factors' polynomials for each pair
+    of their (lambda, counts of 1s); it only saves work.
     """
-    polys = []
-    for key in zip((1, 2, 3), shape.lambdas, tau, sigma):
-        poly = memo.get(key)
-        if poly is None:
-            poly = memo[key] = _factor_poly(*key)
-        polys.append(poly)
-    p1, p2, p3 = polys
-    p23 = _poly_mul(p2, p3)
-    # the binary and ternary digits are disjoint, so no two products collide
-    return {eb + et: cb * ct for eb, cb in p1.items() for et, ct in p23.items()}
+    return _pair_poly(
+        shape.lambdas, _column_ones(shape, tau), _column_ones(shape, sigma), memo
+    )
 
 
 @dataclass(frozen=True)
@@ -242,9 +267,12 @@ def build_blocks_d0(
     """Reduced blocks for the all-zero-word stabilizer, one per shape.
 
     ``var_of_orbit`` maps orbit indices to variable indices; coefficients of
-    orbits outside it (those fixed to zero) are dropped.  The build's shapes
-    share one memo of factor polynomials and one table from packed monomial
-    to variable, ``None`` for a dropped orbit; both go with the build.
+    orbits outside it (those fixed to zero) are dropped.  Each column is
+    checked and reduced to its counts of 1s once, and each pair's polynomial
+    is read as in ``expand_p``.  The build's shapes share one memo (one
+    dynamic programme per factor shape and the ternary products, see
+    ``expand_p``) and one table from packed monomial to variable, ``None``
+    for a dropped orbit; both go with the build.
     """
     if max(spec.n2, spec.n3) > MAX_COUNT:
         raise ValueError(
@@ -255,13 +283,13 @@ def build_blocks_d0(
     var_of_mono: dict[int, int | None] = {}
     out = []
     for shape in shapes:
-        cols = shape.admissible
-        dim = len(cols)
+        ones = [_column_ones(shape, col) for col in shape.admissible]
+        dim = len(ones)
         entries = []
         for i in range(dim):
             for j in range(i, dim):
                 agg: dict[int | None, int] = defaultdict(int)
-                for mono, c in expand_p(shape, cols[i], cols[j], memo).items():
+                for mono, c in _pair_poly(shape.lambdas, ones[j], ones[i], memo).items():
                     try:
                         v = var_of_mono[mono]
                     except KeyError:
@@ -448,7 +476,7 @@ def verify_reduction(
     words = list(all_words(spec))
     nwords = len(words)
     pos = {w: i for i, w in enumerate(words)}
-    orbits = enumerate_orbits(spec)
+    orbits = enumerate_orbits(replace(spec, k=3))  # the zero case meets triples
     zero = zero_word(spec)
 
     # explicit orbit index of {0, x, y} and of {x, y}

@@ -154,6 +154,8 @@ def _table_worker(task):
 def cmd_table(args) -> int:
     if args.d is not None and args.d < 1:
         raise ValueError(f"need d >= 1, got d={args.d}")
+    if args.jobs < 1:
+        raise ValueError(f"need --jobs >= 1, got --jobs={args.jobs}")
     all_rows = load_reference_rows()
     by_key = {(r.n2, r.n3, r.d): r for r in all_rows}
     rows = [r for r in all_rows if args.d is None or r.d == args.d]

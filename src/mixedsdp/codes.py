@@ -337,13 +337,25 @@ def _compositions(total: int, nparts: int):
             yield (head,) + rest
 
 
+def _count_vectors(total: int, width: int, patterns: tuple[int, ...]):
+    """Count vectors of ``width`` patterns summing to ``total``, zero
+    outside ``patterns``."""
+    for comp in _compositions(total, len(patterns)):
+        out = [0] * width
+        for p, c in zip(patterns, comp):
+            out[p] = c
+        yield tuple(out)
+
+
 @dataclass(frozen=True)
 class OrbitTable:
-    """All orbits of codes of size 0..3 for one spec, with stable indices.
+    """All orbits of codes of size 0..k for one spec at level k, with stable
+    indices.
 
-    Index 0 is the empty code's orbit.  ``feasible[i]`` is True when every
-    genuine pair of words in a representative is at distance >= d (sizes 0
-    and 1 are always feasible).
+    Index 0 is the empty code's orbit; the others are sorted, so by size
+    first, and the level-2 table is the start of the level-3 one.
+    ``feasible[i]`` is True when every genuine pair of words in a
+    representative is at distance >= d (sizes 0 and 1 are always feasible).
     """
 
     spec: ProblemSpec
@@ -365,11 +377,17 @@ class OrbitTable:
 
 
 def enumerate_orbits(spec: ProblemSpec) -> OrbitTable:
-    """Every orbit of codes of size 0..3, generated directly from pattern
-    count vectors (never by scanning codes)."""
+    """Every orbit of codes of size 0..spec.k, generated directly from
+    pattern count vectors (never by scanning codes).
+
+    A code of at most two words pads to a triple (x, y, y), whose columns
+    show only the patterns {123} and {1|23}, so level 2 counts only those.
+    """
+    patterns = tuple(range(N_TER_PATTERNS)) if spec.k == 3 else (PAT_ALL_EQUAL, PAT_23)
+    bin_patterns = tuple(p for p in patterns if p < N_BIN_PATTERNS)
     seen = set()
-    ter = list(_compositions(spec.n3, N_TER_PATTERNS))
-    for bc in _compositions(spec.n2, N_BIN_PATTERNS):
+    ter = list(_count_vectors(spec.n3, N_TER_PATTERNS, patterns))
+    for bc in _count_vectors(spec.n2, N_BIN_PATTERNS, bin_patterns):
         seen.update(_canonical_counts(bc + tc) for tc in ter)
     ordered = [empty_orbit(spec)] + sorted(map(_orbit_of, seen))
     flags = tuple(orbit_is_feasible(w, spec.d) for w in ordered)

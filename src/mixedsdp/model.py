@@ -36,13 +36,13 @@ class SdpProblem:
 
 def build_problem(spec: ProblemSpec) -> SdpProblem:
     """The problem at the spec's hierarchy level k: the feasible orbits of
-    size 1..k are the variables, and level 3 adds the all-zero-word blocks
-    to the empty-code ones."""
+    size 1..k (the level-k orbit table) are the variables, and level 3 adds
+    the all-zero-word blocks to the empty-code ones."""
     table = enumerate_orbits(spec)
     variables = []
     var_of_orbit = {}
     for i, w in enumerate(table.orbits):
-        if i and table.feasible[i] and w.size <= spec.k:
+        if i and table.feasible[i]:
             var_of_orbit[i] = len(variables)
             variables.append(w)
     blocks = []

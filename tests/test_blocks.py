@@ -36,6 +36,7 @@ from mixedsdp.codes import (
 )
 from mixedsdp.model import build_problem, build_sdp
 from mixedsdp.tableaux import build_shape_index_d0, build_shape_index_empty
+from factor_reference import reference_factor_poly
 
 
 def feasible(table):
@@ -169,6 +170,33 @@ class TestExpandP:
         bad = ((( 1, 1),), ((1,),), ())  # wrong shape for lambda1=(1,1)
         with pytest.raises((ValueError, IndexError)):
             expand_p(shape, bad, bad, {})
+
+
+    @pytest.mark.parametrize("n2,n3,d", [(4, 8, 5), (1, 11, 5)])
+    def test_shared_programme_matches_per_pair_reference(self, n2, n3, d):
+        # every (factor, lambda, first, second) of the build's column pairs,
+        # read from the one programme per (factor, lambda), against the
+        # programme pruned to that pair; and each pair's polynomial, with the
+        # ternary product taken from the memo, against the product of the
+        # three reference polynomials
+        memo = {}
+        want = {}
+        for shape in build_shape_index_d0(ProblemSpec(n2, n3, d)):
+            cols = shape.admissible
+            for i, sigma in enumerate(cols):
+                for tau in cols[i:]:
+                    polys = []
+                    for key in zip((1, 2, 3), shape.lambdas, tau, sigma):
+                        if key not in want:
+                            factor, lam, first, second = key
+                            ones = [t[0].count(1) if t else 0 for t in (first, second)]
+                            want[key] = reference_factor_poly(*key)
+                            assert blocks._factor_poly(memo, factor, lam, *ones) == want[key]
+                        polys.append(want[key])
+                    p1, p2, p3 = polys
+                    product = blocks._poly_mul(blocks._poly_mul(p1, p2), p3)
+                    assert expand_p(shape, sigma, tau, memo) == product
+        assert len({(factor, lam) for factor, lam, *_ in want}) < len(want)
 
 
 class TestKappa:
@@ -379,6 +407,10 @@ class TestVerifyReduction:
     def test_passes(self, n2, n3, d):
         report = verify_reduction(ProblemSpec(n2, n3, d), trials=12)
         assert report.passed, report.summary()
+
+    def test_level_two_spec(self):
+        # the zero case meets triples, which a level-2 orbit table lacks
+        assert verify_reduction(ProblemSpec(1, 1, 2, k=2), trials=3).passed
 
     def test_cap(self):
         with pytest.raises(ResourceError):

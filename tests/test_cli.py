@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mixedsdp.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
@@ -139,6 +141,17 @@ class TestCommands:
                      "--store", str(store)])
         assert code == EXIT_OK
         assert "match" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_table_jobs_below_one_refused(self, tmp_path, capsys, jobs):
+        # no worker count below one stands for the serial path
+        code = main(["table", "--d", "3", "--max-length", "7", "--jobs", jobs,
+                     "--store", str(tmp_path / "j.jsonl")])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"need --jobs >= 1, got --jobs={jobs}" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "j.jsonl").exists()
 
     def test_table_replay(self, tmp_path, capsys):
         store = tmp_path / "t.jsonl"

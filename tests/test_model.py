@@ -63,6 +63,17 @@ class TestBuildLp:
         p = build_lp_k2(ProblemSpec(2, 2, 2, k=2))
         assert all(w.size <= 2 for w in p.variables)
 
+    @pytest.mark.parametrize("n2,n3,d", [(2, 2, 2), (3, 3, 3), (5, 2, 4), (4, 8, 5)])
+    def test_variables_are_small_orbits_of_full_table(self, n2, n3, d):
+        # the level-2 table stops at pairs; its variables are those of the
+        # level-3 table, in the same order
+        full = enumerate_orbits(ProblemSpec(n2, n3, d))
+        want = tuple(
+            w for i, w in enumerate(full.orbits)
+            if i and full.feasible[i] and w.size <= 2
+        )
+        assert build_lp_k2(ProblemSpec(n2, n3, d, k=2)).variables == want
+
     def test_only_empty_case_blocks(self):
         spec = ProblemSpec(2, 3, 2, k=2)
         p = build_lp_k2(spec)

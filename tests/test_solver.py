@@ -435,6 +435,7 @@ class TestSdpaInterchange:
         (2, 5, 3, 3, "e0acca0142c290d2544a0872ed1b380721836b74acd45454feefabf4f2d0b706"),
         (2, 5, 3, 2, "fbd381615fb09c47583b16d3ae3b45ecf316b0225ebbfe7fa30beb86bd707339"),
         (1, 4, 3, 2, "66039484f01ad38d8f82a7433c988fd34b75e4d2807bb563a8b8610b8a74ffa9"),
+        (4, 8, 5, 3, "2315eb0fd55a8b8f448ec401104a1763663f7936bcbdca15338df186152595be"),
     ])
     def test_emitted_bytes_pinned(self, tmp_path, n2, n3, d, k, digest):
         problem = build_problem(ProblemSpec(n2, n3, d, k))

@@ -11,7 +11,8 @@ Problems are given as ``n2,n3,d,k`` arguments.  Without arguments it covers
 every problem the benchmark builds (the published level-3 rows of
 ``sdp-table``; the d=5 level-3 problems that ``exact-oracle`` emits and its
 oracle-sandwich problems at levels 3 and 2) and the problems whose digests
-the test suite pins.  The largest, (1,12,5), takes about 15 s.
+the test suite pins.  The largest, (1,12,5), takes about 1 s, and all of
+them about 4 s, on a 2-vCPU x86-64 VM.
 """
 
 import hashlib
