@@ -6,6 +6,10 @@ The solver follows the central path with Nesterov-Todd scaling and an
 adaptive centering parameter from an affine predictor probe, starting from
 identity slacks (infeasible start).  One-dimensional blocks and the bound
 y >= 0 on every variable are handled as linear inequalities.
+The predictor and the corrector each step min(1, gamma * a) of the way to
+the boundary, a being the primal or the dual step that reaches it, with
+SDPT3's adaptive fraction gamma = 0.9 + 0.09 min(1, a_p, a_d) (Toh, Todd
+and Tutuncu, Optim. Methods Softw. 11, 1999).
 Each iteration factors every matrix once: the scaling of a PSD block comes
 from one Cholesky factor each of the slack S and the dual matrix Z and one
 SVD, in which the scaled point is diagonal, so the corrector's Lyapunov
@@ -535,14 +539,16 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
 
         # one Cholesky factor, kept as its inverse: each Newton solve is then
         # four matrix-vector products
-        bmax = float(np.abs(B).max(initial=1.0))
-        ridge = 0.0
+        ridged = B
         for attempt in range(6):
             try:
-                chol_inv = _tril_inverse(np.linalg.cholesky(B + ridge * np.eye(m)))
+                chol_inv = _tril_inverse(np.linalg.cholesky(ridged))
                 break
             except np.linalg.LinAlgError:
-                ridge = bmax * 10.0 ** (-14 + 2 * attempt)
+                # a ridge relative to B's largest entry, built only on failure
+                ridge = float(np.abs(B).max(initial=1.0)) * 10.0 ** (-14 + 2 * attempt)
+                ridged = B.copy()
+                ridged.flat[::m + 1] += ridge
         else:
             raise ConditioningError(
                 f"Schur complement not positive definite at iteration {it}", current(False)
@@ -576,7 +582,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
                 [_max_step(d, g.T @ dz @ g) for (g, _, d), dz in zip(scalings, d_z)]
                 + [_lp_max_step(z_lp, d_zlp)]
             )
-            return min(1.0, 0.98 * ap), min(1.0, 0.98 * ad)
+            # SDPT3's fraction to the boundary: closer as the steps lengthen
+            gamma = 0.9 + 0.09 * min(1.0, ap, ad)
+            return min(1.0, gamma * ap), min(1.0, gamma * ad)
 
         # affine predictor
         rc_aff = [-zk for zk in Z]
@@ -633,9 +641,10 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
         else:
             tiny_steps = 0
 
+    last = trace[-1]
     raise NonConvergenceError(
-        f"no convergence within {max_iter} iterations "
-        f"(relgap {trace[-1]['relgap']:.2e})",
+        f"no convergence within {max_iter} iterations (relgap {last['relgap']:.2e}, "
+        f"pinf {last['pinf']:.2e}, dinf {last['dinf']:.2e})",
         current(False),
     )
 

@@ -21,6 +21,7 @@ from mixedsdp.model import (
 from mixedsdp.solver import (
     CertificationError,
     ConditioningError,
+    NonConvergenceError,
     SdpaParseError,
     _TRIL_BLOCK,
     _adjoint,
@@ -177,6 +178,28 @@ class TestSolve:
         assert solution.trace
         assert not solution.converged
         assert solution.iterations == len(solution.trace)
+
+    def test_non_convergence_names_residuals(self):
+        with pytest.raises(NonConvergenceError) as info:
+            solve(build_sdp(ProblemSpec(2, 1, 2)), max_iter=2)
+        message = str(info.value)
+        for name in ("relgap", "pinf", "dinf"):
+            assert name in message
+        assert info.value.solution.iterations == 2
+
+    def test_iteration_budget(self):
+        # the adaptive step to the boundary; a fixed fraction 0.98 of it
+        # takes 109 iterations on these five
+        total = 0
+        for (n2, n3, d), bound in (
+            ((2, 5, 3), 65), ((8, 1, 3), 59), ((7, 2, 3), 83),
+            ((10, 1, 3), 212), ((2, 6, 4), 61),
+        ):
+            problem = build_sdp(ProblemSpec(n2, n3, d))
+            solution = solve(problem)
+            assert certify(problem, solution).value == bound
+            total += solution.iterations
+        assert total <= 100
 
 
 def random_spd(rng, n, cond):

@@ -17,16 +17,25 @@ most of the time.  Each line is
 ``n2,n3,d,k bound iterations`` or, when the solve or the certificate
 fails, ``n2,n3,d,k`` and the error class.  The last line,
 ``iterations N``, sums the iterations of the certified solves.
+
+The BLAS thread count is pinned to 1 (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``) before numpy is imported, as in
+``perfbench/run.py``: the rounding of a threaded BLAS moves the iteration
+counts of degenerate problems, so two outputs compare only at one count.
 """
 
+import os
 import sys
 from pathlib import Path
 
-from sdpa_digests import DEFAULT
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
-from mixedsdp.codes import ProblemSpec
-from mixedsdp.model import build_problem
-from mixedsdp.solver import SolverError, certify, solve
+from sdpa_digests import DEFAULT  # noqa: E402
+
+from mixedsdp.codes import ProblemSpec  # noqa: E402
+from mixedsdp.model import build_problem  # noqa: E402
+from mixedsdp.solver import SolverError, certify, solve  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_acceptance import SANDWICH_FAMILIES  # noqa: E402
