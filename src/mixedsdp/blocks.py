@@ -13,17 +13,18 @@ height-1 column a single term.
 
 A dual monomial is one int of 5-bit digits: the four binary pattern counts,
 then the five ternary ones, so multiplying two monomials adds their ints.
-A tableau's second row is all 2s, so a factor's polynomial depends only on
-its shape and the counts of 1s in the two first rows, and one dynamic
-programme per (factor, shape) yields the polynomials of all its tableau
-pairs at once.  ``build_blocks_d0`` keeps all of one build's state and
-shares it across the build's shapes: a memo of those programmes' results and
-of the product of the two ternary factors' polynomials for each pair of
-their keys, and the variable of each monomial met so far, which is unpacked
-once to find its orbit.  Nothing is kept between builds.  The reduced blocks
-are very sparse, so the builders append only their nonzero upper-triangle
-triplets.  All arithmetic is integer; no floating point enters this module
-outside the verifier's eigenvalue cross-check.
+A column is its three counts of 1s (see ``tableaux``), so a factor's
+polynomial depends only on its shape and the two counts of that factor, and
+one dynamic programme per (factor, shape) yields the polynomials of all its
+count pairs at once; only the verifier writes a column's rows out.
+``build_blocks_d0`` keeps all of one build's state and shares it across the
+build's shapes: a memo of those programmes' results and of the product of
+the two ternary factors' polynomials for each pair of their keys, and the
+variable of each monomial met so far, which is unpacked once to find its
+orbit.  Nothing is kept between builds.  The reduced blocks are very
+sparse, so the builders append only their nonzero upper-triangle triplets.
+All arithmetic is integer; no floating point enters this module outside the
+verifier's eigenvalue cross-check.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ from mixedsdp.codes import (
 from mixedsdp.tableaux import (
     ShapeD0,
     ShapeEmpty,
-    Tableau,
-    TableauTriple,
     build_shape_index_d0,
     build_shape_index_empty,
 )
@@ -175,19 +174,6 @@ def _factor_polys(
     return states
 
 
-def _column_ones(shape: ShapeD0, col: TableauTriple) -> tuple[int, ...]:
-    """Per factor, the count of 1s in the first row of the column's tableau,
-    which fixes its factor polynomial."""
-    out = []
-    for lam, tab in zip(shape.lambdas, col):
-        if tuple(map(len, tab)) != lam:
-            raise ValueError(f"tableau {tab} does not fit shape {lam}")
-        if len(tab) > 1 and set(tab[1]) != {2}:
-            raise ValueError("second row of a two-row tableau must be all 2s")
-        out.append(tab[0].count(1) if tab else 0)
-    return tuple(out)
-
-
 def _factor_poly(
     memo: dict, factor: int, lam: tuple[int, ...], first: int, second: int
 ) -> dict[int, int]:
@@ -199,41 +185,32 @@ def _factor_poly(
     return states.get((first, second), {})
 
 
-def _pair_poly(
-    lambdas: tuple, first: tuple[int, ...], second: tuple[int, ...], memo: dict
+def expand_p(
+    lambdas: tuple, sigma: tuple[int, ...], tau: tuple[int, ...], memo: dict
 ) -> dict[int, int]:
-    """``expand_p`` for columns given by their ``_column_ones``."""
-    k2 = (2, lambdas[1], first[1], second[1])
-    k3 = (3, lambdas[2], first[2], second[2])
+    """Dual polynomial of a column pair of a shape with partitions
+    ``lambdas``, each column given by its counts of 1s: sparse map from
+    packed monomials (``unpack_monomial`` gives their binary and ternary
+    pattern counts) to integer coefficients.
+
+    Summing the coefficients over the monomials whose counts give one orbit
+    (``orbit_from_counts``) yields the contraction of the two columns
+    against that orbit's indicator matrix.  The first base-change slot
+    carries ``tau``.  ``memo`` holds what earlier pairs computed: the
+    ``_factor_polys`` of each (factor, lambda), and the product of the two
+    ternary factors' polynomials for each pair of their (lambda, counts of
+    1s); it only saves work.
+    """
+    k2 = (2, lambdas[1], tau[1], sigma[1])
+    k3 = (3, lambdas[2], tau[2], sigma[2])
     p23 = memo.get((k2, k3))
     if p23 is None:
         p23 = memo[(k2, k3)] = _poly_mul(
             _factor_poly(memo, *k2), _factor_poly(memo, *k3)
         )
-    p1 = _factor_poly(memo, 1, lambdas[0], first[0], second[0])
+    p1 = _factor_poly(memo, 1, lambdas[0], tau[0], sigma[0])
     # the binary and ternary digits are disjoint, so no two products collide
     return {eb + et: cb * ct for eb, cb in p1.items() for et, ct in p23.items()}
-
-
-def expand_p(
-    shape: ShapeD0, sigma: TableauTriple, tau: TableauTriple, memo: dict
-) -> dict[int, int]:
-    """Dual polynomial of a column pair: sparse map from packed monomials
-    (``unpack_monomial`` gives their binary and ternary pattern counts) to
-    integer coefficients.
-
-    Summing the coefficients over the monomials whose counts give one orbit
-    (``orbit_from_counts``) yields the contraction of the two columns
-    against that orbit's indicator matrix.  The first base-change slot
-    carries ``tau``.  A tableau whose rows do not fit its lambda, or whose
-    second row is not all 2s, raises ``ValueError``.  ``memo`` holds what
-    earlier pairs computed: the ``_factor_polys`` of each (factor, lambda),
-    and the product of the two ternary factors' polynomials for each pair
-    of their (lambda, counts of 1s); it only saves work.
-    """
-    return _pair_poly(
-        shape.lambdas, _column_ones(shape, tau), _column_ones(shape, sigma), memo
-    )
 
 
 @dataclass(frozen=True)
@@ -267,10 +244,9 @@ def build_blocks_d0(
     """Reduced blocks for the all-zero-word stabilizer, one per shape.
 
     ``var_of_orbit`` maps orbit indices to variable indices; coefficients of
-    orbits outside it (those fixed to zero) are dropped.  Each column is
-    checked and reduced to its counts of 1s once, and each pair's polynomial
-    is read as in ``expand_p``.  The build's shapes share one memo (one
-    dynamic programme per factor shape and the ternary products, see
+    orbits outside it (those fixed to zero) are dropped.  Each pair's
+    polynomial is read from ``expand_p``.  The build's shapes share one memo
+    (one dynamic programme per factor shape and the ternary products, see
     ``expand_p``) and one table from packed monomial to variable, ``None``
     for a dropped orbit; both go with the build.
     """
@@ -283,13 +259,13 @@ def build_blocks_d0(
     var_of_mono: dict[int, int | None] = {}
     out = []
     for shape in shapes:
-        ones = [_column_ones(shape, col) for col in shape.admissible]
-        dim = len(ones)
+        cols = shape.admissible
+        dim = len(cols)
         entries = []
         for i in range(dim):
             for j in range(i, dim):
                 agg: dict[int | None, int] = defaultdict(int)
-                for mono, c in _pair_poly(shape.lambdas, ones[j], ones[i], memo).items():
+                for mono, c in expand_p(shape.lambdas, cols[i], cols[j], memo).items():
                     try:
                         v = var_of_mono[mono]
                     except KeyError:
@@ -364,14 +340,16 @@ _A_BASES = {
 _B_BASES = {1: (1, 1), 2: (1, -1), 3: (1, 1, 1), 4: (1, -1, 0)}
 
 
-def _tableau_vector(lam: tuple[int, ...], tab: Tableau, basis) -> dict:
-    """The column vector of one tableau over its factor space, as a sparse
-    map from letter-index tuples to integers: sum over distinct row
-    rearrangements and signed column swaps of the tensor of basis columns."""
+def _tableau_vector(lam: tuple[int, ...], ones: int, basis) -> dict:
+    """The column vector over its factor space of the tableau of shape
+    ``lam`` with rows 1^ones 2^(a - ones) and 2^b, as a sparse map from
+    letter-index tuples to integers: sum over distinct row rearrangements
+    and signed column swaps of the tensor of basis columns."""
     if not lam:
         return {(): 1}
     b = lam[1] if len(lam) > 1 else 0
-    row_arrs = [sorted(set(permutations(row))) for row in tab]
+    rows = [(1,) * ones + (2,) * (lam[0] - ones), (2,) * b][:len(lam)]
+    row_arrs = [sorted(set(permutations(row))) for row in rows]
     out: dict = defaultdict(int)
     for arrangement in product(*row_arrs):
         for swaps in product((0, 1), repeat=b):
@@ -391,8 +369,9 @@ def _tableau_vector(lam: tuple[int, ...], tab: Tableau, basis) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def representative_vector_zero(shape: ShapeD0, col: TableauTriple) -> dict[Word, int]:
-    """Explicit word-space vector of one all-zero-word-case column.
+def representative_vector_zero(shape: ShapeD0, col: tuple[int, ...]) -> dict[Word, int]:
+    """Explicit word-space vector of one all-zero-word-case column, given by
+    its counts of 1s.
 
     Binary coordinates follow the first factor's cells row-major; ternary
     coordinates take the trivial-type cells first, then the sign-type cells.

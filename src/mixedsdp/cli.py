@@ -57,6 +57,8 @@ def load_reference_rows() -> list[ReferenceRow]:
 class ResultsStore:
     """Append-only JSON-lines store of bound records keyed by (n2,n3,d,k)."""
 
+    KEYS = ("n2", "n3", "d", "k", "bound")
+
     def __init__(self, path: str | os.PathLike | None = None):
         if path is None:
             path = os.environ.get(STORE_ENV, DEFAULT_STORE)
@@ -68,6 +70,8 @@ class ResultsStore:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     def records(self) -> list[dict]:
+        """Every record in file order; a line that is not a JSON object with
+        integer ``KEYS`` raises ``ValueError`` naming its path and line."""
         if not self.path.exists():
             return []
         out = []
@@ -75,15 +79,23 @@ class ResultsStore:
             if not line.strip():
                 continue
             try:
-                out.append(json.loads(line))
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{self.path}:{number}: not a JSON record: {exc}") from None
+            if not isinstance(rec, dict) or any(
+                type(rec.get(key)) is not int for key in self.KEYS
+            ):
+                raise ValueError(
+                    f"{self.path}:{number}: not a bound record with integer "
+                    f"{', '.join(self.KEYS)}"
+                )
+            out.append(rec)
         return out
 
     def latest_records(self) -> dict[tuple, dict]:
         """The last record of each (n2, n3, d, k), from one read of the store."""
         return {
-            (rec.get("n2"), rec.get("n3"), rec.get("d"), rec.get("k")): rec
+            (rec["n2"], rec["n3"], rec["d"], rec["k"]): rec
             for rec in self.records()
         }
 

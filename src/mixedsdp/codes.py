@@ -219,23 +219,18 @@ def _canonical_counts(counts: tuple[int, ...]) -> tuple[int, ...]:
     return min([g(counts) for g in _COUNT_MAPS])
 
 
-def _pair_separations(counts) -> tuple[int, int, int]:
-    """Columns separating rows (1,2), (1,3), (2,3) for one block's counts."""
-    d12 = counts[PAT_13] + counts[PAT_23]
-    d13 = counts[PAT_12] + counts[PAT_23]
-    d23 = counts[PAT_12] + counts[PAT_13]
-    if len(counts) == N_TER_PATTERNS:
-        d12 += counts[PAT_DISTINCT]
-        d13 += counts[PAT_DISTINCT]
-        d23 += counts[PAT_DISTINCT]
-    return d12, d13, d23
+def _pair_distances(bin_counts, ter_counts) -> tuple[int, int, int]:
+    """Distances d(1,2), d(1,3), d(2,3) between the rows of an ordered
+    triple with these column-pattern counts: the columns separating them."""
+    c12 = bin_counts[PAT_12] + ter_counts[PAT_12]
+    c13 = bin_counts[PAT_13] + ter_counts[PAT_13]
+    c23 = bin_counts[PAT_23] + ter_counts[PAT_23]
+    distinct = ter_counts[PAT_DISTINCT]
+    return c13 + c23 + distinct, c12 + c23 + distinct, c12 + c13 + distinct
 
 
 def _size_from_counts(bin_counts, ter_counts) -> int:
-    b = _pair_separations(bin_counts)
-    t = _pair_separations(ter_counts)
-    dists = tuple(x + y for x, y in zip(b, t))
-    zeros = sum(1 for x in dists if x == 0)
+    zeros = _pair_distances(bin_counts, ter_counts).count(0)
     if zeros == 3:
         return 1
     if zeros == 1:
@@ -309,9 +304,7 @@ def orbit_pair_distances(w: OrbitId) -> tuple[int, int, int]:
     """Pairwise distances d(1,2), d(1,3), d(2,3) of the canonical triple."""
     if w.size < 2:
         raise ValueError(f"pair distances undefined for size {w.size}")
-    b = _pair_separations(w.bin_counts)
-    t = _pair_separations(w.ter_counts)
-    return tuple(x + y for x, y in zip(b, t))
+    return _pair_distances(w.bin_counts, w.ter_counts)
 
 
 def orbit_min_distance(w: OrbitId) -> int | None:

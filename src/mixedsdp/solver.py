@@ -383,8 +383,8 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
     when the relative duality gap and the scaled feasibility residuals all
     fall below ``tol``.  Deterministic for identical inputs.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got tol={tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     data = problem_to_sdpa_data(problem)

@@ -1,23 +1,24 @@
-"""Partitions, semistandard Young tableaux, and the indexed families of
-representative-set columns for the two stabilizer cases.
+"""Partitions and the indexed families of representative-set columns for the
+two stabilizer cases.
 
 The block structure of the reduced problem is indexed by tuples of shapes.
 For the all-zero-word stabilizer, the shape tuple distributes the ternary
 coordinates over two irreducible types (trivial/sign) and carries partitions
-of heights at most (2, 2, 1); columns are triples of semistandard tableaux
-with entries in {1, 2} resp. {1}.  For the empty-code stabilizer every type
-has multiplicity one, so each shape carries a single column.
+of heights at most (2, 2, 1); a column is a triple of semistandard tableaux
+with entries in {1, 2} resp. {1}.  Such a tableau's second row is all 2s and
+the 1s fill a prefix of its first row, so it is fixed by the count of 1s in
+that row, and a column is the triple (x1, x2, x3) of those counts.  For the
+empty-code stabilizer every type has multiplicity one, so each shape carries
+a single column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from mixedsdp.codes import ProblemSpec
 
 Partition = tuple[int, ...]
-Tableau = tuple[tuple[int, ...], ...]  # rows, row-major
 
 
 def partitions_up_to_height(n: int, h: int) -> list[Partition]:
@@ -37,42 +38,19 @@ def partitions_up_to_height(n: int, h: int) -> list[Partition]:
     return out
 
 
-def semistandard_tableaux(lam: Partition, m: int) -> list[Tableau]:
-    """All fillings with entries in 1..m, rows weakly increasing and columns
-    strictly increasing, sorted by their row-major entry sequence."""
-    if not lam:
-        return [()]
-    if m < len(lam):
-        return []
-    rows: list[list[tuple[int, ...]]] = []
-    for r, length in enumerate(lam):
-        rows.append([
-            row
-            for row in product(range(1, m + 1), repeat=length)
-            if all(row[i] <= row[i + 1] for i in range(length - 1))
-        ])
-    out = []
-    for combo in product(*rows):
-        ok = True
-        for r in range(1, len(lam)):
-            if any(combo[r][i] <= combo[r - 1][i] for i in range(lam[r])):
-                ok = False
-                break
-        if ok:
-            out.append(combo)
-    out.sort(key=lambda t: tuple(x for row in t for x in row))
-    return out
-
-
-def count_entries(tab: Tableau, value: int) -> int:
-    return sum(row.count(value) for row in tab)
+def first_row_ones(lam: Partition) -> range:
+    """The semistandard tableaux of shape ``lam`` (at most two rows) with
+    entries in {1, 2}, each given by the count of 1s in its first row, most
+    1s first, which is the row-major order of the fillings.  The second row
+    is all 2s, so the 1s fill a prefix of the first row at least as long as
+    the second row: shape (a, b) has the counts a, a-1, ..., b."""
+    a = lam[0] if lam else 0
+    b = lam[1] if len(lam) > 1 else 0
+    return range(a, b - 1, -1)
 
 
 # ---------------------------------------------------------------------------
 # Stabilizer of the all-zero word.
-
-TableauTriple = tuple[Tableau, Tableau, Tableau]
-
 
 @dataclass(frozen=True)
 class ShapeD0:
@@ -80,30 +58,31 @@ class ShapeD0:
 
     ``counts`` is (n2, l2, l3) with l2 + l3 = n3: l2 ternary coordinates
     carry the trivial type and l3 the sign type.  ``admissible`` is the
-    subfamily of the tableau triples of shape ``lambdas`` whose word weight
-    lies in {0} or {d, ..., n2+n3}.
+    subfamily of the columns of shape ``lambdas``, as triples of counts of
+    1s in the first rows, whose word weight lies in {0} or {d, ..., n2+n3}.
     """
 
     counts: tuple[int, int, int]
     lambdas: tuple[Partition, Partition, Partition]
-    admissible: tuple[TableauTriple, ...]
+    admissible: tuple[tuple[int, int, int], ...]
 
     def label(self) -> str:
         lam = ",".join("(" + ",".join(map(str, l)) + ")" for l in self.lambdas)
         return f"n={self.counts} lam=[{lam}]"
 
 
-def column_weight(spec: ProblemSpec, tau: TableauTriple) -> int:
+def column_weight(spec: ProblemSpec, tau: tuple[int, int, int]) -> int:
     """Weight of the words supporting a column: total coordinates carrying a
-    nonzero letter, n2 + n3 - #1s(tau1) - #1s(tau2)."""
-    return spec.n2 + spec.n3 - count_entries(tau[0], 1) - count_entries(tau[1], 1)
+    nonzero letter, n2 + n3 - x1 - x2 for the column's counts of 1s."""
+    return spec.n2 + spec.n3 - tau[0] - tau[1]
 
 
 def build_shape_index_d0(spec: ProblemSpec) -> list[ShapeD0]:
     """All shapes with a nonempty admissible column family.
 
     Heights are capped by the per-type multiplicities (2, 2, 1); the weight
-    filter keeps columns whose weight is 0 or at least d.
+    filter keeps columns whose weight is 0 or at least d.  The sign type's
+    one tableau is all 1s, so every column has x3 = l3.
     """
     allowed = {0} | set(range(spec.d, spec.n2 + spec.n3 + 1))
     shapes = []
@@ -113,12 +92,10 @@ def build_shape_index_d0(spec: ProblemSpec) -> list[ShapeD0]:
             for lam2 in partitions_up_to_height(l2, 2):
                 for lam3 in partitions_up_to_height(l3, 1):
                     keep = tuple(
-                        t for t in product(
-                            semistandard_tableaux(lam1, 2),
-                            semistandard_tableaux(lam2, 2),
-                            semistandard_tableaux(lam3, 1),
-                        )
-                        if column_weight(spec, t) in allowed
+                        (x1, x2, l3)
+                        for x1 in first_row_ones(lam1)
+                        for x2 in first_row_ones(lam2)
+                        if column_weight(spec, (x1, x2, l3)) in allowed
                     )
                     if not keep:
                         continue

@@ -1,26 +1,23 @@
 """A factor polynomial of one tableau pair alone, by a dynamic programme
 pruned to that pair, to check the block builder's one programme per factor
-shape against."""
+shape against.  A tableau is given by the count of 1s in its first row."""
 
 from collections import defaultdict
 
 from mixedsdp.blocks import _ZERO_TABLES, _poly_axpy, _poly_mul
 
 
-def reference_factor_poly(factor, lam, first, second):
-    """Dual polynomial of one tensor factor for the tableau pair
-    (``first``, ``second``) of shape ``lam``, by a dynamic programme over the
-    columns pruned to the paths that can reach the pair's counts of 1s."""
+def reference_factor_poly(factor, lam, ones_first, ones_second):
+    """Dual polynomial of one tensor factor for the tableau pair of shape
+    ``lam`` with ``ones_first`` and ``ones_second`` 1s in their first rows,
+    by a dynamic programme over the columns pruned to the paths that can
+    reach those counts."""
     table = _ZERO_TABLES[factor]
     if not lam:
         return {0: 1}
     a = lam[0]
     b = lam[1] if len(lam) > 1 else 0
     values = (1, 2) if factor != 3 else (1,)
-    if b and (set(first[1]) != {2} or set(second[1]) != {2}):
-        raise ValueError("second row of a two-row tableau must be all 2s")
-    ones_first = first[0].count(1)
-    ones_second = second[0].count(1)
 
     det = {}
     if b:

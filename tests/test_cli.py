@@ -76,9 +76,14 @@ class TestCommands:
         assert code == EXIT_OK
         assert "k=2" in capsys.readouterr().out
 
-    def test_bound_validation_error(self, capsys):
+    def test_bound_validation_error(self, tmp_path, capsys):
         assert main(["bound", "0", "1", "1"]) == EXIT_VALIDATION
         assert main(["bound", "2", "2", "9"]) == EXIT_VALIDATION
+        store = tmp_path / "nan.jsonl"
+        assert main(["bound", "1", "1", "1", "--tol", "nan",
+                     "--store", str(store)]) == EXIT_VALIDATION
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_oracle(self, capsys):
         assert main(["oracle", "1", "1", "2"]) == EXIT_OK
@@ -200,11 +205,14 @@ class TestCommands:
             assert "[ok]" not in captured.out
 
     def test_table_replay_corrupt_store(self, tmp_path, capsys):
-        store = tmp_path / "t.jsonl"
-        ResultsStore(store).append({"n2": 2, "n3": 5, "d": 3, "k": 3, "bound": 65})
-        with store.open("a") as fh:
-            fh.write("not json\n")
-        code = main(["table", "--d", "3", "--max-length", "8", "--replay",
-                     "--store", str(store)])
-        assert code == EXIT_VALIDATION
-        assert f"{store}:2:" in capsys.readouterr().err
+        # not JSON, JSON but not an object, and an object without a bound
+        bad_lines = ("not json", "3", "[]", '{"n2": 2, "n3": 5, "d": 3, "k": 3}')
+        for number, line in enumerate(bad_lines):
+            store = tmp_path / f"t{number}.jsonl"
+            ResultsStore(store).append({"n2": 2, "n3": 5, "d": 3, "k": 3, "bound": 65})
+            with store.open("a") as fh:
+                fh.write(line + "\n")
+            code = main(["table", "--d", "3", "--max-length", "8", "--replay",
+                         "--store", str(store)])
+            assert code == EXIT_VALIDATION, line
+            assert f"{store}:2:" in capsys.readouterr().err

@@ -84,8 +84,10 @@ class TestSolve:
         assert abs(s.objective - 6.0) < 1e-6
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            solve(correlation_toy(), tol=0.0)
+        # inf would stop at the starting point, nan would never stop on tol
+        for tol in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                solve(correlation_toy(), tol=tol)
 
     def test_rejects_bad_max_iter(self):
         with pytest.raises(ValueError, match="max_iter must be positive"):

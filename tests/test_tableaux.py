@@ -1,7 +1,6 @@
-"""Partitions, semistandard tableaux, and the two shape indices."""
+"""Partitions, columns as counts of 1s, and the two shape indices."""
 
 from itertools import product
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +11,8 @@ from mixedsdp.tableaux import (
     build_shape_index_d0,
     build_shape_index_empty,
     column_weight,
-    count_entries,
+    first_row_ones,
     partitions_up_to_height,
-    semistandard_tableaux,
 )
 
 
@@ -60,43 +58,45 @@ def enumerate_fillings(lam, m):
     return sorted(out, key=lambda t: tuple(x for row in t for x in row))
 
 
-class TestSemistandardTableaux:
-    def test_single_row_counts(self):
-        for n in range(0, 8):
-            assert len(semistandard_tableaux((n,) if n else (), 2)) == n + 1
+def ones(tab):
+    """The count of 1s in a filling's first row."""
+    return tab[0].count(1) if tab else 0
 
-    def test_21_by_enumeration(self):
-        got = semistandard_tableaux((2, 1), 2)
-        assert got == [((1, 1), (2,)), ((1, 2), (2,))]
 
-    def test_column_of_three_with_two_letters(self):
-        assert semistandard_tableaux((1, 1, 1), 2) == []
+def filling(lam, x):
+    """The filling of shape ``lam`` whose first row starts with x 1s and
+    whose other cells are 2s."""
+    rows = [(2,) * length for length in lam]
+    if lam:
+        rows[0] = (1,) * x + (2,) * (lam[0] - x)
+    return tuple(rows)
 
-    def test_stars_and_bars(self):
-        for m in (1, 2):
-            for n in range(1, 13):
-                assert len(semistandard_tableaux((n,), m)) == comb(n + m - 1, m - 1)
 
-    def test_two_row_count(self):
-        for a in range(1, 8):
-            for b in range(1, a + 1):
-                if a + b > 10:
-                    continue
-                assert len(semistandard_tableaux((a, b), 2)) == a - b + 1
+class TestFirstRowOnes:
+    @pytest.mark.parametrize("cells", range(11))
+    def test_matches_filter_oracle(self, cells):
+        # order included, and each count fixes its filling
+        for lam in partitions_up_to_height(cells, 2):
+            got = [filling(lam, x) for x in first_row_ones(lam)]
+            assert got == enumerate_fillings(lam, 2)
+        # the sign factor's one filling over {1}: x3 = l3
+        lam = (cells,) if cells else ()
+        assert enumerate_fillings(lam, 1) == [filling(lam, cells)]
 
-    @pytest.mark.parametrize("lam,m", [((2,), 2), ((2, 1), 2), ((3, 2), 2), ((2,), 3)])
-    def test_matches_filter_oracle(self, lam, m):
-        assert semistandard_tableaux(lam, m) == enumerate_fillings(lam, m)
+
+def full_fillings(shape):
+    """Every triple of fillings of the shape, from the filter oracle."""
+    lam1, lam2, lam3 = shape.lambdas
+    return list(product(
+        enumerate_fillings(lam1, 2),
+        enumerate_fillings(lam2, 2),
+        enumerate_fillings(lam3, 1),
+    ))
 
 
 def full_family(shape):
-    """Every tableau triple of the shape, before the weight filter."""
-    lam1, lam2, lam3 = shape.lambdas
-    return tuple(product(
-        semistandard_tableaux(lam1, 2),
-        semistandard_tableaux(lam2, 2),
-        semistandard_tableaux(lam3, 1),
-    ))
+    """Every column of the shape before the weight filter, as counts of 1s."""
+    return tuple(tuple(map(ones, col)) for col in full_fillings(shape))
 
 
 class TestShapeIndexD0:
@@ -143,7 +143,7 @@ class TestShapeIndexD0:
     def test_second_rows_are_all_twos(self):
         spec = ProblemSpec(4, 2, 1)
         for s in build_shape_index_d0(spec):
-            for col in full_family(s):
+            for col in full_fillings(s):
                 for tab in col[:2]:
                     if len(tab) == 2:
                         assert set(tab[1]) == {2}
@@ -151,9 +151,9 @@ class TestShapeIndexD0:
     def test_weight_formula(self):
         spec = ProblemSpec(2, 2, 1)
         for s in build_shape_index_d0(spec):
-            for col in full_family(s):
-                w = spec.n2 + spec.n3 - count_entries(col[0], 1) - count_entries(col[1], 1)
-                assert column_weight(spec, col) == w
+            for col in full_fillings(s):
+                w = spec.n2 + spec.n3 - sum(row.count(1) for tab in col[:2] for row in tab)
+                assert column_weight(spec, tuple(map(ones, col))) == w
                 assert 0 <= w <= spec.length
 
 

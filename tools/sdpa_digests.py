@@ -11,8 +11,9 @@ Problems are given as ``n2,n3,d,k`` arguments.  Without arguments it covers
 every problem the benchmark builds (the published level-3 rows of
 ``sdp-table``; the d=5 level-3 problems that ``exact-oracle`` emits and its
 oracle-sandwich problems at levels 3 and 2) and the problems whose digests
-the test suite pins.  The largest, (1,12,5), takes about 1 s, and all of
-them about 4 s, on a 2-vCPU x86-64 VM.
+the test suite pins.  The largest, (1,12,5), takes about 0.8 s, and all of
+them about 3.5 s, on a 2-vCPU x86-64 VM with one BLAS thread, process start
+included.
 """
 
 import hashlib
