@@ -1,6 +1,7 @@
 """Partitions, columns as counts of 1s, and the two shape indices."""
 
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,36 @@ def filling(lam, x):
     if lam:
         rows[0] = (1,) * x + (2,) * (lam[0] - x)
     return tuple(rows)
+
+
+class TestSemistandardTableaux:
+    """The fillings over {1, 2} as first_row_ones lists them."""
+
+    def test_single_row_counts(self):
+        for n in range(0, 8):
+            assert len(first_row_ones((n,) if n else ())) == n + 1
+
+    def test_21_by_enumeration(self):
+        got = [filling((2, 1), x) for x in first_row_ones((2, 1))]
+        assert got == [((1, 1), (2,)), ((1, 2), (2,))]
+
+    def test_stars_and_bars(self):
+        for n in range(1, 13):
+            assert len(first_row_ones((n,))) == comb(n + 1, 1)
+            # the sign factor's alphabet {1}
+            assert len(enumerate_fillings((n,), 1)) == comb(n, 0)
+
+    def test_two_row_count(self):
+        for a in range(1, 8):
+            for b in range(1, a + 1):
+                if a + b > 10:
+                    continue
+                assert len(first_row_ones((a, b))) == a - b + 1
+
+    @pytest.mark.parametrize("lam,m", [((2,), 2), ((2, 1), 2), ((3, 2), 2)])
+    def test_matches_filter_oracle(self, lam, m):
+        got = [filling(lam, x) for x in first_row_ones(lam)]
+        assert got == enumerate_fillings(lam, m)
 
 
 class TestFirstRowOnes:
