@@ -12,6 +12,7 @@ triple of its words, minimized over the six reorderings of the triple.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from operator import itemgetter
@@ -411,17 +412,17 @@ def _profile_graphs(
     graph whose edges have a profile of rank >= r, over words given by their
     letter masks.  Rank 0 is the whole compatibility graph.
 
-    Any fixed order is exact.  Of the orders tried, total distance, then
-    ternary distance, ascending, gives the fewest search nodes on (5,2,3),
+    Any fixed order is exact.  Of the orders tried, ternary distance, then
+    binary distance, ascending, gives the fewest search nodes on (5,2,3),
     the hardest sandwich instance of the acceptance suite.  With the
-    degeneracy-ordered, recoloured sub-searches of ``_max_clique_words``,
-    (5,2,3), (6,1,3) and (3,3,3) take 128,505 nodes together in this order,
-    128,511 with ternary then binary distance, 179,319 with total then
-    binary distance and 223,411 with total distance descending."""
+    fourth-word branching of ``_max_clique_words``, (5,2,3), (6,1,3) and
+    (3,3,3) take 37,363 nodes together in this order, 38,097 with total then
+    ternary distance, 59,723 with total then binary distance and 51,689 with
+    total distance descending, then ternary distance ascending."""
     profiles = sorted(
         ((b, t) for b in range(spec.n2 + 1) for t in range(spec.n3 + 1)
          if b + t >= spec.d),
-        key=lambda p: (p[0] + p[1], p[1]),
+        key=lambda p: (p[1], p[0]),
     )
     rank = {p: r for r, p in enumerate(profiles)}
     n = len(enc)
@@ -492,50 +493,50 @@ def _degeneracy_order(adj: list[int], cand0: int) -> list[int]:
     return out
 
 
-def _max_clique_masked(
-    adj: list[int],
-    cand0: int,
-    lower: int = 0,
-    counter: list | None = None,
-    limit: int | None = None,
-    degeneracy: bool = False,
-) -> int:
-    """Best clique within a candidate set, branch-and-bound with greedy
-    colouring bounds.  Returns 0 unless a clique larger than ``lower`` is
-    found (the caller's incumbent prunes the search).  ``counter``
-    accumulates search nodes across calls; when it passes ``limit`` the
-    search raises _BudgetExceeded instead of completing.
+def _relabel(
+    adj: list[int], cand0: int, degeneracy: bool = False
+) -> tuple[list[int], list[int], list[int]]:
+    """The subgraph on ``cand0``, its vertices renumbered 0, 1, ... in search
+    order: ``order[i]`` is the vertex numbered i, ``radj`` holds the
+    renumbered neighbour masks and ``nonadj`` the non-neighbours of each
+    vertex but itself, with which the colour classes grow.
 
-    The candidates are ordered by degree, highest first, or with
-    ``degeneracy`` by ``_degeneracy_order``; one greedy clique in that order
-    is the first incumbent.  Each node colours its candidates greedily in
-    that order and recolours them as Tomita et al.'s Re-NUMBER does ("A
-    simple and faster branch-and-bound algorithm for finding a maximum
-    clique", WALCOM 2010).  The search keeps its open nodes on an explicit
-    stack, so it never recurses."""
+    The order is by degree within ``cand0``, highest first, or with
+    ``degeneracy`` the order of ``_degeneracy_order``."""
     if degeneracy:
         order = _degeneracy_order(adj, cand0)
     else:
         order = sorted(
             _vertices(cand0), key=lambda v: (adj[v] & cand0).bit_count(), reverse=True
         )
-    if not order:
-        return 0
     pos = {v: i for i, v in enumerate(order)}
-    nn = len(order)
-    full = (1 << nn) - 1
+    full = (1 << len(order)) - 1
     radj = [sum(1 << pos[u] for u in _vertices(adj[v] & cand0)) for v in order]
-    # colour classes grow by intersecting with the non-neighbours
     nonadj = [full & ~(a | 1 << v) for v, a in enumerate(radj)]
+    return order, radj, nonadj
 
+
+def _search(
+    radj: list[int],
+    nonadj: list[int],
+    cand: int,
+    lower: int,
+    nodes: list,
+    limit: int | None,
+) -> int:
+    """Best clique within the mask ``cand`` of a relabelled graph
+    (``_relabel``), or 0 unless one larger than ``lower`` is found.  One
+    greedy clique in vertex order is the first incumbent.  ``nodes[0]``
+    counts the search nodes; past ``limit`` the search raises
+    _BudgetExceeded."""
+    if not cand:
+        return 0
     best_size = lower
     best_mask = 0
-    g = _greedy_clique(radj, range(nn))
+    g = _greedy_clique(radj, _vertices(cand))
     if g.bit_count() > best_size:
         best_size = g.bit_count()
         best_mask = g
-
-    nodes = counter if counter is not None else [0]
 
     def branches(r_size: int, cand: int) -> list[tuple[int, int]]:
         """Count a node and list its branches, the last to be taken first,
@@ -586,7 +587,7 @@ def _max_clique_masked(
         return out
 
     # each open node: [r_mask, r_size, cand, branches]
-    stack = [[0, 0, full, branches(0, full)]]
+    stack = [[0, 0, cand, branches(0, cand)]]
     while stack:
         top = stack[-1]
         r_mask, r_size, cand, todo = top
@@ -605,7 +606,93 @@ def _max_clique_masked(
         elif r_size + 1 > best_size:
             best_size = r_size + 1
             best_mask = r_mask | bit
-    return sum(1 << order[v] for v in _vertices(best_mask))
+    return best_mask
+
+
+def _max_clique_masked(
+    adj: list[int],
+    cand0: int,
+    lower: int = 0,
+    counter: list | None = None,
+    limit: int | None = None,
+    degeneracy: bool = False,
+) -> int:
+    """Best clique within a candidate set, branch-and-bound with greedy
+    colouring bounds.  Returns 0 unless a clique larger than ``lower`` is
+    found (the caller's incumbent prunes the search).  ``counter``
+    accumulates search nodes across calls; when it passes ``limit`` the
+    search raises _BudgetExceeded instead of completing.
+
+    The candidates are ordered by degree, highest first, or with
+    ``degeneracy`` by ``_degeneracy_order`` (``_relabel``); one greedy
+    clique in that order is the first incumbent.  Each node colours its
+    candidates greedily in that order and recolours them as Tomita et al.'s
+    Re-NUMBER does ("A simple and faster branch-and-bound algorithm for
+    finding a maximum clique", WALCOM 2010).  The search keeps its open
+    nodes on an explicit stack, so it never recurses."""
+    order, radj, nonadj = _relabel(adj, cand0, degeneracy)
+    nodes = counter if counter is not None else [0]
+    best = _search(radj, nonadj, (1 << len(order)) - 1, lower, nodes, limit)
+    return sum(1 << order[v] for v in _vertices(best))
+
+
+def _orbit_key(
+    spec: ProblemSpec, fixed: list[tuple[int, int, int]]
+) -> Callable[[tuple[int, int, int]], tuple]:
+    """The function that maps a word's letter masks to its orbit under the
+    pointwise stabilizer of the zero word and the words of ``fixed``, given
+    by their letter masks.
+
+    An element of the stabilizer keeps the letter 0 in every coordinate, so
+    it keeps every binary letter, and in a ternary coordinate it can only
+    swap 1 and 2.  Call a coordinate's column the letters of the fixed words
+    there.  When in every ternary coordinate the first nonzero letter of the
+    column, if any, is 1, no swap maps a nonzero column to another column,
+    so the stabilizer is every permutation of the coordinates within each
+    group of equal columns, with any swaps of 1 and 2 in the ternary group
+    whose column is all 0.  The key counts a word's ones in each binary
+    group, its ones and its twos in each ternary group, and its nonzeros in
+    the all-zero ternary group: under that condition, words share a key
+    exactly when they share an orbit."""
+    bin_groups: dict = {}
+    for i in range(spec.n2):
+        col = tuple(b >> i & 1 for b, _, _ in fixed)
+        bin_groups[col] = bin_groups.get(col, 0) | 1 << i
+    ter_groups: dict = {}
+    for i in range(spec.n3):
+        col = tuple((o >> i & 1) | (t >> i & 1) << 1 for _, o, t in fixed)
+        ter_groups[col] = ter_groups.get(col, 0) | 1 << i
+    free = ter_groups.pop((0,) * len(fixed), 0)
+    bins = tuple(bin_groups.values())
+    ters = tuple(ter_groups.values())
+
+    def key(masks: tuple[int, int, int]) -> tuple:
+        b, o, t = masks
+        return (
+            tuple((b & m).bit_count() for m in bins),
+            tuple(((o & m).bit_count(), (t & m).bit_count()) for m in ters),
+            ((o | t) & free).bit_count(),
+        )
+
+    return key
+
+
+def _orbit_branches(adj: list[int], cand: int, keys: list):
+    """Split ``cand`` into the classes of equal ``keys[v]`` and yield, for
+    each class, its lowest vertex and that vertex's branch: its neighbours
+    in ``cand`` less every class yielded before.  The largest classes come
+    first, as each one leaves every later branch; among equal sizes, the
+    narrower branch first."""
+    classes: dict = {}
+    for v in _vertices(cand):
+        classes[keys[v]] = classes.get(keys[v], 0) | 1 << v
+    ranked = []
+    for cls in classes.values():
+        rep = (cls & -cls).bit_length() - 1
+        ranked.append((-cls.bit_count(), (cand & adj[rep]).bit_count(), rep, cls))
+    for _, _, rep, cls in sorted(ranked):
+        yield rep, cand & adj[rep]
+        cand &= ~cls
 
 
 def _max_clique_words(
@@ -618,11 +705,11 @@ def _max_clique_words(
     Phase 1 runs the branch-and-bound on the whole graph, in degree order,
     under a small node cap; the dense graphs of small d, such as (5,2,2),
     close there within a few hundred nodes.  Otherwise phase 2 branches on
-    the isometry group, and each of its sub-searches orders its candidates
-    by degeneracy (``_degeneracy_order``), which takes (5,2,3) from 481,264
-    nodes in degree order to 123,776.  Phase 1 keeps the degree order: in
-    degeneracy order it misses (5,2,2), which then runs for minutes where
-    it now closes in 96 nodes.
+    the isometry group down to the fourth word.  Each third word's
+    candidates are ordered once by degeneracy (``_degeneracy_order``), and
+    every fourth-word search runs on a mask of that relabelled graph.
+    Phase 1 keeps the degree order: in degeneracy order it misses (5,2,2),
+    which then runs for minutes where it now closes in 96 nodes.
 
     Minimum-profile branching.  The profile of a pair of words, (binary
     distance, ternary distance), is kept by every isometry, and the feasible
@@ -639,16 +726,29 @@ def _max_clique_words(
     Stabilizer-orbit exclusion.  The pointwise stabilizer H of (zero, rep_p)
     permutes the binary coordinates inside the support of rep_p and outside
     it, the ternary ones likewise, and swaps the letters 1 and 2 in the
-    ternary coordinates outside the support.  The orbit of a word under H is
-    therefore given by its ones inside and outside the binary support, its
-    ones and its twos inside the ternary support, and its nonzeros outside
-    it.  H keeps G_p and the candidates, so the third word runs over one
-    representative per orbit.  Take a code through zero and rep_p, and let O
-    be the first of its words' orbits in branch order: an element of H maps
-    its word in O to O's representative and keeps every orbit, so the image
-    lies in O's branch and uses no word of an earlier orbit.  Each orbit is
-    therefore removed from the candidates of the later branches once its own
-    branch has been searched or pruned by the incumbent.
+    ternary coordinates outside the support; ``_orbit_key`` gives the orbit
+    of a word under it.  H keeps G_p and the candidates, so the third word
+    runs over one representative per orbit.  Take a code through zero and
+    rep_p, and let O be the first of its words' orbits in branch order: an
+    element of H maps its word in O to O's representative and keeps every
+    orbit, so the image lies in O's branch and uses no word of an earlier
+    orbit.  Each orbit is therefore removed from the candidates of the later
+    branches once its own branch has been searched or pruned by the
+    incumbent.
+
+    The same holds one level down.  The third word is the lowest word of its
+    orbit, so it has no 2 outside the support of rep_p, and in every ternary
+    coordinate the first nonzero letter of rep_p and the third word is 1, as
+    ``_orbit_key`` needs.  The pointwise stabilizer H' of (zero, rep_p,
+    third) lies in H, so it keeps the orbits of H, hence the candidates left
+    when the third word's branch opens, and it keeps that branch's
+    candidates, the neighbours of the third word among them.  A code in that
+    branch is mapped by an element of H' onto one through the representative
+    of the first H'-orbit it meets, and using no word of an earlier one; so
+    the fourth word runs over one representative per H'-orbit, and each
+    H'-orbit leaves the later fourth-word branches.  A branch records its
+    triple, or its quadruple, when no larger code is known, so the search
+    needs no greedy incumbent to find codes of three or four words.
 
     ``node_budget`` caps the total search nodes over both phases; on
     exhaustion the search stops with _BudgetExceeded (exactness preserved:
@@ -675,40 +775,31 @@ def _max_clique_words(
 
     zero_idx = enc.index((0, 0, 0))
     for (w2, w3), g in zip(profiles, graphs):
-        sup2 = (1 << w2) - 1
-        sup3 = (1 << w3) - 1
-        rep_idx = enc.index((sup2, sup3, 0))
-        pair_mask = (1 << zero_idx) | (1 << rep_idx)
-        cand = g[zero_idx] & g[rep_idx]
-        orbits = {}
-        for v in _vertices(cand):
-            b, o, t = enc[v]
-            key = (
-                (b & sup2).bit_count(), (b & ~sup2).bit_count(),
-                (o & sup3).bit_count(), (t & sup3).bit_count(),
-                ((o | t) & ~sup3).bit_count(),
-            )
-            orbits[key] = orbits.get(key, 0) | 1 << v
-        # largest orbits first, as each one leaves every later branch; among
-        # equal sizes, the narrower branch first
-        branches = []
-        for orbit in orbits.values():
-            third = (orbit & -orbit).bit_length() - 1
-            branches.append(
-                (-orbit.bit_count(), (cand & g[third]).bit_count(), third, orbit)
-            )
-        for _, _, third, orbit in sorted(branches):
-            triple_cand = cand & g[third]
-            if triple_cand.bit_count() + 3 > best_size:
-                sub = _max_clique_masked(
-                    g, triple_cand, lower=best_size - 3,
-                    counter=counter, limit=node_budget, degeneracy=True,
-                )
-                size = sub.bit_count() + 3 if sub else 3
-                if size > best_size:
-                    best = sub | pair_mask | 1 << third
-                    best_size = size
-            cand &= ~orbit
+        rep = ((1 << w2) - 1, (1 << w3) - 1, 0)
+        rep_idx = enc.index(rep)
+        pair = 1 << zero_idx | 1 << rep_idx
+        third_keys = list(map(_orbit_key(spec, [rep]), enc))
+        pair_cand = g[zero_idx] & g[rep_idx]
+        for third, triple_cand in _orbit_branches(g, pair_cand, third_keys):
+            if triple_cand.bit_count() + 3 <= best_size:
+                continue
+            triple = pair | 1 << third
+            if best_size < 3:
+                best, best_size = triple, 3
+            order, radj, nonadj = _relabel(g, triple_cand, degeneracy=True)
+            key = _orbit_key(spec, [rep, enc[third]])
+            fourth_keys = [key(enc[v]) for v in order]
+            relabelled = (1 << len(order)) - 1
+            for fourth, quad_cand in _orbit_branches(radj, relabelled, fourth_keys):
+                if quad_cand.bit_count() + 4 <= best_size:
+                    continue
+                quad = triple | 1 << order[fourth]
+                if best_size < 4:
+                    best, best_size = quad, 4
+                sub = _search(radj, nonadj, quad_cand, best_size - 4, counter, node_budget)
+                if sub:
+                    best = quad | sum(1 << order[v] for v in _vertices(sub))
+                    best_size = sub.bit_count() + 4
     return best
 
 
@@ -720,10 +811,12 @@ def optimal_code(
     """A maximum code with minimum distance >= d, by exact clique search.
 
     ``node_budget``, when given, caps the branch-and-bound search nodes;
-    exceeding it raises ResourceError (deterministically for a given spec).
-    The search keeps its own stack, so it leaves the interpreter's recursion
-    limit alone.
+    exceeding it raises ResourceError (deterministically for a given spec),
+    and a negative one raises ValueError.  The search keeps its own stack,
+    so it leaves the interpreter's recursion limit alone.
     """
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node_budget must be >= 0, got {node_budget}")
     if spec.num_words > cap:
         raise ResourceError(
             f"word space {spec.num_words} exceeds oracle cap {cap}"

@@ -21,7 +21,9 @@ from mixedsdp.codes import (
     Word,
     _BudgetExceeded,
     _compositions,
+    _letter_masks,
     _max_clique_masked,
+    _orbit_key,
     all_words,
     canonical_orbit,
     code,
@@ -434,9 +436,59 @@ class TestExactOracle:
 
     def test_closes_under_small_budgets(self):
         # each budget is about 1.2 times the search's node count
-        assert exact_n(ProblemSpec(6, 1, 3), node_budget=3_700) == 16
+        assert exact_n(ProblemSpec(6, 1, 3), node_budget=2_100) == 16
         assert exact_n(ProblemSpec(3, 3, 3), node_budget=2_100) == 18
-        assert exact_n(ProblemSpec(5, 2, 3), node_budget=150_000) == 22
+        assert exact_n(ProblemSpec(5, 2, 3), node_budget=41_000) == 22
+
+    def test_rejects_negative_budget(self):
+        for spec in (ProblemSpec(1, 1, 1), ProblemSpec(3, 3, 3)):
+            with pytest.raises(ValueError, match="-1"):
+                exact_n(spec, node_budget=-1)
+        # (1,1,1) closes on its greedy incumbent, without a search node
+        assert exact_n(ProblemSpec(1, 1, 1), node_budget=0) == 6
+
+
+@pytest.mark.parametrize("n2,n3", [(2, 2), (3, 2), (2, 3)])
+def test_orbit_key_classes_are_stabilizer_orbits(n2, n3):
+    # the search branches on one word per key class, so each class must be
+    # exactly one orbit of the pointwise stabilizer of the fixed words: the
+    # zero word with rep_p, and with each third word the search can meet,
+    # the lowest word of an orbit of that first stabilizer
+    spec = ProblemSpec(n2, n3, 1)
+    words = list(all_words(spec))
+    index = {w: i for i, w in enumerate(words)}
+    enc = [_letter_masks(w) for w in words]
+    zero = enc.index((0, 0, 0))
+    # every element that fixes the zero word, as a permutation of indices
+    fix_zero = [
+        tuple(index[g.apply_word(w)] for w in words)
+        for g in all_isometries(spec)
+        if g.apply_word(words[zero]) == words[zero]
+    ]
+
+    def orbits_match_keys(fixed):
+        stabilizer = [g for g in fix_zero if all(g[v] == v for v in fixed)]
+        orbit_of = {}
+        for v in range(len(words)):
+            if v not in orbit_of:
+                orbit = frozenset(g[v] for g in stabilizer)
+                orbit_of.update(dict.fromkeys(orbit, orbit))
+        key = _orbit_key(spec, [enc[v] for v in fixed if v != zero])
+        classes = {}
+        for v, masks in enumerate(enc):
+            classes.setdefault(key(masks), set()).add(v)
+        for cls in classes.values():
+            assert len({orbit_of[v] for v in cls}) == 1, "a class merges orbits"
+        for orbit in orbit_of.values():
+            assert len({key(enc[v]) for v in orbit}) == 1, "an orbit is split"
+        return set(orbit_of.values())
+
+    for b, t in product(range(n2 + 1), range(n3 + 1)):
+        if b + t:
+            rep = enc.index(((1 << b) - 1, (1 << t) - 1, 0))
+            for orbit in orbits_match_keys([zero, rep]):
+                if not orbit & {zero, rep}:
+                    orbits_match_keys([zero, rep, min(orbit)])
 
 
 # exact_n for every (n2, n3) of the acceptance suite's oracle sandwich, at
