@@ -19,9 +19,12 @@ few upper-triangle entries of each variable, so sum_i y_i F_i is one
 bincount and (<F_i, M>)_i one gather.  The Schur complement is built in
 Gram form, B = C C^T, where row i of C holds svec(G^-1 F_i G^-T) of each
 block, gathered from a symmetric Kronecker table of the scaling's G^-1,
-followed by the 1x1 blocks' rows; the rows y >= 0 add a diagonal.  B is
-Cholesky-factored once, and the factor's inverse, from a blocked recursion
-of matrix products, serves all four Newton solves.
+followed by the 1x1 blocks' rows; the rows y >= 0 add a diagonal.  C is
+never held whole: B sums the products of its column slabs, each as wide as
+B is tall.  B is Cholesky-factored once, and the factor, inverted in place
+by a blocked recursion of matrix products, serves all four Newton solves.
+So an iteration holds B, one slab of C and the factor, and the last
+iteration's B and factor go before the next B is built.
 A slack or dual matrix that loses positive definiteness raises
 ConditioningError naming the block and the iteration; nothing is clamped.
 Every SolverError raised by a solve carries the last iterate.
@@ -39,6 +42,7 @@ primal value gives; the tolerance only caps the effort.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -209,30 +213,63 @@ def _lp_adjoint(lp: _LpData, z: np.ndarray) -> np.ndarray:
     return lp.rows.T @ z[:n] + z[n:]
 
 
+def _gram_rows(bl: _PsdBlock, h: np.ndarray, out: np.ndarray) -> None:
+    """Write svec(H F_i H^T) of each variable i of one block into row i of
+    ``out``, whose other rows are left as they are."""
+    # symmetric Kronecker table: row (a, b) holds svec of the symmetric part
+    # of h[:, a] h[:, b]^T, so H F_i H^T sums the rows of F_i's upper entries
+    a, b = bl.upper
+    ha, hb = h.T[a], h.T[b]
+    kron = ha[:, a] * hb[:, b] + ha[:, b] * hb[:, a]
+    kron *= np.where(a == b, 0.5, np.sqrt(0.5))
+    # variables per gather, so that its temporary is at most half as large
+    # as B, and so at most half a slab
+    step = max(1, len(out) ** 2 // (2 * kron.shape[1] * bl.tri.shape[1]))
+    for lo in range(0, len(bl.tri), step):
+        rows = slice(lo, lo + step)
+        out[bl.var_ids[rows]] = np.einsum("ip,ipc->ic", bl.val[rows], kron[bl.tri[rows]])
+
+
 def _schur(blocks: list[_PsdBlock], lp: _LpData, inverses, lp_ratio: np.ndarray) -> np.ndarray:
     """Schur complement B_ij = sum_k tr(F_i W_k^-1 F_j W_k^-1) + the LP
     terms, in Gram form B = C C^T + diag(y >= 0 terms).  With W_k^-1 = H^T H
     for H in ``inverses``, tr(F_i W^-1 F_j W^-1) = <H F_i H^T, H F_j H^T>, so
     row i of C holds svec(H F_i H^T) of each block, with off-diagonal weight
     sqrt 2 (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), followed by
-    the 1x1 blocks' rows scaled by the root of their z/s."""
+    the 1x1 blocks' rows scaled by the root of their z/s.
+
+    C is never held whole: B = sum_s C_s C_s^T over column slabs of C, each
+    as wide as B is tall and at least a block's or the 1x1 rows' width, so
+    each product stays one syrk of a wide matrix."""
     m = lp.rows.shape[1]
     n = len(lp.rows)
-    widths = [len(bl.upper[0]) for bl in blocks]
-    C = np.zeros((m, sum(widths) + n))
-    off = 0
-    for bl, h, w in zip(blocks, inverses, widths):
-        # symmetric Kronecker table: row (a, b) holds svec of the symmetric
-        # part of h[:, a] h[:, b]^T, so H F_i H^T sums the rows of F_i's
-        # upper entries
-        a, b = bl.upper
-        ha, hb = h.T[a], h.T[b]
-        kron = ha[:, a] * hb[:, b] + ha[:, b] * hb[:, a]
-        kron *= np.where(a == b, 0.5, np.sqrt(0.5))
-        C[bl.var_ids, off:off + w] = np.einsum("ip,ipc->ic", bl.val, kron[bl.tri])
-        off += w
-    C[:, off:] = lp.rows.T * np.sqrt(lp_ratio[:n])
-    B = C @ C.T
+    slab = np.zeros((m, max([m, n] + [len(bl.upper[0]) for bl in blocks])))
+    B = None
+    used = 0
+
+    def flush():
+        nonlocal B, used
+        part = slab[:, :used]
+        if B is None:
+            B = part @ part.T
+        else:
+            B += part @ part.T
+        part.fill(0.0)  # zero only the columns written
+        used = 0
+
+    def claim(w: int) -> np.ndarray:
+        """The next w columns of the slab, flushed first if they do not fit."""
+        nonlocal used
+        if used + w > slab.shape[1]:
+            flush()
+        used += w
+        return slab[:, used - w:used]
+
+    for bl, h in zip(blocks, inverses):
+        _gram_rows(bl, h, claim(len(bl.upper[0])))
+    if n:
+        claim(n)[:] = lp.rows.T * np.sqrt(lp_ratio[:n])
+    flush()
     B.flat[::m + 1] += lp_ratio[n:]
     return B
 
@@ -242,22 +279,25 @@ _TRIL_BLOCK = 64
 
 
 def _tril_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by blocked recursion,
-    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]], so the work is
-    in matrix products, about n^3/3 multiply-adds against the LU of a
-    general inverse.  The strict upper triangle of the result is zero."""
+    """Inverse of a lower-triangular matrix, computed in place and returned,
+    by blocked recursion, [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1,
+    D^-1]], so the work is in matrix products, about n^3/3 multiply-adds
+    against the LU of a general inverse.  The only temporary is the product
+    D^-1 C.  The strict upper triangle is left as it is."""
     n = len(L)
     if n <= _TRIL_BLOCK:
         # the LU of an upper-triangular matrix makes no row exchange, so
         # this is LAPACK's triangular inverse; the LU of L itself would
         # pivot, and loses accuracy on a nearly singular factor
-        return np.linalg.inv(L.T).T
+        L[:] = np.linalg.inv(L.T).T
+        return L
     h = n // 2
-    X = np.zeros_like(L)
-    X[:h, :h] = _tril_inverse(L[:h, :h])
-    X[h:, h:] = _tril_inverse(L[h:, h:])
-    X[h:, :h] = -(X[h:, h:] @ L[h:, :h]) @ X[:h, :h]
-    return X
+    a_inv = _tril_inverse(L[:h, :h])
+    d_inv = _tril_inverse(L[h:, h:])
+    product = d_inv @ L[h:, :h]
+    product *= -1.0
+    np.matmul(product, a_inv, out=L[h:, :h])
+    return L
 
 
 def _cholesky(mat: np.ndarray, name: str) -> np.ndarray:
@@ -344,7 +384,7 @@ def _on_grid(values: np.ndarray) -> list[int]:
 def _certificate(data: SdpaData, z: list[np.ndarray], w: np.ndarray) -> CertifiedBound:
     """The exact check of a dual point (see ``certify``) against the exact
     SDPA view of a problem.  Raises CertificationError when a shifted dual
-    block is not positive definite."""
+    block is neither positive definite nor zero."""
     # one list of dual values per block, in units of 1 / _GRID: each PSD
     # block's matrix, row-major, then the multipliers of the 1x1 blocks
     grid = []
@@ -352,7 +392,8 @@ def _certificate(data: SdpaData, z: list[np.ndarray], w: np.ndarray) -> Certifie
         shifted = np.triu(zk + np.diag(_shift(zk)))
         ints = np.array(_on_grid(shifted), dtype=object).reshape(shifted.shape)
         ints += np.triu(ints, 1).T  # the upper triangle, which the data reads
-        if not _positive_definite(ints):
+        # a block that rounds to zero is semidefinite and adds to no sum
+        if ints.any() and not _positive_definite(ints):
             raise CertificationError(f"shifted dual block {k} is not positive definite")
         grid.append(ints.ravel().tolist())
     grid.append(_on_grid(np.maximum(w, 0.0)))
@@ -531,13 +572,16 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
         winv = [gi.T @ gi for _, gi, _ in scalings]
         lp_ratio = z_lp / s_lp
 
+        # one generation of the Newton system: the last one goes before the
+        # next is built
+        B = chol_inv = None
         B = _schur(blocks, lp, [gi for _, gi, _ in scalings], lp_ratio)
         if not np.isfinite(B).all():
             raise ConditioningError(
                 f"Newton system lost finiteness at iteration {it}", current(False)
             )
 
-        # one Cholesky factor, kept as its inverse: each Newton solve is then
+        # one Cholesky factor, inverted in place: each Newton solve is then
         # four matrix-vector products
         ridged = B
         for attempt in range(6):
@@ -545,6 +589,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
                 chol_inv = _tril_inverse(np.linalg.cholesky(ridged))
                 break
             except np.linalg.LinAlgError:
+                del ridged  # at most one copy of B
                 # a ridge relative to B's largest entry, built only on failure
                 ridge = float(np.abs(B).max(initial=1.0)) * 10.0 ** (-14 + 2 * attempt)
                 ridged = B.copy()
@@ -553,6 +598,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
             raise ConditioningError(
                 f"Schur complement not positive definite at iteration {it}", current(False)
             )
+        del ridged
 
         def solve_newton(rc_blocks, rc_lp):
             g = -rd.copy()
@@ -668,16 +714,17 @@ def certify(problem: SdpProblem, solution: Solution) -> CertifiedBound:
 
     The check is exact: each Z_k is shifted by a small multiple of its own
     diagonal (``_shift``), rounded to the grid 2^-60 and proved positive
-    definite by its leading minors; the w_j are clipped at 0 and rounded;
-    and D and every v_i are computed from the exact integer data.  The
-    bound's floor is the value.
+    definite by its leading minors, unless it rounds to zero; the w_j are
+    clipped at 0 and rounded; and D and every v_i are computed from the
+    exact integer data.  The bound's floor is the value.
 
     A certificate that the solve recorded for this iterate is returned as
     is; otherwise the check runs against ``problem``.  Refused: an
-    unconverged solution, a shifted block that is not positive definite,
-    and an integer above the solution's dual objective by more than its
-    float accuracy, 1e-6 relative, which the exact bound reaches only when
-    the dual point is too infeasible to prove that objective's integer.
+    unconverged solution, a shifted block that is neither positive definite
+    nor zero, and an integer above the solution's dual objective by more
+    than its float accuracy, 1e-6 relative, which the exact bound reaches
+    only when the dual point is too infeasible to prove that objective's
+    integer.
     """
     if not solution.converged:
         raise CertificationError("cannot certify an unconverged solution")
@@ -773,17 +820,9 @@ def parse_sdpa(source) -> SdpaData:
     text = str(source)
     if "\n" not in text:
         text = Path(source).read_text()
-    header: list[str] = []
-    body: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith('"') or line.startswith("*"):
-            continue
-        if len(header) < 4:
-            header.append(line)
-        else:
-            body.append(raw)
-    if len(header) < 4:
+    lines = (raw for raw in text.splitlines() if (line := raw.strip()) and line[0] not in '"*')
+    header = list(itertools.islice(lines, 3))
+    if len(header) < 3:
         raise SdpaParseError("incomplete SDPA header")
     try:
         num_vars = int(header[0].split()[0])
@@ -791,15 +830,18 @@ def parse_sdpa(source) -> SdpaData:
         sizes = tuple(
             int(t) for t in re.split(r"[\s,{}()]+", header[2]) if t
         )
+        # the objective line of a problem without variables is empty, and so
+        # skipped as blank: its entries follow the block sizes
+        objective_line = next(lines, "").strip() if num_vars else ""
         objective = tuple(
-            float(t) for t in re.split(r"[\s,{}()]+", header[3]) if t
+            float(t) for t in re.split(r"[\s,{}()]+", objective_line) if t
         )
     except ValueError as exc:
         raise SdpaParseError(f"bad SDPA header: {exc}") from exc
     if 0 in sizes:
         raise SdpaParseError(f"bad SDPA header: block size 0 in {sizes}")
     if not all(map(math.isfinite, objective)):
-        raise SdpaParseError(f"bad SDPA header: non-finite objective in {header[3]!r}")
+        raise SdpaParseError(f"bad SDPA header: non-finite objective in {objective_line!r}")
     if len(sizes) != num_blocks:
         raise SdpaParseError(
             f"block count {num_blocks} does not match sizes line {sizes}"
@@ -810,7 +852,7 @@ def parse_sdpa(source) -> SdpaData:
             f"{len(objective)}"
         )
     entries: dict[tuple[int, int, int, int], float] = {}
-    for raw in body:
+    for raw in lines:
         try:
             *index, text = raw.split()
             matno, blkno, i, j = map(int, index)

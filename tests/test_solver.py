@@ -5,6 +5,7 @@ import hashlib
 import math
 import shutil
 import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,11 @@ def correlation_toy():
         (1,),
         [Block("corr", 2, ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)))],
     )
+
+
+def no_variables():
+    """A problem without variables: the constant block I >= 0; optimum 0."""
+    return SdpProblem(ProblemSpec(2, 2, 1), (), (), (Block("x", 2, ((0, 0, 0, 1), (0, 1, 1, 1))),))
 
 
 def box_toy():
@@ -203,6 +209,21 @@ class TestSolve:
             total += solution.iterations
         assert total <= 100
 
+    def test_peak_memory(self):
+        # one iteration holds the Schur complement B, one slab of its Gram
+        # factor and B's Cholesky factor inverted in place: about four m x m
+        # matrices with the problem's data, where holding the whole Gram
+        # factor, two generations of B and a separate inverse took about nine
+        problem = build_sdp(ProblemSpec(3, 5, 3))
+        m = problem.num_vars
+        tracemalloc.start()
+        try:
+            solve(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * m * m * 8
+
 
 def random_spd(rng, n, cond):
     """Random symmetric positive definite n x n matrix of condition cond."""
@@ -257,9 +278,11 @@ class TestSchur:
     A(y) = sum_i y_i F_i and A^T(M) = (<F_i, M>)_i against dense forms."""
 
     @pytest.mark.parametrize("n2,n3,d,k", [
-        (2, 5, 3, 3),
-        (3, 2, 4, 3),  # two single-entry 1x1 rows on one variable
-        (2, 5, 3, 2),  # level 2: an LP and one 2x2 block
+        (2, 5, 3, 3),  # four slabs of the Gram factor
+        (3, 2, 4, 3),  # two single-entry 1x1 rows on one variable; the 1x1
+                       # rows open the third slab
+        (2, 5, 3, 2),  # level 2: an LP and one 2x2 block, whose 1x1 rows
+                       # open the second slab
     ])
     def test_matches_dense_reference(self, n2, n3, d, k):
         problem = build_problem(ProblemSpec(n2, n3, d, k))
@@ -309,7 +332,9 @@ class TestTrilInverse:
     @pytest.mark.parametrize("cond", [1e2, 1e5, 1e8])
     def test_inverse(self, n, cond):
         L = tril_with_cond(np.random.default_rng(n), n, cond)
-        X = _tril_inverse(L)
+        work = L.copy()
+        X = _tril_inverse(work)
+        assert np.shares_memory(X, work)  # inverted in place
         eye = np.eye(n)
         assert np.linalg.norm(L @ X - eye) <= 1e-10 * np.linalg.norm(eye)
         assert not np.triu(X, 1).any()
@@ -404,6 +429,13 @@ class TestCertify:
         assert bound.exact_bound >= solution.objective
         assert bound.value == 65
 
+    def test_problem_without_variables(self):
+        # the zero dual point proves the optimum 0
+        problem = no_variables()
+        solution = solve(problem)
+        assert certify(problem, solution).value == 0
+        assert certify(problem, unrecorded(solution)).value == 0
+
     @pytest.mark.parametrize("n2,n3,d,k", [(1, 1, 1, 3), (1, 1, 1, 2), (2, 2, 2, 3), (2, 2, 2, 2)])
     def test_orbit_variables_at_most_one(self, n2, n3, d, k):
         # the penalty takes y_i <= 1 on every variable; maximise each one
@@ -429,6 +461,11 @@ class TestSdpaInterchange:
         path = emit_sdpa(p, tmp_path / "p.dat-s")
         parsed = parse_sdpa(path)
         assert parsed == problem_to_sdpa_data(p)
+
+    def test_round_trip_without_variables(self, tmp_path):
+        # the empty objective line is blank, so the entries follow the sizes
+        p = no_variables()
+        assert parse_sdpa(emit_sdpa(p, tmp_path / "p.dat-s")) == problem_to_sdpa_data(p)
 
     def test_second_emission_identical(self, tmp_path):
         p = build_sdp(ProblemSpec(1, 1, 2))
