@@ -515,6 +515,7 @@ def verify_reduction(
 
     # (c) empty case
     mismatch = None
+    sidx = orbits.index_of(singleton_orbit(spec))
     for shape, block in zip(shapes_empty, blocks_empty):
         vec = representative_vector_empty(spec, shape)
         colsum = sum(vec.values())
@@ -533,7 +534,6 @@ def verify_reduction(
                     f"engine {got_val}, explicit {want}"
                 )
         if shape.augmented:
-            sidx = orbits.index_of(singleton_orbit(spec))
             off = values.get((sidx + 1, 0, 1), 0)
             if values.get((0, 0, 0)) != 1:
                 mismatch = mismatch or "augmented corner is not 1"
@@ -556,31 +556,16 @@ def verify_reduction(
     feas = [i for i in feas if i != 0]
     n_orbits = len(orbits)
 
-    def full_zero(y):
-        m = np.zeros((nwords, nwords))
-        for i in range(nwords):
-            for j in range(nwords):
-                widx = int(triple_orbit[i, j])
-                if orbits.feasible[widx]:
-                    m[i, j] = y[widx]
-        return m
-
     def full_empty(y):
-        m = np.zeros((nwords + 1, nwords + 1))
+        m = np.empty((nwords + 1, nwords + 1))
         m[0, 0] = 1.0
-        sidx = orbits.index_of(singleton_orbit(spec))
-        m[0, 1:] = y[sidx]
-        m[1:, 0] = y[sidx]
-        for i in range(nwords):
-            for j in range(nwords):
-                widx = int(pair_orbit_idx[i, j])
-                if orbits.feasible[widx]:
-                    m[1 + i, 1 + j] = y[widx]
+        m[0, 1:] = m[1:, 0] = y[sidx]
+        m[1:, 1:] = y[pair_orbit_idx]
         return m
 
     def blocks_min_eig(block_list, y):
         worst = np.inf
-        scale = np.concatenate(([1.0], np.where(orbits.feasible, y, 0.0)))  # by matno
+        scale = np.concatenate(([1.0], y))  # by matno
         for block in block_list:
             m = np.zeros((block.dim, block.dim))
             for matno, i, j, val in block.entries:
@@ -601,8 +586,9 @@ def verify_reduction(
             else:
                 y[widx] = rng.uniform(0.0, 0.05)
         y[0] = 0.0
-
-        fz = _min_eig(full_zero(y))
+        # y is zero outside the feasible orbits, so indexing it by the orbit
+        # tables gives the full matrices
+        fz = _min_eig(y[triple_orbit])
         bz = blocks_min_eig(blocks_zero, y)
         fe = _min_eig(full_empty(y))
         be = blocks_min_eig(blocks_empty, y)

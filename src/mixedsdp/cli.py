@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -195,6 +194,10 @@ def cmd_table(args) -> int:
         if r.marker == "" and not args.replay
     ]
     if args.jobs > 1 and todo:
+        # imported here: the pool pulls in multiprocessing, which no other
+        # command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for key, record in pool.map(_table_worker, todo):
                 computed[key] = record

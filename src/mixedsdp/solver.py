@@ -42,6 +42,9 @@ primal value gives; the tolerance only caps the effort.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import itertools
 import math
 import re
@@ -783,16 +786,22 @@ def problem_to_sdpa_data(problem: SdpProblem) -> SdpaData:
     return SdpaData(m, sizes, tuple(-c for c in problem.objective), tuple(entries))
 
 
+_SDPA_CHUNK = 4096  # entry lines per write of emit_sdpa
+
+
 def emit_sdpa(problem: SdpProblem, destination) -> Path:
     """Write the problem in SDPA sparse format (.dat-s).
 
     The header comment documents the sign conventions: the maximization is
     encoded by negating the objective vector, and constant matrices are
     emitted as -F0 per the SDPA convention X = sum_i x_i F_i - F0.
+    The entry lines go out in chunks of _SDPA_CHUNK, one join and one write
+    each, so the writer holds the SDPA view and one chunk of text, never
+    the file's text.
     """
     data = problem_to_sdpa_data(problem)
     spec = problem.spec
-    lines = [
+    header = [
         f'"mixed binary/ternary code bound: n2={spec.n2} n3={spec.n3} '
         f'd={spec.d} k={spec.k}',
         '"maximization encoded by negated objective; constant matrices are -F0',
@@ -802,10 +811,15 @@ def emit_sdpa(problem: SdpProblem, destination) -> Path:
         # a zero is the negation of 0 and prints as -0.0
         " ".join(repr(float(c) or -0.0) for c in data.objective),
     ]
-    for matno, blkno, i, j, val in data.entries:
-        lines.append(f"{matno} {blkno} {i} {j} {float(val)!r}")
+    entries = data.entries
     path = Path(destination)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as out:
+        out.write("\n".join(header) + "\n")
+        for start in range(0, len(entries), _SDPA_CHUNK):
+            out.write("".join(
+                f"{matno} {blkno} {i} {j} {float(val)!r}\n"
+                for matno, blkno, i, j, val in entries[start:start + _SDPA_CHUNK]
+            ))
     return path
 
 
@@ -816,11 +830,42 @@ def parse_sdpa(source) -> SdpaData:
     and names a matrix 0..num_vars, a declared block and a position inside
     it, on the diagonal of a diagonal (negative-size) block, that no other
     entry names; (i, j) and (j, i) name the same position of a symmetric
-    matrix."""
+    matrix.
+
+    The lines are read once, as a stream, into one list of entries; equal
+    number tokens share one int or float.  Repeated positions are adjacent
+    once the list is sorted, and only then is the source read again, to
+    name the first line that repeats an earlier one."""
+    with _sdpa_lines(source) as (header, lines):
+        entries = [entry for _, entry in lines]
+    entries.sort()
+    if any(a[:4] == b[:4] for a, b in itertools.pairwise(entries)):
+        with _sdpa_lines(source) as (_, lines):
+            seen = set()
+            for raw, (matno, blkno, i, j, _) in lines:
+                if (matno, blkno, i, j) in seen:
+                    raise SdpaParseError(
+                        f"repeated position ({i}, {j}) of matrix {matno} in block {blkno}: {raw!r}"
+                    )
+                seen.add((matno, blkno, i, j))
+    return SdpaData(*header, tuple(entries))
+
+
+@contextlib.contextmanager
+def _sdpa_lines(source):
+    """Open an SDPA source (path, or text containing newlines) and yield its
+    header (num_vars, sizes, objective) and an iterator over its entry
+    lines, which gives each line, without its newline, with its checked
+    entry (matno, blkno, i, j, value), i <= j."""
     text = str(source)
-    if "\n" not in text:
-        text = Path(source).read_text()
-    lines = (raw for raw in text.splitlines() if (line := raw.strip()) and line[0] not in '"*')
+    with io.StringIO(text, newline=None) if "\n" in text else open(source) as file:
+        yield _read_sdpa(file)
+
+
+def _read_sdpa(file):
+    """The header and the entry iterator of an open SDPA file (_sdpa_lines)."""
+    lines = (line.rstrip("\n") for line in file)
+    lines = (raw for raw in lines if (line := raw.strip()) and line[0] not in '"*')
     header = list(itertools.islice(lines, 3))
     if len(header) < 3:
         raise SdpaParseError("incomplete SDPA header")
@@ -851,36 +896,35 @@ def parse_sdpa(source) -> SdpaData:
             f"variable count {num_vars} does not match objective length "
             f"{len(objective)}"
         )
-    entries: dict[tuple[int, int, int, int], float] = {}
-    for raw in lines:
-        try:
-            *index, text = raw.split()
-            matno, blkno, i, j = map(int, index)
-            value = float(text)
-        except ValueError:
-            raise SdpaParseError(f"bad entry line: {raw!r}") from None
-        if i > j:
-            i, j = j, i
-        key = (matno, blkno, i, j)
-        size = sizes[blkno - 1] if 1 <= blkno <= num_blocks else 0
-        if not math.isfinite(value):
-            fault = "non-finite value"
-        elif not 0 <= matno <= num_vars:
-            fault = f"matrix number outside 0..{num_vars}"
-        elif not size:
-            fault = f"block number outside 1..{num_blocks}"
-        elif not (1 <= i <= abs(size) and 1 <= j <= abs(size)):
-            fault = f"index outside block {blkno} of size {abs(size)}"
-        elif size < 0 and i != j:
-            fault = f"off-diagonal entry in diagonal block {blkno}"
-        elif key in entries:
-            fault = f"repeated position ({i}, {j}) of matrix {matno} in block {blkno}"
-        else:
-            entries[key] = value
-            continue
-        raise SdpaParseError(f"{fault}: {raw!r}")
-    entries_sorted = tuple(sorted(key + (v,) for key, v in entries.items()))
-    return SdpaData(num_vars, sizes, objective, entries_sorted)
+
+    def entries():
+        integer, real = functools.cache(int), functools.cache(float)
+        for raw in lines:
+            try:
+                *index, text = raw.split()
+                matno, blkno, i, j = map(integer, index)
+                value = real(text)
+            except ValueError:
+                raise SdpaParseError(f"bad entry line: {raw!r}") from None
+            if i > j:
+                i, j = j, i
+            size = sizes[blkno - 1] if 1 <= blkno <= num_blocks else 0
+            if not math.isfinite(value):
+                fault = "non-finite value"
+            elif not 0 <= matno <= num_vars:
+                fault = f"matrix number outside 0..{num_vars}"
+            elif not size:
+                fault = f"block number outside 1..{num_blocks}"
+            elif not (1 <= i <= abs(size) and 1 <= j <= abs(size)):
+                fault = f"index outside block {blkno} of size {abs(size)}"
+            elif size < 0 and i != j:
+                fault = f"off-diagonal entry in diagonal block {blkno}"
+            else:
+                yield raw, (matno, blkno, i, j, value)
+                continue
+            raise SdpaParseError(f"{fault}: {raw!r}")
+
+    return (num_vars, sizes, objective), entries()
 
 
 _PRIMAL_PATTERNS = (

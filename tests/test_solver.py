@@ -553,12 +553,40 @@ class TestSdpaInterchange:
         assert parse_sdpa(head + "1 1 2 1 3.0\n").entries == ((1, 1, 1, 2, 3.0),)
 
     @pytest.mark.parametrize("second", ["1 1 1 2 4.0", "1 1 2 1 3.0"])
-    def test_repeated_position_rejected(self, second):
+    def test_repeated_position_rejected(self, tmp_path, second):
         text = "1\n1\n2\n1.0\n1 1 1 2 3.0\n" + second + "\n"
-        with pytest.raises(
-            SdpaParseError, match=f"repeated position \\(1, 2\\) of matrix 1 in block 1: '{second}'"
-        ):
+        message = f"repeated position \\(1, 2\\) of matrix 1 in block 1: '{second}'"
+        with pytest.raises(SdpaParseError, match=message):
             parse_sdpa(text)
+        # from a file too, the error names the first line that repeats a
+        # position, without its newline
+        path = tmp_path / "p.dat-s"
+        path.write_text(text.replace(second, "1 1 2 2 1.0\n" + second) + "1 1 2 2 5.0\n")
+        with pytest.raises(SdpaParseError, match=message + "$"):
+            parse_sdpa(path)
+
+    @pytest.fixture(scope="class")
+    def problem_2105(self):
+        return build_problem(ProblemSpec(2, 10, 5))
+
+    @pytest.mark.parametrize("direction", ["emit", "parse"])
+    def test_streaming_peak_bytes(self, tmp_path, problem_2105, direction):
+        # the writer holds the SDPA view and one chunk of lines, the reader
+        # one list of entries whose equal numbers share an object: neither
+        # holds the file's text (1.0 MB here), its lines or a map of its
+        # positions, which took 205 (writer) and 262 (reader) bytes an entry
+        entries = len(problem_to_sdpa_data(problem_2105).entries)
+        path = emit_sdpa(problem_2105, tmp_path / "p.dat-s")
+        tracemalloc.start()
+        try:
+            if direction == "emit":
+                emit_sdpa(problem_2105, path)
+            else:
+                parse_sdpa(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 125 * entries
 
     @pytest.mark.parametrize("n2,n3,d,k", [
         (1, 1, 1, 3), (2, 1, 2, 3), (2, 2, 3, 3), (2, 5, 3, 3), (2, 5, 3, 2), (1, 4, 3, 2),
