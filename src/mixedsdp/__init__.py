@@ -17,7 +17,7 @@ from mixedsdp.codes import (
     word,
 )
 from mixedsdp.model import build_lp_k2, build_sdp, derived_doubling_bound
-from mixedsdp.solver import certify, emit_sdpa, parse_sdpa, parse_sdpa_output, solve
+from mixedsdp.solver import certify, emit_sdpa, parse_sdpa, solve
 
 __all__ = [
     "Code",
@@ -39,7 +39,6 @@ __all__ = [
     "optimal_code",
     "orbit_pair_distances",
     "parse_sdpa",
-    "parse_sdpa_output",
     "solve",
     "word",
 ]

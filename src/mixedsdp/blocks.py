@@ -330,6 +330,7 @@ def build_blocks_empty(
 # Brute-force verification at tiny sizes.
 
 VERIFY_WORD_CAP = 108
+VERIFY_SEED = 2024  # seeds the random assignments of check (d)
 
 # Column vectors of the representative matrices, indexed by entry value - 1.
 _A_BASES = {
@@ -431,9 +432,7 @@ def _min_eig(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(mat)[0])
 
 
-def verify_reduction(
-    spec: ProblemSpec, trials: int = 50, seed: int = 2024
-) -> VerifyReport:
+def verify_reduction(spec: ProblemSpec, trials: int = 50) -> VerifyReport:
     """Check the reduction engine against explicit unreduced objects.
 
     (a) builds every representative column explicitly in the word space;
@@ -551,7 +550,7 @@ def verify_reduction(
     ))
 
     # (d) PSD transport on random feasible assignments
-    rng = random.Random(seed)
+    rng = random.Random(VERIFY_SEED)
     feas = orbits.feasible_indices()
     feas = [i for i in feas if i != 0]
     n_orbits = len(orbits)

@@ -28,11 +28,13 @@ iteration's B and factor go before the next B is built.
 A slack or dual matrix that loses positive definiteness raises
 ConditioningError naming the block and the iteration; nothing is clamped.
 Every SolverError raised by a solve carries the last iterate.
-The SDPA view of a problem relabels its blocks' exact triplets, and the
-SDPA writer, the solver's float arrays and the exact check all read it; the
-writer and the solver each take a value's nearest double.  Nonzeros that
-do not round-trip through a double are counted and reported, each
-upper-triangle entry, constant and objective entry once.
+The solver and the exact check read the problem's blocks: the 1x1 blocks
+are the linear rows, and F0 and the objective keep their own signs.  Only
+the SDPA writer and reader know that format's conventions.  The solver, as
+the writer, takes each exact value's nearest double, so an emitted file
+holds the doubles the solver solves.  Nonzeros that do not round-trip
+through a double are counted and reported, each upper-triangle entry,
+constant and objective entry once.
 Each block is rescaled to unit magnitude, which changes neither the
 feasible set nor the dual objective value.
 The solve stops at the first iterate whose dual point, checked in exact
@@ -42,9 +44,7 @@ primal value gives; the tolerance only caps the effort.
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import io
 import itertools
 import math
 import re
@@ -80,7 +80,7 @@ class CertificationError(SolverError):
 
 
 class SdpaParseError(ValueError):
-    """Malformed SDPA file or solver output."""
+    """Malformed SDPA file."""
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,7 @@ class Solution:
 
 @dataclass
 class _PsdBlock:
+    label: str
     dim: int
     gamma: float
     f0: np.ndarray          # (s, s)
@@ -138,44 +139,33 @@ class _LpData:
     gammas: np.ndarray      # (n,)
 
 
-def _prepare(data: SdpaData):
-    """Per-block rescaled float data of an SDPA view, and the number of its
-    nonzeros, objective values included, that do not round-trip through a
-    double.  Each coefficient matrix F_i of a PSD block is kept sparse, as
-    its upper triangle padded with zeros to the longest in the block; the
-    rows y >= 0, which close the diagonal block, are kept implicit."""
-    m = data.num_vars
-    inexact = sum(float(v) != v for v in [e[4] for e in data.entries] + list(data.objective))
-    table = np.array(data.entries, dtype=float).reshape(-1, 5)
-    matno, blkno, row, col = table[:, :4].astype(np.int64).T
-    val = np.where(matno == 0, -table[:, 4], table[:, 4])  # the view holds -F0
+def _prepare(problem: SdpProblem):
+    """Per-block rescaled float data of a problem, each exact value taken
+    as its nearest double, and the number of its nonzeros, objective
+    values included, that do not round-trip through a double.  Each
+    coefficient matrix F_i of a PSD block is kept sparse, as its upper
+    triangle padded with zeros to the longest in the block; the 1x1 blocks
+    are the rows of the linear part, and the rows y >= 0 are kept
+    implicit."""
+    m = problem.num_vars
+    inexact = sum(float(v) != v for b in problem.blocks for *_, v in b.entries)
+    inexact += sum(float(c) != c for c in problem.objective)
 
     sdp_blocks: list[_PsdBlock] = []
-    lp = _LpData(np.zeros(m), np.zeros((0, m)), np.ones(m))
-    for k, s in enumerate(data.block_sizes, start=1):
-        sel = blkno == k
-        mat, i, j, v = matno[sel], row[sel] - 1, col[sel] - 1, val[sel]
-        if s < 0:
-            # the diagonal block: the 1x1 blocks, with the constants in
-            # column 0, then the y >= 0 rows
-            n = -s - m
-            keep = i < n
-            dense = np.zeros((n, m + 1))
-            dense[i[keep], mat[keep]] = v[keep]
-            l0, rows = dense[:, 0], dense[:, 1:]
-            gammas = np.maximum(1.0, np.maximum(np.abs(rows).max(axis=1, initial=0.0), np.abs(l0)))
-            lp = _LpData(
-                np.concatenate([l0 / gammas, np.zeros(m)]),
-                rows / gammas[:, None],
-                np.concatenate([gammas, np.ones(m)]),
-            )
+    scalars = [b for b in problem.blocks if b.dim == 1]
+    for bl in problem.blocks:
+        if bl.dim == 1:
             continue
+        s = bl.dim
+        table = np.array(bl.entries, dtype=float).reshape(-1, 4)
+        mat, i, j = table[:, :3].astype(np.int64).T
+        v = table[:, 3]
         const = mat == 0
         f0 = np.zeros((s, s))
         f0[i[const], j[const]] = v[const]
         f0[j[const], i[const]] = v[const]
         mat, i, j, v = mat[~const], i[~const], j[~const], v[~const]
-        # the view is sorted, so each matrix's entries are contiguous
+        # the entries are sorted, so each matrix's entries are contiguous
         ids, slot, counts = np.unique(mat, return_inverse=True, return_counts=True)
         rank = np.arange(len(mat)) - (np.cumsum(counts) - counts)[slot]
         tri = np.zeros((len(ids), counts.max(initial=1)), dtype=np.int64)
@@ -183,10 +173,22 @@ def _prepare(data: SdpaData):
         tri[slot, rank] = i * s - i * (i - 1) // 2 + j - i  # row-major upper order
         coef[slot, rank] = np.where(i == j, v, 2.0 * v)
         gamma = max(1.0, np.abs(f0).max(initial=0.0), np.abs(v).max(initial=0.0))
-        sdp_blocks.append(
-            _PsdBlock(s, gamma, f0 / gamma, ids - 1, np.triu_indices(s), tri, coef / gamma)
-        )
-    b = np.array([-c for c in data.objective], dtype=float)
+        sdp_blocks.append(_PsdBlock(
+            bl.label, s, gamma, f0 / gamma, ids - 1, np.triu_indices(s), tri, coef / gamma
+        ))
+
+    dense = np.zeros((len(scalars), m + 1))  # the constants in column 0
+    for row, bl in enumerate(scalars):
+        for matno, _, _, v in bl.entries:
+            dense[row, matno] = v
+    l0, rows = dense[:, 0], dense[:, 1:]
+    gammas = np.maximum(1.0, np.maximum(np.abs(rows).max(axis=1, initial=0.0), np.abs(l0)))
+    lp = _LpData(
+        np.concatenate([l0 / gammas, np.zeros(m)]),
+        rows / gammas[:, None],
+        np.concatenate([gammas, np.ones(m)]),
+    )
+    b = np.array(problem.objective, dtype=float)
     return b, sdp_blocks, lp, inexact
 
 
@@ -384,35 +386,37 @@ def _on_grid(values: np.ndarray) -> list[int]:
     return [int(v) for v in np.rint(values * _GRID).ravel().tolist()]
 
 
-def _certificate(data: SdpaData, z: list[np.ndarray], w: np.ndarray) -> CertifiedBound:
+def _certificate(problem: SdpProblem, z: list[np.ndarray], w: np.ndarray) -> CertifiedBound:
     """The exact check of a dual point (see ``certify``) against the exact
-    SDPA view of a problem.  Raises CertificationError when a shifted dual
-    block is neither positive definite nor zero."""
-    # one list of dual values per block, in units of 1 / _GRID: each PSD
-    # block's matrix, row-major, then the multipliers of the 1x1 blocks
-    grid = []
-    for k, zk in enumerate(z):
+    blocks of a problem.  Raises CertificationError, naming the block, when
+    a shifted dual block is neither positive definite nor zero."""
+    # the dual values in units of 1 / _GRID: each PSD block's matrix,
+    # row-major, and the multiplier of each 1x1 block
+    psd = iter(z)
+    lp = iter(_on_grid(np.maximum(w, 0.0)))
+    # sums[0] is sum <F0_k, Z_k> + sum l0_j w_j, and sums[i + 1] is
+    # sum <F_ik, Z_k> + sum a_ji w_j
+    sums = [0] * (problem.num_vars + 1)
+    for bl in problem.blocks:
+        if bl.dim == 1:
+            wj = next(lp)
+            for matno, _, _, v in bl.entries:
+                sums[matno] += v * wj
+            continue
+        zk = next(psd)
         shifted = np.triu(zk + np.diag(_shift(zk)))
         ints = np.array(_on_grid(shifted), dtype=object).reshape(shifted.shape)
         ints += np.triu(ints, 1).T  # the upper triangle, which the data reads
         # a block that rounds to zero is semidefinite and adds to no sum
         if ints.any() and not _positive_definite(ints):
-            raise CertificationError(f"shifted dual block {k} is not positive definite")
-        grid.append(ints.ravel().tolist())
-    grid.append(_on_grid(np.maximum(w, 0.0)))
-    # sums[0] is -(sum <F0_k, Z_k> + sum l0_j w_j), since the view holds
-    # -F0, and sums[i + 1] is sum <F_ik, Z_k> + sum a_ji w_j
-    sums = [0] * (data.num_vars + 1)
-    for matno, blkno, i, j, v in data.entries:
-        size = data.block_sizes[blkno - 1]
-        if size < 0 and i > len(w):
-            continue  # the rows y >= 0
-        slot = (i - 1) * size + j - 1 if size > 0 else i - 1
-        sums[matno] += (v if i == j else 2 * v) * grid[blkno - 1][slot]
-    # the slack v_i = -c_i - sums[i + 1] of each variable, where the view
-    # holds -c; y_i <= 1 bounds what a negative one can add
-    penalty = sum(max(0, t - c * _GRID) for c, t in zip(data.objective, sums[1:]))
-    bound = Fraction(penalty - sums[0], _GRID)
+            raise CertificationError(f"shifted dual block {bl.label} is not positive definite")
+        grid = ints.ravel().tolist()
+        for matno, i, j, v in bl.entries:
+            sums[matno] += (v if i == j else 2 * v) * grid[i * bl.dim + j]
+    # the slack v_i = -c_i - sums[i + 1] of each variable; y_i <= 1 bounds
+    # what a negative one can add
+    penalty = sum(max(0, c * _GRID + t) for c, t in zip(problem.objective, sums[1:]))
+    bound = Fraction(sums[0] + penalty, _GRID)
     return CertifiedBound(math.floor(bound), bound, Fraction(penalty, _GRID))
 
 
@@ -431,9 +435,8 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
         raise ValueError(f"tol must be positive and finite, got tol={tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    data = problem_to_sdpa_data(problem)
-    b, blocks, lp, inexact = _prepare(data)
-    m = data.num_vars
+    b, blocks, lp, inexact = _prepare(problem)
+    m = problem.num_vars
     nu = sum(bl.dim for bl in blocks) + len(lp.l0)
     n_lp = len(lp.rows)
 
@@ -487,7 +490,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
     def exact_check() -> CertifiedBound | None:
         z, w, _ = dual_point()
         try:
-            return _certificate(data, z, w)
+            return _certificate(problem, z, w)
         except CertificationError:
             return None
 
@@ -565,12 +568,12 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
 
         # NT scalings (G, G^-1, d) per block; W^-1 = G^-T G^-1
         scalings = []
-        for k, (sk, zk) in enumerate(zip(S, Z)):
+        for bl, sk, zk in zip(blocks, S, Z):
             try:
                 scalings.append(_nt_scaling(sk, zk))
             except ConditioningError as exc:
                 raise ConditioningError(
-                    f"{exc} in block {k} at iteration {it}", current(False)
+                    f"{exc} in block {bl.label} at iteration {it}", current(False)
                 ) from None
         winv = [gi.T @ gi for _, gi, _ in scalings]
         lp_ratio = z_lp / s_lp
@@ -733,7 +736,7 @@ def certify(problem: SdpProblem, solution: Solution) -> CertifiedBound:
         raise CertificationError("cannot certify an unconverged solution")
     bound = solution.certificate
     if bound is None:
-        bound = _certificate(problem_to_sdpa_data(problem), solution.z, solution.w)
+        bound = _certificate(problem, solution.z, solution.w)
     dobj = solution.dual_objective
     if bound.value > dobj + 1e-6 * max(1.0, abs(dobj)):
         raise CertificationError(
@@ -752,7 +755,8 @@ class SdpaData:
     position, each of a PSD block in its upper triangle.  Built from a
     problem it holds the exact values; parsed from a file, the doubles the
     file prints.  The two compare equal exactly when every value
-    round-trips through a double."""
+    round-trips through a double.  It is the interchange view only: the
+    writer prints it, and the solver and the exact check read the blocks."""
 
     num_vars: int
     block_sizes: tuple[int, ...]
@@ -823,26 +827,26 @@ def emit_sdpa(problem: SdpProblem, destination) -> Path:
     return path
 
 
-def parse_sdpa(source) -> SdpaData:
-    """Read an SDPA sparse file (path, or text containing newlines) back
-    into its canonical content.  Block sizes must be nonzero and objective
-    values finite.  An entry line holds four integers and a finite number,
-    and names a matrix 0..num_vars, a declared block and a position inside
-    it, on the diagonal of a diagonal (negative-size) block, that no other
-    entry names; (i, j) and (j, i) name the same position of a symmetric
-    matrix.
+def parse_sdpa(path) -> SdpaData:
+    """Read an SDPA sparse file back into its canonical content.  Block
+    sizes must be nonzero and objective values finite.  An entry line holds
+    four integers and a finite number, and names a matrix 0..num_vars, a
+    declared block and a position inside it, on the diagonal of a diagonal
+    (negative-size) block, that no other entry names; (i, j) and (j, i)
+    name the same position of a symmetric matrix.
 
     The lines are read once, as a stream, into one list of entries; equal
     number tokens share one int or float.  Repeated positions are adjacent
-    once the list is sorted, and only then is the source read again, to
-    name the first line that repeats an earlier one."""
-    with _sdpa_lines(source) as (header, lines):
+    once the list is sorted, and only then is the file read again, to name
+    the first line that repeats an earlier one."""
+    with open(path) as file:
+        header, lines = _read_sdpa(file)
         entries = [entry for _, entry in lines]
     entries.sort()
     if any(a[:4] == b[:4] for a, b in itertools.pairwise(entries)):
-        with _sdpa_lines(source) as (_, lines):
+        with open(path) as file:
             seen = set()
-            for raw, (matno, blkno, i, j, _) in lines:
+            for raw, (matno, blkno, i, j, _) in _read_sdpa(file)[1]:
                 if (matno, blkno, i, j) in seen:
                     raise SdpaParseError(
                         f"repeated position ({i}, {j}) of matrix {matno} in block {blkno}: {raw!r}"
@@ -851,19 +855,10 @@ def parse_sdpa(source) -> SdpaData:
     return SdpaData(*header, tuple(entries))
 
 
-@contextlib.contextmanager
-def _sdpa_lines(source):
-    """Open an SDPA source (path, or text containing newlines) and yield its
-    header (num_vars, sizes, objective) and an iterator over its entry
-    lines, which gives each line, without its newline, with its checked
-    entry (matno, blkno, i, j, value), i <= j."""
-    text = str(source)
-    with io.StringIO(text, newline=None) if "\n" in text else open(source) as file:
-        yield _read_sdpa(file)
-
-
 def _read_sdpa(file):
-    """The header and the entry iterator of an open SDPA file (_sdpa_lines)."""
+    """The header (num_vars, sizes, objective) of an open SDPA file and an
+    iterator over its entry lines, which gives each line, without its
+    newline, with its checked entry (matno, blkno, i, j, value), i <= j."""
     lines = (line.rstrip("\n") for line in file)
     lines = (raw for raw in lines if (line := raw.strip()) and line[0] not in '"*')
     header = list(itertools.islice(lines, 3))
@@ -925,32 +920,3 @@ def _read_sdpa(file):
             raise SdpaParseError(f"{fault}: {raw!r}")
 
     return (num_vars, sizes, objective), entries()
-
-
-_PRIMAL_PATTERNS = (
-    re.compile(r"objValPrimal\s*=\s*([-+0-9.eE]+)"),
-    re.compile(r"Primal objective value:\s*([-+0-9.eE]+)"),
-)
-_DUAL_PATTERNS = (
-    re.compile(r"objValDual\s*=\s*([-+0-9.eE]+)"),
-    re.compile(r"Dual objective value:\s*([-+0-9.eE]+)"),
-)
-
-
-def parse_sdpa_output(text: str) -> tuple[float, float]:
-    """Extract (primal, dual) objective values from SDPA-family solver
-    output; raises on malformed text."""
-    primal = dual = None
-    for pat in _PRIMAL_PATTERNS:
-        match = pat.search(text)
-        if match:
-            primal = float(match.group(1))
-            break
-    for pat in _DUAL_PATTERNS:
-        match = pat.search(text)
-        if match:
-            dual = float(match.group(1))
-            break
-    if primal is None or dual is None:
-        raise SdpaParseError("missing objective values in solver output")
-    return primal, dual

@@ -25,11 +25,11 @@ from mixedsdp.solver import (
     certify,
     emit_sdpa,
     parse_sdpa,
-    parse_sdpa_output,
     problem_to_sdpa_data,
     solve,
 )
 from orbit_reference import block_at, code_indicator_assignment
+from sdpa_output import parse_sdpa_output
 
 TOL = 1e-8
 ORACLE_NODE_BUDGET = 3_000_000

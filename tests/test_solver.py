@@ -36,10 +36,10 @@ from mixedsdp.solver import (
     certify,
     emit_sdpa,
     parse_sdpa,
-    parse_sdpa_output,
     problem_to_sdpa_data,
     solve,
 )
+from sdpa_output import parse_sdpa_output
 
 DUMMY_ORBIT = OrbitId(1, (1, 0, 0, 0), (1, 0, 0, 0, 0))
 
@@ -180,12 +180,15 @@ class TestSolve:
 
     def test_error_carries_last_iterate(self):
         # a tolerance below this problem's double-precision floor
+        problem = build_sdp(ProblemSpec(2, 1, 2))
         with pytest.raises(ConditioningError) as info:
-            solve(build_sdp(ProblemSpec(2, 1, 2)), tol=1e-13)
+            solve(problem, tol=1e-13)
         solution = info.value.solution
         assert solution.trace
         assert not solution.converged
         assert solution.iterations == len(solution.trace)
+        # the scaling that failed names its block by the block's label
+        assert any(b.label in str(info.value) for b in problem.blocks if b.dim >= 2)
 
     def test_non_convergence_names_residuals(self):
         with pytest.raises(NonConvergenceError) as info:
@@ -287,7 +290,7 @@ class TestSchur:
     def test_matches_dense_reference(self, n2, n3, d, k):
         problem = build_problem(ProblemSpec(n2, n3, d, k))
         psd, diag = dense_sdpa_operators(problem)
-        _, blocks, lp, _ = _prepare(problem_to_sdpa_data(problem))
+        _, blocks, lp, _ = _prepare(problem)
         assert len(blocks) == len(psd)
         m = problem.num_vars
         rng = np.random.default_rng(n2 * 100 + n3 * 10 + d + k)
@@ -411,8 +414,22 @@ class TestCertify:
         assert certify(problem, unrecorded(solution, z=z)).value == 65
         shift = solver._shift
         monkeypatch.setattr(solver, "_shift", lambda zk: -shift(zk))
-        with pytest.raises(CertificationError, match="not positive definite"):
+        with pytest.raises(CertificationError, match="not positive definite") as info:
             certify(problem, unrecorded(solution, z=z))
+        # the error names the block of z[1], the second PSD block, by its label
+        label = [b.label for b in problem.blocks if b.dim >= 2][1]
+        assert f"block {label} is" in str(info.value)
+
+    def test_solve_and_check_read_the_blocks(self, monkeypatch):
+        # neither the solve nor the exact check builds the SDPA view
+        def refuse(problem):
+            raise AssertionError("the SDPA view was built")
+
+        monkeypatch.setattr(solver, "problem_to_sdpa_data", refuse)
+        problem = build_sdp(ProblemSpec(2, 5, 3))
+        solution = solve(problem)
+        assert certify(problem, solution).value == 65
+        assert certify(problem, unrecorded(solution)).value == 65
 
     def test_penalty_covers_dual_infeasibility(self, solved_253):
         # a scaled-down dual point leaves the slack of the singleton, the one
@@ -444,6 +461,40 @@ class TestCertify:
             objective = tuple(int(j == i) for j in range(problem.num_vars))
             single = dataclasses.replace(problem, objective=objective)
             assert solve(single, tol=1e-8).dual_objective <= 1 + 1e-6
+
+
+def problem_from_sdpa(data):
+    """The problem an SDPA view describes, in the blocks' natural signs: its
+    PSD blocks in order, then each row of its diagonal block, except the
+    rows y >= 0, as a 1x1 block.  The labels are the block numbers and the
+    rows."""
+    m = data.num_vars
+    entries = {}
+    for k, size in enumerate(data.block_sizes, 1):
+        rows = [0] if size > 0 else range(1, -size - m + 1)
+        entries.update(((k, row), []) for row in rows)
+    # the view is sorted, so each block's entries come sorted
+    for matno, blkno, i, j, val in data.entries:
+        psd = data.block_sizes[blkno - 1] > 0
+        place = entries.get((blkno, 0 if psd else i))
+        if place is not None:  # None for a row y >= 0
+            i, j = (i - 1, j - 1) if psd else (0, 0)
+            place.append((matno, i, j, -val if matno == 0 else val))
+    blocks = [
+        Block(f"{k}:{row}", data.block_sizes[k - 1] if row == 0 else 1, tuple(es))
+        for (k, row), es in entries.items()
+    ]
+    return toy_problem([-c for c in data.objective], blocks)
+
+
+@pytest.fixture
+def parse_text(tmp_path):
+    """parse_sdpa of a text, written to a file first."""
+    def parse(text):
+        path = tmp_path / "text.dat-s"
+        path.write_text(text)
+        return parse_sdpa(path)
+    return parse
 
 
 SAMPLE_OUTPUT = """
@@ -484,9 +535,12 @@ class TestSdpaInterchange:
         assert (0, 1, 1, 1, -1.0) in data.entries
 
     def test_parse_from_text(self, tmp_path):
+        # the emitted text, written again with \r\n line ends, reads the same
         p = build_lp_k2(ProblemSpec(1, 1, 2, k=2))
-        path = emit_sdpa(p, tmp_path / "k2.dat-s")
-        assert parse_sdpa(path.read_text()) == problem_to_sdpa_data(p)
+        text = emit_sdpa(p, tmp_path / "k2.dat-s").read_text()
+        path = tmp_path / "crlf.dat-s"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        assert parse_sdpa(path) == problem_to_sdpa_data(p)
 
     # SHA-256 of the emitted files, pinned so that refactors of the block,
     # model and SDPA layers keep every byte.
@@ -505,25 +559,25 @@ class TestSdpaInterchange:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         assert parse_sdpa(path) == problem_to_sdpa_data(problem)
 
-    def test_bad_header_rejected(self):
+    def test_bad_header_rejected(self, parse_text):
         with pytest.raises(SdpaParseError):
-            parse_sdpa("3\n1\n2 2\n1.0 1.0 1.0\n")
+            parse_text("3\n1\n2 2\n1.0 1.0 1.0\n")
 
-    def test_zero_block_size_rejected(self):
+    def test_zero_block_size_rejected(self, parse_text):
         # a block of size 0 is a bad header, not a missing block
         with pytest.raises(SdpaParseError, match=r"bad SDPA header: block size 0 in \(0, 2\)"):
-            parse_sdpa("1\n2\n0 2\n1.0\n1 2 1 1 3.0\n")
+            parse_text("1\n2\n0 2\n1.0\n1 2 1 1 3.0\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
-    def test_non_finite_objective_rejected(self, value):
+    def test_non_finite_objective_rejected(self, parse_text, value):
         with pytest.raises(
             SdpaParseError, match=f"bad SDPA header: non-finite objective in '1.0 {value}'"
         ):
-            parse_sdpa(f"2\n1\n2\n1.0 {value}\n1 1 1 1 1.0\n")
+            parse_text(f"2\n1\n2\n1.0 {value}\n1 1 1 1 1.0\n")
 
-    def test_bad_entry_rejected(self):
+    def test_bad_entry_rejected(self, parse_text):
         with pytest.raises(SdpaParseError):
-            parse_sdpa("1\n1\n2\n1.0\n0 1 1\n")
+            parse_text("1\n1\n2\n1.0\n0 1 1\n")
 
     @pytest.mark.parametrize("entry,fault", [
         ("2 1 1 1 3.0", "matrix number outside 0..1"),
@@ -541,25 +595,25 @@ class TestSdpaInterchange:
         ("1 1 1 1 inf", "non-finite value"),
         ("1 1 1 1 -Infinity", "non-finite value"),
     ])
-    def test_entry_outside_blocks_rejected(self, entry, fault):
+    def test_entry_outside_blocks_rejected(self, parse_text, entry, fault):
         text = "1\n2\n2 -3\n1.0\n1 1 1 2 1.0\n1 2 3 3 1.0\n"
-        assert parse_sdpa(text).entries == ((1, 1, 1, 2, 1.0), (1, 2, 3, 3, 1.0))
+        assert parse_text(text).entries == ((1, 1, 1, 2, 1.0), (1, 2, 3, 3, 1.0))
         with pytest.raises(SdpaParseError, match=f"{fault}: '{entry}'"):
-            parse_sdpa(text + entry + "\n")
+            parse_text(text + entry + "\n")
 
-    def test_entry_stored_in_upper_triangle(self):
+    def test_entry_stored_in_upper_triangle(self, parse_text):
         head = "1\n1\n2\n1.0\n"
-        assert parse_sdpa(head + "1 1 2 1 3.0\n") == parse_sdpa(head + "1 1 1 2 3.0\n")
-        assert parse_sdpa(head + "1 1 2 1 3.0\n").entries == ((1, 1, 1, 2, 3.0),)
+        assert parse_text(head + "1 1 2 1 3.0\n") == parse_text(head + "1 1 1 2 3.0\n")
+        assert parse_text(head + "1 1 2 1 3.0\n").entries == ((1, 1, 1, 2, 3.0),)
 
     @pytest.mark.parametrize("second", ["1 1 1 2 4.0", "1 1 2 1 3.0"])
-    def test_repeated_position_rejected(self, tmp_path, second):
+    def test_repeated_position_rejected(self, tmp_path, parse_text, second):
         text = "1\n1\n2\n1.0\n1 1 1 2 3.0\n" + second + "\n"
         message = f"repeated position \\(1, 2\\) of matrix 1 in block 1: '{second}'"
         with pytest.raises(SdpaParseError, match=message):
-            parse_sdpa(text)
-        # from a file too, the error names the first line that repeats a
-        # position, without its newline
+            parse_text(text)
+        # with another line between and a later repeat too, the error names
+        # the first line that repeats a position, without its newline
         path = tmp_path / "p.dat-s"
         path.write_text(text.replace(second, "1 1 2 2 1.0\n" + second) + "1 1 2 2 5.0\n")
         with pytest.raises(SdpaParseError, match=message + "$"):
@@ -593,18 +647,22 @@ class TestSdpaInterchange:
     ])
     def test_emitted_and_solved_floats_identical(self, tmp_path, n2, n3, d, k):
         # the writer and the solver each take the nearest double of the
-        # exact view, so the file describes the problem the solver solves
+        # exact values, so the file describes the problem the solver solves:
+        # the problem rebuilt from the file gives the solver the same arrays
         problem = build_problem(ProblemSpec(n2, n3, d, k))
         path = emit_sdpa(problem, tmp_path / "p.dat-s")
 
-        def arrays(data):
-            b, blocks, lp, inexact = _prepare(data)
+        def arrays(problem):
+            b, blocks, lp, inexact = _prepare(problem)
             assert inexact == 0
-            fields = [getattr(x, f.name) for x in [*blocks, lp] for f in dataclasses.fields(x)]
+            fields = [
+                getattr(x, f.name) for x in [*blocks, lp] for f in dataclasses.fields(x)
+                if f.name != "label"
+            ]
             return [np.asarray(a) for a in [b, *fields]]
 
-        solved = arrays(problem_to_sdpa_data(problem))
-        emitted = arrays(parse_sdpa(path))
+        solved = arrays(problem)
+        emitted = arrays(problem_from_sdpa(parse_sdpa(path)))
         assert len(solved) == len(emitted)
         for a, e in zip(solved, emitted):
             assert (a.dtype, a.shape, a.tobytes()) == (e.dtype, e.shape, e.tobytes())
@@ -614,7 +672,7 @@ class TestSdpaInterchange:
         p = toy_problem((1,), [Block("ub", 1, ((0, 0, 0, big), (1, 0, 0, -big)))])
         parsed = parse_sdpa(emit_sdpa(p, tmp_path / "big.dat-s"))
         assert parsed != problem_to_sdpa_data(p)
-        assert _prepare(parsed)[3] == 0
+        assert _prepare(problem_from_sdpa(parsed))[3] == 0
         assert solve(p, tol=1e-8).inexact_coefficients == 2
 
 

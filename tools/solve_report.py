@@ -1,4 +1,5 @@
-"""Print the certified bound and iteration count of each problem's solve.
+"""Print the certified bound, its exact value and the iteration count of
+each problem's solve.
 
 Run it on two checkouts and compare the outputs to show how a solver change
 moves the results, problem by problem:
@@ -14,8 +15,10 @@ of the acceptance suite's oracle sandwich (``SANDWICH_FAMILIES`` in
 ``tests/test_acceptance.py``, every d) at levels 3 and 2, so that a solver
 regression on one of them shows by name.  The level-3 solves of d=5 take
 most of the time.  Each line is
-``n2,n3,d,k bound iterations`` or, when the solve or the certificate
-fails, ``n2,n3,d,k`` and the error class.  The last line,
+``n2,n3,d,k bound exact_bound iterations``, the exact bound a reduced
+fraction, so two outputs compare the certificates exactly and not only
+their floors; or, when the solve or the certificate fails, ``n2,n3,d,k``
+and the error class.  The last line,
 ``iterations N``, sums the iterations of the certified solves.
 
 The BLAS thread count is pinned to 1 (``OPENBLAS_NUM_THREADS``,
@@ -60,7 +63,8 @@ def main(argv: list[str]) -> None:
         label = ",".join(map(str, key))
         try:
             solution = solve(problem, tol=tol)
-            print(label, certify(problem, solution).value, solution.iterations, flush=True)
+            bound = certify(problem, solution)
+            print(label, bound.value, bound.exact_bound, solution.iterations, flush=True)
             total += solution.iterations
         except SolverError as exc:
             print(label, type(exc).__name__, flush=True)
