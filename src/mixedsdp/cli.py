@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -167,6 +168,8 @@ def cmd_table(args) -> int:
         raise ValueError(f"need d >= 1, got d={args.d}")
     if args.jobs < 1:
         raise ValueError(f"need --jobs >= 1, got --jobs={args.jobs}")
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got tol={args.tol}")
     all_rows = load_reference_rows()
     by_key = {(r.n2, r.n3, r.d): r for r in all_rows}
     rows = [r for r in all_rows if args.d is None or r.d == args.d]

@@ -493,27 +493,17 @@ def _degeneracy_order(adj: list[int], cand0: int) -> list[int]:
     return out
 
 
-def _relabel(
-    adj: list[int], cand0: int, degeneracy: bool = False
-) -> tuple[list[int], list[int], list[int]]:
-    """The subgraph on ``cand0``, its vertices renumbered 0, 1, ... in search
-    order: ``order[i]`` is the vertex numbered i, ``radj`` holds the
-    renumbered neighbour masks and ``nonadj`` the non-neighbours of each
-    vertex but itself, with which the colour classes grow.
-
-    The order is by degree within ``cand0``, highest first, or with
-    ``degeneracy`` the order of ``_degeneracy_order``."""
-    if degeneracy:
-        order = _degeneracy_order(adj, cand0)
-    else:
-        order = sorted(
-            _vertices(cand0), key=lambda v: (adj[v] & cand0).bit_count(), reverse=True
-        )
+def _relabel(adj: list[int], order: list[int]) -> tuple[list[int], list[int]]:
+    """The subgraph on the vertices of ``order``, vertex ``order[i]``
+    renumbered i: ``radj`` holds the renumbered neighbour masks and
+    ``nonadj`` the non-neighbours of each vertex but itself, with which the
+    colour classes grow."""
     pos = {v: i for i, v in enumerate(order)}
+    cand0 = sum(1 << v for v in order)
     full = (1 << len(order)) - 1
     radj = [sum(1 << pos[u] for u in _vertices(adj[v] & cand0)) for v in order]
     nonadj = [full & ~(a | 1 << v) for v, a in enumerate(radj)]
-    return order, radj, nonadj
+    return radj, nonadj
 
 
 def _search(
@@ -525,10 +515,17 @@ def _search(
     limit: int | None,
 ) -> int:
     """Best clique within the mask ``cand`` of a relabelled graph
-    (``_relabel``), or 0 unless one larger than ``lower`` is found.  One
-    greedy clique in vertex order is the first incumbent.  ``nodes[0]``
-    counts the search nodes; past ``limit`` the search raises
-    _BudgetExceeded."""
+    (``_relabel``), or 0 unless one larger than ``lower`` is found (the
+    caller's incumbent prunes the search).  One greedy clique in vertex
+    order is the first incumbent.  ``nodes[0]`` counts the search nodes,
+    across calls that share the list; past ``limit`` the search raises
+    _BudgetExceeded instead of completing.
+
+    Branch-and-bound with greedy colouring bounds: each node colours its
+    candidates greedily in vertex order and recolours them as Tomita et
+    al.'s Re-NUMBER does ("A simple and faster branch-and-bound algorithm
+    for finding a maximum clique", WALCOM 2010).  The search keeps its open
+    nodes on an explicit stack, so it never recurses."""
     if not cand:
         return 0
     best_size = lower
@@ -609,33 +606,6 @@ def _search(
     return best_mask
 
 
-def _max_clique_masked(
-    adj: list[int],
-    cand0: int,
-    lower: int = 0,
-    counter: list | None = None,
-    limit: int | None = None,
-    degeneracy: bool = False,
-) -> int:
-    """Best clique within a candidate set, branch-and-bound with greedy
-    colouring bounds.  Returns 0 unless a clique larger than ``lower`` is
-    found (the caller's incumbent prunes the search).  ``counter``
-    accumulates search nodes across calls; when it passes ``limit`` the
-    search raises _BudgetExceeded instead of completing.
-
-    The candidates are ordered by degree, highest first, or with
-    ``degeneracy`` by ``_degeneracy_order`` (``_relabel``); one greedy
-    clique in that order is the first incumbent.  Each node colours its
-    candidates greedily in that order and recolours them as Tomita et al.'s
-    Re-NUMBER does ("A simple and faster branch-and-bound algorithm for
-    finding a maximum clique", WALCOM 2010).  The search keeps its open
-    nodes on an explicit stack, so it never recurses."""
-    order, radj, nonadj = _relabel(adj, cand0, degeneracy)
-    nodes = counter if counter is not None else [0]
-    best = _search(radj, nonadj, (1 << len(order)) - 1, lower, nodes, limit)
-    return sum(1 << order[v] for v in _vertices(best))
-
-
 def _orbit_key(
     spec: ProblemSpec, fixed: list[tuple[int, int, int]]
 ) -> Callable[[tuple[int, int, int]], tuple]:
@@ -702,14 +672,16 @@ def _max_clique_words(
 ) -> int:
     """Bitmask of one maximum code, by a two-phase exact search.
 
-    Phase 1 runs the branch-and-bound on the whole graph, in degree order,
-    under a small node cap; the dense graphs of small d, such as (5,2,2),
-    close there within a few hundred nodes.  Otherwise phase 2 branches on
-    the isometry group down to the fourth word.  Each third word's
-    candidates are ordered once by degeneracy (``_degeneracy_order``), and
-    every fourth-word search runs on a mask of that relabelled graph.
-    Phase 1 keeps the degree order: in degeneracy order it misses (5,2,2),
-    which then runs for minutes where it now closes in 96 nodes.
+    Phase 1 relabels the whole graph in degree order, highest first
+    (``_relabel``), and runs ``_search`` on it under a small node cap; the
+    dense graphs of small d, such as (5,2,2), close there within a few
+    hundred nodes.  Otherwise phase 2 starts from the greedy clique in the
+    same order and branches on the isometry group down to the fourth word.
+    Each third word's candidates are relabelled once in degeneracy order
+    (``_degeneracy_order``), and every fourth-word ``_search`` runs on a
+    mask of that relabelled graph.  Phase 1 keeps the degree order: in
+    degeneracy order it misses (5,2,2), which then runs for minutes where it
+    now closes in 96 nodes.
 
     Minimum-profile branching.  The profile of a pair of words, (binary
     distance, ternary distance), is kept by every isometry, and the feasible
@@ -758,19 +730,20 @@ def _max_clique_words(
     profiles, graphs = _profile_graphs(spec, enc)
     adj = graphs[0]
     n = len(words)
-    full = (1 << n) - 1
+    order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
+    radj, nonadj = _relabel(adj, order)
 
     counter = [0]
     phase1_limit = 1_000 if node_budget is None else min(1_000, node_budget)
     try:
-        return _max_clique_masked(adj, full, counter=counter, limit=phase1_limit)
+        best = _search(radj, nonadj, (1 << n) - 1, 0, counter, phase1_limit)
+        return sum(1 << order[v] for v in _vertices(best))
     except _BudgetExceeded:
         pass
 
     # incumbent for the profile phase; a greedy clique is maximal, and every
     # word has a neighbour, so it holds at least two words
-    degree_order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
-    best = _greedy_clique(adj, degree_order)
+    best = _greedy_clique(adj, order)
     best_size = best.bit_count()
 
     zero_idx = enc.index((0, 0, 0))
@@ -786,7 +759,8 @@ def _max_clique_words(
             triple = pair | 1 << third
             if best_size < 3:
                 best, best_size = triple, 3
-            order, radj, nonadj = _relabel(g, triple_cand, degeneracy=True)
+            order = _degeneracy_order(g, triple_cand)
+            radj, nonadj = _relabel(g, order)
             key = _orbit_key(spec, [rep, enc[third]])
             fourth_keys = [key(enc[v]) for v in order]
             relabelled = (1 << len(order)) - 1

@@ -158,6 +158,16 @@ class TestCommands:
         assert captured.out == ""
         assert not (tmp_path / "j.jsonl").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_table_bad_tol_refused(self, tmp_path, capsys, tol):
+        # refused up front, like --jobs, even when no row is solved
+        code = main(["table", "--tol", tol, "--max-length", "2",
+                     "--store", str(tmp_path / "t.jsonl")])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"tol must be positive and finite, got tol={float(tol)}" in captured.err
+        assert captured.out == ""
+
     def test_table_replay(self, tmp_path, capsys):
         store = tmp_path / "t.jsonl"
         ResultsStore(store).append({

@@ -21,9 +21,12 @@ from mixedsdp.codes import (
     Word,
     _BudgetExceeded,
     _compositions,
+    _degeneracy_order,
     _letter_masks,
-    _max_clique_masked,
     _orbit_key,
+    _relabel,
+    _search,
+    _vertices,
     all_words,
     canonical_orbit,
     code,
@@ -421,7 +424,8 @@ class TestExactOracle:
         sys.setrecursionlimit(200)
         try:
             with mock.patch("mixedsdp.codes._greedy_clique", lambda adj, order: 0):
-                assert _max_clique_masked(adj, full) == full
+                radj, nonadj = _relabel(adj, list(range(n)))
+                assert _search(radj, nonadj, full, 0, [0], None) == full
         finally:
             sys.setrecursionlimit(saved)
 
@@ -559,12 +563,25 @@ def graph_candidates_lower(draw):
     return adj, cand, lower
 
 
-def check_max_clique_masked(adj, cand, lower, degeneracy):
+def degree_order(adj, cand):
+    """The vertices of ``cand`` by degree within it, highest first, as phase
+    1 of the oracle orders the words."""
+    return sorted(_vertices(cand), key=lambda v: (adj[v] & cand).bit_count(), reverse=True)
+
+
+def search_in_order(adj, cand, lower, order_of, nodes, limit=None):
+    """What ``_search`` finds in ``cand``, relabelled in the order that
+    ``order_of`` gives, mapped back to the vertices of ``adj``."""
+    order = order_of(adj, cand)
+    radj, nonadj = _relabel(adj, order)
+    best = _search(radj, nonadj, (1 << len(order)) - 1, lower, nodes, limit)
+    return sum(1 << order[v] for v in _vertices(best))
+
+
+def check_search(adj, cand, lower, order_of):
     omega = brute_force_clique_number(adj, cand)
     counter = [0]
-    got = _max_clique_masked(
-        adj, cand, lower=lower, counter=counter, degeneracy=degeneracy
-    )
+    got = search_in_order(adj, cand, lower, order_of, counter)
     if omega > lower:
         assert got.bit_count() == omega
         assert got & ~cand == 0
@@ -576,14 +593,10 @@ def check_max_clique_masked(adj, cand, lower, degeneracy):
     # the same search under a node limit: it completes at its own node count
     # and raises one node short of it
     nodes = counter[0]
-    assert _max_clique_masked(
-        adj, cand, lower=lower, limit=nodes, degeneracy=degeneracy
-    ) == got
+    assert search_in_order(adj, cand, lower, order_of, [0], nodes) == got
     if nodes:
         with pytest.raises(_BudgetExceeded):
-            _max_clique_masked(
-                adj, cand, lower=lower, limit=nodes - 1, degeneracy=degeneracy
-            )
+            search_in_order(adj, cand, lower, order_of, [0], nodes - 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -595,11 +608,32 @@ def check_max_clique_masked(adj, cand, lower, degeneracy):
     3967,
     5,
 ))
-def test_max_clique_masked_matches_exhaustive_search(data):
-    for degeneracy in (False, True):
-        check_max_clique_masked(*data, degeneracy)
+def test_search_matches_exhaustive_search(data):
+    for order_of in (degree_order, _degeneracy_order):
+        check_search(*data, order_of)
         # on graphs this small the greedy incumbent is nearly always maximum,
         # which would hide a search that prunes too much; without it the
         # branch-and-bound alone must find the clique
         with mock.patch("mixedsdp.codes._greedy_clique", lambda adj, order: 0):
-            check_max_clique_masked(*data, degeneracy)
+            check_search(*data, order_of)
+
+
+def reference_degeneracy_order(adj, cand):
+    """Oracle: repeatedly take out a vertex of least degree among those left,
+    the lowest on ties, and read the removals from the back."""
+    rest = set(_vertices(cand))
+    removed = []
+    while rest:
+        v = min(rest, key=lambda u: (sum(adj[u] >> w & 1 for w in rest), u))
+        rest.remove(v)
+        removed.append(v)
+    return removed[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_candidates_lower())
+def test_degeneracy_order_matches_reference(data):
+    adj, cand, _ = data
+    got = _degeneracy_order(adj, cand)
+    assert sorted(got) == _vertices(cand)
+    assert got == reference_degeneracy_order(adj, cand)

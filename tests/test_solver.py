@@ -43,6 +43,18 @@ from sdpa_output import parse_sdpa_output
 
 DUMMY_ORBIT = OrbitId(1, (1, 0, 0, 0), (1, 0, 0, 0, 0))
 
+# SHA-256 of the emitted SDPA files, pinned so that refactors of the block,
+# model and SDPA layers keep every byte.
+EMITTED_DIGESTS = {
+    (1, 1, 1, 3): "f9a5936689e35e3f6d53f0a871999971017b3eff03e9a10faa9a0ccd9e5ab1cb",
+    (2, 1, 2, 3): "529e00a35047a2d475435a7ff1fe533514ef0d4ee3f018d73f53834f74a2fc64",
+    (2, 2, 3, 3): "411ffe2809bb07a4386ab8173b8ae9aa3d970eff73370df78d0c4385d1037b28",
+    (2, 5, 3, 3): "e0acca0142c290d2544a0872ed1b380721836b74acd45454feefabf4f2d0b706",
+    (2, 5, 3, 2): "fbd381615fb09c47583b16d3ae3b45ecf316b0225ebbfe7fa30beb86bd707339",
+    (1, 4, 3, 2): "66039484f01ad38d8f82a7433c988fd34b75e4d2807bb563a8b8610b8a74ffa9",
+    (4, 8, 5, 3): "2315eb0fd55a8b8f448ec401104a1763663f7936bcbdca15338df186152595be",
+}
+
 
 def toy_problem(objective, blocks):
     return SdpProblem(
@@ -542,17 +554,9 @@ class TestSdpaInterchange:
         path.write_bytes(text.replace("\n", "\r\n").encode())
         assert parse_sdpa(path) == problem_to_sdpa_data(p)
 
-    # SHA-256 of the emitted files, pinned so that refactors of the block,
-    # model and SDPA layers keep every byte.
-    @pytest.mark.parametrize("n2,n3,d,k,digest", [
-        (1, 1, 1, 3, "f9a5936689e35e3f6d53f0a871999971017b3eff03e9a10faa9a0ccd9e5ab1cb"),
-        (2, 1, 2, 3, "529e00a35047a2d475435a7ff1fe533514ef0d4ee3f018d73f53834f74a2fc64"),
-        (2, 2, 3, 3, "411ffe2809bb07a4386ab8173b8ae9aa3d970eff73370df78d0c4385d1037b28"),
-        (2, 5, 3, 3, "e0acca0142c290d2544a0872ed1b380721836b74acd45454feefabf4f2d0b706"),
-        (2, 5, 3, 2, "fbd381615fb09c47583b16d3ae3b45ecf316b0225ebbfe7fa30beb86bd707339"),
-        (1, 4, 3, 2, "66039484f01ad38d8f82a7433c988fd34b75e4d2807bb563a8b8610b8a74ffa9"),
-        (4, 8, 5, 3, "2315eb0fd55a8b8f448ec401104a1763663f7936bcbdca15338df186152595be"),
-    ])
+    @pytest.mark.parametrize(
+        "n2,n3,d,k,digest", [(*key, digest) for key, digest in EMITTED_DIGESTS.items()]
+    )
     def test_emitted_bytes_pinned(self, tmp_path, n2, n3, d, k, digest):
         problem = build_problem(ProblemSpec(n2, n3, d, k))
         path = emit_sdpa(problem, tmp_path / "p.dat-s")

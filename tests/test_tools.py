@@ -1,0 +1,41 @@
+"""The comparison scripts under tools/, each run as a script on one small
+spec: a change's "same output on both checkouts" claim rests on them.
+
+Each runs in its own process, as it is meant to run, because
+``solve_report.py`` sets the BLAS thread variables in ``os.environ`` when it
+is imported."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from test_solver import EMITTED_DIGESTS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_tool(name: str, *args: str) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / name), *args],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return done.stdout.splitlines()
+
+
+def test_oracle_report():
+    assert run_tool("oracle_report.py", "1,1,2") == ["1,1,2 2 1000"]
+
+
+def test_solve_report():
+    line, total = run_tool("solve_report.py", "1,1,1,3")
+    match = re.fullmatch(r"1,1,1,3 6 \d+/\d+ (\d+)", line)
+    assert match, line
+    assert total == f"iterations {match.group(1)}"
+
+
+def test_sdpa_digests():
+    digest = EMITTED_DIGESTS[(1, 1, 1, 3)]
+    assert run_tool("sdpa_digests.py", "1,1,1,3") == [f"1,1,1,3 {digest}"]
