@@ -163,6 +163,15 @@ def _table_worker(task):
         return (n2, n3, d), {"error": f"{type(exc).__name__}: {exc}"}
 
 
+def _doubled(by_key: dict, row: ReferenceRow) -> int | None:
+    """The doubling bound on ``row`` from the published bound of
+    (n2 - 1, n3, d), or None when that row is missing or itself doubled."""
+    src = by_key.get((row.n2 - 1, row.n3, row.d))
+    if src is None or src.marker == "doubling":
+        return None
+    return derived_doubling_bound(src.upper)
+
+
 def cmd_table(args) -> int:
     if args.d is not None and args.d < 1:
         raise ValueError(f"need d >= 1, got d={args.d}")
@@ -177,10 +186,9 @@ def cmd_table(args) -> int:
     if args.derived:
         print(f"{'n2':>3} {'n3':>3} {'d':>3} {'doubled':>9} {'published':>9}  note")
         for r in rows:
-            src = by_key.get((r.n2 - 1, r.n3, r.d))
-            if src is None or src.marker == "doubling":
+            derived = _doubled(by_key, r)
+            if derived is None:
                 continue
-            derived = derived_doubling_bound(src.upper)
             note = "match" if derived == r.upper else (
                 "improves" if derived < r.upper else "weaker"
             )
@@ -189,61 +197,46 @@ def cmd_table(args) -> int:
 
     rows = [r for r in rows if r.length <= args.max_length]
     store = ResultsStore(args.store)
-    replayed = store.latest_records() if args.replay else {}
-    computed: dict[tuple, dict] = {}
-    todo = [
-        (r.n2, r.n3, r.d, args.tol)
-        for r in rows
-        if r.marker == "" and not args.replay
-    ]
-    if args.jobs > 1 and todo:
-        # imported here: the pool pulls in multiprocessing, which no other
-        # command needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for key, record in pool.map(_table_worker, todo):
-                computed[key] = record
+    # the level-3 record of each (n2, n3, d): the store's latest, or solved now
+    if args.replay:
+        records = {key[:3]: rec for key, rec in store.latest_records().items() if key[3] == 3}
     else:
-        for task in todo:
-            key, record = _table_worker(task)
-            computed[key] = record
+        todo = [(r.n2, r.n3, r.d, args.tol) for r in rows if r.marker == ""]
+        if args.jobs > 1 and todo:
+            # imported here: the pool pulls in multiprocessing, which no other
+            # command needs
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                records = dict(pool.map(_table_worker, todo))
+        else:
+            records = dict(map(_table_worker, todo))
 
     print(f"{'n2':>3} {'n3':>3} {'d':>3} {'lower':>7} {'computed':>9} {'published':>9}  status")
-    mismatches = 0
-    failures = 0
+    mismatches = failures = 0
     for r in rows:
-        key = (r.n2, r.n3, r.d)
+        rec = records.get((r.n2, r.n3, r.d))
         if r.marker == "k4":
-            print(f"{r.n2:>3} {r.n3:>3} {r.d:>3} {r.lower or '':>7} {'-':>9} {r.upper:>9}  level-4 bound, not computed")
-            continue
-        if r.marker == "doubling":
-            src = by_key.get((r.n2 - 1, r.n3, r.d))
-            if src:
-                derived = derived_doubling_bound(src.upper)
-                status = "match (doubling)" if derived == r.upper else "MISMATCH (doubling)"
-                mismatches += status.startswith("MISMATCH")
-                print(f"{r.n2:>3} {r.n3:>3} {r.d:>3} {r.lower or '':>7} {derived:>9} {r.upper:>9}  {status}")
-            continue
-        if args.replay:
-            rec = replayed.get(key + (3,))
-            if rec is None:
-                print(f"{r.n2:>3} {r.n3:>3} {r.d:>3} {r.lower or '':>7} {'-':>9} {r.upper:>9}  not in store")
+            value, status = "-", "level-4 bound, not computed"
+        elif r.marker == "doubling":
+            value = _doubled(by_key, r)
+            if value is None:
                 continue
+            status = "match (doubling)" if value == r.upper else "MISMATCH (doubling)"
+        elif rec is None:  # only under --replay: every other row was solved
+            value, status = "-", "not in store"
+        elif "error" in rec:
+            failures += 1
+            value, status = "!", rec["error"]
         else:
-            rec = computed.get(key)
-            if rec is None:
-                continue
-            if "error" in rec:
-                failures += 1
-                print(f"{r.n2:>3} {r.n3:>3} {r.d:>3} {r.lower or '':>7} {'!':>9} {r.upper:>9}  {rec['error']}")
-                continue
-            store.append(rec)
-        status = "match" if rec["bound"] == r.upper else (
-            "improves" if rec["bound"] < r.upper else "MISMATCH"
-        )
-        mismatches += status == "MISMATCH"
-        print(f"{r.n2:>3} {r.n3:>3} {r.d:>3} {r.lower or '':>7} {rec['bound']:>9} {r.upper:>9}  {status}")
+            if not args.replay:
+                store.append(rec)
+            value = rec["bound"]
+            status = "match" if value == r.upper else (
+                "improves" if value < r.upper else "MISMATCH"
+            )
+        mismatches += status.startswith("MISMATCH")
+        print(f"{r.n2:>3} {r.n3:>3} {r.d:>3} {r.lower or '':>7} {value:>9} {r.upper:>9}  {status}")
     if failures:
         return EXIT_SOLVER
     return EXIT_VERIFY if mismatches else EXIT_OK

@@ -621,6 +621,12 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
                 d_z.append(0.5 * (dz + dz.T))
             d_slp = rlp + _lp_apply(lp, dy)
             d_zlp = rc_lp - lp_ratio * d_slp
+            # LAPACK's Cholesky passes NaN through, and the eigvalsh of a
+            # step length fails on it, so no step is sized from such a direction
+            if not all(np.isfinite(a).all() for a in (dy, d_slp, d_zlp, *d_s, *d_z)):
+                raise ConditioningError(
+                    f"Newton direction lost finiteness at iteration {it}", current(False)
+                )
             return dy, d_s, d_z, d_slp, d_zlp
 
         def step_lengths(d_s, d_z, d_slp, d_zlp):
@@ -661,12 +667,6 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
             rc_combined.append(gi.T @ (2.0 * rhs / np.add.outer(d, d)) @ gi)
         rc_lp = sigma_mu / s_lp - z_lp - dslp_a * dzlp_a / s_lp
         dy, d_s, d_z, d_slp, d_zlp = solve_newton(rc_combined, rc_lp)
-        # LAPACK's Cholesky passes NaN through, and its SVD may not return
-        # on non-finite input, so a non-finite step must never be taken
-        if not all(np.isfinite(a).all() for a in (dy, d_slp, d_zlp, *d_s, *d_z)):
-            raise ConditioningError(
-                f"Newton direction lost finiteness at iteration {it}", current(False)
-            )
         alpha_p, alpha_d = step_lengths(d_s, d_z, d_slp, d_zlp)
 
         y += alpha_p * dy

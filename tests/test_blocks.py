@@ -24,6 +24,7 @@ from mixedsdp.blocks import (
     unpack_monomial,
     verify_reduction,
 )
+from mixedsdp.cli import EXIT_VERIFY, main
 from mixedsdp.codes import (
     PATTERN_NAMES,
     ProblemSpec,
@@ -389,6 +390,23 @@ class TestBlockType:
             assert b.coeff == {m - 1: mat for m, mat in dense(b).items() if m}
 
 
+def raise_first_coefficient(block_list):
+    """The blocks with one added to the first entry of the first block."""
+    first, *rest = block_list
+    (matno, i, j, value), *entries = first.entries
+    return [Block(first.label, first.dim, ((matno, i, j, value + 1), *entries)), *rest]
+
+
+def double_augmented_corner(block_list):
+    """The blocks with the constant corner of the augmented block set to 2."""
+    return [
+        Block(b.label, b.dim, tuple(
+            e[:3] + (2,) if e[:3] == (0, 0, 0) else e for e in b.entries
+        ))
+        for b in block_list
+    ]
+
+
 class TestVerifyReduction:
     @pytest.mark.parametrize("n2,n3,d", [
         (1, 1, 1), (1, 1, 2), (2, 1, 2), (1, 2, 3),
@@ -418,3 +436,20 @@ class TestVerifyReduction:
         text = report.summary()
         assert "PASS" in text
         assert report.first_failure() is None
+
+    @pytest.mark.parametrize("builder, corrupt, failure", [
+        ("build_blocks_d0", raise_first_coefficient,
+         "zero-case block entries equal explicit contraction: shape "),
+        ("build_blocks_empty", double_augmented_corner,
+         "empty-case block entries equal explicit contraction: augmented corner is not 1"),
+    ], ids=["zero-case", "empty-case"])
+    def test_corrupted_block_found(self, monkeypatch, capsys, builder, corrupt, failure):
+        build = getattr(blocks, builder)
+        monkeypatch.setattr(blocks, builder, lambda *args: corrupt(build(*args)))
+        report = verify_reduction(ProblemSpec(2, 1, 2))
+        assert not report.passed
+        assert report.first_failure().startswith(failure)
+        if corrupt is raise_first_coefficient:
+            assert report.first_failure().endswith("engine 3, explicit 2")
+        assert main(["verify", "2", "1", "--d", "2"]) == EXIT_VERIFY
+        assert "first discrepancy: " + failure in capsys.readouterr().out

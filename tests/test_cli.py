@@ -2,15 +2,20 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from mixedsdp import cli, solver
 from mixedsdp.cli import (
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_VALIDATION,
+    EXIT_VERIFY,
     ResultsStore,
     load_reference_rows,
     main,
 )
+from mixedsdp.solver import NonConvergenceError
 
 
 class TestReferenceData:
@@ -85,6 +90,20 @@ class TestCommands:
         assert "tol must be positive and finite" in capsys.readouterr().err
         assert not store.exists()
 
+    def test_bound_out_of_iterations(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        code = main(["bound", "2", "5", "3", "--max-iter", "1", "--store", str(store)])
+        assert code == EXIT_SOLVER
+        assert "solver error: NonConvergenceError" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_bound_non_finite_direction(self, tmp_path, monkeypatch, capsys):
+        # a solver failure, not a validation error
+        monkeypatch.setattr(solver, "_tril_inverse", lambda L: np.full_like(L, np.nan))
+        code = main(["bound", "2", "5", "3", "--store", str(tmp_path / "s.jsonl")])
+        assert code == EXIT_SOLVER
+        assert "Newton direction lost finiteness" in capsys.readouterr().err
+
     def test_oracle(self, capsys):
         assert main(["oracle", "1", "1", "2"]) == EXIT_OK
         assert "= 2" in capsys.readouterr().out
@@ -139,6 +158,40 @@ class TestCommands:
         assert "level-4" in out
         # computed rows landed in the store
         assert ResultsStore(store).latest_records()[(2, 5, 3, 3)]["bound"] == 65
+
+    @pytest.mark.parametrize("outcome, status, code", [
+        (125, "match", EXIT_OK),
+        (124, "improves", EXIT_OK),
+        (126, "MISMATCH", EXIT_VERIFY),
+        (NonConvergenceError("no convergence within 500 iterations"),
+         "NonConvergenceError: no convergence within 500 iterations", EXIT_SOLVER),
+    ], ids=["match", "improves", "mismatch", "solver-error"])
+    def test_table_statuses(self, tmp_path, capsys, monkeypatch, outcome, status, code):
+        # (2,5,3) certifies its published 65; (3,5,3) gives ``outcome``; the
+        # level-4 row (4,3,3) and the doubling row (5,3,3) are never solved
+        def compute(n2, n3, d, k, tol, max_iter=500):
+            if (n2, n3, d) == (2, 5, 3):
+                return {"n2": n2, "n3": n3, "d": d, "k": k, "bound": 65}
+            assert (n2, n3, d) == (3, 5, 3)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return {"n2": n2, "n3": n3, "d": d, "k": k, "bound": outcome}
+
+        monkeypatch.setattr(cli, "_compute_bound", compute)
+        store = tmp_path / "t.jsonl"
+        assert main(["table", "--d", "3", "--max-length", "8",
+                     "--store", str(store)]) == code
+        value = "!" if isinstance(outcome, Exception) else outcome
+        assert capsys.readouterr().out.splitlines() == [
+            " n2  n3   d   lower  computed published  status",
+            "  2   5   3      52        65        65  match",
+            f"  3   5   3      99 {value:>9}       125  {status}",
+            "  4   3   3      28         -        30  level-4 bound, not computed",
+            "  5   3   3      54        60        60  match (doubling)",
+        ]
+        # a failed row leaves no record
+        stored = [(r["n2"], r["n3"], r["bound"]) for r in ResultsStore(store).records()]
+        assert stored == [(2, 5, 65)] + ([] if value == "!" else [(3, 5, value)])
 
     def test_table_jobs_pool(self, tmp_path, capsys):
         store = tmp_path / "j.jsonl"

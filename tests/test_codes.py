@@ -406,6 +406,11 @@ class TestExactOracle:
         with pytest.raises(ResourceError):
             exact_n(ProblemSpec(5, 3, 2), cap=100)
 
+    def test_node_budget(self):
+        with pytest.raises(ResourceError) as info:
+            exact_n(ProblemSpec(5, 2, 3), node_budget=1_000)
+        assert str(info.value) == "oracle node budget 1000 exceeded for (5,2,3)"
+
     def test_search_never_changes_recursion_limit(self):
         saved = sys.getrecursionlimit()
         # (3,3,3) runs both phases of the search

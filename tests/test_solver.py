@@ -202,6 +202,40 @@ class TestSolve:
         # the scaling that failed names its block by the block's label
         assert any(b.label in str(info.value) for b in problem.blocks if b.dim >= 2)
 
+    @pytest.mark.parametrize("name, patch, message, iterations", [
+        ("_schur", lambda m: lambda *args: np.full((m, m), np.nan),
+         "Newton system lost finiteness at iteration 1", 1),
+        # the predictor's direction, before any step length is taken
+        ("_tril_inverse", lambda m: lambda L: np.full_like(L, np.nan),
+         "Newton direction lost finiteness at iteration 1", 1),
+        ("_max_step", lambda m: lambda d, direction: 1e-9,
+         "no progress for 5 iterations (iteration 5)", 5),
+    ], ids=["schur-nan", "direction-nan", "no-progress"])
+    def test_failure_carries_iterate(self, monkeypatch, name, patch, message, iterations):
+        problem = build_sdp(ProblemSpec(2, 5, 3))
+        monkeypatch.setattr(solver, name, patch(problem.num_vars))
+        with pytest.raises(ConditioningError) as info:
+            solve(problem)
+        assert str(info.value).startswith(message)
+        solution = info.value.solution
+        assert not solution.converged
+        assert solution.iterations == iterations == len(solution.trace)
+
+    def test_ridges_before_refusal(self, monkeypatch):
+        # a negative definite Schur complement fails every ridged Cholesky
+        problem = build_sdp(ProblemSpec(2, 5, 3))
+        m = problem.num_vars
+        monkeypatch.setattr(solver, "_schur", lambda *args: -np.eye(m))
+        shapes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+        with pytest.raises(ConditioningError) as info:
+            solve(problem)
+        assert str(info.value) == "Schur complement not positive definite at iteration 1"
+        assert info.value.solution.iterations == 1
+        assert not info.value.solution.converged
+        assert shapes.count((m, m)) == 6
+
     def test_non_convergence_names_residuals(self):
         with pytest.raises(NonConvergenceError) as info:
             solve(build_sdp(ProblemSpec(2, 1, 2)), max_iter=2)

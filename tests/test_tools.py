@@ -1,9 +1,10 @@
-"""The comparison scripts under tools/, each run as a script on one small
-spec: a change's "same output on both checkouts" claim rests on them.
+"""The scripts under tools/, each run as a script on one small spec: a
+change's "same output on both checkouts" claim rests on the reports, and the
+traffic tool tells which statements a benchmark pass never runs.
 
 Each runs in its own process, as it is meant to run, because
-``solve_report.py`` sets the BLAS thread variables in ``os.environ`` when it
-is imported."""
+``solve_report.py`` and ``traffic.py`` set the BLAS thread variables in
+``os.environ``."""
 
 import os
 import re
@@ -39,3 +40,21 @@ def test_solve_report():
 def test_sdpa_digests():
     digest = EMITTED_DIGESTS[(1, 1, 1, 3)]
     assert run_tool("sdpa_digests.py", "1,1,1,3") == [f"1,1,1,3 {digest}"]
+
+
+def test_traffic():
+    lines = run_tool("traffic.py", "sdp-table", "--only", "bound(2,5,3)")
+    assert lines[0] == "ok         bound(2,5,3)"
+    modules = []
+    for number, line in enumerate(lines):
+        header = re.fullmatch(r"== mixedsdp\.(\w+): (\d+) of (\d+) statements never run", line)
+        if header:
+            modules.append(header.group(1))
+            missed, total = int(header.group(2)), int(header.group(3))
+            assert 0 <= missed < total
+            listed = lines[number + 1:number + 1 + missed]
+            assert all(re.match(r"\d+: ", entry) for entry in listed)
+    assert modules == sorted(p.stem for p in (ROOT / "src" / "mixedsdp").glob("*.py"))
+    assert len(lines) == 1 + len(modules) + sum(
+        int(line.split()[2]) for line in lines if line.startswith("== ")
+    )
