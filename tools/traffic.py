@@ -1,15 +1,16 @@
 """Print which statements of ``src/mixedsdp`` one benchmark pass never runs.
 
     python tools/traffic.py sdp-table exact-oracle
-    python tools/traffic.py sdp-table --only 'bound(2,5,3)' --seed 3
+    python tools/traffic.py sdp-table --only 'bound(2,5,3)'
 
-It runs one pass of each named ``perfbench`` workload in this process, in
-the order that ``--seed`` (default 1) draws, and checks every instance's
-output with the instance's own check, as ``perfbench/run.py`` does; with
-``--only NAME`` it runs just the instances of that name.  The BLAS thread
-count is pinned to 1 by ``perfbench``'s own ``pin_environment``, which also
-puts this checkout's ``src`` first on ``sys.path``.  Lines are traced with
-``sys.settrace`` from before ``mixedsdp`` is imported, so the import-time
+It runs one pass of each named ``perfbench`` workload in this process and
+checks every instance's output with the instance's own check, as
+``perfbench/run.py`` does; with ``--only NAME`` it runs just the instances
+of that name.  A pass makes the same calls in any order, so the report does
+not depend on the order.  The BLAS thread count is pinned to 1 by
+``perfbench``'s own ``pin_environment``, which also puts this checkout's
+``src`` first on ``sys.path``.  Lines are counted by the standard library's
+``trace`` module from before ``mixedsdp`` is imported, so the import-time
 statements count as run.
 
 Each instance's outcome is printed as ``status name``, then, per module,
@@ -24,6 +25,7 @@ import argparse
 import ast
 import sys
 import tempfile
+import trace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -57,46 +59,40 @@ def statements(path: Path) -> dict[int, range]:
     return out
 
 
+def run_pass(names: list[str], only: str | None) -> int:
+    """Run and check one pass of the named workloads; returns the failures."""
+    import workloads
+    from harness import FAILED, Tracer, run_instance
+
+    tracer = Tracer(enabled=False)
+    failed = 0
+    with tempfile.TemporaryDirectory() as out_dir:
+        for name in names:
+            instances, mismatches = workloads.setup(tracer, name, 1, Path(out_dir))
+            for line in mismatches:
+                print(f"failed     packaged table: {line}")
+            failed += len(mismatches)
+            for inst in instances:
+                if only is None or inst.name == only:
+                    outcome = run_instance(inst, tracer)
+                    failed += outcome.status == FAILED
+                    print(f"{outcome.status:10s} {inst.name}"
+                          + (f"  -- {outcome.detail}" if outcome.detail else ""))
+    return failed
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workloads", nargs="+", choices=run.WORKLOADS, metavar="WORKLOAD")
     parser.add_argument("--only", metavar="NAME", help="run only the instances of this name")
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
     run.pin_environment()
-    prefix = str(PACKAGE) + "/"
-    hits: set[tuple[str, int]] = set()
-
-    def local(frame, event, arg):
-        if event == "line":
-            hits.add((frame.f_code.co_filename, frame.f_lineno))
-        return local
-
-    def enter(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(prefix) else None
-
-    sys.settrace(enter)
-    try:
-        import workloads
-        from harness import FAILED, Tracer, run_instance
-
-        tracer = Tracer(enabled=False)
-        failed = 0
-        with tempfile.TemporaryDirectory() as out_dir:
-            for name in args.workloads:
-                instances, mismatches = workloads.setup(tracer, name, args.seed, Path(out_dir))
-                for line in mismatches:
-                    print(f"failed     packaged table: {line}")
-                failed += len(mismatches)
-                for inst in instances:
-                    if args.only is None or inst.name == args.only:
-                        outcome = run_instance(inst, tracer)
-                        failed += outcome.status == FAILED
-                        print(f"{outcome.status:10s} {inst.name}"
-                              + (f"  -- {outcome.detail}" if outcome.detail else ""))
-    finally:
-        sys.settrace(None)
+    # no ignoredirs: trace caches its ignore verdict by bare module name, so
+    # an installed package's __init__ would hide mixedsdp/__init__
+    counter = trace.Trace(count=1, trace=0)
+    failed = counter.runfunc(run_pass, args.workloads, args.only)
+    hits = counter.results().counts
 
     for path in sorted(PACKAGE.glob("*.py")):
         stmts = statements(path)
