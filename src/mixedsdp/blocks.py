@@ -432,13 +432,37 @@ def _min_eig(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(mat)[0])
 
 
+def _contraction_mismatch(
+    table, columns, block: Block, label: str, orbits: OrbitTable
+) -> str | None:
+    """The first entry, in (i, j, matno) order, where ``block`` differs from
+    the contraction of the sparse ``columns`` (maps from table rows to
+    integers) against the explicit matno ``table``, over the keys of both;
+    None when they agree."""
+    want: dict[tuple[int, int, int], int] = defaultdict(int)
+    for j, v in enumerate(columns):
+        for i, u in enumerate(columns[:j + 1]):
+            for x, cx in u.items():
+                for y, cy in v.items():
+                    want[i, j, int(table[x, y])] += cx * cy
+    got = {(i, j, m): val for m, i, j, val in block.entries}
+    for i, j, m in sorted(want.keys() | got.keys()):
+        explicit, engine = want.get((i, j, m), 0), got.get((i, j, m), 0)
+        if explicit != engine:
+            what = f"orbit {orbits.orbits[m - 1].describe()}" if m else "constant"
+            return f"shape {label} entry ({i},{j}) {what}: engine {engine}, explicit {explicit}"
+    return None
+
+
 def verify_reduction(spec: ProblemSpec, trials: int = 50) -> VerifyReport:
     """Check the reduction engine against explicit unreduced objects.
 
     (a) builds every representative column explicitly in the word space;
-    (b) builds the orbit indicator matrices explicitly; (c) compares every
-    engine block entry, over all orbits including infeasible ones, with the
-    explicit contraction in exact integer arithmetic; (d) draws random
+    (b) builds one explicit table per stabilizer case, holding the SDPA
+    matno of each entry of the full matrix (orbit index + 1, 0 for the
+    constant 1); (c) compares every engine block entry with the explicit
+    contraction of its columns in exact integer arithmetic, over the keys of
+    both, so an entry either side lacks is caught too; (d) draws random
     assignments supported on feasible orbits and checks that the full
     matrices and the direct sums of reduced blocks agree on positive
     semidefiniteness at tolerance 1e-9 (equal smallest eigenvalues when
@@ -457,20 +481,18 @@ def verify_reduction(spec: ProblemSpec, trials: int = 50) -> VerifyReport:
     orbits = enumerate_orbits(replace(spec, k=3))  # the zero case meets triples
     zero = zero_word(spec)
 
-    # explicit orbit index of {0, x, y} and of {x, y}
-    triple_orbit = np.empty((nwords, nwords), dtype=np.int64)
-    pair_orbit_idx = np.empty((nwords, nwords), dtype=np.int64)
-    for i, x in enumerate(words):
-        for j, y in enumerate(words):
-            triple_orbit[i, j] = orbits.index_of(
-                canonical_orbit(spec, code(zero, x, y))
-            )
-            pair_orbit_idx[i, j] = orbits.index_of(
-                canonical_orbit(spec, code(x, y))
-            )
+    def matno_of(*ws: Word) -> int:
+        return orbits.index_of(canonical_orbit(spec, code(*ws))) + 1
+
+    # zero case: the words as rows, the orbit of {0, x, y} at (x, y); empty
+    # case: the empty code first, then the words, the orbit of {x, y} at (x, y)
+    table_zero = np.array([[matno_of(zero, x, y) for y in words] for x in words])
+    table_empty = np.zeros((nwords + 1, nwords + 1), dtype=np.int64)
+    table_empty[0, 1:] = table_empty[1:, 0] = orbits.index_of(singleton_orbit(spec)) + 1
+    table_empty[1:, 1:] = [[matno_of(x, y) for y in words] for x in words]
 
     # completeness: every word pair lands in exactly one orbit fiber
-    counts = np.bincount(triple_orbit.ravel(), minlength=len(orbits))
+    counts = np.bincount(table_zero.ravel() - 1, minlength=len(orbits))
     checks.append((
         "orbit fibers partition word pairs (zero case)",
         int(counts.sum()) == nwords * nwords and counts[0] == 0,
@@ -483,27 +505,14 @@ def verify_reduction(spec: ProblemSpec, trials: int = 50) -> VerifyReport:
     blocks_zero = build_blocks_d0(spec, shapes_zero, orbits, every_orbit)
     blocks_empty = build_blocks_empty(spec, shapes_empty, orbits, every_orbit)
 
-    # (c) zero-word case: engine entries vs explicit contraction; orbit widx
-    # is matrix widx + 1 here, and (i, j) is stored at (min, max)
+    # (c) zero-word case
     mismatch = None
     for shape, block in zip(shapes_zero, blocks_zero):
-        vecs = [representative_vector_zero(shape, col) for col in shape.admissible]
-        values = {(m, i, j): v for m, i, j, v in block.entries}
-        for i in range(block.dim):
-            for j in range(block.dim):
-                agg: dict[int, int] = defaultdict(int)
-                for x, cx in vecs[i].items():
-                    for y, cy in vecs[j].items():
-                        agg[int(triple_orbit[pos[x], pos[y]])] += cx * cy
-                for widx in range(len(orbits)):
-                    want = agg.get(widx, 0)
-                    got_val = values.get((widx + 1, min(i, j), max(i, j)), 0)
-                    if want != got_val and mismatch is None:
-                        mismatch = (
-                            f"shape {shape.label()} entry ({i},{j}) orbit "
-                            f"{orbits.orbits[widx].describe()}: engine {got_val}, "
-                            f"explicit {want}"
-                        )
+        columns = [
+            {pos[w]: c for w, c in representative_vector_zero(shape, col).items()}
+            for col in shape.admissible
+        ]
+        mismatch = _contraction_mismatch(table_zero, columns, block, shape.label(), orbits)
         if mismatch:
             break
     checks.append((
@@ -512,37 +521,17 @@ def verify_reduction(spec: ProblemSpec, trials: int = 50) -> VerifyReport:
         mismatch or "",
     ))
 
-    # (c) empty case
+    # (c) empty case; the augmented shape leads with the empty code's row
     mismatch = None
-    sidx = orbits.index_of(singleton_orbit(spec))
     for shape, block in zip(shapes_empty, blocks_empty):
-        vec = representative_vector_empty(spec, shape)
+        vec = {pos[w] + 1: c for w, c in representative_vector_empty(spec, shape).items()}
+        columns = [{0: 1}, vec] if shape.augmented else [vec]
+        mismatch = _contraction_mismatch(table_empty, columns, block, shape.label(), orbits)
         colsum = sum(vec.values())
-        agg = defaultdict(int)
-        for x, cx in vec.items():
-            for y, cy in vec.items():
-                agg[int(pair_orbit_idx[pos[x], pos[y]])] += cx * cy
-        slot = 1 if shape.augmented else 0
-        values = {(m, i, j): v for m, i, j, v in block.entries}
-        for widx in range(len(orbits)):
-            want = agg.get(widx, 0)
-            got_val = values.get((widx + 1, slot, slot), 0)
-            if want != got_val and mismatch is None:
-                mismatch = (
-                    f"shape {shape.label()} orbit {orbits.orbits[widx].describe()}: "
-                    f"engine {got_val}, explicit {want}"
-                )
-        if shape.augmented:
-            off = values.get((sidx + 1, 0, 1), 0)
-            if values.get((0, 0, 0)) != 1:
-                mismatch = mismatch or "augmented corner is not 1"
-            if off != spec.num_words or colsum != spec.num_words:
-                mismatch = mismatch or (
-                    f"augmented cross term {off} vs column sum {colsum} vs "
-                    f"{spec.num_words}"
-                )
-        elif colsum != 0:
-            mismatch = mismatch or f"non-augmented shape {shape.label()} has column sum {colsum}"
+        if not mismatch and not shape.augmented and colsum:
+            mismatch = f"non-augmented shape {shape.label()} has column sum {colsum}"
+        if mismatch:
+            break
     checks.append((
         "empty-case block entries equal explicit contraction",
         mismatch is None,
@@ -551,20 +540,10 @@ def verify_reduction(spec: ProblemSpec, trials: int = 50) -> VerifyReport:
 
     # (d) PSD transport on random feasible assignments
     rng = random.Random(VERIFY_SEED)
-    feas = orbits.feasible_indices()
-    feas = [i for i in feas if i != 0]
-    n_orbits = len(orbits)
+    feas = [i for i in orbits.feasible_indices() if i != 0]
 
-    def full_empty(y):
-        m = np.empty((nwords + 1, nwords + 1))
-        m[0, 0] = 1.0
-        m[0, 1:] = m[1:, 0] = y[sidx]
-        m[1:, 1:] = y[pair_orbit_idx]
-        return m
-
-    def blocks_min_eig(block_list, y):
+    def blocks_min_eig(block_list, scale):
         worst = np.inf
-        scale = np.concatenate(([1.0], y))  # by matno
         for block in block_list:
             m = np.zeros((block.dim, block.dim))
             for matno, i, j, val in block.entries:
@@ -575,7 +554,7 @@ def verify_reduction(spec: ProblemSpec, trials: int = 50) -> VerifyReport:
     tol = 1e-9
     transport_fail = None
     for t in range(trials):
-        y = np.zeros(n_orbits)
+        y = np.zeros(len(orbits))
         style = t % 3
         for widx in feas:
             if style == 0:
@@ -585,12 +564,13 @@ def verify_reduction(spec: ProblemSpec, trials: int = 50) -> VerifyReport:
             else:
                 y[widx] = rng.uniform(0.0, 0.05)
         y[0] = 0.0
-        # y is zero outside the feasible orbits, so indexing it by the orbit
-        # tables gives the full matrices
-        fz = _min_eig(y[triple_orbit])
-        bz = blocks_min_eig(blocks_zero, y)
-        fe = _min_eig(full_empty(y))
-        be = blocks_min_eig(blocks_empty, y)
+        # y is zero outside the feasible orbits, so indexing the values by
+        # the tables gives the full matrices
+        scale = np.concatenate(([1.0], y))  # by matno
+        fz = _min_eig(scale[table_zero])
+        bz = blocks_min_eig(blocks_zero, scale)
+        fe = _min_eig(scale[table_empty])
+        be = blocks_min_eig(blocks_empty, scale)
         if ((fz >= -tol) != (bz >= -tol)) or ((fe >= -tol) != (be >= -tol)):
             transport_fail = (
                 f"trial {t}: zero case {fz:.3e} vs {bz:.3e}; "

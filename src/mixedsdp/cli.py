@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from mixedsdp.blocks import verify_reduction
-from mixedsdp.codes import DEFAULT_WORD_CAP, ProblemSpec, ResourceError, exact_n
+from mixedsdp.codes import ProblemSpec, ResourceError, exact_n
 from mixedsdp.model import build_problem, derived_doubling_bound
 from mixedsdp.solver import SolverError, certify, emit_sdpa, solve
 
@@ -131,8 +131,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    spec = ProblemSpec(args.n2, args.n3, args.d)
-    value = exact_n(spec, cap=args.cap)
+    value = exact_n(ProblemSpec(args.n2, args.n3, args.d))
     print(f"N({args.n2},{args.n3},{args.d}) = {value}  [exact clique search]")
     return EXIT_OK
 
@@ -263,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n2", type=int)
     p.add_argument("n3", type=int)
     p.add_argument("d", type=int)
-    p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="brute-force check of the reduction engine")

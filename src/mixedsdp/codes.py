@@ -777,12 +777,10 @@ def _max_clique_words(
     return best
 
 
-def optimal_code(
-    spec: ProblemSpec,
-    cap: int = DEFAULT_WORD_CAP,
-    node_budget: int | None = None,
-) -> Code:
-    """A maximum code with minimum distance >= d, by exact clique search.
+def optimal_code(spec: ProblemSpec, node_budget: int | None = None) -> Code:
+    """A maximum code with minimum distance >= d, by exact clique search over
+    at most ``DEFAULT_WORD_CAP`` words; a larger word space raises
+    ResourceError.
 
     ``node_budget``, when given, caps the branch-and-bound search nodes;
     exceeding it raises ResourceError (deterministically for a given spec),
@@ -791,9 +789,9 @@ def optimal_code(
     """
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node_budget must be >= 0, got {node_budget}")
-    if spec.num_words > cap:
+    if spec.num_words > DEFAULT_WORD_CAP:
         raise ResourceError(
-            f"word space {spec.num_words} exceeds oracle cap {cap}"
+            f"word space {spec.num_words} exceeds oracle cap {DEFAULT_WORD_CAP}"
         )
     words = list(all_words(spec))
     try:
@@ -807,10 +805,6 @@ def optimal_code(
     return code(*picked)
 
 
-def exact_n(
-    spec: ProblemSpec,
-    cap: int = DEFAULT_WORD_CAP,
-    node_budget: int | None = None,
-) -> int:
+def exact_n(spec: ProblemSpec, node_budget: int | None = None) -> int:
     """Exact maximum cardinality of a code with minimum distance >= d."""
-    return len(optimal_code(spec, cap, node_budget))
+    return len(optimal_code(spec, node_budget))

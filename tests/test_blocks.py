@@ -407,6 +407,25 @@ def double_augmented_corner(block_list):
     ]
 
 
+def add_zero_case_constant(block_list):
+    """The blocks with a constant 1 added at (0, 0) of the first block."""
+    first, *rest = block_list
+    return [Block(first.label, first.dim, ((0, 0, 0, 1), *first.entries)), *rest]
+
+
+def add_augmented_cross_term(block_list):
+    """The blocks with a cross term 7 of a non-singleton orbit added to the
+    augmented block, whose only cross term is the singleton's."""
+    out = []
+    for b in block_list:
+        if b.dim == 2:
+            singleton = next(e[0] for e in b.entries if e[1:3] == (0, 1))
+            pair = next(e[0] for e in b.entries if e[1:3] == (1, 1) and e[0] != singleton)
+            b = Block(b.label, b.dim, tuple(sorted(b.entries + ((pair, 0, 1, 7),))))
+        out.append(b)
+    return out
+
+
 class TestVerifyReduction:
     @pytest.mark.parametrize("n2,n3,d", [
         (1, 1, 1), (1, 1, 2), (2, 1, 2), (1, 2, 3),
@@ -437,19 +456,56 @@ class TestVerifyReduction:
         assert "PASS" in text
         assert report.first_failure() is None
 
-    @pytest.mark.parametrize("builder, corrupt, failure", [
+    @pytest.mark.parametrize("builder, corrupt, failure, ending", [
         ("build_blocks_d0", raise_first_coefficient,
-         "zero-case block entries equal explicit contraction: shape "),
+         "zero-case block entries equal explicit contraction: shape ",
+         "engine 3, explicit 2"),
         ("build_blocks_empty", double_augmented_corner,
-         "empty-case block entries equal explicit contraction: augmented corner is not 1"),
-    ], ids=["zero-case", "empty-case"])
-    def test_corrupted_block_found(self, monkeypatch, capsys, builder, corrupt, failure):
+         "empty-case block entries equal explicit contraction: "
+         "shape l=(2, 0, 1, 0) +empty entry (0,0) constant: engine 2, explicit 1",
+         ""),
+        # entries the explicit contraction lacks
+        ("build_blocks_d0", add_zero_case_constant,
+         "zero-case block entries equal explicit contraction: shape ",
+         "entry (0,0) constant: engine 1, explicit 0"),
+        ("build_blocks_empty", add_augmented_cross_term,
+         "empty-case block entries equal explicit contraction: "
+         "shape l=(2, 0, 1, 0) +empty entry (0,1) orbit size=2 ",
+         "engine 7, explicit 0"),
+    ], ids=["zero-case", "empty-case", "zero-case-extra-constant", "empty-case-extra-cross-term"])
+    def test_corrupted_block_found(self, monkeypatch, capsys, builder, corrupt, failure, ending):
         build = getattr(blocks, builder)
         monkeypatch.setattr(blocks, builder, lambda *args: corrupt(build(*args)))
         report = verify_reduction(ProblemSpec(2, 1, 2))
         assert not report.passed
         assert report.first_failure().startswith(failure)
-        if corrupt is raise_first_coefficient:
-            assert report.first_failure().endswith("engine 3, explicit 2")
+        assert report.first_failure().endswith(ending)
         assert main(["verify", "2", "1", "--d", "2"]) == EXIT_VERIFY
         assert "first discrepancy: " + failure in capsys.readouterr().out
+
+    def test_nonzero_column_sum_found(self, monkeypatch):
+        # A column with sum s contracts to entries totalling s^2, and a
+        # non-augmented engine block totals 0, so the contraction alone
+        # catches a corrupted column.  The column-sum test fires when both
+        # sides agree on a column that meets the empty code's row: one word,
+        # contracted to the singleton orbit.
+        spec = ProblemSpec(2, 1, 2)
+        target = build_shape_index_empty(spec)[0]
+        assert not target.augmented
+        word = next(all_words(spec))
+        vector, build = blocks.representative_vector_empty, blocks.build_blocks_empty
+
+        def one_word(spec, shape):
+            return {word: 1} if shape == target else vector(spec, shape)
+
+        def singleton_block(spec, shapes, orbits, var_of_orbit):
+            first, *rest = build(spec, shapes, orbits, var_of_orbit)
+            matno = orbits.index_of(singleton_orbit(spec)) + 1
+            return [Block(first.label, 1, ((matno, 0, 0, 1),)), *rest]
+
+        monkeypatch.setattr(blocks, "representative_vector_empty", one_word)
+        monkeypatch.setattr(blocks, "build_blocks_empty", singleton_block)
+        assert verify_reduction(spec, trials=3).first_failure() == (
+            "empty-case block entries equal explicit contraction: "
+            f"non-augmented shape {target.label()} has column sum 1"
+        )

@@ -111,7 +111,9 @@ class TestCommands:
         assert "= 6" in capsys.readouterr().out
 
     def test_oracle_cap(self, capsys):
-        assert main(["oracle", "5", "3", "2", "--cap", "100"]) == EXIT_VALIDATION
+        # 1,296 words exceed the word cap before any search
+        assert main(["oracle", "4", "4", "2"]) == EXIT_VALIDATION
+        assert "exceeds oracle cap 1000" in capsys.readouterr().err
 
     def test_verify_pass(self, capsys):
         assert main(["verify", "1", "1", "--trials", "5"]) == EXIT_OK

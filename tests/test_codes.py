@@ -404,7 +404,7 @@ class TestExactOracle:
 
     def test_cap(self):
         with pytest.raises(ResourceError):
-            exact_n(ProblemSpec(5, 3, 2), cap=100)
+            exact_n(ProblemSpec(4, 4, 2))  # 1,296 words, refused before any search
 
     def test_node_budget(self):
         with pytest.raises(ResourceError) as info:
