@@ -330,7 +330,7 @@ def build_blocks_empty(
 # Brute-force verification at tiny sizes.
 
 VERIFY_WORD_CAP = 108
-VERIFY_SEED = 2024  # seeds the random assignments of check (d)
+VERIFY_SEED = 2024  # seeds the assignment of check (d)
 
 # Column vectors of the representative matrices, indexed by entry value - 1.
 _A_BASES = {
@@ -428,8 +428,20 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _min_eig(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(mat)[0])
+def standard_tableaux(lam: tuple[int, ...]) -> int:
+    """The number of standard tableaux of shape (a, b): C(a+b, b) - C(a+b, b-1)."""
+    a = lam[0] if lam else 0
+    b = lam[1] if len(lam) > 1 else 0
+    pascal = _binomial_poly(a + b, 0)
+    return pascal[b] - (pascal[b - 1] if b else 0)
+
+
+def _inertia(mat: np.ndarray) -> np.ndarray:
+    """The numbers of negative and of positive eigenvalues of a symmetric
+    matrix; one counts as zero when |eigenvalue| <= 1e-9 * max |eigenvalue|."""
+    eig = np.linalg.eigvalsh(mat)
+    tol = 1e-9 * np.abs(eig).max(initial=0.0)
+    return np.array([(eig < -tol).sum(), (eig > tol).sum()])
 
 
 def _contraction_mismatch(
@@ -454,22 +466,23 @@ def _contraction_mismatch(
     return None
 
 
-def verify_reduction(spec: ProblemSpec, trials: int = 50) -> VerifyReport:
+def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     """Check the reduction engine against explicit unreduced objects.
 
     (a) builds every representative column explicitly in the word space;
     (b) builds one explicit table per stabilizer case, holding the SDPA
     matno of each entry of the full matrix (orbit index + 1, 0 for the
-    constant 1); (c) compares every engine block entry with the explicit
-    contraction of its columns in exact integer arithmetic, over the keys of
-    both, so an entry either side lacks is caught too; (d) draws random
-    assignments supported on feasible orbits and checks that the full
-    matrices and the direct sums of reduced blocks agree on positive
-    semidefiniteness at tolerance 1e-9 (equal smallest eigenvalues when
-    d = 1, where no rows are filtered).  Needs trials >= 1.
+    constant 1), and checks that each case's block dimensions times their
+    multiplicities count its kept words (weight 0 or at least d in the zero
+    case, every word in the empty case); (c) compares every engine block
+    entry with the explicit contraction of its columns in exact integer
+    arithmetic, over the keys of both, so an entry either side lacks is
+    caught too; (d) draws one assignment in (-1, 1) on the feasible orbits
+    and checks, by Sylvester's law of inertia, that each full matrix has as
+    many negative and as many positive eigenvalues as its blocks counted
+    with their multiplicities.  Zero eigenvalues are not compared: a word of
+    weight 1..d-1 gives the zero-case matrix a zero row.
     """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got trials={trials}")
     if spec.num_words > VERIFY_WORD_CAP:
         raise ResourceError(
             f"word space {spec.num_words} exceeds verifier cap {VERIFY_WORD_CAP}"
@@ -491,19 +504,29 @@ def verify_reduction(spec: ProblemSpec, trials: int = 50) -> VerifyReport:
     table_empty[0, 1:] = table_empty[1:, 0] = orbits.index_of(singleton_orbit(spec)) + 1
     table_empty[1:, 1:] = [[matno_of(x, y) for y in words] for x in words]
 
-    # completeness: every word pair lands in exactly one orbit fiber
-    counts = np.bincount(table_zero.ravel() - 1, minlength=len(orbits))
-    checks.append((
-        "orbit fibers partition word pairs (zero case)",
-        int(counts.sum()) == nwords * nwords and counts[0] == 0,
-        f"fiber sizes {counts.tolist()}",
-    ))
-
     shapes_zero = build_shape_index_d0(spec)
     shapes_empty = build_shape_index_empty(spec)
     every_orbit = {i: i for i in range(len(orbits))}
     blocks_zero = build_blocks_d0(spec, shapes_zero, orbits, every_orbit)
     blocks_empty = build_blocks_empty(spec, shapes_empty, orbits, every_orbit)
+
+    # completeness: a block repeats once per dimension of its irreducible
+    # representation, C(n3, l2) f(lam1) f(lam2) in the zero case and
+    # C(n2, l2) C(n3, l4) 2^l4 in the empty case, f counting standard tableaux
+    pascal2, pascal3 = _binomial_poly(spec.n2, 0), _binomial_poly(spec.n3, 0)
+    mult_zero = [
+        pascal3[s.counts[1]] * standard_tableaux(s.lambdas[0]) * standard_tableaux(s.lambdas[1])
+        for s in shapes_zero
+    ]
+    mult_empty = [pascal2[s.counts[1]] * pascal3[s.counts[3]] * 2 ** s.counts[3] for s in shapes_empty]
+    count_zero = sum(m * len(s.admissible) for m, s in zip(mult_zero, shapes_zero))
+    kept = sum(1 for w in words if not 0 < sum(map(bool, w.bits + w.trits)) < spec.d)
+    checks.append((
+        "block dimensions times multiplicities count the words",
+        count_zero == kept and sum(mult_empty) == nwords,
+        f"zero case {count_zero} for {kept} words of weight 0 or >= {spec.d}; "
+        f"empty case {sum(mult_empty)} for {nwords} words",
+    ))
 
     # (c) zero-word case
     mismatch = None
@@ -538,49 +561,26 @@ def verify_reduction(spec: ProblemSpec, trials: int = 50) -> VerifyReport:
         mismatch or "",
     ))
 
-    # (d) PSD transport on random feasible assignments
+    # (d) y is zero outside the feasible orbits, so indexing the values by
+    # the tables gives the full matrices
     rng = random.Random(VERIFY_SEED)
-    feas = [i for i in orbits.feasible_indices() if i != 0]
+    scale = np.array([1.0] + [rng.uniform(-1.0, 1.0) if ok else 0.0 for ok in orbits.feasible])
 
-    def blocks_min_eig(block_list, scale):
-        worst = np.inf
-        for block in block_list:
+    def block_inertia(block_list, mults):
+        total = np.zeros(2, dtype=np.int64)
+        for block, mult in zip(block_list, mults):
             m = np.zeros((block.dim, block.dim))
             for matno, i, j, val in block.entries:
                 m[i, j] += scale[matno] * val
-            worst = min(worst, _min_eig(m + np.triu(m, 1).T))
-        return worst
+            total += mult * _inertia(m + np.triu(m, 1).T)
+        return total
 
-    tol = 1e-9
-    transport_fail = None
-    for t in range(trials):
-        y = np.zeros(len(orbits))
-        style = t % 3
-        for widx in feas:
-            if style == 0:
-                y[widx] = rng.uniform(-1.0, 1.0)
-            elif style == 1:
-                y[widx] = rng.uniform(0.0, 1.0) ** orbits.orbits[widx].size
-            else:
-                y[widx] = rng.uniform(0.0, 0.05)
-        y[0] = 0.0
-        # y is zero outside the feasible orbits, so indexing the values by
-        # the tables gives the full matrices
-        scale = np.concatenate(([1.0], y))  # by matno
-        fz = _min_eig(scale[table_zero])
-        bz = blocks_min_eig(blocks_zero, scale)
-        fe = _min_eig(scale[table_empty])
-        be = blocks_min_eig(blocks_empty, scale)
-        if ((fz >= -tol) != (bz >= -tol)) or ((fe >= -tol) != (be >= -tol)):
-            transport_fail = (
-                f"trial {t}: zero case {fz:.3e} vs {bz:.3e}; "
-                f"empty case {fe:.3e} vs {be:.3e}"
-            )
-            break
+    full = np.array([_inertia(scale[table_zero]), _inertia(scale[table_empty])])
+    reduced = np.array([block_inertia(blocks_zero, mult_zero), block_inertia(blocks_empty, mult_empty)])
     checks.append((
-        f"PSD transport on {trials} random assignments",
-        transport_fail is None,
-        transport_fail or "",
+        "(negative, positive) eigenvalue counts equal blocks times multiplicities",
+        np.array_equal(full, reduced),
+        f"(zero case, empty case): full matrices {full.tolist()}, blocks {reduced.tolist()}",
     ))
 
     return VerifyReport(spec, checks)

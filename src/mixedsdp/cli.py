@@ -140,7 +140,7 @@ def cmd_verify(args) -> int:
     dvals = [args.d] if args.d is not None else range(1, args.n2 + args.n3 + 1)
     failures = 0
     for d in dvals:
-        report = verify_reduction(ProblemSpec(args.n2, args.n3, d), trials=args.trials)
+        report = verify_reduction(ProblemSpec(args.n2, args.n3, d))
         print(report.summary())
         if not report.passed:
             failures += 1
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n2", type=int)
     p.add_argument("n3", type=int)
     p.add_argument("--d", type=int, help="single distance (default: all)")
-    p.add_argument("--trials", type=int, default=50)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="compare computed bounds against the published table")

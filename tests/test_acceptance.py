@@ -148,7 +148,7 @@ def test_criterion_5_reduction_correctness():
     """Brute-force verification of the reduction on four spec families."""
     for n2, n3 in ((1, 1), (2, 1), (1, 2), (2, 2)):
         for d in range(1, n2 + n3 + 1):
-            rep = verify_reduction(ProblemSpec(n2, n3, d), trials=50)
+            rep = verify_reduction(ProblemSpec(n2, n3, d))
             assert rep.passed, rep.summary()
     report("criterion 5 (reduction verifier on (1,1),(2,1),(1,2),(2,2), all d): PASS")
 

@@ -1,6 +1,7 @@
 """Base-change identities, dual polynomials, and block coefficients."""
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from mixedsdp.blocks import (
     build_blocks_empty,
     expand_p,
     representative_vector_empty,
+    standard_tableaux,
     unpack_monomial,
     verify_reduction,
 )
@@ -426,32 +428,68 @@ def add_augmented_cross_term(block_list):
     return out
 
 
+def drop_widest_shape(shapes):
+    """The zero-case shapes without the first one with the most columns."""
+    widest = max(shapes, key=lambda s: len(s.admissible))
+    return [s for s in shapes if s != widest]
+
+
+def drop_last_column(shapes):
+    """The zero-case shapes, the first widest one without its last column."""
+    widest = max(shapes, key=lambda s: len(s.admissible))
+    return [
+        dataclasses.replace(s, admissible=s.admissible[:-1]) if s == widest else s
+        for s in shapes
+    ]
+
+
+def drop_plain_shape(shapes):
+    """The empty-case shapes without the first non-augmented one."""
+    plain = next(s for s in shapes if not s.augmented)
+    return [s for s in shapes if s != plain]
+
+
+def ballot_sequences(a, b):
+    """Brute force: the sequences of a 1s and b 2s in which no prefix holds
+    more 2s than 1s."""
+    count = 0
+    for twos in itertools.combinations(range(a + b), b):
+        seq = [2 if i in twos else 1 for i in range(a + b)]
+        count += all(seq[:i].count(2) <= seq[:i].count(1) for i in range(1, a + b + 1))
+    return count
+
+
 class TestVerifyReduction:
     @pytest.mark.parametrize("n2,n3,d", [
         (1, 1, 1), (1, 1, 2), (2, 1, 2), (1, 2, 3),
         # the first specs with a two-row tableau of unequal rows, (2, 1)
         *((3, 1, d) for d in range(1, 5)), *((1, 3, d) for d in range(1, 5)),
+        # the first with a binary multiplicity above 1: f((3,1)) = 3, f((2,2)) = 2
+        *((4, 1, d) for d in range(1, 6)),
     ])
     def test_passes(self, n2, n3, d):
-        report = verify_reduction(ProblemSpec(n2, n3, d), trials=12)
+        report = verify_reduction(ProblemSpec(n2, n3, d))
         assert report.passed, report.summary()
 
     def test_level_two_spec(self):
         # the zero case meets triples, which a level-2 orbit table lacks
-        assert verify_reduction(ProblemSpec(1, 1, 2, k=2), trials=3).passed
+        assert verify_reduction(ProblemSpec(1, 1, 2, k=2)).passed
+
+    def test_standard_tableaux_count_ballot_sequences(self):
+        # a standard tableau of shape (a, b) is a ballot sequence: entry k
+        # says which row holds k
+        assert standard_tableaux(()) == 1
+        for cells in range(1, 11):
+            for b in range(cells // 2 + 1):
+                lam = (cells - b, b) if b else (cells,)
+                assert standard_tableaux(lam) == ballot_sequences(cells - b, b), lam
 
     def test_cap(self):
         with pytest.raises(ResourceError):
             verify_reduction(ProblemSpec(3, 3, 1))
 
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_no_trials_refused(self, trials):
-        # a transport check that never ran must not report a pass
-        with pytest.raises(ValueError, match=f"got trials={trials}"):
-            verify_reduction(ProblemSpec(1, 1, 1), trials=trials)
-
     def test_report_summary_format(self):
-        report = verify_reduction(ProblemSpec(1, 1, 1), trials=3)
+        report = verify_reduction(ProblemSpec(1, 1, 1))
         text = report.summary()
         assert "PASS" in text
         assert report.first_failure() is None
@@ -483,6 +521,28 @@ class TestVerifyReduction:
         assert main(["verify", "2", "1", "--d", "2"]) == EXIT_VERIFY
         assert "first discrepancy: " + failure in capsys.readouterr().out
 
+    @pytest.mark.parametrize("index, mutate, detail", [
+        ("build_shape_index_d0", drop_widest_shape, "zero case 27 for 36 words"),
+        ("build_shape_index_d0", drop_last_column, "zero case 35 for 36 words"),
+        ("build_shape_index_empty", drop_plain_shape, "empty case 32 for 36 words"),
+    ], ids=["zero-case-shape", "zero-case-column", "empty-case-shape"])
+    def test_incomplete_reduction_found(self, monkeypatch, capsys, index, mutate, detail):
+        # every block that remains is still the exact contraction of its
+        # columns, so only the count and the inertia comparison can fail
+        build = getattr(blocks, index)
+        monkeypatch.setattr(blocks, index, lambda spec: mutate(build(spec)))
+        report = verify_reduction(ProblemSpec(2, 2, 1))
+        assert [name for name, ok, _ in report.checks if not ok] == [
+            "block dimensions times multiplicities count the words",
+            "(negative, positive) eigenvalue counts equal blocks times multiplicities",
+        ]
+        assert report.first_failure().startswith(
+            "block dimensions times multiplicities count the words: "
+        )
+        assert detail in report.first_failure()
+        assert main(["verify", "2", "2", "--d", "1"]) == EXIT_VERIFY
+        assert "first discrepancy: block dimensions" in capsys.readouterr().out
+
     def test_nonzero_column_sum_found(self, monkeypatch):
         # A column with sum s contracts to entries totalling s^2, and a
         # non-augmented engine block totals 0, so the contraction alone
@@ -505,7 +565,7 @@ class TestVerifyReduction:
 
         monkeypatch.setattr(blocks, "representative_vector_empty", one_word)
         monkeypatch.setattr(blocks, "build_blocks_empty", singleton_block)
-        assert verify_reduction(spec, trials=3).first_failure() == (
+        assert verify_reduction(spec).first_failure() == (
             "empty-case block entries equal explicit contraction: "
             f"non-augmented shape {target.label()} has column sum 1"
         )

@@ -116,12 +116,12 @@ class TestCommands:
         assert "exceeds oracle cap 1000" in capsys.readouterr().err
 
     def test_verify_pass(self, capsys):
-        assert main(["verify", "1", "1", "--trials", "5"]) == EXIT_OK
+        assert main(["verify", "1", "1"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS" in out
 
     def test_verify_single_d(self, capsys):
-        assert main(["verify", "1", "1", "--d", "2", "--trials", "5"]) == EXIT_OK
+        assert main(["verify", "1", "1", "--d", "2"]) == EXIT_OK
         assert "d=2" in capsys.readouterr().out
 
     def test_distance_below_one_refused(self, capsys):
@@ -261,13 +261,6 @@ class TestCommands:
                      "--store", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert str(tmp_path) in capsys.readouterr().err
-
-    def test_verify_without_trials_refused(self, capsys):
-        for trials in ("0", "-3"):
-            assert main(["verify", "1", "1", "--trials", trials]) == EXIT_VALIDATION
-            captured = capsys.readouterr()
-            assert f"need trials >= 1, got trials={trials}" in captured.err
-            assert "[ok]" not in captured.out
 
     def test_table_replay_corrupt_store(self, tmp_path, capsys):
         # not JSON, JSON but not an object, and an object without a bound
