@@ -366,9 +366,6 @@ class OrbitTable:
     def index_of(self, w: OrbitId) -> int:
         return self._index[w]
 
-    def feasible_indices(self) -> list[int]:
-        return [i for i, ok in enumerate(self.feasible) if ok]
-
 
 def enumerate_orbits(spec: ProblemSpec) -> OrbitTable:
     """Every orbit of codes of size 0..spec.k, generated directly from
@@ -416,8 +413,8 @@ def _profile_graphs(
     binary distance, ascending, gives the fewest search nodes on (5,2,3),
     the hardest sandwich instance of the acceptance suite.  With the
     fourth-word branching of ``_max_clique_words``, (5,2,3), (6,1,3) and
-    (3,3,3) take 37,363 nodes together in this order, 38,097 with total then
-    ternary distance, 59,723 with total then binary distance and 51,689 with
+    (3,3,3) take 34,360 nodes together in this order, 35,094 with total then
+    ternary distance, 56,720 with total then binary distance and 48,686 with
     total distance descending, then ternary distance ascending."""
     profiles = sorted(
         ((b, t) for b in range(spec.n2 + 1) for t in range(spec.n3 + 1)
@@ -517,7 +514,8 @@ def _search(
     """Best clique within the mask ``cand`` of a relabelled graph
     (``_relabel``), or 0 unless one larger than ``lower`` is found (the
     caller's incumbent prunes the search).  One greedy clique in vertex
-    order is the first incumbent.  ``nodes[0]`` counts the search nodes,
+    order is the first incumbent; when the incumbent holds as many vertices
+    as ``cand``, no search node is needed.  ``nodes[0]`` counts the nodes,
     across calls that share the list; past ``limit`` the search raises
     _BudgetExceeded instead of completing.
 
@@ -526,14 +524,14 @@ def _search(
     al.'s Re-NUMBER does ("A simple and faster branch-and-bound algorithm
     for finding a maximum clique", WALCOM 2010).  The search keeps its open
     nodes on an explicit stack, so it never recurses."""
-    if not cand:
-        return 0
     best_size = lower
     best_mask = 0
     g = _greedy_clique(radj, _vertices(cand))
     if g.bit_count() > best_size:
         best_size = g.bit_count()
         best_mask = g
+    if best_size >= cand.bit_count():
+        return best_mask
 
     def branches(r_size: int, cand: int) -> list[tuple[int, int]]:
         """Count a node and list its branches, the last to be taken first,
@@ -670,18 +668,17 @@ def _max_clique_words(
     words: list[Word],
     node_budget: int | None = None,
 ) -> int:
-    """Bitmask of one maximum code, by a two-phase exact search.
+    """Bitmask of one maximum code, by one exact search chosen by d.
 
-    Phase 1 relabels the whole graph in degree order, highest first
-    (``_relabel``), and runs ``_search`` on it under a small node cap; the
-    dense graphs of small d, such as (5,2,2), close there within a few
-    hundred nodes.  Otherwise phase 2 starts from the greedy clique in the
-    same order and branches on the isometry group down to the fourth word.
-    Each third word's candidates are relabelled once in degeneracy order
+    For d <= 2 the graph is dense: ``_search`` runs on the whole of it,
+    relabelled in degree order, highest first (``_relabel``), and (5,2,2)
+    closes in 96 nodes.  In degeneracy order it misses (5,2,2), which then
+    runs for minutes, and the branching below takes 474,130 nodes on it.
+    For d >= 3 the search starts from the greedy clique in the same order
+    and branches on the isometry group down to the fourth word.  Each third
+    word's candidates are relabelled once in degeneracy order
     (``_degeneracy_order``), and every fourth-word ``_search`` runs on a
-    mask of that relabelled graph.  Phase 1 keeps the degree order: in
-    degeneracy order it misses (5,2,2), which then runs for minutes where it
-    now closes in 96 nodes.
+    mask of that relabelled graph.
 
     Minimum-profile branching.  The profile of a pair of words, (binary
     distance, ternary distance), is kept by every isometry, and the feasible
@@ -719,30 +716,28 @@ def _max_clique_words(
     of the first H'-orbit it meets, and using no word of an earlier one; so
     the fourth word runs over one representative per H'-orbit, and each
     H'-orbit leaves the later fourth-word branches.  A branch records its
-    triple, or its quadruple, when no larger code is known, so the search
-    needs no greedy incumbent to find codes of three or four words.
+    pair, its triple, or its quadruple, when no larger code is known, so the
+    search needs no greedy incumbent to find codes of two, three or four
+    words.
 
-    ``node_budget`` caps the total search nodes over both phases; on
-    exhaustion the search stops with _BudgetExceeded (exactness preserved:
-    no partial answer is returned).
+    ``node_budget`` caps the search nodes; on exhaustion the search stops
+    with _BudgetExceeded (exactness preserved: no partial answer is
+    returned).
     """
     enc = [_letter_masks(w) for w in words]
     profiles, graphs = _profile_graphs(spec, enc)
     adj = graphs[0]
     n = len(words)
     order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
-    radj, nonadj = _relabel(adj, order)
-
     counter = [0]
-    phase1_limit = 1_000 if node_budget is None else min(1_000, node_budget)
-    try:
-        best = _search(radj, nonadj, (1 << n) - 1, 0, counter, phase1_limit)
+    if spec.d <= 2:
+        radj, nonadj = _relabel(adj, order)
+        best = _search(radj, nonadj, (1 << n) - 1, 0, counter, node_budget)
         return sum(1 << order[v] for v in _vertices(best))
-    except _BudgetExceeded:
-        pass
 
-    # incumbent for the profile phase; a greedy clique is maximal, and every
-    # word has a neighbour, so it holds at least two words
+    # a head start for the branching, which records its own pairs: a greedy
+    # clique is maximal, and every word has a neighbour, so it holds at least
+    # two words
     best = _greedy_clique(adj, order)
     best_size = best.bit_count()
 
@@ -751,6 +746,8 @@ def _max_clique_words(
         rep = ((1 << w2) - 1, (1 << w3) - 1, 0)
         rep_idx = enc.index(rep)
         pair = 1 << zero_idx | 1 << rep_idx
+        if best_size < 2:
+            best, best_size = pair, 2
         third_keys = list(map(_orbit_key(spec, [rep]), enc))
         pair_cand = g[zero_idx] & g[rep_idx]
         for third, triple_cand in _orbit_branches(g, pair_cand, third_keys):
@@ -778,14 +775,15 @@ def _max_clique_words(
 
 
 def optimal_code(spec: ProblemSpec, node_budget: int | None = None) -> Code:
-    """A maximum code with minimum distance >= d, by exact clique search over
-    at most ``DEFAULT_WORD_CAP`` words; a larger word space raises
-    ResourceError.
+    """A maximum code with minimum distance >= d, by one exact clique search,
+    chosen by d (``_max_clique_words``), over at most ``DEFAULT_WORD_CAP``
+    words; a larger word space raises ResourceError.
 
-    ``node_budget``, when given, caps the branch-and-bound search nodes;
-    exceeding it raises ResourceError (deterministically for a given spec),
-    and a negative one raises ValueError.  The search keeps its own stack,
-    so it leaves the interpreter's recursion limit alone.
+    ``node_budget``, when given, caps that search's nodes; exceeding it
+    raises ResourceError (deterministically for a given spec), and a
+    negative one raises ValueError.  At d = 1 every word is in the code, and
+    the search closes without a node.  The search keeps its own stack, so it
+    leaves the interpreter's recursion limit alone.
     """
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node_budget must be >= 0, got {node_budget}")

@@ -413,9 +413,10 @@ class TestExactOracle:
 
     def test_search_never_changes_recursion_limit(self):
         saved = sys.getrecursionlimit()
-        # (3,3,3) runs both phases of the search
+        # (3,3,3) runs the branching search, (5,2,2) the whole-graph search
         with mock.patch("sys.setrecursionlimit", side_effect=AssertionError):
             assert exact_n(ProblemSpec(3, 3, 3)) == 18
+            assert exact_n(ProblemSpec(5, 2, 2)) == 96
         assert sys.getrecursionlimit() == saved
 
     def test_deep_search_under_small_recursion_limit(self):
@@ -445,9 +446,12 @@ class TestExactOracle:
 
     def test_closes_under_small_budgets(self):
         # each budget is about 1.2 times the search's node count
-        assert exact_n(ProblemSpec(6, 1, 3), node_budget=2_100) == 16
-        assert exact_n(ProblemSpec(3, 3, 3), node_budget=2_100) == 18
-        assert exact_n(ProblemSpec(5, 2, 3), node_budget=41_000) == 22
+        assert exact_n(ProblemSpec(6, 1, 3), node_budget=860) == 16
+        assert exact_n(ProblemSpec(3, 3, 3), node_budget=900) == 18
+        assert exact_n(ProblemSpec(4, 2, 3), node_budget=250) == 12
+        assert exact_n(ProblemSpec(5, 2, 3), node_budget=39_500) == 22
+        # d <= 2: the whole-graph search
+        assert exact_n(ProblemSpec(5, 2, 2), node_budget=96) == 96
 
     def test_rejects_negative_budget(self):
         for spec in (ProblemSpec(1, 1, 1), ProblemSpec(3, 3, 3)):
@@ -569,8 +573,8 @@ def graph_candidates_lower(draw):
 
 
 def degree_order(adj, cand):
-    """The vertices of ``cand`` by degree within it, highest first, as phase
-    1 of the oracle orders the words."""
+    """The vertices of ``cand`` by degree within it, highest first, as the
+    oracle orders the words for d <= 2."""
     return sorted(_vertices(cand), key=lambda v: (adj[v] & cand).bit_count(), reverse=True)
 
 

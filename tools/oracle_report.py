@@ -24,7 +24,7 @@ from mixedsdp.codes import ProblemSpec, ResourceError, exact_n
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_acceptance import SANDWICH_FAMILIES  # noqa: E402
 
-BUDGETS = (1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000)
+BUDGETS = (100, 300, 1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000)
 SANDWICH = tuple(
     (n2, n3, d) for n2, n3 in SANDWICH_FAMILIES for d in range(1, n2 + n3 + 1)
 )
