@@ -33,6 +33,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import permutations, product
+from math import comb
 
 import numpy as np
 
@@ -126,7 +127,7 @@ def _poly_axpy(acc: dict, p: dict, scale: int) -> None:
 
 
 def _factor_polys(
-    factor: int, lam: tuple[int, ...]
+    factor: int, lam: tuple[int, int]
 ) -> dict[tuple[int, int], dict[int, int]]:
     """Dual polynomials of one tensor factor of shape ``lam`` for every
     tableau pair, summed over row rearrangements and signed column swaps,
@@ -140,10 +141,7 @@ def _factor_polys(
     the next state.  No state is pruned, so the end states serve every pair.
     """
     table = _ZERO_TABLES[factor]
-    if not lam:
-        return {(0, 0): {0: 1}}
-    a = lam[0]
-    b = lam[1] if len(lam) > 1 else 0
+    a, b = lam
     values = (1, 2) if factor != 3 else (1,)
 
     det = {}
@@ -175,7 +173,7 @@ def _factor_polys(
 
 
 def _factor_poly(
-    memo: dict, factor: int, lam: tuple[int, ...], first: int, second: int
+    memo: dict, factor: int, lam: tuple[int, int], first: int, second: int
 ) -> dict[int, int]:
     """One pair's polynomial, from the memo's ``_factor_polys`` of its
     factor and shape."""
@@ -341,22 +339,19 @@ _A_BASES = {
 _B_BASES = {1: (1, 1), 2: (1, -1), 3: (1, 1, 1), 4: (1, -1, 0)}
 
 
-def _tableau_vector(lam: tuple[int, ...], ones: int, basis) -> dict:
+def _tableau_vector(lam: tuple[int, int], ones: int, basis) -> dict:
     """The column vector over its factor space of the tableau of shape
     ``lam`` with rows 1^ones 2^(a - ones) and 2^b, as a sparse map from
     letter-index tuples to integers: sum over distinct row rearrangements
     and signed column swaps of the tensor of basis columns."""
-    if not lam:
-        return {(): 1}
-    b = lam[1] if len(lam) > 1 else 0
-    rows = [(1,) * ones + (2,) * (lam[0] - ones), (2,) * b][:len(lam)]
+    a, b = lam
+    rows = [(1,) * ones + (2,) * (a - ones), (2,) * b]
     row_arrs = [sorted(set(permutations(row))) for row in rows]
     out: dict = defaultdict(int)
     for arrangement in product(*row_arrs):
         for swaps in product((0, 1), repeat=b):
             sign = -1 if sum(swaps) % 2 else 1
-            r0 = list(arrangement[0])
-            r1 = list(arrangement[1]) if len(arrangement) > 1 else []
+            r0, r1 = map(list, arrangement)
             for i, sw in enumerate(swaps):
                 if sw:
                     r0[i], r1[i] = r1[i], r0[i]
@@ -428,12 +423,10 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def standard_tableaux(lam: tuple[int, ...]) -> int:
+def standard_tableaux(lam: tuple[int, int]) -> int:
     """The number of standard tableaux of shape (a, b): C(a+b, b) - C(a+b, b-1)."""
-    a = lam[0] if lam else 0
-    b = lam[1] if len(lam) > 1 else 0
-    pascal = _binomial_poly(a + b, 0)
-    return pascal[b] - (pascal[b - 1] if b else 0)
+    a, b = lam
+    return comb(a + b, b) - comb(a + b, b - 1) if b else 1
 
 
 def _inertia(mat: np.ndarray) -> np.ndarray:
@@ -513,12 +506,11 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     # completeness: a block repeats once per dimension of its irreducible
     # representation, C(n3, l2) f(lam1) f(lam2) in the zero case and
     # C(n2, l2) C(n3, l4) 2^l4 in the empty case, f counting standard tableaux
-    pascal2, pascal3 = _binomial_poly(spec.n2, 0), _binomial_poly(spec.n3, 0)
     mult_zero = [
-        pascal3[s.counts[1]] * standard_tableaux(s.lambdas[0]) * standard_tableaux(s.lambdas[1])
+        comb(spec.n3, s.counts[1]) * standard_tableaux(s.lambdas[0]) * standard_tableaux(s.lambdas[1])
         for s in shapes_zero
     ]
-    mult_empty = [pascal2[s.counts[1]] * pascal3[s.counts[3]] * 2 ** s.counts[3] for s in shapes_empty]
+    mult_empty = [comb(spec.n2, s.counts[1]) * comb(spec.n3, s.counts[3]) * 2 ** s.counts[3] for s in shapes_empty]
     count_zero = sum(m * len(s.admissible) for m, s in zip(mult_zero, shapes_zero))
     kept = sum(1 for w in words if not 0 < sum(map(bool, w.bits + w.trits)) < spec.d)
     checks.append((

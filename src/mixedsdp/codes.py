@@ -196,19 +196,16 @@ class OrbitId:
 
 
 def _build_count_maps():
-    """For each reordering of the triple, the index map that reorders the
-    nine pattern counts, binary then ternary."""
-    maps = []
-    for pm in PATTERN_PERMS:
-        inv = [0] * N_TER_PATTERNS
-        for p, q in enumerate(pm):
-            inv[q] = p
-        # a reordering fixes PAT_DISTINCT, so it maps binary patterns to
-        # binary patterns
-        maps.append(itemgetter(
-            *inv[:N_BIN_PATTERNS], *(N_BIN_PATTERNS + p for p in inv)
-        ))
-    return tuple(maps)
+    """For each reordering of the triple, an index map that reorders the
+    nine pattern counts, binary then ternary.  Reading the counts through a
+    reordering's pattern map applies the inverse reordering; the six
+    reorderings form a group, so the maps cover all six."""
+    # a reordering fixes PAT_DISTINCT, so it maps binary patterns to binary
+    # patterns
+    return tuple(
+        itemgetter(*pm[:N_BIN_PATTERNS], *(N_BIN_PATTERNS + p for p in pm))
+        for pm in PATTERN_PERMS
+    )
 
 
 _COUNT_MAPS = _build_count_maps()
@@ -308,18 +305,10 @@ def orbit_pair_distances(w: OrbitId) -> tuple[int, int, int]:
     return _pair_distances(w.bin_counts, w.ter_counts)
 
 
-def orbit_min_distance(w: OrbitId) -> int | None:
-    """Minimum distance of any representative code, None for size <= 1."""
-    if w.size <= 1:
-        return None
-    genuine = [x for x in orbit_pair_distances(w) if x > 0]
-    return min(genuine)
-
-
 def orbit_is_feasible(w: OrbitId, d: int) -> bool:
-    if w.size <= 1:
-        return True
-    return orbit_min_distance(w) >= d
+    """Whether every representative code has minimum distance at least d;
+    a zero pair distance is a repeated word of the padded triple."""
+    return w.size <= 1 or all(x == 0 or x >= d for x in orbit_pair_distances(w))
 
 
 def _compositions(total: int, nparts: int):

@@ -730,18 +730,22 @@ def certify(problem: SdpProblem, solution: Solution) -> CertifiedBound:
     nor zero, and an integer above the solution's dual objective by more
     than its float accuracy, 1e-6 relative, which the exact bound reaches
     only when the dual point is too infeasible to prove that objective's
-    integer.
+    integer.  Each refusal carries ``solution``.
     """
     if not solution.converged:
-        raise CertificationError("cannot certify an unconverged solution")
+        raise CertificationError("cannot certify an unconverged solution", solution)
     bound = solution.certificate
     if bound is None:
-        bound = _certificate(problem, solution.z, solution.w)
+        try:
+            bound = _certificate(problem, solution.z, solution.w)
+        except CertificationError as err:
+            raise CertificationError(str(err), solution) from None
     dobj = solution.dual_objective
     if bound.value > dobj + 1e-6 * max(1.0, abs(dobj)):
         raise CertificationError(
             f"exact bound {float(bound.exact_bound):.9g} does not prove the "
-            f"integer of the dual objective {dobj:.9g}"
+            f"integer of the dual objective {dobj:.9g}",
+            solution,
         )
     return bound
 

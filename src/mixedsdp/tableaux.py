@@ -1,15 +1,16 @@
-"""Partitions and the indexed families of representative-set columns for the
-two stabilizer cases.
+"""Two-row shapes and the indexed families of representative-set columns
+for the two stabilizer cases.
 
 The block structure of the reduced problem is indexed by tuples of shapes.
 For the all-zero-word stabilizer, the shape tuple distributes the ternary
-coordinates over two irreducible types (trivial/sign) and carries partitions
-of heights at most (2, 2, 1); a column is a triple of semistandard tableaux
-with entries in {1, 2} resp. {1}.  Such a tableau's second row is all 2s and
-the 1s fill a prefix of its first row, so it is fixed by the count of 1s in
-that row, and a column is the triple (x1, x2, x3) of those counts.  For the
-empty-code stabilizer every type has multiplicity one, so each shape carries
-a single column.
+coordinates over two irreducible types (trivial/sign) and carries shapes of
+heights at most (2, 2, 1).  A shape is the pair (a, b) with a >= b >= 0 of
+its row lengths, an empty row as 0; the sign type's shape is (l3, 0).  A
+column is a triple of semistandard tableaux with entries in {1, 2} resp.
+{1}.  Such a tableau's second row is all 2s and the 1s fill a prefix of its
+first row, so it is fixed by the count of 1s in that row, and a column is
+the triple (x1, x2, x3) of those counts.  For the empty-code stabilizer
+every type has multiplicity one, so each shape carries a single column.
 """
 
 from __future__ import annotations
@@ -18,34 +19,20 @@ from dataclasses import dataclass
 
 from mixedsdp.codes import ProblemSpec
 
-Partition = tuple[int, ...]
+
+def two_row_shapes(n: int) -> list[tuple[int, int]]:
+    """The shapes (a, b) with a >= b >= 0 and a + b = n, largest first row
+    first."""
+    return [(n - b, b) for b in range(n // 2 + 1)]
 
 
-def partitions_up_to_height(n: int, h: int) -> list[Partition]:
-    """All partitions of n with at most h parts, largest part first."""
-    out: list[Partition] = []
-
-    def rec(remaining: int, maxpart: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        if len(prefix) == h:
-            return
-        for part in range(min(remaining, maxpart), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
-
-    rec(n, n, ())
-    return out
-
-
-def first_row_ones(lam: Partition) -> range:
-    """The semistandard tableaux of shape ``lam`` (at most two rows) with
-    entries in {1, 2}, each given by the count of 1s in its first row, most
-    1s first, which is the row-major order of the fillings.  The second row
-    is all 2s, so the 1s fill a prefix of the first row at least as long as
-    the second row: shape (a, b) has the counts a, a-1, ..., b."""
-    a = lam[0] if lam else 0
-    b = lam[1] if len(lam) > 1 else 0
+def first_row_ones(lam: tuple[int, int]) -> range:
+    """The semistandard tableaux of shape ``lam`` with entries in {1, 2},
+    each given by the count of 1s in its first row, most 1s first, which is
+    the row-major order of the fillings.  The second row is all 2s, so the
+    1s fill a prefix of the first row at least as long as the second row:
+    shape (a, b) has the counts a, a-1, ..., b."""
+    a, b = lam
     return range(a, b - 1, -1)
 
 
@@ -63,11 +50,11 @@ class ShapeD0:
     """
 
     counts: tuple[int, int, int]
-    lambdas: tuple[Partition, Partition, Partition]
+    lambdas: tuple[tuple[int, int], ...]
     admissible: tuple[tuple[int, int, int], ...]
 
     def label(self) -> str:
-        lam = ",".join("(" + ",".join(map(str, l)) + ")" for l in self.lambdas)
+        lam = ",".join("(" + ",".join(str(r) for r in l if r) + ")" for l in self.lambdas)
         return f"n={self.counts} lam=[{lam}]"
 
 
@@ -80,27 +67,26 @@ def column_weight(spec: ProblemSpec, tau: tuple[int, int, int]) -> int:
 def build_shape_index_d0(spec: ProblemSpec) -> list[ShapeD0]:
     """All shapes with a nonempty admissible column family.
 
-    Heights are capped by the per-type multiplicities (2, 2, 1); the weight
-    filter keeps columns whose weight is 0 or at least d.  The sign type's
-    one tableau is all 1s, so every column has x3 = l3.
+    Heights are capped by the per-type multiplicities (2, 2, 1), so the
+    sign type's shape is (l3, 0); the weight filter keeps columns whose
+    weight is 0 or at least d.  The sign type's one tableau is all 1s, so
+    every column has x3 = l3.
     """
     allowed = {0} | set(range(spec.d, spec.n2 + spec.n3 + 1))
     shapes = []
     for l2 in range(spec.n3 + 1):
         l3 = spec.n3 - l2
-        for lam1 in partitions_up_to_height(spec.n2, 2):
-            for lam2 in partitions_up_to_height(l2, 2):
-                for lam3 in partitions_up_to_height(l3, 1):
-                    keep = tuple(
-                        (x1, x2, l3)
-                        for x1 in first_row_ones(lam1)
-                        for x2 in first_row_ones(lam2)
-                        if column_weight(spec, (x1, x2, l3)) in allowed
-                    )
-                    if not keep:
-                        continue
+        for lam1 in two_row_shapes(spec.n2):
+            for lam2 in two_row_shapes(l2):
+                keep = tuple(
+                    (x1, x2, l3)
+                    for x1 in first_row_ones(lam1)
+                    for x2 in first_row_ones(lam2)
+                    if column_weight(spec, (x1, x2, l3)) in allowed
+                )
+                if keep:
                     shapes.append(ShapeD0(
-                        (spec.n2, l2, l3), (lam1, lam2, lam3), keep,
+                        (spec.n2, l2, l3), (lam1, lam2, (l3, 0)), keep,
                     ))
     return shapes
 

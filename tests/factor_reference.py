@@ -13,10 +13,7 @@ def reference_factor_poly(factor, lam, ones_first, ones_second):
     by a dynamic programme over the columns pruned to the paths that can
     reach those counts."""
     table = _ZERO_TABLES[factor]
-    if not lam:
-        return {0: 1}
-    a = lam[0]
-    b = lam[1] if len(lam) > 1 else 0
+    a, b = lam
     values = (1, 2) if factor != 3 else (1,)
 
     det = {}

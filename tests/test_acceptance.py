@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from mixedsdp.blocks import verify_reduction
+from mixedsdp.cli import load_reference_rows
 from mixedsdp.codes import (
     ProblemSpec,
     ResourceError,
@@ -33,6 +34,7 @@ from sdpa_output import parse_sdpa_output
 
 TOL = 1e-8
 ORACLE_NODE_BUDGET = 3_000_000
+SLICE_MAX_VARS = 300
 
 # every (n2, n3) with n2, n3 >= 1 and 2^n2 3^n3 <= 300
 SANDWICH_FAMILIES = [
@@ -86,6 +88,25 @@ def test_criterion_1_table_reproduction():
     report(
         "criterion 1 (table reproduction at small d=3,4,9 instances): PASS "
         + ", ".join(f"({a},{b},{c})->{v}" for (a, b, c), v in expected.items())
+    )
+
+
+def test_criterion_1_published_rows_up_to_300_variables():
+    """Every published row without a marker whose problem has at most 300
+    variables (the feasible orbits but the empty one) certifies to its
+    published integer at the default settings."""
+    rows = [
+        r for r in load_reference_rows()
+        if r.marker == ""
+        and sum(enumerate_orbits(ProblemSpec(r.n2, r.n3, r.d)).feasible) - 1 <= SLICE_MAX_VARS
+    ]
+    assert len(rows) == 18
+    for r in rows:
+        got = certified_bound(r.n2, r.n3, r.d, 3)
+        assert got == r.upper, f"({r.n2},{r.n3},{r.d}): certified {got}, published {r.upper}"
+    report(
+        f"criterion 1 (the {len(rows)} published rows of at most "
+        f"{SLICE_MAX_VARS} variables): PASS"
     )
 
 

@@ -131,14 +131,14 @@ class TestExpandP:
     def test_binary_only_unit(self):
         # single binary cell, both tableaux [1]: the all-equal pattern
         spec = ProblemSpec(1, 1, 1)
-        shape = shape_for(spec, (1, 1, 0), ((1,), (1,), ()))
+        shape = shape_for(spec, (1, 1, 0), ((1, 0), (1, 0), (0, 0)))
         col_11 = (1, 1, 0)  # ([1], [1], [])
         p = expand_p(shape.lambdas, col_11, col_11, {})
         assert unpacked(p) == {((1, 0, 0, 0), (1, 0, 0, 0, 0)): 1}
 
     def test_binary_mixed_slots(self):
         spec = ProblemSpec(1, 1, 1)
-        shape = shape_for(spec, (1, 1, 0), ((1,), (1,), ()))
+        shape = shape_for(spec, (1, 1, 0), ((1, 0), (1, 0), (0, 0)))
         sigma = (0, 1, 0)  # ([2], [1], [])
         tau = (1, 1, 0)  # ([1], [1], [])
         p = expand_p(shape.lambdas, sigma, tau, {})
@@ -147,7 +147,7 @@ class TestExpandP:
 
     def test_sign_factor(self):
         spec = ProblemSpec(1, 1, 1)
-        shape = shape_for(spec, (1, 0, 1), ((1,), (), (1,)))
+        shape = shape_for(spec, (1, 0, 1), ((1, 0), (0, 0), (1, 0)))
         col = (1, 0, 1)  # ([1], [], [1])
         p = expand_p(shape.lambdas, col, col, {})
         assert unpacked(p) == {
@@ -227,7 +227,7 @@ class TestBlocksD0:
         blocks = build_blocks_d0(spec, shapes, table, feasible(table))
         shape_idx = next(
             i for i, s in enumerate(shapes)
-            if s.counts == (1, 1, 0) and s.lambdas == ((1,), (1,), ())
+            if s.counts == (1, 1, 0) and s.lambdas == ((1, 0), (1, 0), (0, 0))
         )
         block = blocks[shape_idx]
         cols = shapes[shape_idx].admissible
@@ -478,10 +478,10 @@ class TestVerifyReduction:
     def test_standard_tableaux_count_ballot_sequences(self):
         # a standard tableau of shape (a, b) is a ballot sequence: entry k
         # says which row holds k
-        assert standard_tableaux(()) == 1
+        assert standard_tableaux((0, 0)) == 1
         for cells in range(1, 11):
             for b in range(cells // 2 + 1):
-                lam = (cells - b, b) if b else (cells,)
+                lam = (cells - b, b)
                 assert standard_tableaux(lam) == ballot_sequences(cells - b, b), lam
 
     def test_cap(self):

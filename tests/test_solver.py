@@ -426,8 +426,10 @@ class TestCertify:
 
     def test_unconverged_refused(self, solved_253):
         problem, solution = solved_253
-        with pytest.raises(CertificationError, match="unconverged"):
-            certify(problem, dataclasses.replace(solution, converged=False))
+        unconverged = dataclasses.replace(solution, converged=False)
+        with pytest.raises(CertificationError, match="unconverged") as info:
+            certify(problem, unconverged)
+        assert info.value.solution is unconverged
 
     def test_corrupted_coefficient_refused(self, solved_253):
         problem, solution = solved_253
@@ -440,8 +442,10 @@ class TestCertify:
         # raises <F_var, Z> by at least the slack of var plus 2
         delta = math.ceil((solution.u[var] + 2) / z[a, a])
         bad = with_coefficient(problem, index, var, a, delta)
-        with pytest.raises(CertificationError, match="does not prove"):
-            certify(bad, unrecorded(solution))
+        rerun = unrecorded(solution)
+        with pytest.raises(CertificationError, match="does not prove") as info:
+            certify(bad, rerun)
+        assert info.value.solution is rerun
 
     def test_corrupted_dual_entry_refused(self, solved_253):
         problem, solution = solved_253
@@ -460,11 +464,32 @@ class TestCertify:
         assert certify(problem, unrecorded(solution, z=z)).value == 65
         shift = solver._shift
         monkeypatch.setattr(solver, "_shift", lambda zk: -shift(zk))
+        shifted = unrecorded(solution, z=z)
         with pytest.raises(CertificationError, match="not positive definite") as info:
-            certify(problem, unrecorded(solution, z=z))
+            certify(problem, shifted)
         # the error names the block of z[1], the second PSD block, by its label
         label = [b.label for b in problem.blocks if b.dim >= 2][1]
         assert f"block {label} is" in str(info.value)
+        assert info.value.solution is shifted
+
+    def test_failed_exact_check_keeps_solving(self, solved_253, monkeypatch):
+        # with every exact check failing, the solve records each failure in
+        # the trace and runs on to the tolerance test, later than the
+        # iterate that proved 65, and certify refuses the uncertified point
+        iterations = solved_253[1].iterations
+        monkeypatch.setattr(solver, "_positive_definite", lambda a: False)
+        problem = build_sdp(ProblemSpec(2, 5, 3))
+        solution = solve(problem, tol=1e-8)
+        assert solution.converged and solution.certificate is None
+        assert solution.iterations > iterations
+        checks = [e["exact"] for e in solution.trace if "exact" in e]
+        assert checks and all(c is None for c in checks)
+        with pytest.raises(CertificationError) as info:
+            certify(problem, solution)
+        assert str(info.value) == (
+            "shifted dual block zero:n=(2, 0, 5) lam=[(2),(),(5)] is not positive definite"
+        )
+        assert info.value.solution is solution
 
     def test_solve_and_check_read_the_blocks(self, monkeypatch):
         # neither the solve nor the exact check builds the SDPA view

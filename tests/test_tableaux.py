@@ -1,11 +1,9 @@
-"""Partitions, columns as counts of 1s, and the two shape indices."""
+"""Two-row shapes, columns as counts of 1s, and the two shape indices."""
 
 from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mixedsdp.codes import ProblemSpec
 from mixedsdp.tableaux import (
@@ -13,29 +11,28 @@ from mixedsdp.tableaux import (
     build_shape_index_empty,
     column_weight,
     first_row_ones,
-    partitions_up_to_height,
+    two_row_shapes,
 )
 
 
 class TestPartitions:
+    """A shape is the pair (a, b) of its row lengths, a >= b >= 0."""
+
     def test_direct_listing(self):
-        assert partitions_up_to_height(3, 2) == [(3,), (2, 1)]
+        assert two_row_shapes(3) == [(3, 0), (2, 1)]
 
     def test_empty_partition(self):
-        assert partitions_up_to_height(0, 2) == [()]
+        assert two_row_shapes(0) == [(0, 0)]
 
     def test_single_row(self):
-        assert partitions_up_to_height(5, 1) == [(5,)]
+        # the sign type's shape is the one row (l3, 0)
+        for s in build_shape_index_d0(ProblemSpec(2, 4, 1)):
+            assert s.lambdas[2] == (s.counts[2], 0)
 
-    @given(st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=4))
-    @settings(max_examples=50, deadline=None)
-    def test_shape_invariants(self, n, h):
-        parts = partitions_up_to_height(n, h)
-        assert len(set(parts)) == len(parts)
-        for lam in parts:
-            assert sum(lam) == n
-            assert len(lam) <= h
-            assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
+    def test_lists_partitions_into_at_most_two_parts(self):
+        for n in range(11):
+            want = sorted(((a, n - a) for a in range(n + 1) if a >= n - a), reverse=True)
+            assert two_row_shapes(n) == want, n
 
 
 def enumerate_fillings(lam, m):
@@ -61,16 +58,14 @@ def enumerate_fillings(lam, m):
 
 def ones(tab):
     """The count of 1s in a filling's first row."""
-    return tab[0].count(1) if tab else 0
+    return tab[0].count(1)
 
 
 def filling(lam, x):
     """The filling of shape ``lam`` whose first row starts with x 1s and
     whose other cells are 2s."""
-    rows = [(2,) * length for length in lam]
-    if lam:
-        rows[0] = (1,) * x + (2,) * (lam[0] - x)
-    return tuple(rows)
+    a, b = lam
+    return (1,) * x + (2,) * (a - x), (2,) * b
 
 
 class TestSemistandardTableaux:
@@ -78,7 +73,7 @@ class TestSemistandardTableaux:
 
     def test_single_row_counts(self):
         for n in range(0, 8):
-            assert len(first_row_ones((n,) if n else ())) == n + 1
+            assert len(first_row_ones((n, 0))) == n + 1
 
     def test_21_by_enumeration(self):
         got = [filling((2, 1), x) for x in first_row_ones((2, 1))]
@@ -86,9 +81,9 @@ class TestSemistandardTableaux:
 
     def test_stars_and_bars(self):
         for n in range(1, 13):
-            assert len(first_row_ones((n,))) == comb(n + 1, 1)
+            assert len(first_row_ones((n, 0))) == comb(n + 1, 1)
             # the sign factor's alphabet {1}
-            assert len(enumerate_fillings((n,), 1)) == comb(n, 0)
+            assert len(enumerate_fillings((n, 0), 1)) == comb(n, 0)
 
     def test_two_row_count(self):
         for a in range(1, 8):
@@ -97,7 +92,7 @@ class TestSemistandardTableaux:
                     continue
                 assert len(first_row_ones((a, b))) == a - b + 1
 
-    @pytest.mark.parametrize("lam,m", [((2,), 2), ((2, 1), 2), ((3, 2), 2)])
+    @pytest.mark.parametrize("lam,m", [((2, 0), 2), ((2, 1), 2), ((3, 2), 2)])
     def test_matches_filter_oracle(self, lam, m):
         got = [filling(lam, x) for x in first_row_ones(lam)]
         assert got == enumerate_fillings(lam, m)
@@ -107,11 +102,11 @@ class TestFirstRowOnes:
     @pytest.mark.parametrize("cells", range(11))
     def test_matches_filter_oracle(self, cells):
         # order included, and each count fixes its filling
-        for lam in partitions_up_to_height(cells, 2):
+        for lam in two_row_shapes(cells):
             got = [filling(lam, x) for x in first_row_ones(lam)]
             assert got == enumerate_fillings(lam, 2)
         # the sign factor's one filling over {1}: x3 = l3
-        lam = (cells,) if cells else ()
+        lam = (cells, 0)
         assert enumerate_fillings(lam, 1) == [filling(lam, cells)]
 
 
@@ -156,7 +151,7 @@ class TestShapeIndexD0:
             spec = ProblemSpec(2, 2, d)
             shapes = build_shape_index_d0(spec)
             trivial = [s for s in shapes if s.counts == (2, 2, 0)
-                       and s.lambdas == ((2,), (2,), ())]
+                       and s.lambdas == ((2, 0), (2, 0), (0, 0))]
             assert trivial, "trivial shape missing"
             weights = [column_weight(spec, t) for t in trivial[0].admissible]
             assert 0 in weights
@@ -176,7 +171,7 @@ class TestShapeIndexD0:
         for s in build_shape_index_d0(spec):
             for col in full_fillings(s):
                 for tab in col[:2]:
-                    if len(tab) == 2:
+                    if tab[1]:
                         assert set(tab[1]) == {2}
 
     def test_weight_formula(self):
