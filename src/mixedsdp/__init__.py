@@ -3,7 +3,6 @@
 from mixedsdp.codes import (
     Code,
     OrbitId,
-    OrbitTable,
     ProblemSpec,
     Word,
     canonical_orbit,
@@ -22,7 +21,6 @@ from mixedsdp.solver import certify, emit_sdpa, parse_sdpa, solve
 __all__ = [
     "Code",
     "OrbitId",
-    "OrbitTable",
     "ProblemSpec",
     "Word",
     "build_lp_k2",

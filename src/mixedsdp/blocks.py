@@ -45,7 +45,7 @@ from mixedsdp.codes import (
     PAT_23,
     PAT_ALL_EQUAL,
     PAT_DISTINCT,
-    OrbitTable,
+    OrbitId,
     ProblemSpec,
     ResourceError,
     Word,
@@ -54,6 +54,7 @@ from mixedsdp.codes import (
     code,
     enumerate_orbits,
     orbit_from_counts,
+    orbit_is_feasible,
     pair_orbit,
     singleton_orbit,
     zero_word,
@@ -236,17 +237,16 @@ class Block:
 def build_blocks_d0(
     spec: ProblemSpec,
     shapes: list[ShapeD0],
-    orbits: OrbitTable,
-    var_of_orbit: dict[int, int],
+    variables: dict[OrbitId, int],
 ) -> list[Block]:
     """Reduced blocks for the all-zero-word stabilizer, one per shape.
 
-    ``var_of_orbit`` maps orbit indices to variable indices; coefficients of
-    orbits outside it (those fixed to zero) are dropped.  Each pair's
-    polynomial is read from ``expand_p``.  The build's shapes share one memo
-    (one dynamic programme per factor shape and the ternary products, see
-    ``expand_p``) and one table from packed monomial to variable, ``None``
-    for a dropped orbit; both go with the build.
+    ``variables`` maps orbits to variable indices (``enumerate_orbits``);
+    coefficients of orbits outside it (those fixed to zero) are dropped.
+    Each pair's polynomial is read from ``expand_p``.  The build's shapes
+    share one memo (one dynamic programme per factor shape and the ternary
+    products, see ``expand_p``) and one table from packed monomial to
+    variable, ``None`` for a dropped orbit; both go with the build.
     """
     if max(spec.n2, spec.n3) > MAX_COUNT:
         raise ValueError(
@@ -267,10 +267,9 @@ def build_blocks_d0(
                     try:
                         v = var_of_mono[mono]
                     except KeyError:
-                        widx = orbits.index_of(
+                        v = var_of_mono[mono] = variables.get(
                             orbit_from_counts(*unpack_monomial(mono))
                         )
-                        v = var_of_mono[mono] = var_of_orbit.get(widx)
                     agg[v] += c
                 entries += [
                     (v + 1, i, j, val) for v, val in agg.items() if val and v is not None
@@ -292,12 +291,11 @@ def _binomial_poly(l_plus: int, l_minus: int, plus_scale: int = 1) -> list[int]:
 def build_blocks_empty(
     spec: ProblemSpec,
     shapes: list[ShapeEmpty],
-    orbits: OrbitTable,
-    var_of_orbit: dict[int, int],
+    variables: dict[OrbitId, int],
 ) -> list[Block]:
     """Reduced blocks for the empty-code stabilizer: 1x1 per shape, except
     the augmented shape which gains the empty-code row and column.  Orbits
-    outside ``var_of_orbit`` are dropped, as in ``build_blocks_d0``."""
+    outside ``variables`` are dropped, as in ``build_blocks_d0``."""
     full = spec.num_words
     out = []
     for shape in shapes:
@@ -312,13 +310,13 @@ def build_blocks_empty(
                 val = scale * binpoly[a] * terpoly[b]
                 if val == 0:
                     continue
-                widx = orbits.index_of(
+                v = variables.get(
                     singleton_orbit(spec) if a == b == 0 else pair_orbit(spec, a, b)
                 )
-                if widx in var_of_orbit:
-                    entries.append((var_of_orbit[widx] + 1, slot, slot, val))
+                if v is not None:
+                    entries.append((v + 1, slot, slot, val))
         if shape.augmented:
-            svar = var_of_orbit[orbits.index_of(singleton_orbit(spec))]
+            svar = variables[singleton_orbit(spec)]
             entries += [(0, 0, 0, 1), (svar + 1, 0, 1, full)]
         out.append(Block(f"{CASE_EMPTY}:{shape.label()}", slot + 1, tuple(sorted(entries))))
     return out
@@ -438,7 +436,7 @@ def _inertia(mat: np.ndarray) -> np.ndarray:
 
 
 def _contraction_mismatch(
-    table, columns, block: Block, label: str, orbits: OrbitTable
+    table, columns, block: Block, label: str, orbits: list[OrbitId]
 ) -> str | None:
     """The first entry, in (i, j, matno) order, where ``block`` differs from
     the contraction of the sparse ``columns`` (maps from table rows to
@@ -454,7 +452,7 @@ def _contraction_mismatch(
     for i, j, m in sorted(want.keys() | got.keys()):
         explicit, engine = want.get((i, j, m), 0), got.get((i, j, m), 0)
         if explicit != engine:
-            what = f"orbit {orbits.orbits[m - 1].describe()}" if m else "constant"
+            what = f"orbit {orbits[m - 1].describe()}" if m else "constant"
             return f"shape {label} entry ({i},{j}) {what}: engine {engine}, explicit {explicit}"
     return None
 
@@ -465,12 +463,13 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     (a) builds every representative column explicitly in the word space;
     (b) builds one explicit table per stabilizer case, holding the SDPA
     matno of each entry of the full matrix (orbit index + 1, 0 for the
-    constant 1), and checks that each case's block dimensions times their
-    multiplicities count its kept words (weight 0 or at least d in the zero
-    case, every word in the empty case); (c) compares every engine block
-    entry with the explicit contraction of its columns in exact integer
-    arithmetic, over the keys of both, so an entry either side lacks is
-    caught too; (d) draws one assignment in (-1, 1) on the feasible orbits
+    constant 1; the index is that in the d = 1 map of ``enumerate_orbits``,
+    which holds every nonempty orbit), and checks that each case's block
+    dimensions times their multiplicities count its kept words (weight 0 or
+    at least d in the zero case, every word in the empty case); (c) compares
+    every engine block entry with the explicit contraction of its columns in
+    exact integer arithmetic, over the keys of both, so an entry either side
+    lacks is caught too; (d) draws one assignment in (-1, 1) on the feasible orbits
     and checks, by Sylvester's law of inertia, that each full matrix has as
     many negative and as many positive eigenvalues as its blocks counted
     with their multiplicities.  Zero eigenvalues are not compared: a word of
@@ -484,24 +483,25 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     words = list(all_words(spec))
     nwords = len(words)
     pos = {w: i for i, w in enumerate(words)}
-    orbits = enumerate_orbits(replace(spec, k=3))  # the zero case meets triples
+    # every nonempty orbit; the zero case meets triples
+    variables = enumerate_orbits(replace(spec, d=1, k=3))
+    orbits = list(variables)
     zero = zero_word(spec)
 
     def matno_of(*ws: Word) -> int:
-        return orbits.index_of(canonical_orbit(spec, code(*ws))) + 1
+        return variables[canonical_orbit(spec, code(*ws))] + 1
 
     # zero case: the words as rows, the orbit of {0, x, y} at (x, y); empty
     # case: the empty code first, then the words, the orbit of {x, y} at (x, y)
     table_zero = np.array([[matno_of(zero, x, y) for y in words] for x in words])
     table_empty = np.zeros((nwords + 1, nwords + 1), dtype=np.int64)
-    table_empty[0, 1:] = table_empty[1:, 0] = orbits.index_of(singleton_orbit(spec)) + 1
+    table_empty[0, 1:] = table_empty[1:, 0] = variables[singleton_orbit(spec)] + 1
     table_empty[1:, 1:] = [[matno_of(x, y) for y in words] for x in words]
 
     shapes_zero = build_shape_index_d0(spec)
     shapes_empty = build_shape_index_empty(spec)
-    every_orbit = {i: i for i in range(len(orbits))}
-    blocks_zero = build_blocks_d0(spec, shapes_zero, orbits, every_orbit)
-    blocks_empty = build_blocks_empty(spec, shapes_empty, orbits, every_orbit)
+    blocks_zero = build_blocks_d0(spec, shapes_zero, variables)
+    blocks_empty = build_blocks_empty(spec, shapes_empty, variables)
 
     # completeness: a block repeats once per dimension of its irreducible
     # representation, C(n3, l2) f(lam1) f(lam2) in the zero case and
@@ -556,7 +556,7 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     # (d) y is zero outside the feasible orbits, so indexing the values by
     # the tables gives the full matrices
     rng = random.Random(VERIFY_SEED)
-    scale = np.array([1.0] + [rng.uniform(-1.0, 1.0) if ok else 0.0 for ok in orbits.feasible])
+    scale = np.array([1.0] + [rng.uniform(-1.0, 1.0) if orbit_is_feasible(w, spec.d) else 0.0 for w in orbits])
 
     def block_inertia(block_list, mults):
         total = np.zeros(2, dtype=np.int64)

@@ -13,7 +13,7 @@ triple of its words, minimized over the six reorderings of the triple.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from operator import itemgetter
 
@@ -330,35 +330,12 @@ def _count_vectors(total: int, width: int, patterns: tuple[int, ...]):
         yield tuple(out)
 
 
-@dataclass(frozen=True)
-class OrbitTable:
-    """All orbits of codes of size 0..k for one spec at level k, with stable
-    indices.
-
-    Index 0 is the empty code's orbit; the others are sorted, so by size
-    first, and the level-2 table is the start of the level-3 one.
-    ``feasible[i]`` is True when every genuine pair of words in a
-    representative is at distance >= d (sizes 0 and 1 are always feasible).
-    """
-
-    spec: ProblemSpec
-    orbits: tuple[OrbitId, ...]
-    feasible: tuple[bool, ...]
-    _index: dict = field(init=False, default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._index.update({w: i for i, w in enumerate(self.orbits)})
-
-    def __len__(self) -> int:
-        return len(self.orbits)
-
-    def index_of(self, w: OrbitId) -> int:
-        return self._index[w]
-
-
-def enumerate_orbits(spec: ProblemSpec) -> OrbitTable:
-    """Every orbit of codes of size 0..spec.k, generated directly from
-    pattern count vectors (never by scanning codes).
+def enumerate_orbits(spec: ProblemSpec) -> dict[OrbitId, int]:
+    """The variables: every orbit of nonempty codes of at most spec.k words
+    at pairwise distance >= d, in sorted order (so by size first, and the
+    level-2 list is the start of the level-3 one), each mapped to its index.
+    They are generated directly from pattern count vectors (never by
+    scanning codes).
 
     A code of at most two words pads to a triple (x, y, y), whose columns
     show only the patterns {123} and {1|23}, so level 2 counts only those.
@@ -369,9 +346,8 @@ def enumerate_orbits(spec: ProblemSpec) -> OrbitTable:
     ter = list(_count_vectors(spec.n3, N_TER_PATTERNS, patterns))
     for bc in _count_vectors(spec.n2, N_BIN_PATTERNS, bin_patterns):
         seen.update(_canonical_counts(bc + tc) for tc in ter)
-    ordered = [empty_orbit(spec)] + sorted(map(_orbit_of, seen))
-    flags = tuple(orbit_is_feasible(w, spec.d) for w in ordered)
-    return OrbitTable(spec, tuple(ordered), flags)
+    kept = (w for w in sorted(map(_orbit_of, seen)) if orbit_is_feasible(w, spec.d))
+    return {w: i for i, w in enumerate(kept)}
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +747,8 @@ def optimal_code(spec: ProblemSpec, node_budget: int | None = None) -> Code:
     ``node_budget``, when given, caps that search's nodes; exceeding it
     raises ResourceError (deterministically for a given spec), and a
     negative one raises ValueError.  At d = 1 every word is in the code, and
-    the search closes without a node.  The search keeps its own stack, so it
-    leaves the interpreter's recursion limit alone.
+    no search runs.  The search keeps its own stack, so it leaves the
+    interpreter's recursion limit alone.
     """
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node_budget must be >= 0, got {node_budget}")
@@ -781,6 +757,8 @@ def optimal_code(spec: ProblemSpec, node_budget: int | None = None) -> Code:
             f"word space {spec.num_words} exceeds oracle cap {DEFAULT_WORD_CAP}"
         )
     words = list(all_words(spec))
+    if spec.d == 1:
+        return code(*words)
     try:
         mask = _max_clique_words(spec, words, node_budget)
     except _BudgetExceeded:

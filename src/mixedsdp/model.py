@@ -19,9 +19,10 @@ from mixedsdp.tableaux import build_shape_index_d0, build_shape_index_empty
 class SdpProblem:
     """Block-diagonal linear matrix inequality in orbit variables y >= 0.
 
-    Variables are the feasible orbits except the empty one, whose value is
-    the constant 1 (substituted into the constant parts).  The objective is
-    maximization of ``objective . y``.
+    The variables are the orbits of ``enumerate_orbits(spec)``, in its
+    order: nonempty codes of at most k words at distance >= d.  The empty
+    code is the constant 1 (substituted into the constant parts).  The
+    objective is maximization of ``objective . y``.
     """
 
     spec: ProblemSpec
@@ -35,22 +36,16 @@ class SdpProblem:
 
 
 def build_problem(spec: ProblemSpec) -> SdpProblem:
-    """The problem at the spec's hierarchy level k: the feasible orbits of
-    size 1..k (the level-k orbit table) are the variables, and level 3 adds
-    the all-zero-word blocks to the empty-code ones."""
-    table = enumerate_orbits(spec)
-    variables = []
-    var_of_orbit = {}
-    for i, w in enumerate(table.orbits):
-        if i and table.feasible[i]:
-            var_of_orbit[i] = len(variables)
-            variables.append(w)
+    """The problem at the spec's hierarchy level k: the orbit map of
+    ``enumerate_orbits`` gives the variables, and level 3 adds the
+    all-zero-word blocks to the empty-code ones."""
+    variables = enumerate_orbits(spec)
     blocks = []
     if spec.k == 3:
-        blocks += build_blocks_d0(spec, build_shape_index_d0(spec), table, var_of_orbit)
-    blocks += build_blocks_empty(spec, build_shape_index_empty(spec), table, var_of_orbit)
+        blocks += build_blocks_d0(spec, build_shape_index_d0(spec), variables)
+    blocks += build_blocks_empty(spec, build_shape_index_empty(spec), variables)
     objective = [0] * len(variables)
-    objective[var_of_orbit[table.index_of(singleton_orbit(spec))]] = spec.num_words
+    objective[variables[singleton_orbit(spec)]] = spec.num_words
     return SdpProblem(spec, tuple(variables), tuple(objective), tuple(blocks))
 
 

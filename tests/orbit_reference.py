@@ -15,7 +15,6 @@ from mixedsdp.codes import (
     PATTERN_PERMS,
     Code,
     OrbitId,
-    OrbitTable,
     ProblemSpec,
     _size_from_counts,
     canonical_orbit,
@@ -82,20 +81,20 @@ def orbit_size(spec: ProblemSpec, w: OrbitId) -> int:
 
 
 def code_indicator_assignment(
-    spec: ProblemSpec, table: OrbitTable, c: Code
+    spec: ProblemSpec, variables: dict[OrbitId, int], c: Code
 ) -> dict[int, Fraction]:
-    """Group-averaged indicator of a code: the fraction of each orbit's
-    codes that are subcodes of ``c``.  Feasible for the assembled problem
-    whenever ``c`` has minimum distance >= d, with objective |c|."""
-    counts: dict[int, int] = {}
+    """Group-averaged indicator of a code, by variable index: the fraction
+    of each orbit's codes that are subcodes of ``c``.  Feasible for the
+    assembled problem whenever ``c`` has minimum distance >= d, with
+    objective |c|."""
+    counts: dict[OrbitId, int] = {}
     for size in (1, 2, 3):
         for sub in combinations(c.words, size):
             w = canonical_orbit(spec, Code(tuple(sub)))
-            idx = table.index_of(w)
-            counts[idx] = counts.get(idx, 0) + 1
+            counts[w] = counts.get(w, 0) + 1
     return {
-        idx: Fraction(cnt, orbit_size(spec, table.orbits[idx]))
-        for idx, cnt in counts.items()
+        variables[w]: Fraction(cnt, orbit_size(spec, w))
+        for w, cnt in counts.items()
     }
 
 

@@ -93,12 +93,12 @@ def test_criterion_1_table_reproduction():
 
 def test_criterion_1_published_rows_up_to_300_variables():
     """Every published row without a marker whose problem has at most 300
-    variables (the feasible orbits but the empty one) certifies to its
+    variables (the orbits of ``enumerate_orbits``) certifies to its
     published integer at the default settings."""
     rows = [
         r for r in load_reference_rows()
         if r.marker == ""
-        and sum(enumerate_orbits(ProblemSpec(r.n2, r.n3, r.d)).feasible) - 1 <= SLICE_MAX_VARS
+        and len(enumerate_orbits(ProblemSpec(r.n2, r.n3, r.d))) <= SLICE_MAX_VARS
     ]
     assert len(rows) == 18
     for r in rows:
@@ -182,13 +182,11 @@ def test_criterion_6_code_indicator_feasibility():
     ]
     for n2, n3, d in specs:
         spec = ProblemSpec(n2, n3, d)
-        table = enumerate_orbits(spec)
         dstar = optimal_code(spec)
-        assignment = code_indicator_assignment(spec, table, dstar)
         problem = build_sdp(spec)
         y = np.zeros(problem.num_vars)
-        for oidx, val in assignment.items():
-            y[problem.variables.index(table.orbits[oidx])] = float(val)
+        for v, val in code_indicator_assignment(spec, enumerate_orbits(spec), dstar).items():
+            y[v] = float(val)
         worst = min(float(np.linalg.eigvalsh(block_at(b, y))[0]) for b in problem.blocks)
         assert worst >= -1e-9, f"({n2},{n3},{d}): min block eigenvalue {worst:.2e}"
         objective = float(sum(c * y[i] for i, c in enumerate(problem.objective)))

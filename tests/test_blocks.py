@@ -42,11 +42,6 @@ from mixedsdp.tableaux import build_shape_index_d0, build_shape_index_empty
 from factor_reference import reference_factor_poly
 
 
-def feasible(table):
-    """Orbit-to-variable map keeping each feasible orbit at its own index."""
-    return {i: i for i, ok in enumerate(table.feasible) if ok}
-
-
 def named(form):
     """A base-change form with readable names: c* for a binary pattern
     variable, d* for a ternary one."""
@@ -100,16 +95,16 @@ class TestBaseChange:
         binary = {(1, 0): (2, 2), (0, 1): (2, -2)}
         ternary = {(1, 0): (3, 6), (0, 1): (2, -2)}
         spec = ProblemSpec(1, 1, 1)
-        table = enumerate_orbits(spec)
+        variables = enumerate_orbits(spec)
         shapes = build_shape_index_empty(spec)
-        built = build_blocks_empty(spec, shapes, table, feasible(table))
+        built = build_blocks_empty(spec, shapes, variables)
         for shape, block in zip(shapes, built):
             slot = 1 if shape.augmented else 0
             fb, ft = binary[shape.counts[:2]], ternary[shape.counts[2:]]
             for a in (0, 1):
                 for b in (0, 1):
                     w = singleton_orbit(spec) if a == b == 0 else pair_orbit(spec, a, b)
-                    mat = dense(block)[table.index_of(w) + 1]
+                    mat = dense(block)[variables[w] + 1]
                     assert mat[slot][slot] == fb[a] * ft[b]
 
     def test_invalid_indices(self):
@@ -222,9 +217,9 @@ class TestBlocksD0:
     def test_frozen_pair_block_111(self):
         """The 2x2 sub-block on ([1],[1]) and ([2],[1]) for the (1,0) pair."""
         spec = ProblemSpec(1, 1, 1)
-        table = enumerate_orbits(spec)
+        variables = enumerate_orbits(spec)
         shapes = build_shape_index_d0(spec)
-        blocks = build_blocks_d0(spec, shapes, table, feasible(table))
+        blocks = build_blocks_d0(spec, shapes, variables)
         shape_idx = next(
             i for i, s in enumerate(shapes)
             if s.counts == (1, 1, 0) and s.lambdas == ((1, 0), (1, 0), (0, 0))
@@ -233,17 +228,17 @@ class TestBlocksD0:
         cols = shapes[shape_idx].admissible
         i = cols.index((1, 1, 0))  # ([1], [1])
         j = cols.index((0, 1, 0))  # ([2], [1])
-        widx = table.index_of(pair_orbit(spec, 1, 0))
+        widx = variables[pair_orbit(spec, 1, 0)]
         mat = dense(block)[widx + 1]
         sub = [[mat[i][i], mat[i][j]], [mat[j][i], mat[j][j]]]
         assert sub == [[0, 1], [1, 1]]
 
     def test_singleton_coefficient_on_all_ones_column(self):
         for spec in (ProblemSpec(1, 1, 1), ProblemSpec(2, 2, 1), ProblemSpec(2, 1, 2)):
-            table = enumerate_orbits(spec)
+            variables = enumerate_orbits(spec)
             shapes = build_shape_index_d0(spec)
-            blocks = build_blocks_d0(spec, shapes, table, feasible(table))
-            sidx = table.index_of(singleton_orbit(spec))
+            blocks = build_blocks_d0(spec, shapes, variables)
+            sidx = variables[singleton_orbit(spec)]
             found = False
             for shape, block in zip(shapes, blocks):
                 for i, col in enumerate(shape.admissible):
@@ -255,26 +250,26 @@ class TestBlocksD0:
 
     def test_infeasible_orbits_dropped(self):
         spec = ProblemSpec(1, 1, 2)
-        table = enumerate_orbits(spec)
-        blocks = build_blocks_d0(spec, build_shape_index_d0(spec), table, feasible(table))
+        variables = enumerate_orbits(spec)
+        blocks = build_blocks_d0(spec, build_shape_index_d0(spec), variables)
         for block in blocks:
             # no constant either: the all-zero-word blocks have F0 = 0
             for matno, *_ in block.entries:
-                assert matno >= 1 and table.feasible[matno - 1]
+                assert 1 <= matno <= len(variables)
 
     def test_matrices_symmetric(self):
         # each symmetric matrix is stored once, as its sorted upper triangle
         spec = ProblemSpec(2, 2, 2)
-        table = enumerate_orbits(spec)
-        for block in build_blocks_d0(spec, build_shape_index_d0(spec), table, feasible(table)):
+        variables = enumerate_orbits(spec)
+        for block in build_blocks_d0(spec, build_shape_index_d0(spec), variables):
             assert list(block.entries) == sorted(block.entries)
             assert len({e[:3] for e in block.entries}) == len(block.entries)
             assert all(0 <= i <= j < block.dim for _, i, j, _ in block.entries)
 
     def test_entries_are_exact_integers(self):
         spec = ProblemSpec(2, 1, 1)
-        table = enumerate_orbits(spec)
-        for block in build_blocks_d0(spec, build_shape_index_d0(spec), table, feasible(table)):
+        variables = enumerate_orbits(spec)
+        for block in build_blocks_d0(spec, build_shape_index_d0(spec), variables):
             for entry in block.entries:
                 assert all(type(v) is int for v in entry)
                 assert entry[3] != 0
@@ -286,7 +281,7 @@ class TestBuildState:
         # fires before any shape or orbit is looked at
         for n2, n3 in ((32, 1), (1, 32)):
             with pytest.raises(ValueError, match="5-bit"):
-                build_blocks_d0(ProblemSpec(n2, n3, 1), [], None, {})
+                build_blocks_d0(ProblemSpec(n2, n3, 1), [], {})
 
     def test_no_process_wide_cache(self):
         cached = [
@@ -316,18 +311,18 @@ class TestBuildState:
 class TestBlocksEmpty:
     def test_augmented_pair_coefficient_11(self):
         spec = ProblemSpec(1, 1, 1)
-        table = enumerate_orbits(spec)
-        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), table, feasible(table))
+        variables = enumerate_orbits(spec)
+        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), variables)
         aug = next(b for b in blocks if b.dim == 2)
-        widx = table.index_of(pair_orbit(spec, 1, 1))
+        widx = variables[pair_orbit(spec, 1, 1)]
         assert dense(aug)[widx + 1][1][1] == 12
 
     def test_augmented_singleton_coefficient(self):
         spec = ProblemSpec(1, 1, 1)
-        table = enumerate_orbits(spec)
-        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), table, feasible(table))
+        variables = enumerate_orbits(spec)
+        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), variables)
         aug = next(b for b in blocks if b.dim == 2)
-        sidx = table.index_of(singleton_orbit(spec))
+        sidx = variables[singleton_orbit(spec)]
         mats = dense(aug)
         assert mats[sidx + 1][1][1] == 6
         assert mats[sidx + 1][0][1] == 6  # cross term with the empty row
@@ -336,31 +331,31 @@ class TestBlocksEmpty:
     @pytest.mark.parametrize("n2,n3", [(1, 1), (2, 1), (2, 2)])
     def test_trivial_shape_closed_form(self, n2, n3):
         spec = ProblemSpec(n2, n3, 1)
-        table = enumerate_orbits(spec)
-        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), table, feasible(table))
+        variables = enumerate_orbits(spec)
+        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), variables)
         aug = next(b for b in blocks if b.dim == 2)
         q = spec.num_words
         for a in range(n2 + 1):
             for b in range(n3 + 1):
                 if a == b == 0:
                     continue
-                widx = table.index_of(pair_orbit(spec, a, b))
+                widx = variables[pair_orbit(spec, a, b)]
                 expected = q * comb(n2, a) * comb(n3, b) * 2 ** b
                 assert dense(aug)[widx + 1][1][1] == expected
 
     def test_block_count_and_dims(self):
         spec = ProblemSpec(2, 3, 1)
-        table = enumerate_orbits(spec)
-        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), table, feasible(table))
+        variables = enumerate_orbits(spec)
+        blocks = build_blocks_empty(spec, build_shape_index_empty(spec), variables)
         assert len(blocks) == 12
         assert sorted(b.dim for b in blocks) == [1] * 11 + [2]
 
     def test_brute_force_contraction_21(self):
         # cross-check every shape coefficient against the explicit vector
         spec = ProblemSpec(2, 1, 1)
-        table = enumerate_orbits(spec)
+        variables = enumerate_orbits(spec)
         shapes = build_shape_index_empty(spec)
-        blocks = build_blocks_empty(spec, shapes, table, feasible(table))
+        blocks = build_blocks_empty(spec, shapes, variables)
         from mixedsdp.codes import canonical_orbit, code
 
         words = list(all_words(spec))
@@ -369,7 +364,7 @@ class TestBlocksEmpty:
             agg = {}
             for x in words:
                 for y in words:
-                    widx = table.index_of(canonical_orbit(spec, code(x, y)))
+                    widx = variables[canonical_orbit(spec, code(x, y))]
                     agg[widx] = agg.get(widx, 0) + vec.get(x, 0) * vec.get(y, 0)
             slot = 1 if shape.augmented else 0
             for widx, val in agg.items():
@@ -472,7 +467,7 @@ class TestVerifyReduction:
         assert report.passed, report.summary()
 
     def test_level_two_spec(self):
-        # the zero case meets triples, which a level-2 orbit table lacks
+        # the zero case meets triples, which a level-2 orbit map lacks
         assert verify_reduction(ProblemSpec(1, 1, 2, k=2)).passed
 
     def test_standard_tableaux_count_ballot_sequences(self):
@@ -558,9 +553,9 @@ class TestVerifyReduction:
         def one_word(spec, shape):
             return {word: 1} if shape == target else vector(spec, shape)
 
-        def singleton_block(spec, shapes, orbits, var_of_orbit):
-            first, *rest = build(spec, shapes, orbits, var_of_orbit)
-            matno = orbits.index_of(singleton_orbit(spec)) + 1
+        def singleton_block(spec, shapes, variables):
+            first, *rest = build(spec, shapes, variables)
+            matno = variables[singleton_orbit(spec)] + 1
             return [Block(first.label, 1, ((matno, 0, 0, 1),)), *rest]
 
         monkeypatch.setattr(blocks, "representative_vector_empty", one_word)

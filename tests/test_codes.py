@@ -2,7 +2,7 @@
 
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from unittest import mock
 
@@ -30,7 +30,6 @@ from mixedsdp.codes import (
     all_words,
     canonical_orbit,
     code,
-    empty_orbit,
     enumerate_orbits,
     exact_n,
     hamming_distance,
@@ -91,12 +90,16 @@ def all_isometries(spec: ProblemSpec):
 
 
 def brute_force_orbits(spec):
-    """Oracle: canonicalize every code of size <= 3 by direct scan."""
+    """Oracle: canonicalize every nonempty code of size <= 3 by direct scan;
+    each orbit maps to the minimum distance of its codes."""
     words = list(all_words(spec))
-    found = {empty_orbit(spec)}
+    found = {}
     for size in (1, 2, 3):
         for combo in combinations(words, size):
-            found.add(canonical_orbit(spec, code(*combo)))
+            c = code(*combo)
+            w = canonical_orbit(spec, c)
+            if w not in found:
+                found[w] = min_distance(c)
     return found
 
 
@@ -274,59 +277,45 @@ class TestOrbitPairDistances:
 
 class TestEnumerateOrbits:
     def test_111_has_eight_orbits(self):
-        table = enumerate_orbits(ProblemSpec(1, 1, 1))
-        assert len(table) == 8
-        sizes = sorted(w.size for w in table.orbits)
-        assert sizes == [0, 1, 2, 2, 2, 3, 3, 3]
-        assert all(table.feasible)
+        # the empty code's orbit is the constant 1, the other seven are the
+        # variables
+        variables = enumerate_orbits(ProblemSpec(1, 1, 1))
+        assert sorted(w.size for w in variables) == [1, 2, 2, 2, 3, 3, 3]
 
-    def test_112_feasibility_flags(self):
-        table = enumerate_orbits(ProblemSpec(1, 1, 2))
-        assert len(table) == 8
-        feasible = [w for w, ok in zip(table.orbits, table.feasible) if ok]
-        assert {w.size for w in feasible} == {0, 1, 2}
-        assert len(feasible) == 3  # empty, singleton, the (1,1) pair
-
-    def test_d1_everything_feasible(self):
-        table = enumerate_orbits(ProblemSpec(3, 2, 1))
-        assert all(table.feasible)
-
-    @pytest.mark.parametrize("n2,n3", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)])
+    # every word space of at most VERIFY_WORD_CAP = 108 words
+    @pytest.mark.parametrize("n2,n3", [
+        (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3), (4, 1), (5, 1), (3, 2), (2, 3),
+    ])
     def test_matches_brute_force(self, n2, n3):
-        spec = ProblemSpec(n2, n3, 1)
-        assert set(enumerate_orbits(spec).orbits) == brute_force_orbits(spec)
-
-    def test_empty_orbit_first(self):
-        table = enumerate_orbits(ProblemSpec(2, 2, 2))
-        assert table.orbits[0].size == 0
-        assert table.index_of(empty_orbit(table.spec)) == 0
-
-    def test_replaced_table_keeps_original_index(self):
-        table = enumerate_orbits(ProblemSpec(1, 1, 1))
-        reversed_table = replace(table, orbits=table.orbits[::-1])
-        assert reversed_table.index_of(table.orbits[0]) == len(table) - 1
-        assert table.index_of(table.orbits[0]) == 0
+        # at both levels and every d: the orbits at distance >= d, sorted and
+        # numbered from 0
+        found = brute_force_orbits(ProblemSpec(n2, n3, 1))
+        for d in range(1, n2 + n3 + 1):
+            for k in (2, 3):
+                want = sorted(
+                    w for w, md in found.items() if w.size <= k and (md is None or md >= d)
+                )
+                got = enumerate_orbits(ProblemSpec(n2, n3, d, k))
+                assert list(got.items()) == [(w, i) for i, w in enumerate(want)], (d, k)
 
     def test_orbit_sizes_partition_code_count(self):
-        # orbit cardinalities over sizes 0..3 must add up to the number of codes
+        # orbit cardinalities over sizes 1..3 must add up to the number of
+        # nonempty codes
         spec = ProblemSpec(2, 2, 1)
-        table = enumerate_orbits(spec)
-        total = sum(orbit_size(spec, w) for w in table.orbits)
+        total = sum(orbit_size(spec, w) for w in enumerate_orbits(spec))
         n = spec.num_words
-        expected = 1 + n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 6
+        expected = n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 6
         assert total == expected
 
     def test_orbit_size_matches_brute_count(self):
         spec = ProblemSpec(2, 1, 1)
-        table = enumerate_orbits(spec)
         words = list(all_words(spec))
-        counts = {w: 0 for w in table.orbits}
-        counts[empty_orbit(spec)] = 1
+        counts = dict.fromkeys(enumerate_orbits(spec), 0)
         for size in (1, 2, 3):
             for combo in combinations(words, size):
                 counts[canonical_orbit(spec, code(*combo))] += 1
-        for w in table.orbits:
-            assert counts[w] == orbit_size(spec, w), w.describe()
+        for w, count in counts.items():
+            assert count == orbit_size(spec, w), w.describe()
 
 
 @settings(max_examples=200, deadline=None)
@@ -350,10 +339,8 @@ def test_enumerate_orbits_matches_reference(n2, n3, d):
         for bc in _compositions(n2, N_BIN_PATTERNS)
         for tc in _compositions(n3, N_TER_PATTERNS)
     }
-    orbits = [empty_orbit(spec)] + sorted(seen)
-    table = enumerate_orbits(spec)
-    assert list(table.orbits) == orbits
-    assert list(table.feasible) == [orbit_is_feasible(w, d) for w in orbits]
+    orbits = sorted(w for w in seen if orbit_is_feasible(w, d))
+    assert list(enumerate_orbits(spec).items()) == [(w, i) for i, w in enumerate(orbits)]
 
 
 @st.composite
@@ -381,6 +368,10 @@ class TestExactOracle:
     def test_d1_is_word_count(self):
         assert exact_n(ProblemSpec(2, 1, 1)) == 12
         assert exact_n(ProblemSpec(1, 2, 1)) == 18
+
+    def test_d1_runs_no_search(self):
+        with mock.patch("mixedsdp.codes._profile_graphs", side_effect=AssertionError):
+            assert exact_n(ProblemSpec(2, 5, 1)) == 972
 
     def test_binary_pigeonhole(self):
         assert exact_n(ProblemSpec(1, 1, 2)) == 2

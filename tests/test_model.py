@@ -12,7 +12,7 @@ from mixedsdp.codes import (
     optimal_code,
     singleton_orbit,
 )
-from mixedsdp.model import build_lp_k2, build_sdp, derived_doubling_bound
+from mixedsdp.model import build_lp_k2, build_problem, build_sdp, derived_doubling_bound
 from mixedsdp.solver import certify, solve
 from orbit_reference import block_at, code_indicator_assignment
 
@@ -35,11 +35,10 @@ class TestBuildSdp:
         assert all(c == 0 for i, c in enumerate(p.objective) if i != sidx)
 
     def test_excludes_empty_and_infeasible(self):
-        spec = ProblemSpec(1, 1, 2)
-        table = enumerate_orbits(spec)
-        p = build_sdp(spec)
-        assert len(p.variables) == sum(table.feasible) - 1
-        assert all(w.size >= 1 for w in p.variables)
+        # of the eight orbits of (1,1), the singleton and the pair at
+        # distance 2
+        p = build_sdp(ProblemSpec(1, 1, 2))
+        assert sorted(w.size for w in p.variables) == [1, 2]
 
     def test_every_variable_constrained(self):
         p = build_sdp(ProblemSpec(2, 1, 2))
@@ -58,6 +57,16 @@ class TestBuildSdp:
             build_sdp(ProblemSpec(1, 1, 1, k=2))
 
 
+@pytest.mark.parametrize(
+    "n2,n3,d,k", [(1, 1, 2, 3), (2, 2, 2, 2), (2, 2, 2, 3), (3, 3, 3, 3), (4, 8, 5, 2)]
+)
+def test_variables_are_the_orbit_map(n2, n3, d, k):
+    spec = ProblemSpec(n2, n3, d, k)
+    variables = enumerate_orbits(spec)
+    assert build_problem(spec).variables == tuple(variables)
+    assert list(variables.values()) == list(range(len(variables)))
+
+
 class TestBuildLp:
     def test_variables_limited_to_pairs(self):
         p = build_lp_k2(ProblemSpec(2, 2, 2, k=2))
@@ -65,13 +74,10 @@ class TestBuildLp:
 
     @pytest.mark.parametrize("n2,n3,d", [(2, 2, 2), (3, 3, 3), (5, 2, 4), (4, 8, 5)])
     def test_variables_are_small_orbits_of_full_table(self, n2, n3, d):
-        # the level-2 table stops at pairs; its variables are those of the
-        # level-3 table, in the same order
+        # the level-2 map stops at pairs; its variables are those of the
+        # level-3 map, in the same order
         full = enumerate_orbits(ProblemSpec(n2, n3, d))
-        want = tuple(
-            w for i, w in enumerate(full.orbits)
-            if i and full.feasible[i] and w.size <= 2
-        )
+        want = tuple(w for w in full if w.size <= 2)
         assert build_lp_k2(ProblemSpec(n2, n3, d, k=2)).variables == want
 
     def test_only_empty_case_blocks(self):
@@ -105,24 +111,21 @@ class TestCodeIndicator:
     @pytest.mark.parametrize("n2,n3,d", [(1, 1, 1), (1, 1, 2), (2, 1, 2), (1, 2, 2)])
     def test_prop1_feasible_with_exact_objective(self, n2, n3, d):
         spec = ProblemSpec(n2, n3, d)
-        table = enumerate_orbits(spec)
         dstar = optimal_code(spec)
-        y_by_orbit = code_indicator_assignment(spec, table, dstar)
         p = build_sdp(spec)
         y = np.zeros(p.num_vars)
-        for oidx, val in y_by_orbit.items():
-            y[p.variables.index(table.orbits[oidx])] = float(val)
+        for v, val in code_indicator_assignment(spec, enumerate_orbits(spec), dstar).items():
+            y[v] = float(val)
         assert eval_blocks(p, y) >= -1e-9
         objective = sum(c * y[i] for i, c in enumerate(p.objective))
         assert abs(objective - len(dstar)) < 1e-9
 
     def test_values_are_exact_fractions(self):
         spec = ProblemSpec(1, 1, 2)
-        table = enumerate_orbits(spec)
-        y = code_indicator_assignment(spec, table, optimal_code(spec))
+        variables = enumerate_orbits(spec)
+        y = code_indicator_assignment(spec, variables, optimal_code(spec))
         assert all(isinstance(v, Fraction) for v in y.values())
-        sidx = table.index_of(singleton_orbit(spec))
-        assert y[sidx] == Fraction(exact_n(spec), spec.num_words)
+        assert y[variables[singleton_orbit(spec)]] == Fraction(exact_n(spec), spec.num_words)
 
 
 class TestMonotonicity:
