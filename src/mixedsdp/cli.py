@@ -300,6 +300,11 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except SolverError as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if exc.solution is not None:
+            last = exc.solution.trace[-1]
+            fields = (f"{key} {last[key]:.9g}" for key in ("pobj", "dobj", "relgap", "pinf", "dinf"))
+            print(f"last iterate: iteration {exc.solution.iterations}", *fields, sep=", ",
+                  file=sys.stderr)
         return EXIT_SOLVER
 
 

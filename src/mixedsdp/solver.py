@@ -2,32 +2,31 @@
 matrix inequalities, SDPA sparse-format interchange, and an exact check of
 the solver's dual point that turns its output into certified integer bounds.
 
-The solver follows the central path with Nesterov-Todd scaling and an
-adaptive centering parameter from an affine predictor probe, starting from
-identity slacks (infeasible start).  One-dimensional blocks and the bound
-y >= 0 on every variable are handled as linear inequalities.
-The predictor and the corrector each step min(1, gamma * a) of the way to
-the boundary, a being the primal or the dual step that reaches it, with
+The solve runs named phases over one iterate (y, S, Z, s_lp, z_lp) of the
+problem with each block rescaled to unit magnitude, which changes neither
+the feasible set nor the dual objective value.  It starts from y = 0 and
+every slack and dual matrix at 100 I (infeasible start).  One-dimensional
+blocks and the bound y >= 0 on every variable are its linear rows.  Each
+iteration runs _residuals, which adds the trace entry, _stop, _scaling,
+_newton_system, then _direction and _step_lengths for the affine
+predictor, _corrector, the same two again for the corrector, and _update.
+_stop ends the solve at the first iterate whose dual point, checked in
+exact arithmetic against the exact integer data, proves the integer that
+the primal value gives; the tolerance only caps the effort.
+_scaling is Nesterov-Todd's, from one Cholesky factor each of S and Z and
+one SVD, in which the scaled point is diagonal, so the corrector's
+Lyapunov equation is solved elementwise and the step lengths follow from
+the same factors.  _newton_system builds the Schur complement B in Gram
+form (see _schur) and inverts its Cholesky factor in place, which serves
+all four Newton solves; the last iteration's B and factor go before the
+next B is built.  Each step is min(1, gamma * a) of the way to the
+boundary, a being the primal or the dual step that reaches it, with
 SDPT3's adaptive fraction gamma = 0.9 + 0.09 min(1, a_p, a_d) (Toh, Todd
 and Tutuncu, Optim. Methods Softw. 11, 1999).
-Each iteration factors every matrix once: the scaling of a PSD block comes
-from one Cholesky factor each of the slack S and the dual matrix Z and one
-SVD, in which the scaled point is diagonal, so the corrector's Lyapunov
-equation is solved elementwise and the step lengths follow from the same
-factors.  The coefficient matrices of a PSD block are kept sparse, as the
-few upper-triangle entries of each variable, so sum_i y_i F_i is one
-bincount and (<F_i, M>)_i one gather.  The Schur complement is built in
-Gram form, B = C C^T, where row i of C holds svec(G^-1 F_i G^-T) of each
-block, gathered from a symmetric Kronecker table of the scaling's G^-1,
-followed by the 1x1 blocks' rows; the rows y >= 0 add a diagonal.  C is
-never held whole: B sums the products of its column slabs, each as wide as
-B is tall.  B is Cholesky-factored once, and the factor, inverted in place
-by a blocked recursion of matrix products, serves all four Newton solves.
-So an iteration holds B, one slab of C and the factor, and the last
-iteration's B and factor go before the next B is built.
 A slack or dual matrix that loses positive definiteness raises
 ConditioningError naming the block and the iteration; nothing is clamped.
-Every SolverError raised by a solve carries the last iterate.
+A phase's error carries no iterate: the loop's one handler gives every
+SolverError of a solve the last iterate.
 The solver and the exact check read the problem's blocks: the 1x1 blocks
 are the linear rows, and F0 and the objective keep their own signs.  Only
 the SDPA writer and reader know that format's conventions.  The solver, as
@@ -35,19 +34,16 @@ the writer, takes each exact value's nearest double, so an emitted file
 holds the doubles the solver solves.  Nonzeros that do not round-trip
 through a double are counted and reported, each upper-triangle entry,
 constant and objective entry once.
-Each block is rescaled to unit magnitude, which changes neither the
-feasible set nor the dual objective value.
-The solve stops at the first iterate whose dual point, checked in exact
-arithmetic against the exact integer data, proves the integer that the
-primal value gives; the tolerance only caps the effort.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -420,6 +416,226 @@ def _certificate(problem: SdpProblem, z: list[np.ndarray], w: np.ndarray) -> Cer
     return CertifiedBound(math.floor(bound), bound, Fraction(penalty, _GRID))
 
 
+# A problem as the solve reads it: the exact problem, its data from _prepare
+# with b divided by bscale, and nu, the order of all blocks and rows together.
+_Scaled = namedtuple("_Scaled", "problem b bscale blocks lp inexact nu")
+
+# A point of the rescaled problem: y, the slack S and the dual matrix Z of
+# each PSD block, and the slack and the multiplier of each linear row.
+_Iterate = namedtuple("_Iterate", "y S Z s_lp z_lp")
+
+
+def _objectives(data: _Scaled, x: _Iterate) -> tuple[float, float]:
+    """The unscaled primal and dual objective values at x."""
+    dobj = float(data.lp.l0 @ x.z_lp)
+    for bl, zk in zip(data.blocks, x.Z):
+        dobj += float(np.tensordot(bl.f0, zk))
+    return data.bscale * float(data.b @ x.y), data.bscale * dobj
+
+
+def _solution(data: _Scaled, x: _Iterate, trace: list[dict]) -> Solution:
+    """The unconverged solution at x, with the trace so far."""
+    pobj, dobj = _objectives(data, x)
+    z_lp = x.z_lp * data.bscale / data.lp.gammas
+    n = len(data.lp.rows)
+    return Solution(
+        pobj, dobj, x.y.copy(), [zk * (data.bscale / bl.gamma) for bl, zk in zip(data.blocks, x.Z)],
+        z_lp[:n], z_lp[n:], len(trace), False, data.inexact, trace=trace,
+    )
+
+
+def _residuals(data: _Scaled, x: _Iterate, trace: list[dict]):
+    """The primal residuals of the PSD blocks and of the linear rows and
+    the dual residual at x; x's entry goes on the trace."""
+    blocks, lp = data.blocks, data.lp
+    rp = [bl.f0 + _apply(bl, x.y) - sk for bl, sk in zip(blocks, x.S)]
+    rlp = lp.l0 + _lp_apply(lp, x.y) - x.s_lp
+    # dual residual, with the magnitude of the summed terms tracked so
+    # infeasibility is measured backward-error style
+    rd = -data.b.copy()
+    rd_mag = np.abs(data.b).copy()
+    for bl, zk in zip(blocks, x.Z):
+        contrib = _adjoint(bl, zk)
+        rd[bl.var_ids] -= contrib
+        rd_mag[bl.var_ids] += np.abs(contrib)
+    lp_contrib = _lp_adjoint(lp, x.z_lp)
+    rd -= lp_contrib
+    rd_mag += np.abs(lp_contrib)
+    pobj, dobj = _objectives(data, x)
+    mu = sum(float(np.tensordot(sk, zk)) for sk, zk in zip(x.S, x.Z))
+    mu += float(x.s_lp @ x.z_lp)
+    mu /= data.nu
+    relgap = abs(pobj - dobj) / max(1.0, 0.5 * (abs(pobj) + abs(dobj)))
+    pinf = max(
+        [float(np.abs(r).max(initial=0.0)) for r in rp] + [float(np.abs(rlp).max(initial=0.0))]
+    ) / (1.0 + float(np.abs(x.y).max(initial=0.0)))
+    dinf = float((np.abs(rd) / (1.0 + rd_mag)).max(initial=0.0))
+    trace.append({
+        "iter": len(trace), "pobj": pobj, "dobj": dobj, "mu": mu, "relgap": relgap,
+        "pinf": pinf, "dinf": dinf, "alpha_p": 0.0, "alpha_d": 0.0, "sigma": 0.0,
+    })
+    return rp, rlp, rd
+
+
+def _primal_holds(data: _Scaled, y: np.ndarray) -> bool:
+    """Whether every block holds at y to within 1e-6 of its own magnitude
+    |F0| + sum |y_i F_i|.  The residuals are measured against the largest
+    coefficients, so a block whose entries at y are orders of magnitude
+    smaller can be violated, and then the primal value overstates the
+    optimum ((1,13,9) at level 3: 53.9 against 50.6)."""
+    for bl in data.blocks:
+        terms = np.abs(y[bl.var_ids, None] * bl.val).ravel()
+        mag = np.abs(bl.f0).max() + np.bincount(
+            bl.tri.ravel(), terms, minlength=len(bl.upper[0])
+        ).max()
+        if np.linalg.eigvalsh(bl.f0 + _apply(bl, y))[0] < -1e-6 * mag:
+            return False
+    lp = data.lp
+    l0 = lp.l0[:len(lp.rows)]
+    mag = np.abs(l0) + np.abs(lp.rows) @ np.abs(y)
+    return bool((l0 + lp.rows @ y >= -1e-6 * mag).all())
+
+
+def _stop(data: _Scaled, x: _Iterate, trace: list[dict], tol: float) -> Solution | None:
+    """The converged solution at x, the trace's last iterate, if the solve
+    stops there (see ``solve``), else None.  The cheap float test runs
+    first, the exact check only when it or the tolerance test passes."""
+    entry = trace[-1]
+    pobj, dobj, pinf = entry["pobj"], entry["dobj"], entry["pinf"]
+    if not (math.isfinite(pobj) and math.isfinite(dobj)):
+        raise ConditioningError(f"objective lost finiteness at iteration {len(trace)}")
+    float_test = (
+        pinf <= 1e-6 and math.floor(dobj) == math.floor(pobj) and _primal_holds(data, x.y)
+    )
+    converged = entry["relgap"] <= tol and pinf <= tol and entry["dinf"] <= tol
+    if not (float_test or converged):
+        return None
+    solution = _solution(data, x, trace)
+    with contextlib.suppress(CertificationError):
+        solution.certificate = _certificate(data.problem, solution.z, solution.w)
+    proof = solution.certificate
+    if float_test:
+        entry["exact"] = None if proof is None else float(proof.exact_bound)
+    solution.converged = converged or (proof is not None and proof.value == math.floor(pobj))
+    return solution if solution.converged else None
+
+
+def _scaling(data: _Scaled, x: _Iterate, it: int):
+    """The NT scaling (G, G^-1, d) of each PSD block, W^-1 = G^-T G^-1 of
+    each, and the ratio z/s of each linear row."""
+    scalings = []
+    for bl, sk, zk in zip(data.blocks, x.S, x.Z):
+        try:
+            scalings.append(_nt_scaling(sk, zk))
+        except ConditioningError as exc:
+            raise ConditioningError(f"{exc} in block {bl.label} at iteration {it}") from None
+    return scalings, [gi.T @ gi for _, gi, _ in scalings], x.z_lp / x.s_lp
+
+
+def _newton_system(data: _Scaled, nt, it: int):
+    """The Schur complement B and its Cholesky factor inverted in place,
+    which makes each Newton solve four matrix-vector products."""
+    scalings, _, lp_ratio = nt
+    B = _schur(data.blocks, data.lp, [gi for _, gi, _ in scalings], lp_ratio)
+    if not np.isfinite(B).all():
+        raise ConditioningError(f"Newton system lost finiteness at iteration {it}")
+    ridged = B
+    for attempt in range(6):
+        try:
+            return B, _tril_inverse(np.linalg.cholesky(ridged))
+        except np.linalg.LinAlgError:
+            del ridged  # at most one copy of B
+            # a ridge relative to B's largest entry, built only on failure
+            ridge = float(np.abs(B).max(initial=1.0)) * 10.0 ** (-14 + 2 * attempt)
+            ridged = B.copy()
+            ridged.flat[::len(B) + 1] += ridge
+    raise ConditioningError(f"Schur complement not positive definite at iteration {it}")
+
+
+def _direction(data: _Scaled, residuals, nt, system, rc, it: int):
+    """The Newton direction (dy, dS, dZ, ds_lp, dz_lp) for the right-hand
+    sides rc = (rc_k of each PSD block, rc_lp), dy refined once."""
+    rp, rlp, rd = residuals
+    _, winv, lp_ratio = nt
+    B, chol_inv = system
+    rc_blocks, rc_lp = rc
+    g = -rd.copy()
+    for k, bl in enumerate(data.blocks):
+        g[bl.var_ids] += _adjoint(bl, rc_blocks[k] - winv[k] @ rp[k] @ winv[k])
+    g += _lp_adjoint(data.lp, rc_lp - lp_ratio * rlp)
+    dy = chol_inv.T @ (chol_inv @ g)
+    dy += chol_inv.T @ (chol_inv @ (g - B @ dy))
+    d_s = [rp[k] + _apply(bl, dy) for k, bl in enumerate(data.blocks)]
+    d_z = [rc_blocks[k] - winv[k] @ d_s[k] @ winv[k] for k in range(len(d_s))]
+    d_z = [0.5 * (dz + dz.T) for dz in d_z]
+    d_slp = rlp + _lp_apply(data.lp, dy)
+    d_zlp = rc_lp - lp_ratio * d_slp
+    # LAPACK's Cholesky passes NaN through, and the eigvalsh of a step
+    # length fails on it, so no step is sized from such a direction
+    if not all(np.isfinite(a).all() for a in (dy, d_slp, d_zlp, *d_s, *d_z)):
+        raise ConditioningError(f"Newton direction lost finiteness at iteration {it}")
+    return dy, d_s, d_z, d_slp, d_zlp
+
+
+def _step_lengths(x: _Iterate, nt, direction) -> tuple[float, float]:
+    """The primal and the dual step along a direction, each min(1, gamma a)
+    for the step a that reaches the boundary."""
+    _, d_s, d_z, d_slp, d_zlp = direction
+    # S and Z both scale to diag(d): S = G diag(d) G^T and
+    # Z = G^-T diag(d) G^-1
+    ap = min(
+        [_max_step(d, gi @ ds @ gi.T) for (_, gi, d), ds in zip(nt[0], d_s)]
+        + [_lp_max_step(x.s_lp, d_slp)]
+    )
+    ad = min(
+        [_max_step(d, g.T @ dz @ g) for (g, _, d), dz in zip(nt[0], d_z)]
+        + [_lp_max_step(x.z_lp, d_zlp)]
+    )
+    # SDPT3's fraction to the boundary: closer as the steps lengthen
+    gamma = 0.9 + 0.09 * min(1.0, ap, ad)
+    return min(1.0, gamma * ap), min(1.0, gamma * ad)
+
+
+def _corrector(data: _Scaled, x: _Iterate, nt, affine, steps, entry: dict, tol: float):
+    """The centering parameter sigma, from the duality measure that the
+    affine predictor's steps reach, and the corrector's right-hand sides."""
+    _, ds_a, dz_a, dslp_a, dzlp_a = affine
+    ap_a, ad_a = steps
+    mu = entry["mu"]
+    mu_aff = sum(
+        float(np.tensordot(sk + ap_a * ds, zk + ad_a * dz))
+        for sk, ds, zk, dz in zip(x.S, ds_a, x.Z, dz_a)
+    )
+    mu_aff += float((x.s_lp + ap_a * dslp_a) @ (x.z_lp + ad_a * dzlp_a))
+    mu_aff /= data.nu
+    sigma = min(0.99, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
+    # centering floor: driving mu far below what the tolerance needs
+    # destroys the Newton system's conditioning before the dual residual
+    # has finished converging
+    gap_scale = max(1.0, 0.5 * (abs(entry["pobj"]) + abs(entry["dobj"]))) / data.bscale
+    sigma_mu = max(sigma * mu, min(0.5 * mu, 0.02 * tol * gap_scale / data.nu))
+    # second-order term in the scaled space, where the point is diag(d)
+    # and the Lyapunov equation D U + U D = 2 rhs with
+    # rhs = sigma*mu*I - D^2 - H(G^-1 dS dZ G) is solved elementwise
+    rc = []
+    for (g, gi, d), ds, dz in zip(nt[0], ds_a, dz_a):
+        cross = gi @ (ds @ dz) @ g
+        rhs = np.diag(sigma_mu - d * d) - 0.5 * (cross + cross.T)
+        rc.append(gi.T @ (2.0 * rhs / np.add.outer(d, d)) @ gi)
+    return sigma, (rc, sigma_mu / x.s_lp - x.z_lp - dslp_a * dzlp_a / x.s_lp)
+
+
+def _update(x: _Iterate, direction, alpha_p: float, alpha_d: float) -> _Iterate:
+    """The primal step along y, S and s_lp, the dual one along Z and z_lp."""
+    dy, d_s, d_z, d_slp, d_zlp = direction
+    return _Iterate(
+        x.y + alpha_p * dy,
+        [0.5 * (sk + sk.T) + alpha_p * ds for sk, ds in zip(x.S, d_s)],
+        [0.5 * (zk + zk.T) + alpha_d * dz for zk, dz in zip(x.Z, d_z)],
+        x.s_lp + alpha_p * d_slp, x.z_lp + alpha_d * d_zlp,
+    )
+
+
 def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Solution:
     """Maximize the problem objective subject to its matrix inequalities.
 
@@ -427,278 +643,57 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
     residual is at most 1e-6, the floors of the primal and the dual
     objective agree, every block holds at y to 1e-6 of its own magnitude,
     and the exact check of the dual point (see ``certify``) gives that
-    same floor.  Otherwise it stops, as converged,
-    when the relative duality gap and the scaled feasibility residuals all
-    fall below ``tol``.  Deterministic for identical inputs.
+    same floor.  Otherwise it stops, as converged, when the relative
+    duality gap and the scaled feasibility residuals all fall below
+    ``tol``.  Deterministic for identical inputs.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got tol={tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     b, blocks, lp, inexact = _prepare(problem)
-    m = problem.num_vars
-    nu = sum(bl.dim for bl in blocks) + len(lp.l0)
-    n_lp = len(lp.rows)
-
     # objective normalized to unit magnitude; reported values are unscaled
     bscale = max(1.0, float(np.abs(b).max(initial=0.0)))
-    b = b / bscale
-    eta_p = 100.0
-    eta_d = 100.0
-    y = np.zeros(m)
-    S = [eta_p * np.eye(bl.dim) for bl in blocks]
-    Z = [eta_d * np.eye(bl.dim) for bl in blocks]
-    s_lp = eta_p * np.ones(len(lp.l0))
-    z_lp = eta_d * np.ones(len(lp.l0))
-
+    nu = sum(bl.dim for bl in blocks) + len(lp.l0)
+    data = _Scaled(problem, b / bscale, bscale, blocks, lp, inexact, nu)
+    # every slack and dual matrix starts at 100 I; no phase writes into an
+    # iterate, so they share
+    eye, ones = [100.0 * np.eye(bl.dim) for bl in blocks], 100.0 * np.ones(len(lp.l0))
+    x = _Iterate(np.zeros(problem.num_vars), eye, eye, ones, ones)
     trace: list[dict] = []
     tiny_steps = 0
-
-    def objective_pair():
-        pobj = bscale * float(b @ y)
-        dobj = float(lp.l0 @ z_lp)
-        for bl, zk in zip(blocks, Z):
-            dobj += float(np.tensordot(bl.f0, zk))
-        return pobj, bscale * dobj
-
-    def dual_point():
-        """The dual point of the unscaled problem: (Z_k, w, u)."""
-        z_unscaled = z_lp * bscale / lp.gammas
-        return (
-            [zk * (bscale / bl.gamma) for bl, zk in zip(blocks, Z)],
-            z_unscaled[:n_lp],
-            z_unscaled[n_lp:],
-        )
-
-    def primal_holds() -> bool:
-        """Whether every block holds at y to within 1e-6 of its own
-        magnitude |F0| + sum |y_i F_i|.  The residuals are measured against
-        the largest coefficients, so a block whose entries at y are orders
-        of magnitude smaller can be violated, and then the primal value
-        overstates the optimum ((1,13,9) at level 3: 53.9 against 50.6)."""
-        for bl in blocks:
-            terms = np.abs(y[bl.var_ids, None] * bl.val).ravel()
-            mag = np.abs(bl.f0).max() + np.bincount(
-                bl.tri.ravel(), terms, minlength=len(bl.upper[0])
-            ).max()
-            if np.linalg.eigvalsh(bl.f0 + _apply(bl, y))[0] < -1e-6 * mag:
-                return False
-        l0 = lp.l0[:n_lp]
-        mag = np.abs(l0) + np.abs(lp.rows) @ np.abs(y)
-        return bool((l0 + lp.rows @ y >= -1e-6 * mag).all())
-
-    def exact_check() -> CertifiedBound | None:
-        z, w, _ = dual_point()
-        try:
-            return _certificate(problem, z, w)
-        except CertificationError:
-            return None
-
-    def current(converged: bool, certificate: CertifiedBound | None = None) -> Solution:
-        """The solution at the current iterate, with the trace so far."""
-        pobj, dobj = objective_pair()
-        z, w, u = dual_point()
-        return Solution(
-            objective=pobj,
-            dual_objective=dobj,
-            y=y.copy(),
-            z=z,
-            w=w,
-            u=u,
-            iterations=it,
-            converged=converged,
-            inexact_coefficients=inexact,
-            certificate=certificate,
-            trace=trace,
-        )
-
-    it = 0
-    if m == 0:
-        # the zero dual point proves the optimum 0
-        Z = [0.0 * zk for zk in Z]
-        z_lp = 0.0 * z_lp
-        return current(True, exact_check())
-
-    for it in range(1, max_iter + 1):
-        rp = [bl.f0 + _apply(bl, y) - sk for bl, sk in zip(blocks, S)]
-        rlp = lp.l0 + _lp_apply(lp, y) - s_lp
-        # dual residual, with the magnitude of the summed terms tracked so
-        # infeasibility is measured backward-error style
-        rd = -b.copy()
-        rd_mag = np.abs(b).copy()
-        for k, bl in enumerate(blocks):
-            contrib = _adjoint(bl, Z[k])
-            rd[bl.var_ids] -= contrib
-            rd_mag[bl.var_ids] += np.abs(contrib)
-        lp_contrib = _lp_adjoint(lp, z_lp)
-        rd -= lp_contrib
-        rd_mag += np.abs(lp_contrib)
-        pobj, dobj = objective_pair()
-        mu = sum(float(np.tensordot(sk, zk)) for sk, zk in zip(S, Z))
-        mu += float(s_lp @ z_lp)
-        mu /= nu
-        relgap = abs(pobj - dobj) / max(1.0, 0.5 * (abs(pobj) + abs(dobj)))
-        pinf = max(
-            [float(np.abs(r).max(initial=0.0)) for r in rp] + [float(np.abs(rlp).max(initial=0.0))]
-        ) / (1.0 + float(np.abs(y).max(initial=0.0)))
-        dinf = float((np.abs(rd) / (1.0 + rd_mag)).max(initial=0.0))
-        entry = {
-            "iter": it - 1, "pobj": pobj, "dobj": dobj, "mu": mu,
-            "relgap": relgap, "pinf": pinf, "dinf": dinf,
-            "alpha_p": 0.0, "alpha_d": 0.0, "sigma": 0.0,
-        }
-        trace.append(entry)
-        # the cheap float test first; the exact check only when it passes
-        float_test = (
-            pinf <= 1e-6 and math.floor(dobj) == math.floor(pobj) and primal_holds()
-        )
-        if float_test:
-            proof = exact_check()
-            entry["exact"] = None if proof is None else float(proof.exact_bound)
-            if proof is not None and proof.value == math.floor(pobj):
-                return current(True, proof)
-        if relgap <= tol and pinf <= tol and dinf <= tol:
-            return current(True, proof if float_test else exact_check())
-
-        # centering floor: driving mu far below what the tolerance needs
-        # destroys the Newton system's conditioning before the dual residual
-        # has finished converging
-        gap_scale = max(1.0, 0.5 * (abs(pobj) + abs(dobj))) / bscale
-        mu_target = 0.02 * tol * gap_scale / nu
-
-        # NT scalings (G, G^-1, d) per block; W^-1 = G^-T G^-1
-        scalings = []
-        for bl, sk, zk in zip(blocks, S, Z):
-            try:
-                scalings.append(_nt_scaling(sk, zk))
-            except ConditioningError as exc:
-                raise ConditioningError(
-                    f"{exc} in block {bl.label} at iteration {it}", current(False)
-                ) from None
-        winv = [gi.T @ gi for _, gi, _ in scalings]
-        lp_ratio = z_lp / s_lp
-
-        # one generation of the Newton system: the last one goes before the
-        # next is built
-        B = chol_inv = None
-        B = _schur(blocks, lp, [gi for _, gi, _ in scalings], lp_ratio)
-        if not np.isfinite(B).all():
-            raise ConditioningError(
-                f"Newton system lost finiteness at iteration {it}", current(False)
-            )
-
-        # one Cholesky factor, inverted in place: each Newton solve is then
-        # four matrix-vector products
-        ridged = B
-        for attempt in range(6):
-            try:
-                chol_inv = _tril_inverse(np.linalg.cholesky(ridged))
-                break
-            except np.linalg.LinAlgError:
-                del ridged  # at most one copy of B
-                # a ridge relative to B's largest entry, built only on failure
-                ridge = float(np.abs(B).max(initial=1.0)) * 10.0 ** (-14 + 2 * attempt)
-                ridged = B.copy()
-                ridged.flat[::m + 1] += ridge
-        else:
-            raise ConditioningError(
-                f"Schur complement not positive definite at iteration {it}", current(False)
-            )
-        del ridged
-
-        def solve_newton(rc_blocks, rc_lp):
-            g = -rd.copy()
-            for k, bl in enumerate(blocks):
-                mk = rc_blocks[k] - winv[k] @ rp[k] @ winv[k]
-                g[bl.var_ids] += _adjoint(bl, mk)
-            g += _lp_adjoint(lp, rc_lp - lp_ratio * rlp)
-            dy = chol_inv.T @ (chol_inv @ g)
-            dy += chol_inv.T @ (chol_inv @ (g - B @ dy))
-            d_s = [rp[k] + _apply(bl, dy) for k, bl in enumerate(blocks)]
-            d_z = []
-            for k in range(len(blocks)):
-                dz = rc_blocks[k] - winv[k] @ d_s[k] @ winv[k]
-                d_z.append(0.5 * (dz + dz.T))
-            d_slp = rlp + _lp_apply(lp, dy)
-            d_zlp = rc_lp - lp_ratio * d_slp
-            # LAPACK's Cholesky passes NaN through, and the eigvalsh of a
-            # step length fails on it, so no step is sized from such a direction
-            if not all(np.isfinite(a).all() for a in (dy, d_slp, d_zlp, *d_s, *d_z)):
-                raise ConditioningError(
-                    f"Newton direction lost finiteness at iteration {it}", current(False)
-                )
-            return dy, d_s, d_z, d_slp, d_zlp
-
-        def step_lengths(d_s, d_z, d_slp, d_zlp):
-            # S and Z both scale to diag(d): S = G diag(d) G^T and
-            # Z = G^-T diag(d) G^-1
-            ap = min(
-                [_max_step(d, gi @ ds @ gi.T) for (_, gi, d), ds in zip(scalings, d_s)]
-                + [_lp_max_step(s_lp, d_slp)]
-            )
-            ad = min(
-                [_max_step(d, g.T @ dz @ g) for (g, _, d), dz in zip(scalings, d_z)]
-                + [_lp_max_step(z_lp, d_zlp)]
-            )
-            # SDPT3's fraction to the boundary: closer as the steps lengthen
-            gamma = 0.9 + 0.09 * min(1.0, ap, ad)
-            return min(1.0, gamma * ap), min(1.0, gamma * ad)
-
-        # affine predictor
-        rc_aff = [-zk for zk in Z]
-        dy_a, ds_a, dz_a, dslp_a, dzlp_a = solve_newton(rc_aff, -z_lp)
-        ap_a, ad_a = step_lengths(ds_a, dz_a, dslp_a, dzlp_a)
-        mu_aff = sum(
-            float(np.tensordot(sk + ap_a * ds, zk + ad_a * dz))
-            for sk, ds, zk, dz in zip(S, ds_a, Z, dz_a)
-        )
-        mu_aff += float((s_lp + ap_a * dslp_a) @ (z_lp + ad_a * dzlp_a))
-        mu_aff /= nu
-        sigma = min(0.99, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
-        sigma_mu = max(sigma * mu, min(0.5 * mu, mu_target))
-
-        # corrector: second-order term in the scaled space, where the point
-        # is diag(d) and the Lyapunov equation D U + U D = 2 rhs with
-        # rhs = sigma*mu*I - D^2 - H(G^-1 dS dZ G) is solved elementwise
-        rc_combined = []
-        for (g, gi, d), ds, dz in zip(scalings, ds_a, dz_a):
-            cross = gi @ (ds @ dz) @ g
-            rhs = np.diag(sigma_mu - d * d) - 0.5 * (cross + cross.T)
-            rc_combined.append(gi.T @ (2.0 * rhs / np.add.outer(d, d)) @ gi)
-        rc_lp = sigma_mu / s_lp - z_lp - dslp_a * dzlp_a / s_lp
-        dy, d_s, d_z, d_slp, d_zlp = solve_newton(rc_combined, rc_lp)
-        alpha_p, alpha_d = step_lengths(d_s, d_z, d_slp, d_zlp)
-
-        y += alpha_p * dy
-        for k in range(len(blocks)):
-            S[k] = 0.5 * (S[k] + S[k].T) + alpha_p * d_s[k]
-            Z[k] = 0.5 * (Z[k] + Z[k].T) + alpha_d * d_z[k]
-        s_lp = s_lp + alpha_p * d_slp
-        z_lp = z_lp + alpha_d * d_zlp
-        entry.update(alpha_p=alpha_p, alpha_d=alpha_d, sigma=sigma)
-
-        if max(alpha_p, alpha_d) < 1e-7:
-            tiny_steps += 1
+    try:
+        for it in range(1, max_iter + 1):
+            residuals = _residuals(data, x, trace)
+            solution = _stop(data, x, trace, tol)
+            if solution is not None:
+                return solution
+            nt = _scaling(data, x, it)
+            system = None  # the last iteration's B and factor go before the next
+            system = _newton_system(data, nt, it)
+            rc = ([-zk for zk in x.Z], -x.z_lp)  # the affine predictor's
+            for corrector in (False, True):
+                direction = _direction(data, residuals, nt, system, rc, it)
+                steps = _step_lengths(x, nt, direction)
+                if not corrector:
+                    sigma, rc = _corrector(data, x, nt, direction, steps, trace[-1], tol)
+            x = _update(x, direction, *steps)
+            trace[-1].update(alpha_p=steps[0], alpha_d=steps[1], sigma=sigma)
+            tiny_steps = tiny_steps + 1 if max(steps) < 1e-7 else 0
             if tiny_steps >= 5:
-                achieved = max(
-                    min(t["relgap"] for t in trace),
-                    min(t["pinf"] for t in trace),
-                    min(t["dinf"] for t in trace),
-                )
+                achieved = max(min(t[key] for t in trace) for key in ("relgap", "pinf", "dinf"))
                 raise ConditioningError(
                     f"no progress for {tiny_steps} iterations (iteration {it}); "
-                    f"precision floor near {achieved:.1e}, consider a larger tol",
-                    current(False),
+                    f"precision floor near {achieved:.1e}, consider a larger tol"
                 )
-        else:
-            tiny_steps = 0
-
-    last = trace[-1]
-    raise NonConvergenceError(
-        f"no convergence within {max_iter} iterations (relgap {last['relgap']:.2e}, "
-        f"pinf {last['pinf']:.2e}, dinf {last['dinf']:.2e})",
-        current(False),
-    )
+        last = trace[-1]
+        raise NonConvergenceError(
+            f"no convergence within {max_iter} iterations (relgap {last['relgap']:.2e}, "
+            f"pinf {last['pinf']:.2e}, dinf {last['dinf']:.2e})"
+        )
+    except SolverError as err:
+        err.solution = _solution(data, x, trace)  # the one place an error gets its iterate
+        raise
 
 
 def certify(problem: SdpProblem, solution: Solution) -> CertifiedBound:

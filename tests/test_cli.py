@@ -15,7 +15,9 @@ from mixedsdp.cli import (
     load_reference_rows,
     main,
 )
-from mixedsdp.solver import NonConvergenceError
+from mixedsdp.codes import ProblemSpec
+from mixedsdp.model import build_problem
+from mixedsdp.solver import ConditioningError, NonConvergenceError
 
 
 class TestReferenceData:
@@ -103,6 +105,23 @@ class TestCommands:
         code = main(["bound", "2", "5", "3", "--store", str(tmp_path / "s.jsonl")])
         assert code == EXIT_SOLVER
         assert "Newton direction lost finiteness" in capsys.readouterr().err
+
+    def test_bound_error_shows_last_iterate(self, tmp_path, capsys):
+        # a tolerance below this problem's double-precision floor
+        store = tmp_path / "s.jsonl"
+        code = main(["bound", "2", "1", "2", "--tol", "1e-13", "--store", str(store)])
+        assert code == EXIT_SOLVER
+        message, last, *rest = capsys.readouterr().err.splitlines()
+        assert message.startswith("solver error: ConditioningError: ") and not rest
+        with pytest.raises(ConditioningError) as info:
+            solver.solve(build_problem(ProblemSpec(2, 1, 2)), tol=1e-13)
+        solution = info.value.solution
+        entry = solution.trace[-1]
+        assert last == (
+            f"last iterate: iteration {solution.iterations}, pobj {entry['pobj']:.9g}, "
+            f"dobj {entry['dobj']:.9g}, relgap {entry['relgap']:.9g}, "
+            f"pinf {entry['pinf']:.9g}, dinf {entry['dinf']:.9g}"
+        )
 
     def test_oracle(self, capsys):
         assert main(["oracle", "1", "1", "2"]) == EXIT_OK

@@ -236,6 +236,46 @@ class TestSolve:
         assert not info.value.solution.converged
         assert shapes.count((m, m)) == 6
 
+    def test_ridged_retry_recovers(self, monkeypatch):
+        # the first factorisation of B fails; B plus the smallest ridge
+        # factors, and the solve goes on to the bound
+        problem = build_sdp(ProblemSpec(2, 5, 3))
+        m = problem.num_vars
+        calls = []
+        schur, cholesky = solver._schur, np.linalg.cholesky
+
+        def failing_once(a):
+            calls.append(a.shape)
+            if calls.count((m, m)) == 1 and a.shape == (m, m):
+                raise np.linalg.LinAlgError("patched")
+            return cholesky(a)
+
+        monkeypatch.setattr(solver, "_schur", lambda *args: calls.append("B") or schur(*args))
+        monkeypatch.setattr(np.linalg, "cholesky", failing_once)
+        solution = solve(problem)
+        assert certify(problem, solution).value == 65
+        per_iteration = []  # the m x m factorisations after each build of B
+        for call in calls:
+            if call == "B":
+                per_iteration.append(0)
+            elif call == (m, m):
+                per_iteration[-1] += 1
+        assert per_iteration == [2] + [1] * (len(per_iteration) - 1)
+
+    def test_unbounded_problem_refused(self):
+        # without the augmented empty-case block, the level-2 problem is
+        # unbounded: y grows until the objective is no longer finite
+        problem = build_problem(ProblemSpec(4, 5, 3, k=2))
+        assert problem.blocks[-1].label == "empty:l=(4, 0, 5, 0) +empty"
+        unbounded = dataclasses.replace(problem, blocks=problem.blocks[:-1])
+        with pytest.raises(ConditioningError) as info:
+            solve(unbounded)
+        solution = info.value.solution
+        assert str(info.value) == f"objective lost finiteness at iteration {solution.iterations}"
+        assert solution.iterations == len(solution.trace)
+        assert not math.isfinite(solution.trace[-1]["pobj"])
+        assert not solution.converged
+
     def test_non_convergence_names_residuals(self):
         with pytest.raises(NonConvergenceError) as info:
             solve(build_sdp(ProblemSpec(2, 1, 2)), max_iter=2)
@@ -518,7 +558,8 @@ class TestCertify:
         assert bound.value == 65
 
     def test_problem_without_variables(self):
-        # the zero dual point proves the optimum 0
+        # the loop runs as for any problem, and a dual point near zero
+        # proves the optimum 0
         problem = no_variables()
         solution = solve(problem)
         assert certify(problem, solution).value == 0

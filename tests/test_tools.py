@@ -32,7 +32,7 @@ def test_oracle_report():
 
 def test_solve_report():
     line, total = run_tool("solve_report.py", "1,1,1,3")
-    match = re.fullmatch(r"1,1,1,3 6 \d+/\d+ (\d+)", line)
+    match = re.fullmatch(r"1,1,1,3 6 \d+/\d+ (\d+) [0-9a-f]{16}", line)
     assert match, line
     assert total == f"iterations {match.group(1)}"
 

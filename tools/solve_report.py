@@ -15,9 +15,11 @@ of the acceptance suite's oracle sandwich (``SANDWICH_FAMILIES`` in
 ``tests/test_acceptance.py``, every d) at levels 3 and 2, so that a solver
 regression on one of them shows by name.  The level-3 solves of d=5 take
 most of the time.  Each line is
-``n2,n3,d,k bound exact_bound iterations``, the exact bound a reduced
-fraction, so two outputs compare the certificates exactly and not only
-their floors; or, when the solve or the certificate fails, ``n2,n3,d,k``
+``n2,n3,d,k bound exact_bound iterations trace``, the exact bound a
+reduced fraction, so two outputs compare the certificates exactly and not
+only their floors, and ``trace`` the first 16 hex digits of the SHA-256 of
+the ``repr`` of ``Solution.trace``, so they compare every float of every
+iterate; or, when the solve or the certificate fails, ``n2,n3,d,k``
 and the error class.  The last line,
 ``iterations N``, sums the iterations of the certified solves.
 
@@ -27,6 +29,7 @@ The BLAS thread count is pinned to 1 (``OPENBLAS_NUM_THREADS``,
 counts of degenerate problems, so two outputs compare only at one count.
 """
 
+import hashlib
 import os
 import sys
 from pathlib import Path
@@ -64,7 +67,8 @@ def main(argv: list[str]) -> None:
         try:
             solution = solve(problem, tol=tol)
             bound = certify(problem, solution)
-            print(label, bound.value, bound.exact_bound, solution.iterations, flush=True)
+            digest = hashlib.sha256(repr(solution.trace).encode()).hexdigest()[:16]
+            print(label, bound.value, bound.exact_bound, solution.iterations, digest, flush=True)
             total += solution.iterations
         except SolverError as exc:
             print(label, type(exc).__name__, flush=True)
