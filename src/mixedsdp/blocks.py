@@ -6,25 +6,30 @@ Every contraction of a representative-set column pair against an orbit
 indicator matrix is the coefficient sum, over one orbit fiber, of a sparse
 polynomial in dual variables indexed by column patterns.  The polynomial
 factorizes over the three (binary / ternary-trivial / ternary-sign) tensor
-factors; within a factor, the sum over row rearrangements and column-swap
-signs is collected by a dynamic program over Ferrers columns, each height-2
-column contributing a signed 2x2 combination of base-change terms and each
-height-1 column a single term.
+factors.  A column is its three counts of 1s (see ``tableaux``), so a
+factor's polynomial depends only on its shape (a, b) and the two counts of
+that factor; only the verifier writes a column's rows out.  Summed over
+row rearrangements and signed column swaps, each of the b height-2
+columns of a factor contributes the one nonzero entry of a signed 2x2
+combination of base-change terms, and each height-1 column one
+base-change term per pair of cells, so the polynomials of all count pairs
+of a shape are one product det^b * base^(a - b) whose marker digits count
+the 1s of the two tableaux.
 
-A dual monomial is one int of 5-bit digits: the four binary pattern counts,
-then the five ternary ones, so multiplying two monomials adds their ints.
-A column is its three counts of 1s (see ``tableaux``), so a factor's
-polynomial depends only on its shape and the two counts of that factor, and
-one dynamic programme per (factor, shape) yields the polynomials of all its
-count pairs at once; only the verifier writes a column's rows out.
-``build_blocks_d0`` keeps all of one build's state and shares it across the
-build's shapes: a memo of those programmes' results and of the product of
-the two ternary factors' polynomials for each pair of their keys, and the
-variable of each monomial met so far, which is unpacked once to find its
-orbit.  Nothing is kept between builds.  The reduced blocks are very
-sparse, so the builders append only their nonzero upper-triangle triplets.
-All arithmetic is integer; no floating point enters this module outside the
-verifier's eigenvalue cross-check.
+A dual monomial is a packed key of ``codes``: its nine pattern counts as
+5-bit digits, so multiplying two monomials adds their ints, and its orbit
+is the least of the key's six reorderings.  A polynomial is a pair of
+arrays, sorted monomials and their coefficients.  ``build_blocks_d0``
+forms the terms of all column pairs of a shape at once, as slices of one
+ragged outer product of two factor polynomials, finds each term's variable
+by a binary search over the variables' keys and sums the terms of each
+(variable, pair) after one sort.  Coefficients are int64 where a bound
+proves that every product and sum fits, and Python ints otherwise, so all
+arithmetic is exact; floating point enters this module only in that bound
+and in the verifier's eigenvalue cross-check.  A build keeps its factor
+polynomials for its shapes; nothing is kept between builds.  The reduced
+blocks are very sparse, so the builders keep only their nonzero
+upper-triangle triplets.
 """
 
 from __future__ import annotations
@@ -34,12 +39,16 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import permutations, product
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
 from mixedsdp.codes import (
+    KEY_COUNT_MAX,
+    KEY_DIGIT,
+    KEY_WEIGHTS,
     N_BIN_PATTERNS,
-    N_TER_PATTERNS,
+    N_COUNTS,
     PAT_12,
     PAT_13,
     PAT_23,
@@ -53,9 +62,10 @@ from mixedsdp.codes import (
     canonical_orbit,
     code,
     enumerate_orbits,
-    orbit_from_counts,
     orbit_is_feasible,
+    pack_counts,
     pair_orbit,
+    reordered_keys,
     singleton_orbit,
     zero_word,
 )
@@ -66,27 +76,15 @@ from mixedsdp.tableaux import (
     build_shape_index_empty,
 )
 
-DIGIT = 5
-MAX_COUNT = (1 << DIGIT) - 1
-
 
 def _bin(p: int) -> int:
     """Packed degree-1 monomial of binary pattern p."""
-    return 1 << DIGIT * p
+    return int(KEY_WEIGHTS[p])
 
 
 def _ter(p: int) -> int:
     """Packed degree-1 monomial of ternary pattern p."""
-    return 1 << DIGIT * (N_BIN_PATTERNS + p)
-
-
-def unpack_monomial(mono: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The (binary, ternary) pattern counts of a packed monomial."""
-    digits = [
-        mono >> DIGIT * i & MAX_COUNT
-        for i in range(N_BIN_PATTERNS + N_TER_PATTERNS)
-    ]
-    return tuple(digits[:N_BIN_PATTERNS]), tuple(digits[N_BIN_PATTERNS:])
+    return int(KEY_WEIGHTS[N_BIN_PATTERNS + p])
 
 
 # Base-change tables: the expansion of column-pair tensors in the dual
@@ -113,103 +111,170 @@ _ZERO_TABLES = {1: _A1, 2: _A2, 3: _A3}
 CASE_ZERO = "zero"
 CASE_EMPTY = "empty"
 
+# Two marker digits above the nine counts: s counts the 1s in the first row
+# of the tableau feeding the first base-change slot, t those of the tableau
+# feeding the second, so a term's key shifted down by _STATE_SHIFT is the
+# state s * 32 + t of its tableau pair.
+_STATE_SHIFT = KEY_DIGIT * N_COUNTS
+_T_MARK = 1 << _STATE_SHIFT
+_S_MARK = _T_MARK << KEY_DIGIT
+_COUNTS_MASK = _T_MARK - 1
+_N_STATES = 1 << 2 * KEY_DIGIT
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = defaultdict(int)
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            out[e1 + e2] += c1 * c2
-    return {e: c for e, c in out.items() if c}
+# Sums of |coefficients| are taken in float64, with a relative error of at
+# most (n + 1) * 2**-53 over n terms, so an estimate below 2**62, or a product
+# of two, proves the exact value below 2**63.
+_INT64_SAFE = 2.0 ** 62
 
 
-def _poly_axpy(acc: dict, p: dict, scale: int) -> None:
-    for e, c in p.items():
-        acc[e] += c * scale
+class _Poly(NamedTuple):
+    """A sparse polynomial: its distinct packed monomials, sorted, and their
+    nonzero integer coefficients, int64 or Python ints (dtype object)."""
+
+    keys: np.ndarray
+    coefs: np.ndarray
 
 
-def _factor_polys(
-    factor: int, lam: tuple[int, int]
-) -> dict[tuple[int, int], dict[int, int]]:
-    """Dual polynomials of one tensor factor of shape ``lam`` for every
-    tableau pair, summed over row rearrangements and signed column swaps,
-    as maps from packed monomials to integer coefficients, keyed by the
-    counts of 1s in the first rows of the tableaux feeding the first and
-    the second base-change slot; a pair missing here has polynomial 0.
+def _l1(coefs: np.ndarray) -> float:
+    """The sum of |coefficients| in float64: a bound on every partial sum."""
+    return float(np.abs(coefs).astype(np.float64).sum())
 
-    A dynamic programme over the columns keeps, per count of 1s placed in
-    each first row, the polynomial of the columns so far; each transition
-    adds the products of its terms with the column's factor straight into
-    the next state.  No state is pruned, so the end states serve every pair.
-    """
+
+def _exact(coefs: np.ndarray, bound: float) -> np.ndarray:
+    """The coefficients as int64 when ``bound``, a product of ``_l1``s of
+    the operands, proves that the arithmetic ahead fits, else as Python
+    ints."""
+    return coefs.astype(np.int64 if bound < _INT64_SAFE else object, copy=False)
+
+
+def _collect(keys: np.ndarray, coefs: np.ndarray) -> _Poly:
+    """The polynomial of these terms: the coefficients of equal keys summed
+    exactly, zero sums dropped."""
+    if not len(keys):
+        return _Poly(keys, coefs)
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(_exact(coefs, _l1(coefs))[order], starts)
+    keep = sums != 0
+    return _Poly(keys[starts][keep], sums[keep])
+
+
+def _product(p: _Poly, q: _Poly) -> _Poly:
+    """The exact product of two polynomials."""
+    bound = _l1(p.coefs) * _l1(q.coefs)
+    return _collect(
+        np.add.outer(p.keys, q.keys).ravel(),
+        np.multiply.outer(_exact(p.coefs, bound), _exact(q.coefs, bound)).ravel(),
+    )
+
+
+def _column(factor: int, height: int) -> _Poly:
+    """The polynomial of one column of a factor's tableau pair, summed over
+    its fillings, with their marker digits.  A height-1 column holding x in
+    the first tableau and u in the second contributes T(x, u), T the
+    factor's table.  A height-2 column holds x over 2 and u over 2, and with
+    its signed swap contributes 2 T(x, u) T(2, 2) - 2 T(x, 2) T(2, u), which
+    vanishes unless x = u = 1."""
     table = _ZERO_TABLES[factor]
+    if height == 1:
+        terms = [
+            (e + _S_MARK * (x == 1) + _T_MARK * (u == 1), c)
+            for (x, u), form in table.items() for e, c in form.items()
+        ]
+    else:
+        terms = [
+            (_S_MARK + _T_MARK + e1 + e2, sign * c1 * c2)
+            for first, second, sign in (((1, 1), (2, 2), 2), ((1, 2), (2, 1), -2))
+            for e1, c1 in table[first].items() for e2, c2 in table[second].items()
+        ]
+    keys, coefs = zip(*terms)
+    return _collect(np.array(keys, dtype=np.int64), np.array(coefs, dtype=np.int64))
+
+
+def _column_power(powers: dict, factor: int, height: int, r: int) -> _Poly:
+    """The r-th power of a factor's column of that height, from and into
+    the build's ``powers``."""
+    key = (factor, height, r)
+    if key not in powers:
+        if r == 0:
+            powers[key] = _Poly(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+        elif r == 1:
+            powers[key] = _column(factor, height)
+        else:
+            powers[key] = _product(
+                _column_power(powers, factor, height, r - 1),
+                _column_power(powers, factor, height, 1),
+            )
+    return powers[key]
+
+
+def _factor_poly(powers: dict, factor: int, lam: tuple[int, int]) -> _Poly:
+    """The dual polynomials of one tensor factor of shape ``lam`` = (a, b)
+    for all tableau pairs at once, summed over row rearrangements and signed
+    column swaps: det^b * base^(a - b) for its height-2 column det and its
+    height-1 column base (see ``_column``).  A term's marker digits name
+    its pair by the counts of 1s in the first rows of the tableaux feeding
+    the first and the second base-change slot; a pair without terms has
+    polynomial 0."""
     a, b = lam
-    values = (1, 2) if factor != 3 else (1,)
-
-    det = {}
-    if b:
-        for x in values:
-            for u in values:
-                term = defaultdict(int)
-                _poly_axpy(term, _poly_mul(table[(x, u)], table[(2, 2)]), 2)
-                _poly_axpy(term, _poly_mul(table[(x, 2)], table[(2, u)]), -2)
-                det[(x, u)] = {e: c for e, c in term.items() if c}
-
-    states: dict[tuple[int, int], dict] = {(0, 0): {0: 1}}
-    for col in range(a):
-        factor_for = det if col < b else table
-        new: dict[tuple[int, int], dict] = {}
-        for (i, j), poly in states.items():
-            for x in values:
-                for u in values:
-                    acc = new.setdefault(
-                        (i + (x == 1), j + (u == 1)), defaultdict(int)
-                    )
-                    for e2, c2 in factor_for[(x, u)].items():
-                        for e, c in poly.items():
-                            acc[e + e2] += c * c2
-        states = {
-            k: {e: c for e, c in p.items() if c} for k, p in new.items()
-        }
-    return states
+    if a == b:
+        return _column_power(powers, factor, 2, b)
+    if not b:
+        return _column_power(powers, factor, 1, a)
+    return _product(_column_power(powers, factor, 2, b), _column_power(powers, factor, 1, a - b))
 
 
-def _factor_poly(
-    memo: dict, factor: int, lam: tuple[int, int], first: int, second: int
-) -> dict[int, int]:
-    """One pair's polynomial, from the memo's ``_factor_polys`` of its
-    factor and shape."""
-    states = memo.get((factor, lam))
-    if states is None:
-        states = memo[(factor, lam)] = _factor_polys(factor, lam)
-    return states.get((first, second), {})
+class _Operand(NamedTuple):
+    """A polynomial of all tableau pairs as the pair products read it: the
+    first term of each state s * 32 + t, and past the last one the end; the
+    six reorderings of each term's counts (``codes.reordered_keys``; column
+    0 is the counts' own key); the coefficients and their ``_l1``."""
+
+    starts: np.ndarray
+    reordered: np.ndarray
+    coefs: np.ndarray
+    l1: float
 
 
-def expand_p(
-    lambdas: tuple, sigma: tuple[int, ...], tau: tuple[int, ...], memo: dict
-) -> dict[int, int]:
-    """Dual polynomial of a column pair of a shape with partitions
-    ``lambdas``, each column given by its counts of 1s: sparse map from
-    packed monomials (``unpack_monomial`` gives their binary and ternary
-    pattern counts) to integer coefficients.
+def _operand(poly: _Poly) -> _Operand:
+    return _Operand(
+        np.searchsorted(poly.keys, np.arange(_N_STATES + 1) << _STATE_SHIFT),
+        reordered_keys(poly.keys & _COUNTS_MASK),
+        poly.coefs,
+        _l1(poly.coefs),
+    )
 
-    Summing the coefficients over the monomials whose counts give one orbit
-    (``orbit_from_counts``) yields the contraction of the two columns
-    against that orbit's indicator matrix.  The first base-change slot
-    carries ``tau``.  ``memo`` holds what earlier pairs computed: the
-    ``_factor_polys`` of each (factor, lambda), and the product of the two
-    ternary factors' polynomials for each pair of their (lambda, counts of
-    1s); it only saves work.
-    """
-    k2 = (2, lambdas[1], tau[1], sigma[1])
-    k3 = (3, lambdas[2], tau[2], sigma[2])
-    p23 = memo.get((k2, k3))
-    if p23 is None:
-        p23 = memo[(k2, k3)] = _poly_mul(
-            _factor_poly(memo, *k2), _factor_poly(memo, *k3)
-        )
-    p1 = _factor_poly(memo, 1, lambdas[0], tau[0], sigma[0])
-    # the binary and ternary digits are disjoint, so no two products collide
-    return {eb + et: cb * ct for eb, cb in p1.items() for et, ct in p23.items()}
+
+def _ternary_poly(powers: dict, lam2: tuple[int, int], lam3: tuple[int, int]) -> _Poly:
+    """The product of a shape's two ternary factor polynomials, with the
+    trivial factor's marker digits: the sign factor has the one tableau
+    pair (l3, l3)."""
+    sign = _factor_poly(powers, 3, lam3)
+    return _product(
+        _factor_poly(powers, 2, lam2), _Poly(sign.keys & _COUNTS_MASK, sign.coefs)
+    )
+
+
+def _pair_terms(
+    binary: _Operand, ternary: _Operand, cols: tuple[tuple[int, int, int], ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every term of the dual polynomial of every column pair i <= j of a
+    shape, unsummed, as one ragged outer product: the pair's cell i * dim +
+    j, and the indices of the term's factors in ``binary`` and ``ternary``.
+    Column j feeds the first base-change slot."""
+    cols = np.array(cols)
+    dim = len(cols)
+    i, j = np.nonzero(np.arange(dim)[:, None] <= np.arange(dim))
+    s1 = cols[j, 0] << KEY_DIGIT | cols[i, 0]
+    s2 = cols[j, 1] << KEY_DIGIT | cols[i, 1]
+    lo1, lo2 = binary.starts[s1], ternary.starts[s2]
+    n1, n2 = binary.starts[s1 + 1] - lo1, ternary.starts[s2 + 1] - lo2
+    counts = n1 * n2
+    pair = np.repeat(np.arange(len(counts)), counts)
+    offset = np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts, counts)
+    q, r = np.divmod(offset, n2[pair])
+    return (i * dim + j)[pair], lo1[pair] + q, lo2[pair] + r
 
 
 @dataclass(frozen=True)
@@ -241,40 +306,57 @@ def build_blocks_d0(
 ) -> list[Block]:
     """Reduced blocks for the all-zero-word stabilizer, one per shape.
 
-    ``variables`` maps orbits to variable indices (``enumerate_orbits``);
-    coefficients of orbits outside it (those fixed to zero) are dropped.
-    Each pair's polynomial is read from ``expand_p``.  The build's shapes
-    share one memo (one dynamic programme per factor shape and the ternary
-    products, see ``expand_p``) and one table from packed monomial to
-    variable, ``None`` for a dropped orbit; both go with the build.
+    ``variables`` maps orbits of nonempty codes to variable indices
+    (``enumerate_orbits``); coefficients of orbits outside it (those fixed
+    to zero) are dropped.  A shape's terms are those of ``_pair_terms``:
+    each term's canonical key is the least of the six sums of its factors'
+    reordered keys, and a binary search over the variables' sorted keys
+    gives its variable.  The terms of each (variable, cell) are summed by
+    ``_collect``, and the sums become the block's triplets, already sorted.
+    The build's shapes share the powers of the factors' columns, each
+    shape's factor polynomials (``_factor_poly``, ``_ternary_poly``) and
+    the int objects of the triplets; all go with the build.
     """
-    if max(spec.n2, spec.n3) > MAX_COUNT:
+    if max(spec.n2, spec.n3) > KEY_COUNT_MAX:
         raise ValueError(
-            f"({spec.n2}, {spec.n3}): a pattern count above {MAX_COUNT} "
-            f"does not fit a {DIGIT}-bit monomial digit"
+            f"({spec.n2}, {spec.n3}): a pattern count above {KEY_COUNT_MAX} "
+            f"does not fit a {KEY_DIGIT}-bit monomial digit"
         )
-    memo: dict = {}
-    var_of_mono: dict[int, int | None] = {}
+    keys = pack_counts([w.bin_counts + w.ter_counts for w in variables])
+    order = np.argsort(keys)
+    # the sentinel above every key ends each search inside the array
+    var_keys = np.append(keys[order], np.iinfo(np.int64).max)
+    var_index = np.fromiter(variables.values(), dtype=np.int64, count=len(variables))[order]
+    # one int object per matrix number and per distinct value: one per
+    # entry would hold about 5 MB of the 11 MB of (4,8,5)'s blocks
+    matnos = np.arange(1, len(variables) + 1).astype(object)
+    shared: dict = {}
+    powers: dict = {}
+    binaries: dict = {}
+    ternaries: dict = {}
     out = []
     for shape in shapes:
-        cols = shape.admissible
-        dim = len(cols)
-        entries = []
-        for i in range(dim):
-            for j in range(i, dim):
-                agg: dict[int | None, int] = defaultdict(int)
-                for mono, c in expand_p(shape.lambdas, cols[i], cols[j], memo).items():
-                    try:
-                        v = var_of_mono[mono]
-                    except KeyError:
-                        v = var_of_mono[mono] = variables.get(
-                            orbit_from_counts(*unpack_monomial(mono))
-                        )
-                    agg[v] += c
-                entries += [
-                    (v + 1, i, j, val) for v, val in agg.items() if val and v is not None
-                ]
-        out.append(Block(f"{CASE_ZERO}:{shape.label()}", dim, tuple(sorted(entries))))
+        lam1, lam2, lam3 = shape.lambdas
+        if lam1 not in binaries:
+            binaries[lam1] = _operand(_factor_poly(powers, 1, lam1))
+        if (lam2, lam3) not in ternaries:
+            ternaries[lam2, lam3] = _operand(_ternary_poly(powers, lam2, lam3))
+        binary, ternary = binaries[lam1], ternaries[lam2, lam3]
+        cell, k1, k2 = _pair_terms(binary, ternary, shape.admissible)
+        canon = (binary.reordered[k1] + ternary.reordered[k2]).min(axis=1)
+        pos = np.searchsorted(var_keys, canon)
+        hit = var_keys[pos] == canon
+        bound = binary.l1 * ternary.l1
+        dim = len(shape.admissible)
+        sums = _collect(
+            var_index[pos[hit]] * dim * dim + cell[hit],
+            _exact(binary.coefs, bound)[k1[hit]] * _exact(ternary.coefs, bound)[k2[hit]],
+        )
+        v, cell = np.divmod(sums.keys, dim * dim)
+        i, j = np.divmod(cell, dim)
+        values = [shared.setdefault(c, c) for c in sums.coefs.tolist()]
+        entries = tuple(zip(matnos[v].tolist(), i.tolist(), j.tolist(), values))
+        out.append(Block(f"{CASE_ZERO}:{shape.label()}", dim, entries))
     return out
 
 

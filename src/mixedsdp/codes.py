@@ -8,6 +8,7 @@ letters independently in every coordinate.  Group elements are never
 materialized for canonicalization: the orbit of a code is identified by
 counting, per coordinate block, the equality pattern of a padded ordered
 triple of its words, minimized over the six reorderings of the triple.
+The orbit enumeration does the same on integer arrays of packed keys.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from operator import itemgetter
+
+import numpy as np
 
 # Column patterns: which of three stacked words agree in one coordinate.
 # A binary column can never make all three words pairwise distinct.
@@ -195,26 +198,64 @@ class OrbitId:
         return " ".join(parts)
 
 
-def _build_count_maps():
-    """For each reordering of the triple, an index map that reorders the
-    nine pattern counts, binary then ternary.  Reading the counts through a
-    reordering's pattern map applies the inverse reordering; the six
-    reorderings form a group, so the maps cover all six."""
+def _build_count_orders() -> tuple[tuple[int, ...], ...]:
+    """For each reordering of the triple, the order in which to read the
+    nine pattern counts, binary then ternary, to reorder them.  Reading the
+    counts through a reordering's pattern map applies the inverse
+    reordering; the six reorderings form a group, so the maps cover all
+    six."""
     # a reordering fixes PAT_DISTINCT, so it maps binary patterns to binary
     # patterns
     return tuple(
-        itemgetter(*pm[:N_BIN_PATTERNS], *(N_BIN_PATTERNS + p for p in pm))
+        (*pm[:N_BIN_PATTERNS], *(N_BIN_PATTERNS + p for p in pm))
         for pm in PATTERN_PERMS
     )
 
 
-_COUNT_MAPS = _build_count_maps()
+_COUNT_ORDERS = _build_count_orders()
+_COUNT_MAPS = tuple(itemgetter(*order) for order in _COUNT_ORDERS)
 
 
 def _canonical_counts(counts: tuple[int, ...]) -> tuple[int, ...]:
     """The least of the six reorderings of nine pattern counts; the binary
     part has a fixed length, so this compares binary counts first."""
     return min([g(counts) for g in _COUNT_MAPS])
+
+
+# A packed key holds the nine pattern counts, binary then ternary, as 5-bit
+# digits with the first count most significant: the integer order of keys is
+# the tuple order of their counts, and adding keys adds their counts.
+KEY_DIGIT = 5
+KEY_COUNT_MAX = (1 << KEY_DIGIT) - 1
+N_COUNTS = N_BIN_PATTERNS + N_TER_PATTERNS
+_KEY_SHIFTS = KEY_DIGIT * np.arange(N_COUNTS - 1, -1, -1, dtype=np.int64)
+KEY_WEIGHTS = 1 << _KEY_SHIFTS
+
+
+def pack_counts(counts) -> np.ndarray:
+    """The packed keys of rows of nine pattern counts, each at most
+    ``KEY_COUNT_MAX``."""
+    return np.asarray(counts, dtype=np.int64).reshape(-1, N_COUNTS) @ KEY_WEIGHTS
+
+
+def unpack_keys(keys: np.ndarray) -> np.ndarray:
+    """The nine pattern counts of each packed key, one row per key; digits
+    above the nine are ignored."""
+    return keys[:, None] >> _KEY_SHIFTS & KEY_COUNT_MAX
+
+
+# the weight that each reordering (a column) gives each count (a row): the
+# weight of the place the count moves to
+_REORDER_WEIGHTS = np.stack([KEY_WEIGHTS[np.argsort(order)] for order in _COUNT_ORDERS], axis=1)
+
+
+def reordered_keys(keys: np.ndarray) -> np.ndarray:
+    """The packed keys of the six reorderings of each key's counts, one row
+    per key.  A reordering is linear in the counts, so the reorderings of a
+    sum of keys whose counts stay at most ``KEY_COUNT_MAX`` are the sums of
+    their reorderings; the least of a key's six is its
+    ``_canonical_counts``."""
+    return unpack_keys(keys) @ _REORDER_WEIGHTS
 
 
 def _pair_distances(bin_counts, ter_counts) -> tuple[int, int, int]:
@@ -227,23 +268,18 @@ def _pair_distances(bin_counts, ter_counts) -> tuple[int, int, int]:
     return c13 + c23 + distinct, c12 + c23 + distinct, c12 + c13 + distinct
 
 
-def _size_from_counts(bin_counts, ter_counts) -> int:
-    zeros = _pair_distances(bin_counts, ter_counts).count(0)
-    if zeros == 3:
-        return 1
-    if zeros == 1:
-        return 2
-    return 3
+def _size_from_counts(bin_counts, ter_counts):
+    """Code size of a padded triple with these counts, for ints or for
+    arrays of them: three zero pair distances make a singleton, one a pair,
+    none three words."""
+    zeros = sum(x == 0 for x in _pair_distances(bin_counts, ter_counts))
+    return 3 - (zeros == 1) - 2 * (zeros == 3)
 
 
 def orbit_from_counts(bin_counts, ter_counts) -> OrbitId:
     """OrbitId of any ordered triple with the given column-pattern counts."""
-    return _orbit_of(_canonical_counts((*bin_counts, *ter_counts)))
-
-
-def _orbit_of(canon: tuple[int, ...]) -> OrbitId:
-    cb = canon[:N_BIN_PATTERNS]
-    ct = canon[N_BIN_PATTERNS:]
+    canon = _canonical_counts((*bin_counts, *ter_counts))
+    cb, ct = canon[:N_BIN_PATTERNS], canon[N_BIN_PATTERNS:]
     return OrbitId(_size_from_counts(cb, ct), cb, ct)
 
 
@@ -339,15 +375,31 @@ def enumerate_orbits(spec: ProblemSpec) -> dict[OrbitId, int]:
 
     A code of at most two words pads to a triple (x, y, y), whose columns
     show only the patterns {123} and {1|23}, so level 2 counts only those.
+    Every count vector is one sum of a binary and a ternary packed key; its
+    canonical key is the least of the six sums of their reorderings, and
+    the distinct canonical keys are the orbits.  Sorting them by (size,
+    key) is sorting the OrbitIds, and only the kept ones become OrbitIds.
     """
     patterns = tuple(range(N_TER_PATTERNS)) if spec.k == 3 else (PAT_ALL_EQUAL, PAT_23)
     bin_patterns = tuple(p for p in patterns if p < N_BIN_PATTERNS)
-    seen = set()
-    ter = list(_count_vectors(spec.n3, N_TER_PATTERNS, patterns))
-    for bc in _count_vectors(spec.n2, N_BIN_PATTERNS, bin_patterns):
-        seen.update(_canonical_counts(bc + tc) for tc in ter)
-    kept = (w for w in sorted(map(_orbit_of, seen)) if orbit_is_feasible(w, spec.d))
-    return {w: i for i, w in enumerate(kept)}
+    ter_patterns = tuple(N_BIN_PATTERNS + p for p in patterns)
+    rb = reordered_keys(pack_counts(list(_count_vectors(spec.n2, N_COUNTS, bin_patterns))))
+    rt = reordered_keys(pack_counts(list(_count_vectors(spec.n3, N_COUNTS, ter_patterns))))
+    canon = rb[:, 0, None] + rt[:, 0]
+    for g in range(1, len(_COUNT_ORDERS)):
+        np.minimum(canon, rb[:, g, None] + rt[:, g], out=canon)
+    keys = np.sort(canon, axis=None)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    counts = unpack_keys(keys)
+    bin_counts, ter_counts = counts[:, :N_BIN_PATTERNS].T, counts[:, N_BIN_PATTERNS:].T
+    dists = np.array(_pair_distances(bin_counts, ter_counts))
+    size = _size_from_counts(bin_counts, ter_counts)
+    kept = np.flatnonzero((size == 1) | ((dists == 0) | (dists >= spec.d)).all(axis=0))
+    kept = kept[np.argsort(size[kept] << KEY_DIGIT * N_COUNTS | keys[kept])]
+    return {
+        OrbitId(w, tuple(c[:N_BIN_PATTERNS]), tuple(c[N_BIN_PATTERNS:])): i
+        for i, (w, c) in enumerate(zip(size[kept].tolist(), counts[kept].tolist()))
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -778,15 +778,17 @@ def problem_to_sdpa_data(problem: SdpProblem) -> SdpaData:
     # each block's number and offset: the 1x1 blocks share the diagonal block
     places = [(k, 0, b) for k, b in enumerate(sdp_blocks, start=1)]
     places += [(diag, pos, b) for pos, b in enumerate(scalar_blocks)]
-    entries = [
-        (matno, blkno, off + i + 1, off + j + 1, val if matno else -val)
-        for blkno, off, b in places
-        for matno, i, j, val in b.entries
-    ]
+    # one list per matrix number, filled in block order with each block's
+    # sorted triplets and then the rows y >= 0, is the sorted view
+    by_matno = [[] for _ in range(m + 1)]
+    for blkno, off, b in places:
+        for matno, i, j, val in b.entries:
+            by_matno[matno].append((matno, blkno, off + i + 1, off + j + 1, val if matno else -val))
     first = len(scalar_blocks) + 1
-    entries += [(v + 1, diag, first + v, first + v, 1) for v in range(m)]
-    entries.sort()
-    return SdpaData(m, sizes, tuple(-c for c in problem.objective), tuple(entries))
+    for v in range(m):
+        by_matno[v + 1].append((v + 1, diag, first + v, first + v, 1))
+    entries = tuple(itertools.chain.from_iterable(by_matno))
+    return SdpaData(m, sizes, tuple(-c for c in problem.objective), entries)
 
 
 _SDPA_CHUNK = 4096  # entry lines per write of emit_sdpa

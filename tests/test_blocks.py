@@ -8,7 +8,10 @@ import sys
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixedsdp
 from mixedsdp import blocks
@@ -20,10 +23,8 @@ from mixedsdp.blocks import (
     Block,
     build_blocks_d0,
     build_blocks_empty,
-    expand_p,
     representative_vector_empty,
     standard_tableaux,
-    unpack_monomial,
     verify_reduction,
 )
 from mixedsdp.cli import EXIT_VERIFY, main
@@ -39,7 +40,15 @@ from mixedsdp.codes import (
 )
 from mixedsdp.model import build_problem, build_sdp
 from mixedsdp.tableaux import build_shape_index_d0, build_shape_index_empty
-from factor_reference import reference_factor_poly
+from factor_reference import (
+    as_dict,
+    expand_p,
+    pair_polys,
+    poly_mul,
+    reference_factor_poly,
+    state_poly,
+    unpack_monomial,
+)
 
 
 def named(form):
@@ -128,7 +137,7 @@ class TestExpandP:
         spec = ProblemSpec(1, 1, 1)
         shape = shape_for(spec, (1, 1, 0), ((1, 0), (1, 0), (0, 0)))
         col_11 = (1, 1, 0)  # ([1], [1], [])
-        p = expand_p(shape.lambdas, col_11, col_11, {})
+        p = expand_p(shape.lambdas, col_11, col_11)
         assert unpacked(p) == {((1, 0, 0, 0), (1, 0, 0, 0, 0)): 1}
 
     def test_binary_mixed_slots(self):
@@ -136,7 +145,7 @@ class TestExpandP:
         shape = shape_for(spec, (1, 1, 0), ((1, 0), (1, 0), (0, 0)))
         sigma = (0, 1, 0)  # ([2], [1], [])
         tau = (1, 1, 0)  # ([1], [1], [])
-        p = expand_p(shape.lambdas, sigma, tau, {})
+        p = expand_p(shape.lambdas, sigma, tau)
         # tau feeds the first slot: the binary factor is the {12|3} term
         assert unpacked(p) == {((0, 1, 0, 0), (1, 0, 0, 0, 0)): 1}
 
@@ -144,7 +153,7 @@ class TestExpandP:
         spec = ProblemSpec(1, 1, 1)
         shape = shape_for(spec, (1, 0, 1), ((1, 0), (0, 0), (1, 0)))
         col = (1, 0, 1)  # ([1], [], [1])
-        p = expand_p(shape.lambdas, col, col, {})
+        p = expand_p(shape.lambdas, col, col)
         assert unpacked(p) == {
             ((1, 0, 0, 0), (0, 0, 0, 1, 0)): 2,
             ((1, 0, 0, 0), (0, 0, 0, 0, 1)): -2,
@@ -154,7 +163,7 @@ class TestExpandP:
         spec = ProblemSpec(2, 2, 1)
         for shape in build_shape_index_d0(spec):
             cols = shape.admissible
-            p = expand_p(shape.lambdas, cols[0], cols[-1], {})
+            p = expand_p(shape.lambdas, cols[0], cols[-1])
             for (mu, nu) in unpacked(p):
                 assert sum(mu) == spec.n2
                 assert sum(nu) == spec.n3
@@ -162,26 +171,87 @@ class TestExpandP:
     @pytest.mark.parametrize("n2,n3,d", [(4, 8, 5), (1, 11, 5)])
     def test_shared_programme_matches_per_pair_reference(self, n2, n3, d):
         # every (factor, lambda, first, second) of the build's column pairs,
-        # read from the one programme per (factor, lambda), against the
-        # programme pruned to that pair; and each pair's polynomial, with the
-        # ternary product taken from the memo, against the product of the
-        # three reference polynomials
-        memo = {}
+        # read from the one polynomial of all pairs per (factor, lambda),
+        # against the programme pruned to that pair; and each pair's
+        # polynomial, from the shape's one ragged product, against the
+        # product of the three reference polynomials
+        powers = {}
         want = {}
         for shape in build_shape_index_d0(ProblemSpec(n2, n3, d)):
             cols = shape.admissible
+            got = pair_polys(shape.lambdas, cols, powers)
             for i, sigma in enumerate(cols):
-                for tau in cols[i:]:
+                for j, tau in enumerate(cols[i:], start=i):
                     polys = []
                     for key in zip((1, 2, 3), shape.lambdas, tau, sigma):
                         if key not in want:
                             want[key] = reference_factor_poly(*key)
-                            assert blocks._factor_poly(memo, *key) == want[key]
+                            all_pairs = blocks._factor_poly(powers, *key[:2])
+                            assert state_poly(all_pairs, *key[2:]) == want[key]
                         polys.append(want[key])
                     p1, p2, p3 = polys
-                    product = blocks._poly_mul(blocks._poly_mul(p1, p2), p3)
-                    assert expand_p(shape.lambdas, sigma, tau, memo) == product
+                    assert got.get((i, j), {}) == poly_mul(poly_mul(p1, p2), p3)
         assert len({(factor, lam) for factor, lam, *_ in want}) < len(want)
+
+
+# coefficients near and past 2**62, where int64 products and sums overflow
+WIDE = st.one_of(
+    st.integers(min_value=2**62 - 2**20, max_value=2**63 - 1),
+    st.integers(min_value=-(2**63) + 1, max_value=-(2**62) + 2**20),
+    st.integers(min_value=-3, max_value=3),
+)
+POLYS = st.dictionaries(st.integers(min_value=0, max_value=2**20), WIDE, max_size=6)
+
+
+def array_poly(poly: dict):
+    return blocks._Poly(
+        np.array(list(poly), dtype=np.int64), np.array(list(poly.values()), dtype=np.int64)
+    )
+
+
+class TestExactArithmetic:
+    """Products and sums of the array polynomials that would overflow int64
+    are done in Python ints."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(POLYS, POLYS)
+    def test_product_of_wide_coefficients(self, p, q):
+        assert as_dict(blocks._product(array_poly(p), array_poly(q))) == poly_mul(p, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=3), WIDE), max_size=12))
+    def test_sum_of_wide_coefficients(self, terms):
+        want = {}
+        for key, c in terms:
+            want[key] = want.get(key, 0) + c
+        keys = np.array([key for key, _ in terms], dtype=np.int64)
+        coefs = np.array([c for _, c in terms], dtype=np.int64)
+        assert as_dict(blocks._collect(keys, coefs)) == {k: c for k, c in want.items() if c}
+
+    def test_overflowing_examples(self):
+        big = 2**62 + 1
+        assert as_dict(blocks._product(array_poly({0: big, 1: big}), array_poly({0: 3, 2: -1}))) == {
+            0: 3 * big, 1: 3 * big, 2: -big, 3: -big,
+        }
+        summed = blocks._collect(np.zeros(3, dtype=np.int64), np.full(3, big, dtype=np.int64))
+        assert as_dict(summed) == {0: 3 * big}
+
+    def test_widest_binary_factor(self):
+        # the 31st power of the binary height-1 column has coefficients
+        # summing to 4**31 = 2**62 in absolute value, so it is taken in
+        # Python ints
+        powers = {}
+        poly = blocks._factor_poly(powers, 1, (31, 0))
+        assert poly.coefs.dtype == object
+        for first, second in ((31, 31), (16, 15), (0, 0)):
+            assert state_poly(poly, first, second) == reference_factor_poly(1, (31, 0), first, second)
+
+    def test_python_int_build_equals_int64_build(self, monkeypatch):
+        spec = ProblemSpec(3, 3, 2)
+        args = (spec, build_shape_index_d0(spec), enumerate_orbits(spec))
+        want = build_blocks_d0(*args)
+        monkeypatch.setattr(blocks, "_INT64_SAFE", 0.0)
+        assert build_blocks_d0(*args) == want
 
 
 class TestKappa:

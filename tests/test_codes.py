@@ -11,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedsdp.codes import (
+    KEY_COUNT_MAX,
     N_BIN_PATTERNS,
+    N_COUNTS,
     N_TER_PATTERNS,
     Code,
     ProblemSpec,
@@ -20,6 +22,7 @@ from mixedsdp.codes import (
     SizeError,
     Word,
     _BudgetExceeded,
+    _canonical_counts,
     _compositions,
     _degeneracy_order,
     _letter_masks,
@@ -38,8 +41,11 @@ from mixedsdp.codes import (
     orbit_from_counts,
     orbit_is_feasible,
     orbit_pair_distances,
+    pack_counts,
     pair_orbit,
+    reordered_keys,
     singleton_orbit,
+    unpack_keys,
     word,
 )
 from orbit_reference import orbit_size, reference_orbit
@@ -327,6 +333,28 @@ def test_orbit_from_counts_matches_reorderings(bin_counts, ter_counts):
     assert orbit_from_counts(bin_counts, ter_counts) == reference_orbit(
         bin_counts, ter_counts
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(*[st.integers(min_value=0, max_value=KEY_COUNT_MAX)] * N_COUNTS),
+    min_size=1, max_size=20,
+))
+def test_packed_canonical_key_matches_canonical_counts(rows):
+    # keys order as their count tuples; the least of a key's six reorderings
+    # packs _canonical_counts; and sorting by (size, canonical key) sorts
+    # the OrbitIds, which is the order of the variables
+    keys = pack_counts(rows)
+    assert unpack_keys(keys).tolist() == [list(r) for r in rows]
+    assert sorted(keys.tolist()) == pack_counts(sorted(rows)).tolist()
+    # a reordering of a sum of keys is the sum of their reorderings
+    half = pack_counts([[c // 2 for c in r] for r in rows])
+    assert (reordered_keys(half) + reordered_keys(keys - half) == reordered_keys(keys)).all()
+    canon = reordered_keys(keys).min(axis=1)
+    assert unpack_keys(canon).tolist() == [list(_canonical_counts(r)) for r in rows]
+    orbits = [orbit_from_counts(r[:N_BIN_PATTERNS], r[N_BIN_PATTERNS:]) for r in rows]
+    by_key = sorted(zip(orbits, canon.tolist()), key=lambda t: (t[0].size, t[1]))
+    assert [w for w, _ in by_key] == sorted(orbits)
 
 
 @pytest.mark.parametrize("n2,n3,d", [(4, 8, 5), (2, 5, 3)])

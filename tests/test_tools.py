@@ -6,12 +6,14 @@ Each runs in its own process, as it is meant to run, because
 ``solve_report.py`` and ``traffic.py`` set the BLAS thread variables in
 ``os.environ``."""
 
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+from mixedsdp.cli import load_reference_rows
 from test_solver import EMITTED_DIGESTS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,6 +42,21 @@ def test_solve_report():
 def test_sdpa_digests():
     digest = EMITTED_DIGESTS[(1, 1, 1, 3)]
     assert run_tool("sdpa_digests.py", "1,1,1,3") == [f"1,1,1,3 {digest}"]
+
+
+def test_sdpa_digests_table_rows():
+    # --table covers each packaged row at levels 3 and 2; the list is read
+    # from the module, without building a problem
+    spec = importlib.util.spec_from_file_location("sdpa_digests", ROOT / "tools" / "sdpa_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    problems = tool.table_problems()
+    rows = {(r.n2, r.n3, r.d) for r in load_reference_rows()}
+    assert len(problems) == len(set(problems)) == 270
+    for k in (3, 2):
+        assert {p[:3] for p in problems if p[3] == k} == rows
+    # the defaults open with the published level-3 rows of sdp-table
+    assert set(tool.DEFAULT[:11]) <= set(problems)
 
 
 def test_traffic():
