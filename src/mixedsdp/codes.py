@@ -222,40 +222,54 @@ def _canonical_counts(counts: tuple[int, ...]) -> tuple[int, ...]:
     return min([g(counts) for g in _COUNT_MAPS])
 
 
-# A packed key holds the nine pattern counts, binary then ternary, as 5-bit
-# digits with the first count most significant: the integer order of keys is
-# the tuple order of their counts, and adding keys adds their counts.
+# A packed key holds the nine pattern counts, binary then ternary, as digits
+# of ``digit`` bits with the first count most significant: the integer order
+# of keys is the tuple order of their counts, and adding keys adds their
+# counts while no count passes the digit.  The level-3 build packs 5-bit
+# digits; the level-2 orbit list widens them to fit its spec.  Keys are
+# int64 while nine digits fit it, else Python ints.
 KEY_DIGIT = 5
 KEY_COUNT_MAX = (1 << KEY_DIGIT) - 1
 N_COUNTS = N_BIN_PATTERNS + N_TER_PATTERNS
-_KEY_SHIFTS = KEY_DIGIT * np.arange(N_COUNTS - 1, -1, -1, dtype=np.int64)
-KEY_WEIGHTS = 1 << _KEY_SHIFTS
 
 
-def pack_counts(counts) -> np.ndarray:
-    """The packed keys of rows of nine pattern counts, each at most
-    ``KEY_COUNT_MAX``."""
-    return np.asarray(counts, dtype=np.int64).reshape(-1, N_COUNTS) @ KEY_WEIGHTS
+def _key_weights(digit: int) -> np.ndarray:
+    dtype = np.int64 if N_COUNTS * digit < 64 else object
+    return np.array([1 << digit * i for i in range(N_COUNTS - 1, -1, -1)], dtype=dtype)
 
 
-def unpack_keys(keys: np.ndarray) -> np.ndarray:
+KEY_WEIGHTS = _key_weights(KEY_DIGIT)
+
+
+def pack_counts(counts, digit: int = KEY_DIGIT) -> np.ndarray:
+    """The packed keys of rows of nine pattern counts; a count that does
+    not fit a ``digit``-bit digit raises ``ValueError``."""
+    weights = _key_weights(digit)
+    counts = np.asarray(counts, dtype=weights.dtype).reshape(-1, N_COUNTS)
+    if counts.size and counts.max() >> digit:
+        raise ValueError(
+            f"a pattern count of {counts.max()} does not fit a {digit}-bit key digit"
+        )
+    return counts @ weights
+
+
+def unpack_keys(keys: np.ndarray, digit: int = KEY_DIGIT) -> np.ndarray:
     """The nine pattern counts of each packed key, one row per key; digits
     above the nine are ignored."""
-    return keys[:, None] >> _KEY_SHIFTS & KEY_COUNT_MAX
+    shifts = digit * np.arange(N_COUNTS - 1, -1, -1, dtype=np.int64)
+    return keys[:, None] >> shifts & (1 << digit) - 1
 
 
-# the weight that each reordering (a column) gives each count (a row): the
-# weight of the place the count moves to
-_REORDER_WEIGHTS = np.stack([KEY_WEIGHTS[np.argsort(order)] for order in _COUNT_ORDERS], axis=1)
-
-
-def reordered_keys(keys: np.ndarray) -> np.ndarray:
+def reordered_keys(keys: np.ndarray, digit: int = KEY_DIGIT) -> np.ndarray:
     """The packed keys of the six reorderings of each key's counts, one row
     per key.  A reordering is linear in the counts, so the reorderings of a
-    sum of keys whose counts stay at most ``KEY_COUNT_MAX`` are the sums of
-    their reorderings; the least of a key's six is its
-    ``_canonical_counts``."""
-    return unpack_keys(keys) @ _REORDER_WEIGHTS
+    sum of keys whose counts stay within the digit are the sums of their
+    reorderings; the least of a key's six is its ``_canonical_counts``."""
+    weights = _key_weights(digit)
+    # the weight that each reordering (a column) gives each count (a row):
+    # the weight of the place the count moves to
+    moved = np.stack([weights[np.argsort(order)] for order in _COUNT_ORDERS], axis=1)
+    return unpack_keys(keys, digit) @ moved
 
 
 def _pair_distances(bin_counts, ter_counts) -> tuple[int, int, int]:
@@ -341,10 +355,17 @@ def orbit_pair_distances(w: OrbitId) -> tuple[int, int, int]:
     return _pair_distances(w.bin_counts, w.ter_counts)
 
 
+def _distances_allowed(size, dists, d: int):
+    """Whether codes of this size and pair distances have minimum distance
+    at least d, for ints or for arrays of them; a zero pair distance is a
+    repeated word of the padded triple."""
+    ok = [(x == 0) | (x >= d) for x in dists]
+    return (size <= 1) | (ok[0] & ok[1] & ok[2])
+
+
 def orbit_is_feasible(w: OrbitId, d: int) -> bool:
-    """Whether every representative code has minimum distance at least d;
-    a zero pair distance is a repeated word of the padded triple."""
-    return w.size <= 1 or all(x == 0 or x >= d for x in orbit_pair_distances(w))
+    """Whether every representative code has minimum distance at least d."""
+    return _distances_allowed(w.size, _pair_distances(w.bin_counts, w.ter_counts), d)
 
 
 def _compositions(total: int, nparts: int):
@@ -379,23 +400,31 @@ def enumerate_orbits(spec: ProblemSpec) -> dict[OrbitId, int]:
     canonical key is the least of the six sums of their reorderings, and
     the distinct canonical keys are the orbits.  Sorting them by (size,
     key) is sorting the OrbitIds, and only the kept ones become OrbitIds.
+    Level 3 packs the 5-bit digits of the block build, so a count above
+    ``KEY_COUNT_MAX`` raises ``ValueError`` before any product is formed;
+    level 2 widens its digits to fit the spec.
     """
-    patterns = tuple(range(N_TER_PATTERNS)) if spec.k == 3 else (PAT_ALL_EQUAL, PAT_23)
+    if spec.k == 3:
+        patterns, digit = tuple(range(N_TER_PATTERNS)), KEY_DIGIT
+    else:
+        patterns, digit = (PAT_ALL_EQUAL, PAT_23), max(KEY_DIGIT, max(spec.n2, spec.n3).bit_length())
     bin_patterns = tuple(p for p in patterns if p < N_BIN_PATTERNS)
     ter_patterns = tuple(N_BIN_PATTERNS + p for p in patterns)
-    rb = reordered_keys(pack_counts(list(_count_vectors(spec.n2, N_COUNTS, bin_patterns))))
-    rt = reordered_keys(pack_counts(list(_count_vectors(spec.n3, N_COUNTS, ter_patterns))))
+    rb, rt = (
+        reordered_keys(pack_counts(list(_count_vectors(n, N_COUNTS, ps)), digit), digit)
+        for n, ps in ((spec.n2, bin_patterns), (spec.n3, ter_patterns))
+    )
     canon = rb[:, 0, None] + rt[:, 0]
     for g in range(1, len(_COUNT_ORDERS)):
         np.minimum(canon, rb[:, g, None] + rt[:, g], out=canon)
     keys = np.sort(canon, axis=None)
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    counts = unpack_keys(keys)
+    counts = unpack_keys(keys, digit)
     bin_counts, ter_counts = counts[:, :N_BIN_PATTERNS].T, counts[:, N_BIN_PATTERNS:].T
-    dists = np.array(_pair_distances(bin_counts, ter_counts))
     size = _size_from_counts(bin_counts, ter_counts)
-    kept = np.flatnonzero((size == 1) | ((dists == 0) | (dists >= spec.d)).all(axis=0))
-    kept = kept[np.argsort(size[kept] << KEY_DIGIT * N_COUNTS | keys[kept])]
+    kept = np.flatnonzero(_distances_allowed(size, _pair_distances(bin_counts, ter_counts), spec.d))
+    # the keys are sorted, so a stable sort by size sorts by (size, key)
+    kept = kept[np.argsort(size[kept], kind="stable")]
     return {
         OrbitId(w, tuple(c[:N_BIN_PATTERNS]), tuple(c[N_BIN_PATTERNS:])): i
         for i, (w, c) in enumerate(zip(size[kept].tolist(), counts[kept].tolist()))

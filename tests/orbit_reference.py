@@ -1,5 +1,6 @@
 """Reference counts that only the tests use: the orbit of a count vector by
-reordering its patterns directly, orbit sizes by counting column fillings,
+reordering its patterns directly, the variables found one count tuple at a
+time, orbit sizes by counting column fillings,
 the group-averaged indicator of a code, a feasible point of the assembled
 problem, and the float matrix of a block at a point."""
 
@@ -12,12 +13,16 @@ import numpy as np
 from mixedsdp.codes import (
     N_BIN_PATTERNS,
     N_TER_PATTERNS,
+    PAT_23,
+    PAT_ALL_EQUAL,
     PATTERN_PERMS,
     Code,
     OrbitId,
     ProblemSpec,
+    _count_vectors,
     _size_from_counts,
     canonical_orbit,
+    orbit_is_feasible,
 )
 
 # Number of column fillings realizing each pattern (choices of letters).
@@ -49,6 +54,17 @@ def reference_orbit(bin_counts, ter_counts) -> OrbitId:
     counts compared first."""
     cb, ct = min(reorderings(bin_counts, ter_counts))
     return OrbitId(_size_from_counts(cb, ct), cb, ct)
+
+
+def tuple_orbits(spec: ProblemSpec) -> dict[OrbitId, int]:
+    """The map of ``enumerate_orbits``, built from count tuples one vector
+    at a time with ``reference_orbit``: no packed keys, so no digit limit."""
+    patterns = tuple(range(N_TER_PATTERNS)) if spec.k == 3 else (PAT_ALL_EQUAL, PAT_23)
+    bins = list(_count_vectors(spec.n2, N_BIN_PATTERNS, tuple(p for p in patterns if p < N_BIN_PATTERNS)))
+    ters = list(_count_vectors(spec.n3, N_TER_PATTERNS, patterns))
+    found = {reference_orbit(bc, tc) for bc in bins for tc in ters}
+    kept = sorted(w for w in found if orbit_is_feasible(w, spec.d))
+    return {w: i for i, w in enumerate(kept)}
 
 
 def _multinomial(counts) -> int:

@@ -48,7 +48,7 @@ from mixedsdp.codes import (
     unpack_keys,
     word,
 )
-from orbit_reference import orbit_size, reference_orbit
+from orbit_reference import orbit_size, reference_orbit, tuple_orbits
 
 
 @dataclass(frozen=True)
@@ -322,6 +322,25 @@ class TestEnumerateOrbits:
                 counts[canonical_orbit(spec, code(*combo))] += 1
         for w, count in counts.items():
             assert count == orbit_size(spec, w), w.describe()
+
+    # level 2 widens its key digits past 5 bits (int64 up to counts of 63,
+    # Python ints beyond)
+    @pytest.mark.parametrize("n2,n3,d", [(1, 32, 3), (33, 2, 4), (40, 63, 20), (70, 5, 5), (1, 200, 3)])
+    def test_level_two_counts_above_five_bits(self, n2, n3, d):
+        spec = ProblemSpec(n2, n3, d, k=2)
+        assert list(enumerate_orbits(spec).items()) == list(tuple_orbits(spec).items())
+
+    def test_level_three_count_above_five_bits_refused(self):
+        # level 3 packs the block build's 5-bit digits; the refusal comes
+        # before the binary x ternary product is formed
+        for n2, n3 in ((32, 1), (1, 32)):
+            with pytest.raises(ValueError, match="5-bit"):
+                enumerate_orbits(ProblemSpec(n2, n3, 1, k=3))
+
+
+def test_pack_counts_refuses_a_count_past_its_digit():
+    with pytest.raises(ValueError, match="5-bit"):
+        pack_counts([[0] * (N_COUNTS - 1) + [KEY_COUNT_MAX + 1]])
 
 
 @settings(max_examples=200, deadline=None)

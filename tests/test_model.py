@@ -12,9 +12,11 @@ from mixedsdp.codes import (
     optimal_code,
     singleton_orbit,
 )
+from mixedsdp.blocks import build_blocks_empty
 from mixedsdp.model import build_lp_k2, build_problem, build_sdp, derived_doubling_bound
 from mixedsdp.solver import certify, solve
-from orbit_reference import block_at, code_indicator_assignment
+from mixedsdp.tableaux import build_shape_index_empty
+from orbit_reference import block_at, code_indicator_assignment, tuple_orbits
 
 
 def eval_blocks(problem, y):
@@ -95,6 +97,15 @@ class TestBuildLp:
     def test_rejects_wrong_level(self):
         with pytest.raises(ValueError):
             build_lp_k2(ProblemSpec(1, 1, 1, k=3))
+
+    def test_counts_above_five_bits(self):
+        # a ternary count of 32 needs a wider key digit than level 3 packs;
+        # the problem is the one the tuple enumeration gives
+        spec = ProblemSpec(1, 32, 3, k=2)
+        want = tuple_orbits(spec)
+        p = build_problem(spec)
+        assert p.variables == tuple(want)
+        assert p.blocks == tuple(build_blocks_empty(spec, build_shape_index_empty(spec), want))
 
 
 class TestDoubling:

@@ -663,6 +663,16 @@ class TestSdpaInterchange:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         assert parse_sdpa(path) == problem_to_sdpa_data(problem)
 
+    @pytest.mark.parametrize("n2,n3,d,k", [(2, 2, 3, 3), (2, 5, 3, 3), (2, 5, 3, 2), (1, 4, 3, 2)])
+    def test_view_is_sorted_without_sorting(self, n2, n3, d, k):
+        # problem_to_sdpa_data concatenates each block's triplets by matrix
+        # number, so it is the sorted view only while every block is sorted
+        problem = build_problem(ProblemSpec(n2, n3, d, k))
+        for b in problem.blocks:
+            assert list(b.entries) == sorted(b.entries), b.label
+        entries = list(problem_to_sdpa_data(problem).entries)
+        assert entries == sorted(entries)
+
     def test_bad_header_rejected(self, parse_text):
         with pytest.raises(SdpaParseError):
             parse_text("3\n1\n2 2\n1.0 1.0 1.0\n")
