@@ -44,7 +44,6 @@ from typing import NamedTuple
 import numpy as np
 
 from mixedsdp.codes import (
-    KEY_COUNT_MAX,
     KEY_DIGIT,
     KEY_WEIGHTS,
     N_BIN_PATTERNS,
@@ -60,6 +59,7 @@ from mixedsdp.codes import (
     Word,
     all_words,
     canonical_orbit,
+    check_key_digits,
     code,
     enumerate_orbits,
     orbit_is_feasible,
@@ -193,20 +193,16 @@ def _column(factor: int, height: int) -> _Poly:
 
 
 def _column_power(powers: dict, factor: int, height: int, r: int) -> _Poly:
-    """The r-th power of a factor's column of that height, from and into
-    the build's ``powers``."""
-    key = (factor, height, r)
-    if key not in powers:
-        if r == 0:
-            powers[key] = _Poly(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
-        elif r == 1:
-            powers[key] = _column(factor, height)
-        else:
-            powers[key] = _product(
-                _column_power(powers, factor, height, r - 1),
-                _column_power(powers, factor, height, 1),
-            )
-    return powers[key]
+    """The r-th power of a factor's column of that height, from the build's
+    ``powers``, which holds one list of powers per (factor, height), grown
+    from the unit polynomial as far as a shape needs."""
+    unit = _Poly(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+    found = powers.setdefault((factor, height), [unit])
+    if len(found) <= r:
+        column = _column(factor, height)
+        while len(found) <= r:
+            found.append(_product(found[-1], column))
+    return found[r]
 
 
 def _factor_poly(powers: dict, factor: int, lam: tuple[int, int]) -> _Poly:
@@ -218,10 +214,6 @@ def _factor_poly(powers: dict, factor: int, lam: tuple[int, int]) -> _Poly:
     the first and the second base-change slot; a pair without terms has
     polynomial 0."""
     a, b = lam
-    if a == b:
-        return _column_power(powers, factor, 2, b)
-    if not b:
-        return _column_power(powers, factor, 1, a)
     return _product(_column_power(powers, factor, 2, b), _column_power(powers, factor, 1, a - b))
 
 
@@ -317,11 +309,7 @@ def build_blocks_d0(
     shape's factor polynomials (``_factor_poly``, ``_ternary_poly``) and
     the int objects of the triplets; all go with the build.
     """
-    if max(spec.n2, spec.n3) > KEY_COUNT_MAX:
-        raise ValueError(
-            f"({spec.n2}, {spec.n3}): a pattern count above {KEY_COUNT_MAX} "
-            f"does not fit a {KEY_DIGIT}-bit monomial digit"
-        )
+    check_key_digits(spec)
     keys = pack_counts([w.bin_counts + w.ter_counts for w in variables])
     order = np.argsort(keys)
     # the sentinel above every key ends each search inside the array
@@ -539,6 +527,43 @@ def _contraction_mismatch(
     return None
 
 
+def _multiplicities(
+    spec: ProblemSpec, shapes_zero: list[ShapeD0], shapes_empty: list[ShapeEmpty]
+) -> tuple[list[int], list[int]]:
+    """How often each block of the two cases repeats: once per dimension of
+    its irreducible representation, C(n3, l2) f(lam1) f(lam2) in the zero
+    case and C(n2, l2) C(n3, l4) 2^l4 in the empty case, f counting standard
+    tableaux."""
+    mult_zero = [
+        comb(spec.n3, s.counts[1]) * standard_tableaux(s.lambdas[0]) * standard_tableaux(s.lambdas[1])
+        for s in shapes_zero
+    ]
+    mult_empty = [comb(spec.n2, s.counts[1]) * comb(spec.n3, s.counts[3]) * 2 ** s.counts[3] for s in shapes_empty]
+    return mult_zero, mult_empty
+
+
+def dimension_count(
+    spec: ProblemSpec, shapes_zero: list[ShapeD0], shapes_empty: list[ShapeEmpty]
+) -> tuple[str, bool, str]:
+    """Check (b) of ``verify_reduction``, as (name, passed, detail): each
+    case's block dimensions times their multiplicities count its kept words,
+    in the zero case the 1 + sum over a + b >= d of C(n2, a) C(n3, b) 2^b
+    words of weight 0 or at least d, in the empty case every word.  It
+    writes no word out, so it runs at every size."""
+    mult_zero, mult_empty = _multiplicities(spec, shapes_zero, shapes_empty)
+    count_zero = sum(m * len(s.admissible) for m, s in zip(mult_zero, shapes_zero))
+    kept = 1 + sum(
+        comb(spec.n2, a) * comb(spec.n3, b) * 2 ** b
+        for a in range(spec.n2 + 1) for b in range(spec.n3 + 1) if a + b >= spec.d
+    )
+    return (
+        "block dimensions times multiplicities count the words",
+        count_zero == kept and sum(mult_empty) == spec.num_words,
+        f"zero case {count_zero} for {kept} words of weight 0 or >= {spec.d}; "
+        f"empty case {sum(mult_empty)} for {spec.num_words} words",
+    )
+
+
 def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     """Check the reduction engine against explicit unreduced objects.
 
@@ -546,9 +571,8 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     (b) builds one explicit table per stabilizer case, holding the SDPA
     matno of each entry of the full matrix (orbit index + 1, 0 for the
     constant 1; the index is that in the d = 1 map of ``enumerate_orbits``,
-    which holds every nonempty orbit), and checks that each case's block
-    dimensions times their multiplicities count its kept words (weight 0 or
-    at least d in the zero case, every word in the empty case); (c) compares
+    which holds every nonempty orbit), and counts each case's kept words
+    against its block dimensions (``dimension_count``); (c) compares
     every engine block entry with the explicit contraction of its columns in
     exact integer arithmetic, over the keys of both, so an entry either side
     lacks is caught too; (d) draws one assignment in (-1, 1) on the feasible orbits
@@ -563,7 +587,6 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
         )
     checks: list[tuple[str, bool, str]] = []
     words = list(all_words(spec))
-    nwords = len(words)
     pos = {w: i for i, w in enumerate(words)}
     # every nonempty orbit; the zero case meets triples
     variables = enumerate_orbits(replace(spec, d=1, k=3))
@@ -576,7 +599,7 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     # zero case: the words as rows, the orbit of {0, x, y} at (x, y); empty
     # case: the empty code first, then the words, the orbit of {x, y} at (x, y)
     table_zero = np.array([[matno_of(zero, x, y) for y in words] for x in words])
-    table_empty = np.zeros((nwords + 1, nwords + 1), dtype=np.int64)
+    table_empty = np.zeros((len(words) + 1, len(words) + 1), dtype=np.int64)
     table_empty[0, 1:] = table_empty[1:, 0] = variables[singleton_orbit(spec)] + 1
     table_empty[1:, 1:] = [[matno_of(x, y) for y in words] for x in words]
 
@@ -585,22 +608,7 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     blocks_zero = build_blocks_d0(spec, shapes_zero, variables)
     blocks_empty = build_blocks_empty(spec, shapes_empty, variables)
 
-    # completeness: a block repeats once per dimension of its irreducible
-    # representation, C(n3, l2) f(lam1) f(lam2) in the zero case and
-    # C(n2, l2) C(n3, l4) 2^l4 in the empty case, f counting standard tableaux
-    mult_zero = [
-        comb(spec.n3, s.counts[1]) * standard_tableaux(s.lambdas[0]) * standard_tableaux(s.lambdas[1])
-        for s in shapes_zero
-    ]
-    mult_empty = [comb(spec.n2, s.counts[1]) * comb(spec.n3, s.counts[3]) * 2 ** s.counts[3] for s in shapes_empty]
-    count_zero = sum(m * len(s.admissible) for m, s in zip(mult_zero, shapes_zero))
-    kept = sum(1 for w in words if not 0 < sum(map(bool, w.bits + w.trits)) < spec.d)
-    checks.append((
-        "block dimensions times multiplicities count the words",
-        count_zero == kept and sum(mult_empty) == nwords,
-        f"zero case {count_zero} for {kept} words of weight 0 or >= {spec.d}; "
-        f"empty case {sum(mult_empty)} for {nwords} words",
-    ))
+    checks.append(dimension_count(spec, shapes_zero, shapes_empty))
 
     # (c) zero-word case
     mismatch = None
@@ -649,6 +657,7 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
             total += mult * _inertia(m + np.triu(m, 1).T)
         return total
 
+    mult_zero, mult_empty = _multiplicities(spec, shapes_zero, shapes_empty)
     full = np.array([_inertia(scale[table_zero]), _inertia(scale[table_empty])])
     reduced = np.array([block_inertia(blocks_zero, mult_zero), block_inertia(blocks_empty, mult_empty)])
     checks.append((

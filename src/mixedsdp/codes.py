@@ -8,7 +8,8 @@ letters independently in every coordinate.  Group elements are never
 materialized for canonicalization: the orbit of a code is identified by
 counting, per coordinate block, the equality pattern of a padded ordered
 triple of its words, minimized over the six reorderings of the triple.
-The orbit enumeration does the same on integer arrays of packed keys.
+The level-3 orbit enumeration does the same on integer arrays of packed
+keys; level 2 lists the distance profiles of pairs.
 """
 
 from __future__ import annotations
@@ -222,54 +223,52 @@ def _canonical_counts(counts: tuple[int, ...]) -> tuple[int, ...]:
     return min([g(counts) for g in _COUNT_MAPS])
 
 
-# A packed key holds the nine pattern counts, binary then ternary, as digits
-# of ``digit`` bits with the first count most significant: the integer order
-# of keys is the tuple order of their counts, and adding keys adds their
-# counts while no count passes the digit.  The level-3 build packs 5-bit
-# digits; the level-2 orbit list widens them to fit its spec.  Keys are
-# int64 while nine digits fit it, else Python ints.
+# A packed key holds the nine pattern counts, binary then ternary, as 5-bit
+# digits with the first count most significant: the integer order of keys is
+# the tuple order of their counts, and adding keys adds their counts while no
+# count passes 31.  Only level 3 packs keys, for specs that
+# ``check_key_digits`` admits.
 KEY_DIGIT = 5
 KEY_COUNT_MAX = (1 << KEY_DIGIT) - 1
 N_COUNTS = N_BIN_PATTERNS + N_TER_PATTERNS
+_KEY_SHIFTS = KEY_DIGIT * np.arange(N_COUNTS - 1, -1, -1, dtype=np.int64)
+KEY_WEIGHTS = 1 << _KEY_SHIFTS
+# the weight that each reordering (a column) gives each count (a row): the
+# weight of the place the count moves to
+_REORDER_WEIGHTS = np.stack([KEY_WEIGHTS[np.argsort(order)] for order in _COUNT_ORDERS], axis=1)
 
 
-def _key_weights(digit: int) -> np.ndarray:
-    dtype = np.int64 if N_COUNTS * digit < 64 else object
-    return np.array([1 << digit * i for i in range(N_COUNTS - 1, -1, -1)], dtype=dtype)
-
-
-KEY_WEIGHTS = _key_weights(KEY_DIGIT)
-
-
-def pack_counts(counts, digit: int = KEY_DIGIT) -> np.ndarray:
-    """The packed keys of rows of nine pattern counts; a count that does
-    not fit a ``digit``-bit digit raises ``ValueError``."""
-    weights = _key_weights(digit)
-    counts = np.asarray(counts, dtype=weights.dtype).reshape(-1, N_COUNTS)
-    if counts.size and counts.max() >> digit:
+def check_key_digits(spec: ProblemSpec) -> None:
+    """Refuse a spec whose pattern counts can pass a 5-bit key digit."""
+    if max(spec.n2, spec.n3) > KEY_COUNT_MAX:
         raise ValueError(
-            f"a pattern count of {counts.max()} does not fit a {digit}-bit key digit"
+            f"({spec.n2}, {spec.n3}): level 3 packs pattern counts as 5-bit key "
+            f"digits, so it takes at most {KEY_COUNT_MAX} coordinates per alphabet"
         )
-    return counts @ weights
 
 
-def unpack_keys(keys: np.ndarray, digit: int = KEY_DIGIT) -> np.ndarray:
+def pack_counts(counts) -> np.ndarray:
+    """The packed keys of rows of nine pattern counts; a count above
+    ``KEY_COUNT_MAX`` raises ``ValueError``."""
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1, N_COUNTS)
+    if counts.size and counts.max() > KEY_COUNT_MAX:
+        raise ValueError(f"a pattern count of {counts.max()} does not fit a 5-bit key digit")
+    return counts @ KEY_WEIGHTS
+
+
+def unpack_keys(keys: np.ndarray) -> np.ndarray:
     """The nine pattern counts of each packed key, one row per key; digits
     above the nine are ignored."""
-    shifts = digit * np.arange(N_COUNTS - 1, -1, -1, dtype=np.int64)
-    return keys[:, None] >> shifts & (1 << digit) - 1
+    return keys[:, None] >> _KEY_SHIFTS & KEY_COUNT_MAX
 
 
-def reordered_keys(keys: np.ndarray, digit: int = KEY_DIGIT) -> np.ndarray:
+def reordered_keys(keys: np.ndarray) -> np.ndarray:
     """The packed keys of the six reorderings of each key's counts, one row
     per key.  A reordering is linear in the counts, so the reorderings of a
-    sum of keys whose counts stay within the digit are the sums of their
-    reorderings; the least of a key's six is its ``_canonical_counts``."""
-    weights = _key_weights(digit)
-    # the weight that each reordering (a column) gives each count (a row):
-    # the weight of the place the count moves to
-    moved = np.stack([weights[np.argsort(order)] for order in _COUNT_ORDERS], axis=1)
-    return unpack_keys(keys, digit) @ moved
+    sum of keys whose counts stay at most ``KEY_COUNT_MAX`` are the sums of
+    their reorderings; the least of a key's six is its
+    ``_canonical_counts``."""
+    return unpack_keys(keys) @ _REORDER_WEIGHTS
 
 
 def _pair_distances(bin_counts, ter_counts) -> tuple[int, int, int]:
@@ -377,49 +376,39 @@ def _compositions(total: int, nparts: int):
             yield (head,) + rest
 
 
-def _count_vectors(total: int, width: int, patterns: tuple[int, ...]):
-    """Count vectors of ``width`` patterns summing to ``total``, zero
-    outside ``patterns``."""
-    for comp in _compositions(total, len(patterns)):
-        out = [0] * width
-        for p, c in zip(patterns, comp):
-            out[p] = c
-        yield tuple(out)
-
-
 def enumerate_orbits(spec: ProblemSpec) -> dict[OrbitId, int]:
     """The variables: every orbit of nonempty codes of at most spec.k words
     at pairwise distance >= d, in sorted order (so by size first, and the
     level-2 list is the start of the level-3 one), each mapped to its index.
-    They are generated directly from pattern count vectors (never by
-    scanning codes).
 
-    A code of at most two words pads to a triple (x, y, y), whose columns
-    show only the patterns {123} and {1|23}, so level 2 counts only those.
-    Every count vector is one sum of a binary and a ternary packed key; its
+    Level 2 lists the singleton and then, sorted, ``pair_orbit(spec, a, b)``
+    for every distance profile (a, b) with a + b >= d: the orbits that
+    ``build_blocks_empty`` reads.  Level 3 generates its orbits from pattern
+    count vectors (never by scanning codes), after ``check_key_digits``:
+    every count vector is one sum of a binary and a ternary packed key; its
     canonical key is the least of the six sums of their reorderings, and
     the distinct canonical keys are the orbits.  Sorting them by (size,
     key) is sorting the OrbitIds, and only the kept ones become OrbitIds.
-    Level 3 packs the 5-bit digits of the block build, so a count above
-    ``KEY_COUNT_MAX`` raises ``ValueError`` before any product is formed;
-    level 2 widens its digits to fit the spec.
     """
-    if spec.k == 3:
-        patterns, digit = tuple(range(N_TER_PATTERNS)), KEY_DIGIT
-    else:
-        patterns, digit = (PAT_ALL_EQUAL, PAT_23), max(KEY_DIGIT, max(spec.n2, spec.n3).bit_length())
-    bin_patterns = tuple(p for p in patterns if p < N_BIN_PATTERNS)
-    ter_patterns = tuple(N_BIN_PATTERNS + p for p in patterns)
-    rb, rt = (
-        reordered_keys(pack_counts(list(_count_vectors(n, N_COUNTS, ps)), digit), digit)
-        for n, ps in ((spec.n2, bin_patterns), (spec.n3, ter_patterns))
-    )
+    if spec.k == 2:
+        pairs = sorted(
+            pair_orbit(spec, a, b)
+            for a in range(spec.n2 + 1) for b in range(spec.n3 + 1) if a + b >= spec.d
+        )
+        return {w: i for i, w in enumerate([singleton_orbit(spec), *pairs])}
+    check_key_digits(spec)
+    rb = reordered_keys(pack_counts(
+        [c + (0,) * N_TER_PATTERNS for c in _compositions(spec.n2, N_BIN_PATTERNS)]
+    ))
+    rt = reordered_keys(pack_counts(
+        [(0,) * N_BIN_PATTERNS + c for c in _compositions(spec.n3, N_TER_PATTERNS)]
+    ))
     canon = rb[:, 0, None] + rt[:, 0]
     for g in range(1, len(_COUNT_ORDERS)):
         np.minimum(canon, rb[:, g, None] + rt[:, g], out=canon)
     keys = np.sort(canon, axis=None)
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    counts = unpack_keys(keys, digit)
+    counts = unpack_keys(keys)
     bin_counts, ter_counts = counts[:, :N_BIN_PATTERNS].T, counts[:, N_BIN_PATTERNS:].T
     size = _size_from_counts(bin_counts, ter_counts)
     kept = np.flatnonzero(_distances_allowed(size, _pair_distances(bin_counts, ter_counts), spec.d))

@@ -19,7 +19,7 @@ from mixedsdp.codes import (
     Code,
     OrbitId,
     ProblemSpec,
-    _count_vectors,
+    _compositions,
     _size_from_counts,
     canonical_orbit,
     orbit_is_feasible,
@@ -56,9 +56,22 @@ def reference_orbit(bin_counts, ter_counts) -> OrbitId:
     return OrbitId(_size_from_counts(cb, ct), cb, ct)
 
 
+def _count_vectors(total: int, width: int, patterns: tuple[int, ...]):
+    """Count vectors of ``width`` patterns summing to ``total``, zero
+    outside ``patterns``."""
+    for comp in _compositions(total, len(patterns)):
+        out = [0] * width
+        for p, c in zip(patterns, comp):
+            out[p] = c
+        yield tuple(out)
+
+
 def tuple_orbits(spec: ProblemSpec) -> dict[OrbitId, int]:
     """The map of ``enumerate_orbits``, built from count tuples one vector
-    at a time with ``reference_orbit``: no packed keys, so no digit limit."""
+    at a time with ``reference_orbit``, at both levels: no packed keys and
+    no distance profiles.  A code of at most two words pads to a triple
+    (x, y, y), whose columns show only the patterns {123} and {1|23}, so
+    level 2 counts only those."""
     patterns = tuple(range(N_TER_PATTERNS)) if spec.k == 3 else (PAT_ALL_EQUAL, PAT_23)
     bins = list(_count_vectors(spec.n2, N_BIN_PATTERNS, tuple(p for p in patterns if p < N_BIN_PATTERNS)))
     ters = list(_count_vectors(spec.n3, N_TER_PATTERNS, patterns))

@@ -23,11 +23,12 @@ from mixedsdp.blocks import (
     Block,
     build_blocks_d0,
     build_blocks_empty,
+    dimension_count,
     representative_vector_empty,
     standard_tableaux,
     verify_reduction,
 )
-from mixedsdp.cli import EXIT_VERIFY, main
+from mixedsdp.cli import EXIT_VERIFY, load_reference_rows, main
 from mixedsdp.codes import (
     PATTERN_NAMES,
     ProblemSpec,
@@ -607,6 +608,18 @@ class TestVerifyReduction:
         assert detail in report.first_failure()
         assert main(["verify", "2", "2", "--d", "1"]) == EXIT_VERIFY
         assert "first discrepancy: block dimensions" in capsys.readouterr().out
+
+    def test_dimension_count_every_packaged_row(self):
+        # the count writes no word out, so it reaches every row of the
+        # table, far past the verifier's word cap
+        rows = load_reference_rows()
+        assert len(rows) == 135
+        for r in rows:
+            spec = ProblemSpec(r.n2, r.n3, r.d)
+            _, ok, detail = dimension_count(
+                spec, build_shape_index_d0(spec), build_shape_index_empty(spec)
+            )
+            assert ok, (spec, detail)
 
     def test_nonzero_column_sum_found(self, monkeypatch):
         # A column with sum s contracts to entries totalling s^2, and a

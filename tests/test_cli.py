@@ -92,6 +92,14 @@ class TestCommands:
         assert "tol must be positive and finite" in capsys.readouterr().err
         assert not store.exists()
 
+    def test_bound_past_key_digits_names_spec(self, tmp_path, capsys):
+        # level 3 takes at most 31 coordinates per alphabet
+        store = tmp_path / "s.jsonl"
+        assert main(["bound", "1", "32", "3", "--store", str(store)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "(1, 32)" in err and "5-bit" in err and "at most 31" in err
+        assert not store.exists()
+
     def test_bound_out_of_iterations(self, tmp_path, capsys):
         store = tmp_path / "s.jsonl"
         code = main(["bound", "2", "5", "3", "--max-iter", "1", "--store", str(store)])

@@ -323,12 +323,26 @@ class TestEnumerateOrbits:
         for w, count in counts.items():
             assert count == orbit_size(spec, w), w.describe()
 
-    # level 2 widens its key digits past 5 bits (int64 up to counts of 63,
-    # Python ints beyond)
+    # level 2 lists distance profiles and packs no keys, so its counts may
+    # pass the 31 of a 5-bit key digit
     @pytest.mark.parametrize("n2,n3,d", [(1, 32, 3), (33, 2, 4), (40, 63, 20), (70, 5, 5), (1, 200, 3)])
     def test_level_two_counts_above_five_bits(self, n2, n3, d):
         spec = ProblemSpec(n2, n3, d, k=2)
         assert list(enumerate_orbits(spec).items()) == list(tuple_orbits(spec).items())
+
+    def test_level_two_is_the_start_of_level_three(self):
+        # the two levels share no enumeration code: level 2's map is the
+        # start of level 3's, index for index, and level 3 adds only triples
+        specs = [
+            (n2, length - n2, d)
+            for length in range(2, 11) for n2 in range(1, length) for d in range(1, length + 1)
+        ]
+        assert len(specs) == 330
+        for n2, n3, d in specs:
+            two = list(enumerate_orbits(ProblemSpec(n2, n3, d, k=2)).items())
+            three = list(enumerate_orbits(ProblemSpec(n2, n3, d, k=3)).items())
+            assert three[:len(two)] == two, (n2, n3, d)
+            assert all(w.size == 3 for w, _ in three[len(two):]), (n2, n3, d)
 
     def test_level_three_count_above_five_bits_refused(self):
         # level 3 packs the block build's 5-bit digits; the refusal comes

@@ -99,7 +99,7 @@ class TestBuildLp:
             build_lp_k2(ProblemSpec(1, 1, 1, k=3))
 
     def test_counts_above_five_bits(self):
-        # a ternary count of 32 needs a wider key digit than level 3 packs;
+        # level 2 packs no keys, so a ternary count of 32 builds;
         # the problem is the one the tuple enumeration gives
         spec = ProblemSpec(1, 32, 3, k=2)
         want = tuple_orbits(spec)

@@ -44,12 +44,18 @@ def test_sdpa_digests():
     assert run_tool("sdpa_digests.py", "1,1,1,3") == [f"1,1,1,3 {digest}"]
 
 
-def test_sdpa_digests_table_rows():
-    # --table covers each packaged row at levels 3 and 2; the list is read
-    # from the module, without building a problem
+def digests_tool():
+    """``tools/sdpa_digests.py`` as a module, for its problem lists."""
     spec = importlib.util.spec_from_file_location("sdpa_digests", ROOT / "tools" / "sdpa_digests.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_sdpa_digests_table_rows():
+    # --table covers each packaged row at levels 3 and 2; the list is read
+    # from the module, without building a problem
+    tool = digests_tool()
     problems = tool.table_problems()
     rows = {(r.n2, r.n3, r.d) for r in load_reference_rows()}
     assert len(problems) == len(set(problems)) == 270
@@ -57,6 +63,19 @@ def test_sdpa_digests_table_rows():
         assert {p[:3] for p in problems if p[3] == k} == rows
     # the defaults open with the published level-3 rows of sdp-table
     assert set(tool.DEFAULT[:11]) <= set(problems)
+
+
+def test_sdpa_digests_orbit_maps():
+    # --orbits covers every spec with n2 + n3 <= 14 at levels 3 and 2; the
+    # list is read from the module, without enumerating an orbit
+    problems = digests_tool().orbit_problems()
+    specs = {
+        (n2, n3, d)
+        for n2 in range(1, 14) for n3 in range(1, 15 - n2) for d in range(1, n2 + n3 + 1)
+    }
+    assert len(problems) == len(set(problems)) == 1820
+    for k in (3, 2):
+        assert {p[:3] for p in problems if p[3] == k} == specs
 
 
 def test_traffic():

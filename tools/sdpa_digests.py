@@ -15,7 +15,10 @@ the test suite pins.  The largest, (1,12,5), takes about 0.8 s, and all of
 them about 3.5 s, on a 2-vCPU x86-64 VM with one BLAS thread, process start
 included.  ``--table`` covers instead every row of the packaged table at
 levels 3 and 2 (``table_problems``, 270 problems), in about 32 s on the
-same VM.
+same VM.  ``--orbits`` prints instead the SHA-256 of the ``repr`` of the
+``enumerate_orbits`` map, items in order, of every (n2, n3, d, k) with
+n2 + n3 <= 14 (``orbit_problems``, 1,820 maps), in about 9 s on the same
+VM.
 """
 
 import hashlib
@@ -24,7 +27,7 @@ import tempfile
 from pathlib import Path
 
 from mixedsdp.cli import load_reference_rows
-from mixedsdp.codes import ProblemSpec
+from mixedsdp.codes import ProblemSpec, enumerate_orbits
 from mixedsdp.model import build_problem
 from mixedsdp.solver import emit_sdpa
 
@@ -51,7 +54,24 @@ def table_problems() -> list[tuple[int, int, int, int]]:
     return [(r.n2, r.n3, r.d, k) for k in (3, 2) for r in rows]
 
 
+def orbit_problems() -> list[tuple[int, int, int, int]]:
+    """Every (n2, n3, d) with n2 + n3 <= 14 at level 3, then at level 2."""
+    return [
+        (n2, length - n2, d, k)
+        for k in (3, 2)
+        for length in range(2, 15)
+        for n2 in range(1, length)
+        for d in range(1, length + 1)
+    ]
+
+
 def main(argv: list[str]) -> None:
+    if argv == ["--orbits"]:
+        for key in orbit_problems():
+            orbits = list(enumerate_orbits(ProblemSpec(*key)).items())
+            digest = hashlib.sha256(repr(orbits).encode()).hexdigest()
+            print(",".join(map(str, key)), digest, flush=True)
+        return
     if argv == ["--table"]:
         keys = table_problems()
     else:
