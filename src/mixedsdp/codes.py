@@ -10,11 +10,14 @@ counting, per coordinate block, the equality pattern of a padded ordered
 triple of its words, minimized over the six reorderings of the triple.
 The level-3 orbit enumeration does the same on integer arrays of packed
 keys; level 2 lists the distance profiles of pairs.
+
+The oracle reads every word as a row of a letter matrix and builds each of
+its graphs from one ``int8`` matrix that ranks the distance profile of every
+pair of words; only the words of the code it returns become ``Word``s.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from operator import itemgetter
@@ -427,22 +430,22 @@ def enumerate_orbits(spec: ProblemSpec) -> dict[OrbitId, int]:
 DEFAULT_WORD_CAP = 1000
 
 
-def _letter_masks(w: Word) -> tuple[int, int, int]:
-    """Bit masks of a word's binary ones, ternary ones and ternary twos."""
-    return (
-        sum(x << i for i, x in enumerate(w.bits)),
-        sum(1 << i for i, x in enumerate(w.trits) if x == 1),
-        sum(1 << i for i, x in enumerate(w.trits) if x == 2),
-    )
+def _letters(spec: ProblemSpec) -> np.ndarray:
+    """The letters of every word, one ``int8`` row per word in the order of
+    ``all_words``, binary coordinates first."""
+    radix = (2,) * spec.n2 + (3,) * spec.n3
+    return np.indices(radix, dtype=np.int8).reshape(spec.length, -1).T
 
 
-def _profile_graphs(
-    spec: ProblemSpec, enc: list[tuple[int, int, int]]
-) -> tuple[list[tuple[int, int]], list[list[int]]]:
+def _profile_ranks(
+    spec: ProblemSpec, letters: np.ndarray
+) -> tuple[list[tuple[int, int]], np.ndarray]:
     """The feasible pair profiles (binary distance, ternary distance) in
-    branching order, and for the profile of rank r the neighbour masks of the
-    graph whose edges have a profile of rank >= r, over words given by their
-    letter masks.  Rank 0 is the whole compatibility graph.
+    branching order, and the ``int8`` matrix of the rank of each pair's
+    profile among them, -1 for a pair closer than d.  The graph of the
+    edges whose profile ranks at or above r is ``ranks >= r``; rank 0 is
+    the whole compatibility graph.  The distances are summed coordinate by
+    coordinate, so every temporary holds one byte per pair.
 
     Any fixed order is exact.  Of the orders tried, ternary distance, then
     binary distance, ascending, gives the fewest search nodes on (5,2,3),
@@ -456,19 +459,26 @@ def _profile_graphs(
          if b + t >= spec.d),
         key=lambda p: (p[1], p[0]),
     )
-    rank = {p: r for r, p in enumerate(profiles)}
-    n = len(enc)
-    graphs = [[0] * n for _ in profiles]
-    for i, (bi, oi, ti) in enumerate(enc):
-        for j in range(i + 1, n):
-            bj, oj, tj = enc[j]
-            r = rank.get(((bi ^ bj).bit_count(), ((oi ^ oj) | (ti ^ tj)).bit_count()))
-            if r is not None:
-                graphs[r][i] |= 1 << j
-                graphs[r][j] |= 1 << i
-    for r in range(len(profiles) - 2, -1, -1):
-        graphs[r] = [a | b for a, b in zip(graphs[r], graphs[r + 1])]
-    return profiles, graphs
+    n = len(letters)
+    binary, ternary = dist = np.zeros((2, n, n), dtype=np.int8)
+    for i, col in enumerate(letters.T):
+        dist[int(i >= spec.n2)] += col[:, None] != col
+    # ternary distance, then binary distance, as one key in ternary's place;
+    # the oracle's word cap keeps it below 2**7
+    key = ternary
+    key *= spec.n2 + 1
+    key += binary
+    ranks = binary
+    ranks.fill(-1)
+    for r, (b, t) in enumerate(profiles):
+        ranks[key == t * (spec.n2 + 1) + b] = r
+    return profiles, ranks
+
+
+def _bitsets(matrix: np.ndarray) -> list[int]:
+    """The rows of a boolean matrix as ints, column j as bit j."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _greedy_clique(adj: list[int], order: list[int]) -> int:
@@ -493,49 +503,29 @@ def _vertices(mask: int) -> list[int]:
     return out
 
 
-def _degeneracy_order(adj: list[int], cand0: int) -> list[int]:
-    """The vertices of ``cand0``, built from the back: a vertex of least
-    degree among those not yet placed, the lowest on ties, is removed and put
-    last.  Degrees are kept in bitset buckets, so each removal costs its
-    neighbours only."""
-    deg = {v: (adj[v] & cand0).bit_count() for v in _vertices(cand0)}
-    buckets = [0] * (len(deg) + 1)
-    for v, k in deg.items():
-        buckets[k] |= 1 << v
+def _degeneracy_order(matrix: np.ndarray) -> list[int]:
+    """The rows of a symmetric boolean matrix with a false diagonal, built
+    from the back: a row of least degree among those not yet placed, the
+    lowest on ties, is removed and put last."""
+    deg = matrix.sum(axis=1, dtype=float)
     out = []
-    rest = cand0
-    k = 0
-    while rest:
-        while not buckets[k]:
-            k += 1
-        low = buckets[k] & -buckets[k]
-        buckets[k] ^= low
-        rest ^= low
-        v = low.bit_length() - 1
+    for _ in range(len(deg)):
+        v = int(np.argmin(deg))
         out.append(v)
-        for u in _vertices(adj[v] & rest):
-            bit = 1 << u
-            du = deg[u]
-            buckets[du] ^= bit
-            buckets[du - 1] |= bit
-            deg[u] = du - 1
-        if k:
-            k -= 1
+        deg -= matrix[v]
+        deg[v] = np.inf
     out.reverse()
     return out
 
 
-def _relabel(adj: list[int], order: list[int]) -> tuple[list[int], list[int]]:
-    """The subgraph on the vertices of ``order``, vertex ``order[i]``
-    renumbered i: ``radj`` holds the renumbered neighbour masks and
-    ``nonadj`` the non-neighbours of each vertex but itself, with which the
-    colour classes grow."""
-    pos = {v: i for i, v in enumerate(order)}
-    cand0 = sum(1 << v for v in order)
-    full = (1 << len(order)) - 1
-    radj = [sum(1 << pos[u] for u in _vertices(adj[v] & cand0)) for v in order]
-    nonadj = [full & ~(a | 1 << v) for v, a in enumerate(radj)]
-    return radj, nonadj
+def _relabel(matrix: np.ndarray) -> tuple[list[int], list[int]]:
+    """The graph of a symmetric boolean matrix with a false diagonal, row i
+    as vertex i: ``radj`` holds the neighbour masks and ``nonadj`` the
+    non-neighbours of each vertex but itself, with which the colour classes
+    grow."""
+    non = ~matrix
+    np.fill_diagonal(non, False)
+    return _bitsets(matrix), _bitsets(non)
 
 
 def _search(
@@ -639,12 +629,11 @@ def _search(
     return best_mask
 
 
-def _orbit_key(
-    spec: ProblemSpec, fixed: list[tuple[int, int, int]]
-) -> Callable[[tuple[int, int, int]], tuple]:
-    """The function that maps a word's letter masks to its orbit under the
-    pointwise stabilizer of the zero word and the words of ``fixed``, given
-    by their letter masks.
+def _orbit_labels(spec: ProblemSpec, letters: np.ndarray, fixed: np.ndarray) -> list[int]:
+    """Labels of the orbits of the words of ``letters`` (rows, as
+    ``_letters`` gives them) under the pointwise stabilizer of the zero word
+    and the words of ``fixed``: two words share a label exactly when they
+    share an orbit.
 
     An element of the stabilizer keeps the letter 0 in every coordinate, so
     it keeps every binary letter, and in a ternary coordinate it can only
@@ -653,31 +642,16 @@ def _orbit_key(
     column, if any, is 1, no swap maps a nonzero column to another column,
     so the stabilizer is every permutation of the coordinates within each
     group of equal columns, with any swaps of 1 and 2 in the ternary group
-    whose column is all 0.  The key counts a word's ones in each binary
-    group, its ones and its twos in each ternary group, and its nonzeros in
-    the all-zero ternary group: under that condition, words share a key
-    exactly when they share an orbit."""
-    bin_groups: dict = {}
-    for i in range(spec.n2):
-        col = tuple(b >> i & 1 for b, _, _ in fixed)
-        bin_groups[col] = bin_groups.get(col, 0) | 1 << i
-    ter_groups: dict = {}
-    for i in range(spec.n3):
-        col = tuple((o >> i & 1) | (t >> i & 1) << 1 for _, o, t in fixed)
-        ter_groups[col] = ter_groups.get(col, 0) | 1 << i
-    free = ter_groups.pop((0,) * len(fixed), 0)
-    bins = tuple(bin_groups.values())
-    ters = tuple(ter_groups.values())
-
-    def key(masks: tuple[int, int, int]) -> tuple:
-        b, o, t = masks
-        return (
-            tuple((b & m).bit_count() for m in bins),
-            tuple(((o & m).bit_count(), (t & m).bit_count()) for m in ters),
-            ((o | t) & free).bit_count(),
-        )
-
-    return key
+    whose column is all 0.  The label stands for a word's count of each
+    letter in each group, 2 read as 1 in the all-zero ternary group: under
+    that condition, words share the counts exactly when they share an
+    orbit."""
+    ternary = np.arange(spec.length) >= spec.n2
+    _, group = np.unique(np.vstack([ternary, fixed]), axis=1, return_inverse=True)
+    free = ternary & ~fixed.any(axis=0)
+    cell = 3 * group.ravel() + np.where(free, letters != 0, letters)
+    counts = (cell[:, :, None] == np.arange(3 * (group.max() + 1))).sum(axis=1)
+    return np.unique(counts, axis=0, return_inverse=True)[1].ravel().tolist()
 
 
 def _orbit_branches(adj: list[int], cand: int, keys: list):
@@ -700,10 +674,11 @@ def _orbit_branches(adj: list[int], cand: int, keys: list):
 
 def _max_clique_words(
     spec: ProblemSpec,
-    words: list[Word],
+    letters: np.ndarray,
     node_budget: int | None = None,
 ) -> int:
-    """Bitmask of one maximum code, by one exact search chosen by d.
+    """Bitmask of one maximum code, over the rows of ``letters``
+    (``_letters``), by one exact search chosen by d.
 
     For d <= 2 the graph is dense: ``_search`` runs on the whole of it,
     relabelled in degree order, highest first (``_relabel``), and (5,2,2)
@@ -717,7 +692,7 @@ def _max_clique_words(
 
     Minimum-profile branching.  The profile of a pair of words, (binary
     distance, ternary distance), is kept by every isometry, and the feasible
-    profiles have a fixed total order (``_profile_graphs``).  A code of two
+    profiles have a fixed total order (``_profile_ranks``).  A code of two
     or more words has a pair whose profile p is lowest among its pairs.  The
     group is transitive on words, and the stabilizer of the zero word is
     transitive on the words of each profile, so an isometry maps that pair
@@ -730,8 +705,8 @@ def _max_clique_words(
     Stabilizer-orbit exclusion.  The pointwise stabilizer H of (zero, rep_p)
     permutes the binary coordinates inside the support of rep_p and outside
     it, the ternary ones likewise, and swaps the letters 1 and 2 in the
-    ternary coordinates outside the support; ``_orbit_key`` gives the orbit
-    of a word under it.  H keeps G_p and the candidates, so the third word
+    ternary coordinates outside the support; ``_orbit_labels`` gives the
+    orbit of a word under it.  H keeps G_p and the candidates, so the third word
     runs over one representative per orbit.  Take a code through zero and
     rep_p, and let O be the first of its words' orbits in branch order: an
     element of H maps its word in O to O's representative and keeps every
@@ -743,7 +718,7 @@ def _max_clique_words(
     The same holds one level down.  The third word is the lowest word of its
     orbit, so it has no 2 outside the support of rep_p, and in every ternary
     coordinate the first nonzero letter of rep_p and the third word is 1, as
-    ``_orbit_key`` needs.  The pointwise stabilizer H' of (zero, rep_p,
+    ``_orbit_labels`` needs.  The pointwise stabilizer H' of (zero, rep_p,
     third) lies in H, so it keeps the orbits of H, hence the candidates left
     when the third word's branch opens, and it keeps that branch's
     candidates, the neighbours of the third word among them.  A code in that
@@ -759,14 +734,14 @@ def _max_clique_words(
     with _BudgetExceeded (exactness preserved: no partial answer is
     returned).
     """
-    enc = [_letter_masks(w) for w in words]
-    profiles, graphs = _profile_graphs(spec, enc)
-    adj = graphs[0]
-    n = len(words)
-    order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
+    profiles, ranks = _profile_ranks(spec, letters)
+    compatible = ranks >= 0
+    adj = _bitsets(compatible)
+    n = len(letters)
+    order = np.argsort(-compatible.sum(axis=1), kind="stable").tolist()
     counter = [0]
     if spec.d <= 2:
-        radj, nonadj = _relabel(adj, order)
+        radj, nonadj = _relabel(compatible[np.ix_(order, order)])
         best = _search(radj, nonadj, (1 << n) - 1, 0, counter, node_budget)
         return sum(1 << order[v] for v in _vertices(best))
 
@@ -776,25 +751,28 @@ def _max_clique_words(
     best = _greedy_clique(adj, order)
     best_size = best.bit_count()
 
-    zero_idx = enc.index((0, 0, 0))
-    for (w2, w3), g in zip(profiles, graphs):
-        rep = ((1 << w2) - 1, (1 << w3) - 1, 0)
-        rep_idx = enc.index(rep)
-        pair = 1 << zero_idx | 1 << rep_idx
+    for r, (w2, w3) in enumerate(profiles):
+        rep = np.zeros(spec.length, dtype=np.int8)
+        rep[:w2] = rep[spec.n2:spec.n2 + w3] = 1
+        rep_idx = int((letters == rep).all(axis=1).argmax())
+        pair = 1 | 1 << rep_idx  # the zero word is row 0
         if best_size < 2:
             best, best_size = pair, 2
-        third_keys = list(map(_orbit_key(spec, [rep]), enc))
-        pair_cand = g[zero_idx] & g[rep_idx]
-        for third, triple_cand in _orbit_branches(g, pair_cand, third_keys):
+        graph = ranks >= r
+        g = _bitsets(graph)
+        third_keys = _orbit_labels(spec, letters, letters[[rep_idx]])
+        for third, triple_cand in _orbit_branches(g, g[0] & g[rep_idx], third_keys):
             if triple_cand.bit_count() + 3 <= best_size:
                 continue
             triple = pair | 1 << third
             if best_size < 3:
                 best, best_size = triple, 3
-            order = _degeneracy_order(g, triple_cand)
-            radj, nonadj = _relabel(g, order)
-            key = _orbit_key(spec, [rep, enc[third]])
-            fourth_keys = [key(enc[v]) for v in order]
+            cand = _vertices(triple_cand)
+            within = graph[np.ix_(cand, cand)]
+            pos = _degeneracy_order(within)
+            order = [cand[p] for p in pos]
+            radj, nonadj = _relabel(within[np.ix_(pos, pos)])
+            fourth_keys = _orbit_labels(spec, letters[order], letters[[rep_idx, third]])
             relabelled = (1 << len(order)) - 1
             for fourth, quad_cand in _orbit_branches(radj, relabelled, fourth_keys):
                 if quad_cand.bit_count() + 4 <= best_size:
@@ -826,18 +804,18 @@ def optimal_code(spec: ProblemSpec, node_budget: int | None = None) -> Code:
         raise ResourceError(
             f"word space {spec.num_words} exceeds oracle cap {DEFAULT_WORD_CAP}"
         )
-    words = list(all_words(spec))
     if spec.d == 1:
-        return code(*words)
+        return code(*all_words(spec))
+    letters = _letters(spec)
     try:
-        mask = _max_clique_words(spec, words, node_budget)
+        mask = _max_clique_words(spec, letters, node_budget)
     except _BudgetExceeded:
         raise ResourceError(
             f"oracle node budget {node_budget} exceeded for "
             f"({spec.n2},{spec.n3},{spec.d})"
         ) from None
-    picked = [words[i] for i in range(len(words)) if mask >> i & 1]
-    return code(*picked)
+    picked = letters[_vertices(mask)].tolist()
+    return code(*(word(row[:spec.n2], row[spec.n2:]) for row in picked))
 
 
 def exact_n(spec: ProblemSpec, node_budget: int | None = None) -> int:

@@ -96,8 +96,8 @@ class Solution:
     dual value that upper-bounds it, the unscaled dual point (``z`` per PSD
     block, ``w`` per 1x1 block, ``u`` per bound y_i >= 0), the certificate
     of the exact check at this iterate when the solve ran one that
-    succeeded, and the trace of every iterate, whose ``pinf`` and ``dinf``
-    are its primal and dual residuals."""
+    succeeded, the trace of every iterate, whose ``pinf`` and ``dinf`` are
+    its primal and dual residuals, and the problem the solve ran on."""
 
     objective: float
     dual_objective: float
@@ -110,6 +110,7 @@ class Solution:
     inexact_coefficients: int
     certificate: CertifiedBound | None = None
     trace: list[dict] = field(default_factory=list)
+    problem: SdpProblem | None = field(default=None, repr=False, compare=False)
 
     @property
     def gap(self) -> float:
@@ -440,7 +441,7 @@ def _solution(data: _Scaled, x: _Iterate, trace: list[dict]) -> Solution:
     n = len(data.lp.rows)
     return Solution(
         pobj, dobj, x.y.copy(), [zk * (data.bscale / bl.gamma) for bl, zk in zip(data.blocks, x.Z)],
-        z_lp[:n], z_lp[n:], len(trace), False, data.inexact, trace=trace,
+        z_lp[:n], z_lp[n:], len(trace), False, data.inexact, trace=trace, problem=data.problem,
     )
 
 
@@ -720,17 +721,32 @@ def certify(problem: SdpProblem, solution: Solution) -> CertifiedBound:
     exact integer data.  The bound's floor is the value.
 
     A certificate that the solve recorded for this iterate is returned as
-    is; otherwise the check runs against ``problem``.  Refused: an
-    unconverged solution, a shifted block that is neither positive definite
-    nor zero, and an integer above the solution's dual objective by more
-    than its float accuracy, 1e-6 relative, which the exact bound reaches
-    only when the dual point is too infeasible to prove that objective's
-    integer.  Each refusal carries ``solution``.
+    is when ``problem`` is the problem the solve ran on.  Otherwise the
+    check runs against ``problem``, which proves a bound for ``problem``
+    from any dual point of its shape.  Refused: an unconverged solution, a
+    dual point whose variable count, PSD block orders or 1x1 block count
+    differ from the problem's, a shifted block that is neither positive
+    definite nor zero, and an integer above the solution's dual objective by
+    more than its float accuracy, 1e-6 relative, which the exact bound
+    reaches only when the dual point is too infeasible to prove that
+    objective's integer.  Each refusal carries ``solution``.
     """
     if not solution.converged:
         raise CertificationError("cannot certify an unconverged solution", solution)
     bound = solution.certificate
-    if bound is None:
+    if bound is None or solution.problem is not problem:
+        got = (len(solution.y), [len(zk) for zk in solution.z], len(solution.w))
+        want = (
+            problem.num_vars,
+            [bl.dim for bl in problem.blocks if bl.dim > 1],
+            sum(bl.dim == 1 for bl in problem.blocks),
+        )
+        if got != want:
+            raise CertificationError(
+                f"a solution with (variables, PSD block orders, 1x1 blocks) {got} "
+                f"cannot prove a bound for a problem with {want}",
+                solution,
+            )
         try:
             bound = _certificate(problem, solution.z, solution.w)
         except CertificationError as err:

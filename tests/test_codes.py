@@ -2,10 +2,12 @@
 
 import random
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,8 +27,9 @@ from mixedsdp.codes import (
     _canonical_counts,
     _compositions,
     _degeneracy_order,
-    _letter_masks,
-    _orbit_key,
+    _letters,
+    _orbit_labels,
+    _profile_ranks,
     _relabel,
     _search,
     _vertices,
@@ -431,7 +434,7 @@ class TestExactOracle:
         assert exact_n(ProblemSpec(1, 2, 1)) == 18
 
     def test_d1_runs_no_search(self):
-        with mock.patch("mixedsdp.codes._profile_graphs", side_effect=AssertionError):
+        with mock.patch("mixedsdp.codes._profile_ranks", side_effect=AssertionError):
             assert exact_n(ProblemSpec(2, 5, 1)) == 972
 
     def test_binary_pigeonhole(self):
@@ -477,12 +480,11 @@ class TestExactOracle:
         # recursive search to go
         n = 1500
         full = (1 << n) - 1
-        adj = [full ^ 1 << v for v in range(n)]
         saved = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:
             with mock.patch("mixedsdp.codes._greedy_clique", lambda adj, order: 0):
-                radj, nonadj = _relabel(adj, list(range(n)))
+                radj, nonadj = _relabel(~np.eye(n, dtype=bool))
                 assert _search(radj, nonadj, full, 0, [0], None) == full
         finally:
             sys.setrecursionlimit(saved)
@@ -522,8 +524,8 @@ def test_orbit_key_classes_are_stabilizer_orbits(n2, n3):
     spec = ProblemSpec(n2, n3, 1)
     words = list(all_words(spec))
     index = {w: i for i, w in enumerate(words)}
-    enc = [_letter_masks(w) for w in words]
-    zero = enc.index((0, 0, 0))
+    letters = _letters(spec)
+    zero = 0
     # every element that fixes the zero word, as a permutation of indices
     fix_zero = [
         tuple(index[g.apply_word(w)] for w in words)
@@ -538,19 +540,19 @@ def test_orbit_key_classes_are_stabilizer_orbits(n2, n3):
             if v not in orbit_of:
                 orbit = frozenset(g[v] for g in stabilizer)
                 orbit_of.update(dict.fromkeys(orbit, orbit))
-        key = _orbit_key(spec, [enc[v] for v in fixed if v != zero])
+        labels = _orbit_labels(spec, letters, letters[[v for v in fixed if v != zero]])
         classes = {}
-        for v, masks in enumerate(enc):
-            classes.setdefault(key(masks), set()).add(v)
+        for v, label in enumerate(labels):
+            classes.setdefault(label, set()).add(v)
         for cls in classes.values():
             assert len({orbit_of[v] for v in cls}) == 1, "a class merges orbits"
         for orbit in orbit_of.values():
-            assert len({key(enc[v]) for v in orbit}) == 1, "an orbit is split"
+            assert len({labels[v] for v in orbit}) == 1, "an orbit is split"
         return set(orbit_of.values())
 
     for b, t in product(range(n2 + 1), range(n3 + 1)):
         if b + t:
-            rep = enc.index(((1 << b) - 1, (1 << t) - 1, 0))
+            rep = index[word([1] * b + [0] * (n2 - b), [1] * t + [0] * (n3 - t))]
             for orbit in orbits_match_keys([zero, rep]):
                 if not orbit & {zero, rep}:
                     orbits_match_keys([zero, rep, min(orbit)])
@@ -624,19 +626,28 @@ def graph_candidates_lower(draw):
     return adj, cand, lower
 
 
-def degree_order(adj, cand):
-    """The vertices of ``cand`` by degree within it, highest first, as the
-    oracle orders the words for d <= 2."""
-    return sorted(_vertices(cand), key=lambda v: (adj[v] & cand).bit_count(), reverse=True)
+def matrix_within(adj, cand):
+    """The vertices of ``cand``, ascending, and the boolean adjacency matrix
+    of the subgraph of ``adj`` that they span, row i for vertex i."""
+    vs = _vertices(cand)
+    rows = [[adj[u] >> v & 1 for v in vs] for u in vs]
+    return vs, np.array(rows, dtype=bool).reshape(len(vs), len(vs))
+
+
+def degree_order(matrix):
+    """The rows of ``matrix`` by degree, highest first, as the oracle orders
+    the words for d <= 2."""
+    return sorted(range(len(matrix)), key=lambda v: int(matrix[v].sum()), reverse=True)
 
 
 def search_in_order(adj, cand, lower, order_of, nodes, limit=None):
     """What ``_search`` finds in ``cand``, relabelled in the order that
     ``order_of`` gives, mapped back to the vertices of ``adj``."""
-    order = order_of(adj, cand)
-    radj, nonadj = _relabel(adj, order)
+    vs, matrix = matrix_within(adj, cand)
+    order = order_of(matrix)
+    radj, nonadj = _relabel(matrix[np.ix_(order, order)])
     best = _search(radj, nonadj, (1 << len(order)) - 1, lower, nodes, limit)
-    return sum(1 << order[v] for v in _vertices(best))
+    return sum(1 << vs[order[v]] for v in _vertices(best))
 
 
 def check_search(adj, cand, lower, order_of):
@@ -695,6 +706,46 @@ def reference_degeneracy_order(adj, cand):
 @given(graph_candidates_lower())
 def test_degeneracy_order_matches_reference(data):
     adj, cand, _ = data
-    got = _degeneracy_order(adj, cand)
-    assert sorted(got) == _vertices(cand)
+    vs, matrix = matrix_within(adj, cand)
+    got = [vs[v] for v in _degeneracy_order(matrix)]
+    assert sorted(got) == vs
     assert got == reference_degeneracy_order(adj, cand)
+
+
+@pytest.mark.parametrize("n2,n3", [
+    (n2, n3) for n2 in range(1, 7) for n3 in range(1, 5) if 2 ** n2 * 3 ** n3 <= 108
+])
+def test_profile_ranks_match_hamming_distances(n2, n3):
+    words = list(all_words(ProblemSpec(n2, n3, 1)))
+    letters = _letters(ProblemSpec(n2, n3, 1))
+    assert letters.dtype == np.int8
+    assert [word(row[:n2], row[n2:]) for row in letters.tolist()] == words
+    for d in range(1, n2 + n3 + 1):
+        spec = ProblemSpec(n2, n3, d)
+        profiles, ranks = _profile_ranks(spec, letters)
+        assert profiles == sorted(
+            ((b, t) for b in range(n2 + 1) for t in range(n3 + 1) if b + t >= d),
+            key=lambda p: (p[1], p[0]),
+        )
+        rank = {p: r for r, p in enumerate(profiles)}
+        want = [
+            [rank.get((hamming_distance(word(v.bits, ()), word(w.bits, ())),
+                       hamming_distance(word((), v.trits), word((), w.trits))), -1)
+             for w in words]
+            for v in words
+        ]
+        assert ranks.tolist() == want
+
+
+def test_profile_ranks_memory():
+    # 972 words: one byte per pair is 0.94 MB, and a temporary of one int
+    # per pair and coordinate would be 21 MB
+    spec = ProblemSpec(2, 5, 3)
+    letters = _letters(spec)
+    tracemalloc.start()
+    try:
+        _profile_ranks(spec, letters)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000

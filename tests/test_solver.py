@@ -464,6 +464,34 @@ class TestCertify:
         # the check run again on the same iterate gives the same proof
         assert certify(problem, unrecorded(solution)) == bound
 
+    def test_other_problem_refused(self, solved_253):
+        # the dual point of (2,5,3) at level 3 proves nothing for (2,5,3) at
+        # level 2, for (2,4,3) or for (3,5,3), whether or not the solve
+        # recorded its certificate
+        _, solution = solved_253
+        for other in (
+            build_problem(ProblemSpec(2, 5, 3, 2)),
+            build_sdp(ProblemSpec(2, 4, 3)),
+            build_sdp(ProblemSpec(3, 5, 3)),
+        ):
+            for given in (solution, unrecorded(solution)):
+                with pytest.raises(CertificationError, match="cannot prove a bound") as info:
+                    certify(other, given)
+                assert info.value.solution is given
+
+    def test_recorded_certificate_only_for_its_problem(self, solved_253):
+        # a problem of the same shape, even an equal one, gets the check run
+        # against it, and a changed coefficient is caught
+        problem, solution = solved_253
+        rebuilt = build_sdp(ProblemSpec(2, 5, 3))
+        bound = certify(rebuilt, solution)
+        assert bound == solution.certificate and bound is not solution.certificate
+        index = next(i for i, b in enumerate(problem.blocks) if b.dim >= 2)
+        bad = with_coefficient(problem, index, 0, 0, 10 ** 6)
+        with pytest.raises(CertificationError, match="does not prove") as info:
+            certify(bad, solution)
+        assert info.value.solution is solution
+
     def test_unconverged_refused(self, solved_253):
         problem, solution = solved_253
         unconverged = dataclasses.replace(solution, converged=False)

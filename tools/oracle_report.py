@@ -1,5 +1,5 @@
-"""Print the exact oracle's value of each spec and the smallest node budget
-that closes it.
+"""Print the exact oracle's value of each spec and the number of search nodes
+it takes.
 
 Run it on two checkouts and compare the outputs to show how an oracle change
 moves the values and the search effort, spec by spec:
@@ -10,10 +10,11 @@ moves the values and the search effort, spec by spec:
 
 Specs are given as ``n2,n3,d`` arguments.  Without arguments it covers every
 spec of the acceptance suite's oracle sandwich (``SANDWICH_FAMILIES`` in
-``tests/test_acceptance.py``, every d).  Each spec is tried under the node
-budgets of ``BUDGETS`` in turn, and each line is ``n2,n3,d value budget``
-with the first budget that closes it, or ``n2,n3,d ResourceError`` when
-none does.
+``tests/test_acceptance.py``, every d).  Each line is ``n2,n3,d value
+nodes``.  The node count is the least node budget that closes the spec,
+found by doubling the budget and then bisecting: the search completes at its
+own node count and raises one node short of it.  A spec that no budget up to
+``MAX_BUDGET`` closes prints ``n2,n3,d ResourceError``.
 """
 
 import sys
@@ -24,25 +25,49 @@ from mixedsdp.codes import ProblemSpec, ResourceError, exact_n
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_acceptance import SANDWICH_FAMILIES  # noqa: E402
 
-BUDGETS = (100, 300, 1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000)
+MAX_BUDGET = 3_000_000
 SANDWICH = tuple(
     (n2, n3, d) for n2, n3 in SANDWICH_FAMILIES for d in range(1, n2 + n3 + 1)
 )
+
+
+def value_under(spec: ProblemSpec, budget: int) -> int | None:
+    """The oracle's value of ``spec`` within ``budget`` nodes, or None."""
+    try:
+        return exact_n(spec, node_budget=budget)
+    except ResourceError:
+        return None
+
+
+def value_and_nodes(spec: ProblemSpec) -> tuple[int, int] | None:
+    """The oracle's value of ``spec`` and the least node budget that closes
+    it, or None past ``MAX_BUDGET``."""
+    # every budget up to failed fails, and closed closes
+    failed, closed = -1, 0
+    value = value_under(spec, closed)
+    while value is None:
+        if closed >= MAX_BUDGET:
+            return None
+        failed, closed = closed, min(max(1, 2 * closed), MAX_BUDGET)
+        value = value_under(spec, closed)
+    while closed - failed > 1:
+        mid = (failed + closed) // 2
+        if value_under(spec, mid) is None:
+            failed = mid
+        else:
+            closed = mid
+    return value, closed
 
 
 def main(argv: list[str]) -> None:
     keys = [tuple(int(t) for t in a.split(",")) for a in argv] or SANDWICH
     for key in keys:
         label = ",".join(map(str, key))
-        for budget in BUDGETS:
-            try:
-                value = exact_n(ProblemSpec(*key), node_budget=budget)
-            except ResourceError:
-                continue
-            print(label, value, budget, flush=True)
-            break
-        else:
+        found = value_and_nodes(ProblemSpec(*key))
+        if found is None:
             print(label, "ResourceError", flush=True)
+        else:
+            print(label, *found, flush=True)
 
 
 if __name__ == "__main__":
