@@ -8,7 +8,8 @@ polynomial in dual variables indexed by column patterns.  The polynomial
 factorizes over the three (binary / ternary-trivial / ternary-sign) tensor
 factors.  A column is its three counts of 1s (see ``tableaux``), so a
 factor's polynomial depends only on its shape (a, b) and the two counts of
-that factor; only the verifier writes a column's rows out.  Summed over
+that factor; only the verifier writes a column out, as the Kronecker
+product of its factors' tableau vectors over the words.  Summed over
 row rearrangements and signed column swaps, each of the b height-2
 columns of a factor contributes the one nonzero entry of a signed 2x2
 combination of base-change terms, and each height-1 column one
@@ -37,6 +38,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import permutations, product
 from math import comb
 from typing import NamedTuple
@@ -407,63 +409,54 @@ _A_BASES = {
 _B_BASES = {1: (1, 1), 2: (1, -1), 3: (1, 1, 1), 4: (1, -1, 0)}
 
 
-def _tableau_vector(lam: tuple[int, int], ones: int, basis) -> dict:
+def _kron(vectors) -> np.ndarray:
+    """The Kronecker product of integer vectors, [1] for none: the entry at
+    a tuple of letters, the first letter slowest as in ``all_words``, is the
+    product of the vectors' entries at those letters."""
+    return reduce(lambda u, v: np.outer(u, v).ravel(), vectors, np.ones(1, dtype=np.int64))
+
+
+def _tableau_vector(lam: tuple[int, int], ones: int, basis) -> np.ndarray:
     """The column vector over its factor space of the tableau of shape
-    ``lam`` with rows 1^ones 2^(a - ones) and 2^b, as a sparse map from
-    letter-index tuples to integers: sum over distinct row rearrangements
-    and signed column swaps of the tensor of basis columns."""
+    ``lam`` with rows 1^ones 2^(a - ones) and 2^b: the sum over distinct row
+    rearrangements and signed column swaps of the Kronecker product of the
+    basis columns of its cells, first row then second row.  Each entry sums
+    at most C(a, ones) 2^b <= 2^(a+b) terms in {-1, 0, 1}, so a column's
+    entries are at most 2^(n2+n3) in absolute value and int64 is exact."""
     a, b = lam
-    rows = [(1,) * ones + (2,) * (a - ones), (2,) * b]
-    row_arrs = [sorted(set(permutations(row))) for row in rows]
-    out: dict = defaultdict(int)
-    for arrangement in product(*row_arrs):
+    out = np.zeros(len(basis[0]) ** (a + b), dtype=np.int64)
+    # the second row is all 2s, so only the first row rearranges
+    for first in set(permutations((1,) * ones + (2,) * (a - ones))):
         for swaps in product((0, 1), repeat=b):
-            sign = -1 if sum(swaps) % 2 else 1
-            r0, r1 = map(list, arrangement)
-            for i, sw in enumerate(swaps):
-                if sw:
-                    r0[i], r1[i] = r1[i], r0[i]
-            vecs = [basis[v - 1] for v in r0 + r1]
-            for idx in product(*[range(len(v)) for v in vecs]):
-                coef = sign
-                for vec, i in zip(vecs, idx):
-                    coef *= vec[i]
-                if coef:
-                    out[idx] += coef
-    return {k: v for k, v in out.items() if v}
+            r0, r1 = list(first), [2] * b
+            for i in np.flatnonzero(swaps):
+                r0[i], r1[i] = r1[i], r0[i]
+            out += (-1) ** sum(swaps) * _kron(basis[v - 1] for v in r0 + r1)
+    return out
 
 
-def representative_vector_zero(shape: ShapeD0, col: tuple[int, ...]) -> dict[Word, int]:
-    """Explicit word-space vector of one all-zero-word-case column, given by
-    its counts of 1s.
+def representative_vector_zero(shape: ShapeD0, col: tuple[int, ...]) -> np.ndarray:
+    """Explicit word-space vector, in ``all_words`` order, of one
+    all-zero-word-case column, given by its counts of 1s: the Kronecker
+    product of its three factors' tableau vectors.
 
     Binary coordinates follow the first factor's cells row-major; ternary
     coordinates take the trivial-type cells first, then the sign-type cells.
     """
-    u1 = _tableau_vector(shape.lambdas[0], col[0], _A_BASES[1])
-    u2 = _tableau_vector(shape.lambdas[1], col[1], _A_BASES[2])
-    u3 = _tableau_vector(shape.lambdas[2], col[2], _A_BASES[3])
-    out: dict[Word, int] = {}
-    for kb, cb in u1.items():
-        for k2, c2 in u2.items():
-            for k3, c3 in u3.items():
-                out[Word(kb, k2 + k3)] = cb * c2 * c3
-    return out
+    return _kron(
+        _tableau_vector(lam, ones, _A_BASES[factor])
+        for factor, lam, ones in zip((1, 2, 3), shape.lambdas, col)
+    )
 
 
-def representative_vector_empty(spec: ProblemSpec, shape: ShapeEmpty) -> dict[Word, int]:
-    """Explicit word-space vector of the unique empty-code-case column."""
-    l1, l2, l3, l4 = shape.counts
-    out: dict[Word, int] = {}
-    for w in all_words(spec):
-        val = 1
-        for i, bit in enumerate(w.bits):
-            val *= _B_BASES[1][bit] if i < l1 else _B_BASES[2][bit]
-        for i, trit in enumerate(w.trits):
-            val *= _B_BASES[3][trit] if i < l3 else _B_BASES[4][trit]
-        if val:
-            out[w] = val
-    return out
+def representative_vector_empty(shape: ShapeEmpty) -> np.ndarray:
+    """Explicit word-space vector, in ``all_words`` order, of the unique
+    empty-code-case column: the Kronecker product of one ``_B_BASES`` column
+    per coordinate, l1, l2, l3 and l4 of the four types in turn."""
+    return _kron(
+        _B_BASES[kind]
+        for kind, count in zip((1, 2, 3, 4), shape.counts) for _ in range(count)
+    )
 
 
 @dataclass
@@ -509,9 +502,10 @@ def _contraction_mismatch(
     table, columns, block: Block, label: str, orbits: list[OrbitId]
 ) -> str | None:
     """The first entry, in (i, j, matno) order, where ``block`` differs from
-    the contraction of the sparse ``columns`` (maps from table rows to
-    integers) against the explicit matno ``table``, over the keys of both;
-    None when they agree."""
+    the contraction of the integer vectors ``columns`` over the table's rows
+    against the explicit matno ``table``, over the keys of both; None when
+    they agree.  The contraction runs over the columns' nonzero entries."""
+    columns = [{int(x): int(c[x]) for x in np.flatnonzero(c)} for c in columns]
     want: dict[tuple[int, int, int], int] = defaultdict(int)
     for j, v in enumerate(columns):
         for i, u in enumerate(columns[:j + 1]):
@@ -567,7 +561,10 @@ def dimension_count(
 def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     """Check the reduction engine against explicit unreduced objects.
 
-    (a) builds every representative column explicitly in the word space;
+    (a) builds every representative column explicitly in the word space,
+    as an integer vector in ``all_words`` order: a Kronecker product of
+    tableau vectors (``representative_vector_zero``) or of per-coordinate
+    basis columns (``representative_vector_empty``);
     (b) builds one explicit table per stabilizer case, holding the SDPA
     matno of each entry of the full matrix (orbit index + 1, 0 for the
     constant 1; the index is that in the d = 1 map of ``enumerate_orbits``,
@@ -587,7 +584,6 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
         )
     checks: list[tuple[str, bool, str]] = []
     words = list(all_words(spec))
-    pos = {w: i for i, w in enumerate(words)}
     # every nonempty orbit; the zero case meets triples
     variables = enumerate_orbits(replace(spec, d=1, k=3))
     orbits = list(variables)
@@ -613,10 +609,7 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     # (c) zero-word case
     mismatch = None
     for shape, block in zip(shapes_zero, blocks_zero):
-        columns = [
-            {pos[w]: c for w, c in representative_vector_zero(shape, col).items()}
-            for col in shape.admissible
-        ]
+        columns = [representative_vector_zero(shape, col) for col in shape.admissible]
         mismatch = _contraction_mismatch(table_zero, columns, block, shape.label(), orbits)
         if mismatch:
             break
@@ -628,11 +621,12 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
 
     # (c) empty case; the augmented shape leads with the empty code's row
     mismatch = None
+    empty_code = np.eye(1, len(words) + 1, dtype=np.int64)[0]
     for shape, block in zip(shapes_empty, blocks_empty):
-        vec = {pos[w] + 1: c for w, c in representative_vector_empty(spec, shape).items()}
-        columns = [{0: 1}, vec] if shape.augmented else [vec]
+        vec = np.concatenate(([0], representative_vector_empty(shape)))
+        columns = [empty_code, vec] if shape.augmented else [vec]
         mismatch = _contraction_mismatch(table_empty, columns, block, shape.label(), orbits)
-        colsum = sum(vec.values())
+        colsum = int(vec.sum())
         if not mismatch and not shape.augmented and colsum:
             mismatch = f"non-augmented shape {shape.label()} has column sum {colsum}"
         if mismatch:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -421,6 +422,20 @@ class TestBlocksEmpty:
         assert len(blocks) == 12
         assert sorted(b.dim for b in blocks) == [1] * 11 + [2]
 
+    @pytest.mark.parametrize("n2,n3", [(1, 1), (2, 1), (3, 2)])
+    def test_empty_column_word_by_word(self, n2, n3):
+        # entry w of the column of (l1, l2, l3, l4) is the product, over the
+        # coordinates, of that coordinate type's basis column at w's letter
+        spec = ProblemSpec(n2, n3, 1)
+        for shape in build_shape_index_empty(spec):
+            l1, _, l3, _ = shape.counts
+            want = [
+                math.prod((1, 1)[x] if i < l1 else (1, -1)[x] for i, x in enumerate(w.bits))
+                * math.prod((1, 1, 1)[x] if i < l3 else (1, -1, 0)[x] for i, x in enumerate(w.trits))
+                for w in all_words(spec)
+            ]
+            assert representative_vector_empty(shape).tolist() == want, shape
+
     def test_brute_force_contraction_21(self):
         # cross-check every shape coefficient against the explicit vector
         spec = ProblemSpec(2, 1, 1)
@@ -431,12 +446,13 @@ class TestBlocksEmpty:
 
         words = list(all_words(spec))
         for shape, block in zip(shapes, blocks):
-            vec = representative_vector_empty(spec, shape)
+            vec = representative_vector_empty(shape)
+            assert len(vec) == len(words)
             agg = {}
-            for x in words:
-                for y in words:
+            for x, cx in zip(words, vec.tolist()):
+                for y, cy in zip(words, vec.tolist()):
                     widx = variables[canonical_orbit(spec, code(x, y))]
-                    agg[widx] = agg.get(widx, 0) + vec.get(x, 0) * vec.get(y, 0)
+                    agg[widx] = agg.get(widx, 0) + cx * cy
             slot = 1 if shape.augmented else 0
             for widx, val in agg.items():
                 got = dense(block).get(widx + 1)
@@ -630,11 +646,11 @@ class TestVerifyReduction:
         spec = ProblemSpec(2, 1, 2)
         target = build_shape_index_empty(spec)[0]
         assert not target.augmented
-        word = next(all_words(spec))
+        first_word = np.eye(1, spec.num_words, dtype=np.int64)[0]
         vector, build = blocks.representative_vector_empty, blocks.build_blocks_empty
 
-        def one_word(spec, shape):
-            return {word: 1} if shape == target else vector(spec, shape)
+        def one_word(shape):
+            return first_word if shape == target else vector(shape)
 
         def singleton_block(spec, shapes, variables):
             first, *rest = build(spec, shapes, variables)

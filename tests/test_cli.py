@@ -57,6 +57,14 @@ class TestStore:
         store = ResultsStore()
         assert store.path == tmp_path / "env.jsonl"
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        record = '{"n2": 1, "n3": 1, "d": 1, "k": 3, "bound": 6}'
+        path.write_text("\n" + record + "\n  \n\t\n" + record.replace("6", "5") + "\n\n")
+        store = ResultsStore(path)
+        assert [rec["bound"] for rec in store.records()] == [6, 5]
+        assert store.latest_records()[(1, 1, 1, 3)]["bound"] == 5
+
     def test_lines_are_json(self, tmp_path):
         store = ResultsStore(tmp_path / "r.jsonl")
         store.append({"n2": 1, "n3": 1, "d": 1, "k": 3, "bound": 6})
@@ -262,6 +270,20 @@ class TestCommands:
         assert code == EXIT_OK
         assert "match" in out
         assert "not in store" in out  # (3,5,3) was never computed
+
+    def test_table_replay_missing_store(self, tmp_path, capsys):
+        # a store that was never written holds no record, and replaying it
+        # does not create it
+        store = tmp_path / "never.jsonl"
+        code = main(["table", "--d", "3", "--max-length", "8", "--replay",
+                     "--store", str(store)])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        # the two unmarked rows of length at most 8
+        assert out.count("not in store") == 2
+        assert "  2   5   3      52         -        65  not in store" in out
+        assert "  3   5   3      99         -       125  not in store" in out
+        assert not store.exists()
 
     def test_table_replay_reads_store_once(self, tmp_path, capsys, monkeypatch):
         store = tmp_path / "t.jsonl"

@@ -176,6 +176,28 @@ class TestHamming:
             assert hamming_distance(u, w) <= hamming_distance(u, v) + hamming_distance(v, w)
 
 
+class TestWordsAndCodes:
+    @pytest.mark.parametrize("bits, trits, message", [
+        ((0, 2), (0,), r"binary symbols out of range: \(0, 2\)"),
+        ((0,), (1, 3), r"ternary symbols out of range: \(1, 3\)"),
+        ((0,), (-1,), r"ternary symbols out of range: \(-1,\)"),
+    ])
+    def test_letter_out_of_range(self, bits, trits, message):
+        with pytest.raises(ValueError, match=message):
+            Word(bits, trits)
+
+    def test_unsorted_code(self):
+        v, w = word((0,), (1,)), word((1,), (0,))
+        for words in ((w, v), (v, v)):
+            with pytest.raises(ValueError, match="words must be strictly sorted"):
+                Code(words)
+        assert Code((v, w)) == code(w, v)
+
+    def test_code_prints_its_words(self):
+        assert str(code(word((1, 0), (2,)), word((0, 1), (0,)))) == "{01|0, 10|2}"
+        assert str(code()) == "{}"
+
+
 class TestMinDistance:
     def test_empty_and_singleton(self):
         assert min_distance(code()) is None
@@ -210,6 +232,19 @@ class TestCanonicalOrbit:
         assert w.bin_counts == (1, 0, 0, 0)
         # one all-equal ternary column, two all-distinct ones
         assert w.ter_counts[0] == 1 and w.ter_counts[4] == 2
+
+    def test_empty_code(self):
+        spec = ProblemSpec(2, 3, 1)
+        w = canonical_orbit(spec, code())
+        assert w.size == 0
+        assert w != singleton_orbit(spec)
+
+    @pytest.mark.parametrize("bits, trits", [((0,), (0, 1, 2)), ((0, 1), (0, 1)), ((0, 1, 1), (0, 0, 0))])
+    def test_nonconforming_word(self, bits, trits):
+        spec = ProblemSpec(2, 3, 1)
+        other = word(bits, trits)
+        with pytest.raises(ShapeError, match=f"word {other} does not conform to \\(2, 3\\)"):
+            canonical_orbit(spec, code(other))
 
     def test_oversized_code(self):
         spec = ProblemSpec(1, 1, 1)

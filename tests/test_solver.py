@@ -540,6 +540,21 @@ class TestCertify:
         assert f"block {label} is" in str(info.value)
         assert info.value.solution is shifted
 
+    @pytest.mark.parametrize("diagonal", [0.0, -1.0])
+    def test_non_positive_dual_diagonal_refused(self, solved_253, diagonal):
+        # no diagonal shift makes such a block positive definite, so the
+        # shift is zero and the exact check refuses the block as it is
+        problem, solution = solved_253
+        z = [zk.copy() for zk in solution.z]
+        z[0][0, 0] = diagonal
+        given = unrecorded(solution, z=z)
+        with pytest.raises(CertificationError) as info:
+            certify(problem, given)
+        assert str(info.value) == (
+            "shifted dual block zero:n=(2, 0, 5) lam=[(2),(),(5)] is not positive definite"
+        )
+        assert info.value.solution is given
+
     def test_failed_exact_check_keeps_solving(self, solved_253, monkeypatch):
         # with every exact check failing, the solve records each failure in
         # the trace and runs on to the tolerance test, later than the
@@ -704,6 +719,20 @@ class TestSdpaInterchange:
     def test_bad_header_rejected(self, parse_text):
         with pytest.raises(SdpaParseError):
             parse_text("3\n1\n2 2\n1.0 1.0 1.0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1\n1\n", "incomplete SDPA header"),
+        ('"a comment"\n* another\n1\n\n1\n', "incomplete SDPA header"),
+        ("1\nx\n2\n1.0\n", "bad SDPA header: invalid literal for int"),
+        ("1\n1\n2.5\n1.0\n", "bad SDPA header: invalid literal for int"),
+        ("1\n1\n2\n1.0 x\n", "bad SDPA header: could not convert string to float"),
+        ("2\n1\n2\n1.0\n", "variable count 2 does not match objective length 1"),
+        ("1\n1\n2\n1.0 2.0\n", "variable count 1 does not match objective length 2"),
+    ], ids=["two-lines", "comments-and-blanks", "count", "size", "objective",
+            "short-objective", "long-objective"])
+    def test_header_refused(self, parse_text, text, message):
+        with pytest.raises(SdpaParseError, match=f"^{message}"):
+            parse_text(text)
 
     def test_zero_block_size_rejected(self, parse_text):
         # a block of size 0 is a bad header, not a missing block
