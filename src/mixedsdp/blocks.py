@@ -29,8 +29,8 @@ proves that every product and sum fits, and Python ints otherwise, so all
 arithmetic is exact; floating point enters this module only in that bound
 and in the verifier's eigenvalue cross-check.  A build keeps its factor
 polynomials for its shapes; nothing is kept between builds.  The reduced
-blocks are very sparse, so the builders keep only their nonzero
-upper-triangle triplets.
+blocks are very sparse, so a block holds only the columns of its nonzero
+upper-triangle entries.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from mixedsdp.codes import (
     KEY_WEIGHTS,
     N_BIN_PATTERNS,
     N_COUNTS,
+    N_TER_PATTERNS,
     PAT_12,
     PAT_13,
     PAT_23,
@@ -58,18 +59,16 @@ from mixedsdp.codes import (
     OrbitId,
     ProblemSpec,
     ResourceError,
-    Word,
-    all_words,
-    canonical_orbit,
+    _letters,
+    _pattern_of,
     check_key_digits,
-    code,
     enumerate_orbits,
+    orbit_from_counts,
     orbit_is_feasible,
     pack_counts,
     pair_orbit,
     reordered_keys,
     singleton_orbit,
-    zero_word,
 )
 from mixedsdp.tableaux import (
     ShapeD0,
@@ -127,6 +126,8 @@ _N_STATES = 1 << 2 * KEY_DIGIT
 # most (n + 1) * 2**-53 over n terms, so an estimate below 2**62, or a product
 # of two, proves the exact value below 2**63.
 _INT64_SAFE = 2.0 ** 62
+# A Python int column is int64 when every value and its negation fit.
+_INT64_LIMIT = 2 ** 63
 
 
 class _Poly(NamedTuple):
@@ -271,22 +272,54 @@ def _pair_terms(
     return (i * dim + j)[pair], lo1[pair] + q, lo2[pair] + r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Block:
     """One affine matrix constraint F0 + sum_v y_v F_v >= 0 of the reduced
-    problem: ``entries`` holds its nonzero exact upper-triangle values, sorted,
-    as (matno, i, j, value) with i <= j, matno 0 for F0 and v + 1 for F_v."""
+    problem, as the columns of its nonzero exact upper-triangle entries,
+    sorted by (matno, i, j), one per position, i <= j, matno 0 for F0 and
+    v + 1 for F_v.  ``matno``, ``i`` and ``j`` are int64; ``value`` is int64
+    when every value and its negation fit, else an object array of Python
+    ints."""
 
     label: str
     dim: int
-    entries: tuple[tuple[int, int, int, int], ...]
+    matno: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def from_entries(cls, label: str, dim: int, entries) -> Block:
+        """The block of (matno, i, j, value) entries in any order; a value
+        that is not an int is refused, since int64 would truncate it."""
+        entries = sorted(entries)
+        matno, i, j, value = zip(*entries) if entries else ((),) * 4
+        if not all(isinstance(v, int) for v in value):
+            raise TypeError(f"block {label}: values must be ints")
+        exact = all(-_INT64_LIMIT < v < _INT64_LIMIT for v in value)
+        return cls(
+            label, dim, *(np.array(c, dtype=np.int64) for c in (matno, i, j)),
+            np.array(value, dtype=np.int64 if exact else object),
+        )
+
+    def entries(self):
+        """The entries (matno, i, j, value) in order, as Python ints."""
+        return zip(*(c.tolist() for c in (self.matno, self.i, self.j, self.value)))
+
+    def __eq__(self, other):
+        """Equal label, order and entries, compared as Python ints."""
+        if not isinstance(other, Block):
+            return NotImplemented
+        return (self.label, self.dim) == (other.label, other.dim) and (
+            list(self.entries()) == list(other.entries())
+        )
 
     @property
     def coeff(self) -> dict[int, list[list[int]]]:
         """Dense {v: F_v} view, only for perfbench/workloads.py::_problem_counts;
         it goes when that read goes."""
         mats: dict[int, list[list[int]]] = {}
-        for matno, i, j, val in self.entries:
+        for matno, i, j, val in self.entries():
             if matno:
                 mat = mats.setdefault(matno - 1, [[0] * self.dim for _ in range(self.dim)])
                 mat[i][j] = mat[j][i] = val
@@ -306,10 +339,10 @@ def build_blocks_d0(
     each term's canonical key is the least of the six sums of its factors'
     reordered keys, and a binary search over the variables' sorted keys
     gives its variable.  The terms of each (variable, cell) are summed by
-    ``_collect``, and the sums become the block's triplets, already sorted.
-    The build's shapes share the powers of the factors' columns, each
-    shape's factor polynomials (``_factor_poly``, ``_ternary_poly``) and
-    the int objects of the triplets; all go with the build.
+    ``_collect``, and the sums, already sorted, are the block's columns.
+    The build's shapes share the powers of the factors' columns and each
+    shape's factor polynomials (``_factor_poly``, ``_ternary_poly``); both
+    go with the build.
     """
     check_key_digits(spec)
     keys = pack_counts([w.bin_counts + w.ter_counts for w in variables])
@@ -317,10 +350,6 @@ def build_blocks_d0(
     # the sentinel above every key ends each search inside the array
     var_keys = np.append(keys[order], np.iinfo(np.int64).max)
     var_index = np.fromiter(variables.values(), dtype=np.int64, count=len(variables))[order]
-    # one int object per matrix number and per distinct value: one per
-    # entry would hold about 5 MB of the 11 MB of (4,8,5)'s blocks
-    matnos = np.arange(1, len(variables) + 1).astype(object)
-    shared: dict = {}
     powers: dict = {}
     binaries: dict = {}
     ternaries: dict = {}
@@ -344,9 +373,7 @@ def build_blocks_d0(
         )
         v, cell = np.divmod(sums.keys, dim * dim)
         i, j = np.divmod(cell, dim)
-        values = [shared.setdefault(c, c) for c in sums.coefs.tolist()]
-        entries = tuple(zip(matnos[v].tolist(), i.tolist(), j.tolist(), values))
-        out.append(Block(f"{CASE_ZERO}:{shape.label()}", dim, entries))
+        out.append(Block(f"{CASE_ZERO}:{shape.label()}", dim, v + 1, i, j, sums.coefs))
     return out
 
 
@@ -390,7 +417,7 @@ def build_blocks_empty(
         if shape.augmented:
             svar = variables[singleton_orbit(spec)]
             entries += [(0, 0, 0, 1), (svar + 1, 0, 1, full)]
-        out.append(Block(f"{CASE_EMPTY}:{shape.label()}", slot + 1, tuple(sorted(entries))))
+        out.append(Block.from_entries(f"{CASE_EMPTY}:{shape.label()}", slot + 1, entries))
     return out
 
 
@@ -498,6 +525,29 @@ def _inertia(mat: np.ndarray) -> np.ndarray:
     return np.array([(eig < -tol).sum(), (eig > tol).sum()])
 
 
+# _PATTERNS[a, b, c] is the column pattern of the letters a, b, c.
+_PATTERNS = np.array([[[_pattern_of(a, b, c) for c in range(3)] for b in range(3)] for a in range(3)])
+
+
+def _orbit_table(spec: ProblemSpec, variables: dict[OrbitId, int], lookup: np.ndarray) -> np.ndarray:
+    """The matno, orbit index + 1, of every ordered word pair (x, y), in
+    ``all_words`` order, for the triple whose column pattern at a coordinate
+    of letters x_c, y_c is ``lookup[x_c, y_c]``.  Each pair's nine pattern
+    counts are summed coordinate by coordinate as one mixed-radix key, and
+    ``orbit_from_counts`` runs once per distinct key."""
+    radix = np.array([spec.n2 + 1] * N_BIN_PATTERNS + [spec.n3 + 1] * N_TER_PATTERNS)
+    place = np.cumprod(np.concatenate(([1], radix[:-1])))
+    keys = np.zeros((spec.num_words, spec.num_words), dtype=np.int64)
+    for c, col in enumerate(_letters(spec).T):
+        keys += place[N_BIN_PATTERNS * (c >= spec.n2) + lookup[col[:, None], col]]
+    distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
+    matnos = np.array([
+        variables[orbit_from_counts(counts[:N_BIN_PATTERNS], counts[N_BIN_PATTERNS:])] + 1
+        for counts in (distinct[:, None] // place % radix).tolist()
+    ])
+    return matnos[inverse].reshape(keys.shape)
+
+
 def _contraction_mismatch(
     table, columns, block: Block, label: str, orbits: list[OrbitId]
 ) -> str | None:
@@ -512,7 +562,7 @@ def _contraction_mismatch(
             for x, cx in u.items():
                 for y, cy in v.items():
                     want[i, j, int(table[x, y])] += cx * cy
-    got = {(i, j, m): val for m, i, j, val in block.entries}
+    got = {(i, j, m): val for m, i, j, val in block.entries()}
     for i, j, m in sorted(want.keys() | got.keys()):
         explicit, engine = want.get((i, j, m), 0), got.get((i, j, m), 0)
         if explicit != engine:
@@ -568,7 +618,8 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     (b) builds one explicit table per stabilizer case, holding the SDPA
     matno of each entry of the full matrix (orbit index + 1, 0 for the
     constant 1; the index is that in the d = 1 map of ``enumerate_orbits``,
-    which holds every nonempty orbit), and counts each case's kept words
+    which holds every nonempty orbit) from the column patterns of each word
+    pair's triple (``_orbit_table``), and counts each case's kept words
     against its block dimensions (``dimension_count``); (c) compares
     every engine block entry with the explicit contraction of its columns in
     exact integer arithmetic, over the keys of both, so an entry either side
@@ -583,21 +634,16 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
             f"word space {spec.num_words} exceeds verifier cap {VERIFY_WORD_CAP}"
         )
     checks: list[tuple[str, bool, str]] = []
-    words = list(all_words(spec))
     # every nonempty orbit; the zero case meets triples
     variables = enumerate_orbits(replace(spec, d=1, k=3))
     orbits = list(variables)
-    zero = zero_word(spec)
-
-    def matno_of(*ws: Word) -> int:
-        return variables[canonical_orbit(spec, code(*ws))] + 1
-
-    # zero case: the words as rows, the orbit of {0, x, y} at (x, y); empty
-    # case: the empty code first, then the words, the orbit of {x, y} at (x, y)
-    table_zero = np.array([[matno_of(zero, x, y) for y in words] for x in words])
-    table_empty = np.zeros((len(words) + 1, len(words) + 1), dtype=np.int64)
+    # zero case: the words as rows, the orbit of {0, x, y}, that of the
+    # triple (0, x, y), at (x, y); empty case: the empty code first, then
+    # the words, the orbit of {x, y}, that of the triple (x, y, y), at (x, y)
+    table_zero = _orbit_table(spec, variables, _PATTERNS[0])
+    table_empty = np.zeros((spec.num_words + 1, spec.num_words + 1), dtype=np.int64)
     table_empty[0, 1:] = table_empty[1:, 0] = variables[singleton_orbit(spec)] + 1
-    table_empty[1:, 1:] = [[matno_of(x, y) for y in words] for x in words]
+    table_empty[1:, 1:] = _orbit_table(spec, variables, np.diagonal(_PATTERNS, axis1=1, axis2=2))
 
     shapes_zero = build_shape_index_d0(spec)
     shapes_empty = build_shape_index_empty(spec)
@@ -621,7 +667,7 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
 
     # (c) empty case; the augmented shape leads with the empty code's row
     mismatch = None
-    empty_code = np.eye(1, len(words) + 1, dtype=np.int64)[0]
+    empty_code = np.eye(1, spec.num_words + 1, dtype=np.int64)[0]
     for shape, block in zip(shapes_empty, blocks_empty):
         vec = np.concatenate(([0], representative_vector_empty(shape)))
         columns = [empty_code, vec] if shape.augmented else [vec]
@@ -646,8 +692,7 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
         total = np.zeros(2, dtype=np.int64)
         for block, mult in zip(block_list, mults):
             m = np.zeros((block.dim, block.dim))
-            for matno, i, j, val in block.entries:
-                m[i, j] += scale[matno] * val
+            np.add.at(m, (block.i, block.j), scale[block.matno] * block.value.astype(np.float64))
             total += mult * _inertia(m + np.triu(m, 1).T)
         return total
 

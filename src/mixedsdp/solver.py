@@ -136,6 +136,16 @@ class _LpData:
     gammas: np.ndarray      # (n,)
 
 
+def _inexact(values: np.ndarray) -> int:
+    """The number of exact values that a double does not hold.  An int64
+    value is held exactly when its odd part is below 2**53; the test runs in
+    integers, since numpy compares int64 with float64 by rounding."""
+    if values.dtype == object:
+        return sum(float(v) != v for v in values.tolist())
+    mag = np.abs(values)
+    return int(np.count_nonzero(mag // np.maximum(mag & -mag, 1) >= 2 ** 53))
+
+
 def _prepare(problem: SdpProblem):
     """Per-block rescaled float data of a problem, each exact value taken
     as its nearest double, and the number of its nonzeros, objective
@@ -145,7 +155,7 @@ def _prepare(problem: SdpProblem):
     are the rows of the linear part, and the rows y >= 0 are kept
     implicit."""
     m = problem.num_vars
-    inexact = sum(float(v) != v for b in problem.blocks for *_, v in b.entries)
+    inexact = sum(_inexact(b.value) for b in problem.blocks)
     inexact += sum(float(c) != c for c in problem.objective)
 
     sdp_blocks: list[_PsdBlock] = []
@@ -154,9 +164,7 @@ def _prepare(problem: SdpProblem):
         if bl.dim == 1:
             continue
         s = bl.dim
-        table = np.array(bl.entries, dtype=float).reshape(-1, 4)
-        mat, i, j = table[:, :3].astype(np.int64).T
-        v = table[:, 3]
+        mat, i, j, v = bl.matno, bl.i, bl.j, bl.value.astype(np.float64)
         const = mat == 0
         f0 = np.zeros((s, s))
         f0[i[const], j[const]] = v[const]
@@ -176,8 +184,7 @@ def _prepare(problem: SdpProblem):
 
     dense = np.zeros((len(scalars), m + 1))  # the constants in column 0
     for row, bl in enumerate(scalars):
-        for matno, _, _, v in bl.entries:
-            dense[row, matno] = v
+        dense[row, bl.matno] = bl.value.astype(np.float64)
     l0, rows = dense[:, 0], dense[:, 1:]
     gammas = np.maximum(1.0, np.maximum(np.abs(rows).max(axis=1, initial=0.0), np.abs(l0)))
     lp = _LpData(
@@ -397,7 +404,7 @@ def _certificate(problem: SdpProblem, z: list[np.ndarray], w: np.ndarray) -> Cer
     for bl in problem.blocks:
         if bl.dim == 1:
             wj = next(lp)
-            for matno, _, _, v in bl.entries:
+            for matno, _, _, v in bl.entries():
                 sums[matno] += v * wj
             continue
         zk = next(psd)
@@ -408,7 +415,7 @@ def _certificate(problem: SdpProblem, z: list[np.ndarray], w: np.ndarray) -> Cer
         if ints.any() and not _positive_definite(ints):
             raise CertificationError(f"shifted dual block {bl.label} is not positive definite")
         grid = ints.ravel().tolist()
-        for matno, i, j, v in bl.entries:
+        for matno, i, j, v in bl.entries():
             sums[matno] += (v if i == j else 2 * v) * grid[i * bl.dim + j]
     # the slack v_i = -c_i - sums[i + 1] of each variable; y_i <= 1 bounds
     # what a negative one can add
@@ -764,27 +771,59 @@ def certify(problem: SdpProblem, solution: Solution) -> CertifiedBound:
 # ---------------------------------------------------------------------------
 # SDPA sparse format (.dat-s) interchange.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SdpaData:
-    """Canonical content of an SDPA sparse file: the entries sorted, one per
-    position, each of a PSD block in its upper triangle.  Built from a
-    problem it holds the exact values; parsed from a file, the doubles the
-    file prints.  The two compare equal exactly when every value
-    round-trips through a double.  It is the interchange view only: the
-    writer prints it, and the solver and the exact check read the blocks."""
+    """Canonical content of an SDPA sparse file: the columns of its entries,
+    sorted by (matno, blkno, i, j), one per position, each of a PSD block
+    in its upper triangle.  ``matno``, ``blkno``, ``i`` and ``j`` are int64.
+    Built from a problem, ``value`` holds the exact values, as a block does;
+    parsed from a file, the doubles the file prints.  Two views are equal
+    when every size, index and value is, compared exactly, so a problem's
+    view equals its file's exactly when every value round-trips through a
+    double.  It is the interchange view only: the writer prints the same
+    columns, and the solver and the exact check read the blocks."""
 
     num_vars: int
     block_sizes: tuple[int, ...]
     objective: tuple[int | float, ...]
-    entries: tuple[tuple[int, int, int, int, int | float], ...]
+    matno: np.ndarray
+    blkno: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    value: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, SdpaData):
+            return NotImplemented
+        return (self.num_vars, self.block_sizes, self.objective) == (
+            other.num_vars, other.block_sizes, other.objective
+        ) and all(
+            _same_numbers(getattr(self, name), getattr(other, name))
+            for name in ("matno", "blkno", "i", "j", "value")
+        )
 
 
-def problem_to_sdpa_data(problem: SdpProblem) -> SdpaData:
-    """Exact view of a problem in SDPA terms: minimize (-objective).y with
-    X = sum_i y_i F_i - (-F0) >= 0 blockwise; one trailing diagonal block
-    collects the 1x1 blocks and one row y_i >= 0 per variable.  It relabels
-    each block's triplets with the block number, the 1-based offset in the
-    diagonal block and F0's sign."""
+def _same_numbers(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two columns hold the same numbers, compared exactly.  numpy
+    compares int64 with float64 by rounding the int, so a float column meets
+    an int64 one as int64, once each of its values is shown to be a whole
+    number in range; Python compares its ints and floats exactly."""
+    if a.shape != b.shape:
+        return False
+    if a.dtype == object or b.dtype == object:
+        return a.tolist() == b.tolist()
+    if a.dtype == b.dtype:
+        return bool(np.array_equal(a, b))
+    ints, floats = (a, b) if a.dtype.kind == "i" else (b, a)
+    whole = (np.abs(floats) < 2.0 ** 63) & (np.trunc(floats) == floats)
+    return bool(whole.all()) and np.array_equal(floats.astype(np.int64), ints)
+
+
+def _sdpa_columns(problem: SdpProblem):
+    """The block sizes of the SDPA view of a problem (see
+    ``problem_to_sdpa_data``), its five columns, block after block, and the
+    order that sorts them.  Each block's entries are sorted, so a stable
+    sort by matrix number sorts the whole view."""
     m = problem.num_vars
     sdp_blocks = [b for b in problem.blocks if b.dim >= 2]
     scalar_blocks = [b for b in problem.blocks if b.dim == 1]
@@ -794,20 +833,31 @@ def problem_to_sdpa_data(problem: SdpProblem) -> SdpaData:
     # each block's number and offset: the 1x1 blocks share the diagonal block
     places = [(k, 0, b) for k, b in enumerate(sdp_blocks, start=1)]
     places += [(diag, pos, b) for pos, b in enumerate(scalar_blocks)]
-    # one list per matrix number, filled in block order with each block's
-    # sorted triplets and then the rows y >= 0, is the sorted view
-    by_matno = [[] for _ in range(m + 1)]
-    for blkno, off, b in places:
-        for matno, i, j, val in b.entries:
-            by_matno[matno].append((matno, blkno, off + i + 1, off + j + 1, val if matno else -val))
-    first = len(scalar_blocks) + 1
-    for v in range(m):
-        by_matno[v + 1].append((v + 1, diag, first + v, first + v, 1))
-    entries = tuple(itertools.chain.from_iterable(by_matno))
-    return SdpaData(m, sizes, tuple(-c for c in problem.objective), entries)
+    # the rows y >= 0 follow, one per variable
+    rows = np.arange(len(scalar_blocks) + 1, diag_size + 1)
+    matno = np.concatenate([b.matno for *_, b in places] + [np.arange(1, m + 1)])
+    blkno = np.concatenate([np.full(len(b.matno), k) for k, _, b in places] + [np.full(m, diag)])
+    i = np.concatenate([b.i + (off + 1) for _, off, b in places] + [rows])
+    j = np.concatenate([b.j + (off + 1) for _, off, b in places] + [rows])
+    value = np.concatenate([b.value for *_, b in places] + [np.ones(m, dtype=np.int64)])
+    value[matno == 0] *= -1
+    return sizes, [matno, blkno, i, j, value], np.argsort(matno, kind="stable")
 
 
-_SDPA_CHUNK = 4096  # entry lines per write of emit_sdpa
+def problem_to_sdpa_data(problem: SdpProblem) -> SdpaData:
+    """Exact view of a problem in SDPA terms: minimize (-objective).y with
+    X = sum_i y_i F_i - (-F0) >= 0 blockwise; one trailing diagonal block
+    collects the 1x1 blocks and one row y_i >= 0 per variable.  It relabels
+    each block's entries with the block number, the 1-based offset in the
+    diagonal block and F0's sign."""
+    sizes, columns, order = _sdpa_columns(problem)
+    # one column is sorted at a time, and its unsorted copy goes
+    for k, column in enumerate(columns):
+        columns[k] = column[order]
+    return SdpaData(problem.num_vars, sizes, tuple(-c for c in problem.objective), *columns)
+
+
+_SDPA_CHUNK = 4096  # entry lines per write of emit_sdpa, per read of parse_sdpa
 
 
 def emit_sdpa(problem: SdpProblem, destination) -> Path:
@@ -817,29 +867,34 @@ def emit_sdpa(problem: SdpProblem, destination) -> Path:
     encoded by negating the objective vector, and constant matrices are
     emitted as -F0 per the SDPA convention X = sum_i x_i F_i - F0.
     The entry lines go out in chunks of _SDPA_CHUNK, one join and one write
-    each, so the writer holds the SDPA view and one chunk of text, never
-    the file's text.
+    each, gathered through the order that sorts the view's columns, so the
+    writer holds the columns, their order and one chunk of text, never a
+    sorted copy of the view or the file's text.
     """
-    data = problem_to_sdpa_data(problem)
+    sizes, columns, order = _sdpa_columns(problem)
+    *index, value = columns
     spec = problem.spec
     header = [
         f'"mixed binary/ternary code bound: n2={spec.n2} n3={spec.n3} '
         f'd={spec.d} k={spec.k}',
         '"maximization encoded by negated objective; constant matrices are -F0',
-        f"{data.num_vars}",
-        f"{len(data.block_sizes)}",
-        " ".join(str(s) for s in data.block_sizes),
+        f"{problem.num_vars}",
+        f"{len(sizes)}",
+        " ".join(str(s) for s in sizes),
         # a zero is the negation of 0 and prints as -0.0
-        " ".join(repr(float(c) or -0.0) for c in data.objective),
+        " ".join(repr(float(-c) or -0.0) for c in problem.objective),
     ]
-    entries = data.entries
     path = Path(destination)
     with path.open("w") as out:
         out.write("\n".join(header) + "\n")
-        for start in range(0, len(entries), _SDPA_CHUNK):
+        for start in range(0, len(order), _SDPA_CHUNK):
+            rows = order[start:start + _SDPA_CHUNK]
+            # each exact value as its nearest double
             out.write("".join(
-                f"{matno} {blkno} {i} {j} {float(val)!r}\n"
-                for matno, blkno, i, j, val in entries[start:start + _SDPA_CHUNK]
+                f"{matno} {blkno} {i} {j} {val!r}\n"
+                for matno, blkno, i, j, val in zip(
+                    *(c[rows].tolist() for c in index), value[rows].astype(np.float64).tolist()
+                )
             ))
     return path
 
@@ -852,30 +907,44 @@ def parse_sdpa(path) -> SdpaData:
     (negative-size) block, that no other entry names; (i, j) and (j, i)
     name the same position of a symmetric matrix.
 
-    The lines are read once, as a stream, into one list of entries; equal
-    number tokens share one int or float.  Repeated positions are adjacent
-    once the list is sorted, and only then is the file read again, to name
-    the first line that repeats an earlier one."""
+    The lines are read once, as a stream, _SDPA_CHUNK at a time, into one
+    list per column; equal number tokens share one int or float.  Repeated
+    positions are adjacent once the columns are sorted, and only then is
+    the file read again, to name the first line that repeats an earlier
+    one."""
+    columns = [[] for _ in range(5)]
     with open(path) as file:
         header, lines = _read_sdpa(file)
-        entries = [entry for _, entry in lines]
-    entries.sort()
-    if any(a[:4] == b[:4] for a, b in itertools.pairwise(entries)):
+        while chunk := [entry for _, entry in itertools.islice(lines, _SDPA_CHUNK)]:
+            for column, part in zip(columns, zip(*chunk)):
+                column.extend(part)
+    # one column becomes an array at a time, and its list goes
+    for k, column in enumerate(columns):
+        columns[k] = np.array(column, dtype=np.float64 if k == 4 else np.int64)
+    order = np.lexsort(columns[3::-1])
+    for k, column in enumerate(columns):
+        columns[k] = column[order]
+    repeated = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for column in columns[:4]:
+        repeated &= column[1:] == column[:-1]
+    if repeated.any():
         with open(path) as file:
             seen = set()
-            for raw, (matno, blkno, i, j, _) in _read_sdpa(file)[1]:
+            for line, (matno, blkno, i, j, _) in _read_sdpa(file)[1]:
                 if (matno, blkno, i, j) in seen:
+                    raw = line.rstrip("\n")
                     raise SdpaParseError(
                         f"repeated position ({i}, {j}) of matrix {matno} in block {blkno}: {raw!r}"
                     )
                 seen.add((matno, blkno, i, j))
-    return SdpaData(*header, tuple(entries))
+    return SdpaData(*header, *columns)
 
 
 def _read_sdpa(file):
     """The header (num_vars, sizes, objective) of an open SDPA file and an
-    iterator over its entry lines, which gives each line, without its
-    newline, with its checked entry (matno, blkno, i, j, value), i <= j."""
+    iterator over its entry lines, which gives each line as read, with its
+    checked entry (matno, blkno, i, j, value), i <= j.  Blank lines and
+    comments, which start with " or *, are skipped."""
     lines = (line.rstrip("\n") for line in file)
     lines = (raw for raw in lines if (line := raw.strip()) and line[0] not in '"*')
     header = list(itertools.islice(lines, 3))
@@ -911,12 +980,17 @@ def _read_sdpa(file):
 
     def entries():
         integer, real = functools.cache(int), functools.cache(float)
-        for raw in lines:
+        # the header's lines are read, so the entry lines follow in the file
+        for line in file:
+            fields = line.split()
+            if not fields or fields[0][0] in '"*':
+                continue
             try:
-                *index, text = raw.split()
-                matno, blkno, i, j = map(integer, index)
-                value = real(text)
+                matno, blkno, i, j, value = fields
+                matno, blkno, i, j = integer(matno), integer(blkno), integer(i), integer(j)
+                value = real(value)
             except ValueError:
+                raw = line.rstrip("\n")
                 raise SdpaParseError(f"bad entry line: {raw!r}") from None
             if i > j:
                 i, j = j, i
@@ -932,8 +1006,9 @@ def _read_sdpa(file):
             elif size < 0 and i != j:
                 fault = f"off-diagonal entry in diagonal block {blkno}"
             else:
-                yield raw, (matno, blkno, i, j, value)
+                yield line, (matno, blkno, i, j, value)
                 continue
+            raw = line.rstrip("\n")
             raise SdpaParseError(f"{fault}: {raw!r}")
 
     return (num_vars, sizes, objective), entries()

@@ -130,6 +130,6 @@ def code_indicator_assignment(
 def block_at(block, y) -> np.ndarray:
     """The dense float matrix F0 + sum_v y_v F_v of a block at the point y."""
     m = np.zeros((block.dim, block.dim))
-    for matno, i, j, val in block.entries:
+    for matno, i, j, val in block.entries():
         m[i, j] += (y[matno - 1] if matno else 1.0) * val
     return m + np.triu(m, 1).T

@@ -73,7 +73,7 @@ def dense(block):
     """The block's matrices as dense symmetric lists, by SDPA matrix number
     (0 is F0, v + 1 is variable v's), filled from its triplets."""
     mats = {}
-    for matno, i, j, val in block.entries:
+    for matno, i, j, val in block.entries():
         mat = mats.setdefault(matno, [[0] * block.dim for _ in range(block.dim)])
         mat[i][j] = mat[j][i] = val
     return mats
@@ -253,7 +253,9 @@ class TestExactArithmetic:
         args = (spec, build_shape_index_d0(spec), enumerate_orbits(spec))
         want = build_blocks_d0(*args)
         monkeypatch.setattr(blocks, "_INT64_SAFE", 0.0)
-        assert build_blocks_d0(*args) == want
+        got = build_blocks_d0(*args)
+        assert all(b.value.dtype == object for b in got)
+        assert got == want
 
 
 class TestKappa:
@@ -326,7 +328,7 @@ class TestBlocksD0:
         blocks = build_blocks_d0(spec, build_shape_index_d0(spec), variables)
         for block in blocks:
             # no constant either: the all-zero-word blocks have F0 = 0
-            for matno, *_ in block.entries:
+            for matno, *_ in block.entries():
                 assert 1 <= matno <= len(variables)
 
     def test_matrices_symmetric(self):
@@ -334,15 +336,17 @@ class TestBlocksD0:
         spec = ProblemSpec(2, 2, 2)
         variables = enumerate_orbits(spec)
         for block in build_blocks_d0(spec, build_shape_index_d0(spec), variables):
-            assert list(block.entries) == sorted(block.entries)
-            assert len({e[:3] for e in block.entries}) == len(block.entries)
-            assert all(0 <= i <= j < block.dim for _, i, j, _ in block.entries)
+            entries = list(block.entries())
+            assert entries == sorted(entries)
+            assert len({e[:3] for e in entries}) == len(entries)
+            assert all(0 <= i <= j < block.dim for _, i, j, _ in entries)
 
     def test_entries_are_exact_integers(self):
         spec = ProblemSpec(2, 1, 1)
         variables = enumerate_orbits(spec)
         for block in build_blocks_d0(spec, build_shape_index_d0(spec), variables):
-            for entry in block.entries:
+            assert all(c.dtype == np.int64 for c in (block.matno, block.i, block.j, block.value))
+            for entry in block.entries():
                 assert all(type(v) is int for v in entry)
                 assert entry[3] != 0
 
@@ -461,7 +465,20 @@ class TestBlocksEmpty:
 
 class TestBlockType:
     def test_fields(self):
-        assert [f.name for f in dataclasses.fields(Block)] == ["label", "dim", "entries"]
+        assert [f.name for f in dataclasses.fields(Block)] == ["label", "dim", "matno", "i", "j", "value"]
+
+    def test_from_entries_columns(self):
+        # sorted, int64 while every value and its negation fit, else Python
+        # ints; a float would be truncated, so it is refused
+        block = Block.from_entries("x", 2, ((1, 0, 1, 5), (0, 0, 0, -(2 ** 63 - 1))))
+        assert list(block.entries()) == [(0, 0, 0, -(2 ** 63 - 1)), (1, 0, 1, 5)]
+        assert block.value.dtype == np.int64
+        assert block == Block.from_entries("x", 2, ((0, 0, 0, -(2 ** 63 - 1)), (1, 0, 1, 5)))
+        assert block != Block.from_entries("x", 2, ((0, 0, 0, -(2 ** 63 - 1)), (1, 0, 1, 6)))
+        wide = Block.from_entries("x", 1, ((0, 0, 0, -(2 ** 63)),))
+        assert wide.value.dtype == object and list(wide.entries()) == [(0, 0, 0, -(2 ** 63))]
+        with pytest.raises(TypeError, match="block x: values must be ints"):
+            Block.from_entries("x", 1, ((0, 0, 0, 1.5),))
 
     @pytest.mark.parametrize("n2,n3,d,k", [(4, 5, 3, 3), (2, 5, 3, 2)])
     def test_dense_view_counts_variable_triplets(self, n2, n3, d, k):
@@ -470,23 +487,23 @@ class TestBlockType:
         for b in build_problem(ProblemSpec(n2, n3, d, k)).blocks:
             count = sum(1 for mat in b.coeff.values()
                         for i, row in enumerate(mat) for v in row[i:] if v)
-            assert count == sum(1 for matno, *_ in b.entries if matno >= 1)
+            assert count == sum(1 for matno, *_ in b.entries() if matno >= 1)
             assert b.coeff == {m - 1: mat for m, mat in dense(b).items() if m}
 
 
 def raise_first_coefficient(block_list):
     """The blocks with one added to the first entry of the first block."""
     first, *rest = block_list
-    (matno, i, j, value), *entries = first.entries
-    return [Block(first.label, first.dim, ((matno, i, j, value + 1), *entries)), *rest]
+    (matno, i, j, value), *entries = first.entries()
+    return [Block.from_entries(first.label, first.dim, ((matno, i, j, value + 1), *entries)), *rest]
 
 
 def double_augmented_corner(block_list):
     """The blocks with the constant corner of the augmented block set to 2."""
     return [
-        Block(b.label, b.dim, tuple(
-            e[:3] + (2,) if e[:3] == (0, 0, 0) else e for e in b.entries
-        ))
+        Block.from_entries(b.label, b.dim, [
+            e[:3] + (2,) if e[:3] == (0, 0, 0) else e for e in b.entries()
+        ])
         for b in block_list
     ]
 
@@ -494,7 +511,7 @@ def double_augmented_corner(block_list):
 def add_zero_case_constant(block_list):
     """The blocks with a constant 1 added at (0, 0) of the first block."""
     first, *rest = block_list
-    return [Block(first.label, first.dim, ((0, 0, 0, 1), *first.entries)), *rest]
+    return [Block.from_entries(first.label, first.dim, ((0, 0, 0, 1), *first.entries())), *rest]
 
 
 def add_augmented_cross_term(block_list):
@@ -503,9 +520,9 @@ def add_augmented_cross_term(block_list):
     out = []
     for b in block_list:
         if b.dim == 2:
-            singleton = next(e[0] for e in b.entries if e[1:3] == (0, 1))
-            pair = next(e[0] for e in b.entries if e[1:3] == (1, 1) and e[0] != singleton)
-            b = Block(b.label, b.dim, tuple(sorted(b.entries + ((pair, 0, 1, 7),))))
+            singleton = next(e[0] for e in b.entries() if e[1:3] == (0, 1))
+            pair = next(e[0] for e in b.entries() if e[1:3] == (1, 1) and e[0] != singleton)
+            b = Block.from_entries(b.label, b.dim, (*b.entries(), (pair, 0, 1, 7)))
         out.append(b)
     return out
 
@@ -655,7 +672,7 @@ class TestVerifyReduction:
         def singleton_block(spec, shapes, variables):
             first, *rest = build(spec, shapes, variables)
             matno = variables[singleton_orbit(spec)] + 1
-            return [Block(first.label, 1, ((matno, 0, 0, 1),)), *rest]
+            return [Block.from_entries(first.label, 1, ((matno, 0, 0, 1),)), *rest]
 
         monkeypatch.setattr(blocks, "representative_vector_empty", one_word)
         monkeypatch.setattr(blocks, "build_blocks_empty", singleton_block)

@@ -230,6 +230,23 @@ class TestCommands:
         stored = [(r["n2"], r["n3"], r["bound"]) for r in ResultsStore(store).records()]
         assert stored == [(2, 5, 65)] + ([] if value == "!" else [(3, 5, value)])
 
+    def test_table_doubling_row_without_source(self, tmp_path, capsys, monkeypatch):
+        # without the row (4,3,3), the doubling row (5,3,3) has no source
+        # row and is left out of the table
+        rows = [r for r in load_reference_rows() if (r.n2, r.n3, r.d) != (4, 3, 3)]
+        monkeypatch.setattr(cli, "load_reference_rows", lambda: rows)
+        published = {(2, 5, 3): 65, (3, 5, 3): 125}
+        monkeypatch.setattr(cli, "_compute_bound", lambda n2, n3, d, k, tol, max_iter=500: {
+            "n2": n2, "n3": n3, "d": d, "k": k, "bound": published[n2, n3, d],
+        })
+        assert main(["table", "--d", "3", "--max-length", "8",
+                     "--store", str(tmp_path / "t.jsonl")]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            " n2  n3   d   lower  computed published  status",
+            "  2   5   3      52        65        65  match",
+            "  3   5   3      99       125       125  match",
+        ]
+
     def test_table_jobs_pool(self, tmp_path, capsys):
         store = tmp_path / "j.jsonl"
         code = main(["table", "--d", "3", "--max-length", "7", "--jobs", "2",

@@ -46,12 +46,12 @@ class TestBuildSdp:
         p = build_sdp(ProblemSpec(2, 1, 2))
         covered = set()
         for b in p.blocks:
-            covered.update(matno - 1 for matno, *_ in b.entries if matno)
+            covered.update(matno - 1 for matno, *_ in b.entries() if matno)
         assert covered == set(range(p.num_vars))
 
     def test_single_augmented_constant(self):
         p = build_sdp(ProblemSpec(2, 2, 3))
-        f0s = [[e for e in b.entries if e[0] == 0] for b in p.blocks]
+        f0s = [[e for e in b.entries() if e[0] == 0] for b in p.blocks]
         assert [f0 for f0 in f0s if f0] == [[(0, 0, 0, 1)]]
 
     def test_rejects_wrong_level(self):

@@ -43,8 +43,8 @@ from sdpa_output import parse_sdpa_output
 
 DUMMY_ORBIT = OrbitId(1, (1, 0, 0, 0), (1, 0, 0, 0, 0))
 
-# SHA-256 of the emitted SDPA files, pinned so that refactors of the block,
-# model and SDPA layers keep every byte.
+# SHA-256 of the emitted SDPA files of every problem of tools/sdpa_digests.py,
+# pinned so that refactors of the block, model and SDPA layers keep every byte.
 EMITTED_DIGESTS = {
     (1, 1, 1, 3): "f9a5936689e35e3f6d53f0a871999971017b3eff03e9a10faa9a0ccd9e5ab1cb",
     (2, 1, 2, 3): "529e00a35047a2d475435a7ff1fe533514ef0d4ee3f018d73f53834f74a2fc64",
@@ -53,7 +53,38 @@ EMITTED_DIGESTS = {
     (2, 5, 3, 2): "fbd381615fb09c47583b16d3ae3b45ecf316b0225ebbfe7fa30beb86bd707339",
     (1, 4, 3, 2): "66039484f01ad38d8f82a7433c988fd34b75e4d2807bb563a8b8610b8a74ffa9",
     (4, 8, 5, 3): "2315eb0fd55a8b8f448ec401104a1763663f7936bcbdca15338df186152595be",
+    (3, 5, 3, 3): "d003ee72e452f2a55ea20c15a09348bf6814f164d5f3e4917ddabf32fbfc6622",
+    (4, 5, 3, 3): "2cdb08b9970fdfd17c57161acf0f1fbbf8b265ac640f133f1e50d4e589b4a10d",
+    (6, 3, 3, 3): "7ce2cd322a15e00682ab616248f843c2870bc2e6d0972c05b39f30b00885edf1",
+    (7, 2, 3, 3): "ee741fa915da7c2b4fe8c33e4313184ce92d54d8b26002b65bac06a136a0b165",
+    (8, 1, 3, 3): "c47aa1de3cbe6d414c00fbf2a49b32a2f43eab725b97d0e97e1fb633e2341f75",
+    (9, 2, 3, 3): "300f6b6953efa28e80eae2c6369bb70e9e51be41ab893bcac6757b2175653d66",
+    (10, 1, 3, 3): "5f0e68f9bb6fc2ce3456b0e73f74ec0792f00af10fb08b260fce815bb640df18",
+    (2, 6, 4, 3): "a66e474cb696331c6e63d3674995916233b40875b07824bf178e1149ee529105",
+    (5, 4, 4, 3): "1a5ed49cd50096b5673dd9e26d68ed9d651aa4b470b97f00921998558dabd1e4",
+    (10, 2, 4, 3): "6b427c262e86d43feaab6290929c6591b7fff3ba25e023453d5cd1cb96b885f3",
+    (1, 11, 5, 3): "ae24fee0b0e83a4616c4070634084f5eacbe43feb1801b085dff2179772b9263",
+    (2, 10, 5, 3): "89dda6cfe268da15d31c889cc62ad5cd7fa0594e34794e55f28b35d811e7ce93",
+    (3, 9, 5, 3): "2c38394b9e30d543f9403ccea0ada194470b823bf9717f4fbfbcf6989c51af6e",
+    (1, 12, 5, 3): "3177272a3d3e246ef24cdf9408b463aaea1a3320ba88d67fcbef84f978508bc7",
+    (3, 3, 3, 3): "c6c3f1a0860b7d55a5b93e2ec680c82cbb78769a535392330766cdf7340ee209",
+    (4, 2, 3, 3): "db9fc0368dbc0acb54eeb7b1fe9eaae07756c940ec700fa0a811400d5f3786ba",
+    (1, 4, 3, 3): "531f67744b0a06f3e36423516a6bae05931a750578f86e44f9e01ba567c8b2f2",
+    (5, 2, 4, 3): "6ccff1914723d9b6010a5a170eea10ece623d035164700df7106e9ecd8068b3b",
+    (6, 1, 3, 3): "ca989c6c9d920ed8c364e1f79d829fe951c7424d107598e83ba84e0d802bf1b4",
+    (5, 2, 3, 3): "452fb7883695e8d7729baf702b951c8afcfcffe339e32ecce6db76e5eeca0cbe",
+    (3, 3, 3, 2): "d30f001d1ee80f3b838920a3c67c5e57d26678308762d9bf55e5c370e5e2e409",
+    (4, 2, 3, 2): "e7cf8565d785ca4ce4b4a878152dbcb3dc1edf801a1e4e6a792b89d60e779a06",
+    (5, 2, 4, 2): "88d7d77779c75960864c963055beae5583e0bcfc6d1add4cac788bccb73eff5e",
+    (6, 1, 3, 2): "b18c4e9a5a6de9dd8595587b34ec4d1491989263b1fd05d363decc4ef9f9ed2a",
+    (5, 2, 3, 2): "2e1b14f0008349f3d23229b435d4a6f3734398672e19593a31df1d8bc32ae143",
 }
+
+
+def view_entries(data):
+    """The entries of an SDPA view as (matno, blkno, i, j, value) tuples of
+    Python numbers, in order."""
+    return list(zip(*(c.tolist() for c in (data.matno, data.blkno, data.i, data.j, data.value))))
 
 
 def toy_problem(objective, blocks):
@@ -69,20 +100,20 @@ def correlation_toy():
     """max y s.t. [[1, y], [y, 1]] psd, y >= 0; optimum 1."""
     return toy_problem(
         (1,),
-        [Block("corr", 2, ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)))],
+        [Block.from_entries("corr", 2, ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)))],
     )
 
 
 def no_variables():
     """A problem without variables: the constant block I >= 0; optimum 0."""
-    return SdpProblem(ProblemSpec(2, 2, 1), (), (), (Block("x", 2, ((0, 0, 0, 1), (0, 1, 1, 1))),))
+    return SdpProblem(ProblemSpec(2, 2, 1), (), (), (Block.from_entries("x", 2, ((0, 0, 0, 1), (0, 1, 1, 1))),))
 
 
 def box_toy():
     """max y s.t. 1 - y >= 0, y >= 0; optimum 1, as pure LP."""
     return toy_problem(
         (1,),
-        [Block("ub", 1, ((0, 0, 0, 1), (1, 0, 0, -1)))],
+        [Block.from_entries("ub", 1, ((0, 0, 0, 1), (1, 0, 0, -1)))],
     )
 
 
@@ -137,8 +168,8 @@ class TestSolve:
         scaled_blocks = []
         for i, b in enumerate(p.blocks):
             if i == 0:
-                entries = tuple((mat, r, c, 2 * v) for mat, r, c, v in b.entries)
-                scaled_blocks.append(Block(b.label, b.dim, entries))
+                entries = tuple((mat, r, c, 2 * v) for mat, r, c, v in b.entries())
+                scaled_blocks.append(Block.from_entries(b.label, b.dim, entries))
             else:
                 scaled_blocks.append(b)
         p2 = SdpProblem(
@@ -158,9 +189,9 @@ class TestSolve:
         remap = {old: new for new, old in enumerate(keep)}
         blocks = []
         for b in p.blocks:
-            blocks.append(Block(b.label, b.dim, tuple(
+            blocks.append(Block.from_entries(b.label, b.dim, tuple(
                 (remap[mat - 1] + 1 if mat else 0, i, j, v)
-                for mat, i, j, v in b.entries if mat != drop + 1
+                for mat, i, j, v in b.entries() if mat != drop + 1
             )))
         p2 = SdpProblem(
             spec=p.spec,
@@ -175,7 +206,7 @@ class TestSolve:
         big = 2 ** 60 + 1  # not representable in a double
         p = toy_problem(
             (1,),
-            [Block("ub", 1, ((0, 0, 0, big), (1, 0, 0, -big)))],
+            [Block.from_entries("ub", 1, ((0, 0, 0, big), (1, 0, 0, -big)))],
         )
         s = solve(p, tol=1e-8)
         assert s.inexact_coefficients == 2
@@ -184,7 +215,7 @@ class TestSolve:
         # coefficient is one entry of the upper triangle, counted once
         p = toy_problem(
             (1,),
-            [Block("corr", 2, ((0, 0, 0, big), (0, 1, 1, big), (1, 0, 1, big)))],
+            [Block.from_entries("corr", 2, ((0, 0, 0, big), (0, 1, 1, big), (1, 0, 1, big)))],
         )
         s = solve(p, tol=1e-8)
         assert s.inexact_coefficients == 3
@@ -353,7 +384,7 @@ def dense_sdpa_operators(problem):
     data = problem_to_sdpa_data(problem)
     m = data.num_vars
     mats = {k: np.zeros((m + 1, abs(s), abs(s))) for k, s in enumerate(data.block_sizes, 1)}
-    for matno, blkno, i, j, val in data.entries:
+    for matno, blkno, i, j, val in view_entries(data):
         val = -val if matno == 0 else val  # the view holds -F0
         mats[blkno][matno, i - 1, j - 1] = mats[blkno][matno, j - 1, i - 1] = val
     psd = [mats[k] for k, s in enumerate(data.block_sizes, 1) if s > 0]
@@ -444,12 +475,12 @@ def unrecorded(solution, **changes):
 def with_coefficient(problem, index, var, a, delta):
     """The problem with delta added to entry (a, a) of F_var in block index."""
     block = problem.blocks[index]
-    values = {(mat, i, j): v for mat, i, j, v in block.entries}
+    values = {(mat, i, j): v for mat, i, j, v in block.entries()}
     key = (var + 1, a, a)
     values[key] = values.get(key, 0) + delta
     entries = tuple(sorted(k + (v,) for k, v in values.items() if v))
     blocks = list(problem.blocks)
-    blocks[index] = Block(block.label, block.dim, entries)
+    blocks[index] = Block.from_entries(block.label, block.dim, entries)
     return dataclasses.replace(problem, blocks=tuple(blocks))
 
 
@@ -505,7 +536,7 @@ class TestCertify:
         z = solution.z[0]  # the dual block of problem.blocks[index]
         a = int(np.argmax(np.diag(z)))
         var = next(
-            mat - 1 for mat, i, j, _ in problem.blocks[index].entries if mat and i == j == a
+            mat - 1 for mat, i, j, _ in problem.blocks[index].entries() if mat and i == j == a
         )
         # raises <F_var, Z> by at least the slack of var plus 2
         delta = math.ceil((solution.u[var] + 2) / z[a, a])
@@ -621,22 +652,22 @@ class TestCertify:
 def problem_from_sdpa(data):
     """The problem an SDPA view describes, in the blocks' natural signs: its
     PSD blocks in order, then each row of its diagonal block, except the
-    rows y >= 0, as a 1x1 block.  The labels are the block numbers and the
-    rows."""
+    rows y >= 0, as a 1x1 block, each value, a whole double, as its int.
+    The labels are the block numbers and the rows."""
     m = data.num_vars
     entries = {}
     for k, size in enumerate(data.block_sizes, 1):
         rows = [0] if size > 0 else range(1, -size - m + 1)
         entries.update(((k, row), []) for row in rows)
     # the view is sorted, so each block's entries come sorted
-    for matno, blkno, i, j, val in data.entries:
+    for matno, blkno, i, j, val in view_entries(data):
         psd = data.block_sizes[blkno - 1] > 0
         place = entries.get((blkno, 0 if psd else i))
         if place is not None:  # None for a row y >= 0
             i, j = (i - 1, j - 1) if psd else (0, 0)
-            place.append((matno, i, j, -val if matno == 0 else val))
+            place.append((matno, i, j, int(-val if matno == 0 else val)))
     blocks = [
-        Block(f"{k}:{row}", data.block_sizes[k - 1] if row == 0 else 1, tuple(es))
+        Block.from_entries(f"{k}:{row}", data.block_sizes[k - 1] if row == 0 else 1, tuple(es))
         for (k, row), es in entries.items()
     ]
     return toy_problem([-c for c in data.objective], blocks)
@@ -687,7 +718,7 @@ class TestSdpaInterchange:
         assert data.block_sizes == (-2,)  # scalar block + one nonneg row
         assert data.objective == (-1.0,)  # negated for maximization
         # constant matrix carries -F0
-        assert (0, 1, 1, 1, -1.0) in data.entries
+        assert (0, 1, 1, 1, -1.0) in view_entries(data)
 
     def test_parse_from_text(self, tmp_path):
         # the emitted text, written again with \r\n line ends, reads the same
@@ -708,12 +739,13 @@ class TestSdpaInterchange:
 
     @pytest.mark.parametrize("n2,n3,d,k", [(2, 2, 3, 3), (2, 5, 3, 3), (2, 5, 3, 2), (1, 4, 3, 2)])
     def test_view_is_sorted_without_sorting(self, n2, n3, d, k):
-        # problem_to_sdpa_data concatenates each block's triplets by matrix
-        # number, so it is the sorted view only while every block is sorted
+        # problem_to_sdpa_data sorts each block's entries by matrix number
+        # alone, stably, so it is the sorted view only while every block is
+        # sorted
         problem = build_problem(ProblemSpec(n2, n3, d, k))
         for b in problem.blocks:
-            assert list(b.entries) == sorted(b.entries), b.label
-        entries = list(problem_to_sdpa_data(problem).entries)
+            assert list(b.entries()) == sorted(b.entries()), b.label
+        entries = view_entries(problem_to_sdpa_data(problem))
         assert entries == sorted(entries)
 
     def test_bad_header_rejected(self, parse_text):
@@ -768,14 +800,14 @@ class TestSdpaInterchange:
     ])
     def test_entry_outside_blocks_rejected(self, parse_text, entry, fault):
         text = "1\n2\n2 -3\n1.0\n1 1 1 2 1.0\n1 2 3 3 1.0\n"
-        assert parse_text(text).entries == ((1, 1, 1, 2, 1.0), (1, 2, 3, 3, 1.0))
+        assert view_entries(parse_text(text)) == [(1, 1, 1, 2, 1.0), (1, 2, 3, 3, 1.0)]
         with pytest.raises(SdpaParseError, match=f"{fault}: '{entry}'"):
             parse_text(text + entry + "\n")
 
     def test_entry_stored_in_upper_triangle(self, parse_text):
         head = "1\n1\n2\n1.0\n"
         assert parse_text(head + "1 1 2 1 3.0\n") == parse_text(head + "1 1 1 2 3.0\n")
-        assert parse_text(head + "1 1 2 1 3.0\n").entries == ((1, 1, 1, 2, 3.0),)
+        assert view_entries(parse_text(head + "1 1 2 1 3.0\n")) == [(1, 1, 1, 2, 3.0)]
 
     @pytest.mark.parametrize("second", ["1 1 1 2 4.0", "1 1 2 1 3.0"])
     def test_repeated_position_rejected(self, tmp_path, parse_text, second):
@@ -796,11 +828,13 @@ class TestSdpaInterchange:
 
     @pytest.mark.parametrize("direction", ["emit", "parse"])
     def test_streaming_peak_bytes(self, tmp_path, problem_2105, direction):
-        # the writer holds the SDPA view and one chunk of lines, the reader
-        # one list of entries whose equal numbers share an object: neither
-        # holds the file's text (1.0 MB here), its lines or a map of its
-        # positions, which took 205 (writer) and 262 (reader) bytes an entry
-        entries = len(problem_to_sdpa_data(problem_2105).entries)
+        # the writer holds the view's five columns, their order and one chunk
+        # of lines, the reader one list per column, whose equal numbers share
+        # an object, and then the columns: neither holds the file's text (1.0
+        # MB here), its lines, a sorted copy or a map of its positions.  Tuples
+        # per entry took 98 (writer) and 95 (reader) bytes an entry, the text
+        # and a map of positions 205 and 262
+        entries = len(problem_to_sdpa_data(problem_2105).matno)
         path = emit_sdpa(problem_2105, tmp_path / "p.dat-s")
         tracemalloc.start()
         try:
@@ -811,7 +845,18 @@ class TestSdpaInterchange:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 125 * entries
+        assert peak <= 75 * entries
+
+    def test_built_problem_bytes(self):
+        # a block holds four int64 columns, 32 bytes an entry with the
+        # arrays' headers; one tuple per entry held 87 bytes an SDPA entry
+        tracemalloc.start()
+        try:
+            problem = build_problem(ProblemSpec(2, 10, 5))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 50 * len(problem_to_sdpa_data(problem).matno)
 
     @pytest.mark.parametrize("n2,n3,d,k", [
         (1, 1, 1, 3), (2, 1, 2, 3), (2, 2, 3, 3), (2, 5, 3, 3), (2, 5, 3, 2), (1, 4, 3, 2),
@@ -840,11 +885,56 @@ class TestSdpaInterchange:
 
     def test_inexact_value_does_not_round_trip(self, tmp_path):
         big = 2 ** 60 + 1  # not representable in a double
-        p = toy_problem((1,), [Block("ub", 1, ((0, 0, 0, big), (1, 0, 0, -big)))])
+        p = toy_problem((1,), [Block.from_entries("ub", 1, ((0, 0, 0, big), (1, 0, 0, -big)))])
         parsed = parse_sdpa(emit_sdpa(p, tmp_path / "big.dat-s"))
         assert parsed != problem_to_sdpa_data(p)
         assert _prepare(problem_from_sdpa(parsed))[3] == 0
         assert solve(p, tol=1e-8).inexact_coefficients == 2
+
+
+class TestDtypeEdges:
+    """Exactness where numpy would compare int64 with float64 by rounding
+    the int: 2**53 + 1 and 2**53 are equal as doubles."""
+
+    def test_inexact_count_at_the_double_boundary(self):
+        for value, inexact in (
+            (2 ** 53, 0), (2 ** 53 + 1, 1), (-(2 ** 53 + 1), 1),
+            (2 ** 62 + 2 ** 10, 0), (2 ** 62 + 2 ** 9, 1),
+        ):
+            block = Block.from_entries("ub", 1, ((0, 0, 0, value), (1, 0, 0, -1)))
+            assert block.value.dtype == np.int64
+            assert _prepare(toy_problem((1,), [block]))[3] == inexact, value
+
+    def test_parsed_double_differs_from_exact_int(self, tmp_path):
+        def views(value):
+            block = Block.from_entries("ub", 1, ((0, 0, 0, value), (1, 0, 0, -1)))
+            problem = toy_problem((1,), [block])
+            return parse_sdpa(emit_sdpa(problem, tmp_path / "p.dat-s")), problem_to_sdpa_data(problem)
+
+        parsed, exact = views(2 ** 53 + 1)
+        assert (parsed.value.dtype, exact.value.dtype) == (np.float64, np.int64)
+        assert np.array_equal(parsed.value, exact.value)  # numpy rounds the int
+        assert parsed != exact and exact != parsed
+        parsed, exact = views(2 ** 53)
+        assert parsed == exact and exact == parsed
+
+    def test_value_above_int64_written_and_certified_exactly(self, tmp_path):
+        # max big * y s.t. big - big * y >= 0, y >= 0: big is no double, and
+        # its nearest one is 2**64 + 2**12
+        big = 2 ** 64 + 2 ** 11 + 1
+        block = Block.from_entries("ub", 1, ((0, 0, 0, big), (1, 0, 0, -big)))
+        assert block.value.dtype == object
+        problem = toy_problem((big,), [block])
+        lines = emit_sdpa(problem, tmp_path / "big.dat-s").read_text().splitlines()
+        assert lines[-3:-1] == [f"0 1 1 1 {float(-big)!r}", f"1 1 1 1 {float(-big)!r}"]
+        assert float(-big) == -(2 ** 64 + 2 ** 12)
+        solution = solve(problem, tol=1e-8)
+        assert solution.inexact_coefficients == 3
+        bound = certify(problem, solution)
+        # D = big w and the slack of y is -big + big w, each taken exactly
+        scaled = bound.exact_bound * 2 ** 60
+        assert scaled.denominator == 1 and scaled.numerator % big == 0
+        assert bound.value >= big
 
 
 class TestParseSolverOutput:

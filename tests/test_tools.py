@@ -52,6 +52,11 @@ def digests_tool():
     return tool
 
 
+def test_sdpa_digests_default_pinned():
+    # tier-1 pins the digest of every problem the tool covers by default
+    assert sorted(EMITTED_DIGESTS) == sorted(digests_tool().DEFAULT)
+
+
 def test_sdpa_digests_table_rows():
     # --table covers each packaged row at levels 3 and 2; the list is read
     # from the module, without building a problem
