@@ -128,10 +128,6 @@ def word(bits, trits) -> Word:
     return Word(tuple(bits), tuple(trits))
 
 
-def zero_word(spec: ProblemSpec) -> Word:
-    return Word((0,) * spec.n2, (0,) * spec.n3)
-
-
 def all_words(spec: ProblemSpec):
     """Yield every word of the space, in lexicographic order."""
     for bits in product((0, 1), repeat=spec.n2):
@@ -450,10 +446,12 @@ def _profile_ranks(
     Any fixed order is exact.  Of the orders tried, ternary distance, then
     binary distance, ascending, gives the fewest search nodes on (5,2,3),
     the hardest sandwich instance of the acceptance suite.  With the
-    fourth-word branching of ``_max_clique_words``, (5,2,3), (6,1,3) and
-    (3,3,3) take 34,360 nodes together in this order, 35,094 with total then
-    ternary distance, 56,720 with total then binary distance and 48,686 with
-    total distance descending, then ternary distance ascending."""
+    branching of ``_max_clique_words``, (5,2,3), (6,1,3) and (3,3,3) take
+    26,699 nodes together in this order, 27,223 with total then ternary
+    distance, 42,201 with total then binary distance and 41,196 with total
+    distance descending, then ternary distance ascending.  Moving any one of
+    the other 11 profiles of (5,2,3) to the front costs more: 30,056 nodes
+    with (4,1) first, against 25,687 with (3,0), and up to 124,673."""
     profiles = sorted(
         ((b, t) for b in range(spec.n2 + 1) for t in range(spec.n3 + 1)
          if b + t >= spec.d),
@@ -629,11 +627,12 @@ def _search(
     return best_mask
 
 
-def _orbit_labels(spec: ProblemSpec, letters: np.ndarray, fixed: np.ndarray) -> list[int]:
-    """Labels of the orbits of the words of ``letters`` (rows, as
-    ``_letters`` gives them) under the pointwise stabilizer of the zero word
-    and the words of ``fixed``: two words share a label exactly when they
-    share an orbit.
+def _orbit_cells(
+    spec: ProblemSpec, letters: np.ndarray, fixed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cell of each letter of ``letters`` (rows, as ``_letters`` gives
+    them) under the pointwise stabilizer of the zero word and the words of
+    ``fixed``, and the radix of each cell.
 
     An element of the stabilizer keeps the letter 0 in every coordinate, so
     it keeps every binary letter, and in a ternary coordinate it can only
@@ -642,16 +641,51 @@ def _orbit_labels(spec: ProblemSpec, letters: np.ndarray, fixed: np.ndarray) -> 
     column, if any, is 1, no swap maps a nonzero column to another column,
     so the stabilizer is every permutation of the coordinates within each
     group of equal columns, with any swaps of 1 and 2 in the ternary group
-    whose column is all 0.  The label stands for a word's count of each
-    letter in each group, 2 read as 1 in the all-zero ternary group: under
-    that condition, words share the counts exactly when they share an
-    orbit."""
+    whose column is all 0.  Group g's cells are 3g, 3g + 1 and 3g + 2, one
+    per letter, 2 read as 1 in the all-zero ternary group; each has the
+    group's size + 1 as its radix.  Under that condition, words share the
+    count of each cell exactly when they share an orbit.  Each column is
+    keyed by one integer, the coordinate's block and then the column's
+    letters in base 3."""
     ternary = np.arange(spec.length) >= spec.n2
-    _, group = np.unique(np.vstack([ternary, fixed]), axis=1, return_inverse=True)
+    column = ternary + 2 * (3 ** np.arange(len(fixed), dtype=np.int64)) @ fixed
+    _, group, size = np.unique(column, return_inverse=True, return_counts=True)
     free = ternary & ~fixed.any(axis=0)
-    cell = 3 * group.ravel() + np.where(free, letters != 0, letters)
-    counts = (cell[:, :, None] == np.arange(3 * (group.max() + 1))).sum(axis=1)
-    return np.unique(counts, axis=0, return_inverse=True)[1].ravel().tolist()
+    cell = 3 * group + np.where(free, letters != 0, letters)
+    return cell, np.repeat(size + 1, 3)
+
+
+def _orbit_labels(spec: ProblemSpec, letters: np.ndarray, fixed: np.ndarray) -> list[int]:
+    """Labels of the orbits of the words of ``letters`` under the pointwise
+    stabilizer of the zero word and the words of ``fixed``, under the
+    condition of ``_orbit_cells``: two words share a label exactly when they
+    share an orbit.
+
+    A word's key is one ``int64``, its count of each cell as the digits of a
+    mixed-radix number with the cells' radices: a count is at most its
+    group's size, so the key is the count row without loss.  It is below
+    the product of the radices, at most 8**length as size + 1 <= 2**size;
+    the oracle's word cap keeps the length at most 9."""
+    cell, radix = _orbit_cells(spec, letters, fixed)
+    place = np.cumprod(np.concatenate(([1], radix[:-1])))
+    key = place[cell].sum(axis=1)
+    return np.unique(key, return_inverse=True)[1].tolist()
+
+
+def _swap_merged(
+    spec: ProblemSpec, letters: np.ndarray, rep: np.ndarray, labels: list[int]
+) -> list[int]:
+    """``labels``, one per row of ``letters`` (every word, as ``_letters``
+    gives them), with each class merged with its image under the swap
+    x -> rep - x, letters taken mod 2 or mod 3; each merged class takes the
+    smaller of the two labels.  The swap is an involution, and on the orbit
+    labels of the pointwise stabilizer of (zero, rep) it maps each orbit
+    onto one orbit (``_max_clique_words``)."""
+    radix = np.array((2,) * spec.n2 + (3,) * spec.n3)
+    place = np.append(np.cumprod(radix[:0:-1])[::-1], 1)
+    image = ((rep - letters) % radix) @ place
+    labels = np.asarray(labels)
+    return np.minimum(labels, labels[image]).tolist()
 
 
 def _orbit_branches(adj: list[int], cand: int, keys: list):
@@ -706,21 +740,30 @@ def _max_clique_words(
     permutes the binary coordinates inside the support of rep_p and outside
     it, the ternary ones likewise, and swaps the letters 1 and 2 in the
     ternary coordinates outside the support; ``_orbit_labels`` gives the
-    orbit of a word under it.  H keeps G_p and the candidates, so the third word
-    runs over one representative per orbit.  Take a code through zero and
-    rep_p, and let O be the first of its words' orbits in branch order: an
-    element of H maps its word in O to O's representative and keeps every
-    orbit, so the image lies in O's branch and uses no word of an earlier
-    orbit.  Each orbit is therefore removed from the candidates of the later
-    branches once its own branch has been searched or pruned by the
-    incumbent.
+    orbit of a word under it.  The swap s(x) = rep_p - x, letters taken mod
+    2 or mod 3, swaps zero and rep_p, and it is an isometry: each coordinate
+    gets a letter permutation.  It normalises H, as s h s maps zero to
+    s h(rep_p) = zero and rep_p to s h(zero) = rep_p; so K = <H, s>, the
+    setwise stabilizer of {zero, rep_p}, has as its orbits the unions of an
+    H-orbit with its image under s (``_swap_merged``).  K keeps G_p, which
+    every isometry keeps, and the common neighbourhood of zero and rep_p,
+    the candidates; so the third word runs over one representative per
+    K-orbit.  Take a code through zero and rep_p, and let O be the first of
+    its words' K-orbits in branch order: an element of K maps its word in O
+    to O's representative, keeps {zero, rep_p} and every K-orbit, so the
+    image is a code through zero and rep_p in O's branch that uses no word
+    of an earlier K-orbit.  Each K-orbit is therefore removed from the
+    candidates of the later branches once its own branch has been searched
+    or pruned by the incumbent.
 
     The same holds one level down.  The third word is the lowest word of its
-    orbit, so it has no 2 outside the support of rep_p, and in every ternary
-    coordinate the first nonzero letter of rep_p and the third word is 1, as
-    ``_orbit_labels`` needs.  The pointwise stabilizer H' of (zero, rep_p,
-    third) lies in H, so it keeps the orbits of H, hence the candidates left
-    when the third word's branch opens, and it keeps that branch's
+    K-orbit, the lower of the lowest words of the two H-orbits in it, so it
+    is also the lowest word of its H-orbit.  It has no 2 outside the support
+    of rep_p, and in every ternary coordinate the first nonzero letter of
+    rep_p and the third word is 1, as ``_orbit_labels`` needs.  The
+    pointwise stabilizer H' of (zero, rep_p, third) lies in H, so it keeps
+    the orbits of H and the K-orbits, their unions, hence the candidates
+    left when the third word's branch opens, and it keeps that branch's
     candidates, the neighbours of the third word among them.  A code in that
     branch is mapped by an element of H' onto one through the representative
     of the first H'-orbit it meets, and using no word of an earlier one; so
@@ -760,7 +803,7 @@ def _max_clique_words(
             best, best_size = pair, 2
         graph = ranks >= r
         g = _bitsets(graph)
-        third_keys = _orbit_labels(spec, letters, letters[[rep_idx]])
+        third_keys = _swap_merged(spec, letters, rep, _orbit_labels(spec, letters, rep[None]))
         for third, triple_cand in _orbit_branches(g, g[0] & g[rep_idx], third_keys):
             if triple_cand.bit_count() + 3 <= best_size:
                 continue

@@ -28,10 +28,12 @@ from mixedsdp.codes import (
     _compositions,
     _degeneracy_order,
     _letters,
+    _orbit_cells,
     _orbit_labels,
     _profile_ranks,
     _relabel,
     _search,
+    _swap_merged,
     _vertices,
     all_words,
     canonical_orbit,
@@ -535,10 +537,10 @@ class TestExactOracle:
 
     def test_closes_under_small_budgets(self):
         # each budget is about 1.2 times the search's node count
-        assert exact_n(ProblemSpec(6, 1, 3), node_budget=860) == 16
-        assert exact_n(ProblemSpec(3, 3, 3), node_budget=900) == 18
-        assert exact_n(ProblemSpec(4, 2, 3), node_budget=250) == 12
-        assert exact_n(ProblemSpec(5, 2, 3), node_budget=39_500) == 22
+        assert exact_n(ProblemSpec(6, 1, 3), node_budget=640) == 16
+        assert exact_n(ProblemSpec(3, 3, 3), node_budget=580) == 18
+        assert exact_n(ProblemSpec(4, 2, 3), node_budget=160) == 12
+        assert exact_n(ProblemSpec(5, 2, 3), node_budget=31_000) == 22
         # d <= 2: the whole-graph search
         assert exact_n(ProblemSpec(5, 2, 2), node_budget=96) == 96
 
@@ -553,29 +555,38 @@ class TestExactOracle:
 @pytest.mark.parametrize("n2,n3", [(2, 2), (3, 2), (2, 3)])
 def test_orbit_key_classes_are_stabilizer_orbits(n2, n3):
     # the search branches on one word per key class, so each class must be
-    # exactly one orbit of the pointwise stabilizer of the fixed words: the
-    # zero word with rep_p, and with each third word the search can meet,
-    # the lowest word of an orbit of that first stabilizer
+    # exactly one orbit: of the setwise stabilizer of {zero word, rep_p} for
+    # the third word (the pointwise stabilizer's classes merged under the
+    # swap x -> rep_p - x), and of the pointwise stabilizer of the fixed
+    # words for the fourth, with each third word the search can meet, the
+    # lowest word of an orbit of the pointwise stabilizer of the first two
     spec = ProblemSpec(n2, n3, 1)
     words = list(all_words(spec))
     index = {w: i for i, w in enumerate(words)}
     letters = _letters(spec)
     zero = 0
-    # every element that fixes the zero word, as a permutation of indices
-    fix_zero = [
+    reps = [
+        index[word([1] * b + [0] * (n2 - b), [1] * t + [0] * (n3 - t))]
+        for b, t in product(range(n2 + 1), range(n3 + 1)) if b + t
+    ]
+    # every element that maps the zero word to itself or to a rep_p, as a
+    # permutation of indices
+    perms = [
         tuple(index[g.apply_word(w)] for w in words)
         for g in all_isometries(spec)
-        if g.apply_word(words[zero]) == words[zero]
+        if index[g.apply_word(words[zero])] in {zero, *reps}
     ]
+    fix_zero = [g for g in perms if g[zero] == zero]
 
-    def orbits_match_keys(fixed):
-        stabilizer = [g for g in fix_zero if all(g[v] == v for v in fixed)]
+    def orbits(group):
         orbit_of = {}
         for v in range(len(words)):
             if v not in orbit_of:
-                orbit = frozenset(g[v] for g in stabilizer)
+                orbit = frozenset(g[v] for g in group)
                 orbit_of.update(dict.fromkeys(orbit, orbit))
-        labels = _orbit_labels(spec, letters, letters[[v for v in fixed if v != zero]])
+        return orbit_of
+
+    def assert_classes_are_orbits(labels, orbit_of):
         classes = {}
         for v, label in enumerate(labels):
             classes.setdefault(label, set()).add(v)
@@ -583,14 +594,44 @@ def test_orbit_key_classes_are_stabilizer_orbits(n2, n3):
             assert len({orbit_of[v] for v in cls}) == 1, "a class merges orbits"
         for orbit in orbit_of.values():
             assert len({labels[v] for v in orbit}) == 1, "an orbit is split"
+
+    def orbits_match_keys(fixed):
+        orbit_of = orbits([g for g in fix_zero if all(g[v] == v for v in fixed)])
+        labels = _orbit_labels(spec, letters, letters[[v for v in fixed if v != zero]])
+        assert_classes_are_orbits(labels, orbit_of)
         return set(orbit_of.values())
 
-    for b, t in product(range(n2 + 1), range(n3 + 1)):
-        if b + t:
-            rep = index[word([1] * b + [0] * (n2 - b), [1] * t + [0] * (n3 - t))]
-            for orbit in orbits_match_keys([zero, rep]):
-                if not orbit & {zero, rep}:
-                    orbits_match_keys([zero, rep, min(orbit)])
+    for rep in reps:
+        setwise = orbits([g for g in perms if {g[zero], g[rep]} == {zero, rep}])
+        labels = _orbit_labels(spec, letters, letters[[rep]])
+        assert_classes_are_orbits(_swap_merged(spec, letters, letters[rep], labels), setwise)
+        for orbit in orbits_match_keys([zero, rep]):
+            if not orbit & {zero, rep}:
+                orbits_match_keys([zero, rep, min(orbit)])
+
+
+@pytest.mark.parametrize("n2,n3", [(2, 2), (5, 2), (8, 1), (3, 3)])
+def test_orbit_key_partition_is_count_rows(n2, n3):
+    # one int64 per column and one per word stand for a coordinate's block
+    # and column and for a word's row of cell counts: two coordinates share
+    # a group, and two words a key, exactly when they share those, for any
+    # fixed words, up to the all-distinct columns of the longest words under
+    # the word cap
+    spec = ProblemSpec(n2, n3, 1)
+    letters = _letters(spec)
+    rng = np.random.default_rng(n2 * 10 + n3)
+    for nfixed in (1, 2, 3):
+        for _ in range(4):
+            fixed = letters[rng.choice(len(letters), nfixed, replace=False)]
+            cell, radix = _orbit_cells(spec, letters, fixed)
+            columns = [(c >= n2, *fixed[:, c]) for c in range(spec.length)]
+            groups = (cell[0] // 3).tolist()
+            assert len(set(zip(groups, columns))) == len(set(groups)) == len(set(columns))
+            counts = (cell[:, :, None] == np.arange(len(radix))).sum(axis=1)
+            assert (counts < radix).all()
+            rows = np.unique(counts, axis=0, return_inverse=True)[1].ravel().tolist()
+            labels = _orbit_labels(spec, letters, fixed)
+            assert len(set(zip(labels, rows))) == len(set(labels)) == len(set(rows))
 
 
 # exact_n for every (n2, n3) of the acceptance suite's oracle sandwich, at

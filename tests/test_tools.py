@@ -29,7 +29,9 @@ def run_tool(name: str, *args: str) -> list[str]:
 
 
 def test_oracle_report():
-    assert run_tool("oracle_report.py", "1,1,2", "4,2,3") == ["1,1,2 2 1", "4,2,3 12 207"]
+    assert run_tool("oracle_report.py", "1,1,2", "4,2,3") == [
+        "1,1,2 2 1", "4,2,3 12 131", "total nodes 132 over 2 specs",
+    ]
 
 
 def test_solve_report():

@@ -14,7 +14,8 @@ spec of the acceptance suite's oracle sandwich (``SANDWICH_FAMILIES`` in
 nodes``.  The node count is the least node budget that closes the spec,
 found by doubling the budget and then bisecting: the search completes at its
 own node count and raises one node short of it.  A spec that no budget up to
-``MAX_BUDGET`` closes prints ``n2,n3,d ResourceError``.
+``MAX_BUDGET`` closes prints ``n2,n3,d ResourceError``.  The last line is
+``total nodes N over K specs``, the sum over the K specs that closed.
 """
 
 import sys
@@ -61,6 +62,7 @@ def value_and_nodes(spec: ProblemSpec) -> tuple[int, int] | None:
 
 def main(argv: list[str]) -> None:
     keys = [tuple(int(t) for t in a.split(",")) for a in argv] or SANDWICH
+    total = closed = 0
     for key in keys:
         label = ",".join(map(str, key))
         found = value_and_nodes(ProblemSpec(*key))
@@ -68,6 +70,9 @@ def main(argv: list[str]) -> None:
             print(label, "ResourceError", flush=True)
         else:
             print(label, *found, flush=True)
+            total += found[1]
+            closed += 1
+    print(f"total nodes {total} over {closed} specs")
 
 
 if __name__ == "__main__":
