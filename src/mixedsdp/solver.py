@@ -866,13 +866,19 @@ def emit_sdpa(problem: SdpProblem, destination) -> Path:
     The header comment documents the sign conventions: the maximization is
     encoded by negating the objective vector, and constant matrices are
     emitted as -F0 per the SDPA convention X = sum_i x_i F_i - F0.
-    The entry lines go out in chunks of _SDPA_CHUNK, one join and one write
-    each, gathered through the order that sorts the view's columns, so the
-    writer holds the columns, their order and one chunk of text, never a
-    sorted copy of the view or the file's text.
+    The entry lines are gathered from byte tables, whose rows are
+    right-aligned in zero bytes: one per index column, whose row k is the
+    text of k and a space, and one per chunk of _SDPA_CHUNK lines, whose
+    rows are the repr of the nearest double of each of the chunk's distinct
+    values and a newline.  A chunk's rows of the five tables, gathered
+    through the order that sorts the view's columns and set side by side,
+    are its text once the zero bytes are dropped.  So the writer holds the
+    columns, their order, the index tables and one chunk, never a sorted
+    copy of the view or the file's text: 56 bytes an entry at (2,10,5).
     """
     sizes, columns, order = _sdpa_columns(problem)
     *index, value = columns
+    tables = [_text_table([f"{k} " for k in range(c.max(initial=0) + 1)]) for c in index]
     spec = problem.spec
     header = [
         f'"mixed binary/ternary code bound: n2={spec.n2} n3={spec.n3} '
@@ -885,18 +891,26 @@ def emit_sdpa(problem: SdpProblem, destination) -> Path:
         " ".join(repr(float(-c) or -0.0) for c in problem.objective),
     ]
     path = Path(destination)
-    with path.open("w") as out:
-        out.write("\n".join(header) + "\n")
+    with path.open("wb") as out:
+        out.write(("\n".join(header) + "\n").encode())
         for start in range(0, len(order), _SDPA_CHUNK):
             rows = order[start:start + _SDPA_CHUNK]
             # each exact value as its nearest double
-            out.write("".join(
-                f"{matno} {blkno} {i} {j} {val!r}\n"
-                for matno, blkno, i, j, val in zip(
-                    *(c[rows].tolist() for c in index), value[rows].astype(np.float64).tolist()
-                )
-            ))
+            distinct, which = np.unique(value[rows].astype(np.float64), return_inverse=True)
+            numbers = _text_table([f"{v!r}\n" for v in distinct.tolist()])
+            text = np.concatenate(
+                [t[c[rows]] for t, c in zip(tables, index)] + [numbers[which]], axis=1
+            )
+            out.write(text[text != 0].tobytes())
     return path
+
+
+def _text_table(texts: list[str]) -> np.ndarray:
+    """The uint8 table whose row k holds the ASCII text texts[k],
+    right-aligned in zero bytes."""
+    width = max(map(len, texts))
+    padded = "".join(text.rjust(width, "\0") for text in texts).encode()
+    return np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), width)
 
 
 def parse_sdpa(path) -> SdpaData:

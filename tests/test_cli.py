@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, and the results store."""
 
+import hashlib
 import json
+import runpy
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from mixedsdp.cli import (
 from mixedsdp.codes import ProblemSpec
 from mixedsdp.model import build_problem
 from mixedsdp.solver import ConditioningError, NonConvergenceError
+from test_solver import EMITTED_DIGESTS
 
 
 class TestReferenceData:
@@ -173,6 +178,19 @@ class TestCommands:
         assert main(["emit", "1", "1", "2", str(target)]) == EXIT_OK
         text = target.read_text()
         assert text.splitlines()[0].startswith('"')
+
+    def test_run_as_module(self, tmp_path, monkeypatch, capsys):
+        # python -m mixedsdp.cli exits with main's code
+        target = tmp_path / "e.dat-s"
+        monkeypatch.setattr(sys, "argv", ["mixedsdp", "emit", "1", "1", "1", str(target)])
+        with warnings.catch_warnings():
+            # runpy warns that it runs mixedsdp.cli, imported above, again
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as exit_:
+                runpy.run_module("mixedsdp.cli", run_name="__main__")
+        assert exit_.value.code == EXIT_OK == 0
+        assert capsys.readouterr().out == f"emitted {target}\n"
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == EMITTED_DIGESTS[(1, 1, 1, 3)]
 
     def test_table_derived(self, capsys):
         assert main(["table", "--derived", "--d", "8"]) == EXIT_OK

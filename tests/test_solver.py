@@ -704,6 +704,30 @@ class TestSdpaInterchange:
         p = no_variables()
         assert parse_sdpa(emit_sdpa(p, tmp_path / "p.dat-s")) == problem_to_sdpa_data(p)
 
+    def test_entry_lines_print_nearest_doubles(self, tmp_path):
+        # each entry line is the view's five numbers, the value printed as
+        # the repr of its nearest double: above 2**63 (object column), in
+        # exponent form, negative, and F0's negated, over several chunks
+        values = [2 ** 64 + 1, 10 ** 17 + 1, -(10 ** 16), -3, 7, 1]
+        dim = 100
+        big = Block.from_entries("big", dim, (
+            (matno, i, j, values[(i * dim + j + matno) % len(values)])
+            for matno in range(3) for i in range(dim) for j in range(i, dim)
+        ))
+        ub = Block.from_entries("ub", 1, ((0, 0, 0, 5), (1, 0, 0, -1)))
+        problem = toy_problem((1, -2), [big, ub])
+        data = problem_to_sdpa_data(problem)
+        assert data.value.dtype == object and len(data.matno) > 3 * solver._SDPA_CHUNK
+        lines = emit_sdpa(problem, tmp_path / "p.dat-s").read_text().splitlines()
+        assert lines[2:6] == ["2", "2", "100 -3", "-1.0 2.0"]
+        assert lines[6:] == [
+            f"{matno} {blkno} {i} {j} {float(value)!r}"
+            for matno, blkno, i, j, value in view_entries(data)
+        ]
+        printed = {line.split()[-1] for line in lines[6:]}
+        assert {"1.8446744073709552e+19", "-1.8446744073709552e+19", "1e+17", "-1e+16",
+                "1e+16", "-3.0", "3.0", "-5.0"} <= printed
+
     def test_second_emission_identical(self, tmp_path):
         p = build_sdp(ProblemSpec(1, 1, 2))
         a = emit_sdpa(p, tmp_path / "a.dat-s").read_text()
@@ -828,12 +852,14 @@ class TestSdpaInterchange:
 
     @pytest.mark.parametrize("direction", ["emit", "parse"])
     def test_streaming_peak_bytes(self, tmp_path, problem_2105, direction):
-        # the writer holds the view's five columns, their order and one chunk
-        # of lines, the reader one list per column, whose equal numbers share
-        # an object, and then the columns: neither holds the file's text (1.0
-        # MB here), its lines, a sorted copy or a map of its positions.  Tuples
-        # per entry took 98 (writer) and 95 (reader) bytes an entry, the text
-        # and a map of positions 205 and 262
+        # the writer holds the view's five columns, their order, one byte
+        # table per index column and one chunk of lines as bytes, the reader
+        # one list per column, whose equal numbers share an object, and then
+        # the columns: neither holds the file's text (1.0 MB here), its
+        # lines, a sorted copy or a map of its positions.  They take 56
+        # (writer) and 62 (reader) bytes an entry; one f-string per line took
+        # 62, tuples per entry 98 and 95, the text and a map of positions 205
+        # and 262
         entries = len(problem_to_sdpa_data(problem_2105).matno)
         path = emit_sdpa(problem_2105, tmp_path / "p.dat-s")
         tracemalloc.start()

@@ -6,6 +6,7 @@ Each runs in its own process, as it is meant to run, because
 ``solve_report.py`` and ``traffic.py`` set the BLAS thread variables in
 ``os.environ``."""
 
+import hashlib
 import importlib.util
 import os
 import re
@@ -17,6 +18,10 @@ from mixedsdp.cli import load_reference_rows
 from test_solver import EMITTED_DIGESTS
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# the closing line of ``tools/sdpa_digests.py --orbits``: the SHA-256 of its
+# 1,820 lines, one per orbit map
+ORBIT_MAPS_DIGEST = "e75ee39f6f5e6d6fb128c657a0485d8ae4a99137fd3f9798d81bc9f2219bc6fd"
 
 
 def run_tool(name: str, *args: str) -> list[str]:
@@ -42,8 +47,16 @@ def test_solve_report():
 
 
 def test_sdpa_digests():
-    digest = EMITTED_DIGESTS[(1, 1, 1, 3)]
-    assert run_tool("sdpa_digests.py", "1,1,1,3") == [f"1,1,1,3 {digest}"]
+    line = f"1,1,1,3 {EMITTED_DIGESTS[(1, 1, 1, 3)]}"
+    total = hashlib.sha256(f"{line}\n".encode()).hexdigest()
+    assert run_tool("sdpa_digests.py", "1,1,1,3") == [line, f"digest {total} over 1 problems"]
+
+
+def test_sdpa_digests_orbit_maps_pinned():
+    # the closing digest of --orbits pins the enumerate_orbits map of every
+    # spec with n2 + n3 <= 14 at levels 3 and 2, items in order
+    last = run_tool("sdpa_digests.py", "--orbits")[-1]
+    assert last == f"digest {ORBIT_MAPS_DIGEST} over 1820 problems"
 
 
 def digests_tool():

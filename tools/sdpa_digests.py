@@ -19,6 +19,9 @@ same VM.  ``--orbits`` prints instead the SHA-256 of the ``repr`` of the
 ``enumerate_orbits`` map, items in order, of every (n2, n3, d, k) with
 n2 + n3 <= 14 (``orbit_problems``, 1,820 maps), in about 9 s on the same
 VM.
+
+The last line, ``digest <sha256> over N problems``, is the SHA-256 of the
+lines before it, newlines included, so two checkouts compare in one line.
 """
 
 import hashlib
@@ -65,23 +68,35 @@ def orbit_problems() -> list[tuple[int, int, int, int]]:
     ]
 
 
-def main(argv: list[str]) -> None:
-    if argv == ["--orbits"]:
-        for key in orbit_problems():
-            orbits = list(enumerate_orbits(ProblemSpec(*key)).items())
-            digest = hashlib.sha256(repr(orbits).encode()).hexdigest()
-            print(",".join(map(str, key)), digest, flush=True)
-        return
-    if argv == ["--table"]:
-        keys = table_problems()
-    else:
-        keys = [tuple(int(t) for t in a.split(",")) for a in argv] or DEFAULT
+def orbit_lines():
+    """The line of each orbit map of ``orbit_problems``: its key and digest."""
+    for key in orbit_problems():
+        orbits = list(enumerate_orbits(ProblemSpec(*key)).items())
+        yield f"{','.join(map(str, key))} {hashlib.sha256(repr(orbits).encode()).hexdigest()}"
+
+
+def emitted_lines(keys):
+    """The line of each problem: its key and the digest of its SDPA file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.dat-s"
         for key in keys:
             emit_sdpa(build_problem(ProblemSpec(*key)), path)
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(",".join(map(str, key)), digest, flush=True)
+            yield f"{','.join(map(str, key))} {hashlib.sha256(path.read_bytes()).hexdigest()}"
+
+
+def main(argv: list[str]) -> None:
+    if argv == ["--orbits"]:
+        lines = orbit_lines()
+    elif argv == ["--table"]:
+        lines = emitted_lines(table_problems())
+    else:
+        lines = emitted_lines([tuple(int(t) for t in a.split(",")) for a in argv] or DEFAULT)
+    total, count = hashlib.sha256(), 0
+    for line in lines:
+        print(line, flush=True)
+        total.update(f"{line}\n".encode())
+        count += 1
+    print(f"digest {total.hexdigest()} over {count} problems")
 
 
 if __name__ == "__main__":
