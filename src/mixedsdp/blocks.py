@@ -36,7 +36,6 @@ upper-triangle entries.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import permutations, product
@@ -553,22 +552,24 @@ def _contraction_mismatch(
 ) -> str | None:
     """The first entry, in (i, j, matno) order, where ``block`` differs from
     the contraction of the integer vectors ``columns`` over the table's rows
-    against the explicit matno ``table``, over the keys of both; None when
-    they agree.  The contraction runs over the columns' nonzero entries."""
-    columns = [{int(x): int(c[x]) for x in np.flatnonzero(c)} for c in columns]
-    want: dict[tuple[int, int, int], int] = defaultdict(int)
+    against the explicit matno ``table``, both written out as arrays indexed
+    by (i, j, matno); None when they agree.  The contraction's int64 is
+    exact: it sums at most N^2 products of entries no larger than
+    2^(n2+n3) <= N, at most N^4 in all, below 4e7 at ``VERIFY_WORD_CAP`` and
+    below 2^63 while the N x N int64 table takes under 16 GB."""
+    shape = (len(columns), len(columns), len(orbits) + 1)
+    want = np.zeros(shape, dtype=np.int64)
     for j, v in enumerate(columns):
         for i, u in enumerate(columns[:j + 1]):
-            for x, cx in u.items():
-                for y, cy in v.items():
-                    want[i, j, int(table[x, y])] += cx * cy
-    got = {(i, j, m): val for m, i, j, val in block.entries()}
-    for i, j, m in sorted(want.keys() | got.keys()):
-        explicit, engine = want.get((i, j, m), 0), got.get((i, j, m), 0)
-        if explicit != engine:
-            what = f"orbit {orbits[m - 1].describe()}" if m else "constant"
-            return f"shape {label} entry ({i},{j}) {what}: engine {engine}, explicit {explicit}"
-    return None
+            np.add.at(want[i, j], table.ravel(), np.outer(u, v).ravel())
+    got = np.zeros(shape, dtype=block.value.dtype)
+    got[block.i, block.j, block.matno] = block.value
+    differ = np.argwhere(want != got)
+    if not len(differ):
+        return None
+    i, j, m = differ[0].tolist()
+    what = f"orbit {orbits[m - 1].describe()}" if m else "constant"
+    return f"shape {label} entry ({i},{j}) {what}: engine {got[i, j, m]}, explicit {want[i, j, m]}"
 
 
 def _multiplicities(
@@ -622,8 +623,8 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     pair's triple (``_orbit_table``), and counts each case's kept words
     against its block dimensions (``dimension_count``); (c) compares
     every engine block entry with the explicit contraction of its columns in
-    exact integer arithmetic, over the keys of both, so an entry either side
-    lacks is caught too; (d) draws one assignment in (-1, 1) on the feasible orbits
+    exact integer arithmetic, over every (i, j, matno), so an entry either
+    side lacks is caught too; (d) draws one assignment in (-1, 1) on the feasible orbits
     and checks, by Sylvester's law of inertia, that each full matrix has as
     many negative and as many positive eigenvalues as its blocks counted
     with their multiplicities.  Zero eigenvalues are not compared: a word of

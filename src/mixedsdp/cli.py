@@ -100,9 +100,9 @@ class ResultsStore:
         }
 
 
-def _compute_bound(n2: int, n3: int, d: int, k: int, tol: float, max_iter: int = 500):
+def _compute_bound(n2: int, n3: int, d: int, k: int, tol: float):
     problem = build_problem(ProblemSpec(n2, n3, d, k))
-    solution = solve(problem, tol=tol, max_iter=max_iter)
+    solution = solve(problem, tol=tol)
     bound = certify(problem, solution)
     record = {
         "n2": n2, "n3": n3, "d": d, "k": k,
@@ -119,7 +119,7 @@ def _compute_bound(n2: int, n3: int, d: int, k: int, tol: float, max_iter: int =
 
 
 def cmd_bound(args) -> int:
-    record = _compute_bound(args.n2, args.n3, args.d, args.k, args.tol, args.max_iter)
+    record = _compute_bound(args.n2, args.n3, args.d, args.k, args.tol)
     ResultsStore(args.store).append(record)
     margin = record["bound"] + 1 - record["exactBound"]
     print(
@@ -254,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", type=int)
     p.add_argument("--k", type=int, choices=(2, 3), default=3)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--store", help=f"results store path (default ${STORE_ENV} or {DEFAULT_STORE})")
     p.set_defaults(func=cmd_bound)
 

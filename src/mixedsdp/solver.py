@@ -946,9 +946,8 @@ def parse_sdpa(path) -> SdpaData:
             seen = set()
             for line, (matno, blkno, i, j, _) in _read_sdpa(file)[1]:
                 if (matno, blkno, i, j) in seen:
-                    raw = line.rstrip("\n")
                     raise SdpaParseError(
-                        f"repeated position ({i}, {j}) of matrix {matno} in block {blkno}: {raw!r}"
+                        f"repeated position ({i}, {j}) of matrix {matno} in block {blkno}: {line!r}"
                     )
                 seen.add((matno, blkno, i, j))
     return SdpaData(*header, *columns)
@@ -956,9 +955,10 @@ def parse_sdpa(path) -> SdpaData:
 
 def _read_sdpa(file):
     """The header (num_vars, sizes, objective) of an open SDPA file and an
-    iterator over its entry lines, which gives each line as read, with its
-    checked entry (matno, blkno, i, j, value), i <= j.  Blank lines and
-    comments, which start with " or *, are skipped."""
+    iterator over its entry lines, which gives each line without its newline,
+    with its checked entry (matno, blkno, i, j, value), i <= j.  Blank lines
+    and comments, which start with " or *, are skipped, in the header and
+    among the entries alike."""
     lines = (line.rstrip("\n") for line in file)
     lines = (raw for raw in lines if (line := raw.strip()) and line[0] not in '"*')
     header = list(itertools.islice(lines, 3))
@@ -994,18 +994,15 @@ def _read_sdpa(file):
 
     def entries():
         integer, real = functools.cache(int), functools.cache(float)
-        # the header's lines are read, so the entry lines follow in the file
-        for line in file:
+        # the header's lines are read, so the entry lines follow in the stream
+        for line in lines:
             fields = line.split()
-            if not fields or fields[0][0] in '"*':
-                continue
             try:
                 matno, blkno, i, j, value = fields
                 matno, blkno, i, j = integer(matno), integer(blkno), integer(i), integer(j)
                 value = real(value)
             except ValueError:
-                raw = line.rstrip("\n")
-                raise SdpaParseError(f"bad entry line: {raw!r}") from None
+                raise SdpaParseError(f"bad entry line: {line!r}") from None
             if i > j:
                 i, j = j, i
             size = sizes[blkno - 1] if 1 <= blkno <= num_blocks else 0
@@ -1022,7 +1019,6 @@ def _read_sdpa(file):
             else:
                 yield line, (matno, blkno, i, j, value)
                 continue
-            raw = line.rstrip("\n")
-            raise SdpaParseError(f"{fault}: {raw!r}")
+            raise SdpaParseError(f"{fault}: {line!r}")
 
     return (num_vars, sizes, objective), entries()

@@ -620,6 +620,35 @@ class TestVerifyReduction:
         assert main(["verify", "2", "1", "--d", "2"]) == EXIT_VERIFY
         assert "first discrepancy: " + failure in capsys.readouterr().out
 
+    @pytest.mark.parametrize("change", ["raised", "dropped"])
+    def test_corrupted_block_found_at_cap(self, monkeypatch, capsys, change):
+        # (2,3,3) has as many words as the cap allows; the last entry of the
+        # widest zero-case block is raised by 1, or that of the last block
+        # dropped
+        spec = ProblemSpec(2, 3, 3)
+        assert spec.num_words == blocks.VERIFY_WORD_CAP
+        shapes = build_shape_index_d0(spec)
+        variables = enumerate_orbits(dataclasses.replace(spec, d=1))
+        corrupted = build_blocks_d0(spec, shapes, variables)
+        index = max(range(len(shapes)), key=lambda k: len(shapes[k].admissible))
+        if change == "dropped":
+            index = len(shapes) - 1
+        *entries, (matno, i, j, explicit) = corrupted[index].entries()
+        engine = explicit + 1 if change == "raised" else 0
+        corrupted[index] = Block.from_entries(
+            corrupted[index].label, corrupted[index].dim,
+            [*entries, (matno, i, j, engine)] if engine else entries,
+        )
+        monkeypatch.setattr(blocks, "build_blocks_d0", lambda *args: corrupted)
+        failure = (
+            f"zero-case block entries equal explicit contraction: shape {shapes[index].label()} "
+            f"entry ({i},{j}) orbit {list(variables)[matno - 1].describe()}: "
+            f"engine {engine}, explicit {explicit}"
+        )
+        assert verify_reduction(spec).first_failure() == failure
+        assert main(["verify", "2", "3", "--d", "3"]) == EXIT_VERIFY
+        assert "first discrepancy: " + failure in capsys.readouterr().out
+
     @pytest.mark.parametrize("index, mutate, detail", [
         ("build_shape_index_d0", drop_widest_shape, "zero case 27 for 36 words"),
         ("build_shape_index_d0", drop_last_column, "zero case 35 for 36 words"),

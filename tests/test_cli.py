@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and the results store."""
 
+import functools
 import hashlib
 import json
 import runpy
@@ -113,11 +114,15 @@ class TestCommands:
         assert "(1, 32)" in err and "5-bit" in err and "at most 31" in err
         assert not store.exists()
 
-    def test_bound_out_of_iterations(self, tmp_path, capsys):
+    def test_bound_out_of_iterations(self, tmp_path, monkeypatch, capsys):
+        # the CLI keeps solve's default cap, so the test lowers it to one
+        monkeypatch.setattr(cli, "solve", functools.partial(solver.solve, max_iter=1))
         store = tmp_path / "s.jsonl"
-        code = main(["bound", "2", "5", "3", "--max-iter", "1", "--store", str(store)])
+        code = main(["bound", "2", "5", "3", "--store", str(store)])
         assert code == EXIT_SOLVER
-        assert "solver error: NonConvergenceError" in capsys.readouterr().err
+        message, last = capsys.readouterr().err.splitlines()
+        assert message.startswith("solver error: NonConvergenceError: no convergence within 1 iterations")
+        assert last.startswith("last iterate: iteration 1, pobj ")
         assert not store.exists()
 
     def test_bound_non_finite_direction(self, tmp_path, monkeypatch, capsys):

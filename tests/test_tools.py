@@ -23,6 +23,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # 1,820 lines, one per orbit map
 ORBIT_MAPS_DIGEST = "e75ee39f6f5e6d6fb128c657a0485d8ae4a99137fd3f9798d81bc9f2219bc6fd"
 
+# the closing line of ``tools/sdpa_digests.py --verify``: the SHA-256 of its
+# 82 lines, one per ``verify_reduction`` report of at most VERIFY_WORD_CAP words
+VERIFY_REPORTS_DIGEST = "29279d677830c9e46c608c2a1b29ec3f0024fd1ec076856c2decab63f95e2bdd"
+
 
 def run_tool(name: str, *args: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -57,6 +61,13 @@ def test_sdpa_digests_orbit_maps_pinned():
     # spec with n2 + n3 <= 14 at levels 3 and 2, items in order
     last = run_tool("sdpa_digests.py", "--orbits")[-1]
     assert last == f"digest {ORBIT_MAPS_DIGEST} over 1820 problems"
+
+
+def test_sdpa_digests_verify_reports_pinned():
+    # the closing digest of --verify pins the checks of every verifier
+    # report at levels 3 and 2, names, outcomes and details
+    last = run_tool("sdpa_digests.py", "--verify")[-1]
+    assert last == f"digest {VERIFY_REPORTS_DIGEST} over 82 problems"
 
 
 def digests_tool():

@@ -18,7 +18,10 @@ levels 3 and 2 (``table_problems``, 270 problems), in about 32 s on the
 same VM.  ``--orbits`` prints instead the SHA-256 of the ``repr`` of the
 ``enumerate_orbits`` map, items in order, of every (n2, n3, d, k) with
 n2 + n3 <= 14 (``orbit_problems``, 1,820 maps), in about 9 s on the same
-VM.
+VM.  ``--verify`` prints instead the SHA-256 of the ``repr`` of the
+``verify_reduction`` checks of every (n2, n3, d, k) with at most
+``VERIFY_WORD_CAP`` words (``verify_problems``, 82 reports), in about 1 s
+on the same VM.
 
 The last line, ``digest <sha256> over N problems``, is the SHA-256 of the
 lines before it, newlines included, so two checkouts compare in one line.
@@ -29,6 +32,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from mixedsdp.blocks import VERIFY_WORD_CAP, verify_reduction
 from mixedsdp.cli import load_reference_rows
 from mixedsdp.codes import ProblemSpec, enumerate_orbits
 from mixedsdp.model import build_problem
@@ -68,6 +72,27 @@ def orbit_problems() -> list[tuple[int, int, int, int]]:
     ]
 
 
+def verify_problems() -> list[tuple[int, int, int, int]]:
+    """Every (n2, n3, d) with 2^n2 3^n3 <= VERIFY_WORD_CAP at level 3, then
+    at level 2, n2, n3 and d ascending."""
+    return [
+        (n2, n3, d, k)
+        for k in (3, 2)
+        for n2 in range(1, VERIFY_WORD_CAP.bit_length())
+        for n3 in range(1, VERIFY_WORD_CAP.bit_length())
+        if 2 ** n2 * 3 ** n3 <= VERIFY_WORD_CAP
+        for d in range(1, n2 + n3 + 1)
+    ]
+
+
+def verify_lines():
+    """The line of each verifier report of ``verify_problems``: its key and
+    the digest of its checks."""
+    for key in verify_problems():
+        checks = verify_reduction(ProblemSpec(*key)).checks
+        yield f"{','.join(map(str, key))} {hashlib.sha256(repr(checks).encode()).hexdigest()}"
+
+
 def orbit_lines():
     """The line of each orbit map of ``orbit_problems``: its key and digest."""
     for key in orbit_problems():
@@ -87,6 +112,8 @@ def emitted_lines(keys):
 def main(argv: list[str]) -> None:
     if argv == ["--orbits"]:
         lines = orbit_lines()
+    elif argv == ["--verify"]:
+        lines = verify_lines()
     elif argv == ["--table"]:
         lines = emitted_lines(table_problems())
     else:
