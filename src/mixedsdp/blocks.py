@@ -547,6 +547,21 @@ def _orbit_table(spec: ProblemSpec, variables: dict[OrbitId, int], lookup: np.nd
     return matnos[inverse].reshape(keys.shape)
 
 
+def _entry_outside(block: Block, num_orbits: int) -> str | None:
+    """The first entry of ``block``, in its order, outside 0 <= i <= j < dim
+    or with a matno outside 0..num_orbits, named with the block's label;
+    None when every entry lies inside."""
+    i, j, matno = block.i, block.j, block.matno
+    outside = (i < 0) | (i > j) | (j >= block.dim) | (matno < 0) | (matno > num_orbits)
+    if not outside.any():
+        return None
+    k = int(outside.argmax())
+    return (
+        f"block {block.label} entry (matno {matno[k]}, i {i[k]}, j {j[k]}) lies outside "
+        f"0 <= i <= j < dim {block.dim}, 0 <= matno <= {num_orbits}"
+    )
+
+
 def _contraction_mismatch(
     table, columns, block: Block, label: str, orbits: list[OrbitId]
 ) -> str | None:
@@ -628,7 +643,10 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     and checks, by Sylvester's law of inertia, that each full matrix has as
     many negative and as many positive eigenvalues as its blocks counted
     with their multiplicities.  Zero eigenvalues are not compared: a word of
-    weight 1..d-1 gives the zero-case matrix a zero row.
+    weight 1..d-1 gives the zero-case matrix a zero row.  Checks (c) and (d)
+    run only when every block entry has 0 <= i <= j < dim and a matno in
+    0..#orbits; otherwise a failed check naming the first entry outside
+    ends the report.
     """
     if spec.num_words > VERIFY_WORD_CAP:
         raise ResourceError(
@@ -652,6 +670,11 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     blocks_empty = build_blocks_empty(spec, shapes_empty, variables)
 
     checks.append(dimension_count(spec, shapes_zero, shapes_empty))
+    # checks (c) and (d) index arrays with the entries
+    outside = next(filter(None, (_entry_outside(b, len(orbits)) for b in (*blocks_zero, *blocks_empty))), None)
+    if outside:
+        checks.append(("block entries lie inside their blocks", False, outside))
+        return VerifyReport(spec, checks)
 
     # (c) zero-word case
     mismatch = None

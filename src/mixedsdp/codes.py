@@ -19,7 +19,7 @@ pair of words; only the words of the code it returns become ``Word``s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from operator import itemgetter
 
 import numpy as np
@@ -63,14 +63,6 @@ def _build_pattern_perms() -> tuple[tuple[int, ...], ...]:
 
 
 PATTERN_PERMS = _build_pattern_perms()
-
-
-class ShapeError(ValueError):
-    """Operands do not conform to the same problem dimensions."""
-
-
-class SizeError(ValueError):
-    """A code exceeds the supported cardinality."""
 
 
 class ResourceError(RuntimeError):
@@ -117,12 +109,6 @@ class Word:
         if any(t not in (0, 1, 2) for t in self.trits):
             raise ValueError(f"ternary symbols out of range: {self.trits}")
 
-    def conforms(self, spec: ProblemSpec) -> bool:
-        return len(self.bits) == spec.n2 and len(self.trits) == spec.n3
-
-    def __str__(self) -> str:
-        return "".join(map(str, self.bits)) + "|" + "".join(map(str, self.trits))
-
 
 def word(bits, trits) -> Word:
     return Word(tuple(bits), tuple(trits))
@@ -150,28 +136,9 @@ class Code:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __str__(self) -> str:
-        return "{" + ", ".join(map(str, self.words)) + "}"
-
 
 def code(*words: Word) -> Code:
     return Code(tuple(sorted(set(words))))
-
-
-def hamming_distance(v: Word, w: Word) -> int:
-    """Number of coordinates where two words differ."""
-    if len(v.bits) != len(w.bits) or len(v.trits) != len(w.trits):
-        raise ShapeError(f"length mismatch: {v} vs {w}")
-    return sum(a != b for a, b in zip(v.bits, w.bits)) + sum(
-        a != b for a, b in zip(v.trits, w.trits)
-    )
-
-
-def min_distance(c: Code) -> int | None:
-    """Minimum pairwise distance; None for codes of size at most one."""
-    if len(c) <= 1:
-        return None
-    return min(hamming_distance(v, w) for v, w in combinations(c.words, 2))
 
 
 @dataclass(frozen=True, order=True)
@@ -181,7 +148,8 @@ class OrbitId:
     ``bin_counts``/``ter_counts`` count column patterns of the padded ordered
     triple, lexicographically minimal over the six row reorderings (binary
     counts compared before ternary).  ``size`` is the code cardinality; it is
-    stored explicitly so the empty code gets a distinct identifier.
+    stored, and compared first, so that sorting OrbitIds sorts by size and
+    the level-2 variables are the start of the level-3 ones.
     """
 
     size: int
@@ -295,10 +263,6 @@ def orbit_from_counts(bin_counts, ter_counts) -> OrbitId:
     return OrbitId(_size_from_counts(cb, ct), cb, ct)
 
 
-def empty_orbit(spec: ProblemSpec) -> OrbitId:
-    return OrbitId(0, (spec.n2, 0, 0, 0), (spec.n3, 0, 0, 0, 0))
-
-
 def singleton_orbit(spec: ProblemSpec) -> OrbitId:
     return OrbitId(1, (spec.n2, 0, 0, 0), (spec.n3, 0, 0, 0, 0))
 
@@ -313,44 +277,6 @@ def pair_orbit(spec: ProblemSpec, d2: int, d3: int) -> OrbitId:
         (spec.n2 - d2, 0, 0, d2),
         (spec.n3 - d3, 0, 0, d3, 0),
     )
-
-
-def canonical_orbit(spec: ProblemSpec, c: Code) -> OrbitId:
-    """Canonical orbit invariant of a code of size at most three.
-
-    The code is padded to an ordered triple (size 1 -> (v,v,v); size 2 ->
-    (x,y,y) duplicating the lexicographically larger word), per-column
-    patterns are counted, and the counts are minimized over the six row
-    reorderings.  Two codes get equal OrbitIds exactly when some isometry
-    maps one onto the other.
-    """
-    if len(c) > 3:
-        raise SizeError(f"codes have at most 3 words, got {len(c)}")
-    for w in c.words:
-        if not w.conforms(spec):
-            raise ShapeError(f"word {w} does not conform to ({spec.n2}, {spec.n3})")
-    if len(c) == 0:
-        return empty_orbit(spec)
-    if len(c) == 1:
-        triple = (c.words[0],) * 3
-    elif len(c) == 2:
-        triple = (c.words[0], c.words[1], c.words[1])
-    else:
-        triple = c.words
-    bin_counts = [0] * N_BIN_PATTERNS
-    for i in range(spec.n2):
-        bin_counts[_pattern_of(*(w.bits[i] for w in triple))] += 1
-    ter_counts = [0] * N_TER_PATTERNS
-    for i in range(spec.n3):
-        ter_counts[_pattern_of(*(w.trits[i] for w in triple))] += 1
-    return orbit_from_counts(bin_counts, ter_counts)
-
-
-def orbit_pair_distances(w: OrbitId) -> tuple[int, int, int]:
-    """Pairwise distances d(1,2), d(1,3), d(2,3) of the canonical triple."""
-    if w.size < 2:
-        raise ValueError(f"pair distances undefined for size {w.size}")
-    return _pair_distances(w.bin_counts, w.ter_counts)
 
 
 def _distances_allowed(size, dists, d: int):

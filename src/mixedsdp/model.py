@@ -1,6 +1,6 @@
 """Assembly of the reduced optimization problem: orbit variables, objective
 and the exact blocks from both stabilizer cases, plus the level-2
-linear-programming mode and the doubling inequality for derived bounds.
+linear-programming mode.
 
 Every variable satisfies y >= 0; the solver and the SDPA writer add
 those constraints themselves.
@@ -63,9 +63,3 @@ def build_lp_k2(spec: ProblemSpec) -> SdpProblem:
     if spec.k != 2:
         raise ValueError("build_lp_k2 expects hierarchy level 2")
     return build_problem(spec)
-
-
-def derived_doubling_bound(known_bound: int) -> int:
-    """Bound for (n2+1, n3, d) from a valid bound for (n2, n3, d): adding a
-    binary coordinate at most doubles the maximum code size."""
-    return 2 * known_bound

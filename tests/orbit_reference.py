@@ -1,6 +1,7 @@
-"""Reference counts that only the tests use: the orbit of a count vector by
-reordering its patterns directly, the variables found one count tuple at a
-time, orbit sizes by counting column fillings,
+"""Reference counts that only the tests use: the library's orbit of a code
+by padding it to a triple and counting its columns, word distances, the
+orbit of a count vector by reordering its patterns directly, the variables
+found one count tuple at a time, orbit sizes by counting column fillings,
 the group-averaged indicator of a code, a feasible point of the assembled
 problem, and the float matrix of a block at a point."""
 
@@ -19,15 +20,39 @@ from mixedsdp.codes import (
     Code,
     OrbitId,
     ProblemSpec,
+    Word,
     _compositions,
+    _pattern_of,
     _size_from_counts,
-    canonical_orbit,
+    orbit_from_counts,
     orbit_is_feasible,
 )
 
 # Number of column fillings realizing each pattern (choices of letters).
 _BIN_FILLINGS = (2, 2, 2, 2)
 _TER_FILLINGS = (3, 6, 6, 6, 6)
+
+
+def canonical_orbit(c: Code) -> OrbitId:
+    """The orbit of a code of one to three words: the code padded to a
+    triple, (v, v, v) or (x, y, y) with y the larger word, its column
+    patterns counted per alphabet and canonicalised by the library's
+    ``orbit_from_counts``."""
+    triple = (c.words + c.words[-1:] * 2)[:3]
+    bits = [_pattern_of(*col) for col in zip(*(w.bits for w in triple))]
+    trits = [_pattern_of(*col) for col in zip(*(w.trits for w in triple))]
+    return orbit_from_counts(
+        tuple(map(bits.count, range(N_BIN_PATTERNS))),
+        tuple(map(trits.count, range(N_TER_PATTERNS))),
+    )
+
+
+def hamming_distance(v: Word, w: Word) -> int:
+    return sum(a != b for a, b in zip(v.bits + v.trits, w.bits + w.trits))
+
+
+def min_distance(c: Code) -> int | None:
+    return min((hamming_distance(v, w) for v, w in combinations(c.words, 2)), default=None)
 
 
 def _apply_pattern_perm(counts, perm_map, npat):
@@ -96,8 +121,6 @@ def orbit_size(spec: ProblemSpec, w: OrbitId) -> int:
     corresponds to exactly 6 ordered triples ranging over the distinct
     relabelings of the canonical counts, a singleton to one.
     """
-    if w.size == 0:
-        return 1
     total = 0
     for bc, tc in reorderings(w.bin_counts, w.ter_counts):
         fill = 1
@@ -119,7 +142,7 @@ def code_indicator_assignment(
     counts: dict[OrbitId, int] = {}
     for size in (1, 2, 3):
         for sub in combinations(c.words, size):
-            w = canonical_orbit(spec, Code(tuple(sub)))
+            w = canonical_orbit(Code(sub))
             counts[w] = counts.get(w, 0) + 1
     return {
         variables[w]: Fraction(cnt, orbit_size(spec, w))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mixedsdp.blocks import verify_reduction
-from mixedsdp.cli import load_reference_rows
+from mixedsdp.cli import _doubled, load_reference_rows
 from mixedsdp.codes import (
     ProblemSpec,
     ResourceError,
@@ -21,7 +21,7 @@ from mixedsdp.codes import (
     exact_n,
     optimal_code,
 )
-from mixedsdp.model import build_lp_k2, build_sdp, derived_doubling_bound
+from mixedsdp.model import build_lp_k2, build_sdp
 from mixedsdp.solver import (
     certify,
     emit_sdpa,
@@ -112,9 +112,11 @@ def test_criterion_1_published_rows_up_to_300_variables():
 
 def test_criterion_2_doubling_bounds():
     """Doubling inequality reproduces the two derived published bounds."""
-    # (2,12,8) from (1,12,8), and (5,3,3) from (4,3,3)
-    assert derived_doubling_bound(67) == 134
-    assert derived_doubling_bound(30) == 60
+    # (2,12,8) from (1,12,8), and (5,3,3) from (4,3,3), as `mixedsdp table`
+    # derives them
+    by_key = {(r.n2, r.n3, r.d): r for r in load_reference_rows()}
+    for key, bound in (((2, 12, 8), 134), ((5, 3, 3), 60)):
+        assert _doubled(by_key, by_key[key]) == bound == by_key[key].upper
     report("criterion 2 (doubling-derived bounds 134 and 60): PASS")
 
 

@@ -35,6 +35,7 @@ from mixedsdp.codes import (
     ProblemSpec,
     ResourceError,
     all_words,
+    code,
     enumerate_orbits,
     orbit_from_counts,
     pair_orbit,
@@ -51,6 +52,7 @@ from factor_reference import (
     state_poly,
     unpack_monomial,
 )
+from orbit_reference import canonical_orbit
 
 
 def named(form):
@@ -446,7 +448,6 @@ class TestBlocksEmpty:
         variables = enumerate_orbits(spec)
         shapes = build_shape_index_empty(spec)
         blocks = build_blocks_empty(spec, shapes, variables)
-        from mixedsdp.codes import canonical_orbit, code
 
         words = list(all_words(spec))
         for shape, block in zip(shapes, blocks):
@@ -455,7 +456,7 @@ class TestBlocksEmpty:
             agg = {}
             for x, cx in zip(words, vec.tolist()):
                 for y, cy in zip(words, vec.tolist()):
-                    widx = variables[canonical_orbit(spec, code(x, y))]
+                    widx = variables[canonical_orbit(code(x, y))]
                     agg[widx] = agg.get(widx, 0) + cx * cy
             slot = 1 if shape.augmented else 0
             for widx, val in agg.items():
@@ -512,6 +513,12 @@ def add_zero_case_constant(block_list):
     """The blocks with a constant 1 added at (0, 0) of the first block."""
     first, *rest = block_list
     return [Block.from_entries(first.label, first.dim, ((0, 0, 0, 1), *first.entries())), *rest]
+
+
+def add_to_first_block(block_list, entry):
+    """The blocks with the entry (matno, i, j, value) added to the first."""
+    first, *rest = block_list
+    return [Block.from_entries(first.label, first.dim, (*first.entries(), entry)), *rest]
 
 
 def add_augmented_cross_term(block_list):
@@ -592,6 +599,25 @@ class TestVerifyReduction:
         text = report.summary()
         assert "PASS" in text
         assert report.first_failure() is None
+
+    @pytest.mark.parametrize("entry", [
+        (1, 2, 2, 5), (1, 1, 0, 5), (16, 0, 0, 5), (-1, 0, 0, 5),
+    ], ids=["at-dim", "below-diagonal", "matno-past-orbits", "matno-negative"])
+    def test_entry_outside_block_reported(self, monkeypatch, capsys, entry):
+        # the first zero-case block of (2,1,2) has dim 2, and the d = 1 map
+        # holds 15 orbits; the report fails before any check indexes with
+        # the entry
+        build = blocks.build_blocks_d0
+        monkeypatch.setattr(blocks, "build_blocks_d0", lambda *args: add_to_first_block(build(*args), entry))
+        report = verify_reduction(ProblemSpec(2, 1, 2))
+        matno, i, j, _ = entry
+        failure = (
+            "block entries lie inside their blocks: block zero:n=(2, 0, 1) lam=[(2),(),(1)] "
+            f"entry (matno {matno}, i {i}, j {j}) lies outside 0 <= i <= j < dim 2, 0 <= matno <= 15"
+        )
+        assert report.first_failure() == failure
+        assert main(["verify", "2", "1", "--d", "2"]) == EXIT_VERIFY
+        assert "first discrepancy: " + failure in capsys.readouterr().out
 
     @pytest.mark.parametrize("builder, corrupt, failure, ending", [
         ("build_blocks_d0", raise_first_coefficient,

@@ -223,13 +223,15 @@ class TestCommands:
         (125, "match", EXIT_OK),
         (124, "improves", EXIT_OK),
         (126, "MISMATCH", EXIT_VERIFY),
+        # below the published lower bound of 99, the size of a known code
+        (98, "MISMATCH (below known code)", EXIT_VERIFY),
         (NonConvergenceError("no convergence within 500 iterations"),
          "NonConvergenceError: no convergence within 500 iterations", EXIT_SOLVER),
-    ], ids=["match", "improves", "mismatch", "solver-error"])
+    ], ids=["match", "improves", "mismatch", "below-known-code", "solver-error"])
     def test_table_statuses(self, tmp_path, capsys, monkeypatch, outcome, status, code):
         # (2,5,3) certifies its published 65; (3,5,3) gives ``outcome``; the
         # level-4 row (4,3,3) and the doubling row (5,3,3) are never solved
-        def compute(n2, n3, d, k, tol, max_iter=500):
+        def compute(n2, n3, d, k, tol):
             if (n2, n3, d) == (2, 5, 3):
                 return {"n2": n2, "n3": n3, "d": d, "k": k, "bound": 65}
             assert (n2, n3, d) == (3, 5, 3)
@@ -242,16 +244,22 @@ class TestCommands:
         assert main(["table", "--d", "3", "--max-length", "8",
                      "--store", str(store)]) == code
         value = "!" if isinstance(outcome, Exception) else outcome
-        assert capsys.readouterr().out.splitlines() == [
+        lines = [
             " n2  n3   d   lower  computed published  status",
             "  2   5   3      52        65        65  match",
             f"  3   5   3      99 {value:>9}       125  {status}",
             "  4   3   3      28         -        30  level-4 bound, not computed",
             "  5   3   3      54        60        60  match (doubling)",
         ]
+        assert capsys.readouterr().out.splitlines() == lines
         # a failed row leaves no record
         stored = [(r["n2"], r["n3"], r["bound"]) for r in ResultsStore(store).records()]
         assert stored == [(2, 5, 65)] + ([] if value == "!" else [(3, 5, value)])
+        if value != "!":
+            # replaying the stored bounds gives the same statuses
+            assert main(["table", "--d", "3", "--max-length", "8", "--replay",
+                         "--store", str(store)]) == code
+            assert capsys.readouterr().out.splitlines() == lines
 
     def test_table_doubling_row_without_source(self, tmp_path, capsys, monkeypatch):
         # without the row (4,3,3), the doubling row (5,3,3) has no source
@@ -259,7 +267,7 @@ class TestCommands:
         rows = [r for r in load_reference_rows() if (r.n2, r.n3, r.d) != (4, 3, 3)]
         monkeypatch.setattr(cli, "load_reference_rows", lambda: rows)
         published = {(2, 5, 3): 65, (3, 5, 3): 125}
-        monkeypatch.setattr(cli, "_compute_bound", lambda n2, n3, d, k, tol, max_iter=500: {
+        monkeypatch.setattr(cli, "_compute_bound", lambda n2, n3, d, k, tol: {
             "n2": n2, "n3": n3, "d": d, "k": k, "bound": published[n2, n3, d],
         })
         assert main(["table", "--d", "3", "--max-length", "8",

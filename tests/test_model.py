@@ -1,4 +1,4 @@
-"""Problem assembly: variables, objective, blocks, LP mode, derived bounds."""
+"""Problem assembly: variables, objective, blocks and LP mode."""
 
 from fractions import Fraction
 
@@ -13,7 +13,7 @@ from mixedsdp.codes import (
     singleton_orbit,
 )
 from mixedsdp.blocks import build_blocks_empty
-from mixedsdp.model import build_lp_k2, build_problem, build_sdp, derived_doubling_bound
+from mixedsdp.model import build_lp_k2, build_problem, build_sdp
 from mixedsdp.solver import certify, solve
 from mixedsdp.tableaux import build_shape_index_empty
 from orbit_reference import block_at, code_indicator_assignment, tuple_orbits
@@ -106,16 +106,6 @@ class TestBuildLp:
         p = build_problem(spec)
         assert p.variables == tuple(want)
         assert p.blocks == tuple(build_blocks_empty(spec, build_shape_index_empty(spec), want))
-
-
-class TestDoubling:
-    def test_published_instances(self):
-        # (2,12,8) from (1,12,8), and (5,3,3) from (4,3,3)
-        assert derived_doubling_bound(67) == 134
-        assert derived_doubling_bound(30) == 60
-
-    def test_arithmetic(self):
-        assert derived_doubling_bound(21) == 42
 
 
 class TestCodeIndicator:
