@@ -58,10 +58,10 @@ from mixedsdp.codes import (
     OrbitId,
     ProblemSpec,
     ResourceError,
-    _letters,
     _pattern_of,
     check_key_digits,
     enumerate_orbits,
+    letters,
     orbit_from_counts,
     orbit_is_feasible,
     pack_counts,
@@ -437,7 +437,7 @@ _B_BASES = {1: (1, 1), 2: (1, -1), 3: (1, 1, 1), 4: (1, -1, 0)}
 
 def _kron(vectors) -> np.ndarray:
     """The Kronecker product of integer vectors, [1] for none: the entry at
-    a tuple of letters, the first letter slowest as in ``all_words``, is the
+    a tuple of letters, the first letter slowest as in ``letters``, is the
     product of the vectors' entries at those letters."""
     return reduce(lambda u, v: np.outer(u, v).ravel(), vectors, np.ones(1, dtype=np.int64))
 
@@ -462,7 +462,7 @@ def _tableau_vector(lam: tuple[int, int], ones: int, basis) -> np.ndarray:
 
 
 def representative_vector_zero(shape: ShapeD0, col: tuple[int, ...]) -> np.ndarray:
-    """Explicit word-space vector, in ``all_words`` order, of one
+    """Explicit word-space vector, in ``letters`` order, of one
     all-zero-word-case column, given by its counts of 1s: the Kronecker
     product of its three factors' tableau vectors.
 
@@ -476,7 +476,7 @@ def representative_vector_zero(shape: ShapeD0, col: tuple[int, ...]) -> np.ndarr
 
 
 def representative_vector_empty(shape: ShapeEmpty) -> np.ndarray:
-    """Explicit word-space vector, in ``all_words`` order, of the unique
+    """Explicit word-space vector, in ``letters`` order, of the unique
     empty-code-case column: the Kronecker product of one ``_B_BASES`` column
     per coordinate, l1, l2, l3 and l4 of the four types in turn."""
     return _kron(
@@ -530,14 +530,14 @@ _PATTERNS = np.array([[[_pattern_of(a, b, c) for c in range(3)] for b in range(3
 
 def _orbit_table(spec: ProblemSpec, variables: dict[OrbitId, int], lookup: np.ndarray) -> np.ndarray:
     """The matno, orbit index + 1, of every ordered word pair (x, y), in
-    ``all_words`` order, for the triple whose column pattern at a coordinate
+    ``letters`` order, for the triple whose column pattern at a coordinate
     of letters x_c, y_c is ``lookup[x_c, y_c]``.  Each pair's nine pattern
     counts are summed coordinate by coordinate as one mixed-radix key, and
     ``orbit_from_counts`` runs once per distinct key."""
     radix = np.array([spec.n2 + 1] * N_BIN_PATTERNS + [spec.n3 + 1] * N_TER_PATTERNS)
     place = np.cumprod(np.concatenate(([1], radix[:-1])))
     keys = np.zeros((spec.num_words, spec.num_words), dtype=np.int64)
-    for c, col in enumerate(_letters(spec).T):
+    for c, col in enumerate(letters(spec).T):
         keys += place[N_BIN_PATTERNS * (c >= spec.n2) + lookup[col[:, None], col]]
     distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
     matnos = np.array([
@@ -628,7 +628,7 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     """Check the reduction engine against explicit unreduced objects.
 
     (a) builds every representative column explicitly in the word space,
-    as an integer vector in ``all_words`` order: a Kronecker product of
+    as an integer vector in ``letters`` order: a Kronecker product of
     tableau vectors (``representative_vector_zero``) or of per-coordinate
     basis columns (``representative_vector_empty``);
     (b) builds one explicit table per stabilizer case, holding the SDPA

@@ -11,15 +11,15 @@ triple of its words, minimized over the six reorderings of the triple.
 The level-3 orbit enumeration does the same on integer arrays of packed
 keys; level 2 lists the distance profiles of pairs.
 
-The oracle reads every word as a row of a letter matrix and builds each of
-its graphs from one ``int8`` matrix that ranks the distance profile of every
-pair of words; only the words of the code it returns become ``Word``s.
+A word is a row of ``letters(spec)``: its letters, as ``int8``.  The oracle builds
+each of its graphs from one ``int8`` matrix that ranks the distance profile
+of every pair of words, and returns the rows of the code it finds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from operator import itemgetter
 
 import numpy as np
@@ -94,51 +94,6 @@ class ProblemSpec:
     @property
     def num_words(self) -> int:
         return 2 ** self.n2 * 3 ** self.n3
-
-
-@dataclass(frozen=True, order=True)
-class Word:
-    """A word: bits in {0,1}, trits in {0,1,2}."""
-
-    bits: tuple[int, ...]
-    trits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"binary symbols out of range: {self.bits}")
-        if any(t not in (0, 1, 2) for t in self.trits):
-            raise ValueError(f"ternary symbols out of range: {self.trits}")
-
-
-def word(bits, trits) -> Word:
-    return Word(tuple(bits), tuple(trits))
-
-
-def all_words(spec: ProblemSpec):
-    """Yield every word of the space, in lexicographic order."""
-    for bits in product((0, 1), repeat=spec.n2):
-        for trits in product((0, 1, 2), repeat=spec.n3):
-            yield Word(bits, trits)
-
-
-@dataclass(frozen=True)
-class Code:
-    """A set of distinct words, stored strictly sorted: a code of at most
-    three words that an orbit describes, or a maximum code from
-    ``optimal_code``."""
-
-    words: tuple[Word, ...]
-
-    def __post_init__(self):
-        if any(self.words[i] >= self.words[i + 1] for i in range(len(self.words) - 1)):
-            raise ValueError("words must be strictly sorted")
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-def code(*words: Word) -> Code:
-    return Code(tuple(sorted(set(words))))
 
 
 @dataclass(frozen=True, order=True)
@@ -352,9 +307,9 @@ def enumerate_orbits(spec: ProblemSpec) -> dict[OrbitId, int]:
 DEFAULT_WORD_CAP = 1000
 
 
-def _letters(spec: ProblemSpec) -> np.ndarray:
-    """The letters of every word, one ``int8`` row per word in the order of
-    ``all_words``, binary coordinates first."""
+def letters(spec: ProblemSpec) -> np.ndarray:
+    """The letters of every word, one ``int8`` row per word in lexicographic
+    order, binary coordinates first."""
     radix = (2,) * spec.n2 + (3,) * spec.n3
     return np.indices(radix, dtype=np.int8).reshape(spec.length, -1).T
 
@@ -556,9 +511,9 @@ def _search(
 def _orbit_cells(
     spec: ProblemSpec, letters: np.ndarray, fixed: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The cell of each letter of ``letters`` (rows, as ``_letters`` gives
-    them) under the pointwise stabilizer of the zero word and the words of
-    ``fixed``, and the radix of each cell.
+    """The cell of each letter of ``letters`` (rows, as ``letters(spec)``
+    gives them) under the pointwise stabilizer of the zero word and the
+    words of ``fixed``, and the radix of each cell.
 
     An element of the stabilizer keeps the letter 0 in every coordinate, so
     it keeps every binary letter, and in a ternary coordinate it can only
@@ -601,12 +556,12 @@ def _orbit_labels(spec: ProblemSpec, letters: np.ndarray, fixed: np.ndarray) -> 
 def _swap_merged(
     spec: ProblemSpec, letters: np.ndarray, rep: np.ndarray, labels: list[int]
 ) -> list[int]:
-    """``labels``, one per row of ``letters`` (every word, as ``_letters``
-    gives them), with each class merged with its image under the swap
-    x -> rep - x, letters taken mod 2 or mod 3; each merged class takes the
-    smaller of the two labels.  The swap is an involution, and on the orbit
-    labels of the pointwise stabilizer of (zero, rep) it maps each orbit
-    onto one orbit (``_max_clique_words``)."""
+    """``labels``, one per row of ``letters`` (every word, as
+    ``letters(spec)`` gives them), with each class merged with its image
+    under the swap x -> rep - x, letters taken mod 2 or mod 3; each merged
+    class takes the smaller of the two labels.  The swap is an involution,
+    and on the orbit labels of the pointwise stabilizer of (zero, rep) it
+    maps each orbit onto one orbit (``_max_clique_words``)."""
     radix = np.array((2,) * spec.n2 + (3,) * spec.n3)
     place = np.append(np.cumprod(radix[:0:-1])[::-1], 1)
     image = ((rep - letters) % radix) @ place
@@ -638,7 +593,7 @@ def _max_clique_words(
     node_budget: int | None = None,
 ) -> int:
     """Bitmask of one maximum code, over the rows of ``letters``
-    (``_letters``), by one exact search chosen by d.
+    (``letters(spec)``), by one exact search chosen by d.
 
     For d <= 2 the graph is dense: ``_search`` runs on the whole of it,
     relabelled in degree order, highest first (``_relabel``), and (5,2,2)
@@ -756,10 +711,11 @@ def _max_clique_words(
     return best
 
 
-def optimal_code(spec: ProblemSpec, node_budget: int | None = None) -> Code:
-    """A maximum code with minimum distance >= d, by one exact clique search,
-    chosen by d (``_max_clique_words``), over at most ``DEFAULT_WORD_CAP``
-    words; a larger word space raises ResourceError.
+def optimal_code(spec: ProblemSpec, node_budget: int | None = None) -> np.ndarray:
+    """A maximum code with minimum distance >= d, as its rows of
+    ``letters(spec)`` in that order, by one exact clique search chosen by d
+    (``_max_clique_words``), over at most ``DEFAULT_WORD_CAP`` words; a
+    larger word space raises ResourceError.
 
     ``node_budget``, when given, caps that search's nodes; exceeding it
     raises ResourceError (deterministically for a given spec), and a
@@ -774,17 +730,16 @@ def optimal_code(spec: ProblemSpec, node_budget: int | None = None) -> Code:
             f"word space {spec.num_words} exceeds oracle cap {DEFAULT_WORD_CAP}"
         )
     if spec.d == 1:
-        return code(*all_words(spec))
-    letters = _letters(spec)
+        return letters(spec)
+    rows = letters(spec)
     try:
-        mask = _max_clique_words(spec, letters, node_budget)
+        mask = _max_clique_words(spec, rows, node_budget)
     except _BudgetExceeded:
         raise ResourceError(
             f"oracle node budget {node_budget} exceeded for "
             f"({spec.n2},{spec.n3},{spec.d})"
         ) from None
-    picked = letters[_vertices(mask)].tolist()
-    return code(*(word(row[:spec.n2], row[spec.n2:]) for row in picked))
+    return rows[_vertices(mask)]
 
 
 def exact_n(spec: ProblemSpec, node_budget: int | None = None) -> int:

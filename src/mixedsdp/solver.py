@@ -644,7 +644,10 @@ def _update(x: _Iterate, direction, alpha_p: float, alpha_d: float) -> _Iterate:
     )
 
 
-def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Solution:
+MAX_ITER = 500  # iterations before NonConvergenceError
+
+
+def solve(problem: SdpProblem, tol: float = 1e-8) -> Solution:
     """Maximize the problem objective subject to its matrix inequalities.
 
     Stops at the first iterate that proves its integer: the primal
@@ -657,8 +660,6 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got tol={tol}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
     b, blocks, lp, inexact = _prepare(problem)
     # objective normalized to unit magnitude; reported values are unscaled
     bscale = max(1.0, float(np.abs(b).max(initial=0.0)))
@@ -671,7 +672,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
     trace: list[dict] = []
     tiny_steps = 0
     try:
-        for it in range(1, max_iter + 1):
+        for it in range(1, MAX_ITER + 1):
             residuals = _residuals(data, x, trace)
             solution = _stop(data, x, trace, tol)
             if solution is not None:
@@ -696,7 +697,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 500) -> Soluti
                 )
         last = trace[-1]
         raise NonConvergenceError(
-            f"no convergence within {max_iter} iterations (relgap {last['relgap']:.2e}, "
+            f"no convergence within {MAX_ITER} iterations (relgap {last['relgap']:.2e}, "
             f"pinf {last['pinf']:.2e}, dinf {last['dinf']:.2e})"
         )
     except SolverError as err:

@@ -17,10 +17,8 @@ from mixedsdp.codes import (
     PAT_23,
     PAT_ALL_EQUAL,
     PATTERN_PERMS,
-    Code,
     OrbitId,
     ProblemSpec,
-    Word,
     _compositions,
     _pattern_of,
     _size_from_counts,
@@ -33,26 +31,25 @@ _BIN_FILLINGS = (2, 2, 2, 2)
 _TER_FILLINGS = (3, 6, 6, 6, 6)
 
 
-def canonical_orbit(c: Code) -> OrbitId:
-    """The orbit of a code of one to three words: the code padded to a
-    triple, (v, v, v) or (x, y, y) with y the larger word, its column
+def canonical_orbit(spec: ProblemSpec, c) -> OrbitId:
+    """The orbit of a code of one to three distinct words, given as letter
+    rows: the code padded to a triple, (v, v, v) or (x, y, y), its column
     patterns counted per alphabet and canonicalised by the library's
     ``orbit_from_counts``."""
-    triple = (c.words + c.words[-1:] * 2)[:3]
-    bits = [_pattern_of(*col) for col in zip(*(w.bits for w in triple))]
-    trits = [_pattern_of(*col) for col in zip(*(w.trits for w in triple))]
+    triple = (*c, c[-1], c[-1])[:3]
+    patterns = [_pattern_of(*col) for col in zip(*triple)]
     return orbit_from_counts(
-        tuple(map(bits.count, range(N_BIN_PATTERNS))),
-        tuple(map(trits.count, range(N_TER_PATTERNS))),
+        tuple(map(patterns[:spec.n2].count, range(N_BIN_PATTERNS))),
+        tuple(map(patterns[spec.n2:].count, range(N_TER_PATTERNS))),
     )
 
 
-def hamming_distance(v: Word, w: Word) -> int:
-    return sum(a != b for a, b in zip(v.bits + v.trits, w.bits + w.trits))
+def hamming_distance(v, w) -> int:
+    return sum(a != b for a, b in zip(v, w))
 
 
-def min_distance(c: Code) -> int | None:
-    return min((hamming_distance(v, w) for v, w in combinations(c.words, 2)), default=None)
+def min_distance(c) -> int | None:
+    return min((hamming_distance(v, w) for v, w in combinations(c, 2)), default=None)
 
 
 def _apply_pattern_perm(counts, perm_map, npat):
@@ -133,16 +130,16 @@ def orbit_size(spec: ProblemSpec, w: OrbitId) -> int:
 
 
 def code_indicator_assignment(
-    spec: ProblemSpec, variables: dict[OrbitId, int], c: Code
+    spec: ProblemSpec, variables: dict[OrbitId, int], c
 ) -> dict[int, Fraction]:
-    """Group-averaged indicator of a code, by variable index: the fraction
-    of each orbit's codes that are subcodes of ``c``.  Feasible for the
-    assembled problem whenever ``c`` has minimum distance >= d, with
-    objective |c|."""
+    """Group-averaged indicator of a code, given as letter rows, by variable
+    index: the fraction of each orbit's codes that are subcodes of ``c``.
+    Feasible for the assembled problem whenever ``c`` has minimum distance
+    >= d, with objective |c|."""
     counts: dict[OrbitId, int] = {}
     for size in (1, 2, 3):
-        for sub in combinations(c.words, size):
-            w = canonical_orbit(Code(sub))
+        for sub in combinations(c, size):
+            w = canonical_orbit(spec, sub)
             counts[w] = counts.get(w, 0) + 1
     return {
         variables[w]: Fraction(cnt, orbit_size(spec, w))

@@ -3,8 +3,6 @@ the cross-check tests."""
 
 import re
 
-from mixedsdp.solver import SdpaParseError
-
 _PRIMAL_PATTERNS = (
     re.compile(r"objValPrimal\s*=\s*([-+0-9.eE]+)"),
     re.compile(r"Primal objective value:\s*([-+0-9.eE]+)"),
@@ -30,5 +28,5 @@ def parse_sdpa_output(text: str) -> tuple[float, float]:
             dual = float(match.group(1))
             break
     if primal is None or dual is None:
-        raise SdpaParseError("missing objective values in solver output")
+        raise ValueError("missing objective values in solver output")
     return primal, dual

@@ -34,9 +34,8 @@ from mixedsdp.codes import (
     PATTERN_NAMES,
     ProblemSpec,
     ResourceError,
-    all_words,
-    code,
     enumerate_orbits,
+    letters,
     orbit_from_counts,
     pair_orbit,
     singleton_orbit,
@@ -436,9 +435,9 @@ class TestBlocksEmpty:
         for shape in build_shape_index_empty(spec):
             l1, _, l3, _ = shape.counts
             want = [
-                math.prod((1, 1)[x] if i < l1 else (1, -1)[x] for i, x in enumerate(w.bits))
-                * math.prod((1, 1, 1)[x] if i < l3 else (1, -1, 0)[x] for i, x in enumerate(w.trits))
-                for w in all_words(spec)
+                math.prod((1, 1)[x] if i < l1 else (1, -1)[x] for i, x in enumerate(w[:n2]))
+                * math.prod((1, 1, 1)[x] if i < l3 else (1, -1, 0)[x] for i, x in enumerate(w[n2:]))
+                for w in letters(spec).tolist()
             ]
             assert representative_vector_empty(shape).tolist() == want, shape
 
@@ -449,14 +448,14 @@ class TestBlocksEmpty:
         shapes = build_shape_index_empty(spec)
         blocks = build_blocks_empty(spec, shapes, variables)
 
-        words = list(all_words(spec))
+        words = letters(spec).tolist()
         for shape, block in zip(shapes, blocks):
             vec = representative_vector_empty(shape)
             assert len(vec) == len(words)
             agg = {}
             for x, cx in zip(words, vec.tolist()):
                 for y, cy in zip(words, vec.tolist()):
-                    widx = variables[canonical_orbit(code(x, y))]
+                    widx = variables[canonical_orbit(spec, (x,) if x == y else (x, y))]
                     agg[widx] = agg.get(widx, 0) + cx * cy
             slot = 1 if shape.augmented else 0
             for widx, val in agg.items():

@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, exit codes, and the results store."""
 
-import functools
 import hashlib
 import json
 import runpy
@@ -115,8 +114,8 @@ class TestCommands:
         assert not store.exists()
 
     def test_bound_out_of_iterations(self, tmp_path, monkeypatch, capsys):
-        # the CLI keeps solve's default cap, so the test lowers it to one
-        monkeypatch.setattr(cli, "solve", functools.partial(solver.solve, max_iter=1))
+        # the CLI keeps solve's cap, so the test lowers it to one
+        monkeypatch.setattr(solver, "MAX_ITER", 1)
         store = tmp_path / "s.jsonl"
         code = main(["bound", "2", "5", "3", "--store", str(store)])
         assert code == EXIT_SOLVER

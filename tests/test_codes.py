@@ -17,15 +17,12 @@ from mixedsdp.codes import (
     N_BIN_PATTERNS,
     N_COUNTS,
     N_TER_PATTERNS,
-    Code,
     ProblemSpec,
     ResourceError,
-    Word,
     _BudgetExceeded,
     _canonical_counts,
     _compositions,
     _degeneracy_order,
-    _letters,
     _orbit_cells,
     _orbit_labels,
     _pair_distances,
@@ -34,10 +31,9 @@ from mixedsdp.codes import (
     _search,
     _swap_merged,
     _vertices,
-    all_words,
-    code,
     enumerate_orbits,
     exact_n,
+    letters,
     optimal_code,
     orbit_from_counts,
     orbit_is_feasible,
@@ -46,7 +42,6 @@ from mixedsdp.codes import (
     reordered_keys,
     singleton_orbit,
     unpack_keys,
-    word,
 )
 from orbit_reference import (
     canonical_orbit,
@@ -68,17 +63,20 @@ class Isometry:
     ter_perm: tuple[int, ...]
     ter_letter: tuple[tuple[int, ...], ...]
 
-    def apply_word(self, w: Word) -> Word:
-        bits = tuple(
-            self.bin_letter[i][w.bits[self.bin_perm[i]]] for i in range(len(w.bits))
-        )
-        trits = tuple(
-            self.ter_letter[i][w.trits[self.ter_perm[i]]] for i in range(len(w.trits))
-        )
-        return Word(bits, trits)
+    def apply_word(self, w: tuple[int, ...]) -> tuple[int, ...]:
+        n2 = len(self.bin_perm)
+        bits = tuple(self.bin_letter[i][w[p]] for i, p in enumerate(self.bin_perm))
+        trits = tuple(self.ter_letter[i][w[n2 + p]] for i, p in enumerate(self.ter_perm))
+        return bits + trits
 
-    def apply_code(self, c: Code) -> Code:
-        return code(*(self.apply_word(w) for w in c.words))
+    def apply_code(self, c) -> tuple[tuple[int, ...], ...]:
+        """The image of a code, its rows sorted."""
+        return tuple(sorted(self.apply_word(w) for w in c))
+
+
+def word_rows(spec: ProblemSpec) -> list[tuple[int, ...]]:
+    """The rows of ``letters(spec)`` as tuples, to hash and to sample."""
+    return list(map(tuple, letters(spec).tolist()))
 
 
 def random_isometry(spec: ProblemSpec, rng: random.Random) -> Isometry:
@@ -105,12 +103,11 @@ def all_isometries(spec: ProblemSpec):
 def brute_force_orbits(spec):
     """Oracle: canonicalize every nonempty code of size <= 3 by direct scan;
     each orbit maps to the minimum distance of its codes."""
-    words = list(all_words(spec))
+    words = word_rows(spec)
     found = {}
     for size in (1, 2, 3):
-        for combo in combinations(words, size):
-            c = code(*combo)
-            w = canonical_orbit(c)
+        for c in combinations(words, size):
+            w = canonical_orbit(spec, c)
             if w not in found:
                 found[w] = min_distance(c)
     return found
@@ -118,7 +115,7 @@ def brute_force_orbits(spec):
 
 def brute_force_max_code(spec):
     """Oracle: exhaustive search without bounds, tiny word spaces only."""
-    words = list(all_words(spec))
+    words = word_rows(spec)
 
     def extend(chosen, rest):
         best = list(chosen)
@@ -152,77 +149,53 @@ class TestProblemSpec:
 
 class TestHamming:
     def test_identity(self):
-        v = word((0, 1), (0, 1, 2))
+        v = (0, 1, 0, 1, 2)
         assert hamming_distance(v, v) == 0
 
     def test_direct_count(self):
-        v = word((0, 1), (0, 1, 2))
-        w = word((0, 0), (0, 2, 2))
+        v = (0, 1, 0, 1, 2)
+        w = (0, 0, 0, 2, 2)
         # differs in the second bit and the second trit
         assert hamming_distance(v, w) == 2
 
     def test_maximum(self):
-        v = word((0, 1), (0, 1, 2))
-        w = word((1, 0), (1, 2, 0))
+        v = (0, 1, 0, 1, 2)
+        w = (1, 0, 1, 2, 0)
         assert hamming_distance(v, w) == 5
 
     def test_symmetry_and_triangle(self):
         rng = random.Random(7)
         spec = ProblemSpec(3, 2, 1)
-        words = list(all_words(spec))
+        words = word_rows(spec)
         for _ in range(200):
             u, v, w = rng.sample(words, 3)
             assert hamming_distance(u, v) == hamming_distance(v, u)
             assert hamming_distance(u, w) <= hamming_distance(u, v) + hamming_distance(v, w)
 
 
-class TestWordsAndCodes:
-    @pytest.mark.parametrize("bits, trits, message", [
-        ((0, 2), (0,), r"binary symbols out of range: \(0, 2\)"),
-        ((0,), (1, 3), r"ternary symbols out of range: \(1, 3\)"),
-        ((0,), (-1,), r"ternary symbols out of range: \(-1,\)"),
-    ])
-    def test_letter_out_of_range(self, bits, trits, message):
-        with pytest.raises(ValueError, match=message):
-            Word(bits, trits)
-
-    def test_unsorted_code(self):
-        v, w = word((0,), (1,)), word((1,), (0,))
-        for words in ((w, v), (v, v)):
-            with pytest.raises(ValueError, match="words must be strictly sorted"):
-                Code(words)
-        assert Code((v, w)) == code(w, v)
-
-
 class TestMinDistance:
     def test_empty_and_singleton(self):
-        assert min_distance(code()) is None
-        assert min_distance(code(word((0, 0), (0,)))) is None
+        assert min_distance(()) is None
+        assert min_distance(((0, 0, 0),)) is None
 
     def test_single_pair(self):
-        c = code(word((0, 0), (0,)), word((0, 1), (1,)))
-        assert min_distance(c) == 2
+        assert min_distance(((0, 0, 0), (0, 1, 1))) == 2
 
 
 class TestCanonicalOrbit:
     def test_singleton_all_equal_columns(self):
         spec = ProblemSpec(2, 3, 1)
-        w = canonical_orbit(code(word((0, 1), (2, 1, 0))))
+        w = canonical_orbit(spec, ((0, 1, 2, 1, 0),))
         assert w == singleton_orbit(spec)
 
     def test_pair_single_columns(self):
         spec = ProblemSpec(1, 1, 1)
-        w = canonical_orbit(code(word((0,), (0,)), word((1,), (1,))))
+        w = canonical_orbit(spec, ((0, 0), (1, 1)))
         assert w == pair_orbit(spec, 1, 1)
         assert w.size == 2
 
     def test_triple_column_readoff(self):
-        c = code(
-            word((0,), (0, 0, 0)),
-            word((0,), (0, 1, 1)),
-            word((0,), (0, 2, 2)),
-        )
-        w = canonical_orbit(c)
+        w = canonical_orbit(ProblemSpec(1, 3, 1), ((0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 2, 2)))
         assert w.size == 3
         assert w.bin_counts == (1, 0, 0, 0)
         # one all-equal ternary column, two all-distinct ones
@@ -231,28 +204,28 @@ class TestCanonicalOrbit:
     def test_invariance_under_random_isometries(self):
         rng = random.Random(2024)
         for spec in (ProblemSpec(3, 2, 1), ProblemSpec(2, 3, 1), ProblemSpec(4, 1, 1)):
-            words = list(all_words(spec))
+            words = word_rows(spec)
             for _ in range(150):
-                c = code(*rng.sample(words, rng.randint(1, 3)))
+                c = rng.sample(words, rng.randint(1, 3))
                 g = random_isometry(spec, rng)
-                assert canonical_orbit(c) == canonical_orbit(g.apply_code(c))
+                assert canonical_orbit(spec, c) == canonical_orbit(spec, g.apply_code(c))
 
     @pytest.mark.parametrize("n2,n3", [(1, 1), (2, 1), (1, 2)])
     def test_separation_against_full_group(self, n2, n3):
         # codes with equal orbit ids must be connected by an actual isometry
         spec = ProblemSpec(n2, n3, 1)
-        words = list(all_words(spec))
+        words = word_rows(spec)
         group = list(all_isometries(spec))
         by_orbit = {}
         for size in (1, 2, 3):
-            for combo in combinations(words, size):
-                c = code(*combo)
-                by_orbit.setdefault(canonical_orbit(c), []).append(c)
+            # combinations of the sorted rows are sorted, as images are
+            for c in combinations(words, size):
+                by_orbit.setdefault(canonical_orbit(spec, c), []).append(c)
         for orbit, members in by_orbit.items():
             rep = members[0]
-            images = {g.apply_code(rep).words for g in group}
+            images = {g.apply_code(rep) for g in group}
             for other in members:
-                assert other.words in images, (
+                assert other in images, (
                     f"orbit {orbit.describe()} merges inequivalent codes"
                 )
 
@@ -270,25 +243,21 @@ class TestOrbitPairDistances:
         assert min(x for x in pair_distances(w) if x) == 2
 
     def test_degenerate_triple_is_pair(self):
-        w = canonical_orbit(code(word((0,), (0,)), word((1,), (0,))))
+        w = canonical_orbit(ProblemSpec(1, 1, 1), ((0, 0), (1, 0)))
         assert w.size == 2
         assert pair_distances(w) == (1, 1, 0)
 
     def test_genuine_triple(self):
-        c = code(
-            word((0,), (0, 0, 0)),
-            word((0,), (0, 1, 1)),
-            word((0,), (0, 2, 2)),
-        )
-        assert pair_distances(canonical_orbit(c)) == (2, 2, 2)
+        c = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 2, 2))
+        assert pair_distances(canonical_orbit(ProblemSpec(1, 3, 1), c)) == (2, 2, 2)
 
     def test_min_distance_matches_representatives(self):
         rng = random.Random(5)
         spec = ProblemSpec(2, 2, 1)
-        words = list(all_words(spec))
+        words = word_rows(spec)
         for _ in range(200):
-            c = code(*rng.sample(words, rng.randint(2, 3)))
-            w = canonical_orbit(c)
+            c = rng.sample(words, rng.randint(2, 3))
+            w = canonical_orbit(spec, c)
             # a zero distance is the padded triple's repeated word
             assert min(x for x in pair_distances(w) if x) == min_distance(c)
 
@@ -327,11 +296,11 @@ class TestEnumerateOrbits:
 
     def test_orbit_size_matches_brute_count(self):
         spec = ProblemSpec(2, 1, 1)
-        words = list(all_words(spec))
+        words = word_rows(spec)
         counts = dict.fromkeys(enumerate_orbits(spec), 0)
         for size in (1, 2, 3):
-            for combo in combinations(words, size):
-                counts[canonical_orbit(code(*combo))] += 1
+            for c in combinations(words, size):
+                counts[canonical_orbit(spec, c)] += 1
         for w, count in counts.items():
             assert count == orbit_size(spec, w), w.describe()
 
@@ -421,17 +390,17 @@ def small_spec_and_code(draw):
     n2 = draw(st.integers(min_value=1, max_value=3))
     n3 = draw(st.integers(min_value=1, max_value=2))
     spec = ProblemSpec(n2, n3, 1)
-    words = list(all_words(spec))
+    words = letters(spec)
     idxs = draw(st.sets(st.integers(min_value=0, max_value=len(words) - 1),
                         min_size=1, max_size=3))
-    return spec, code(*(words[i] for i in idxs))
+    return spec, tuple(words[sorted(idxs)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_spec_and_code())
 def test_orbit_feasibility_matches_min_distance(data):
     spec, c = data
-    w = canonical_orbit(c)
+    w = canonical_orbit(spec, c)
     for d in range(1, spec.length + 1):
         md = min_distance(c)
         assert orbit_is_feasible(w, d) == (md is None or md >= d)
@@ -461,10 +430,23 @@ class TestExactOracle:
         assert exact_n(spec) == brute_force_max_code(spec)
 
     def test_optimal_code_is_valid_witness(self):
-        spec = ProblemSpec(2, 2, 2)
+        # d <= 2 searches the whole graph, d >= 3 branches on the group
+        for spec in (ProblemSpec(2, 2, 2), ProblemSpec(3, 3, 3), ProblemSpec(2, 2, 4)):
+            c = optimal_code(spec)
+            assert c.dtype == np.int8
+            assert c.shape == (exact_n(spec), spec.length)
+            position = {w: i for i, w in enumerate(word_rows(spec))}
+            picked = [position.get(w) for w in map(tuple, c.tolist())]
+            assert None not in picked
+            # distinct, in the order of letters
+            assert picked == sorted(set(picked))
+            assert min_distance(c) >= spec.d
+
+    def test_d1_returns_every_word(self):
+        spec = ProblemSpec(2, 1, 1)
         c = optimal_code(spec)
-        assert len(c) == exact_n(spec)
-        assert min_distance(c) >= spec.d
+        assert c.dtype == np.int8
+        assert c.tolist() == letters(spec).tolist()
 
     def test_cap(self):
         with pytest.raises(ResourceError):
@@ -533,12 +515,12 @@ def test_orbit_key_classes_are_stabilizer_orbits(n2, n3):
     # words for the fourth, with each third word the search can meet, the
     # lowest word of an orbit of the pointwise stabilizer of the first two
     spec = ProblemSpec(n2, n3, 1)
-    words = list(all_words(spec))
+    words = word_rows(spec)
     index = {w: i for i, w in enumerate(words)}
-    letters = _letters(spec)
+    rows = letters(spec)
     zero = 0
     reps = [
-        index[word([1] * b + [0] * (n2 - b), [1] * t + [0] * (n3 - t))]
+        index[(1,) * b + (0,) * (n2 - b) + (1,) * t + (0,) * (n3 - t)]
         for b, t in product(range(n2 + 1), range(n3 + 1)) if b + t
     ]
     # every element that maps the zero word to itself or to a rep_p, as a
@@ -569,14 +551,14 @@ def test_orbit_key_classes_are_stabilizer_orbits(n2, n3):
 
     def orbits_match_keys(fixed):
         orbit_of = orbits([g for g in fix_zero if all(g[v] == v for v in fixed)])
-        labels = _orbit_labels(spec, letters, letters[[v for v in fixed if v != zero]])
+        labels = _orbit_labels(spec, rows, rows[[v for v in fixed if v != zero]])
         assert_classes_are_orbits(labels, orbit_of)
         return set(orbit_of.values())
 
     for rep in reps:
         setwise = orbits([g for g in perms if {g[zero], g[rep]} == {zero, rep}])
-        labels = _orbit_labels(spec, letters, letters[[rep]])
-        assert_classes_are_orbits(_swap_merged(spec, letters, letters[rep], labels), setwise)
+        labels = _orbit_labels(spec, rows, rows[[rep]])
+        assert_classes_are_orbits(_swap_merged(spec, rows, rows[rep], labels), setwise)
         for orbit in orbits_match_keys([zero, rep]):
             if not orbit & {zero, rep}:
                 orbits_match_keys([zero, rep, min(orbit)])
@@ -590,19 +572,19 @@ def test_orbit_key_partition_is_count_rows(n2, n3):
     # fixed words, up to the all-distinct columns of the longest words under
     # the word cap
     spec = ProblemSpec(n2, n3, 1)
-    letters = _letters(spec)
+    words = letters(spec)
     rng = np.random.default_rng(n2 * 10 + n3)
     for nfixed in (1, 2, 3):
         for _ in range(4):
-            fixed = letters[rng.choice(len(letters), nfixed, replace=False)]
-            cell, radix = _orbit_cells(spec, letters, fixed)
+            fixed = words[rng.choice(len(words), nfixed, replace=False)]
+            cell, radix = _orbit_cells(spec, words, fixed)
             columns = [(c >= n2, *fixed[:, c]) for c in range(spec.length)]
             groups = (cell[0] // 3).tolist()
             assert len(set(zip(groups, columns))) == len(set(groups)) == len(set(columns))
             counts = (cell[:, :, None] == np.arange(len(radix))).sum(axis=1)
             assert (counts < radix).all()
             rows = np.unique(counts, axis=0, return_inverse=True)[1].ravel().tolist()
-            labels = _orbit_labels(spec, letters, fixed)
+            labels = _orbit_labels(spec, words, fixed)
             assert len(set(zip(labels, rows))) == len(set(labels)) == len(set(rows))
 
 
@@ -764,21 +746,21 @@ def test_degeneracy_order_matches_reference(data):
     (n2, n3) for n2 in range(1, 7) for n3 in range(1, 5) if 2 ** n2 * 3 ** n3 <= 108
 ])
 def test_profile_ranks_match_hamming_distances(n2, n3):
-    words = list(all_words(ProblemSpec(n2, n3, 1)))
-    letters = _letters(ProblemSpec(n2, n3, 1))
-    assert letters.dtype == np.int8
-    assert [word(row[:n2], row[n2:]) for row in letters.tolist()] == words
+    rows = letters(ProblemSpec(n2, n3, 1))
+    assert rows.dtype == np.int8
+    # every word once, in lexicographic order
+    words = rows.tolist()
+    assert words == [list(w) for w in product(*[range(2)] * n2, *[range(3)] * n3)]
     for d in range(1, n2 + n3 + 1):
         spec = ProblemSpec(n2, n3, d)
-        profiles, ranks = _profile_ranks(spec, letters)
+        profiles, ranks = _profile_ranks(spec, rows)
         assert profiles == sorted(
             ((b, t) for b in range(n2 + 1) for t in range(n3 + 1) if b + t >= d),
             key=lambda p: (p[1], p[0]),
         )
         rank = {p: r for r, p in enumerate(profiles)}
         want = [
-            [rank.get((hamming_distance(word(v.bits, ()), word(w.bits, ())),
-                       hamming_distance(word((), v.trits), word((), w.trits))), -1)
+            [rank.get((hamming_distance(v[:n2], w[:n2]), hamming_distance(v[n2:], w[n2:])), -1)
              for w in words]
             for v in words
         ]
@@ -789,10 +771,10 @@ def test_profile_ranks_memory():
     # 972 words: one byte per pair is 0.94 MB, and a temporary of one int
     # per pair and coordinate would be 21 MB
     spec = ProblemSpec(2, 5, 3)
-    letters = _letters(spec)
+    rows = letters(spec)
     tracemalloc.start()
     try:
-        _profile_ranks(spec, letters)
+        _profile_ranks(spec, rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
