@@ -385,14 +385,35 @@ def _vertices(mask: int) -> list[int]:
 def _degeneracy_order(matrix: np.ndarray) -> list[int]:
     """The rows of a symmetric boolean matrix with a false diagonal, built
     from the back: a row of least degree among those not yet placed, the
-    lowest on ties, is removed and put last."""
-    deg = matrix.sum(axis=1, dtype=float)
+    lowest on ties, is removed and put last.
+
+    The degrees are held bit-sliced, as one bitset over the rows per bit of
+    a degree: plane k holds the rows whose degree has bit k set.  The rows
+    of least degree are those left once each plane, from the top, removes
+    its rows from the candidates unless it would remove all of them; a
+    removal lowers its neighbours' degrees by one borrow chain over the
+    planes.  So no step is a call per row."""
+    adj = _bitsets(matrix)
+    deg = matrix.sum(axis=1)
+    planes = _bitsets(deg >> np.arange(int(deg.max(initial=0)).bit_length())[:, None] & 1 == 1)
+    rest = (1 << len(adj)) - 1
     out = []
-    for _ in range(len(deg)):
-        v = int(np.argmin(deg))
+    while rest:
+        while planes and not planes[-1] & rest:
+            planes.pop()
+        least = rest
+        for plane in reversed(planes):
+            if least & ~plane:
+                least &= ~plane
+        v = (least & -least).bit_length() - 1
         out.append(v)
-        deg -= matrix[v]
-        deg[v] = np.inf
+        rest ^= 1 << v
+        borrow, k = adj[v] & rest, 0
+        while borrow:
+            plane = planes[k]
+            planes[k] = plane ^ borrow
+            borrow &= ~plane
+            k += 1
     out.reverse()
     return out
 

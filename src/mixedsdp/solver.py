@@ -23,8 +23,20 @@ next B is built.  Each step is min(1, gamma * a) of the way to the
 boundary, a being the primal or the dual step that reaches it, with
 SDPT3's adaptive fraction gamma = 0.9 + 0.09 min(1, a_p, a_d) (Toh, Todd
 and Tutuncu, Optim. Methods Softw. 11, 1999).
+The PSD blocks run in stacks, each of the blocks whose order pads to the
+same power of two, at least 4 (_stack_order), so every phase but the Schur
+build makes one numpy or LAPACK call per stack, not per block.  A block
+fills the leading rows and columns of its member of the stack; its padded
+ones are I in S and Z and zero in every other matrix, and stay so.  The
+padding is inert: it is taken out of the primal residual, mu and mu_aff,
+dS has none, _direction masks it out of dZ, and _nt_scaling makes it I in
+G and G^-1 and one in d, so a step length sees the eigenvalue zero there,
+which never decides.  So nu, mu, the objectives and the step lengths are
+those of the blocks alone.  The Schur build reads each block's G^-1 from
+its member's leading rows and columns.
 A slack or dual matrix that loses positive definiteness raises
-ConditioningError naming the block and the iteration; nothing is clamped.
+ConditioningError naming the block and the iteration, found once a
+stack's factorization has failed; nothing is clamped.
 A phase's error carries no iterate: the loop's one handler gives every
 SolverError of a solve the last iterate.
 The solver and the exact check read the problem's blocks: the 1x1 blocks
@@ -122,7 +134,8 @@ class _PsdBlock:
     label: str
     dim: int
     gamma: float
-    f0: np.ndarray          # (s, s)
+    stack: int              # the index of its stack, and its member there
+    member: int
     var_ids: np.ndarray     # (mk,)
     upper: tuple            # np.triu_indices(s): the svec order of the block
     tri: np.ndarray         # (mk, p) svec positions of each F_i's upper entries
@@ -130,10 +143,34 @@ class _PsdBlock:
 
 
 @dataclass
+class _Stack:
+    """PSD blocks padded to one order n: member q's block fills the leading
+    rows and columns of slice q of each (k, n, n) array.  The padded ones are
+    those of I in S and Z and zero in every other matrix."""
+
+    f0: np.ndarray          # (k, n, n)
+    pad: np.ndarray         # (k, n, n) one on the padded diagonal, else zero
+    mask: np.ndarray        # (k, n, n) one where row and column are the block's
+    var: np.ndarray         # (e,) the variable of each upper entry of an F_i
+    pos: np.ndarray         # (e,) its flat position in (k, n, n)
+    slot: np.ndarray        # (e,) its member times m plus its variable
+    val: np.ndarray         # (e,) its value, doubled off the diagonal
+
+
+@dataclass
 class _LpData:
     l0: np.ndarray          # (n,)
     rows: np.ndarray        # (n - m, m) the 1x1 blocks; the last m rows are y >= 0
     gammas: np.ndarray      # (n,)
+
+
+# A problem as the solve reads it: the exact problem, its data from _prepare
+# with b divided by bscale, and nu, the order of all blocks and rows together.
+_Scaled = namedtuple("_Scaled", "problem b bscale blocks stacks lp inexact nu")
+
+# A point of the rescaled problem: y, the slack S and the dual matrix Z of
+# each stack, and the slack and the multiplier of each linear row.
+_Iterate = namedtuple("_Iterate", "y S Z s_lp z_lp")
 
 
 def _inexact(values: np.ndarray) -> int:
@@ -146,11 +183,32 @@ def _inexact(values: np.ndarray) -> int:
     return int(np.count_nonzero(mag // np.maximum(mag & -mag, 1) >= 2 ** 53))
 
 
-def _prepare(problem: SdpProblem):
-    """Per-block rescaled float data of a problem, each exact value taken
-    as its nearest double, and the number of its nonzeros, objective
-    values included, that do not round-trip through a double.  Each
-    coefficient matrix F_i of a PSD block is kept sparse, as its upper
+def _stack_order(dim: int) -> int:
+    """The order of the stack of a PSD block: the next power of two, at
+    least 4."""
+    return max(4, 1 << (dim - 1).bit_length())
+
+
+def _stack(order: int, members: list, m: int) -> _Stack:
+    """The stack of order ``order`` of the members (dim, F0, variable, i, j,
+    value), each F_i given by its upper entries."""
+    k = len(members)
+    f0, mask = np.zeros((k, order, order)), np.zeros((k, order, order))
+    for q, (dim, f, *_) in enumerate(members):
+        f0[q, :dim, :dim] = f
+        mask[q, :dim, :dim] = 1.0
+    member = np.repeat(np.arange(k), [len(entries[2]) for entries in members])
+    var, i, j, val = (np.concatenate(column) for column in zip(*(e[2:] for e in members)))
+    pos = (member * order + i) * order + j
+    return _Stack(f0, np.eye(order) * (1.0 - mask), mask, var, pos, member * m + var, val)
+
+
+def _prepare(problem: SdpProblem) -> _Scaled:
+    """The problem as the solve reads it: its rescaled float data, each
+    exact value taken as its nearest double, and the number of its
+    nonzeros, objective values included, that do not round-trip through a
+    double.  The PSD blocks go into stacks by _stack_order, each in block
+    order, and keep each F_i sparse for the Schur build, as its upper
     triangle padded with zeros to the longest in the block; the 1x1 blocks
     are the rows of the linear part, and the rows y >= 0 are kept
     implicit."""
@@ -159,6 +217,7 @@ def _prepare(problem: SdpProblem):
     inexact += sum(float(c) != c for c in problem.objective)
 
     sdp_blocks: list[_PsdBlock] = []
+    groups: dict[int, list] = {}  # the members of the stack of each order
     scalars = [b for b in problem.blocks if b.dim == 1]
     for bl in problem.blocks:
         if bl.dim == 1:
@@ -175,12 +234,16 @@ def _prepare(problem: SdpProblem):
         rank = np.arange(len(mat)) - (np.cumsum(counts) - counts)[slot]
         tri = np.zeros((len(ids), counts.max(initial=1)), dtype=np.int64)
         coef = np.zeros(tri.shape)
+        doubled = np.where(i == j, v, 2.0 * v)
         tri[slot, rank] = i * s - i * (i - 1) // 2 + j - i  # row-major upper order
-        coef[slot, rank] = np.where(i == j, v, 2.0 * v)
+        coef[slot, rank] = doubled
         gamma = max(1.0, np.abs(f0).max(initial=0.0), np.abs(v).max(initial=0.0))
+        members = groups.setdefault(_stack_order(s), [])
         sdp_blocks.append(_PsdBlock(
-            bl.label, s, gamma, f0 / gamma, ids - 1, np.triu_indices(s), tri, coef / gamma
+            bl.label, s, gamma, list(groups).index(_stack_order(s)), len(members),
+            ids - 1, np.triu_indices(s), tri, coef / gamma,
         ))
+        members.append((s, f0 / gamma, mat - 1, i, j, doubled / gamma))
 
     dense = np.zeros((len(scalars), m + 1))  # the constants in column 0
     for row, bl in enumerate(scalars):
@@ -193,22 +256,24 @@ def _prepare(problem: SdpProblem):
         np.concatenate([gammas, np.ones(m)]),
     )
     b = np.array(problem.objective, dtype=float)
-    return b, sdp_blocks, lp, inexact
+    # objective normalized to unit magnitude; reported values are unscaled
+    bscale = max(1.0, float(np.abs(b).max(initial=0.0)))
+    nu = sum(bl.dim for bl in sdp_blocks) + len(lp.l0)
+    stacks = [_stack(order, members, m) for order, members in groups.items()]
+    return _Scaled(problem, b / bscale, bscale, sdp_blocks, stacks, lp, inexact, nu)
 
 
-def _apply(bl: _PsdBlock, y: np.ndarray) -> np.ndarray:
-    """sum_i y_i F_i over the variables of one block."""
-    vec = np.bincount(
-        bl.tri.ravel(), (y[bl.var_ids, None] * bl.val).ravel(), minlength=len(bl.upper[0])
-    )
-    out = np.zeros((bl.dim, bl.dim))
-    out[bl.upper] = vec
-    return 0.5 * (out + out.T)
+def _apply(st: _Stack, y: np.ndarray) -> np.ndarray:
+    """sum_i y_i F_i of each member of a stack."""
+    out = np.bincount(st.pos, y[st.var] * st.val, minlength=st.f0.size).reshape(st.f0.shape)
+    return 0.5 * (out + out.swapaxes(1, 2))
 
 
-def _adjoint(bl: _PsdBlock, mat: np.ndarray) -> np.ndarray:
-    """(<F_i, mat>)_i over the variables of one block, for symmetric mat."""
-    return (mat[bl.upper][bl.tri] * bl.val).sum(axis=1)
+def _adjoint(st: _Stack, mats: np.ndarray, m: int) -> np.ndarray:
+    """(<F_i, M_q>)_i of each member q of a stack, for symmetric M_q, as a
+    (k, m) array."""
+    k = len(st.f0)
+    return np.bincount(st.slot, mats.ravel()[st.pos] * st.val, minlength=k * m).reshape(k, m)
 
 
 def _lp_apply(lp: _LpData, y: np.ndarray) -> np.ndarray:
@@ -316,24 +381,36 @@ def _cholesky(mat: np.ndarray, name: str) -> np.ndarray:
         raise ConditioningError(f"{name} is not positive definite") from None
 
 
-def _nt_scaling(S: np.ndarray, Z: np.ndarray):
-    """Nesterov-Todd scaling of one block, in the factored form of Todd, Toh
-    and Tutuncu (SIAM J. Optim. 8, 1998).  With S = L L^T, Z = R R^T and
-    R^T L = U diag(d) V^T, G = L V diag(d)^-1/2 gives W = G G^T with
-    W Z W = S, and the scaled point G^-1 S G^-T = G^T Z G = diag(d).
-    Returns (G, G^-1, d); G^-1 = diag(d)^-1/2 U^T R^T needs no inverse."""
+def _nt_scaling(S: np.ndarray, Z: np.ndarray, pad: np.ndarray, mask: np.ndarray):
+    """Nesterov-Todd scaling of each member of a stack, in the factored
+    form of Todd, Toh and Tutuncu (SIAM J. Optim. 8, 1998).  With S = L L^T,
+    Z = R R^T and R^T L = U diag(d) V^T, G = L V diag(d)^-1/2 gives
+    W = G G^T with W Z W = S, and the scaled point G^-1 S G^-T = G^T Z G =
+    diag(d).  Returns (G, G^-1, d); G^-1 = diag(d)^-1/2 U^T R^T needs no
+    inverse.
+
+    The padding of R^T L, I like that of S and Z, is taken out before the
+    SVD: its singular values are then zero, so they sort last and leave the
+    padded coordinates of the scaled space where they are.  They go back
+    as one, with I for their singular vectors, so the padding of G and G^-1
+    is I as well."""
     L = _cholesky(S, "S")
     R = _cholesky(Z, "Z")
-    U, d, Vt = np.linalg.svd(R.T @ L)
+    U, d, Vt = np.linalg.svd(R.swapaxes(1, 2) @ L - pad)
+    d += np.einsum("kii->ki", pad)
+    U, Vt = U * mask + pad, Vt * mask + pad
     root = np.sqrt(d)
-    return (L @ Vt.T) / root, (U.T @ R.T) / root[:, None], d
+    G = (L @ Vt.swapaxes(1, 2)) / root[:, None, :]
+    return G, (U.swapaxes(1, 2) @ R.swapaxes(1, 2)) / root[:, :, None], d
 
 
 def _max_step(d: np.ndarray, direction: np.ndarray) -> float:
-    """Largest alpha with diag(d) + alpha*direction still positive definite."""
+    """Largest alpha with diag(d_q) + alpha*direction_q still positive
+    definite for every member q of a stack.  A padded coordinate, where the
+    direction is zero, adds the eigenvalue zero, which never decides."""
     root = np.sqrt(d)
-    w = direction / np.outer(root, root)
-    lam = float(np.linalg.eigvalsh(0.5 * (w + w.T))[0])
+    w = direction / (root[:, :, None] * root[:, None, :])
+    lam = float(np.linalg.eigvalsh(0.5 * (w + w.swapaxes(1, 2)))[:, 0].min())
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
@@ -424,53 +501,49 @@ def _certificate(problem: SdpProblem, z: list[np.ndarray], w: np.ndarray) -> Cer
     return CertifiedBound(math.floor(bound), bound, Fraction(penalty, _GRID))
 
 
-# A problem as the solve reads it: the exact problem, its data from _prepare
-# with b divided by bscale, and nu, the order of all blocks and rows together.
-_Scaled = namedtuple("_Scaled", "problem b bscale blocks lp inexact nu")
-
-# A point of the rescaled problem: y, the slack S and the dual matrix Z of
-# each PSD block, and the slack and the multiplier of each linear row.
-_Iterate = namedtuple("_Iterate", "y S Z s_lp z_lp")
-
-
 def _objectives(data: _Scaled, x: _Iterate) -> tuple[float, float]:
     """The unscaled primal and dual objective values at x."""
     dobj = float(data.lp.l0 @ x.z_lp)
-    for bl, zk in zip(data.blocks, x.Z):
-        dobj += float(np.tensordot(bl.f0, zk))
+    for st, zk in zip(data.stacks, x.Z):
+        dobj += float(np.vdot(st.f0, zk))
     return data.bscale * float(data.b @ x.y), data.bscale * dobj
 
 
 def _solution(data: _Scaled, x: _Iterate, trace: list[dict]) -> Solution:
     """The unconverged solution at x, with the trace so far."""
     pobj, dobj = _objectives(data, x)
+    z = [
+        x.Z[bl.stack][bl.member, :bl.dim, :bl.dim] * (data.bscale / bl.gamma)
+        for bl in data.blocks
+    ]
     z_lp = x.z_lp * data.bscale / data.lp.gammas
     n = len(data.lp.rows)
     return Solution(
-        pobj, dobj, x.y.copy(), [zk * (data.bscale / bl.gamma) for bl, zk in zip(data.blocks, x.Z)],
+        pobj, dobj, x.y.copy(), z,
         z_lp[:n], z_lp[n:], len(trace), False, data.inexact, trace=trace, problem=data.problem,
     )
 
 
 def _residuals(data: _Scaled, x: _Iterate, trace: list[dict]):
-    """The primal residuals of the PSD blocks and of the linear rows and
-    the dual residual at x; x's entry goes on the trace."""
-    blocks, lp = data.blocks, data.lp
-    rp = [bl.f0 + _apply(bl, x.y) - sk for bl, sk in zip(blocks, x.S)]
+    """The primal residuals of the PSD stacks and of the linear rows and
+    the dual residual at x; x's entry goes on the trace.  The padding of S
+    and Z, I, is taken out of the residuals and of mu."""
+    stacks, lp = data.stacks, data.lp
+    rp = [st.f0 + _apply(st, x.y) - sk + st.pad for st, sk in zip(stacks, x.S)]
     rlp = lp.l0 + _lp_apply(lp, x.y) - x.s_lp
-    # dual residual, with the magnitude of the summed terms tracked so
+    # dual residual, with the magnitude of each block's terms tracked so
     # infeasibility is measured backward-error style
     rd = -data.b.copy()
     rd_mag = np.abs(data.b).copy()
-    for bl, zk in zip(blocks, x.Z):
-        contrib = _adjoint(bl, zk)
-        rd[bl.var_ids] -= contrib
-        rd_mag[bl.var_ids] += np.abs(contrib)
+    for st, zk in zip(stacks, x.Z):
+        contrib = _adjoint(st, zk, len(rd))
+        rd -= contrib.sum(axis=0)
+        rd_mag += np.abs(contrib).sum(axis=0)
     lp_contrib = _lp_adjoint(lp, x.z_lp)
     rd -= lp_contrib
     rd_mag += np.abs(lp_contrib)
     pobj, dobj = _objectives(data, x)
-    mu = sum(float(np.tensordot(sk, zk)) for sk, zk in zip(x.S, x.Z))
+    mu = sum(float(np.vdot(sk - st.pad, zk)) for st, sk, zk in zip(stacks, x.S, x.Z))
     mu += float(x.s_lp @ x.z_lp)
     mu /= data.nu
     relgap = abs(pobj - dobj) / max(1.0, 0.5 * (abs(pobj) + abs(dobj)))
@@ -490,13 +563,13 @@ def _primal_holds(data: _Scaled, y: np.ndarray) -> bool:
     |F0| + sum |y_i F_i|.  The residuals are measured against the largest
     coefficients, so a block whose entries at y are orders of magnitude
     smaller can be violated, and then the primal value overstates the
-    optimum ((1,13,9) at level 3: 53.9 against 50.6)."""
-    for bl in data.blocks:
-        terms = np.abs(y[bl.var_ids, None] * bl.val).ravel()
-        mag = np.abs(bl.f0).max() + np.bincount(
-            bl.tri.ravel(), terms, minlength=len(bl.upper[0])
-        ).max()
-        if np.linalg.eigvalsh(bl.f0 + _apply(bl, y))[0] < -1e-6 * mag:
+    optimum ((1,13,9) at level 3: 53.9 against 50.6).  A padded coordinate
+    adds the eigenvalue zero, which never fails the test."""
+    for st in data.stacks:
+        k = len(st.f0)
+        terms = np.bincount(st.pos, np.abs(y[st.var] * st.val), minlength=st.f0.size)
+        mag = np.abs(st.f0).max(axis=(1, 2)) + terms.reshape(k, -1).max(axis=1)
+        if (np.linalg.eigvalsh(st.f0 + _apply(st, y))[:, 0] < -1e-6 * mag).any():
             return False
     lp = data.lp
     l0 = lp.l0[:len(lp.rows)]
@@ -529,22 +602,34 @@ def _stop(data: _Scaled, x: _Iterate, trace: list[dict], tol: float) -> Solution
 
 
 def _scaling(data: _Scaled, x: _Iterate, it: int):
-    """The NT scaling (G, G^-1, d) of each PSD block, W^-1 = G^-T G^-1 of
+    """The NT scaling (G, G^-1, d) of each stack, W^-1 = G^-T G^-1 of
     each, and the ratio z/s of each linear row."""
-    scalings = []
-    for bl, sk, zk in zip(data.blocks, x.S, x.Z):
-        try:
-            scalings.append(_nt_scaling(sk, zk))
-        except ConditioningError as exc:
-            raise ConditioningError(f"{exc} in block {bl.label} at iteration {it}") from None
-    return scalings, [gi.T @ gi for _, gi, _ in scalings], x.z_lp / x.s_lp
+    try:
+        scalings = [
+            _nt_scaling(sk, zk, st.pad, st.mask) for st, sk, zk in zip(data.stacks, x.S, x.Z)
+        ]
+    except ConditioningError:
+        # a failed stack names no member: the failure is that of the
+        # first block, in block order, whose S, or else Z, has no factor
+        for bl in data.blocks:
+            for name, mats in (("S", x.S), ("Z", x.Z)):
+                try:
+                    _cholesky(mats[bl.stack][bl.member], name)
+                except ConditioningError as exc:
+                    raise ConditioningError(
+                        f"{exc} in block {bl.label} at iteration {it}"
+                    ) from None
+        raise
+    return scalings, [gi.swapaxes(1, 2) @ gi for _, gi, _ in scalings], x.z_lp / x.s_lp
 
 
 def _newton_system(data: _Scaled, nt, it: int):
     """The Schur complement B and its Cholesky factor inverted in place,
     which makes each Newton solve four matrix-vector products."""
     scalings, _, lp_ratio = nt
-    B = _schur(data.blocks, data.lp, [gi for _, gi, _ in scalings], lp_ratio)
+    # each block's G^-1 is the leading part of its member's
+    inverses = [scalings[bl.stack][1][bl.member, :bl.dim, :bl.dim] for bl in data.blocks]
+    B = _schur(data.blocks, data.lp, inverses, lp_ratio)
     if not np.isfinite(B).all():
         raise ConditioningError(f"Newton system lost finiteness at iteration {it}")
     ridged = B
@@ -562,20 +647,21 @@ def _newton_system(data: _Scaled, nt, it: int):
 
 def _direction(data: _Scaled, residuals, nt, system, rc, it: int):
     """The Newton direction (dy, dS, dZ, ds_lp, dz_lp) for the right-hand
-    sides rc = (rc_k of each PSD block, rc_lp), dy refined once."""
+    sides rc = (rc_k of each stack, rc_lp), dy refined once.  The padding
+    of rc_k need not be zero; that of dZ is."""
     rp, rlp, rd = residuals
     _, winv, lp_ratio = nt
     B, chol_inv = system
-    rc_blocks, rc_lp = rc
+    rc_stacks, rc_lp = rc
     g = -rd.copy()
-    for k, bl in enumerate(data.blocks):
-        g[bl.var_ids] += _adjoint(bl, rc_blocks[k] - winv[k] @ rp[k] @ winv[k])
+    for st, w, r, rck in zip(data.stacks, winv, rp, rc_stacks):
+        g += _adjoint(st, rck - w @ r @ w, len(g)).sum(axis=0)
     g += _lp_adjoint(data.lp, rc_lp - lp_ratio * rlp)
     dy = chol_inv.T @ (chol_inv @ g)
     dy += chol_inv.T @ (chol_inv @ (g - B @ dy))
-    d_s = [rp[k] + _apply(bl, dy) for k, bl in enumerate(data.blocks)]
-    d_z = [rc_blocks[k] - winv[k] @ d_s[k] @ winv[k] for k in range(len(d_s))]
-    d_z = [0.5 * (dz + dz.T) for dz in d_z]
+    d_s = [r + _apply(st, dy) for st, r in zip(data.stacks, rp)]
+    d_z = [rck - w @ ds @ w for w, ds, rck in zip(winv, d_s, rc_stacks)]
+    d_z = [0.5 * (dz + dz.swapaxes(1, 2)) * st.mask for st, dz in zip(data.stacks, d_z)]
     d_slp = rlp + _lp_apply(data.lp, dy)
     d_zlp = rc_lp - lp_ratio * d_slp
     # LAPACK's Cholesky passes NaN through, and the eigvalsh of a step
@@ -592,11 +678,11 @@ def _step_lengths(x: _Iterate, nt, direction) -> tuple[float, float]:
     # S and Z both scale to diag(d): S = G diag(d) G^T and
     # Z = G^-T diag(d) G^-1
     ap = min(
-        [_max_step(d, gi @ ds @ gi.T) for (_, gi, d), ds in zip(nt[0], d_s)]
+        [_max_step(d, gi @ ds @ gi.swapaxes(1, 2)) for (_, gi, d), ds in zip(nt[0], d_s)]
         + [_lp_max_step(x.s_lp, d_slp)]
     )
     ad = min(
-        [_max_step(d, g.T @ dz @ g) for (g, _, d), dz in zip(nt[0], d_z)]
+        [_max_step(d, g.swapaxes(1, 2) @ dz @ g) for (g, _, d), dz in zip(nt[0], d_z)]
         + [_lp_max_step(x.z_lp, d_zlp)]
     )
     # SDPT3's fraction to the boundary: closer as the steps lengthen
@@ -611,8 +697,8 @@ def _corrector(data: _Scaled, x: _Iterate, nt, affine, steps, entry: dict, tol: 
     ap_a, ad_a = steps
     mu = entry["mu"]
     mu_aff = sum(
-        float(np.tensordot(sk + ap_a * ds, zk + ad_a * dz))
-        for sk, ds, zk, dz in zip(x.S, ds_a, x.Z, dz_a)
+        float(np.vdot(sk - st.pad + ap_a * ds, zk + ad_a * dz))
+        for st, sk, ds, zk, dz in zip(data.stacks, x.S, ds_a, x.Z, dz_a)
     )
     mu_aff += float((x.s_lp + ap_a * dslp_a) @ (x.z_lp + ad_a * dzlp_a))
     mu_aff /= data.nu
@@ -628,8 +714,10 @@ def _corrector(data: _Scaled, x: _Iterate, nt, affine, steps, entry: dict, tol: 
     rc = []
     for (g, gi, d), ds, dz in zip(nt[0], ds_a, dz_a):
         cross = gi @ (ds @ dz) @ g
-        rhs = np.diag(sigma_mu - d * d) - 0.5 * (cross + cross.T)
-        rc.append(gi.T @ (2.0 * rhs / np.add.outer(d, d)) @ gi)
+        rhs = -0.5 * (cross + cross.swapaxes(1, 2))
+        diagonal = np.einsum("kii->ki", rhs)  # a view, added to in place
+        diagonal += sigma_mu - d * d
+        rc.append(gi.swapaxes(1, 2) @ (2.0 * rhs / (d[:, :, None] + d[:, None, :])) @ gi)
     return sigma, (rc, sigma_mu / x.s_lp - x.z_lp - dslp_a * dzlp_a / x.s_lp)
 
 
@@ -638,8 +726,8 @@ def _update(x: _Iterate, direction, alpha_p: float, alpha_d: float) -> _Iterate:
     dy, d_s, d_z, d_slp, d_zlp = direction
     return _Iterate(
         x.y + alpha_p * dy,
-        [0.5 * (sk + sk.T) + alpha_p * ds for sk, ds in zip(x.S, d_s)],
-        [0.5 * (zk + zk.T) + alpha_d * dz for zk, dz in zip(x.Z, d_z)],
+        [0.5 * (sk + sk.swapaxes(1, 2)) + alpha_p * ds for sk, ds in zip(x.S, d_s)],
+        [0.5 * (zk + zk.swapaxes(1, 2)) + alpha_d * dz for zk, dz in zip(x.Z, d_z)],
         x.s_lp + alpha_p * d_slp, x.z_lp + alpha_d * d_zlp,
     )
 
@@ -660,14 +748,11 @@ def solve(problem: SdpProblem, tol: float = 1e-8) -> Solution:
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got tol={tol}")
-    b, blocks, lp, inexact = _prepare(problem)
-    # objective normalized to unit magnitude; reported values are unscaled
-    bscale = max(1.0, float(np.abs(b).max(initial=0.0)))
-    nu = sum(bl.dim for bl in blocks) + len(lp.l0)
-    data = _Scaled(problem, b / bscale, bscale, blocks, lp, inexact, nu)
-    # every slack and dual matrix starts at 100 I; no phase writes into an
-    # iterate, so they share
-    eye, ones = [100.0 * np.eye(bl.dim) for bl in blocks], 100.0 * np.ones(len(lp.l0))
+    data = _prepare(problem)
+    # every slack and dual matrix starts at 100 I, and its padding at I; no
+    # phase writes into an iterate, so they share
+    eye = [100.0 * np.eye(st.pad.shape[-1]) - 99.0 * st.pad for st in data.stacks]
+    ones = 100.0 * np.ones(len(data.lp.l0))
     x = _Iterate(np.zeros(problem.num_vars), eye, eye, ones, ones)
     trace: list[dict] = []
     tiny_steps = 0

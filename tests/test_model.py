@@ -12,8 +12,8 @@ from mixedsdp.codes import (
     optimal_code,
     singleton_orbit,
 )
-from mixedsdp.blocks import build_blocks_empty
-from mixedsdp.model import build_lp_k2, build_problem, build_sdp
+from mixedsdp.blocks import Block, build_blocks_empty
+from mixedsdp.model import SdpProblem, build_lp_k2, build_problem, build_sdp
 from mixedsdp.solver import certify, solve
 from mixedsdp.tableaux import build_shape_index_empty
 from orbit_reference import block_at, code_indicator_assignment, tuple_orbits
@@ -144,3 +144,29 @@ class TestMonotonicity:
             b3 = certify(p3, solve(p3)).value
             b2 = certify(p2, solve(p2)).value
             assert b3 <= b2
+
+
+class TestBlockInvariants:
+    """A block enters a problem only whole: every later reader indexes with
+    its entries unchecked."""
+
+    @pytest.mark.parametrize("entry, reason", [
+        ((1, 0, 2, 7), "position outside 0 <= i <= j < 2"),  # j == dim
+        ((1, 1, 0, 7), "position outside 0 <= i <= j < 2"),  # i > j
+        ((3, 0, 0, 7), "matrix number outside 0..2"),
+        ((-1, 0, 0, 7), "matrix number outside 0..2"),
+        ((1, 0, 1, 7), "not after the entry before it in (matno, i, j) order"),  # repeated
+        ((0, 1, 1, 7), "not after the entry before it in (matno, i, j) order"),  # unsorted
+    ])
+    def test_faulty_entry_refused(self, entry, reason):
+        good = Block.from_entries("good", 2, ((0, 0, 0, 1), (1, 0, 1, 1), (2, 1, 1, 1)))
+        # the faulty entry goes in third, unsorted, as from_entries would
+        # not leave it
+        columns = (good.matno, good.i, good.j, good.value)
+        faulty = Block("faulty", 2, *(np.insert(c, 2, v) for c, v in zip(columns, entry)))
+        matno, i, j, _ = entry
+        with pytest.raises(ValueError) as info:
+            SdpProblem(ProblemSpec(1, 1, 1), (None, None), (0, 1), (good, faulty))
+        assert str(info.value) == (
+            f"block faulty: entry 2 (matno, i, j) = ({matno}, {i}, {j}): {reason}"
+        )

@@ -348,31 +348,111 @@ def random_spd(rng, n, cond):
     return (q * np.geomspace(1.0, 1.0 / cond, n)) @ q.T
 
 
+def padded_stack(members, order):
+    """The matrices ``members`` as one stack of order ``order``, padded
+    with I, and the stack's pad and mask."""
+    stack, mask = np.zeros((len(members), order, order)), np.zeros((len(members), order, order))
+    for q, mat in enumerate(members):
+        stack[q, :len(mat), :len(mat)] = mat
+        mask[q, :len(mat), :len(mat)] = 1.0
+    pad = np.eye(order) * (1.0 - mask)
+    return stack + pad, pad, mask
+
+
+def member_orders(rng):
+    """Five orders from 2 to 13, one of them the largest, so that a stack
+    of them pads all but that one."""
+    orders = [13, *rng.integers(2, 13, size=4)]
+    rng.shuffle(orders)
+    return orders
+
+
 class TestNtScaling:
     @pytest.mark.parametrize("seed", range(9))
     def test_scaled_point_is_diagonal(self, seed):
+        # one stack of mixed orders: every member meets the identities of
+        # its own scaling, and the padding of G, G^-1 and d is I, I and 1
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 26))
+        orders = member_orders(rng)
         cond = (1.0, 1e4, 1e8)[seed % 3]
-        S, Z = random_spd(rng, n, cond), random_spd(rng, n, cond)
-        G, G_inv, d = _nt_scaling(S, Z)
-        W = G @ G.T
+        S_k = [random_spd(rng, n, cond) for n in orders]
+        Z_k = [random_spd(rng, n, cond) for n in orders]
+        order = solver._stack_order(max(orders))
+        S, pad, mask = padded_stack(S_k, order)
+        Z, _, _ = padded_stack(Z_k, order)
+        G_k, G_inv_k, d_k = _nt_scaling(S, Z, pad, mask)
 
         def close(a, b):
             return np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
 
-        assert (d > 0).all()
-        assert close(W @ Z @ W, S)
-        assert close(G_inv @ S @ G_inv.T, np.diag(d))
-        assert close(G.T @ Z @ G, np.diag(d))
-        assert close(G_inv @ G, np.eye(n))
+        for q, n in enumerate(orders):
+            S, Z = S_k[q], Z_k[q]
+            G, G_inv, d = G_k[q, :n, :n], G_inv_k[q, :n, :n], d_k[q, :n]
+            W = G @ G.T
+            assert (d > 0).all()
+            assert close(W @ Z @ W, S)
+            assert close(G_inv @ S @ G_inv.T, np.diag(d))
+            assert close(G.T @ Z @ G, np.diag(d))
+            assert close(G_inv @ G, np.eye(n))
+            for padded in (G_k[q], G_inv_k[q]):
+                assert np.array_equal(padded[n:, n:], np.eye(order - n))
+                assert not padded[:n, n:].any() and not padded[n:, :n].any()
+            assert (d_k[q, n:] == 1.0).all()
 
     @pytest.mark.parametrize("singular", ["S", "Z"])
     def test_singular_matrix_raises(self, singular):
-        mats = {"S": np.eye(3), "Z": np.eye(3)}
-        mats[singular] = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        mats = {"S": np.eye(3)[None], "Z": np.eye(3)[None]}
+        mats[singular] = np.array([[[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
         with pytest.raises(ConditioningError, match=singular):
-            _nt_scaling(mats["S"], mats["Z"])
+            _nt_scaling(mats["S"], mats["Z"], np.zeros((1, 3, 3)), np.ones((1, 3, 3)))
+
+    @pytest.mark.parametrize("singular", ["S", "Z"])
+    def test_failed_stack_names_its_block(self, singular):
+        # numpy's error names no member of a stack; the solve's names the
+        # block, here a padded one amid its stack
+        data = solver._prepare(build_sdp(ProblemSpec(2, 5, 3)))
+        bl = next(
+            bl for bl in data.blocks
+            if 0 < bl.member < len(data.stacks[bl.stack].f0) - 1
+            and bl.dim < data.stacks[bl.stack].f0.shape[-1]
+        )
+        mats = {name: [np.eye(st.f0.shape[-1]) + 0.0 * st.f0 for st in data.stacks]
+                for name in "SZ"}
+        mats[singular][bl.stack][bl.member, :bl.dim, :bl.dim] = 1.0
+        ones = np.ones(len(data.lp.l0))
+        x = solver._Iterate(np.zeros(len(data.b)), mats["S"], mats["Z"], ones, ones)
+        with pytest.raises(ConditioningError) as info:
+            solver._scaling(data, x, 7)
+        assert str(info.value) == (
+            f"{singular} is not positive definite in block {bl.label} at iteration 7"
+        )
+
+
+class TestMaxStep:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_members(self, seed):
+        # the stacked step is the least of the members' own eigvalsh steps;
+        # every third seed draws definite directions, which take no limit
+        rng = np.random.default_rng(seed)
+        orders = member_orders(rng)
+        d_k = [rng.uniform(1e-3, 10.0, n) for n in orders]
+        definite = seed % 3 == 0
+        directions = [
+            random_spd(rng, n, 1e3) if definite else rng.standard_normal((n, n)) for n in orders
+        ]
+        want = np.inf
+        for d, direction in zip(d_k, directions):
+            w = direction / np.outer(np.sqrt(d), np.sqrt(d))
+            lam = np.linalg.eigvalsh(0.5 * (w + w.T))[0]
+            if lam < -1e-14:
+                want = min(want, -1.0 / lam)
+        order = solver._stack_order(max(orders))
+        d = np.ones((len(orders), order))
+        for q, dq in enumerate(d_k):
+            d[q, :len(dq)] = dq
+        direction, pad, _ = padded_stack(directions, order)
+        got = solver._max_step(d, direction - pad)
+        assert (got == want == np.inf) if definite else got == pytest.approx(want, rel=1e-12)
 
 
 def dense_sdpa_operators(problem):
@@ -404,22 +484,34 @@ class TestSchur:
     def test_matches_dense_reference(self, n2, n3, d, k):
         problem = build_problem(ProblemSpec(n2, n3, d, k))
         psd, diag = dense_sdpa_operators(problem)
-        _, blocks, lp, _ = _prepare(problem)
+        data = _prepare(problem)
+        blocks, lp = data.blocks, data.lp
         assert len(blocks) == len(psd)
         m = problem.num_vars
         rng = np.random.default_rng(n2 * 100 + n3 * 10 + d + k)
         y = rng.standard_normal(m)
+        # each operator runs once per stack, and is read at each member
+        applied = [_apply(st, y) for st in data.stacks]
+        mats = [np.zeros(st.f0.shape) for st in data.stacks]
+        for bl in blocks:
+            mats[bl.stack][bl.member, :bl.dim, :bl.dim] = random_spd(rng, bl.dim, 1e3)
+        adjoints = [_adjoint(st, M, m) for st, M in zip(data.stacks, mats)]
         ref = np.zeros((m, m))
         inverses = []
         for bl, full in zip(blocks, psd):
             F = full / bl.gamma
-            assert np.array_equal(F[0], bl.f0)
-            assert np.allclose(bl.f0 + _apply(bl, y), np.tensordot(y, F[1:], axes=1) + F[0],
+            f0 = data.stacks[bl.stack].f0[bl.member]
+            dim = slice(bl.dim)
+            assert np.array_equal(F[0], f0[dim, dim])
+            assert np.allclose(f0[dim, dim] + applied[bl.stack][bl.member, dim, dim],
+                               np.tensordot(y, F[1:], axes=1) + F[0], rtol=0, atol=1e-14)
+            # the padding stays zero
+            assert np.count_nonzero(applied[bl.stack][bl.member]) == np.count_nonzero(
+                applied[bl.stack][bl.member, dim, dim]
+            )
+            M = mats[bl.stack][bl.member, dim, dim]
+            assert np.allclose(adjoints[bl.stack][bl.member], np.tensordot(F[1:], M),
                                rtol=0, atol=1e-14)
-            M = random_spd(rng, bl.dim, 1e3)
-            adjoint = np.zeros(m)
-            adjoint[bl.var_ids] = _adjoint(bl, M)
-            assert np.allclose(adjoint, np.tensordot(F[1:], M), rtol=0, atol=1e-14)
             W = random_spd(rng, bl.dim, 1e3)
             w_inv = np.linalg.inv(W)
             inverses.append(np.linalg.cholesky(w_inv).T)  # H^T H = W^-1
@@ -892,13 +984,13 @@ class TestSdpaInterchange:
         path = emit_sdpa(problem, tmp_path / "p.dat-s")
 
         def arrays(problem):
-            b, blocks, lp, inexact = _prepare(problem)
-            assert inexact == 0
+            data = _prepare(problem)
+            assert data.inexact == 0
             fields = [
-                getattr(x, f.name) for x in [*blocks, lp] for f in dataclasses.fields(x)
-                if f.name != "label"
+                getattr(x, f.name) for x in [*data.blocks, *data.stacks, data.lp]
+                for f in dataclasses.fields(x) if f.name != "label"
             ]
-            return [np.asarray(a) for a in [b, *fields]]
+            return [np.asarray(a) for a in [data.b, *fields]]
 
         solved = arrays(problem)
         emitted = arrays(problem_from_sdpa(parse_sdpa(path)))
@@ -911,7 +1003,7 @@ class TestSdpaInterchange:
         p = toy_problem((1,), [Block.from_entries("ub", 1, ((0, 0, 0, big), (1, 0, 0, -big)))])
         parsed = parse_sdpa(emit_sdpa(p, tmp_path / "big.dat-s"))
         assert parsed != problem_to_sdpa_data(p)
-        assert _prepare(problem_from_sdpa(parsed))[3] == 0
+        assert _prepare(problem_from_sdpa(parsed)).inexact == 0
         assert solve(p, tol=1e-8).inexact_coefficients == 2
 
 
@@ -926,7 +1018,7 @@ class TestDtypeEdges:
         ):
             block = Block.from_entries("ub", 1, ((0, 0, 0, value), (1, 0, 0, -1)))
             assert block.value.dtype == np.int64
-            assert _prepare(toy_problem((1,), [block]))[3] == inexact, value
+            assert _prepare(toy_problem((1,), [block])).inexact == inexact, value
 
     def test_parsed_double_differs_from_exact_int(self, tmp_path):
         def views(value):
