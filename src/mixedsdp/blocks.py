@@ -49,7 +49,6 @@ from mixedsdp.codes import (
     KEY_WEIGHTS,
     N_BIN_PATTERNS,
     N_COUNTS,
-    N_TER_PATTERNS,
     PAT_12,
     PAT_13,
     PAT_23,
@@ -62,7 +61,6 @@ from mixedsdp.codes import (
     check_key_digits,
     enumerate_orbits,
     letters,
-    orbit_from_counts,
     orbit_is_feasible,
     pack_counts,
     pair_orbit,
@@ -305,6 +303,27 @@ class Block:
         """The entries (matno, i, j, value) in order, as Python ints."""
         return zip(*(c.tolist() for c in (self.matno, self.i, self.j, self.value)))
 
+    def entry_fault(self, m: int) -> str | None:
+        """The first entry, named with the block's label, that has a matrix
+        number outside 0..m, lies outside 0 <= i <= j < dim or does not
+        come after the entry before it in (matno, i, j) order, so that no
+        position holds two entries; None when there is none.  Every reader
+        of a problem's blocks indexes with the entries unchecked."""
+        matno, i, j, dim = self.matno, self.i, self.j, self.dim
+        key = (matno * dim + i) * dim + j
+        faults = {
+            f"matrix number outside 0..{m}": (matno < 0) | (matno > m),
+            f"position outside 0 <= i <= j < {dim}": (i < 0) | (i > j) | (j >= dim),
+            "not after the entry before it in (matno, i, j) order":
+                np.concatenate(([False], key[1:] <= key[:-1])),
+        }
+        bad = reduce(np.logical_or, faults.values())
+        if not bad.any():
+            return None
+        k = int(bad.argmax())
+        reason = next(text for text, fault in faults.items() if fault[k])
+        return f"block {self.label}: entry {k} (matno, i, j) = ({matno[k]}, {i[k]}, {j[k]}): {reason}"
+
     def __eq__(self, other):
         """Equal label, order and entries, compared as Python ints."""
         if not isinstance(other, Block):
@@ -531,35 +550,21 @@ _PATTERNS = np.array([[[_pattern_of(a, b, c) for c in range(3)] for b in range(3
 def _orbit_table(spec: ProblemSpec, variables: dict[OrbitId, int], lookup: np.ndarray) -> np.ndarray:
     """The matno, orbit index + 1, of every ordered word pair (x, y), in
     ``letters`` order, for the triple whose column pattern at a coordinate
-    of letters x_c, y_c is ``lookup[x_c, y_c]``.  Each pair's nine pattern
-    counts are summed coordinate by coordinate as one mixed-radix key, and
-    ``orbit_from_counts`` runs once per distinct key."""
-    radix = np.array([spec.n2 + 1] * N_BIN_PATTERNS + [spec.n3 + 1] * N_TER_PATTERNS)
-    place = np.cumprod(np.concatenate(([1], radix[:-1])))
+    of letters x_c, y_c is ``lookup[x_c, y_c]``.  Each pair's packed key
+    (``codes.pack_counts``) is summed coordinate by coordinate; the distinct
+    keys take the least of their six reorderings at once, and each such
+    canonical key is one orbit's packed counts.  The verifier's cap keeps
+    every count within its 5-bit digit."""
     keys = np.zeros((spec.num_words, spec.num_words), dtype=np.int64)
     for c, col in enumerate(letters(spec).T):
-        keys += place[N_BIN_PATTERNS * (c >= spec.n2) + lookup[col[:, None], col]]
+        keys += KEY_WEIGHTS[N_BIN_PATTERNS * (c >= spec.n2) + lookup[col[:, None], col]]
     distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
-    matnos = np.array([
-        variables[orbit_from_counts(counts[:N_BIN_PATTERNS], counts[N_BIN_PATTERNS:])] + 1
-        for counts in (distinct[:, None] // place % radix).tolist()
-    ])
+    matno = dict(zip(
+        pack_counts([w.bin_counts + w.ter_counts for w in variables]).tolist(),
+        [v + 1 for v in variables.values()],
+    ))
+    matnos = np.array([matno[key] for key in reordered_keys(distinct).min(axis=1).tolist()])
     return matnos[inverse].reshape(keys.shape)
-
-
-def _entry_outside(block: Block, num_orbits: int) -> str | None:
-    """The first entry of ``block``, in its order, outside 0 <= i <= j < dim
-    or with a matno outside 0..num_orbits, named with the block's label;
-    None when every entry lies inside."""
-    i, j, matno = block.i, block.j, block.matno
-    outside = (i < 0) | (i > j) | (j >= block.dim) | (matno < 0) | (matno > num_orbits)
-    if not outside.any():
-        return None
-    k = int(outside.argmax())
-    return (
-        f"block {block.label} entry (matno {matno[k]}, i {i[k]}, j {j[k]}) lies outside "
-        f"0 <= i <= j < dim {block.dim}, 0 <= matno <= {num_orbits}"
-    )
 
 
 def _contraction_mismatch(
@@ -644,9 +649,8 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     many negative and as many positive eigenvalues as its blocks counted
     with their multiplicities.  Zero eigenvalues are not compared: a word of
     weight 1..d-1 gives the zero-case matrix a zero row.  Checks (c) and (d)
-    run only when every block entry has 0 <= i <= j < dim and a matno in
-    0..#orbits; otherwise a failed check naming the first entry outside
-    ends the report.
+    run only when no block has an ``entry_fault`` with m = #orbits;
+    otherwise a failed check naming the first faulty entry ends the report.
     """
     if spec.num_words > VERIFY_WORD_CAP:
         raise ResourceError(
@@ -671,9 +675,9 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
 
     checks.append(dimension_count(spec, shapes_zero, shapes_empty))
     # checks (c) and (d) index arrays with the entries
-    outside = next(filter(None, (_entry_outside(b, len(orbits)) for b in (*blocks_zero, *blocks_empty))), None)
-    if outside:
-        checks.append(("block entries lie inside their blocks", False, outside))
+    fault = next(filter(None, (b.entry_fault(len(orbits)) for b in (*blocks_zero, *blocks_empty))), None)
+    if fault:
+        checks.append(("block entries lie in order inside their blocks", False, fault))
         return VerifyReport(spec, checks)
 
     # (c) zero-word case

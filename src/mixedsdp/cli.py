@@ -155,9 +155,13 @@ def cmd_emit(args) -> int:
 
 
 def _table_worker(task):
+    """The level-3 record of a row, carrying its certified level-2 bound as
+    ``level2Bound``, or the solver error of either level."""
     n2, n3, d, tol = task
     try:
-        return (n2, n3, d), _compute_bound(n2, n3, d, 3, tol)
+        record = _compute_bound(n2, n3, d, 3, tol)
+        record["level2Bound"] = _compute_bound(n2, n3, d, 2, tol)["bound"]
+        return (n2, n3, d), record
     except SolverError as exc:
         return (n2, n3, d), {"error": f"{type(exc).__name__}: {exc}"}
 
@@ -232,7 +236,10 @@ def cmd_table(args) -> int:
             if not args.replay:
                 store.append(rec)
             value = rec["bound"]
-            if value == r.upper:
+            if value > rec.get("level2Bound", value):
+                # level 3 adds constraints to level 2, so it cannot bound higher
+                status = "MISMATCH (above level 2)"
+            elif value == r.upper:
                 status = "match"
             elif value > r.upper:
                 status = "MISMATCH"

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from operator import itemgetter
 
 import numpy as np
 
@@ -136,13 +135,6 @@ def _build_count_orders() -> tuple[tuple[int, ...], ...]:
 
 
 _COUNT_ORDERS = _build_count_orders()
-_COUNT_MAPS = tuple(itemgetter(*order) for order in _COUNT_ORDERS)
-
-
-def _canonical_counts(counts: tuple[int, ...]) -> tuple[int, ...]:
-    """The least of the six reorderings of nine pattern counts; the binary
-    part has a fixed length, so this compares binary counts first."""
-    return min([g(counts) for g in _COUNT_MAPS])
 
 
 # A packed key holds the nine pattern counts, binary then ternary, as 5-bit
@@ -188,8 +180,9 @@ def reordered_keys(keys: np.ndarray) -> np.ndarray:
     """The packed keys of the six reorderings of each key's counts, one row
     per key.  A reordering is linear in the counts, so the reorderings of a
     sum of keys whose counts stay at most ``KEY_COUNT_MAX`` are the sums of
-    their reorderings; the least of a key's six is its
-    ``_canonical_counts``."""
+    their reorderings.  Keys order as their count tuples, binary counts
+    first, so the least of a key's six is the canonical counts of its
+    orbit: every canonicalisation in the library takes that least key."""
     return unpack_keys(keys) @ _REORDER_WEIGHTS
 
 
@@ -212,9 +205,12 @@ def _size_from_counts(bin_counts, ter_counts):
 
 
 def orbit_from_counts(bin_counts, ter_counts) -> OrbitId:
-    """OrbitId of any ordered triple with the given column-pattern counts."""
-    canon = _canonical_counts((*bin_counts, *ter_counts))
-    cb, ct = canon[:N_BIN_PATTERNS], canon[N_BIN_PATTERNS:]
+    """OrbitId of any ordered triple with the given column-pattern counts:
+    the least of the six ``reordered_keys`` of their packed key.  So each
+    count must fit a 5-bit key digit; one above ``KEY_COUNT_MAX`` raises
+    ``ValueError``."""
+    (canon,) = unpack_keys(reordered_keys(pack_counts((*bin_counts, *ter_counts))).min(axis=1)).tolist()
+    cb, ct = tuple(canon[:N_BIN_PATTERNS]), tuple(canon[N_BIN_PATTERNS:])
     return OrbitId(_size_from_counts(cb, ct), cb, ct)
 
 
@@ -385,35 +381,16 @@ def _vertices(mask: int) -> list[int]:
 def _degeneracy_order(matrix: np.ndarray) -> list[int]:
     """The rows of a symmetric boolean matrix with a false diagonal, built
     from the back: a row of least degree among those not yet placed, the
-    lowest on ties, is removed and put last.
-
-    The degrees are held bit-sliced, as one bitset over the rows per bit of
-    a degree: plane k holds the rows whose degree has bit k set.  The rows
-    of least degree are those left once each plane, from the top, removes
-    its rows from the candidates unless it would remove all of them; a
-    removal lowers its neighbours' degrees by one borrow chain over the
-    planes.  So no step is a call per row."""
-    adj = _bitsets(matrix)
-    deg = matrix.sum(axis=1)
-    planes = _bitsets(deg >> np.arange(int(deg.max(initial=0)).bit_length())[:, None] & 1 == 1)
-    rest = (1 << len(adj)) - 1
+    lowest on ties, is removed and put last.  One ``np.argmin`` per row is
+    the plain peel; a bit-sliced peel that made no numpy call per row saved
+    only 1 to 2 ms of a pass of about 1 s over the oracle's sandwich specs."""
+    deg = matrix.sum(axis=1, dtype=float)
     out = []
-    while rest:
-        while planes and not planes[-1] & rest:
-            planes.pop()
-        least = rest
-        for plane in reversed(planes):
-            if least & ~plane:
-                least &= ~plane
-        v = (least & -least).bit_length() - 1
+    for _ in range(len(deg)):
+        v = int(np.argmin(deg))
         out.append(v)
-        rest ^= 1 << v
-        borrow, k = adj[v] & rest, 0
-        while borrow:
-            plane = planes[k]
-            planes[k] = plane ^ borrow
-            borrow &= ~plane
-            k += 1
+        deg -= matrix[v]
+        deg[v] = np.inf
     out.reverse()
     return out
 

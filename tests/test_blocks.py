@@ -599,20 +599,24 @@ class TestVerifyReduction:
         assert "PASS" in text
         assert report.first_failure() is None
 
-    @pytest.mark.parametrize("entry", [
-        (1, 2, 2, 5), (1, 1, 0, 5), (16, 0, 0, 5), (-1, 0, 0, 5),
+    @pytest.mark.parametrize("entry, index, reason", [
+        ((1, 2, 2, 5), 0, "position outside 0 <= i <= j < 2"),
+        ((1, 1, 0, 5), 0, "position outside 0 <= i <= j < 2"),
+        ((16, 0, 0, 5), 8, "matrix number outside 0..15"),
+        ((-1, 0, 0, 5), 0, "matrix number outside 0..15"),
     ], ids=["at-dim", "below-diagonal", "matno-past-orbits", "matno-negative"])
-    def test_entry_outside_block_reported(self, monkeypatch, capsys, entry):
-        # the first zero-case block of (2,1,2) has dim 2, and the d = 1 map
-        # holds 15 orbits; the report fails before any check indexes with
-        # the entry
+    def test_entry_outside_block_reported(self, monkeypatch, capsys, entry, index, reason):
+        # the first zero-case block of (2,1,2) has dim 2 and 8 entries, and
+        # the d = 1 map holds 15 orbits; the report fails, with the text of
+        # Block.entry_fault, before any check indexes with the entry, which
+        # from_entries puts in its sorted place
         build = blocks.build_blocks_d0
         monkeypatch.setattr(blocks, "build_blocks_d0", lambda *args: add_to_first_block(build(*args), entry))
         report = verify_reduction(ProblemSpec(2, 1, 2))
         matno, i, j, _ = entry
         failure = (
-            "block entries lie inside their blocks: block zero:n=(2, 0, 1) lam=[(2),(),(1)] "
-            f"entry (matno {matno}, i {i}, j {j}) lies outside 0 <= i <= j < dim 2, 0 <= matno <= 15"
+            "block entries lie in order inside their blocks: block zero:n=(2, 0, 1) lam=[(2),(),(1)]: "
+            f"entry {index} (matno, i, j) = ({matno}, {i}, {j}): {reason}"
         )
         assert report.first_failure() == failure
         assert main(["verify", "2", "1", "--d", "2"]) == EXIT_VERIFY

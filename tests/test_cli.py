@@ -215,8 +215,9 @@ class TestCommands:
         assert " 65" in out and "match" in out
         # the k4-marked row appears but is not computed
         assert "level-4" in out
-        # computed rows landed in the store
-        assert ResultsStore(store).latest_records()[(2, 5, 3, 3)]["bound"] == 65
+        # computed rows landed in the store, with their level-2 bounds
+        record = ResultsStore(store).latest_records()[(2, 5, 3, 3)]
+        assert (record["bound"], record["level2Bound"]) == (65, 67)
 
     @pytest.mark.parametrize("outcome, status, code", [
         (125, "match", EXIT_OK),
@@ -259,6 +260,32 @@ class TestCommands:
             assert main(["table", "--d", "3", "--max-length", "8", "--replay",
                          "--store", str(store)]) == code
             assert capsys.readouterr().out.splitlines() == lines
+
+    def test_table_level3_above_level2(self, tmp_path, capsys, monkeypatch):
+        # level 3 adds constraints to level 2, so a level-3 bound above the
+        # row's level-2 bound is a contradiction, even where it matches the
+        # published bound; the level-3 record carries the level-2 bound
+        published = {(2, 5, 3): 65, (3, 5, 3): 125}
+        monkeypatch.setattr(cli, "_compute_bound", lambda n2, n3, d, k, tol: {
+            "n2": n2, "n3": n3, "d": d, "k": k,
+            "bound": published[n2, n3, d] - (k == 2 and n2 == 3),
+        })
+        store = tmp_path / "t.jsonl"
+        lines = [
+            " n2  n3   d   lower  computed published  status",
+            "  2   5   3      52        65        65  match",
+            "  3   5   3      99       125       125  MISMATCH (above level 2)",
+            "  4   3   3      28         -        30  level-4 bound, not computed",
+            "  5   3   3      54        60        60  match (doubling)",
+        ]
+        assert main(["table", "--d", "3", "--max-length", "8",
+                     "--store", str(store)]) == EXIT_VERIFY
+        assert capsys.readouterr().out.splitlines() == lines
+        stored = [(r["n2"], r["k"], r["bound"], r["level2Bound"]) for r in ResultsStore(store).records()]
+        assert stored == [(2, 3, 65, 65), (3, 3, 125, 124)]
+        assert main(["table", "--d", "3", "--max-length", "8", "--replay",
+                     "--store", str(store)]) == EXIT_VERIFY
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_table_doubling_row_without_source(self, tmp_path, capsys, monkeypatch):
         # without the row (4,3,3), the doubling row (5,3,3) has no source

@@ -20,7 +20,6 @@ from mixedsdp.codes import (
     ProblemSpec,
     ResourceError,
     _BudgetExceeded,
-    _canonical_counts,
     _compositions,
     _degeneracy_order,
     _orbit_cells,
@@ -336,6 +335,11 @@ class TestEnumerateOrbits:
 def test_pack_counts_refuses_a_count_past_its_digit():
     with pytest.raises(ValueError, match="5-bit"):
         pack_counts([[0] * (N_COUNTS - 1) + [KEY_COUNT_MAX + 1]])
+    # orbit_from_counts packs its counts, binary and ternary alike
+    with pytest.raises(ValueError, match="5-bit"):
+        orbit_from_counts((KEY_COUNT_MAX + 1, 0, 0, 0), (1, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="5-bit"):
+        orbit_from_counts((1, 0, 0, 0), (0, 0, 0, 0, KEY_COUNT_MAX + 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -356,8 +360,9 @@ def test_orbit_from_counts_matches_reorderings(bin_counts, ter_counts):
 ))
 def test_packed_canonical_key_matches_canonical_counts(rows):
     # keys order as their count tuples; the least of a key's six reorderings
-    # packs _canonical_counts; and sorting by (size, canonical key) sorts
-    # the OrbitIds, which is the order of the variables
+    # packs the counts of the reference canonical form, which reorders the
+    # patterns directly; and sorting by (size, canonical key) sorts the
+    # OrbitIds, which is the order of the variables
     keys = pack_counts(rows)
     assert unpack_keys(keys).tolist() == [list(r) for r in rows]
     assert sorted(keys.tolist()) == pack_counts(sorted(rows)).tolist()
@@ -365,7 +370,8 @@ def test_packed_canonical_key_matches_canonical_counts(rows):
     half = pack_counts([[c // 2 for c in r] for r in rows])
     assert (reordered_keys(half) + reordered_keys(keys - half) == reordered_keys(keys)).all()
     canon = reordered_keys(keys).min(axis=1)
-    assert unpack_keys(canon).tolist() == [list(_canonical_counts(r)) for r in rows]
+    references = [reference_orbit(r[:N_BIN_PATTERNS], r[N_BIN_PATTERNS:]) for r in rows]
+    assert unpack_keys(canon).tolist() == [list(w.bin_counts + w.ter_counts) for w in references]
     orbits = [orbit_from_counts(r[:N_BIN_PATTERNS], r[N_BIN_PATTERNS:]) for r in rows]
     by_key = sorted(zip(orbits, canon.tolist()), key=lambda t: (t[0].size, t[1]))
     assert [w for w, _ in by_key] == sorted(orbits)
@@ -490,13 +496,20 @@ class TestExactOracle:
             assert exact_n(ProblemSpec(2, 2, d)) <= 2 * exact_n(ProblemSpec(1, 2, d))
 
     def test_closes_under_small_budgets(self):
-        # each budget is about 1.2 times the search's node count
-        assert exact_n(ProblemSpec(6, 1, 3), node_budget=640) == 16
-        assert exact_n(ProblemSpec(3, 3, 3), node_budget=580) == 18
-        assert exact_n(ProblemSpec(4, 2, 3), node_budget=160) == 12
-        assert exact_n(ProblemSpec(5, 2, 3), node_budget=31_000) == 22
-        # d <= 2: the whole-graph search
-        assert exact_n(ProblemSpec(5, 2, 2), node_budget=96) == 96
+        # each search takes exactly its pinned node count: it closes at that
+        # budget and raises one node short of it
+        pinned = {
+            # the six sandwich specs of the exact-oracle benchmark workload
+            (5, 2, 3): (25_687, 22), (6, 1, 3): (532, 16), (3, 3, 3): (480, 18),
+            (4, 2, 3): (131, 12), (1, 4, 3): (158, 12), (5, 2, 4): (47, 8),
+            # d <= 2: the whole-graph search
+            (5, 2, 2): (96, 96),
+        }
+        for (n2, n3, d), (nodes, value) in pinned.items():
+            spec = ProblemSpec(n2, n3, d)
+            assert exact_n(spec, node_budget=nodes) == value
+            with pytest.raises(ResourceError, match=f"budget {nodes - 1} exceeded"):
+                exact_n(spec, node_budget=nodes - 1)
 
     def test_rejects_negative_budget(self):
         for spec in (ProblemSpec(1, 1, 1), ProblemSpec(3, 3, 3)):

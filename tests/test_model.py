@@ -12,7 +12,9 @@ from mixedsdp.codes import (
     optimal_code,
     singleton_orbit,
 )
-from mixedsdp.blocks import Block, build_blocks_empty
+from mixedsdp import blocks
+from mixedsdp.blocks import Block, build_blocks_empty, verify_reduction
+from mixedsdp.cli import EXIT_VERIFY, main
 from mixedsdp.model import SdpProblem, build_lp_k2, build_problem, build_sdp
 from mixedsdp.solver import certify, solve
 from mixedsdp.tableaux import build_shape_index_empty
@@ -148,25 +150,36 @@ class TestMonotonicity:
 
 class TestBlockInvariants:
     """A block enters a problem only whole: every later reader indexes with
-    its entries unchecked."""
+    its entries unchecked.  One rule, ``Block.entry_fault``, refuses a
+    faulty entry where a block enters a problem and in the verifier, with
+    one message."""
 
     @pytest.mark.parametrize("entry, reason", [
         ((1, 0, 2, 7), "position outside 0 <= i <= j < 2"),  # j == dim
         ((1, 1, 0, 7), "position outside 0 <= i <= j < 2"),  # i > j
-        ((3, 0, 0, 7), "matrix number outside 0..2"),
-        ((-1, 0, 0, 7), "matrix number outside 0..2"),
+        ((16, 0, 0, 7), "matrix number outside 0..15"),
+        ((-1, 0, 0, 7), "matrix number outside 0..15"),
         ((1, 0, 1, 7), "not after the entry before it in (matno, i, j) order"),  # repeated
         ((0, 1, 1, 7), "not after the entry before it in (matno, i, j) order"),  # unsorted
     ])
-    def test_faulty_entry_refused(self, entry, reason):
+    def test_faulty_entry_refused(self, monkeypatch, capsys, entry, reason):
         good = Block.from_entries("good", 2, ((0, 0, 0, 1), (1, 0, 1, 1), (2, 1, 1, 1)))
         # the faulty entry goes in third, unsorted, as from_entries would
         # not leave it
         columns = (good.matno, good.i, good.j, good.value)
         faulty = Block("faulty", 2, *(np.insert(c, 2, v) for c, v in zip(columns, entry)))
         matno, i, j, _ = entry
+        message = f"block faulty: entry 2 (matno, i, j) = ({matno}, {i}, {j}): {reason}"
+        # 15 variables, as many as the orbits of the verifier's d = 1 map
+        # of (2,1,2)
+        spec = ProblemSpec(2, 1, 2)
         with pytest.raises(ValueError) as info:
-            SdpProblem(ProblemSpec(1, 1, 1), (None, None), (0, 1), (good, faulty))
-        assert str(info.value) == (
-            f"block faulty: entry 2 (matno, i, j) = ({matno}, {i}, {j}): {reason}"
-        )
+            SdpProblem(spec, (None,) * 15, (0,) * 15, (good, faulty))
+        assert str(info.value) == message
+        # the verifier meets the block first among the engine's blocks
+        build = blocks.build_blocks_d0
+        monkeypatch.setattr(blocks, "build_blocks_d0", lambda *args: [faulty, *build(*args)])
+        failure = f"block entries lie in order inside their blocks: {message}"
+        assert verify_reduction(spec).first_failure() == failure
+        assert main(["verify", "2", "1", "--d", "2"]) == EXIT_VERIFY
+        assert f"first discrepancy: {failure}\n" in capsys.readouterr().out
