@@ -1,7 +1,6 @@
 """Certified SDP upper bounds for mixed binary/ternary error-correcting codes."""
 
 from mixedsdp.codes import (
-    OrbitId,
     ProblemSpec,
     enumerate_orbits,
     exact_n,
@@ -11,7 +10,6 @@ from mixedsdp.model import build_lp_k2, build_sdp
 from mixedsdp.solver import certify, emit_sdpa, parse_sdpa, solve
 
 __all__ = [
-    "OrbitId",
     "ProblemSpec",
     "build_lp_k2",
     "build_sdp",

@@ -54,18 +54,17 @@ from mixedsdp.codes import (
     PAT_23,
     PAT_ALL_EQUAL,
     PAT_DISTINCT,
-    OrbitId,
     ProblemSpec,
     ResourceError,
+    _distances_allowed,
     _pattern_of,
+    _size_from_counts,
     check_key_digits,
+    describe_orbit,
     enumerate_orbits,
     letters,
-    orbit_is_feasible,
     pack_counts,
-    pair_orbit,
     reordered_keys,
-    singleton_orbit,
 )
 from mixedsdp.tableaux import (
     ShapeD0,
@@ -347,27 +346,26 @@ class Block:
 def build_blocks_d0(
     spec: ProblemSpec,
     shapes: list[ShapeD0],
-    variables: dict[OrbitId, int],
+    variables: np.ndarray,
 ) -> list[Block]:
     """Reduced blocks for the all-zero-word stabilizer, one per shape.
 
-    ``variables`` maps orbits of nonempty codes to variable indices
-    (``enumerate_orbits``); coefficients of orbits outside it (those fixed
-    to zero) are dropped.  A shape's terms are those of ``_pair_terms``:
-    each term's canonical key is the least of the six sums of its factors'
-    reordered keys, and a binary search over the variables' sorted keys
-    gives its variable.  The terms of each (variable, cell) are summed by
-    ``_collect``, and the sums, already sorted, are the block's columns.
-    The build's shapes share the powers of the factors' columns and each
-    shape's factor polynomials (``_factor_poly``, ``_ternary_poly``); both
-    go with the build.
+    ``variables`` holds the canonical counts of the orbits of nonempty
+    codes, row i those of variable i (``enumerate_orbits``); coefficients
+    of orbits outside it (those fixed to zero) are dropped.  A shape's
+    terms are those of ``_pair_terms``: each term's canonical key is the
+    least of the six sums of its factors' reordered keys, and a binary
+    search over the variables' sorted keys gives its variable.  The terms
+    of each (variable, cell) are summed by ``_collect``, and the sums,
+    already sorted, are the block's columns.  The build's shapes share the
+    powers of the factors' columns and each shape's factor polynomials
+    (``_factor_poly``, ``_ternary_poly``); both go with the build.
     """
     check_key_digits(spec)
-    keys = pack_counts([w.bin_counts + w.ter_counts for w in variables])
-    order = np.argsort(keys)
+    keys = pack_counts(variables)
+    var_index = np.argsort(keys)
     # the sentinel above every key ends each search inside the array
-    var_keys = np.append(keys[order], np.iinfo(np.int64).max)
-    var_index = np.fromiter(variables.values(), dtype=np.int64, count=len(variables))[order]
+    var_keys = np.append(keys[var_index], np.iinfo(np.int64).max)
     powers: dict = {}
     binaries: dict = {}
     ternaries: dict = {}
@@ -408,12 +406,17 @@ def _binomial_poly(l_plus: int, l_minus: int, plus_scale: int = 1) -> list[int]:
 def build_blocks_empty(
     spec: ProblemSpec,
     shapes: list[ShapeEmpty],
-    variables: dict[OrbitId, int],
+    variables: np.ndarray,
 ) -> list[Block]:
     """Reduced blocks for the empty-code stabilizer: 1x1 per shape, except
     the augmented shape which gains the empty-code row and column.  Orbits
     outside ``variables`` are dropped, as in ``build_blocks_d0``."""
     full = spec.num_words
+    # a pair's profile (a, b) is its size-2 row's counts of pattern {1|23};
+    # the singleton, variable 0, is profile (0, 0)
+    profile = {(0, 0): 0}
+    for v in np.flatnonzero(_size_from_counts(variables) == 2).tolist():
+        profile[int(variables[v, PAT_23]), int(variables[v, N_BIN_PATTERNS + PAT_23])] = v
     out = []
     for shape in shapes:
         l1, l2, l3, l4 = shape.counts
@@ -427,14 +430,11 @@ def build_blocks_empty(
                 val = scale * binpoly[a] * terpoly[b]
                 if val == 0:
                     continue
-                v = variables.get(
-                    singleton_orbit(spec) if a == b == 0 else pair_orbit(spec, a, b)
-                )
+                v = profile.get((a, b))
                 if v is not None:
                     entries.append((v + 1, slot, slot, val))
         if shape.augmented:
-            svar = variables[singleton_orbit(spec)]
-            entries += [(0, 0, 0, 1), (svar + 1, 0, 1, full)]
+            entries += [(0, 0, 0, 1), (1, 0, 1, full)]
         out.append(Block.from_entries(f"{CASE_EMPTY}:{shape.label()}", slot + 1, entries))
     return out
 
@@ -547,7 +547,7 @@ def _inertia(mat: np.ndarray) -> np.ndarray:
 _PATTERNS = np.array([[[_pattern_of(a, b, c) for c in range(3)] for b in range(3)] for a in range(3)])
 
 
-def _orbit_table(spec: ProblemSpec, variables: dict[OrbitId, int], lookup: np.ndarray) -> np.ndarray:
+def _orbit_table(spec: ProblemSpec, variables: np.ndarray, lookup: np.ndarray) -> np.ndarray:
     """The matno, orbit index + 1, of every ordered word pair (x, y), in
     ``letters`` order, for the triple whose column pattern at a coordinate
     of letters x_c, y_c is ``lookup[x_c, y_c]``.  Each pair's packed key
@@ -559,16 +559,13 @@ def _orbit_table(spec: ProblemSpec, variables: dict[OrbitId, int], lookup: np.nd
     for c, col in enumerate(letters(spec).T):
         keys += KEY_WEIGHTS[N_BIN_PATTERNS * (c >= spec.n2) + lookup[col[:, None], col]]
     distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
-    matno = dict(zip(
-        pack_counts([w.bin_counts + w.ter_counts for w in variables]).tolist(),
-        [v + 1 for v in variables.values()],
-    ))
+    matno = dict(zip(pack_counts(variables).tolist(), range(1, len(variables) + 1)))
     matnos = np.array([matno[key] for key in reordered_keys(distinct).min(axis=1).tolist()])
     return matnos[inverse].reshape(keys.shape)
 
 
 def _contraction_mismatch(
-    table, columns, block: Block, label: str, orbits: list[OrbitId]
+    table, columns, block: Block, label: str, variables: np.ndarray
 ) -> str | None:
     """The first entry, in (i, j, matno) order, where ``block`` differs from
     the contraction of the integer vectors ``columns`` over the table's rows
@@ -577,7 +574,7 @@ def _contraction_mismatch(
     exact: it sums at most N^2 products of entries no larger than
     2^(n2+n3) <= N, at most N^4 in all, below 4e7 at ``VERIFY_WORD_CAP`` and
     below 2^63 while the N x N int64 table takes under 16 GB."""
-    shape = (len(columns), len(columns), len(orbits) + 1)
+    shape = (len(columns), len(columns), len(variables) + 1)
     want = np.zeros(shape, dtype=np.int64)
     for j, v in enumerate(columns):
         for i, u in enumerate(columns[:j + 1]):
@@ -588,7 +585,7 @@ def _contraction_mismatch(
     if not len(differ):
         return None
     i, j, m = differ[0].tolist()
-    what = f"orbit {orbits[m - 1].describe()}" if m else "constant"
+    what = f"orbit {describe_orbit(variables[m - 1])}" if m else "constant"
     return f"shape {label} entry ({i},{j}) {what}: engine {got[i, j, m]}, explicit {want[i, j, m]}"
 
 
@@ -659,13 +656,13 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     checks: list[tuple[str, bool, str]] = []
     # every nonempty orbit; the zero case meets triples
     variables = enumerate_orbits(replace(spec, d=1, k=3))
-    orbits = list(variables)
     # zero case: the words as rows, the orbit of {0, x, y}, that of the
     # triple (0, x, y), at (x, y); empty case: the empty code first, then
     # the words, the orbit of {x, y}, that of the triple (x, y, y), at (x, y)
     table_zero = _orbit_table(spec, variables, _PATTERNS[0])
     table_empty = np.zeros((spec.num_words + 1, spec.num_words + 1), dtype=np.int64)
-    table_empty[0, 1:] = table_empty[1:, 0] = variables[singleton_orbit(spec)] + 1
+    # the singleton is variable 0
+    table_empty[0, 1:] = table_empty[1:, 0] = 1
     table_empty[1:, 1:] = _orbit_table(spec, variables, np.diagonal(_PATTERNS, axis1=1, axis2=2))
 
     shapes_zero = build_shape_index_d0(spec)
@@ -675,7 +672,7 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
 
     checks.append(dimension_count(spec, shapes_zero, shapes_empty))
     # checks (c) and (d) index arrays with the entries
-    fault = next(filter(None, (b.entry_fault(len(orbits)) for b in (*blocks_zero, *blocks_empty))), None)
+    fault = next(filter(None, (b.entry_fault(len(variables)) for b in (*blocks_zero, *blocks_empty))), None)
     if fault:
         checks.append(("block entries lie in order inside their blocks", False, fault))
         return VerifyReport(spec, checks)
@@ -684,7 +681,7 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     mismatch = None
     for shape, block in zip(shapes_zero, blocks_zero):
         columns = [representative_vector_zero(shape, col) for col in shape.admissible]
-        mismatch = _contraction_mismatch(table_zero, columns, block, shape.label(), orbits)
+        mismatch = _contraction_mismatch(table_zero, columns, block, shape.label(), variables)
         if mismatch:
             break
     checks.append((
@@ -699,7 +696,7 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     for shape, block in zip(shapes_empty, blocks_empty):
         vec = np.concatenate(([0], representative_vector_empty(shape)))
         columns = [empty_code, vec] if shape.augmented else [vec]
-        mismatch = _contraction_mismatch(table_empty, columns, block, shape.label(), orbits)
+        mismatch = _contraction_mismatch(table_empty, columns, block, shape.label(), variables)
         colsum = int(vec.sum())
         if not mismatch and not shape.augmented and colsum:
             mismatch = f"non-augmented shape {shape.label()} has column sum {colsum}"
@@ -714,7 +711,8 @@ def verify_reduction(spec: ProblemSpec) -> VerifyReport:
     # (d) y is zero outside the feasible orbits, so indexing the values by
     # the tables gives the full matrices
     rng = random.Random(VERIFY_SEED)
-    scale = np.array([1.0] + [rng.uniform(-1.0, 1.0) if orbit_is_feasible(w, spec.d) else 0.0 for w in orbits])
+    feasible = _distances_allowed(variables, spec.d).tolist()
+    scale = np.array([1.0] + [rng.uniform(-1.0, 1.0) if ok else 0.0 for ok in feasible])
 
     def block_inertia(block_list, mults):
         total = np.zeros(2, dtype=np.int64)

@@ -8,8 +8,10 @@ letters independently in every coordinate.  Group elements are never
 materialized for canonicalization: the orbit of a code is identified by
 counting, per coordinate block, the equality pattern of a padded ordered
 triple of its words, minimized over the six reorderings of the triple.
-The level-3 orbit enumeration does the same on integer arrays of packed
-keys; level 2 lists the distance profiles of pairs.
+An orbit is that row of nine canonical counts, and a variable is one such
+row of ``enumerate_orbits``.  The level-3 orbit enumeration canonicalises
+on integer arrays of packed keys; level 2 lists the distance profiles of
+pairs.
 
 A word is a row of ``letters(spec)``: its letters, as ``int8``.  The oracle builds
 each of its graphs from one ``int8`` matrix that ranks the distance profile
@@ -95,31 +97,6 @@ class ProblemSpec:
         return 2 ** self.n2 * 3 ** self.n3
 
 
-@dataclass(frozen=True, order=True)
-class OrbitId:
-    """Canonical invariant of a code orbit under the isometry group.
-
-    ``bin_counts``/``ter_counts`` count column patterns of the padded ordered
-    triple, lexicographically minimal over the six row reorderings (binary
-    counts compared before ternary).  ``size`` is the code cardinality; it is
-    stored, and compared first, so that sorting OrbitIds sorts by size and
-    the level-2 variables are the start of the level-3 ones.
-    """
-
-    size: int
-    bin_counts: tuple[int, int, int, int]
-    ter_counts: tuple[int, int, int, int, int]
-
-    def describe(self) -> str:
-        parts = [f"size={self.size}"]
-        for counts, tag in ((self.bin_counts, "bin"), (self.ter_counts, "ter")):
-            inner = " ".join(
-                f"{PATTERN_NAMES[i]}:{c}" for i, c in enumerate(counts) if c
-            )
-            parts.append(f"{tag}[{inner}]")
-        return " ".join(parts)
-
-
 def _build_count_orders() -> tuple[tuple[int, ...], ...]:
     """For each reordering of the triple, the order in which to read the
     nine pattern counts, binary then ternary, to reorder them.  Reading the
@@ -186,61 +163,41 @@ def reordered_keys(keys: np.ndarray) -> np.ndarray:
     return unpack_keys(keys) @ _REORDER_WEIGHTS
 
 
-def _pair_distances(bin_counts, ter_counts) -> tuple[int, int, int]:
+def _pair_distances(counts):
     """Distances d(1,2), d(1,3), d(2,3) between the rows of an ordered
-    triple with these column-pattern counts: the columns separating them."""
-    c12 = bin_counts[PAT_12] + ter_counts[PAT_12]
-    c13 = bin_counts[PAT_13] + ter_counts[PAT_13]
-    c23 = bin_counts[PAT_23] + ter_counts[PAT_23]
-    distinct = ter_counts[PAT_DISTINCT]
+    triple with these nine column-pattern counts, binary then ternary, for
+    one row of counts or for an array of rows: the columns separating
+    them."""
+    counts = np.asarray(counts)
+    c12, c13, c23 = (counts[..., p] + counts[..., N_BIN_PATTERNS + p] for p in (PAT_12, PAT_13, PAT_23))
+    distinct = counts[..., N_BIN_PATTERNS + PAT_DISTINCT]
     return c13 + c23 + distinct, c12 + c23 + distinct, c12 + c13 + distinct
 
 
-def _size_from_counts(bin_counts, ter_counts):
-    """Code size of a padded triple with these counts, for ints or for
-    arrays of them: three zero pair distances make a singleton, one a pair,
+def _size_from_counts(counts):
+    """Code size of a padded triple with these counts, for one row or for an
+    array of rows: three zero pair distances make a singleton, one a pair,
     none three words."""
-    zeros = sum(x == 0 for x in _pair_distances(bin_counts, ter_counts))
+    zeros = sum(x == 0 for x in _pair_distances(counts))
     return 3 - (zeros == 1) - 2 * (zeros == 3)
 
 
-def orbit_from_counts(bin_counts, ter_counts) -> OrbitId:
-    """OrbitId of any ordered triple with the given column-pattern counts:
-    the least of the six ``reordered_keys`` of their packed key.  So each
-    count must fit a 5-bit key digit; one above ``KEY_COUNT_MAX`` raises
-    ``ValueError``."""
-    (canon,) = unpack_keys(reordered_keys(pack_counts((*bin_counts, *ter_counts))).min(axis=1)).tolist()
-    cb, ct = tuple(canon[:N_BIN_PATTERNS]), tuple(canon[N_BIN_PATTERNS:])
-    return OrbitId(_size_from_counts(cb, ct), cb, ct)
+def _distances_allowed(counts, d: int):
+    """Whether codes with these counts, one row or an array of rows, have
+    minimum distance at least d; a zero pair distance is a repeated word of
+    the padded triple, so a singleton is always allowed."""
+    ok = [(x == 0) | (x >= d) for x in _pair_distances(counts)]
+    return ok[0] & ok[1] & ok[2]
 
 
-def singleton_orbit(spec: ProblemSpec) -> OrbitId:
-    return OrbitId(1, (spec.n2, 0, 0, 0), (spec.n3, 0, 0, 0, 0))
-
-
-def pair_orbit(spec: ProblemSpec, d2: int, d3: int) -> OrbitId:
-    """Canonical orbit of a pair of words differing in d2 binary and d3
-    ternary coordinates."""
-    if not (0 <= d2 <= spec.n2 and 0 <= d3 <= spec.n3 and d2 + d3 >= 1):
-        raise ValueError(f"invalid pair profile ({d2}, {d3})")
-    return OrbitId(
-        2,
-        (spec.n2 - d2, 0, 0, d2),
-        (spec.n3 - d3, 0, 0, d3, 0),
-    )
-
-
-def _distances_allowed(size, dists, d: int):
-    """Whether codes of this size and pair distances have minimum distance
-    at least d, for ints or for arrays of them; a zero pair distance is a
-    repeated word of the padded triple."""
-    ok = [(x == 0) | (x >= d) for x in dists]
-    return (size <= 1) | (ok[0] & ok[1] & ok[2])
-
-
-def orbit_is_feasible(w: OrbitId, d: int) -> bool:
-    """Whether every representative code has minimum distance at least d."""
-    return _distances_allowed(w.size, _pair_distances(w.bin_counts, w.ter_counts), d)
+def describe_orbit(counts) -> str:
+    """The orbit of a row of canonical counts as text: its size, then the
+    nonzero binary and ternary pattern counts."""
+    parts = [f"size={_size_from_counts(counts)}"]
+    for tag, part in (("bin", counts[:N_BIN_PATTERNS]), ("ter", counts[N_BIN_PATTERNS:])):
+        inner = " ".join(f"{PATTERN_NAMES[i]}:{c}" for i, c in enumerate(part) if c)
+        parts.append(f"{tag}[{inner}]")
+    return " ".join(parts)
 
 
 def _compositions(total: int, nparts: int):
@@ -252,26 +209,31 @@ def _compositions(total: int, nparts: int):
             yield (head,) + rest
 
 
-def enumerate_orbits(spec: ProblemSpec) -> dict[OrbitId, int]:
+def enumerate_orbits(spec: ProblemSpec) -> np.ndarray:
     """The variables: every orbit of nonempty codes of at most spec.k words
-    at pairwise distance >= d, in sorted order (so by size first, and the
-    level-2 list is the start of the level-3 one), each mapped to its index.
+    at pairwise distance >= d, as one ``int64`` row of its nine canonical
+    pattern counts, binary then ternary.  A row's index is its variable's
+    index.  The rows sort by (code size, counts), so the singleton, the only
+    orbit of size 1, is variable 0 at every level and every d, and the
+    level-2 rows are the first level-3 rows.
 
-    Level 2 lists the singleton and then, sorted, ``pair_orbit(spec, a, b)``
-    for every distance profile (a, b) with a + b >= d: the orbits that
-    ``build_blocks_empty`` reads.  Level 3 generates its orbits from pattern
-    count vectors (never by scanning codes), after ``check_key_digits``:
-    every count vector is one sum of a binary and a ternary packed key; its
-    canonical key is the least of the six sums of their reorderings, and
-    the distinct canonical keys are the orbits.  Sorting them by (size,
-    key) is sorting the OrbitIds, and only the kept ones become OrbitIds.
+    Level 2 lists the singleton and then, sorted, the pair of every distance
+    profile (a, b) with a + b >= d: the canonical counts of a pair are those
+    of (x, y, y), and its profile is the binary and ternary counts of
+    pattern {1|23}, which ``build_blocks_empty`` reads.  Level 3 generates
+    its orbits from pattern count vectors (never by scanning codes), after
+    ``check_key_digits``: every count vector is one sum of a binary and a
+    ternary packed key; its canonical key is the least of the six sums of
+    their reorderings, and the distinct canonical keys are the orbits, in
+    the order of their counts.
     """
     if spec.k == 2:
-        pairs = sorted(
-            pair_orbit(spec, a, b)
-            for a in range(spec.n2 + 1) for b in range(spec.n3 + 1) if a + b >= spec.d
-        )
-        return {w: i for i, w in enumerate([singleton_orbit(spec), *pairs])}
+        # the profiles, (n2 - a, n3 - b) ascending
+        rows = [(spec.n2, 0, 0, 0, spec.n3, 0, 0, 0, 0)] + [
+            (spec.n2 - a, 0, 0, a, spec.n3 - b, 0, 0, b, 0)
+            for a in range(spec.n2, -1, -1) for b in range(spec.n3, -1, -1) if a + b >= spec.d
+        ]
+        return np.array(rows, dtype=np.int64)
     check_key_digits(spec)
     rb = reordered_keys(pack_counts(
         [c + (0,) * N_TER_PATTERNS for c in _compositions(spec.n2, N_BIN_PATTERNS)]
@@ -285,15 +247,9 @@ def enumerate_orbits(spec: ProblemSpec) -> dict[OrbitId, int]:
     keys = np.sort(canon, axis=None)
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     counts = unpack_keys(keys)
-    bin_counts, ter_counts = counts[:, :N_BIN_PATTERNS].T, counts[:, N_BIN_PATTERNS:].T
-    size = _size_from_counts(bin_counts, ter_counts)
-    kept = np.flatnonzero(_distances_allowed(size, _pair_distances(bin_counts, ter_counts), spec.d))
-    # the keys are sorted, so a stable sort by size sorts by (size, key)
-    kept = kept[np.argsort(size[kept], kind="stable")]
-    return {
-        OrbitId(w, tuple(c[:N_BIN_PATTERNS]), tuple(c[N_BIN_PATTERNS:])): i
-        for i, (w, c) in enumerate(zip(size[kept].tolist(), counts[kept].tolist()))
-    }
+    counts = counts[_distances_allowed(counts, spec.d)]
+    # the keys are sorted, so a stable sort by size sorts by (size, counts)
+    return counts[np.argsort(_size_from_counts(counts), kind="stable")]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Assembly of the reduced optimization problem: orbit variables, objective
-and the exact blocks from both stabilizer cases, plus the level-2
-linear-programming mode.
+"""Assembly of the reduced optimization problem: the objective on the orbit
+variables and the exact blocks from both stabilizer cases, plus the level-2
+linear-programming mode.  The variables are the rows of canonical pattern
+counts of ``enumerate_orbits``; a problem keeps only their number.
 
 Every variable satisfies y >= 0; the solver and the SDPA writer add
 those constraints themselves.
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mixedsdp.blocks import Block, build_blocks_d0, build_blocks_empty
-from mixedsdp.codes import OrbitId, ProblemSpec, enumerate_orbits, singleton_orbit
+from mixedsdp.codes import ProblemSpec, enumerate_orbits
 from mixedsdp.tableaux import build_shape_index_d0, build_shape_index_empty
 
 
@@ -20,16 +21,16 @@ class SdpProblem:
     """Block-diagonal linear matrix inequality in orbit variables y >= 0.
 
     The variables are the orbits of ``enumerate_orbits(spec)``, in its
-    order: nonempty codes of at most k words at distance >= d.  The empty
-    code is the constant 1 (substituted into the constant parts).  The
-    objective is maximization of ``objective . y``.  A block enters a
+    order: nonempty codes of at most k words at distance >= d, so
+    ``num_vars`` is the length of the objective.  The empty code is the
+    constant 1 (substituted into the constant parts).  The objective is
+    maximization of ``objective . y``.  A block enters a
     problem only whole: a block with an ``entry_fault`` for m = num_vars
     raises that text as a ``ValueError``, since every later reader indexes
     with the entries unchecked.
     """
 
     spec: ProblemSpec
-    variables: tuple[OrbitId, ...]
     objective: tuple[int, ...]
     blocks: tuple[Block, ...]
 
@@ -41,21 +42,21 @@ class SdpProblem:
 
     @property
     def num_vars(self) -> int:
-        return len(self.variables)
+        return len(self.objective)
 
 
 def build_problem(spec: ProblemSpec) -> SdpProblem:
-    """The problem at the spec's hierarchy level k: the orbit map of
-    ``enumerate_orbits`` gives the variables, and level 3 adds the
+    """The problem at the spec's hierarchy level k: the rows of
+    ``enumerate_orbits`` are the variables, and level 3 adds the
     all-zero-word blocks to the empty-code ones."""
     variables = enumerate_orbits(spec)
     blocks = []
     if spec.k == 3:
         blocks += build_blocks_d0(spec, build_shape_index_d0(spec), variables)
     blocks += build_blocks_empty(spec, build_shape_index_empty(spec), variables)
-    objective = [0] * len(variables)
-    objective[variables[singleton_orbit(spec)]] = spec.num_words
-    return SdpProblem(spec, tuple(variables), tuple(objective), tuple(blocks))
+    # the singleton is variable 0
+    objective = (spec.num_words,) + (0,) * (len(variables) - 1)
+    return SdpProblem(spec, objective, tuple(blocks))
 
 
 def build_sdp(spec: ProblemSpec) -> SdpProblem:

@@ -1,9 +1,14 @@
-"""Reference counts that only the tests use: the library's orbit of a code
-by padding it to a triple and counting its columns, word distances, the
-orbit of a count vector by reordering its patterns directly, the variables
-found one count tuple at a time, orbit sizes by counting column fillings,
-the group-averaged indicator of a code, a feasible point of the assembled
-problem, and the float matrix of a block at a point."""
+"""Reference counts that only the tests use: the canonical row of a count
+vector through the library's packed keys, the orbit of a code by padding it
+to a triple and counting its columns, word distances, the orbit of a count
+vector by reordering its patterns directly, the variables found one count
+tuple at a time, orbit sizes by counting column fillings, the
+group-averaged indicator of a code, a feasible point of the assembled
+problem, and the float matrix of a block at a point.
+
+An orbit is a row of its nine canonical pattern counts, binary then
+ternary, as ``enumerate_orbits`` gives it; here a row is a tuple of ints,
+so that it can key a dict."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -17,13 +22,14 @@ from mixedsdp.codes import (
     PAT_23,
     PAT_ALL_EQUAL,
     PATTERN_PERMS,
-    OrbitId,
     ProblemSpec,
     _compositions,
+    _distances_allowed,
     _pattern_of,
     _size_from_counts,
-    orbit_from_counts,
-    orbit_is_feasible,
+    pack_counts,
+    reordered_keys,
+    unpack_keys,
 )
 
 # Number of column fillings realizing each pattern (choices of letters).
@@ -31,16 +37,25 @@ _BIN_FILLINGS = (2, 2, 2, 2)
 _TER_FILLINGS = (3, 6, 6, 6, 6)
 
 
-def canonical_orbit(spec: ProblemSpec, c) -> OrbitId:
+def orbit_from_counts(counts) -> tuple:
+    """The canonical row of any ordered triple with these nine column-pattern
+    counts: the least of the six library ``reordered_keys`` of their packed
+    key.  So each count must fit a 5-bit key digit; ``pack_counts`` refuses
+    one above ``KEY_COUNT_MAX`` with a ``ValueError``."""
+    (canon,) = unpack_keys(reordered_keys(pack_counts(counts)).min(axis=1)).tolist()
+    return tuple(canon)
+
+
+def canonical_orbit(spec: ProblemSpec, c) -> tuple:
     """The orbit of a code of one to three distinct words, given as letter
     rows: the code padded to a triple, (v, v, v) or (x, y, y), its column
-    patterns counted per alphabet and canonicalised by the library's
+    patterns counted per alphabet and canonicalised by
     ``orbit_from_counts``."""
     triple = (*c, c[-1], c[-1])[:3]
     patterns = [_pattern_of(*col) for col in zip(*triple)]
     return orbit_from_counts(
-        tuple(map(patterns[:spec.n2].count, range(N_BIN_PATTERNS))),
-        tuple(map(patterns[spec.n2:].count, range(N_TER_PATTERNS))),
+        [*map(patterns[:spec.n2].count, range(N_BIN_PATTERNS)),
+         *map(patterns[spec.n2:].count, range(N_TER_PATTERNS))]
     )
 
 
@@ -59,23 +74,37 @@ def _apply_pattern_perm(counts, perm_map, npat):
     return tuple(out)
 
 
-def reorderings(bin_counts, ter_counts) -> set:
-    """The (binary, ternary) count pairs of the six reorderings of a triple
-    with the given pattern counts."""
+def reorderings(counts) -> set:
+    """The count rows of the six reorderings of a triple with the given nine
+    pattern counts."""
     return {
-        (
-            _apply_pattern_perm(bin_counts, pm, N_BIN_PATTERNS),
-            _apply_pattern_perm(ter_counts, pm, N_TER_PATTERNS),
-        )
+        _apply_pattern_perm(counts[:N_BIN_PATTERNS], pm, N_BIN_PATTERNS)
+        + _apply_pattern_perm(counts[N_BIN_PATTERNS:], pm, N_TER_PATTERNS)
         for pm in PATTERN_PERMS
     }
 
 
-def reference_orbit(bin_counts, ter_counts) -> OrbitId:
+def reference_orbit(counts) -> tuple:
     """The orbit of the counts: the least of their reorderings, binary
     counts compared first."""
-    cb, ct = min(reorderings(bin_counts, ter_counts))
-    return OrbitId(_size_from_counts(cb, ct), cb, ct)
+    return min(reorderings(tuple(counts)))
+
+
+def pair_row(spec: ProblemSpec, a: int, b: int) -> tuple:
+    """The canonical row of the pair of words at profile (a, b), differing
+    in a binary and b ternary coordinates: the counts of (x, y, y), a and b
+    columns {1|23}; the singleton's row at (0, 0)."""
+    return (spec.n2 - a, 0, 0, a, spec.n3 - b, 0, 0, b, 0)
+
+
+def variable_index(variables, w) -> int:
+    """The index of the row ``w`` among the rows of ``variables``."""
+    return [tuple(r) for r in variables.tolist()].index(tuple(w))
+
+
+def orbit_order(row) -> tuple:
+    """The sort key of a row among the variables: code size, then counts."""
+    return int(_size_from_counts(row)), tuple(row)
 
 
 def _count_vectors(total: int, width: int, patterns: tuple[int, ...]):
@@ -88,8 +117,8 @@ def _count_vectors(total: int, width: int, patterns: tuple[int, ...]):
         yield tuple(out)
 
 
-def tuple_orbits(spec: ProblemSpec) -> dict[OrbitId, int]:
-    """The map of ``enumerate_orbits``, built from count tuples one vector
+def tuple_orbits(spec: ProblemSpec) -> list[tuple]:
+    """The rows of ``enumerate_orbits``, built from count tuples one vector
     at a time with ``reference_orbit``, at both levels: no packed keys and
     no distance profiles.  A code of at most two words pads to a triple
     (x, y, y), whose columns show only the patterns {123} and {1|23}, so
@@ -97,9 +126,8 @@ def tuple_orbits(spec: ProblemSpec) -> dict[OrbitId, int]:
     patterns = tuple(range(N_TER_PATTERNS)) if spec.k == 3 else (PAT_ALL_EQUAL, PAT_23)
     bins = list(_count_vectors(spec.n2, N_BIN_PATTERNS, tuple(p for p in patterns if p < N_BIN_PATTERNS)))
     ters = list(_count_vectors(spec.n3, N_TER_PATTERNS, patterns))
-    found = {reference_orbit(bc, tc) for bc in bins for tc in ters}
-    kept = sorted(w for w in found if orbit_is_feasible(w, spec.d))
-    return {w: i for i, w in enumerate(kept)}
+    found = {reference_orbit(bc + tc) for bc in bins for tc in ters}
+    return sorted((w for w in found if _distances_allowed(w, spec.d)), key=orbit_order)
 
 
 def _multinomial(counts) -> int:
@@ -110,7 +138,7 @@ def _multinomial(counts) -> int:
     return out
 
 
-def orbit_size(spec: ProblemSpec, w: OrbitId) -> int:
+def orbit_size(spec: ProblemSpec, w) -> int:
     """Number of codes in the orbit.
 
     Ordered triples with a fixed pattern count vector number
@@ -119,30 +147,33 @@ def orbit_size(spec: ProblemSpec, w: OrbitId) -> int:
     relabelings of the canonical counts, a singleton to one.
     """
     total = 0
-    for bc, tc in reorderings(w.bin_counts, w.ter_counts):
+    for r in reorderings(tuple(w)):
+        bc, tc = r[:N_BIN_PATTERNS], r[N_BIN_PATTERNS:]
         fill = 1
         for c, f in zip(bc, _BIN_FILLINGS):
             fill *= f ** c
         for c, f in zip(tc, _TER_FILLINGS):
             fill *= f ** c
         total += _multinomial(bc) * _multinomial(tc) * fill
-    return total // (6 if w.size >= 2 else 1)
+    return total // (6 if _size_from_counts(w) >= 2 else 1)
 
 
 def code_indicator_assignment(
-    spec: ProblemSpec, variables: dict[OrbitId, int], c
+    spec: ProblemSpec, variables, c
 ) -> dict[int, Fraction]:
     """Group-averaged indicator of a code, given as letter rows, by variable
-    index: the fraction of each orbit's codes that are subcodes of ``c``.
-    Feasible for the assembled problem whenever ``c`` has minimum distance
-    >= d, with objective |c|."""
-    counts: dict[OrbitId, int] = {}
+    index, the row of ``variables`` holding the orbit's counts: the fraction
+    of each orbit's codes that are subcodes of ``c``.  Feasible for the
+    assembled problem whenever ``c`` has minimum distance >= d, with
+    objective |c|."""
+    index = {tuple(w): i for i, w in enumerate(variables.tolist())}
+    counts: dict[tuple, int] = {}
     for size in (1, 2, 3):
         for sub in combinations(c, size):
             w = canonical_orbit(spec, sub)
             counts[w] = counts.get(w, 0) + 1
     return {
-        variables[w]: Fraction(cnt, orbit_size(spec, w))
+        index[w]: Fraction(cnt, orbit_size(spec, w))
         for w, cnt in counts.items()
     }
 

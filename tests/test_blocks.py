@@ -34,11 +34,9 @@ from mixedsdp.codes import (
     PATTERN_NAMES,
     ProblemSpec,
     ResourceError,
+    describe_orbit,
     enumerate_orbits,
     letters,
-    orbit_from_counts,
-    pair_orbit,
-    singleton_orbit,
 )
 from mixedsdp.model import build_problem, build_sdp
 from mixedsdp.tableaux import build_shape_index_d0, build_shape_index_empty
@@ -51,7 +49,7 @@ from factor_reference import (
     state_poly,
     unpack_monomial,
 )
-from orbit_reference import canonical_orbit
+from orbit_reference import canonical_orbit, orbit_from_counts, pair_row, variable_index
 
 
 def named(form):
@@ -115,8 +113,7 @@ class TestBaseChange:
             fb, ft = binary[shape.counts[:2]], ternary[shape.counts[2:]]
             for a in (0, 1):
                 for b in (0, 1):
-                    w = singleton_orbit(spec) if a == b == 0 else pair_orbit(spec, a, b)
-                    mat = dense(block)[variables[w] + 1]
+                    mat = dense(block)[variable_index(variables, pair_row(spec, a, b)) + 1]
                     assert mat[slot][slot] == fb[a] * ft[b]
 
     def test_invalid_indices(self):
@@ -264,28 +261,30 @@ class TestKappa:
     patterns to."""
 
     def test_all_equal_is_singleton(self):
+        # the singleton is variable 0
         spec = ProblemSpec(2, 1, 1)
-        w = orbit_from_counts((2, 0, 0, 0), (1, 0, 0, 0, 0))
-        assert w == singleton_orbit(spec)
+        w = orbit_from_counts((2, 0, 0, 0, 1, 0, 0, 0, 0))
+        assert w == tuple(enumerate_orbits(spec)[0].tolist())
 
     def test_pair_from_one_column(self):
         spec = ProblemSpec(1, 1, 1)
-        w = orbit_from_counts((0, 0, 0, 1), (1, 0, 0, 0, 0))
-        assert w == pair_orbit(spec, 1, 0)
+        w = orbit_from_counts((0, 0, 0, 1, 1, 0, 0, 0, 0))
+        assert w == pair_row(spec, 1, 0)
 
     def test_relabeled_counts_collapse(self):
         # {12|3} and {13|2} raw counts canonicalize to the same orbit
-        w1 = orbit_from_counts((0, 1, 0, 0), (1, 0, 0, 0, 0))
-        w2 = orbit_from_counts((0, 0, 1, 0), (1, 0, 0, 0, 0))
+        w1 = orbit_from_counts((0, 1, 0, 0, 1, 0, 0, 0, 0))
+        w2 = orbit_from_counts((0, 0, 1, 0, 1, 0, 0, 0, 0))
         assert w1 == w2
 
     def test_empty_case(self):
-        # no unequal coordinate is the singleton, which pair_orbit refuses
+        # no unequal coordinate is the singleton, variable 0; one unequal
+        # coordinate per alphabet is a size-2 variable
         spec = ProblemSpec(2, 1, 1)
-        assert singleton_orbit(spec) == orbit_from_counts((2, 0, 0, 0), (1, 0, 0, 0, 0))
-        with pytest.raises(ValueError):
-            pair_orbit(spec, 0, 0)
-        assert pair_orbit(spec, 1, 1) == orbit_from_counts((1, 0, 0, 1), (0, 0, 0, 1, 0))
+        variables = enumerate_orbits(spec)
+        assert tuple(variables[0].tolist()) == orbit_from_counts((2, 0, 0, 0, 1, 0, 0, 0, 0)) == pair_row(spec, 0, 0)
+        assert pair_row(spec, 1, 1) == orbit_from_counts((1, 0, 0, 1, 0, 0, 0, 1, 0))
+        assert variable_index(variables, pair_row(spec, 1, 1)) > 0
 
 
 class TestBlocksD0:
@@ -303,7 +302,7 @@ class TestBlocksD0:
         cols = shapes[shape_idx].admissible
         i = cols.index((1, 1, 0))  # ([1], [1])
         j = cols.index((0, 1, 0))  # ([2], [1])
-        widx = variables[pair_orbit(spec, 1, 0)]
+        widx = variable_index(variables, pair_row(spec, 1, 0))
         mat = dense(block)[widx + 1]
         sub = [[mat[i][i], mat[i][j]], [mat[j][i], mat[j][j]]]
         assert sub == [[0, 1], [1, 1]]
@@ -313,7 +312,7 @@ class TestBlocksD0:
             variables = enumerate_orbits(spec)
             shapes = build_shape_index_d0(spec)
             blocks = build_blocks_d0(spec, shapes, variables)
-            sidx = variables[singleton_orbit(spec)]
+            sidx = 0  # the singleton
             found = False
             for shape, block in zip(shapes, blocks):
                 for i, col in enumerate(shape.admissible):
@@ -358,7 +357,7 @@ class TestBuildState:
         # fires before any shape or orbit is looked at
         for n2, n3 in ((32, 1), (1, 32)):
             with pytest.raises(ValueError, match="5-bit"):
-                build_blocks_d0(ProblemSpec(n2, n3, 1), [], {})
+                build_blocks_d0(ProblemSpec(n2, n3, 1), [], np.empty((0, 9), dtype=np.int64))
 
     def test_no_process_wide_cache(self):
         cached = [
@@ -391,7 +390,7 @@ class TestBlocksEmpty:
         variables = enumerate_orbits(spec)
         blocks = build_blocks_empty(spec, build_shape_index_empty(spec), variables)
         aug = next(b for b in blocks if b.dim == 2)
-        widx = variables[pair_orbit(spec, 1, 1)]
+        widx = variable_index(variables, pair_row(spec, 1, 1))
         assert dense(aug)[widx + 1][1][1] == 12
 
     def test_augmented_singleton_coefficient(self):
@@ -399,7 +398,7 @@ class TestBlocksEmpty:
         variables = enumerate_orbits(spec)
         blocks = build_blocks_empty(spec, build_shape_index_empty(spec), variables)
         aug = next(b for b in blocks if b.dim == 2)
-        sidx = variables[singleton_orbit(spec)]
+        sidx = 0  # the singleton
         mats = dense(aug)
         assert mats[sidx + 1][1][1] == 6
         assert mats[sidx + 1][0][1] == 6  # cross term with the empty row
@@ -416,7 +415,7 @@ class TestBlocksEmpty:
             for b in range(n3 + 1):
                 if a == b == 0:
                     continue
-                widx = variables[pair_orbit(spec, a, b)]
+                widx = variable_index(variables, pair_row(spec, a, b))
                 expected = q * comb(n2, a) * comb(n3, b) * 2 ** b
                 assert dense(aug)[widx + 1][1][1] == expected
 
@@ -455,7 +454,7 @@ class TestBlocksEmpty:
             agg = {}
             for x, cx in zip(words, vec.tolist()):
                 for y, cy in zip(words, vec.tolist()):
-                    widx = variables[canonical_orbit(spec, (x,) if x == y else (x, y))]
+                    widx = variable_index(variables, canonical_orbit(spec, (x,) if x == y else (x, y)))
                     agg[widx] = agg.get(widx, 0) + cx * cy
             slot = 1 if shape.augmented else 0
             for widx, val in agg.items():
@@ -649,11 +648,14 @@ class TestVerifyReduction:
         assert main(["verify", "2", "1", "--d", "2"]) == EXIT_VERIFY
         assert "first discrepancy: " + failure in capsys.readouterr().out
 
-    @pytest.mark.parametrize("change", ["raised", "dropped"])
-    def test_corrupted_block_found_at_cap(self, monkeypatch, capsys, change):
+    @pytest.mark.parametrize("change, orbit", [
+        ("raised", "size=3 bin[123:2] ter[1|23:2 1|2|3:1]"),
+        ("dropped", "size=3 bin[123:1 1|23:1] ter[123:1 1|23:1 1|2|3:1]"),
+    ], ids=["raised", "dropped"])
+    def test_corrupted_block_found_at_cap(self, monkeypatch, capsys, change, orbit):
         # (2,3,3) has as many words as the cap allows; the last entry of the
         # widest zero-case block is raised by 1, or that of the last block
-        # dropped
+        # dropped; the failure names the entry's orbit by its counts
         spec = ProblemSpec(2, 3, 3)
         assert spec.num_words == blocks.VERIFY_WORD_CAP
         shapes = build_shape_index_d0(spec)
@@ -669,9 +671,10 @@ class TestVerifyReduction:
             [*entries, (matno, i, j, engine)] if engine else entries,
         )
         monkeypatch.setattr(blocks, "build_blocks_d0", lambda *args: corrupted)
+        assert describe_orbit(variables[matno - 1]) == orbit
         failure = (
             f"zero-case block entries equal explicit contraction: shape {shapes[index].label()} "
-            f"entry ({i},{j}) orbit {list(variables)[matno - 1].describe()}: "
+            f"entry ({i},{j}) orbit {orbit}: "
             f"engine {engine}, explicit {explicit}"
         )
         assert verify_reduction(spec).first_failure() == failure
@@ -729,7 +732,7 @@ class TestVerifyReduction:
 
         def singleton_block(spec, shapes, variables):
             first, *rest = build(spec, shapes, variables)
-            matno = variables[singleton_orbit(spec)] + 1
+            matno = 1  # the singleton, variable 0
             return [Block.from_entries(first.label, 1, ((matno, 0, 0, 1),)), *rest]
 
         monkeypatch.setattr(blocks, "representative_vector_empty", one_word)

@@ -17,35 +17,37 @@ from mixedsdp.codes import (
     N_BIN_PATTERNS,
     N_COUNTS,
     N_TER_PATTERNS,
+    PAT_23,
     ProblemSpec,
     ResourceError,
     _BudgetExceeded,
     _compositions,
     _degeneracy_order,
+    _distances_allowed,
     _orbit_cells,
     _orbit_labels,
     _pair_distances,
     _profile_ranks,
     _relabel,
     _search,
+    _size_from_counts,
     _swap_merged,
     _vertices,
+    describe_orbit,
     enumerate_orbits,
     exact_n,
     letters,
     optimal_code,
-    orbit_from_counts,
-    orbit_is_feasible,
     pack_counts,
-    pair_orbit,
     reordered_keys,
-    singleton_orbit,
     unpack_keys,
 )
 from orbit_reference import (
     canonical_orbit,
     hamming_distance,
     min_distance,
+    orbit_from_counts,
+    orbit_order,
     orbit_size,
     reference_orbit,
     tuple_orbits,
@@ -185,20 +187,21 @@ class TestCanonicalOrbit:
     def test_singleton_all_equal_columns(self):
         spec = ProblemSpec(2, 3, 1)
         w = canonical_orbit(spec, ((0, 1, 2, 1, 0),))
-        assert w == singleton_orbit(spec)
+        assert w == (2, 0, 0, 0, 3, 0, 0, 0, 0)
 
     def test_pair_single_columns(self):
         spec = ProblemSpec(1, 1, 1)
         w = canonical_orbit(spec, ((0, 0), (1, 1)))
-        assert w == pair_orbit(spec, 1, 1)
-        assert w.size == 2
+        # one {1|23} column per alphabet: the pair of profile (1, 1)
+        assert w == (0, 0, 0, 1, 0, 0, 0, 1, 0)
+        assert _size_from_counts(w) == 2
 
     def test_triple_column_readoff(self):
         w = canonical_orbit(ProblemSpec(1, 3, 1), ((0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 2, 2)))
-        assert w.size == 3
-        assert w.bin_counts == (1, 0, 0, 0)
+        assert _size_from_counts(w) == 3
+        assert w[:N_BIN_PATTERNS] == (1, 0, 0, 0)
         # one all-equal ternary column, two all-distinct ones
-        assert w.ter_counts[0] == 1 and w.ter_counts[4] == 2
+        assert w[N_BIN_PATTERNS] == 1 and w[N_BIN_PATTERNS + 4] == 2
 
     def test_invariance_under_random_isometries(self):
         rng = random.Random(2024)
@@ -225,30 +228,25 @@ class TestCanonicalOrbit:
             images = {g.apply_code(rep) for g in group}
             for other in members:
                 assert other in images, (
-                    f"orbit {orbit.describe()} merges inequivalent codes"
+                    f"orbit {describe_orbit(orbit)} merges inequivalent codes"
                 )
-
-
-def pair_distances(w):
-    """Distances d(1,2), d(1,3), d(2,3) of an orbit's canonical triple."""
-    return _pair_distances(w.bin_counts, w.ter_counts)
 
 
 class TestOrbitPairDistances:
     def test_pair_padding(self):
-        spec = ProblemSpec(1, 1, 1)
-        w = pair_orbit(spec, 1, 1)
-        assert pair_distances(w) == (2, 2, 0)
-        assert min(x for x in pair_distances(w) if x) == 2
+        # the pair of profile (1, 1) at (1, 1)
+        w = (0, 0, 0, 1, 0, 0, 0, 1, 0)
+        assert _pair_distances(w) == (2, 2, 0)
+        assert min(x for x in _pair_distances(w) if x) == 2
 
     def test_degenerate_triple_is_pair(self):
         w = canonical_orbit(ProblemSpec(1, 1, 1), ((0, 0), (1, 0)))
-        assert w.size == 2
-        assert pair_distances(w) == (1, 1, 0)
+        assert _size_from_counts(w) == 2
+        assert _pair_distances(w) == (1, 1, 0)
 
     def test_genuine_triple(self):
         c = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 2, 2))
-        assert pair_distances(canonical_orbit(ProblemSpec(1, 3, 1), c)) == (2, 2, 2)
+        assert _pair_distances(canonical_orbit(ProblemSpec(1, 3, 1), c)) == (2, 2, 2)
 
     def test_min_distance_matches_representatives(self):
         rng = random.Random(5)
@@ -258,7 +256,7 @@ class TestOrbitPairDistances:
             c = rng.sample(words, rng.randint(2, 3))
             w = canonical_orbit(spec, c)
             # a zero distance is the padded triple's repeated word
-            assert min(x for x in pair_distances(w) if x) == min_distance(c)
+            assert min(x for x in _pair_distances(w) if x) == min_distance(c)
 
 
 class TestEnumerateOrbits:
@@ -266,29 +264,30 @@ class TestEnumerateOrbits:
         # the empty code's orbit is the constant 1, the other seven are the
         # variables
         variables = enumerate_orbits(ProblemSpec(1, 1, 1))
-        assert sorted(w.size for w in variables) == [1, 2, 2, 2, 3, 3, 3]
+        assert _size_from_counts(variables).tolist() == [1, 2, 2, 2, 3, 3, 3]
 
     # every word space of at most VERIFY_WORD_CAP = 108 words
     @pytest.mark.parametrize("n2,n3", [
         (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3), (4, 1), (5, 1), (3, 2), (2, 3),
     ])
     def test_matches_brute_force(self, n2, n3):
-        # at both levels and every d: the orbits at distance >= d, sorted and
-        # numbered from 0
+        # at both levels and every d: the orbits at distance >= d, sorted by
+        # (size, counts), a row's index its variable's
         found = brute_force_orbits(ProblemSpec(n2, n3, 1))
         for d in range(1, n2 + n3 + 1):
             for k in (2, 3):
-                want = sorted(
-                    w for w, md in found.items() if w.size <= k and (md is None or md >= d)
-                )
+                want = sorted((
+                    w for w, md in found.items()
+                    if _size_from_counts(w) <= k and (md is None or md >= d)
+                ), key=orbit_order)
                 got = enumerate_orbits(ProblemSpec(n2, n3, d, k))
-                assert list(got.items()) == [(w, i) for i, w in enumerate(want)], (d, k)
+                assert got.tolist() == [list(w) for w in want], (d, k)
 
     def test_orbit_sizes_partition_code_count(self):
         # orbit cardinalities over sizes 1..3 must add up to the number of
         # nonempty codes
         spec = ProblemSpec(2, 2, 1)
-        total = sum(orbit_size(spec, w) for w in enumerate_orbits(spec))
+        total = sum(orbit_size(spec, w) for w in enumerate_orbits(spec).tolist())
         n = spec.num_words
         expected = n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 6
         assert total == expected
@@ -296,19 +295,19 @@ class TestEnumerateOrbits:
     def test_orbit_size_matches_brute_count(self):
         spec = ProblemSpec(2, 1, 1)
         words = word_rows(spec)
-        counts = dict.fromkeys(enumerate_orbits(spec), 0)
+        counts = dict.fromkeys(map(tuple, enumerate_orbits(spec).tolist()), 0)
         for size in (1, 2, 3):
             for c in combinations(words, size):
                 counts[canonical_orbit(spec, c)] += 1
         for w, count in counts.items():
-            assert count == orbit_size(spec, w), w.describe()
+            assert count == orbit_size(spec, w), describe_orbit(w)
 
     # level 2 lists distance profiles and packs no keys, so its counts may
     # pass the 31 of a 5-bit key digit
     @pytest.mark.parametrize("n2,n3,d", [(1, 32, 3), (33, 2, 4), (40, 63, 20), (70, 5, 5), (1, 200, 3)])
     def test_level_two_counts_above_five_bits(self, n2, n3, d):
         spec = ProblemSpec(n2, n3, d, k=2)
-        assert list(enumerate_orbits(spec).items()) == list(tuple_orbits(spec).items())
+        assert enumerate_orbits(spec).tolist() == [list(w) for w in tuple_orbits(spec)]
 
     def test_level_two_is_the_start_of_level_three(self):
         # the two levels share no enumeration code: level 2's map is the
@@ -319,10 +318,36 @@ class TestEnumerateOrbits:
         ]
         assert len(specs) == 330
         for n2, n3, d in specs:
-            two = list(enumerate_orbits(ProblemSpec(n2, n3, d, k=2)).items())
-            three = list(enumerate_orbits(ProblemSpec(n2, n3, d, k=3)).items())
-            assert three[:len(two)] == two, (n2, n3, d)
-            assert all(w.size == 3 for w, _ in three[len(two):]), (n2, n3, d)
+            two = enumerate_orbits(ProblemSpec(n2, n3, d, k=2))
+            three = enumerate_orbits(ProblemSpec(n2, n3, d, k=3))
+            assert three[:len(two)].tolist() == two.tolist(), (n2, n3, d)
+            assert (_size_from_counts(three[len(two):]) == 3).all(), (n2, n3, d)
+
+    def test_singleton_and_pair_rows(self):
+        # what the library reads without a lookup: row 0 is the singleton at
+        # every level and d, each size-2 row is the pair (zero, x) of its
+        # profile (a, b), its counts of pattern {1|23}, one row per profile
+        # with a + b >= d, and the level-2 rows are the first level-3 rows
+        specs = [
+            (n2, length - n2, d)
+            for length in range(2, 10) for n2 in range(1, length) for d in range(1, length + 1)
+        ]
+        assert len(specs) == 240
+        for n2, n3, d in specs:
+            rows = {k: enumerate_orbits(ProblemSpec(n2, n3, d, k)) for k in (2, 3)}
+            spec = ProblemSpec(n2, n3, 1)
+            zero = (0,) * (n2 + n3)
+            assert rows[3][:len(rows[2])].tolist() == rows[2].tolist(), (n2, n3, d)
+            for k, variables in rows.items():
+                assert tuple(variables[0].tolist()) == canonical_orbit(spec, (zero,)), (n2, n3, d, k)
+                pairs = variables[_size_from_counts(variables) == 2].tolist()
+                profiles = [(r[PAT_23], r[N_BIN_PATTERNS + PAT_23]) for r in pairs]
+                assert sorted(profiles) == [
+                    (a, b) for a in range(n2 + 1) for b in range(n3 + 1) if a + b >= d
+                ], (n2, n3, d, k)
+                for (a, b), r in zip(profiles, pairs):
+                    x = (1,) * a + (0,) * (n2 - a) + (1,) * b + (0,) * (n3 - b)
+                    assert tuple(r) == canonical_orbit(spec, (zero, x)), (n2, n3, d, k, a, b)
 
     def test_level_three_count_above_five_bits_refused(self):
         # level 3 packs the block build's 5-bit digits; the refusal comes
@@ -337,9 +362,9 @@ def test_pack_counts_refuses_a_count_past_its_digit():
         pack_counts([[0] * (N_COUNTS - 1) + [KEY_COUNT_MAX + 1]])
     # orbit_from_counts packs its counts, binary and ternary alike
     with pytest.raises(ValueError, match="5-bit"):
-        orbit_from_counts((KEY_COUNT_MAX + 1, 0, 0, 0), (1, 0, 0, 0, 0))
+        orbit_from_counts((KEY_COUNT_MAX + 1, 0, 0, 0, 1, 0, 0, 0, 0))
     with pytest.raises(ValueError, match="5-bit"):
-        orbit_from_counts((1, 0, 0, 0), (0, 0, 0, 0, KEY_COUNT_MAX + 1))
+        orbit_from_counts((1, 0, 0, 0, 0, 0, 0, 0, KEY_COUNT_MAX + 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -348,9 +373,7 @@ def test_pack_counts_refuses_a_count_past_its_digit():
     st.tuples(*[st.integers(min_value=0, max_value=6)] * N_TER_PATTERNS),
 )
 def test_orbit_from_counts_matches_reorderings(bin_counts, ter_counts):
-    assert orbit_from_counts(bin_counts, ter_counts) == reference_orbit(
-        bin_counts, ter_counts
-    )
+    assert orbit_from_counts(bin_counts + ter_counts) == reference_orbit(bin_counts + ter_counts)
 
 
 @settings(max_examples=300, deadline=None)
@@ -362,7 +385,7 @@ def test_packed_canonical_key_matches_canonical_counts(rows):
     # keys order as their count tuples; the least of a key's six reorderings
     # packs the counts of the reference canonical form, which reorders the
     # patterns directly; and sorting by (size, canonical key) sorts the
-    # OrbitIds, which is the order of the variables
+    # canonical rows by (size, counts), which is the order of the variables
     keys = pack_counts(rows)
     assert unpack_keys(keys).tolist() == [list(r) for r in rows]
     assert sorted(keys.tolist()) == pack_counts(sorted(rows)).tolist()
@@ -370,11 +393,11 @@ def test_packed_canonical_key_matches_canonical_counts(rows):
     half = pack_counts([[c // 2 for c in r] for r in rows])
     assert (reordered_keys(half) + reordered_keys(keys - half) == reordered_keys(keys)).all()
     canon = reordered_keys(keys).min(axis=1)
-    references = [reference_orbit(r[:N_BIN_PATTERNS], r[N_BIN_PATTERNS:]) for r in rows]
-    assert unpack_keys(canon).tolist() == [list(w.bin_counts + w.ter_counts) for w in references]
-    orbits = [orbit_from_counts(r[:N_BIN_PATTERNS], r[N_BIN_PATTERNS:]) for r in rows]
-    by_key = sorted(zip(orbits, canon.tolist()), key=lambda t: (t[0].size, t[1]))
-    assert [w for w, _ in by_key] == sorted(orbits)
+    references = [reference_orbit(r) for r in rows]
+    assert unpack_keys(canon).tolist() == [list(w) for w in references]
+    orbits = [orbit_from_counts(r) for r in rows]
+    by_key = sorted(zip(orbits, canon.tolist()), key=lambda t: (_size_from_counts(t[0]), t[1]))
+    assert [w for w, _ in by_key] == sorted(orbits, key=orbit_order)
 
 
 @pytest.mark.parametrize("n2,n3,d", [(4, 8, 5), (2, 5, 3)])
@@ -383,12 +406,12 @@ def test_enumerate_orbits_matches_reference(n2, n3, d):
     # the patterns directly
     spec = ProblemSpec(n2, n3, d)
     seen = {
-        reference_orbit(bc, tc)
+        reference_orbit(bc + tc)
         for bc in _compositions(n2, N_BIN_PATTERNS)
         for tc in _compositions(n3, N_TER_PATTERNS)
     }
-    orbits = sorted(w for w in seen if orbit_is_feasible(w, d))
-    assert list(enumerate_orbits(spec).items()) == [(w, i) for i, w in enumerate(orbits)]
+    orbits = sorted((w for w in seen if _distances_allowed(w, d)), key=orbit_order)
+    assert enumerate_orbits(spec).tolist() == [list(w) for w in orbits]
 
 
 @st.composite
@@ -409,7 +432,7 @@ def test_orbit_feasibility_matches_min_distance(data):
     w = canonical_orbit(spec, c)
     for d in range(1, spec.length + 1):
         md = min_distance(c)
-        assert orbit_is_feasible(w, d) == (md is None or md >= d)
+        assert _distances_allowed(w, d) == (md is None or md >= d)
 
 
 class TestExactOracle:

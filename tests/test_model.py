@@ -7,17 +7,17 @@ import pytest
 
 from mixedsdp.codes import (
     ProblemSpec,
+    _size_from_counts,
     enumerate_orbits,
     exact_n,
     optimal_code,
-    singleton_orbit,
 )
 from mixedsdp import blocks
-from mixedsdp.blocks import Block, build_blocks_empty, verify_reduction
+from mixedsdp.blocks import Block, build_blocks_d0, build_blocks_empty, verify_reduction
 from mixedsdp.cli import EXIT_VERIFY, main
 from mixedsdp.model import SdpProblem, build_lp_k2, build_problem, build_sdp
 from mixedsdp.solver import certify, solve
-from mixedsdp.tableaux import build_shape_index_empty
+from mixedsdp.tableaux import build_shape_index_d0, build_shape_index_empty
 from orbit_reference import block_at, code_indicator_assignment, tuple_orbits
 
 
@@ -34,15 +34,19 @@ class TestBuildSdp:
     def test_objective_on_singleton_only(self):
         spec = ProblemSpec(2, 2, 2)
         p = build_sdp(spec)
-        sidx = p.variables.index(singleton_orbit(spec))
+        # the singleton, the only orbit of size 1, is variable 0
+        sizes = _size_from_counts(enumerate_orbits(spec))
+        assert np.flatnonzero(sizes == 1).tolist() == [0]
+        sidx = 0
         assert p.objective[sidx] == spec.num_words
         assert all(c == 0 for i, c in enumerate(p.objective) if i != sidx)
 
     def test_excludes_empty_and_infeasible(self):
         # of the eight orbits of (1,1), the singleton and the pair at
         # distance 2
-        p = build_sdp(ProblemSpec(1, 1, 2))
-        assert sorted(w.size for w in p.variables) == [1, 2]
+        spec = ProblemSpec(1, 1, 2)
+        assert build_sdp(spec).num_vars == 2
+        assert _size_from_counts(enumerate_orbits(spec)).tolist() == [1, 2]
 
     def test_every_variable_constrained(self):
         p = build_sdp(ProblemSpec(2, 1, 2))
@@ -65,24 +69,34 @@ class TestBuildSdp:
     "n2,n3,d,k", [(1, 1, 2, 3), (2, 2, 2, 2), (2, 2, 2, 3), (3, 3, 3, 3), (4, 8, 5, 2)]
 )
 def test_variables_are_the_orbit_map(n2, n3, d, k):
+    # one variable per row, the singleton's, row 0, carrying the objective,
+    # and the blocks built on those rows
     spec = ProblemSpec(n2, n3, d, k)
     variables = enumerate_orbits(spec)
-    assert build_problem(spec).variables == tuple(variables)
-    assert list(variables.values()) == list(range(len(variables)))
+    p = build_problem(spec)
+    assert p.num_vars == len(variables)
+    assert p.objective == (spec.num_words,) + (0,) * (len(variables) - 1)
+    want = build_blocks_empty(spec, build_shape_index_empty(spec), variables)
+    if k == 3:
+        want = build_blocks_d0(spec, build_shape_index_d0(spec), variables) + want
+    assert p.blocks == tuple(want)
 
 
 class TestBuildLp:
     def test_variables_limited_to_pairs(self):
-        p = build_lp_k2(ProblemSpec(2, 2, 2, k=2))
-        assert all(w.size <= 2 for w in p.variables)
+        spec = ProblemSpec(2, 2, 2, k=2)
+        sizes = _size_from_counts(enumerate_orbits(spec))
+        assert build_lp_k2(spec).num_vars == len(sizes)
+        assert (sizes <= 2).all()
 
     @pytest.mark.parametrize("n2,n3,d", [(2, 2, 2), (3, 3, 3), (5, 2, 4), (4, 8, 5)])
     def test_variables_are_small_orbits_of_full_table(self, n2, n3, d):
         # the level-2 map stops at pairs; its variables are those of the
         # level-3 map, in the same order
         full = enumerate_orbits(ProblemSpec(n2, n3, d))
-        want = tuple(w for w in full if w.size <= 2)
-        assert build_lp_k2(ProblemSpec(n2, n3, d, k=2)).variables == want
+        want = full[_size_from_counts(full) <= 2]
+        assert enumerate_orbits(ProblemSpec(n2, n3, d, k=2)).tolist() == want.tolist()
+        assert build_lp_k2(ProblemSpec(n2, n3, d, k=2)).num_vars == len(want)
 
     def test_only_empty_case_blocks(self):
         spec = ProblemSpec(2, 3, 2, k=2)
@@ -104,9 +118,10 @@ class TestBuildLp:
         # level 2 packs no keys, so a ternary count of 32 builds;
         # the problem is the one the tuple enumeration gives
         spec = ProblemSpec(1, 32, 3, k=2)
-        want = tuple_orbits(spec)
+        want = np.array(tuple_orbits(spec), dtype=np.int64)
         p = build_problem(spec)
-        assert p.variables == tuple(want)
+        assert enumerate_orbits(spec).tolist() == want.tolist()
+        assert p.num_vars == len(want)
         assert p.blocks == tuple(build_blocks_empty(spec, build_shape_index_empty(spec), want))
 
 
@@ -128,7 +143,8 @@ class TestCodeIndicator:
         variables = enumerate_orbits(spec)
         y = code_indicator_assignment(spec, variables, optimal_code(spec))
         assert all(isinstance(v, Fraction) for v in y.values())
-        assert y[variables[singleton_orbit(spec)]] == Fraction(exact_n(spec), spec.num_words)
+        # the singleton is variable 0
+        assert y[0] == Fraction(exact_n(spec), spec.num_words)
 
 
 class TestMonotonicity:
@@ -174,7 +190,7 @@ class TestBlockInvariants:
         # of (2,1,2)
         spec = ProblemSpec(2, 1, 2)
         with pytest.raises(ValueError) as info:
-            SdpProblem(spec, (None,) * 15, (0,) * 15, (good, faulty))
+            SdpProblem(spec, (0,) * 15, (good, faulty))
         assert str(info.value) == message
         # the verifier meets the block first among the engine's blocks
         build = blocks.build_blocks_d0

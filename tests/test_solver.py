@@ -12,7 +12,7 @@ import pytest
 
 from mixedsdp import solver
 from mixedsdp.blocks import Block
-from mixedsdp.codes import OrbitId, ProblemSpec, singleton_orbit
+from mixedsdp.codes import ProblemSpec, _size_from_counts, enumerate_orbits
 from mixedsdp.model import (
     SdpProblem,
     build_lp_k2,
@@ -40,8 +40,6 @@ from mixedsdp.solver import (
     solve,
 )
 from sdpa_output import parse_sdpa_output
-
-DUMMY_ORBIT = OrbitId(1, (1, 0, 0, 0), (1, 0, 0, 0, 0))
 
 # SHA-256 of the emitted SDPA files of every problem of tools/sdpa_digests.py,
 # pinned so that refactors of the block, model and SDPA layers keep every byte.
@@ -90,7 +88,6 @@ def view_entries(data):
 def toy_problem(objective, blocks):
     return SdpProblem(
         spec=ProblemSpec(1, 1, 1),
-        variables=tuple(DUMMY_ORBIT for _ in objective),
         objective=tuple(objective),
         blocks=tuple(blocks),
     )
@@ -106,7 +103,7 @@ def correlation_toy():
 
 def no_variables():
     """A problem without variables: the constant block I >= 0; optimum 0."""
-    return SdpProblem(ProblemSpec(2, 2, 1), (), (), (Block.from_entries("x", 2, ((0, 0, 0, 1), (0, 1, 1, 1))),))
+    return SdpProblem(ProblemSpec(2, 2, 1), (), (Block.from_entries("x", 2, ((0, 0, 0, 1), (0, 1, 1, 1))),))
 
 
 def box_toy():
@@ -168,19 +165,14 @@ class TestSolve:
                 scaled_blocks.append(Block.from_entries(b.label, b.dim, entries))
             else:
                 scaled_blocks.append(b)
-        p2 = SdpProblem(
-            spec=p.spec, variables=p.variables,
-            objective=p.objective, blocks=tuple(scaled_blocks),
-        )
+        p2 = SdpProblem(spec=p.spec, objective=p.objective, blocks=tuple(scaled_blocks))
         assert abs(solve(p2, tol=1e-8).objective - base) < 1e-6 * max(1.0, base)
 
     def test_variable_removal_never_increases(self):
         p = build_sdp(ProblemSpec(1, 1, 1))
         base = solve(p, tol=1e-8).objective
-        drop = next(
-            i for i, w in enumerate(p.variables)
-            if w.size == 3 and p.objective[i] == 0
-        )
+        sizes = _size_from_counts(enumerate_orbits(p.spec)).tolist()
+        drop = next(i for i, size in enumerate(sizes) if size == 3 and p.objective[i] == 0)
         keep = [i for i in range(p.num_vars) if i != drop]
         remap = {old: new for new, old in enumerate(keep)}
         blocks = []
@@ -191,7 +183,6 @@ class TestSolve:
             )))
         p2 = SdpProblem(
             spec=p.spec,
-            variables=tuple(p.variables[i] for i in keep),
             objective=tuple(p.objective[i] for i in keep),
             blocks=tuple(blocks),
         )
@@ -710,7 +701,7 @@ class TestCertify:
         # variable with c_i > 0, at about -u_i; the penalty pays for it and
         # the bound still holds
         problem, solution = solved_253
-        i = problem.variables.index(singleton_orbit(problem.spec))
+        i = 0  # the singleton
         u, c = solution.u[i], problem.objective[i]
         shrink = 1 - 2 * u / (c + u)
         bound = certify(problem, unrecorded(

@@ -20,8 +20,8 @@ from test_solver import EMITTED_DIGESTS
 ROOT = Path(__file__).resolve().parents[1]
 
 # the closing line of ``tools/sdpa_digests.py --orbits``: the SHA-256 of its
-# 1,820 lines, one per orbit map
-ORBIT_MAPS_DIGEST = "e75ee39f6f5e6d6fb128c657a0485d8ae4a99137fd3f9798d81bc9f2219bc6fd"
+# 1,820 lines, one per orbit map, each hashing the map's count rows in order
+ORBIT_MAPS_DIGEST = "5a8966decbeaf39eec8be24d66d0e14131efb6bf486dde89fc3be7b7cf156ffa"
 
 # the closing line of ``tools/sdpa_digests.py --verify``: the SHA-256 of its
 # 82 lines, one per ``verify_reduction`` report of at most VERIFY_WORD_CAP words
@@ -57,8 +57,8 @@ def test_sdpa_digests():
 
 
 def test_sdpa_digests_orbit_maps_pinned():
-    # the closing digest of --orbits pins the enumerate_orbits map of every
-    # spec with n2 + n3 <= 14 at levels 3 and 2, items in order
+    # the closing digest of --orbits pins the enumerate_orbits rows of every
+    # spec with n2 + n3 <= 14 at levels 3 and 2, in order
     last = run_tool("sdpa_digests.py", "--orbits")[-1]
     assert last == f"digest {ORBIT_MAPS_DIGEST} over 1820 problems"
 

@@ -16,12 +16,12 @@ them about 3.5 s, on a 2-vCPU x86-64 VM with one BLAS thread, process start
 included.  ``--table`` covers instead every row of the packaged table at
 levels 3 and 2 (``table_problems``, 270 problems), in about 32 s on the
 same VM.  ``--orbits`` prints instead the SHA-256 of the ``repr`` of the
-``enumerate_orbits`` map, items in order, of every (n2, n3, d, k) with
-n2 + n3 <= 14 (``orbit_problems``, 1,820 maps), in about 9 s on the same
-VM.  ``--verify`` prints instead the SHA-256 of the ``repr`` of the
-``verify_reduction`` checks of every (n2, n3, d, k) with at most
-``VERIFY_WORD_CAP`` words (``verify_problems``, 82 reports), in about 1 s
-on the same VM.
+``enumerate_orbits`` rows, as a list of count lists in variable order, of
+every (n2, n3, d, k) with n2 + n3 <= 14 (``orbit_problems``, 1,820 maps),
+in about 3 s on the same VM.  ``--verify`` prints instead the SHA-256 of
+the ``repr`` of the ``verify_reduction`` checks of every (n2, n3, d, k)
+with at most ``VERIFY_WORD_CAP`` words (``verify_problems``, 82 reports),
+in about 1 s on the same VM.
 
 The last line, ``digest <sha256> over N problems``, is the SHA-256 of the
 lines before it, newlines included, so two checkouts compare in one line.
@@ -96,8 +96,8 @@ def verify_lines():
 def orbit_lines():
     """The line of each orbit map of ``orbit_problems``: its key and digest."""
     for key in orbit_problems():
-        orbits = list(enumerate_orbits(ProblemSpec(*key)).items())
-        yield f"{','.join(map(str, key))} {hashlib.sha256(repr(orbits).encode()).hexdigest()}"
+        rows = enumerate_orbits(ProblemSpec(*key)).tolist()
+        yield f"{','.join(map(str, key))} {hashlib.sha256(repr(rows).encode()).hexdigest()}"
 
 
 def emitted_lines(keys):
