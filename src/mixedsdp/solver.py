@@ -2,12 +2,13 @@
 matrix inequalities, SDPA sparse-format interchange, and an exact check of
 the solver's dual point that turns its output into certified integer bounds.
 
-The solve runs named phases over one iterate (y, S, Z, s_lp, z_lp) of the
-problem with each block rescaled to unit magnitude, which changes neither
-the feasible set nor the dual objective value.  It starts from y = 0 and
-every slack and dual matrix at 100 I (infeasible start).  One-dimensional
-blocks and the bound y >= 0 on every variable are its linear rows.  Each
-iteration runs _residuals, which adds the trace entry, _stop, _scaling,
+The solve runs named phases over one iterate (y, S, Z) of the problem with
+each block rescaled to unit magnitude, which changes neither the feasible
+set nor the dual objective value.  It starts from y = 0 and every slack
+and dual matrix at 100 I (infeasible start).  The bound y_i >= 0 on each
+variable is one more block, of order 1, whose only coefficient is
+F_i = 1, so the problem is one block-diagonal inequality.  Each iteration
+runs _residuals, which adds the trace entry, _stop, _scaling,
 _newton_system, then _direction and _step_lengths for the affine
 predictor, _corrector, the same two again for the corrector, and _update.
 _stop ends the solve at the first iterate whose dual point, checked in
@@ -16,15 +17,17 @@ the primal value gives; the tolerance only caps the effort.
 _scaling is Nesterov-Todd's, from one Cholesky factor each of S and Z and
 one SVD, in which the scaled point is diagonal, so the corrector's
 Lyapunov equation is solved elementwise and the step lengths follow from
-the same factors.  _newton_system builds the Schur complement B in Gram
-form (see _schur) and inverts its Cholesky factor in place, which serves
-all four Newton solves; the last iteration's B and factor go before the
-next B is built.  Each step is min(1, gamma * a) of the way to the
-boundary, a being the primal or the dual step that reaches it, with
-SDPT3's adaptive fraction gamma = 0.9 + 0.09 min(1, a_p, a_d) (Toh, Todd
-and Tutuncu, Optim. Methods Softw. 11, 1999).
-The PSD blocks run in stacks, each of the blocks whose order pads to the
-same power of two, at least 4 (_stack_order), so every phase but the Schur
+the same factors; at order 1 the scaling and the step lengths are
+elementwise.  _newton_system builds the Schur complement B in Gram form
+(see _schur) and inverts its Cholesky factor in place, which serves all
+four Newton solves; the last iteration's B and factor go before the next
+B is built.  Each step is min(1, gamma * a) of the way to the boundary, a
+being the primal or the dual step that reaches it, with SDPT3's adaptive
+fraction gamma = 0.9 + 0.09 min(1, a_p, a_d) (Toh, Todd and Tutuncu,
+Optim. Methods Softw. 11, 1999).
+The blocks run in stacks, each of the blocks whose order pads to the same
+order (_stack_order): 1 for the 1x1 blocks and the rows y >= 0, which take
+no padding, else a power of two, at least 4.  So every phase but the Schur
 build makes one numpy or LAPACK call per stack, not per block.  A block
 fills the leading rows and columns of its member of the stack; its padded
 ones are I in S and Z and zero in every other matrix, and stay so.  The
@@ -35,17 +38,17 @@ which never decides.  So nu, mu, the objectives and the step lengths are
 those of the blocks alone.  The Schur build reads each block's G^-1 from
 its member's leading rows and columns.
 A slack or dual matrix that loses positive definiteness raises
-ConditioningError naming the block and the iteration, found once a
-stack's factorization has failed; nothing is clamped.
+ConditioningError naming the block, or the row y_i >= 0, and the
+iteration, found once a stack's factorization has failed; nothing is
+clamped.
 A phase's error carries no iterate: the loop's one handler gives every
 SolverError of a solve the last iterate.
-The solver and the exact check read the problem's blocks: the 1x1 blocks
-are the linear rows, and F0 and the objective keep their own signs.  Only
-the SDPA writer and reader know that format's conventions.  The solver, as
-the writer, takes each exact value's nearest double, so an emitted file
-holds the doubles the solver solves.  Nonzeros that do not round-trip
-through a double are counted and reported, each upper-triangle entry,
-constant and objective entry once.
+The solver and the exact check read the problem's blocks, with F0 and the
+objective in their own signs.  Only the SDPA writer and reader know that
+format's conventions.  The solver, as the writer, takes each exact value's
+nearest double, so an emitted file holds the doubles the solver solves.
+Nonzeros that do not round-trip through a double are counted and
+reported, each upper-triangle entry, constant and objective entry once.
 """
 
 from __future__ import annotations
@@ -105,17 +108,17 @@ class CertifiedBound:
 @dataclass
 class Solution:
     """Solver output: the primal value of the maximization at ``y``, the
-    dual value that upper-bounds it, the unscaled dual point (``z`` per PSD
-    block, ``w`` per 1x1 block, ``u`` per bound y_i >= 0), the certificate
-    of the exact check at this iterate when the solve ran one that
-    succeeded, the trace of every iterate, whose ``pinf`` and ``dinf`` are
-    its primal and dual residuals, and the problem the solve ran on."""
+    dual value that upper-bounds it, the unscaled dual point (``z``, the
+    dual matrix of each block in block order, a 1x1 block's as a (1, 1)
+    array, then ``u``, the multiplier of each bound y_i >= 0), the
+    certificate of the exact check at this iterate when the solve ran one
+    that succeeded, the trace of every iterate, whose ``pinf`` and ``dinf``
+    are its primal and dual residuals, and the problem the solve ran on."""
 
     objective: float
     dual_objective: float
     y: np.ndarray
     z: list[np.ndarray]
-    w: np.ndarray
     u: np.ndarray
     iterations: int
     converged: bool
@@ -136,6 +139,14 @@ class _PsdBlock:
     gamma: float
     stack: int              # the index of its stack, and its member there
     member: int
+
+
+@dataclass
+class _Gram:
+    """The Schur build's gather of a block of order 2 or more (_gram_rows);
+    the blocks of order 1 are read from their stack."""
+
+    block: _PsdBlock
     var_ids: np.ndarray     # (mk,)
     upper: tuple            # np.triu_indices(s): the svec order of the block
     tri: np.ndarray         # (mk, p) svec positions of each F_i's upper entries
@@ -144,8 +155,8 @@ class _PsdBlock:
 
 @dataclass
 class _Stack:
-    """PSD blocks padded to one order n: member q's block fills the leading
-    rows and columns of slice q of each (k, n, n) array.  The padded ones are
+    """Blocks padded to one order n: member q's block fills the leading rows
+    and columns of slice q of each (k, n, n) array.  The padded ones are
     those of I in S and Z and zero in every other matrix."""
 
     f0: np.ndarray          # (k, n, n)
@@ -153,24 +164,19 @@ class _Stack:
     mask: np.ndarray        # (k, n, n) one where row and column are the block's
     var: np.ndarray         # (e,) the variable of each upper entry of an F_i
     pos: np.ndarray         # (e,) its flat position in (k, n, n)
-    slot: np.ndarray        # (e,) its member times m plus its variable
     val: np.ndarray         # (e,) its value, doubled off the diagonal
-
-
-@dataclass
-class _LpData:
-    l0: np.ndarray          # (n,)
-    rows: np.ndarray        # (n - m, m) the 1x1 blocks; the last m rows are y >= 0
-    gammas: np.ndarray      # (n,)
+    pair: np.ndarray        # (e,) the index of its pair of member and variable
+    pair_var: np.ndarray    # (p,) the variable of each such pair
 
 
 # A problem as the solve reads it: the exact problem, its data from _prepare
-# with b divided by bscale, and nu, the order of all blocks and rows together.
-_Scaled = namedtuple("_Scaled", "problem b bscale blocks stacks lp inexact nu")
+# with b divided by bscale, and nu, the order of all blocks and rows y >= 0
+# together.
+_Scaled = namedtuple("_Scaled", "problem b bscale blocks grams stacks inexact nu")
 
-# A point of the rescaled problem: y, the slack S and the dual matrix Z of
-# each stack, and the slack and the multiplier of each linear row.
-_Iterate = namedtuple("_Iterate", "y S Z s_lp z_lp")
+# A point of the rescaled problem: y, and the slack S and the dual matrix Z
+# of each stack.
+_Iterate = namedtuple("_Iterate", "y S Z")
 
 
 def _inexact(values: np.ndarray) -> int:
@@ -184,83 +190,98 @@ def _inexact(values: np.ndarray) -> int:
 
 
 def _stack_order(dim: int) -> int:
-    """The order of the stack of a PSD block: the next power of two, at
-    least 4."""
-    return max(4, 1 << (dim - 1).bit_length())
+    """The order of the stack of a block: 1 for a block of order 1, which
+    takes no padding, else the next power of two, at least 4."""
+    return 1 if dim == 1 else max(4, 1 << (dim - 1).bit_length())
 
 
-def _stack(order: int, members: list, m: int) -> _Stack:
-    """The stack of order ``order`` of the members (dim, F0, variable, i, j,
-    value), each F_i given by its upper entries."""
-    k = len(members)
-    f0, mask = np.zeros((k, order, order)), np.zeros((k, order, order))
-    for q, (dim, f, *_) in enumerate(members):
-        f0[q, :dim, :dim] = f
-        mask[q, :dim, :dim] = 1.0
-    member = np.repeat(np.arange(k), [len(entries[2]) for entries in members])
-    var, i, j, val = (np.concatenate(column) for column in zip(*(e[2:] for e in members)))
+def _stack(order: int, members: list, m: int, rows: int) -> _Stack:
+    """The stack of order ``order`` of the members (dim, matrix, i, j,
+    value), each block given by its upper entries, F0's as matrix 0, with
+    the values doubled off the diagonal, and then of the ``rows`` rows
+    y_i >= 0, i < rows, each a member of order 1 whose only entry is
+    F_i = 1."""
+    dims = np.array([e[0] for e in members] + [1] * rows)
+    k = len(dims)
+    member = np.repeat(np.arange(k), [len(e[1]) for e in members] + [1] * rows)
+    zeros = np.zeros(rows, dtype=np.int64)
+    row_entries = (np.arange(1, rows + 1), zeros, zeros, np.ones(rows))
+    mat, i, j, val = (
+        np.concatenate(column) for column in zip(*(e[1:] for e in members), row_entries)
+    )
     pos = (member * order + i) * order + j
-    return _Stack(f0, np.eye(order) * (1.0 - mask), mask, var, pos, member * m + var, val)
+    const = mat == 0
+    f0 = np.bincount(pos[const], val[const], minlength=k * order * order)
+    f0 = f0.reshape(k, order, order)
+    inside = (np.arange(order) < dims[:, None]).astype(float)
+    mask = inside[:, :, None] * inside[:, None, :]
+    var, pos, val, member = mat[~const] - 1, pos[~const], val[~const], member[~const]
+    # a member's entries are sorted by variable, as a block's are, so the
+    # entries of each pair of member and variable are a run
+    key = member * m + var
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    return _Stack(
+        0.5 * (f0 + f0.swapaxes(1, 2)), np.eye(order) * (1.0 - mask), mask,
+        var, pos, val, np.cumsum(first) - 1, var[first],
+    )
+
+
+def _gram(bl: _PsdBlock, mat, i, j, val) -> _Gram:
+    """The gather of a block from its entries (matrix, i, j, value), with
+    the values doubled off the diagonal and scaled; F0's are left out."""
+    s = bl.dim
+    keep = mat > 0
+    mat, i, j = mat[keep], i[keep], j[keep]
+    # the entries are sorted, so each matrix's entries are contiguous
+    ids, slot, counts = np.unique(mat, return_inverse=True, return_counts=True)
+    rank = np.arange(len(mat)) - (np.cumsum(counts) - counts)[slot]
+    tri = np.zeros((len(ids), counts.max(initial=1)), dtype=np.int64)
+    coef = np.zeros(tri.shape)
+    tri[slot, rank] = i * s - i * (i - 1) // 2 + j - i  # row-major upper order
+    coef[slot, rank] = val[keep]
+    return _Gram(bl, ids - 1, np.triu_indices(s), tri, coef)
 
 
 def _prepare(problem: SdpProblem) -> _Scaled:
     """The problem as the solve reads it: its rescaled float data, each
     exact value taken as its nearest double, and the number of its
     nonzeros, objective values included, that do not round-trip through a
-    double.  The PSD blocks go into stacks by _stack_order, each in block
-    order, and keep each F_i sparse for the Schur build, as its upper
-    triangle padded with zeros to the longest in the block; the 1x1 blocks
-    are the rows of the linear part, and the rows y >= 0 are kept
-    implicit."""
+    double.  The blocks go into stacks by _stack_order, each in block
+    order, and a block of order 2 or more keeps each F_i sparse for the
+    Schur build (_gram).  The stacks come in the order of their first
+    blocks, but the stack of order 1 comes last, and the rows y_i >= 0 are
+    its last members, so a problem with variables has it last."""
     m = problem.num_vars
     inexact = sum(_inexact(b.value) for b in problem.blocks)
     inexact += sum(float(c) != c for c in problem.objective)
 
-    sdp_blocks: list[_PsdBlock] = []
-    groups: dict[int, list] = {}  # the members of the stack of each order
-    scalars = [b for b in problem.blocks if b.dim == 1]
-    for bl in problem.blocks:
-        if bl.dim == 1:
-            continue
-        s = bl.dim
-        mat, i, j, v = bl.matno, bl.i, bl.j, bl.value.astype(np.float64)
-        const = mat == 0
-        f0 = np.zeros((s, s))
-        f0[i[const], j[const]] = v[const]
-        f0[j[const], i[const]] = v[const]
-        mat, i, j, v = mat[~const], i[~const], j[~const], v[~const]
-        # the entries are sorted, so each matrix's entries are contiguous
-        ids, slot, counts = np.unique(mat, return_inverse=True, return_counts=True)
-        rank = np.arange(len(mat)) - (np.cumsum(counts) - counts)[slot]
-        tri = np.zeros((len(ids), counts.max(initial=1)), dtype=np.int64)
-        coef = np.zeros(tri.shape)
-        doubled = np.where(i == j, v, 2.0 * v)
-        tri[slot, rank] = i * s - i * (i - 1) // 2 + j - i  # row-major upper order
-        coef[slot, rank] = doubled
-        gamma = max(1.0, np.abs(f0).max(initial=0.0), np.abs(v).max(initial=0.0))
-        members = groups.setdefault(_stack_order(s), [])
-        sdp_blocks.append(_PsdBlock(
-            bl.label, s, gamma, list(groups).index(_stack_order(s)), len(members),
-            ids - 1, np.triu_indices(s), tri, coef / gamma,
-        ))
-        members.append((s, f0 / gamma, mat - 1, i, j, doubled / gamma))
-
-    dense = np.zeros((len(scalars), m + 1))  # the constants in column 0
-    for row, bl in enumerate(scalars):
-        dense[row, bl.matno] = bl.value.astype(np.float64)
-    l0, rows = dense[:, 0], dense[:, 1:]
-    gammas = np.maximum(1.0, np.maximum(np.abs(rows).max(axis=1, initial=0.0), np.abs(l0)))
-    lp = _LpData(
-        np.concatenate([l0 / gammas, np.zeros(m)]),
-        rows / gammas[:, None],
-        np.concatenate([gammas, np.ones(m)]),
+    orders = sorted(
+        dict.fromkeys([_stack_order(bl.dim) for bl in problem.blocks] + ([1] if m else [])),
+        key=lambda order: order == 1,
     )
+    groups: dict[int, list] = {order: [] for order in orders}  # each stack's members
+    blocks: list[_PsdBlock] = []
+    grams: list[_Gram] = []
+    for bl in problem.blocks:
+        s = bl.dim
+        v = bl.value.astype(np.float64)
+        gamma = max(1.0, float(np.abs(v).max(initial=0.0)))
+        doubled = np.where(bl.i == bl.j, v, 2.0 * v) / gamma
+        members = groups[_stack_order(s)]
+        blocks.append(_PsdBlock(bl.label, s, gamma, orders.index(_stack_order(s)), len(members)))
+        members.append((s, bl.matno, bl.i, bl.j, doubled))
+        if s > 1:
+            grams.append(_gram(blocks[-1], bl.matno, bl.i, bl.j, doubled))
+
     b = np.array(problem.objective, dtype=float)
     # objective normalized to unit magnitude; reported values are unscaled
     bscale = max(1.0, float(np.abs(b).max(initial=0.0)))
-    nu = sum(bl.dim for bl in sdp_blocks) + len(lp.l0)
-    stacks = [_stack(order, members, m) for order, members in groups.items()]
-    return _Scaled(problem, b / bscale, bscale, sdp_blocks, stacks, lp, inexact, nu)
+    nu = sum(bl.dim for bl in blocks) + m
+    stacks = [
+        _stack(order, members, m, m if order == 1 else 0) for order, members in groups.items()
+    ]
+    return _Scaled(problem, b / bscale, bscale, blocks, grams, stacks, inexact, nu)
 
 
 def _apply(st: _Stack, y: np.ndarray) -> np.ndarray:
@@ -269,55 +290,56 @@ def _apply(st: _Stack, y: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.swapaxes(1, 2))
 
 
-def _adjoint(st: _Stack, mats: np.ndarray, m: int) -> np.ndarray:
-    """(<F_i, M_q>)_i of each member q of a stack, for symmetric M_q, as a
-    (k, m) array."""
-    k = len(st.f0)
-    return np.bincount(st.slot, mats.ravel()[st.pos] * st.val, minlength=k * m).reshape(k, m)
+def _adjoint(st: _Stack, mats: np.ndarray) -> np.ndarray:
+    """<F_i, M_q> of each pair of a member q of a stack and a variable i of
+    that member, for symmetric M_q.  ``np.bincount(st.pair_var, ...)``
+    sums them per variable: no (k, m) array is formed, which at order 1
+    would be about as large as the Schur complement."""
+    return np.bincount(st.pair, mats.ravel()[st.pos] * st.val, minlength=len(st.pair_var))
 
 
-def _lp_apply(lp: _LpData, y: np.ndarray) -> np.ndarray:
-    """The rows of the 1x1 blocks applied to y, then y itself."""
-    return np.concatenate([lp.rows @ y, y])
-
-
-def _lp_adjoint(lp: _LpData, z: np.ndarray) -> np.ndarray:
-    """The transpose of _lp_apply."""
-    n = len(lp.rows)
-    return lp.rows.T @ z[:n] + z[n:]
-
-
-def _gram_rows(bl: _PsdBlock, h: np.ndarray, out: np.ndarray) -> None:
+def _gram_rows(g: _Gram, h: np.ndarray, out: np.ndarray) -> None:
     """Write svec(H F_i H^T) of each variable i of one block into row i of
     ``out``, whose other rows are left as they are."""
     # symmetric Kronecker table: row (a, b) holds svec of the symmetric part
     # of h[:, a] h[:, b]^T, so H F_i H^T sums the rows of F_i's upper entries
-    a, b = bl.upper
+    a, b = g.upper
     ha, hb = h.T[a], h.T[b]
     kron = ha[:, a] * hb[:, b] + ha[:, b] * hb[:, a]
     kron *= np.where(a == b, 0.5, np.sqrt(0.5))
     # variables per gather, so that its temporary is at most half as large
     # as B, and so at most half a slab
-    step = max(1, len(out) ** 2 // (2 * kron.shape[1] * bl.tri.shape[1]))
-    for lo in range(0, len(bl.tri), step):
+    step = max(1, len(out) ** 2 // (2 * kron.shape[1] * g.tri.shape[1]))
+    for lo in range(0, len(g.tri), step):
         rows = slice(lo, lo + step)
-        out[bl.var_ids[rows]] = np.einsum("ip,ipc->ic", bl.val[rows], kron[bl.tri[rows]])
+        out[g.var_ids[rows]] = np.einsum("ip,ipc->ic", g.val[rows], kron[g.tri[rows]])
 
 
-def _schur(blocks: list[_PsdBlock], lp: _LpData, inverses, lp_ratio: np.ndarray) -> np.ndarray:
-    """Schur complement B_ij = sum_k tr(F_i W_k^-1 F_j W_k^-1) + the LP
-    terms, in Gram form B = C C^T + diag(y >= 0 terms).  With W_k^-1 = H^T H
-    for H in ``inverses``, tr(F_i W^-1 F_j W^-1) = <H F_i H^T, H F_j H^T>, so
-    row i of C holds svec(H F_i H^T) of each block, with off-diagonal weight
-    sqrt 2 (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), followed by
-    the 1x1 blocks' rows scaled by the root of their z/s.
+def _schur(data: _Scaled, inverses: list[np.ndarray]) -> np.ndarray:
+    """Schur complement B_ij = sum_k tr(F_i W_k^-1 F_j W_k^-1) over the
+    blocks and rows y >= 0, in Gram form B = C C^T + a diagonal.  With
+    W_k^-1 = H^T H, H a member's G^-1 in ``inverses`` (one array per
+    stack), tr(F_i W^-1 F_j W^-1) = <H F_i H^T, H F_j H^T>, so row i of C
+    holds svec(H F_i H^T) of each block of order 2 or more, with
+    off-diagonal weight sqrt 2 (Fujisawa, Kojima and Nakata, Math. Prog.
+    79, 1997).  At order 1 that svec is val h^2: a member with several
+    entries is one column of C, and one with a single entry, as each row
+    y_i >= 0, adds val^2 h^4 to B's diagonal, which spares C a column
+    that holds one nonzero.
 
     C is never held whole: B = sum_s C_s C_s^T over column slabs of C, each
-    as wide as B is tall and at least a block's or the 1x1 rows' width, so
-    each product stays one syrk of a wide matrix."""
-    m = lp.rows.shape[1]
-    n = len(lp.rows)
-    slab = np.zeros((m, max([m, n] + [len(bl.upper[0]) for bl in blocks])))
+    as wide as B is tall and at least a block's or the order-1 columns'
+    width, so each product stays one syrk of a wide matrix."""
+    m = len(data.b)
+    # the stack of order 1 is the last, and a problem without variables,
+    # which may lack it, has no entries in any stack
+    ones, h = data.stacks[-1], inverses[-1]
+    value = ones.val * h.ravel()[ones.pos] ** 2  # pos is the member at order 1
+    count = np.bincount(ones.pos, minlength=len(h))
+    several = count[ones.pos] > 1
+    column = np.cumsum(count > 1) - 1  # of each member with several entries
+    width = int(column[-1]) + 1
+    slab = np.zeros((m, max([m, width] + [len(g.upper[0]) for g in data.grams])))
     B = None
     used = 0
 
@@ -339,12 +361,12 @@ def _schur(blocks: list[_PsdBlock], lp: _LpData, inverses, lp_ratio: np.ndarray)
         used += w
         return slab[:, used - w:used]
 
-    for bl, h in zip(blocks, inverses):
-        _gram_rows(bl, h, claim(len(bl.upper[0])))
-    if n:
-        claim(n)[:] = lp.rows.T * np.sqrt(lp_ratio[:n])
+    for g in data.grams:
+        bl = g.block
+        _gram_rows(g, inverses[bl.stack][bl.member, :bl.dim, :bl.dim], claim(len(g.upper[0])))
+    claim(width)[ones.var[several], column[ones.pos[several]]] = value[several]
     flush()
-    B.flat[::m + 1] += lp_ratio[n:]
+    B.flat[::m + 1] += np.bincount(ones.var[~several], value[~several] ** 2, minlength=m)
     return B
 
 
@@ -393,9 +415,15 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray, pad: np.ndarray, mask: np.ndarray)
     SVD: its singular values are then zero, so they sort last and leave the
     padded coordinates of the scaled space where they are.  They go back
     as one, with I for their singular vectors, so the padding of G and G^-1
-    is I as well."""
+    is I as well.
+
+    At order 1, where L = s^1/2 and R = z^1/2, the SVD is the number R L
+    itself, so G = (L/R)^1/2 = (s/z)^1/4, G^-1 = (R/L)^1/2 and d = R L,
+    taken elementwise: for 700 members a stacked SVD took 0.8 ms."""
     L = _cholesky(S, "S")
     R = _cholesky(Z, "Z")
+    if len(L[0]) == 1:
+        return np.sqrt(L / R), np.sqrt(R / L), (L * R)[:, 0]
     U, d, Vt = np.linalg.svd(R.swapaxes(1, 2) @ L - pad)
     d += np.einsum("kii->ki", pad)
     U, Vt = U * mask + pad, Vt * mask + pad
@@ -407,20 +435,16 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray, pad: np.ndarray, mask: np.ndarray)
 def _max_step(d: np.ndarray, direction: np.ndarray) -> float:
     """Largest alpha with diag(d_q) + alpha*direction_q still positive
     definite for every member q of a stack.  A padded coordinate, where the
-    direction is zero, adds the eigenvalue zero, which never decides."""
+    direction is zero, adds the eigenvalue zero, which never decides.  At
+    order 1 the eigenvalue is the entry, which a stacked eigvalsh takes 4
+    to 10 times as long to return."""
     root = np.sqrt(d)
     w = direction / (root[:, :, None] * root[:, None, :])
-    lam = float(np.linalg.eigvalsh(0.5 * (w + w.swapaxes(1, 2)))[:, 0].min())
+    sym = 0.5 * (w + w.swapaxes(1, 2))
+    lam = float((sym[:, 0, 0] if len(d[0]) == 1 else np.linalg.eigvalsh(sym)[:, 0]).min())
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
-
-
-def _lp_max_step(vec: np.ndarray, direction: np.ndarray) -> float:
-    neg = direction < 0
-    if not neg.any():
-        return np.inf
-    return float((-vec[neg] / direction[neg]).min())
 
 
 # The exact dual point lies on the grid of multiples of 1 / _GRID.
@@ -440,7 +464,8 @@ def _shift(z: np.ndarray) -> np.ndarray:
     if diag.min() <= 0.0:
         return np.zeros(n)  # not positive definite, whatever the shift
     root = np.sqrt(diag)
-    lam = float(np.linalg.eigvalsh(z / np.outer(root, root))[0])
+    # at order 1 the unit-diagonal matrix is [1]
+    lam = float(np.linalg.eigvalsh(z / np.outer(root, root))[0]) if n > 1 else 1.0
     delta = 4.0 * max(0.0, -lam) + n * np.finfo(float).eps
     return delta * diag + n / _GRID
 
@@ -467,31 +492,21 @@ def _on_grid(values: np.ndarray) -> list[int]:
     return [int(v) for v in np.rint(values * _GRID).ravel().tolist()]
 
 
-def _certificate(problem: SdpProblem, z: list[np.ndarray], w: np.ndarray) -> CertifiedBound:
-    """The exact check of a dual point (see ``certify``) against the exact
-    blocks of a problem.  Raises CertificationError, naming the block, when
-    a shifted dual block is neither positive definite nor zero."""
-    # the dual values in units of 1 / _GRID: each PSD block's matrix,
-    # row-major, and the multiplier of each 1x1 block
-    psd = iter(z)
-    lp = iter(_on_grid(np.maximum(w, 0.0)))
-    # sums[0] is sum <F0_k, Z_k> + sum l0_j w_j, and sums[i + 1] is
-    # sum <F_ik, Z_k> + sum a_ji w_j
+def _certificate(problem: SdpProblem, z: list[np.ndarray]) -> CertifiedBound:
+    """The exact check of a dual point (see ``certify``), one dual matrix
+    per block in block order, against the exact blocks of a problem.
+    Raises CertificationError, naming the block, when a shifted dual block
+    is neither positive definite nor zero."""
+    # in units of 1 / _GRID, sums[0] is sum <F0_k, Z_k> and sums[i + 1] is
+    # sum <F_ik, Z_k>
     sums = [0] * (problem.num_vars + 1)
-    for bl in problem.blocks:
-        if bl.dim == 1:
-            wj = next(lp)
-            for matno, _, _, v in bl.entries():
-                sums[matno] += v * wj
-            continue
-        zk = next(psd)
+    for bl, zk in zip(problem.blocks, z):
+        # the upper triangle, which the data reads, mirrored
         shifted = np.triu(zk + np.diag(_shift(zk)))
-        ints = np.array(_on_grid(shifted), dtype=object).reshape(shifted.shape)
-        ints += np.triu(ints, 1).T  # the upper triangle, which the data reads
+        grid = _on_grid(shifted + np.triu(shifted, 1).T)
         # a block that rounds to zero is semidefinite and adds to no sum
-        if ints.any() and not _positive_definite(ints):
+        if any(grid) and not _positive_definite(np.array(grid, dtype=object).reshape(zk.shape)):
             raise CertificationError(f"shifted dual block {bl.label} is not positive definite")
-        grid = ints.ravel().tolist()
         for matno, i, j, v in bl.entries():
             sums[matno] += (v if i == j else 2 * v) * grid[i * bl.dim + j]
     # the slack v_i = -c_i - sums[i + 1] of each variable; y_i <= 1 bounds
@@ -503,9 +518,7 @@ def _certificate(problem: SdpProblem, z: list[np.ndarray], w: np.ndarray) -> Cer
 
 def _objectives(data: _Scaled, x: _Iterate) -> tuple[float, float]:
     """The unscaled primal and dual objective values at x."""
-    dobj = float(data.lp.l0 @ x.z_lp)
-    for st, zk in zip(data.stacks, x.Z):
-        dobj += float(np.vdot(st.f0, zk))
+    dobj = sum(float(np.vdot(st.f0, zk)) for st, zk in zip(data.stacks, x.Z))
     return data.bscale * float(data.b @ x.y), data.bscale * dobj
 
 
@@ -516,65 +529,58 @@ def _solution(data: _Scaled, x: _Iterate, trace: list[dict]) -> Solution:
         x.Z[bl.stack][bl.member, :bl.dim, :bl.dim] * (data.bscale / bl.gamma)
         for bl in data.blocks
     ]
-    z_lp = x.z_lp * data.bscale / data.lp.gammas
-    n = len(data.lp.rows)
+    # the rows y >= 0 are the last members of the last stack (see _prepare)
+    u = x.Z[-1][len(x.Z[-1]) - len(x.y):, 0, 0] * data.bscale
     return Solution(
-        pobj, dobj, x.y.copy(), z,
-        z_lp[:n], z_lp[n:], len(trace), False, data.inexact, trace=trace, problem=data.problem,
+        pobj, dobj, x.y.copy(), z, u, len(trace), False, data.inexact,
+        trace=trace, problem=data.problem,
     )
 
 
 def _residuals(data: _Scaled, x: _Iterate, trace: list[dict]):
-    """The primal residuals of the PSD stacks and of the linear rows and
-    the dual residual at x; x's entry goes on the trace.  The padding of S
-    and Z, I, is taken out of the residuals and of mu."""
-    stacks, lp = data.stacks, data.lp
+    """The primal residual of each stack and the dual residual at x; x's
+    entry goes on the trace.  The padding of S and Z, I, is taken out of
+    the residuals and of mu."""
+    stacks = data.stacks
     rp = [st.f0 + _apply(st, x.y) - sk + st.pad for st, sk in zip(stacks, x.S)]
-    rlp = lp.l0 + _lp_apply(lp, x.y) - x.s_lp
-    # dual residual, with the magnitude of each block's terms tracked so
+    # dual residual, with the magnitude of each member's terms tracked so
     # infeasibility is measured backward-error style
+    m = len(x.y)
     rd = -data.b.copy()
     rd_mag = np.abs(data.b).copy()
     for st, zk in zip(stacks, x.Z):
-        contrib = _adjoint(st, zk, len(rd))
-        rd -= contrib.sum(axis=0)
-        rd_mag += np.abs(contrib).sum(axis=0)
-    lp_contrib = _lp_adjoint(lp, x.z_lp)
-    rd -= lp_contrib
-    rd_mag += np.abs(lp_contrib)
+        terms = _adjoint(st, zk)
+        rd -= np.bincount(st.pair_var, terms, minlength=m)
+        rd_mag += np.bincount(st.pair_var, np.abs(terms), minlength=m)
     pobj, dobj = _objectives(data, x)
     mu = sum(float(np.vdot(sk - st.pad, zk)) for st, sk, zk in zip(stacks, x.S, x.Z))
-    mu += float(x.s_lp @ x.z_lp)
     mu /= data.nu
     relgap = abs(pobj - dobj) / max(1.0, 0.5 * (abs(pobj) + abs(dobj)))
-    pinf = max(
-        [float(np.abs(r).max(initial=0.0)) for r in rp] + [float(np.abs(rlp).max(initial=0.0))]
-    ) / (1.0 + float(np.abs(x.y).max(initial=0.0)))
+    pinf = max(float(np.abs(r).max(initial=0.0)) for r in rp)
+    pinf /= 1.0 + float(np.abs(x.y).max(initial=0.0))
     dinf = float((np.abs(rd) / (1.0 + rd_mag)).max(initial=0.0))
     trace.append({
         "iter": len(trace), "pobj": pobj, "dobj": dobj, "mu": mu, "relgap": relgap,
         "pinf": pinf, "dinf": dinf, "alpha_p": 0.0, "alpha_d": 0.0, "sigma": 0.0,
     })
-    return rp, rlp, rd
+    return rp, rd
 
 
 def _primal_holds(data: _Scaled, y: np.ndarray) -> bool:
-    """Whether every block holds at y to within 1e-6 of its own magnitude
-    |F0| + sum |y_i F_i|.  The residuals are measured against the largest
-    coefficients, so a block whose entries at y are orders of magnitude
-    smaller can be violated, and then the primal value overstates the
-    optimum ((1,13,9) at level 3: 53.9 against 50.6).  A padded coordinate
-    adds the eigenvalue zero, which never fails the test."""
+    """Whether every block and every row y_i >= 0 holds at y to within 1e-6
+    of its own magnitude |F0| + sum |y_i F_i|.  The residuals are measured
+    against the largest coefficients, so a block whose entries at y are
+    orders of magnitude smaller can be violated, and then the primal value
+    overstates the optimum ((1,13,9) at level 3: 53.9 against 50.6).  A
+    padded coordinate adds the eigenvalue zero, which never fails the
+    test."""
     for st in data.stacks:
         k = len(st.f0)
         terms = np.bincount(st.pos, np.abs(y[st.var] * st.val), minlength=st.f0.size)
         mag = np.abs(st.f0).max(axis=(1, 2)) + terms.reshape(k, -1).max(axis=1)
         if (np.linalg.eigvalsh(st.f0 + _apply(st, y))[:, 0] < -1e-6 * mag).any():
             return False
-    lp = data.lp
-    l0 = lp.l0[:len(lp.rows)]
-    mag = np.abs(l0) + np.abs(lp.rows) @ np.abs(y)
-    return bool((l0 + lp.rows @ y >= -1e-6 * mag).all())
+    return True
 
 
 def _stop(data: _Scaled, x: _Iterate, trace: list[dict], tol: float) -> Solution | None:
@@ -593,7 +599,7 @@ def _stop(data: _Scaled, x: _Iterate, trace: list[dict], tol: float) -> Solution
         return None
     solution = _solution(data, x, trace)
     with contextlib.suppress(CertificationError):
-        solution.certificate = _certificate(data.problem, solution.z, solution.w)
+        solution.certificate = _certificate(data.problem, solution.z)
     proof = solution.certificate
     if float_test:
         entry["exact"] = None if proof is None else float(proof.exact_bound)
@@ -602,34 +608,33 @@ def _stop(data: _Scaled, x: _Iterate, trace: list[dict], tol: float) -> Solution
 
 
 def _scaling(data: _Scaled, x: _Iterate, it: int):
-    """The NT scaling (G, G^-1, d) of each stack, W^-1 = G^-T G^-1 of
-    each, and the ratio z/s of each linear row."""
+    """The NT scaling (G, G^-1, d) of each stack and W^-1 = G^-T G^-1 of
+    each."""
     try:
         scalings = [
             _nt_scaling(sk, zk, st.pad, st.mask) for st, sk, zk in zip(data.stacks, x.S, x.Z)
         ]
     except ConditioningError:
-        # a failed stack names no member: the failure is that of the
-        # first block, in block order, whose S, or else Z, has no factor
-        for bl in data.blocks:
+        # a failed stack names no member: the failure is that of the first
+        # block, in block order, or else row y_i >= 0, the last members of
+        # the last stack, whose S, or else Z, has no factor
+        m = len(x.y)
+        members = [(f"block {bl.label}", bl.stack, bl.member) for bl in data.blocks]
+        members += [(f"row y[{i}] >= 0", -1, len(x.S[-1]) - m + i) for i in range(m)]
+        for where, stack, member in members:
             for name, mats in (("S", x.S), ("Z", x.Z)):
                 try:
-                    _cholesky(mats[bl.stack][bl.member], name)
+                    _cholesky(mats[stack][member], name)
                 except ConditioningError as exc:
-                    raise ConditioningError(
-                        f"{exc} in block {bl.label} at iteration {it}"
-                    ) from None
+                    raise ConditioningError(f"{exc} in {where} at iteration {it}") from None
         raise
-    return scalings, [gi.swapaxes(1, 2) @ gi for _, gi, _ in scalings], x.z_lp / x.s_lp
+    return scalings, [gi.swapaxes(1, 2) @ gi for _, gi, _ in scalings]
 
 
 def _newton_system(data: _Scaled, nt, it: int):
     """The Schur complement B and its Cholesky factor inverted in place,
     which makes each Newton solve four matrix-vector products."""
-    scalings, _, lp_ratio = nt
-    # each block's G^-1 is the leading part of its member's
-    inverses = [scalings[bl.stack][1][bl.member, :bl.dim, :bl.dim] for bl in data.blocks]
-    B = _schur(data.blocks, data.lp, inverses, lp_ratio)
+    B = _schur(data, [gi for _, gi, _ in nt[0]])
     if not np.isfinite(B).all():
         raise ConditioningError(f"Newton system lost finiteness at iteration {it}")
     ridged = B
@@ -646,45 +651,35 @@ def _newton_system(data: _Scaled, nt, it: int):
 
 
 def _direction(data: _Scaled, residuals, nt, system, rc, it: int):
-    """The Newton direction (dy, dS, dZ, ds_lp, dz_lp) for the right-hand
-    sides rc = (rc_k of each stack, rc_lp), dy refined once.  The padding
-    of rc_k need not be zero; that of dZ is."""
-    rp, rlp, rd = residuals
-    _, winv, lp_ratio = nt
+    """The Newton direction (dy, dS, dZ) for the right-hand sides rc, one
+    rc_k for each stack, dy refined once.  The padding of rc_k need not be
+    zero; that of dZ is."""
+    rp, rd = residuals
+    _, winv = nt
     B, chol_inv = system
-    rc_stacks, rc_lp = rc
     g = -rd.copy()
-    for st, w, r, rck in zip(data.stacks, winv, rp, rc_stacks):
-        g += _adjoint(st, rck - w @ r @ w, len(g)).sum(axis=0)
-    g += _lp_adjoint(data.lp, rc_lp - lp_ratio * rlp)
+    for st, w, r, rck in zip(data.stacks, winv, rp, rc):
+        g += np.bincount(st.pair_var, _adjoint(st, rck - w @ r @ w), minlength=len(g))
     dy = chol_inv.T @ (chol_inv @ g)
     dy += chol_inv.T @ (chol_inv @ (g - B @ dy))
     d_s = [r + _apply(st, dy) for st, r in zip(data.stacks, rp)]
-    d_z = [rck - w @ ds @ w for w, ds, rck in zip(winv, d_s, rc_stacks)]
+    d_z = [rck - w @ ds @ w for w, ds, rck in zip(winv, d_s, rc)]
     d_z = [0.5 * (dz + dz.swapaxes(1, 2)) * st.mask for st, dz in zip(data.stacks, d_z)]
-    d_slp = rlp + _lp_apply(data.lp, dy)
-    d_zlp = rc_lp - lp_ratio * d_slp
     # LAPACK's Cholesky passes NaN through, and the eigvalsh of a step
     # length fails on it, so no step is sized from such a direction
-    if not all(np.isfinite(a).all() for a in (dy, d_slp, d_zlp, *d_s, *d_z)):
+    if not all(np.isfinite(a).all() for a in (dy, *d_s, *d_z)):
         raise ConditioningError(f"Newton direction lost finiteness at iteration {it}")
-    return dy, d_s, d_z, d_slp, d_zlp
+    return dy, d_s, d_z
 
 
-def _step_lengths(x: _Iterate, nt, direction) -> tuple[float, float]:
+def _step_lengths(nt, direction) -> tuple[float, float]:
     """The primal and the dual step along a direction, each min(1, gamma a)
     for the step a that reaches the boundary."""
-    _, d_s, d_z, d_slp, d_zlp = direction
+    _, d_s, d_z = direction
     # S and Z both scale to diag(d): S = G diag(d) G^T and
     # Z = G^-T diag(d) G^-1
-    ap = min(
-        [_max_step(d, gi @ ds @ gi.swapaxes(1, 2)) for (_, gi, d), ds in zip(nt[0], d_s)]
-        + [_lp_max_step(x.s_lp, d_slp)]
-    )
-    ad = min(
-        [_max_step(d, g.swapaxes(1, 2) @ dz @ g) for (g, _, d), dz in zip(nt[0], d_z)]
-        + [_lp_max_step(x.z_lp, d_zlp)]
-    )
+    ap = min(_max_step(d, gi @ ds @ gi.swapaxes(1, 2)) for (_, gi, d), ds in zip(nt[0], d_s))
+    ad = min(_max_step(d, g.swapaxes(1, 2) @ dz @ g) for (g, _, d), dz in zip(nt[0], d_z))
     # SDPT3's fraction to the boundary: closer as the steps lengthen
     gamma = 0.9 + 0.09 * min(1.0, ap, ad)
     return min(1.0, gamma * ap), min(1.0, gamma * ad)
@@ -693,14 +688,13 @@ def _step_lengths(x: _Iterate, nt, direction) -> tuple[float, float]:
 def _corrector(data: _Scaled, x: _Iterate, nt, affine, steps, entry: dict, tol: float):
     """The centering parameter sigma, from the duality measure that the
     affine predictor's steps reach, and the corrector's right-hand sides."""
-    _, ds_a, dz_a, dslp_a, dzlp_a = affine
+    _, ds_a, dz_a = affine
     ap_a, ad_a = steps
     mu = entry["mu"]
     mu_aff = sum(
         float(np.vdot(sk - st.pad + ap_a * ds, zk + ad_a * dz))
         for st, sk, ds, zk, dz in zip(data.stacks, x.S, ds_a, x.Z, dz_a)
     )
-    mu_aff += float((x.s_lp + ap_a * dslp_a) @ (x.z_lp + ad_a * dzlp_a))
     mu_aff /= data.nu
     sigma = min(0.99, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
     # centering floor: driving mu far below what the tolerance needs
@@ -718,17 +712,16 @@ def _corrector(data: _Scaled, x: _Iterate, nt, affine, steps, entry: dict, tol: 
         diagonal = np.einsum("kii->ki", rhs)  # a view, added to in place
         diagonal += sigma_mu - d * d
         rc.append(gi.swapaxes(1, 2) @ (2.0 * rhs / (d[:, :, None] + d[:, None, :])) @ gi)
-    return sigma, (rc, sigma_mu / x.s_lp - x.z_lp - dslp_a * dzlp_a / x.s_lp)
+    return sigma, rc
 
 
 def _update(x: _Iterate, direction, alpha_p: float, alpha_d: float) -> _Iterate:
-    """The primal step along y, S and s_lp, the dual one along Z and z_lp."""
-    dy, d_s, d_z, d_slp, d_zlp = direction
+    """The primal step along y and S, the dual one along Z."""
+    dy, d_s, d_z = direction
     return _Iterate(
         x.y + alpha_p * dy,
         [0.5 * (sk + sk.swapaxes(1, 2)) + alpha_p * ds for sk, ds in zip(x.S, d_s)],
         [0.5 * (zk + zk.swapaxes(1, 2)) + alpha_d * dz for zk, dz in zip(x.Z, d_z)],
-        x.s_lp + alpha_p * d_slp, x.z_lp + alpha_d * d_zlp,
     )
 
 
@@ -740,11 +733,11 @@ def solve(problem: SdpProblem, tol: float = 1e-8) -> Solution:
 
     Stops at the first iterate that proves its integer: the primal
     residual is at most 1e-6, the floors of the primal and the dual
-    objective agree, every block holds at y to 1e-6 of its own magnitude,
-    and the exact check of the dual point (see ``certify``) gives that
-    same floor.  Otherwise it stops, as converged, when the relative
-    duality gap and the scaled feasibility residuals all fall below
-    ``tol``.  Deterministic for identical inputs.
+    objective agree, every block and every row y_i >= 0 holds at y to 1e-6
+    of its own magnitude, and the exact check of the dual point (see
+    ``certify``) gives that same floor.  Otherwise it stops, as converged,
+    when the relative duality gap and the scaled feasibility residuals all
+    fall below ``tol``.  Deterministic for identical inputs.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got tol={tol}")
@@ -752,8 +745,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8) -> Solution:
     # every slack and dual matrix starts at 100 I, and its padding at I; no
     # phase writes into an iterate, so they share
     eye = [100.0 * np.eye(st.pad.shape[-1]) - 99.0 * st.pad for st in data.stacks]
-    ones = 100.0 * np.ones(len(data.lp.l0))
-    x = _Iterate(np.zeros(problem.num_vars), eye, eye, ones, ones)
+    x = _Iterate(np.zeros(problem.num_vars), eye, eye)
     trace: list[dict] = []
     tiny_steps = 0
     try:
@@ -765,10 +757,10 @@ def solve(problem: SdpProblem, tol: float = 1e-8) -> Solution:
             nt = _scaling(data, x, it)
             system = None  # the last iteration's B and factor go before the next
             system = _newton_system(data, nt, it)
-            rc = ([-zk for zk in x.Z], -x.z_lp)  # the affine predictor's
+            rc = [-zk for zk in x.Z]  # the affine predictor's
             for corrector in (False, True):
                 direction = _direction(data, residuals, nt, system, rc, it)
-                steps = _step_lengths(x, nt, direction)
+                steps = _step_lengths(nt, direction)
                 if not corrector:
                     sigma, rc = _corrector(data, x, nt, direction, steps, trace[-1], tol)
             x = _update(x, direction, *steps)
@@ -794,10 +786,11 @@ def certify(problem: SdpProblem, solution: Solution) -> CertifiedBound:
     """Integer upper bound on the problem's optimum, proved by the dual
     point of a converged solve.
 
-    For Z_k >= 0 and w_j >= 0, every feasible y satisfies c.y <= D +
-    sum_i y_i (-v_i), with D = sum <F0_k, Z_k> + sum l0_j w_j and the slack
-    v_i = -c_i - sum <F_ik, Z_k> - sum a_ji w_j of each variable.  Every
-    variable of a problem that ``model`` builds lies in [0, 1]: a feasible
+    For Z_k >= 0, every feasible y satisfies c.y <= D + sum_i y_i (-v_i),
+    with D = sum <F0_k, Z_k> and the slack v_i = -c_i - sum <F_ik, Z_k> of
+    each variable, the sums over the problem's blocks, 1x1 blocks
+    included; the multipliers of y >= 0 do not enter.  Every variable of a
+    problem that ``model`` builds lies in [0, 1]: a feasible
     reduced point lifts to a symmetric feasible point x of the unreduced
     problem, whose moment matrices have the 2x2 principal minors
     [[1, x_u], [x_u, x_u]] (rows: the empty code and {u}),
@@ -807,41 +800,38 @@ def certify(problem: SdpProblem, solution: Solution) -> CertifiedBound:
     every code of three words to one that holds 0.  So c.y <= D +
     sum_i max(0, -v_i); the sum is the ``penalty``.
 
-    The check is exact: each Z_k is shifted by a small multiple of its own
-    diagonal (``_shift``), rounded to the grid 2^-60 and proved positive
-    definite by its leading minors, unless it rounds to zero; the w_j are
-    clipped at 0 and rounded; and D and every v_i are computed from the
-    exact integer data.  The bound's floor is the value.
+    The check is exact, with one rule for every block: each Z_k is shifted
+    by a small multiple of its own diagonal (``_shift``), rounded to the
+    grid 2^-60 and proved positive definite by its leading minors, unless
+    it rounds to zero; and D and every v_i are computed from the exact
+    integer data.  The bound's floor is the value.
 
     A certificate that the solve recorded for this iterate is returned as
     is when ``problem`` is the problem the solve ran on.  Otherwise the
     check runs against ``problem``, which proves a bound for ``problem``
     from any dual point of its shape.  Refused: an unconverged solution, a
-    dual point whose variable count, PSD block orders or 1x1 block count
-    differ from the problem's, a shifted block that is neither positive
-    definite nor zero, and an integer above the solution's dual objective by
-    more than its float accuracy, 1e-6 relative, which the exact bound
-    reaches only when the dual point is too infeasible to prove that
-    objective's integer.  Each refusal carries ``solution``.
+    dual point whose variable count, block orders or count of multipliers
+    of y >= 0 differ from the problem's, a shifted block that is neither
+    positive definite nor zero, a 1x1 block's negative dual included, and
+    an integer above the solution's dual objective by more than its float
+    accuracy, 1e-6 relative, which the exact bound reaches only when the
+    dual point is too infeasible to prove that objective's integer.  Each
+    refusal carries ``solution``.
     """
     if not solution.converged:
         raise CertificationError("cannot certify an unconverged solution", solution)
     bound = solution.certificate
     if bound is None or solution.problem is not problem:
-        got = (len(solution.y), [len(zk) for zk in solution.z], len(solution.w))
-        want = (
-            problem.num_vars,
-            [bl.dim for bl in problem.blocks if bl.dim > 1],
-            sum(bl.dim == 1 for bl in problem.blocks),
-        )
+        got = (len(solution.y), [len(zk) for zk in solution.z], len(solution.u))
+        want = (problem.num_vars, [bl.dim for bl in problem.blocks], problem.num_vars)
         if got != want:
             raise CertificationError(
-                f"a solution with (variables, PSD block orders, 1x1 blocks) {got} "
+                f"a solution with (variables, block orders, rows y >= 0) {got} "
                 f"cannot prove a bound for a problem with {want}",
                 solution,
             )
         try:
-            bound = _certificate(problem, solution.z, solution.w)
+            bound = _certificate(problem, solution.z)
         except CertificationError as err:
             raise CertificationError(str(err), solution) from None
     dobj = solution.dual_objective

@@ -27,8 +27,6 @@ from mixedsdp.solver import (
     _TRIL_BLOCK,
     _adjoint,
     _apply,
-    _lp_adjoint,
-    _lp_apply,
     _nt_scaling,
     _prepare,
     _schur,
@@ -351,9 +349,9 @@ def padded_stack(members, order):
 
 
 def member_orders(rng):
-    """Five orders from 2 to 13, one of them the largest, so that a stack
+    """Five orders from 1 to 13, one of them the largest, so that a stack
     of them pads all but that one."""
-    orders = [13, *rng.integers(2, 13, size=4)]
+    orders = [13, *rng.integers(1, 13, size=4)]
     rng.shuffle(orders)
     return orders
 
@@ -390,6 +388,18 @@ class TestNtScaling:
                 assert not padded[:n, n:].any() and not padded[n:, :n].any()
             assert (d_k[q, n:] == 1.0).all()
 
+    def test_order_one_stack(self):
+        # the elementwise scaling of a stack of order 1 meets the same
+        # identities as the factored one
+        rng = np.random.default_rng(11)
+        S, Z = (np.exp(rng.uniform(-12.0, 12.0, (700, 1, 1))) for _ in range(2))
+        G, G_inv, d = _nt_scaling(S, Z, np.zeros(S.shape), np.ones(S.shape))
+        assert G.shape == G_inv.shape == S.shape and d.shape == (700, 1)
+        W = G @ G.swapaxes(1, 2)
+        for got, want in ((W @ Z @ W, S), (G.swapaxes(1, 2) @ Z @ G, d[:, :, None]),
+                          (G_inv @ G, np.ones(S.shape))):
+            assert np.abs(got / want - 1.0).max() <= 1e-12
+
     @pytest.mark.parametrize("singular", ["S", "Z"])
     def test_singular_matrix_raises(self, singular):
         mats = {"S": np.eye(3)[None], "Z": np.eye(3)[None]}
@@ -400,32 +410,45 @@ class TestNtScaling:
     @pytest.mark.parametrize("singular", ["S", "Z"])
     def test_failed_stack_names_its_block(self, singular):
         # numpy's error names no member of a stack; the solve's names the
-        # block, here a padded one amid its stack
+        # block, a padded one amid its stack or a 1x1 block amid the stack
+        # of order 1, or else the row y_i >= 0 there
         data = solver._prepare(build_sdp(ProblemSpec(2, 5, 3)))
-        bl = next(
+
+        def inner(bl):
+            return 0 < bl.member < len(data.stacks[bl.stack].f0) - 1
+
+        padded = next(
             bl for bl in data.blocks
-            if 0 < bl.member < len(data.stacks[bl.stack].f0) - 1
-            and bl.dim < data.stacks[bl.stack].f0.shape[-1]
+            if inner(bl) and 1 < bl.dim < data.stacks[bl.stack].f0.shape[-1]
         )
-        mats = {name: [np.eye(st.f0.shape[-1]) + 0.0 * st.f0 for st in data.stacks]
-                for name in "SZ"}
-        mats[singular][bl.stack][bl.member, :bl.dim, :bl.dim] = 1.0
-        ones = np.ones(len(data.lp.l0))
-        x = solver._Iterate(np.zeros(len(data.b)), mats["S"], mats["Z"], ones, ones)
-        with pytest.raises(ConditioningError) as info:
-            solver._scaling(data, x, 7)
-        assert str(info.value) == (
-            f"{singular} is not positive definite in block {bl.label} at iteration 7"
-        )
+        scalar = next(bl for bl in data.blocks if inner(bl) and bl.dim == 1)
+        row = len(data.stacks[-1].f0) - len(data.b) + 7
+        for stack, q, where in (
+            (padded.stack, padded.member, f"block {padded.label}"),
+            (scalar.stack, scalar.member, f"block {scalar.label}"),
+            (-1, row, "row y[7] >= 0"),
+        ):
+            mats = {name: [np.eye(st.f0.shape[-1]) + 0.0 * st.f0 for st in data.stacks]
+                    for name in "SZ"}
+            # singular in a block of order 2 or more, negative at order 1
+            order = data.stacks[stack].f0.shape[-1]
+            mats[singular][stack][q, :2, :2] = 1.0 if order > 1 else -1.0
+            x = solver._Iterate(np.zeros(len(data.b)), mats["S"], mats["Z"])
+            with pytest.raises(ConditioningError) as info:
+                solver._scaling(data, x, 7)
+            assert str(info.value) == (
+                f"{singular} is not positive definite in {where} at iteration 7"
+            )
 
 
 class TestMaxStep:
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(8))
     def test_matches_members(self, seed):
         # the stacked step is the least of the members' own eigvalsh steps;
-        # every third seed draws definite directions, which take no limit
+        # every third seed draws definite directions, which take no limit,
+        # and the last two a stack of order 1
         rng = np.random.default_rng(seed)
-        orders = member_orders(rng)
+        orders = member_orders(rng) if seed < 6 else [1] * 9
         d_k = [rng.uniform(1e-3, 10.0, n) for n in orders]
         definite = seed % 3 == 0
         directions = [
@@ -461,24 +484,44 @@ def dense_sdpa_operators(problem):
     return psd, diag[0]
 
 
+def member_adjoint(st, mats, m):
+    """_adjoint of a stack as a (k, m) array, row q the terms of member q."""
+    pair_member = np.zeros(len(st.pair_var), dtype=np.int64)
+    pair_member[st.pair] = st.pos // st.f0[0].size
+    out = np.zeros((len(st.f0), m))
+    out[pair_member, st.pair_var] = _adjoint(st, mats)
+    return out
+
+
 class TestSchur:
     """The sparse Gram-form Schur complement and the sparse operators
     A(y) = sum_i y_i F_i and A^T(M) = (<F_i, M>)_i against dense forms."""
 
     @pytest.mark.parametrize("n2,n3,d,k", [
         (2, 5, 3, 3),  # four slabs of the Gram factor
-        (3, 2, 4, 3),  # two single-entry 1x1 rows on one variable; the 1x1
-                       # rows open the third slab
-        (2, 5, 3, 2),  # level 2: an LP and one 2x2 block, whose 1x1 rows
-                       # open the second slab
+        (3, 2, 4, 3),  # a 1x1 block of a single entry, on the diagonal of
+                       # B with the rows y >= 0; the slab columns of the
+                       # other 1x1 blocks open the third slab
+        (2, 5, 3, 2),  # level 2: one 2x2 block and 1x1 blocks of several
+                       # entries, whose slab columns open the second slab
     ])
     def test_matches_dense_reference(self, n2, n3, d, k):
         problem = build_problem(ProblemSpec(n2, n3, d, k))
         psd, diag = dense_sdpa_operators(problem)
         data = _prepare(problem)
-        blocks, lp = data.blocks, data.lp
-        assert len(blocks) == len(psd)
         m = problem.num_vars
+        blocks = [bl for bl in data.blocks if bl.dim > 1]
+        assert len(blocks) == len(psd)
+        # the stack of order 1 is the last: the 1x1 blocks, then the rows
+        # y >= 0, in the order of the SDPA view's diagonal block
+        ones = data.stacks[-1]
+        scalars = [bl for bl in data.blocks if bl.dim == 1]
+        assert ones.f0.shape == (len(diag), 1, 1) == (len(scalars) + m, 1, 1)
+        assert [(bl.stack, bl.member) for bl in scalars] == [
+            (len(data.stacks) - 1, q) for q in range(len(scalars))
+        ]
+        count = np.bincount(ones.pos, minlength=len(ones.f0))
+        assert (count[len(scalars):] == 1).all()
         rng = np.random.default_rng(n2 * 100 + n3 * 10 + d + k)
         y = rng.standard_normal(m)
         # each operator runs once per stack, and is read at each member
@@ -486,9 +529,11 @@ class TestSchur:
         mats = [np.zeros(st.f0.shape) for st in data.stacks]
         for bl in blocks:
             mats[bl.stack][bl.member, :bl.dim, :bl.dim] = random_spd(rng, bl.dim, 1e3)
-        adjoints = [_adjoint(st, M, m) for st, M in zip(data.stacks, mats)]
+        mats[-1] += rng.random(mats[-1].shape) + 0.5
+        adjoints = [member_adjoint(st, M, m) for st, M in zip(data.stacks, mats)]
         ref = np.zeros((m, m))
-        inverses = []
+        inverses = [np.broadcast_to(np.eye(st.f0.shape[-1]), st.f0.shape).copy()
+                    for st in data.stacks]
         for bl, full in zip(blocks, psd):
             F = full / bl.gamma
             f0 = data.stacks[bl.stack].f0[bl.member]
@@ -505,17 +550,22 @@ class TestSchur:
                                rtol=0, atol=1e-14)
             W = random_spd(rng, bl.dim, 1e3)
             w_inv = np.linalg.inv(W)
-            inverses.append(np.linalg.cholesky(w_inv).T)  # H^T H = W^-1
+            # H^T H = W^-1
+            inverses[bl.stack][bl.member, dim, dim] = np.linalg.cholesky(w_inv).T
             t = np.einsum("ab,ibc,cd->iad", w_inv, F[1:], w_inv)
             ref += np.einsum("iab,jba->ij", F[1:], t)
-        rows = diag[:, 1:] / lp.gammas[:, None]
-        assert np.array_equal(diag[:, 0] / lp.gammas, lp.l0)
-        assert np.allclose(_lp_apply(lp, y), rows @ y, rtol=0, atol=1e-14)
-        z = rng.random(len(rows)) + 0.5
-        assert np.allclose(_lp_adjoint(lp, z), rows.T @ z, rtol=0, atol=1e-14)
-        ratio = rng.random(len(rows)) + 0.5
-        ref += (rows.T * ratio) @ rows
-        B = _schur(blocks, lp, inverses, ratio)
+        # the order-1 members against the diagonal block's rows, each scaled
+        # by its block's gamma, and by 1 for a row y_i >= 0
+        gammas = np.array([bl.gamma for bl in scalars] + [1.0] * m)
+        rows = diag[:, 1:] / gammas[:, None]
+        assert np.array_equal(diag[:, 0] / gammas, ones.f0[:, 0, 0])
+        assert np.allclose(applied[-1][:, 0, 0], rows @ y, rtol=0, atol=1e-14)
+        z = mats[-1][:, 0, 0]
+        assert np.allclose(adjoints[-1], rows * z[:, None], rtol=0, atol=1e-14)
+        h = rng.random(len(rows)) + 0.5
+        inverses[-1][:, 0, 0] = h
+        ref += (rows.T * h ** 4) @ rows
+        B = _schur(data, inverses)
         assert np.abs(B - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -562,6 +612,11 @@ def with_coefficient(problem, index, var, a, delta):
     blocks = list(problem.blocks)
     blocks[index] = Block.from_entries(block.label, block.dim, entries)
     return dataclasses.replace(problem, blocks=tuple(blocks))
+
+
+def second_psd_block(problem):
+    """The index of the second block of order 2 or more."""
+    return [i for i, b in enumerate(problem.blocks) if b.dim >= 2][1]
 
 
 class TestCertify:
@@ -613,7 +668,7 @@ class TestCertify:
     def test_corrupted_coefficient_refused(self, solved_253):
         problem, solution = solved_253
         index = next(i for i, b in enumerate(problem.blocks) if b.dim >= 2)
-        z = solution.z[0]  # the dual block of problem.blocks[index]
+        z = solution.z[index]
         a = int(np.argmax(np.diag(z)))
         var = next(
             mat - 1 for mat, i, j, _ in problem.blocks[index].entries() if mat and i == j == a
@@ -629,7 +684,8 @@ class TestCertify:
     def test_corrupted_dual_entry_refused(self, solved_253):
         problem, solution = solved_253
         z = [zk.copy() for zk in solution.z]
-        z[1][0, 1] = z[1][1, 0] = 1e3 * np.abs(z[1]).max()
+        k = second_psd_block(problem)
+        z[k][0, 1] = z[k][1, 0] = 1e3 * np.abs(z[k]).max()
         with pytest.raises(CertificationError, match="does not prove"):
             certify(problem, unrecorded(solution, z=z))
 
@@ -638,17 +694,17 @@ class TestCertify:
         # it positive definite, and the same shift subtracted cannot
         problem, solution = solved_253
         z = [zk.copy() for zk in solution.z]
-        lam = np.linalg.eigvalsh(z[1])[0]
-        z[1] -= (lam + 1e-9 * np.abs(z[1]).max()) * np.eye(len(z[1]))
+        k = second_psd_block(problem)
+        lam = np.linalg.eigvalsh(z[k])[0]
+        z[k] -= (lam + 1e-9 * np.abs(z[k]).max()) * np.eye(len(z[k]))
         assert certify(problem, unrecorded(solution, z=z)).value == 65
         shift = solver._shift
         monkeypatch.setattr(solver, "_shift", lambda zk: -shift(zk))
         shifted = unrecorded(solution, z=z)
         with pytest.raises(CertificationError, match="not positive definite") as info:
             certify(problem, shifted)
-        # the error names the block of z[1], the second PSD block, by its label
-        label = [b.label for b in problem.blocks if b.dim >= 2][1]
-        assert f"block {label} is" in str(info.value)
+        # the error names the block of z[k], the second PSD block, by its label
+        assert f"block {problem.blocks[k].label} is" in str(info.value)
         assert info.value.solution is shifted
 
     @pytest.mark.parametrize("diagonal", [0.0, -1.0])
@@ -663,6 +719,21 @@ class TestCertify:
             certify(problem, given)
         assert str(info.value) == (
             "shifted dual block zero:n=(2, 0, 5) lam=[(2),(),(5)] is not positive definite"
+        )
+        assert info.value.solution is given
+
+    def test_negative_scalar_dual_refused(self, solved_253):
+        # a 1x1 block's dual is checked as any block's: a negative one that
+        # does not round to zero is refused, and its block named
+        problem, solution = solved_253
+        k = next(i for i, b in enumerate(problem.blocks) if b.dim == 1)
+        z = [zk.copy() for zk in solution.z]
+        z[k] = np.array([[-1.0]])
+        given = unrecorded(solution, z=z)
+        with pytest.raises(CertificationError) as info:
+            certify(problem, given)
+        assert str(info.value) == (
+            f"shifted dual block {problem.blocks[k].label} is not positive definite"
         )
         assert info.value.solution is given
 
@@ -704,9 +775,7 @@ class TestCertify:
         i = 0  # the singleton
         u, c = solution.u[i], problem.objective[i]
         shrink = 1 - 2 * u / (c + u)
-        bound = certify(problem, unrecorded(
-            solution, z=[shrink * zk for zk in solution.z], w=shrink * solution.w,
-        ))
+        bound = certify(problem, unrecorded(solution, z=[shrink * zk for zk in solution.z]))
         assert bound.penalty > 0
         assert bound.exact_bound >= solution.objective
         assert bound.value == 65
@@ -977,9 +1046,13 @@ class TestSdpaInterchange:
         def arrays(problem):
             data = _prepare(problem)
             assert data.inexact == 0
+            # the file keeps each block's place among the blocks of its
+            # stack, not among all blocks
+            blocks = sorted(data.blocks, key=lambda bl: (bl.stack, bl.member))
+            grams = sorted(data.grams, key=lambda g: (g.block.stack, g.block.member))
             fields = [
-                getattr(x, f.name) for x in [*data.blocks, *data.stacks, data.lp]
-                for f in dataclasses.fields(x) if f.name != "label"
+                getattr(x, f.name) for x in [*blocks, *grams, *data.stacks]
+                for f in dataclasses.fields(x) if f.name not in ("label", "block")
             ]
             return [np.asarray(a) for a in [data.b, *fields]]
 
